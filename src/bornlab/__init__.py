@@ -11,20 +11,16 @@ from .invariance import (
     ComplementPoint,
     IndexOutOfRange,
     InvarianceReport,
-    StabilizerUnitary,
     complement_rotation,
-    compose_stabilizer,
     match_eigenvector,
     observable_independence_scan,
     observable_with_eigenstate,
-    stabilizer_unitary,
     unobserved_independence_scan,
 )
 from .linalg import (
     ComplexMatrix,
     Eigensystem,
     HermitianMatrix,
-    NonConvergence,
     UnitaryMatrix,
     ZeroVector,
     complete_basis,
@@ -58,7 +54,6 @@ from .rules import (
     ProbabilityRule,
     Renormalized,
     defect_scan,
-    evaluate,
     normalization_sum,
     parse_rule,
     rule_probabilities,
@@ -71,7 +66,6 @@ from .variational import (
     RankDeficient,
     RecoveryResult,
     StationarityResidual,
-    best_multiplier,
     closed_form_check,
     fit_power_series,
     outcome_stationarity,

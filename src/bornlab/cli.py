@@ -4,7 +4,8 @@ Every command echoes its configuration, emits a machine-readable report,
 and derives its verdict from the serialized results and thresholds alone,
 so a reader can re-check the pass flag.  Exit codes: 0 every check passed,
 1 a scientific check failed (or a rule was falsified, the expected outcome
-for non-quadratic rules), 2 usage error.
+for non-quadratic rules), 2 usage, domain or I/O error, 3 inconclusive (the
+configuration cannot separate the rule from the quadratic one).
 
 Reports are byte-identical across reruns with the same seed, and across
 thread counts, because every random draw comes from a substream addressed
@@ -19,7 +20,7 @@ import io
 import json
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -27,10 +28,6 @@ from . import invariance, quantum, rules, variational
 from .quantum import StateVector, haar_state, moduli
 from .streams import subseed, substream
 from .tolerances import TOL
-
-RESIDUAL_THRESHOLD = 1e-6       # stationarity residuals (finite-difference floor)
-DEVIATION_THRESHOLD = 1e-15     # closed-form identity deviation
-COEFFICIENT_THRESHOLD = 1e-3    # recovered-coefficient distance from (0, 1, 0, 0)
 
 
 @dataclass(frozen=True)
@@ -50,25 +47,7 @@ class RunConfig:
     out: str | None = None
 
     def as_dict(self) -> dict:
-        payload: dict = {"command": self.command, "seed": self.seed}
-        if self.dims is not None:
-            payload["dims"] = list(self.dims)
-        if self.dim is not None:
-            payload["dim"] = self.dim
-        if self.trials is not None:
-            payload["trials"] = self.trials
-        if self.shots is not None:
-            payload["shots"] = self.shots
-        if self.rule is not None:
-            payload["rule"] = self.rule
-        if self.tol_defect is not None:
-            payload["tol_defect"] = self.tol_defect
-        if self.tol_spread is not None:
-            payload["tol_spread"] = self.tol_spread
-        payload["format"] = self.format
-        if self.out is not None:
-            payload["out"] = self.out
-        return payload
+        return {key: value for key, value in asdict(self).items() if value is not None}
 
 
 @dataclass
@@ -93,6 +72,12 @@ class Report:
             indent=2,
         )
 
+    @property
+    def exit_code(self) -> int:
+        if self.passed:
+            return 0
+        return 3 if "inconclusive" in self.results else 1
+
     def to_csv(self) -> str:
         buffer = io.StringIO()
         writer = csv.writer(buffer, lineterminator="\n")
@@ -108,6 +93,13 @@ def _parse_dims(text: str) -> tuple[int, ...]:
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad dimension list {text!r}")
     return dims
+
+
+def _parse_rule(text: str) -> rules.ProbabilityRule:
+    try:
+        return rules.parse_rule(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -129,45 +121,47 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dims", type=_parse_dims, default=(2, 3, 4, 5, 6, 7, 8))
     p.add_argument("--trials", type=int, default=10_000)
     add_common(p)
+    p.set_defaults(func=cmd_verify_born)
 
     p = sub.add_parser("falsify", help="defect and independence falsifiers for a candidate rule")
-    p.add_argument("--rule", required=True)
+    p.add_argument("--rule", type=_parse_rule, required=True)
     p.add_argument("--dim", type=int, default=3)
     p.add_argument("--trials", type=int, default=1000)
     add_common(p)
+    p.set_defaults(func=cmd_falsify)
 
     p = sub.add_parser("independence", help="observable- and rotation-independence scans for one rule")
-    p.add_argument("--rule", default="born")
+    p.add_argument("--rule", type=_parse_rule, default="born")
     p.add_argument("--dim", type=int, default=3)
     p.add_argument("--trials", type=int, default=100, help="draws per scan")
     add_common(p)
+    p.set_defaults(func=cmd_independence)
 
     p = sub.add_parser("recover", help="least-squares recovery of the unique normalizable rule")
     p.add_argument("--dims", type=_parse_dims, default=(2, 3))
     p.add_argument("--trials", type=int, default=500, help="samples per dimension")
     add_common(p)
+    p.set_defaults(func=cmd_recover)
 
     p = sub.add_parser("stationarity", help="Lagrange stationarity residuals and the closed-form fit")
     p.add_argument("--dims", type=_parse_dims, default=(3,))
     p.add_argument("--trials", type=int, default=1000, help="orthant points per dimension")
     add_common(p)
+    p.set_defaults(func=cmd_stationarity)
 
     p = sub.add_parser("spin1", help="two spin-1 observables sharing the m=0 eigenvector assign it equal probability")
     p.add_argument("--trials", type=int, default=1000, help="random states")
     add_common(p)
+    p.set_defaults(func=cmd_spin1)
 
     p = sub.add_parser("sample", help="Monte-Carlo measurement: frequencies vs probabilities, collapse repeatability")
     p.add_argument("--dim", type=int, default=3)
     p.add_argument("--shots", type=int, default=100_000)
     p.add_argument("--trials", type=int, default=10, help="random (state, observable) pairs")
     add_common(p)
+    p.set_defaults(func=cmd_sample)
 
     return parser
-
-
-def _validate_dims(parser: argparse.ArgumentParser, dims: tuple[int, ...]) -> None:
-    if not dims or any(d < 2 for d in dims):
-        parser.error("dimensions must be integers >= 2")
 
 
 def cmd_verify_born(args) -> Report:
@@ -232,7 +226,8 @@ def cmd_verify_born(args) -> Report:
     return Report("verify-born", config, results, passed, 0.0, series)
 
 
-def cmd_falsify(args, rule: rules.ProbabilityRule) -> Report:
+def cmd_falsify(args) -> Report:
+    rule = args.rule
     config = RunConfig(
         command="falsify", seed=args.seed, dim=args.dim, trials=args.trials,
         rule=rule.name, tol_defect=args.tol_defect, tol_spread=args.tol_spread,
@@ -266,17 +261,27 @@ def cmd_falsify(args, rule: rules.ProbabilityRule) -> Report:
         results["rotation_scan"] = rot_scan.as_dict()
         series.extend((i, d, None, p) for i, p in enumerate(obs_scan.p_values))
         series.extend((i, d, 0, p) for i, p in enumerate(rot_scan.p_values))
-        if obs_scan.spread > args.tol_spread or rot_scan.spread > args.tol_spread:
+        if d == 2:
+            # the complement orthant is a single point, so both spreads
+            # vanish for every rule: the d=2 gap of Gleason's theorem
+            falsified = None
+            witness = None
+            results["inconclusive"] = (
+                "at d=2 both independence spreads vanish for every rule; "
+                "use --dim 3 or more"
+            )
+        elif obs_scan.spread > args.tol_spread or rot_scan.spread > args.tol_spread:
             falsified = True
             worst = obs_scan if obs_scan.spread >= rot_scan.spread else rot_scan
             witness = [float(p) for p in (np.min(worst.p_values), np.max(worst.p_values))]
 
     results["falsified"] = falsified
     results["witness"] = witness
-    return Report("falsify", config, results, not falsified, 0.0, series)
+    return Report("falsify", config, results, falsified is False, 0.0, series)
 
 
-def cmd_independence(args, rule: rules.ProbabilityRule) -> Report:
+def cmd_independence(args) -> Report:
+    rule = args.rule
     config = RunConfig(
         command="independence", seed=args.seed, dim=args.dim, trials=args.trials,
         rule=rule.name, tol_spread=args.tol_spread, format=args.format, out=args.out,
@@ -315,10 +320,10 @@ def cmd_recover(args) -> Report:
         "recovery": result.as_dict(),
         "target": [0.0, 1.0, 0.0, 0.0],
         "max_coefficient_error": error,
-        "coefficient_threshold": COEFFICIENT_THRESHOLD,
+        "coefficient_threshold": TOL.coefficient_error,
     }
     series = [(n + 1, None, None, c) for n, c in enumerate(result.candidate.coefficients)]
-    return Report("recover", config, results, error <= COEFFICIENT_THRESHOLD, 0.0, series)
+    return Report("recover", config, results, error <= TOL.coefficient_error, 0.0, series)
 
 
 def cmd_stationarity(args) -> Report:
@@ -352,15 +357,15 @@ def cmd_stationarity(args) -> Report:
     results = {
         "max_sum_residual": max_sum_residual,
         "max_outcome_residual": max_outcome_residual,
-        "residual_threshold": RESIDUAL_THRESHOLD,
+        "residual_threshold": TOL.stationarity_residual,
         "closed_form": closed.as_dict(),
-        "deviation_threshold": DEVIATION_THRESHOLD,
+        "deviation_threshold": TOL.closed_form_deviation,
         "fits_exact": fits_exact,
     }
     passed = (
-        max_sum_residual <= RESIDUAL_THRESHOLD
-        and max_outcome_residual <= RESIDUAL_THRESHOLD
-        and closed.max_deviation <= DEVIATION_THRESHOLD
+        max_sum_residual <= TOL.stationarity_residual
+        and max_outcome_residual <= TOL.stationarity_residual
+        and closed.max_deviation <= TOL.closed_form_deviation
         and fits_exact
     )
     return Report("stationarity", config, results, passed, 0.0, series)
@@ -455,48 +460,27 @@ def main(argv: list[str] | None = None) -> int:
         parser.error("--trials must be at least 1")
     if getattr(args, "shots", 1) < 1:
         parser.error("--shots must be at least 1")
-    if getattr(args, "dims", None) is not None:
-        _validate_dims(parser, args.dims)
+    if getattr(args, "dims", None) is not None and min(args.dims) < 2:
+        parser.error("dimensions must be integers >= 2")
     if getattr(args, "dim", None) is not None and args.dim < 2:
         parser.error("--dim must be at least 2")
 
-    rule = None
-    if getattr(args, "rule", None) is not None:
-        try:
-            rule = rules.parse_rule(args.rule)
-        except ValueError as exc:
-            parser.error(str(exc))
+    try:
+        start = time.perf_counter()
+        report = args.func(args)
+        report.runtime_ms = (time.perf_counter() - start) * 1000.0
 
-    start = time.perf_counter()
-    if args.command == "verify-born":
-        report = cmd_verify_born(args)
-    elif args.command == "falsify":
-        report = cmd_falsify(args, rule)
-    elif args.command == "independence":
-        report = cmd_independence(args, rule)
-    elif args.command == "recover":
-        report = cmd_recover(args)
-    elif args.command == "stationarity":
-        report = cmd_stationarity(args)
-    elif args.command == "spin1":
-        report = cmd_spin1(args)
-    elif args.command == "sample":
-        report = cmd_sample(args)
-    else:  # pragma: no cover - argparse enforces the choices
-        parser.error(f"unknown command {args.command!r}")
-    report.runtime_ms = (time.perf_counter() - start) * 1000.0
-
-    text = report.to_csv() if args.format == "csv" else report.to_json()
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as handle:
-            handle.write(text)
-            if not text.endswith("\n"):
-                handle.write("\n")
-    else:
-        sys.stdout.write(text)
+        text = report.to_csv() if args.format == "csv" else report.to_json()
         if not text.endswith("\n"):
-            sys.stdout.write("\n")
-    return 0 if report.passed else 1
+            text += "\n"
+        if args.out:
+            with open(args.out, "w", encoding="utf-8") as handle:
+                handle.write(text)
+        else:
+            sys.stdout.write(text)
+    except (rules.DomainError, OSError) as exc:
+        parser.error(str(exc))
+    return report.exit_code
 
 
 def run() -> None:  # console entry point

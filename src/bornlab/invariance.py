@@ -15,12 +15,11 @@ report that leak as a spread.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import UnitaryMatrix, complete_basis, haar_array
+from .linalg import complete_basis, haar_array
 from .quantum import (
     ModulusVector,
     NotNormalized,
@@ -30,44 +29,12 @@ from .quantum import (
     gapped_eigenvalues,
 )
 from .rules import ProbabilityRule, rule_probabilities
-from .streams import substream
+from .streams import map_trials, substream
 from .tolerances import TOL
 
 
 class IndexOutOfRange(IndexError):
     """Fixed index is outside the vector's dimension."""
-
-
-@dataclass(frozen=True)
-class StabilizerUnitary:
-    """Block unitary: a phase on one basis direction, arbitrary elsewhere.
-
-    Applied to any normalized amplitude vector it preserves the modulus at
-    the fixed index, which is validated structurally at construction (the
-    fixed row and column vanish off the diagonal).
-    """
-
-    dim: int
-    fixed_index: int
-    matrix: UnitaryMatrix
-
-    def __post_init__(self) -> None:
-        if not 0 <= self.fixed_index < self.dim:
-            raise IndexOutOfRange(f"index {self.fixed_index} for dimension {self.dim}")
-        if self.matrix.dim != self.dim:
-            raise ValueError("matrix dimension mismatch")
-        u = self.matrix.entries
-        k = self.fixed_index
-        others = [j for j in range(self.dim) if j != k]
-        leak = max(
-            float(np.max(np.abs(u[k, others]))) if others else 0.0,
-            float(np.max(np.abs(u[others, k]))) if others else 0.0,
-        )
-        if leak > TOL.unitary_entry or abs(abs(u[k, k]) - 1.0) > TOL.unitary_entry:
-            raise ValueError("matrix does not stabilize the fixed direction")
-
-    def apply(self, amplitudes: np.ndarray) -> np.ndarray:
-        return self.matrix.entries @ np.asarray(amplitudes, dtype=np.complex128)
 
 
 @dataclass(frozen=True)
@@ -118,29 +85,6 @@ class InvarianceReport:
             "spread": self.spread,
             "seed": self.seed,
         }
-
-
-def compose_stabilizer(
-    dim: int, k: int, phase: complex, block: np.ndarray
-) -> StabilizerUnitary:
-    """Embed a phase at index k and a (dim-1)-dim unitary on the complement."""
-    if not 0 <= k < dim:
-        raise IndexOutOfRange(f"index {k} for dimension {dim}")
-    u = np.zeros((dim, dim), dtype=np.complex128)
-    u[k, k] = phase
-    others = [j for j in range(dim) if j != k]
-    u[np.ix_(others, others)] = np.asarray(block, dtype=np.complex128)
-    return StabilizerUnitary(dim, k, UnitaryMatrix(u))
-
-
-def stabilizer_unitary(dim: int, k: int, rng: np.random.Generator) -> StabilizerUnitary:
-    """Random modulus-preserving unitary: uniform phase at k, Haar complement."""
-    if dim < 2:
-        raise ValueError("dimension must be at least 2")
-    if not 0 <= k < dim:
-        raise IndexOutOfRange(f"index {k} for dimension {dim}")
-    phase = np.exp(1j * rng.uniform(0.0, 2.0 * np.pi))
-    return compose_stabilizer(dim, k, phase, haar_array(dim - 1, rng))
 
 
 def complement_rotation(
@@ -229,12 +173,7 @@ def observable_independence_scan(
         k = match_eigenvector(observable, phi)
         p_values[i] = rule_probabilities(rule, point)[k]
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, range(draws)))
-    else:
-        for i in range(draws):
-            run(i)
+    map_trials(run, draws, threads)
 
     return InvarianceReport(rule.name, psi.dim, None, draws, p_values, seed)
 
@@ -262,11 +201,6 @@ def unobserved_independence_scan(
         rotated = complement_rotation(point, k, substream(seed, i))
         p_values[i] = rule_probabilities(rule, rotated)[k]
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, range(draws)))
-    else:
-        for i in range(draws):
-            run(i)
+    map_trials(run, draws, threads)
 
     return InvarianceReport(rule.name, point.dim, k, draws, p_values, seed)

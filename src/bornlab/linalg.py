@@ -1,9 +1,9 @@
 """Dense complex linear algebra at small dimension.
 
-Hermitian eigendecomposition by cyclic Jacobi rotations, Haar-distributed
-unitary sampling, and orthonormal basis completion.  Everything is plain
-double precision: the effects the experiments must detect are >= 0.01,
-far above rounding noise.
+Hermitian eigendecomposition (LAPACK eigh plus a deterministic phase
+convention), Haar-distributed unitary sampling, and orthonormal basis
+completion.  Everything is plain double precision: the effects the
+experiments must detect are >= 0.01, far above rounding noise.
 """
 
 from __future__ import annotations
@@ -13,10 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .tolerances import TOL
-
-
-class NonConvergence(RuntimeError):
-    """Jacobi sweeps did not push the off-diagonal norm below threshold."""
 
 
 class ZeroVector(ValueError):
@@ -109,83 +105,12 @@ def fix_column_phases(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
-def off_diagonal_norm(matrix: np.ndarray) -> float:
-    """Frobenius norm of the off-diagonal part."""
-    off = matrix - np.diag(np.diag(matrix))
-    return float(np.linalg.norm(off))
-
-
 def eigendecompose(matrix: HermitianMatrix | np.ndarray) -> Eigensystem:
-    """Diagonalize a Hermitian matrix with cyclic Jacobi rotations.
-
-    Sweeps run in a fixed (p, q) order, so the result is a deterministic
-    function of the input.  Raises NonConvergence if the off-diagonal norm
-    does not fall below the threshold within the sweep cap, which signals
-    pathological input rather than an algorithmic failure at these sizes.
-    """
+    """Diagonalize a Hermitian matrix: ascending eigenvalues, phase-fixed columns."""
     if not isinstance(matrix, HermitianMatrix):
         matrix = HermitianMatrix(matrix)
-    d = matrix.dim
-    a = np.array(matrix.entries)
-    v = np.eye(d, dtype=np.complex128)
-
-    for _ in range(TOL.jacobi_max_sweeps):
-        if off_diagonal_norm(a) < TOL.jacobi_off_norm:
-            break
-        for p in range(d - 1):
-            for q in range(p + 1, d):
-                _rotate(a, v, p, q)
-    if off_diagonal_norm(a) >= TOL.jacobi_off_norm:
-        raise NonConvergence(
-            f"off-diagonal norm {off_diagonal_norm(a):.3e} after "
-            f"{TOL.jacobi_max_sweeps} sweeps"
-        )
-
-    values = np.real(np.diag(a))
-    order = np.argsort(values, kind="stable")
-    values = values[order]
-    vectors = fix_column_phases(v[:, order])
-
-    residual = np.max(
-        np.linalg.norm(matrix.entries @ vectors - vectors * values, axis=0)
-    )
-    if residual > TOL.eigen_residual:
-        raise NonConvergence(f"eigenpair residual {residual:.3e} above tolerance")
-    return Eigensystem(values, vectors)
-
-
-def _rotate(a: np.ndarray, v: np.ndarray, p: int, q: int) -> None:
-    """Zero a[p, q] (and a[q, p]) with a complex Jacobi rotation, in place."""
-    apq = a[p, q]
-    r = abs(apq)
-    if r == 0.0:
-        return
-    phase = apq / r
-    tau = (a[q, q].real - a[p, p].real) / (2.0 * r)
-    t = np.sign(tau) / (abs(tau) + np.sqrt(1.0 + tau * tau)) if tau != 0.0 else 1.0
-    c = 1.0 / np.sqrt(1.0 + t * t)
-    s = t * c
-
-    # column update: A <- A J with J = [[c, s], [-s e^{-i phi}, c e^{-i phi}]]
-    col_p = a[:, p].copy()
-    col_q = a[:, q].copy()
-    a[:, p] = c * col_p - s * np.conj(phase) * col_q
-    a[:, q] = s * col_p + c * np.conj(phase) * col_q
-    # row update: A <- J^dag A
-    row_p = a[p, :].copy()
-    row_q = a[q, :].copy()
-    a[p, :] = c * row_p - s * phase * row_q
-    a[q, :] = s * row_p + c * phase * row_q
-
-    a[p, q] = 0.0
-    a[q, p] = 0.0
-    a[p, p] = a[p, p].real
-    a[q, q] = a[q, q].real
-
-    vec_p = v[:, p].copy()
-    vec_q = v[:, q].copy()
-    v[:, p] = c * vec_p - s * np.conj(phase) * vec_q
-    v[:, q] = s * vec_p + c * np.conj(phase) * vec_q
+    values, vectors = np.linalg.eigh(matrix.entries)
+    return Eigensystem(values, fix_column_phases(vectors))
 
 
 def haar_array(dim: int, rng: np.random.Generator) -> np.ndarray:

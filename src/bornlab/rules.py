@@ -10,19 +10,17 @@ scans instead.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import Callable, Union
 
 import numpy as np
 
 from .quantum import ModulusVector, haar_state, moduli
-from .streams import substream
-from .tolerances import TOL
+from .streams import map_trials, substream
 
 
 class DomainError(ValueError):
-    """Rule evaluated outside the unit interval."""
+    """Rule has no valid probabilities at the given moduli."""
 
 
 @dataclass(frozen=True)
@@ -116,15 +114,6 @@ def parse_rule(name: str) -> ProbabilityRule:
     raise ValueError(f"unknown rule name {name!r}")
 
 
-def evaluate(rule: ProbabilityRule, a: float) -> float:
-    """Evaluate a plain rule at one modulus in [0, 1] (tiny slack allowed)."""
-    if isinstance(rule, Renormalized):
-        raise TypeError("renormalized rules are evaluated on full modulus vectors")
-    if not -TOL.domain_slack <= a <= 1.0 + TOL.domain_slack:
-        raise DomainError(f"modulus {a!r} outside [0, 1]")
-    return float(rule(min(max(a, 0.0), 1.0)))
-
-
 def rule_probabilities(rule: ProbabilityRule, point: ModulusVector) -> np.ndarray:
     """Apply a rule to every modulus of an orthant point.
 
@@ -200,13 +189,7 @@ def defect_scan(
         points[i] = point
         defects[i] = abs(normalization_sum(rule, point) - 1.0)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(run, range(trials)))
-    else:
-        for i in range(trials):
-            run(i)
-
+    map_trials(run, trials, threads)
     worst = int(np.argmax(defects))  # first max index: deterministic
     return NormalizationReport(
         rule=rule.name,

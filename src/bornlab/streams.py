@@ -6,6 +6,9 @@ so results are identical no matter how trials are scheduled across threads.
 
 from __future__ import annotations
 
+from concurrent.futures import ThreadPoolExecutor
+from typing import Callable
+
 import numpy as np
 
 
@@ -22,3 +25,17 @@ def subseed(seed: int, *indices: int) -> int:
         raise ValueError("seed must be a non-negative integer")
     words = np.random.SeedSequence((seed, *indices)).generate_state(2)
     return (int(words[0]) << 32) | int(words[1])
+
+
+def map_trials(run: Callable[[int], None], n: int, threads: int = 1) -> None:
+    """Call run(i) for every trial index i < n, on a pool when threads > 1.
+
+    run writes its own slot of a preallocated result, so the outcome does
+    not depend on the order in which trials finish.
+    """
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            list(pool.map(run, range(n)))
+    else:
+        for i in range(n):
+            run(i)

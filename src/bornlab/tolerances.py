@@ -22,8 +22,6 @@ class Tolerances:
     eigen_residual: float = 1e-10    # ||M v - w v|| per eigenpair
     orthonormality: float = 1e-10    # max |V^dag V - I| entry
     reconstruction: float = 1e-9     # max |V diag(w) V^dag - M| entry
-    jacobi_off_norm: float = 1e-14   # off-diagonal Frobenius norm at convergence
-    jacobi_max_sweeps: int = 100
 
     # observables
     degeneracy_gap: float = 1e-8     # minimum eigenvalue separation accepted
@@ -37,7 +35,9 @@ class Tolerances:
     # experiment defaults
     defect: float = 1e-12            # normalization-defect pass threshold
     spread: float = 1e-12            # invariance-spread pass threshold
-    domain_slack: float = 1e-12      # slack when checking an amplitude in [0, 1]
+    stationarity_residual: float = 1e-6   # stationarity residuals (finite-difference floor)
+    closed_form_deviation: float = 1e-15  # closed-form identity deviation
+    coefficient_error: float = 1e-3       # recovered-coefficient distance from (0, 1, 0, 0)
     fd_step: float = 1e-6            # central-difference step for rule derivatives
 
 

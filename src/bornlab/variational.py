@@ -167,16 +167,6 @@ def outcome_stationarity(
     return StationarityResidual(multiplier, indices, residuals)
 
 
-def best_multiplier(partials: np.ndarray, values: np.ndarray) -> float:
-    """Least-squares multiplier for residuals g_j - 2 * lam * a_j."""
-    partials = np.asarray(partials, dtype=np.float64)
-    values = np.asarray(values, dtype=np.float64)
-    denom = 2.0 * float(np.sum(values**2))
-    if denom == 0.0:
-        raise ValueError("cannot fit a multiplier against zero moduli")
-    return float(np.sum(partials * values)) / denom
-
-
 def closed_form_check(
     scale: float, offset: float, samples: int, seed: int, dim: int = 3
 ) -> ClosedFormCheck:

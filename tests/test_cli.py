@@ -54,6 +54,34 @@ class TestExitCodes:
             main(["spin1", "--seed", "-1"])
         assert excinfo.value.code == 2
 
+    def test_renormalized_rule_at_dim_two_is_inconclusive(self, capsys):
+        # the complement orthant of a qubit is a single point, so neither
+        # independence scan can separate a renormalized rule from Born
+        code, report = run_json(
+            capsys, ["falsify", "--rule", "renorm:power:4", "--dim", "2", "--trials", "50", "--seed", "3"]
+        )
+        results = report["results"]
+        assert code == 3 and report["pass"] is False
+        assert results["falsified"] is None and results["witness"] is None
+        assert isinstance(results["inconclusive"], str) and "\n" not in results["inconclusive"]
+
+    def test_domain_error_is_usage_error(self, capsys):
+        # affine:1:-1 gives a^2 - 1 <= 0 at every modulus, so no renormalization exists
+        with pytest.raises(SystemExit) as excinfo:
+            main(["falsify", "--rule", "renorm:affine:1:-1", "--dim", "3", "--trials", "10"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "renormalization sum is not positive" in captured.err
+        assert "Traceback" not in captured.err
+
+    def test_out_into_missing_directory_is_usage_error(self, tmp_path, capsys):
+        path = tmp_path / "missing" / "report.json"
+        with pytest.raises(SystemExit) as excinfo:
+            main(["spin1", "--trials", "10", "--out", str(path)])
+        assert excinfo.value.code == 2
+        assert "No such file or directory" in capsys.readouterr().err
+
 
 class TestFalsification:
     def test_power_one_witness_near_symmetric_state(self, capsys):
@@ -114,6 +142,54 @@ class TestSchema:
             and results["max_spread"] <= results["thresholds"]["spread"]
         )
         assert rederived == report["pass"]
+
+    @pytest.mark.parametrize(
+        "argv, config",
+        [
+            (
+                ["verify-born", "--dims", "2", "--trials", "5"],
+                [("command", "verify-born"), ("seed", 4), ("dims", [2]), ("trials", 5),
+                 ("tol_defect", 1e-12), ("tol_spread", 1e-12), ("format", "json")],
+            ),
+            (
+                ["falsify", "--rule", "power:3", "--dim", "2", "--trials", "5"],
+                [("command", "falsify"), ("seed", 4), ("dim", 2), ("trials", 5), ("rule", "power:3.0"),
+                 ("tol_defect", 1e-12), ("tol_spread", 1e-12), ("format", "json")],
+            ),
+            (
+                ["independence", "--dim", "3", "--trials", "5"],
+                [("command", "independence"), ("seed", 4), ("dim", 3), ("trials", 5), ("rule", "born"),
+                 ("tol_spread", 1e-12), ("format", "json")],
+            ),
+            (
+                ["recover", "--dims", "2,3", "--trials", "40"],
+                [("command", "recover"), ("seed", 4), ("dims", [2, 3]), ("trials", 40), ("format", "json")],
+            ),
+            (
+                ["stationarity", "--dims", "3", "--trials", "5"],
+                [("command", "stationarity"), ("seed", 4), ("dims", [3]), ("trials", 5), ("format", "json")],
+            ),
+            (
+                ["spin1", "--trials", "5"],
+                [("command", "spin1"), ("seed", 4), ("trials", 5), ("tol_spread", 1e-12), ("format", "json")],
+            ),
+            (
+                ["sample", "--dim", "2", "--shots", "100", "--trials", "2"],
+                [("command", "sample"), ("seed", 4), ("dim", 2), ("trials", 2), ("shots", 100),
+                 ("format", "json")],
+            ),
+        ],
+        ids=lambda v: v[0] if isinstance(v[0], str) else None,
+    )
+    def test_config_echo_is_exact(self, capsys, argv, config):
+        _, report = run_json(capsys, argv + ["--seed", "4"])
+        assert list(report["config"].items()) == config
+
+    def test_config_echo_ends_with_out(self, tmp_path, capsys):
+        path = tmp_path / "report.json"
+        main(["spin1", "--trials", "5", "--seed", "4", "--out", str(path)])
+        config = json.loads(path.read_text())["config"]
+        assert list(config.items())[-2:] == [("format", "json"), ("out", str(path))]
 
     def test_seed_recorded_in_config(self, capsys):
         _, report = run_json(capsys, ["spin1"] + SMALL)

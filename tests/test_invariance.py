@@ -9,11 +9,9 @@ from bornlab.invariance import (
     ComplementPoint,
     IndexOutOfRange,
     complement_rotation,
-    compose_stabilizer,
     match_eigenvector,
     observable_independence_scan,
     observable_with_eigenstate,
-    stabilizer_unitary,
     unobserved_independence_scan,
 )
 from bornlab.quantum import (
@@ -27,41 +25,6 @@ from bornlab.quantum import (
 )
 from bornlab.rules import Born, Power, Renormalized, rule_probabilities
 from bornlab.streams import substream
-
-
-class TestStabilizerUnitary:
-    def test_qubit_case_is_diagonal(self):
-        # with a one-dimensional complement the block structure forces a
-        # diagonal matrix of phases
-        u = stabilizer_unitary(2, 0, np.random.default_rng(0)).matrix.entries
-        assert abs(u[0, 1]) == 0.0 and abs(u[1, 0]) == 0.0
-        assert abs(abs(u[0, 0]) - 1.0) < 1e-12 and abs(abs(u[1, 1]) - 1.0) < 1e-12
-
-    def test_ninety_degree_complement_rotation(self):
-        # fixing index 0 and rotating the complement by 90 degrees swaps the
-        # last two moduli: (0.6, 0.8, 0) -> (0.6, 0, 0.8)
-        block = np.array([[0.0, -1.0], [1.0, 0.0]])
-        su = compose_stabilizer(3, 0, 1.0, block)
-        out = su.apply(np.array([0.6, 0.8, 0.0]))
-        np.testing.assert_allclose(np.abs(out), [0.6, 0.0, 0.8], atol=1e-15)
-
-    def test_rejects_bad_index(self):
-        with pytest.raises(IndexOutOfRange):
-            stabilizer_unitary(3, 3, np.random.default_rng(0))
-        with pytest.raises(IndexOutOfRange):
-            stabilizer_unitary(3, -1, np.random.default_rng(0))
-
-    @settings(max_examples=50, deadline=None)
-    @given(d=st.integers(2, 8), seed=st.integers(0, 10_000))
-    def test_modulus_preservation_contract(self, d, seed):
-        rng = np.random.default_rng(seed)
-        k = int(rng.integers(0, d))
-        su = stabilizer_unitary(d, k, rng)
-        for _ in range(5):
-            psi = haar_state(d, rng)
-            out = su.apply(psi.amplitudes)
-            assert abs(abs(out[k]) - abs(psi.amplitudes[k])) <= 1e-12
-            assert abs(np.linalg.norm(out) - 1.0) <= 1e-12
 
 
 class TestComplementRotation:
@@ -133,6 +96,20 @@ class TestObservableWithEigenstate:
         other = obs.eigensystem.eigenvectors[:, 1 - k]
         target = np.array([1.0, -1.0]) / np.sqrt(2)
         assert abs(abs(np.vdot(other, target)) - 1.0) < 1e-12
+
+    @settings(max_examples=50, deadline=None)
+    @given(d=st.integers(2, 8), seed=st.integers(0, 10_000))
+    def test_modulus_preservation_contract(self, d, seed):
+        # the shared eigenvector's coefficient keeps the modulus |<phi|psi>|
+        # whatever the rest of the drawn eigenbasis is
+        rng = np.random.default_rng(seed)
+        phi = haar_state(d, rng)
+        obs = observable_with_eigenstate(phi, rng)
+        k = match_eigenvector(obs, phi)
+        for _ in range(5):
+            psi = haar_state(d, rng)
+            coefficient = abs(expand(psi, obs))[k]
+            assert abs(coefficient - abs(np.vdot(phi.amplitudes, psi.amplitudes))) <= 1e-12
 
     def test_gap_enforced(self):
         phi = haar_state(5, np.random.default_rng(8))

@@ -14,7 +14,6 @@ from bornlab.linalg import (
     complete_basis,
     eigendecompose,
     haar_unitary,
-    off_diagonal_norm,
 )
 from bornlab.tolerances import TOL
 
@@ -115,12 +114,6 @@ class TestEigendecompose:
         second = eigendecompose(m)
         np.testing.assert_array_equal(first.eigenvalues, second.eigenvalues)
         np.testing.assert_array_equal(first.eigenvectors, second.eigenvectors)
-
-    def test_off_diagonal_norm_converged(self):
-        m = random_hermitian(7, seed=1)
-        system = eigendecompose(m)
-        working = system.eigenvectors.conj().T @ m @ system.eigenvectors
-        assert off_diagonal_norm(working) < 1e-13
 
 
 class TestHaarUnitary:

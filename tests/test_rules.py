@@ -9,11 +9,9 @@ from bornlab.quantum import ModulusVector, haar_state, moduli
 from bornlab.rules import (
     Affine,
     Born,
-    DomainError,
     Power,
     Renormalized,
     defect_scan,
-    evaluate,
     normalization_sum,
     parse_rule,
     rule_probabilities,
@@ -26,36 +24,24 @@ class TestRuleFamily:
     def test_born_equals_power_two_equals_affine(self):
         born, power, affine = Born(), Power(2.0), Affine(1.0, 0.0)
         for a in np.linspace(0.0, 1.0, 100):
-            assert abs(evaluate(born, a) - evaluate(power, a)) <= 1e-15
-            assert abs(evaluate(born, a) - evaluate(affine, a)) <= 1e-15
+            assert abs(born(a) - power(a)) <= 1e-15
+            assert abs(born(a) - affine(a)) <= 1e-15
 
     def test_endpoints_finite_for_all_kinds(self):
         for rule in (Born(), Power(0.5), Power(4.0), Affine(-3.0, 2.0)):
-            assert np.isfinite(evaluate(rule, 0.0))
-            assert np.isfinite(evaluate(rule, 1.0))
+            assert np.isfinite(rule(0.0))
+            assert np.isfinite(rule(1.0))
 
     def test_power_requires_positive_exponent(self):
         with pytest.raises(ValueError):
             Power(0.0)
 
     def test_boundary_values_of_the_quadratic_rule(self):
-        assert evaluate(Born(), 1.0) == 1.0
-        assert evaluate(Born(), 0.0) == 0.0
+        assert Born()(1.0) == 1.0
+        assert Born()(0.0) == 0.0
 
     def test_affine_example(self):
-        assert abs(evaluate(Affine(-1.0, 1.0), 0.6) - 0.64) <= 1e-15
-
-    def test_domain_error(self):
-        with pytest.raises(DomainError):
-            evaluate(Born(), 1.1)
-        with pytest.raises(DomainError):
-            evaluate(Born(), -0.1)
-        # tiny slack is tolerated
-        assert evaluate(Born(), 1.0 + 1e-13) == 1.0
-
-    def test_renormalized_not_scalar_evaluable(self):
-        with pytest.raises(TypeError):
-            evaluate(Renormalized(Power(1.0)), 0.5)
+        assert abs(Affine(-1.0, 1.0)(0.6) - 0.64) <= 1e-15
 
 
 class TestParsing:
