@@ -8,7 +8,6 @@ square.  All experiments are seeded and reproduce byte-identically.
 """
 
 from .invariance import (
-    ComplementPoint,
     IndexOutOfRange,
     InvarianceReport,
     complement_rotation,

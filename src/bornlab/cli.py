@@ -18,9 +18,10 @@ import argparse
 import csv
 import io
 import json
+import math
 import sys
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -50,20 +51,30 @@ class RunConfig:
         return {key: value for key, value in asdict(self).items() if value is not None}
 
 
+def run_config(args: argparse.Namespace) -> RunConfig:
+    """The echo of a parsed command line: every RunConfig field it registers."""
+    echo = {f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)}
+    if "rule" in echo:
+        echo["rule"] = echo["rule"].name
+    return RunConfig(**echo)
+
+
+Verdict = tuple[dict, bool, list[tuple]]  # what a command returns: results, pass, CSV series
+
+
 @dataclass
 class Report:
-    command: str
     config: RunConfig
     results: dict
     passed: bool
+    series: list[tuple]  # (index, d, k, value) rows
     runtime_ms: float
-    series: list[tuple] = field(default_factory=list)  # (index, d, k, value) rows
 
     def to_json(self) -> str:
         return json.dumps(
             {
                 "schema_version": "1",
-                "command": self.command,
+                "command": self.config.command,
                 "config": self.config.as_dict(),
                 "results": self.results,
                 "pass": self.passed,
@@ -89,10 +100,9 @@ class Report:
 
 def _parse_dims(text: str) -> tuple[int, ...]:
     try:
-        dims = tuple(int(part) for part in text.split(","))
+        return tuple(int(part) for part in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"bad dimension list {text!r}")
-    return dims
 
 
 def _parse_rule(text: str) -> rules.ProbabilityRule:
@@ -102,6 +112,25 @@ def _parse_rule(text: str) -> rules.ProbabilityRule:
         raise argparse.ArgumentTypeError(str(exc))
 
 
+def _parse_tolerance(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not 0.0 <= value < math.inf:  # also rejects nan
+        raise argparse.ArgumentTypeError(f"tolerance must be a finite number >= 0, got {text!r}")
+    return value
+
+
+def _min_trials(args: argparse.Namespace) -> int:
+    """Fewest --trials a command can run with."""
+    if args.command == "recover":
+        return variational.MIN_SAMPLES
+    if args.command == "independence" or isinstance(getattr(args, "rule", None), rules.Renormalized):
+        return invariance.MIN_DRAWS
+    return 1
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="bornlab",
@@ -109,10 +138,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p: argparse.ArgumentParser) -> None:
+    def add_common(p: argparse.ArgumentParser, *tolerances: str) -> None:
         p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
-        p.add_argument("--tol-defect", type=float, default=TOL.defect)
-        p.add_argument("--tol-spread", type=float, default=TOL.spread)
+        for name in tolerances:  # only on commands whose verdict reads them
+            p.add_argument(f"--tol-{name}", type=_parse_tolerance, default=getattr(TOL, name))
         p.add_argument("--format", choices=["json", "csv"], default="json")
         p.add_argument("--out", default=None, help="write the report to this path")
         p.add_argument("--threads", type=int, default=1)
@@ -120,21 +149,21 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify-born", help="normalization, independence, and phase checks for the quadratic rule")
     p.add_argument("--dims", type=_parse_dims, default=(2, 3, 4, 5, 6, 7, 8))
     p.add_argument("--trials", type=int, default=10_000)
-    add_common(p)
+    add_common(p, "defect", "spread")
     p.set_defaults(func=cmd_verify_born)
 
     p = sub.add_parser("falsify", help="defect and independence falsifiers for a candidate rule")
     p.add_argument("--rule", type=_parse_rule, required=True)
     p.add_argument("--dim", type=int, default=3)
     p.add_argument("--trials", type=int, default=1000)
-    add_common(p)
+    add_common(p, "defect", "spread")
     p.set_defaults(func=cmd_falsify)
 
     p = sub.add_parser("independence", help="observable- and rotation-independence scans for one rule")
     p.add_argument("--rule", type=_parse_rule, default="born")
     p.add_argument("--dim", type=int, default=3)
     p.add_argument("--trials", type=int, default=100, help="draws per scan")
-    add_common(p)
+    add_common(p, "spread")
     p.set_defaults(func=cmd_independence)
 
     p = sub.add_parser("recover", help="least-squares recovery of the unique normalizable rule")
@@ -151,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("spin1", help="two spin-1 observables sharing the m=0 eigenvector assign it equal probability")
     p.add_argument("--trials", type=int, default=1000, help="random states")
-    add_common(p)
+    add_common(p, "spread")
     p.set_defaults(func=cmd_spin1)
 
     p = sub.add_parser("sample", help="Monte-Carlo measurement: frequencies vs probabilities, collapse repeatability")
@@ -164,12 +193,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def cmd_verify_born(args) -> Report:
-    config = RunConfig(
-        command="verify-born", seed=args.seed, dims=tuple(args.dims),
-        trials=args.trials, tol_defect=args.tol_defect, tol_spread=args.tol_spread,
-        format=args.format, out=args.out,
-    )
+def cmd_verify_born(args) -> Verdict:
     born = rules.Born()
     per_dim = []
     series: list[tuple] = []
@@ -223,16 +247,11 @@ def cmd_verify_born(args) -> Report:
         "thresholds": {"defect": args.tol_defect, "spread": args.tol_spread},
     }
     passed = max_defect <= args.tol_defect and max_spread <= args.tol_spread
-    return Report("verify-born", config, results, passed, 0.0, series)
+    return results, passed, series
 
 
-def cmd_falsify(args) -> Report:
+def cmd_falsify(args) -> Verdict:
     rule = args.rule
-    config = RunConfig(
-        command="falsify", seed=args.seed, dim=args.dim, trials=args.trials,
-        rule=rule.name, tol_defect=args.tol_defect, tol_spread=args.tol_spread,
-        format=args.format, out=args.out,
-    )
     d = args.dim
     scan = rules.defect_scan(rule, d, args.trials, subseed(args.seed, 0), args.threads)
     series = [(i, d, None, scan.defects[i]) for i in range(scan.trials)]
@@ -277,15 +296,11 @@ def cmd_falsify(args) -> Report:
 
     results["falsified"] = falsified
     results["witness"] = witness
-    return Report("falsify", config, results, falsified is False, 0.0, series)
+    return results, falsified is False, series
 
 
-def cmd_independence(args) -> Report:
+def cmd_independence(args) -> Verdict:
     rule = args.rule
-    config = RunConfig(
-        command="independence", seed=args.seed, dim=args.dim, trials=args.trials,
-        rule=rule.name, tol_spread=args.tol_spread, format=args.format, out=args.out,
-    )
     d = args.dim
     psi = haar_state(d, substream(args.seed, 0))
     phi = haar_state(d, substream(args.seed, 1))
@@ -305,14 +320,10 @@ def cmd_independence(args) -> Report:
     series = [(i, d, None, p) for i, p in enumerate(obs_scan.p_values)]
     series += [(i, d, 0, p) for i, p in enumerate(rot_scan.p_values)]
     passed = results["max_spread"] <= args.tol_spread
-    return Report("independence", config, results, passed, 0.0, series)
+    return results, passed, series
 
 
-def cmd_recover(args) -> Report:
-    config = RunConfig(
-        command="recover", seed=args.seed, dims=tuple(args.dims),
-        trials=args.trials, format=args.format, out=args.out,
-    )
+def cmd_recover(args) -> Verdict:
     result = variational.recover_rule(args.dims, args.trials, args.seed)
     target = np.array([0.0, 1.0, 0.0, 0.0])
     error = float(np.max(np.abs(result.candidate.coefficients - target)))
@@ -323,14 +334,10 @@ def cmd_recover(args) -> Report:
         "coefficient_threshold": TOL.coefficient_error,
     }
     series = [(n + 1, None, None, c) for n, c in enumerate(result.candidate.coefficients)]
-    return Report("recover", config, results, error <= TOL.coefficient_error, 0.0, series)
+    return results, error <= TOL.coefficient_error, series
 
 
-def cmd_stationarity(args) -> Report:
-    config = RunConfig(
-        command="stationarity", seed=args.seed, dims=tuple(args.dims),
-        trials=args.trials, format=args.format, out=args.out,
-    )
+def cmd_stationarity(args) -> Verdict:
     born = rules.Born()
     max_sum_residual = 0.0
     max_outcome_residual = 0.0
@@ -368,14 +375,10 @@ def cmd_stationarity(args) -> Report:
         and closed.max_deviation <= TOL.closed_form_deviation
         and fits_exact
     )
-    return Report("stationarity", config, results, passed, 0.0, series)
+    return results, passed, series
 
 
-def cmd_spin1(args) -> Report:
-    config = RunConfig(
-        command="spin1", seed=args.seed, trials=args.trials,
-        tol_spread=args.tol_spread, format=args.format, out=args.out,
-    )
+def cmd_spin1(args) -> Verdict:
     jz = quantum.spin1_jz()
     jxy = quantum.spin1_jx2_minus_jy2()
     shared = StateVector(np.array([0.0, 1.0, 0.0], dtype=complex))
@@ -397,14 +400,10 @@ def cmd_spin1(args) -> Report:
         "max_probability_delta": max_delta,
         "threshold": args.tol_spread,
     }
-    return Report("spin1", config, results, max_delta <= args.tol_spread, 0.0, series)
+    return results, max_delta <= args.tol_spread, series
 
 
-def cmd_sample(args) -> Report:
-    config = RunConfig(
-        command="sample", seed=args.seed, dim=args.dim, trials=args.trials,
-        shots=args.shots, format=args.format, out=args.out,
-    )
+def cmd_sample(args) -> Verdict:
     d = args.dim
     pairs = []
     series: list[tuple] = []
@@ -445,34 +444,27 @@ def cmd_sample(args) -> Report:
         "all_within_3_sigma": all_within,
         "all_repeat_consistent": all_repeat,
     }
-    return Report("sample", config, results, all_within and all_repeat, 0.0, series)
+    return results, all_within and all_repeat, series
 
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
-    if args.seed < 0:
-        parser.error("--seed must be non-negative")
-    if getattr(args, "threads", 1) < 1:
-        parser.error("--threads must be at least 1")
-    if getattr(args, "trials", 1) < 1:
-        parser.error("--trials must be at least 1")
-    if getattr(args, "shots", 1) < 1:
-        parser.error("--shots must be at least 1")
-    if getattr(args, "dims", None) is not None and min(args.dims) < 2:
-        parser.error("dimensions must be integers >= 2")
-    if getattr(args, "dim", None) is not None and args.dim < 2:
-        parser.error("--dim must be at least 2")
+    lows = {"seed": 0, "threads": 1, "trials": _min_trials(args), "shots": 1, "dim": 2}
+    for name, low in lows.items():
+        if getattr(args, name, low) < low:
+            parser.error(f"--{name} must be at least {low}")
+    if min(getattr(args, "dims", (2,))) < 2:
+        parser.error("--dims must be integers >= 2")
 
     try:
         start = time.perf_counter()
-        report = args.func(args)
-        report.runtime_ms = (time.perf_counter() - start) * 1000.0
+        results, passed, series = args.func(args)
+        runtime_ms = (time.perf_counter() - start) * 1000.0
+        report = Report(run_config(args), results, passed, series, runtime_ms)
 
-        text = report.to_csv() if args.format == "csv" else report.to_json()
-        if not text.endswith("\n"):
-            text += "\n"
+        text = report.to_csv() if args.format == "csv" else report.to_json() + "\n"
         if args.out:
             with open(args.out, "w", encoding="utf-8") as handle:
                 handle.write(text)

@@ -22,7 +22,6 @@ import numpy as np
 from .linalg import complete_basis, haar_array
 from .quantum import (
     ModulusVector,
-    NotNormalized,
     Observable,
     StateVector,
     expand,
@@ -32,27 +31,11 @@ from .rules import ProbabilityRule, rule_probabilities
 from .streams import map_trials, substream
 from .tolerances import TOL
 
+MIN_DRAWS = 2  # a spread needs two values
+
 
 class IndexOutOfRange(IndexError):
     """Fixed index is outside the vector's dimension."""
-
-
-@dataclass(frozen=True)
-class ComplementPoint:
-    """A fixed modulus plus a tail on the complement orthant of matching radius."""
-
-    fixed_value: float
-    tail: np.ndarray
-
-    def __post_init__(self) -> None:
-        tail = np.array(self.tail, dtype=np.float64).reshape(-1)
-        if np.any(tail < 0.0):
-            raise ValueError("tail moduli must be non-negative")
-        defect = abs(np.sum(tail**2) - (1.0 - self.fixed_value**2))
-        if defect > TOL.orthant_norm:
-            raise NotNormalized(f"complement radius defect {defect:.3e}")
-        tail.setflags(write=False)
-        object.__setattr__(self, "tail", tail)
 
 
 @dataclass(frozen=True)
@@ -111,10 +94,8 @@ def complement_rotation(
         norm = np.linalg.norm(direction)
         if norm > 0.0:
             break
-    tail = ComplementPoint(float(point.moduli[k]), radius * direction / norm)
-    out = np.empty(d, dtype=np.float64)
-    out[k] = point.moduli[k]
-    out[others] = tail.tail
+    out = np.array(point.moduli)
+    out[others] = radius * direction / norm
     return ModulusVector(out)
 
 
@@ -161,8 +142,8 @@ def observable_independence_scan(
     Each draw builds a fresh observable with phi as an eigenvector, expands
     psi in its eigenbasis, and evaluates the rule at the matched outcome.
     """
-    if draws < 2:
-        raise ValueError("need at least 2 draws")
+    if draws < MIN_DRAWS:
+        raise ValueError(f"need at least {MIN_DRAWS} draws")
     if psi.dim != phi.dim:
         raise ValueError("state and eigenvector dimensions differ")
     p_values = np.empty(draws, dtype=np.float64)
@@ -191,10 +172,8 @@ def unobserved_independence_scan(
     Structurally zero for any rule of the plain single-modulus form; for
     renormalized rules the spread is the falsification signal.
     """
-    if draws < 2:
-        raise ValueError("need at least 2 draws")
-    if not 0 <= k < point.dim:
-        raise IndexOutOfRange(f"index {k} for dimension {point.dim}")
+    if draws < MIN_DRAWS:
+        raise ValueError(f"need at least {MIN_DRAWS} draws")
     p_values = np.empty(draws, dtype=np.float64)
 
     def run(i: int) -> None:

@@ -2,7 +2,7 @@
 
 Hermitian eigendecomposition (LAPACK eigh plus a deterministic phase
 convention), Haar-distributed unitary sampling, and orthonormal basis
-completion.  Everything is plain double precision: the effects the
+completion by QR.  Everything is plain double precision: the effects the
 experiments must detect are >= 0.01, far above rounding noise.
 """
 
@@ -136,34 +136,19 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> UnitaryMatrix:
 
 
 def complete_basis(vector: np.ndarray) -> UnitaryMatrix:
-    """Extend a vector to an orthonormal basis with itself as column zero.
+    """Extend a vector to an orthonormal basis with v/|v| as column zero.
 
-    Remaining columns come from Gram-Schmidt against the canonical vectors,
-    skipping candidates whose residual is nearly parallel to the span built
-    so far.  A second orthogonalization pass keeps the result unitary even
-    when a candidate barely clears the skip threshold.
+    One Householder QR of [v/|v| | I] gives a unitary whose first column is
+    v/|v| times a phase; that column is then set to v/|v| exactly, which
+    keeps the others orthogonal to it.  The other columns are some basis of
+    the complement: callers that need a random one rotate them by a Haar
+    unitary, whose right-invariance makes the particular choice irrelevant.
     """
     v = np.asarray(vector, dtype=np.complex128).reshape(-1)
-    d = v.shape[0]
     norm = np.linalg.norm(v)
     if norm <= TOL.zero_vector:
         raise ZeroVector("cannot complete a basis from a zero vector")
-
-    columns = [v / norm]
-    for i in range(d):
-        if len(columns) == d:
-            break
-        candidate = np.zeros(d, dtype=np.complex128)
-        candidate[i] = 1.0
-        for col in columns:
-            candidate -= col * np.vdot(col, candidate)
-        residual = np.linalg.norm(candidate)
-        if residual <= TOL.parallel_skip:
-            continue
-        candidate /= residual
-        for col in columns:  # second pass: twice is enough
-            candidate -= col * np.vdot(col, candidate)
-        columns.append(candidate / np.linalg.norm(candidate))
-    if len(columns) != d:  # pragma: no cover - cannot happen for d candidates
-        raise ZeroVector("basis completion ran out of candidate directions")
-    return UnitaryMatrix(np.column_stack(columns))
+    unit = v / norm
+    q, _ = np.linalg.qr(np.column_stack([unit, np.eye(v.shape[0])]))
+    q[:, 0] = unit
+    return UnitaryMatrix(q)

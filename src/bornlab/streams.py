@@ -6,6 +6,7 @@ so results are identical no matter how trials are scheduled across threads.
 
 from __future__ import annotations
 
+import os
 from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
@@ -31,10 +32,12 @@ def map_trials(run: Callable[[int], None], n: int, threads: int = 1) -> None:
     """Call run(i) for every trial index i < n, on a pool when threads > 1.
 
     run writes its own slot of a preallocated result, so the outcome does
-    not depend on the order in which trials finish.
+    not depend on the order in which trials finish.  The pool never has
+    more workers than trials or CPUs.
     """
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
+    workers = min(threads, n, os.cpu_count() or 1)
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
             list(pool.map(run, range(n)))
     else:
         for i in range(n):

@@ -30,7 +30,6 @@ class Tolerances:
 
     # vectors
     zero_vector: float = 1e-12       # norms at or below this count as zero
-    parallel_skip: float = 1e-8      # Gram-Schmidt residual below this is skipped
 
     # experiment defaults
     defect: float = 1e-12            # normalization-defect pass threshold

@@ -23,6 +23,8 @@ from .rules import Affine
 from .streams import substream
 from .tolerances import TOL
 
+MIN_SAMPLES = 10 * 4  # ten sampled rows per fitted coefficient
+
 
 class RankDeficient(RuntimeError):
     """Sampled design matrix cannot pin the polynomial coefficients."""
@@ -256,7 +258,7 @@ def recover_rule(
         raise ValueError("need at least one dimension")
     if any(d < 2 for d in dims):
         raise ValueError("dimensions must be at least 2")
-    if samples_per_dim < 10 * 4:
+    if samples_per_dim < MIN_SAMPLES:
         raise ValueError("need at least 10 samples per coefficient")
 
     rows = np.empty((len(dims) * samples_per_dim, 4), dtype=np.float64)

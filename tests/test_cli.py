@@ -1,12 +1,39 @@
 """End-to-end command-line behavior: exit codes, schema, determinism."""
 
+import argparse
 import json
 
 import pytest
 
-from bornlab.cli import main
+from bornlab.cli import build_parser, main, run_config
 
 SMALL = ["--trials", "200", "--seed", "42"]
+
+# For every flag a command may echo: a small base value, another value, and
+# how the config echo shows the other value.
+FLAG_VALUES = {
+    "--dims": ("2,3", "2,4", [2, 4]),
+    "--dim": ("3", "4", 4),
+    "--trials": ("40", "41", 41),
+    "--shots": ("50", "60", 60),
+    "--rule": ("power:3", "renorm:power:3", "renorm:power:3.0"),
+    "--tol-defect": ("1e-12", "0.5", 0.5),
+    "--tol-spread": ("1e-12", "0.25", 0.25),
+}
+UNECHOED = {"--help", "--seed", "--format", "--out", "--threads"}
+
+
+def _subparsers() -> dict:
+    action = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
+def _echoed_flags(command: str) -> list[str]:
+    actions = _subparsers()[command]._actions
+    return [a.option_strings[-1] for a in actions if a.option_strings and a.option_strings[-1] not in UNECHOED]
+
+
+SUBCOMMANDS = list(_subparsers())
 
 
 def run_json(capsys, argv):
@@ -81,6 +108,50 @@ class TestExitCodes:
             main(["spin1", "--trials", "10", "--out", str(path)])
         assert excinfo.value.code == 2
         assert "No such file or directory" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv, minimum",
+        [
+            (["independence", "--trials", "1"], 2),
+            (["falsify", "--rule", "renorm:power:4", "--trials", "1"], 2),
+            (["recover", "--trials", "39"], 40),
+        ],
+        ids=lambda v: v[0] if isinstance(v, list) else None,
+    )
+    def test_too_few_trials_is_usage_error(self, capsys, argv, minimum):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"--trials must be at least {minimum}" in err
+        assert "Traceback" not in err
+
+    def test_plain_rule_falsify_runs_one_trial(self, capsys):
+        code, report = run_json(capsys, ["falsify", "--rule", "power:1", "--dim", "2", "--trials", "1"])
+        assert code == 1 and report["results"]["defect"]["trials"] == 1
+
+    @pytest.mark.parametrize("value", ["nan", "inf", "-0.001", "abc"])
+    @pytest.mark.parametrize("flag", ["--tol-defect", "--tol-spread"])
+    def test_bad_tolerance_is_usage_error(self, capsys, flag, value):
+        # nan compares false against every defect, so it would turn a
+        # falsified rule into a pass
+        with pytest.raises(SystemExit) as excinfo:
+            main(["falsify", "--rule", "power:1", "--dim", "2", "--trials", "10", f"{flag}={value}"])
+        assert excinfo.value.code == 2
+        assert "tolerance must be a finite number >= 0" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["recover", "--tol-spread", "0"],
+            ["independence", "--tol-defect", "0"],
+            ["sample", "--tol-defect", "0"],
+        ],
+    )
+    def test_tolerance_a_command_does_not_read_is_rejected(self, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert excinfo.value.code == 2
 
 
 class TestFalsification:
@@ -184,6 +255,25 @@ class TestSchema:
     def test_config_echo_is_exact(self, capsys, argv, config):
         _, report = run_json(capsys, argv + ["--seed", "4"])
         assert list(report["config"].items()) == config
+
+    @pytest.mark.parametrize("command", SUBCOMMANDS)
+    def test_every_flag_is_echoed_and_read(self, command):
+        # a flag that a command registers but never reads would change
+        # neither its config echo nor its results
+        def outcome(argv):
+            args = build_parser().parse_args(argv)
+            results, _, series = args.func(args)
+            return json.loads(json.dumps(run_config(args).as_dict())), json.dumps(results), series
+
+        flags = _echoed_flags(command)
+        base = [command] + [x for flag in flags for x in (flag, FLAG_VALUES[flag][0])]
+        _, base_results, base_series = outcome(base)
+        for flag in flags:
+            _, other, echo = FLAG_VALUES[flag]
+            i = base.index(flag) + 1
+            config, results, series = outcome(base[:i] + [other] + base[i + 1 :])
+            assert config[flag[2:].replace("-", "_")] == echo
+            assert (results, series) != (base_results, base_series), f"{flag} changes nothing"
 
     def test_config_echo_ends_with_out(self, tmp_path, capsys):
         path = tmp_path / "report.json"

@@ -6,7 +6,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bornlab.invariance import (
-    ComplementPoint,
     IndexOutOfRange,
     complement_rotation,
     match_eigenvector,
@@ -55,10 +54,6 @@ class TestComplementRotation:
         out = complement_rotation(point, k, rng)
         assert out.moduli[k] == point.moduli[k]
         assert abs(np.sum(out.moduli**2) - 1.0) <= 1e-12
-
-    def test_complement_point_validates_radius(self):
-        with pytest.raises(Exception):
-            ComplementPoint(0.6, np.array([0.9, 0.9]))
 
 
 class TestObservableWithEigenstate:

@@ -172,15 +172,48 @@ class TestCompleteBasis:
         with pytest.raises(ZeroVector):
             complete_basis(np.zeros(4))
 
-    @settings(max_examples=30, deadline=None)
-    @given(d=st.integers(2, 12), seed=st.integers(0, 10_000))
-    def test_random_vector_contract(self, d, seed):
+    @settings(max_examples=40, deadline=None)
+    @given(
+        d=st.integers(2, 12),
+        seed=st.integers(0, 10_000),
+        keep=st.floats(0.1, 1.0),
+        scale=st.sampled_from([1e-6, 1.0, 1e6]),
+    )
+    def test_random_vector_contract(self, d, seed, keep, scale):
+        # random support and magnitude: exact zeros must not break column
+        # zero or unitarity
         rng = np.random.default_rng(seed)
-        v = rng.standard_normal(d) + 1j * rng.standard_normal(d)
+        v = scale * (rng.standard_normal(d) + 1j * rng.standard_normal(d))
+        v[rng.random(d) > keep] = 0.0
+        v[rng.integers(d)] = scale  # at least one nonzero entry
         u = complete_basis(v)
         np.testing.assert_allclose(u.entries[:, 0], v / np.linalg.norm(v), atol=1e-12)
         gram = u.entries.conj().T @ u.entries
         assert np.max(np.abs(gram - np.eye(d))) <= 1e-10
+
+    @pytest.mark.parametrize("d", range(2, 7))
+    def test_canonical_vectors(self, d):
+        for k in range(d):
+            e = np.zeros(d, dtype=complex)
+            e[k] = 1.0
+            u = complete_basis(e).entries
+            np.testing.assert_array_equal(u[:, 0], e)
+            assert np.max(np.abs(u.conj().T @ u - np.eye(d))) <= 1e-10
+
+    @pytest.mark.parametrize(
+        "v",
+        [
+            [0.0, 1.0, 0.0, 1.0],
+            [0.0, 0.0, 3.0, 4.0j],
+            [1.0j, 0.0, 0.0, 0.0, -2.0],
+            [0.0, 1e-9, 0.0],
+        ],
+    )
+    def test_vectors_with_zero_entries(self, v):
+        v = np.array(v, dtype=complex)
+        u = complete_basis(v).entries
+        np.testing.assert_allclose(u[:, 0], v / np.linalg.norm(v), atol=1e-12)
+        assert np.max(np.abs(u.conj().T @ u - np.eye(v.size))) <= 1e-10
 
     def test_near_parallel_candidate_skipped(self):
         v = np.array([1.0, 1e-10, 0.0], dtype=complex)
