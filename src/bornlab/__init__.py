@@ -24,7 +24,6 @@ from .linalg import (
     ZeroVector,
     complete_basis,
     eigendecompose,
-    haar_unitary,
 )
 from .quantum import (
     DimMismatch,
@@ -60,7 +59,6 @@ from .rules import (
 from .streams import subseed, substream
 from .tolerances import TOL, Tolerances
 from .variational import (
-    ClosedFormCheck,
     PolynomialCandidate,
     RankDeficient,
     RecoveryResult,

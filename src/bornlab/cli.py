@@ -172,7 +172,7 @@ def build_parser() -> argparse.ArgumentParser:
     add_common(p)
     p.set_defaults(func=cmd_recover)
 
-    p = sub.add_parser("stationarity", help="Lagrange stationarity residuals and the closed-form fit")
+    p = sub.add_parser("stationarity", help="Lagrange stationarity residuals of the square and of the closed-form family")
     p.add_argument("--dims", type=_parse_dims, default=(3,))
     p.add_argument("--trials", type=int, default=1000, help="orthant points per dimension")
     add_common(p)
@@ -341,6 +341,7 @@ def cmd_stationarity(args) -> Verdict:
     born = rules.Born()
     max_sum_residual = 0.0
     max_outcome_residual = 0.0
+    max_closed_form_residual = 0.0
     series: list[tuple] = []
     for di, d in enumerate(args.dims):
         for i in range(args.trials):
@@ -353,27 +354,19 @@ def cmd_stationarity(args) -> Verdict:
             series.append((i, d, k, max(sum_res, out_res)))
             max_sum_residual = max(max_sum_residual, sum_res)
             max_outcome_residual = max(max_outcome_residual, out_res)
+            max_closed_form_residual = max(
+                max_closed_form_residual, variational.closed_form_check(point, k, 2.0, -1.0)
+            )
 
-    closed = variational.closed_form_check(2.0, -1.0, args.trials, subseed(args.seed, 99))
-    fits_exact = (
-        closed.direct_scale == 1.0
-        and closed.direct_offset == 0.0
-        and closed.complement_scale == -1.0
-        and closed.complement_offset == 1.0
-    )
     results = {
         "max_sum_residual": max_sum_residual,
         "max_outcome_residual": max_outcome_residual,
+        "max_closed_form_residual": max_closed_form_residual,
         "residual_threshold": TOL.stationarity_residual,
-        "closed_form": closed.as_dict(),
-        "deviation_threshold": TOL.closed_form_deviation,
-        "fits_exact": fits_exact,
     }
     passed = (
-        max_sum_residual <= TOL.stationarity_residual
-        and max_outcome_residual <= TOL.stationarity_residual
-        and closed.max_deviation <= TOL.closed_form_deviation
-        and fits_exact
+        max(max_sum_residual, max_outcome_residual, max_closed_form_residual)
+        <= TOL.stationarity_residual
     )
     return results, passed, series
 

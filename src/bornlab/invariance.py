@@ -99,9 +99,7 @@ def complement_rotation(
     return ModulusVector(out)
 
 
-def observable_with_eigenstate(
-    phi: StateVector | np.ndarray, rng: np.random.Generator, label: str = ""
-) -> Observable:
+def observable_with_eigenstate(phi: StateVector | np.ndarray, rng: np.random.Generator) -> Observable:
     """Random observable that has the given state as one eigenvector.
 
     The remaining eigenvectors are Haar-random on the complement and the
@@ -113,7 +111,7 @@ def observable_with_eigenstate(
     basis = np.array(complete_basis(phi.amplitudes).entries)
     if phi.dim > 1:
         basis[:, 1:] = basis[:, 1:] @ haar_array(phi.dim - 1, rng)
-    return Observable.from_eigenbasis(gapped_eigenvalues(phi.dim, rng), basis, label)
+    return Observable.from_eigenbasis(gapped_eigenvalues(phi.dim, rng), basis)
 
 
 def match_eigenvector(observable: Observable, phi: StateVector) -> int:

@@ -130,11 +130,6 @@ def haar_array(dim: int, rng: np.random.Generator) -> np.ndarray:
         return q * (diag / np.abs(diag))
 
 
-def haar_unitary(dim: int, rng: np.random.Generator) -> UnitaryMatrix:
-    """Draw a Haar-distributed unitary (Ginibre + QR with phase correction)."""
-    return UnitaryMatrix(haar_array(dim, rng))
-
-
 def complete_basis(vector: np.ndarray) -> UnitaryMatrix:
     """Extend a vector to an orthonormal basis with v/|v| as column zero.
 

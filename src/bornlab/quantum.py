@@ -16,6 +16,8 @@ import numpy as np
 from .linalg import Eigensystem, HermitianMatrix, eigendecompose, fix_column_phases, haar_array
 from .tolerances import TOL
 
+SHOT_CHUNK = 1 << 16  # uniforms drawn at once by sample_outcomes
+
 
 class DimMismatch(ValueError):
     """State and observable dimensions differ."""
@@ -79,7 +81,6 @@ class Observable:
 
     matrix: HermitianMatrix
     eigensystem: Eigensystem
-    label: str = ""
 
     def __post_init__(self) -> None:
         if self.matrix.dim != self.eigensystem.dim:
@@ -104,15 +105,13 @@ class Observable:
         return self.matrix.dim
 
     @classmethod
-    def from_matrix(cls, matrix: HermitianMatrix | np.ndarray, label: str = "") -> "Observable":
+    def from_matrix(cls, matrix: HermitianMatrix | np.ndarray) -> "Observable":
         if not isinstance(matrix, HermitianMatrix):
             matrix = HermitianMatrix(matrix)
-        return cls(matrix, eigendecompose(matrix), label)
+        return cls(matrix, eigendecompose(matrix))
 
     @classmethod
-    def from_eigenbasis(
-        cls, eigenvalues: np.ndarray, basis: np.ndarray, label: str = ""
-    ) -> "Observable":
+    def from_eigenbasis(cls, eigenvalues: np.ndarray, basis: np.ndarray) -> "Observable":
         """Assemble an observable whose eigensystem is known by construction.
 
         The basis columns are the eigenvectors; they are reordered to
@@ -126,15 +125,14 @@ class Observable:
         vectors = fix_column_phases(vectors[:, order])
         raw = (vectors * values) @ vectors.conj().T
         matrix = HermitianMatrix((raw + raw.conj().T) / 2.0)
-        return cls(matrix, Eigensystem(values, vectors), label)
+        return cls(matrix, Eigensystem(values, vectors))
 
 
 @dataclass(frozen=True)
 class MeasurementRecord:
-    """One measurement outcome: index, eigenvalue, and the collapsed state."""
+    """One measurement outcome: its index and the collapsed state."""
 
     outcome_index: int
-    eigenvalue: float
     post_state: StateVector
 
 
@@ -190,17 +188,19 @@ def measure(
     cumulative = np.cumsum(p)
     k = int(_draw_outcomes(cumulative, np.array([rng.random()]))[0])
     post = StateVector.normalize(observable.eigensystem.eigenvectors[:, k])
-    return MeasurementRecord(k, float(observable.eigensystem.eigenvalues[k]), post)
+    return MeasurementRecord(k, post)
 
 
 def sample_outcomes(
     state: StateVector, observable: Observable, shots: int, rng: np.random.Generator
 ) -> np.ndarray:
     """Outcome counts over many shots, using the same draw rule as measure()."""
-    p = born_probabilities(state, observable)
-    cumulative = np.cumsum(p)
-    idx = _draw_outcomes(cumulative, rng.random(shots))
-    return np.bincount(idx, minlength=state.dim)
+    cumulative = np.cumsum(born_probabilities(state, observable))
+    counts = np.zeros(state.dim, dtype=np.intp)
+    for start in range(0, shots, SHOT_CHUNK):  # bounded memory for any shot count
+        uniforms = rng.random(min(SHOT_CHUNK, shots - start))
+        counts += np.bincount(_draw_outcomes(cumulative, uniforms), minlength=state.dim)
+    return counts
 
 
 def haar_state(dim: int, rng: np.random.Generator) -> StateVector:
@@ -223,20 +223,18 @@ def gapped_eigenvalues(dim: int, rng: np.random.Generator) -> np.ndarray:
             return values
 
 
-def random_observable(dim: int, rng: np.random.Generator, label: str = "") -> Observable:
+def random_observable(dim: int, rng: np.random.Generator) -> Observable:
     """Observable with Haar-random eigenbasis and a gapped random spectrum."""
-    return Observable.from_eigenbasis(
-        gapped_eigenvalues(dim, rng), haar_array(dim, rng), label
-    )
+    return Observable.from_eigenbasis(gapped_eigenvalues(dim, rng), haar_array(dim, rng))
 
 
 def spin1_jz() -> Observable:
     """Angular momentum along z for spin 1, in the m = 1, 0, -1 ordering."""
-    return Observable.from_matrix(np.diag([1.0, 0.0, -1.0]).astype(complex), "Jz")
+    return Observable.from_matrix(np.diag([1.0, 0.0, -1.0]).astype(complex))
 
 
 def spin1_jx2_minus_jy2() -> Observable:
     """The spin-1 operator Jx^2 - Jy^2, which shares the m = 0 eigenvector
     with Jz while its other eigenvectors are (|1> +/- |-1>)/sqrt(2)."""
     m = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], dtype=complex)
-    return Observable.from_matrix(m, "Jx2-Jy2")
+    return Observable.from_matrix(m)

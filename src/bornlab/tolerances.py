@@ -35,7 +35,6 @@ class Tolerances:
     defect: float = 1e-12            # normalization-defect pass threshold
     spread: float = 1e-12            # invariance-spread pass threshold
     stationarity_residual: float = 1e-6   # stationarity residuals (finite-difference floor)
-    closed_form_deviation: float = 1e-15  # closed-form identity deviation
     coefficient_error: float = 1e-3       # recovered-coefficient distance from (0, 1, 0, 0)
     fd_step: float = 1e-6            # central-difference step for rule derivatives
 

@@ -5,8 +5,9 @@ Three related computations:
 * finite-difference residuals of the Lagrange stationarity conditions for
   a candidate rule on the unit orthant, in two forms: the normalization
   sum over all moduli, and a single outcome probability at fixed modulus;
-* the closed-form quadratic-affine solution family, pinned to the
-  quadratic rule by the boundary values f(0) = 0 and f(1) = 1;
+* the stationarity of the closed-form solutions of those conditions, the
+  two-parameter quadratic-affine family that the boundary values
+  f(0) = 0 and f(1) = 1 pin to the quadratic rule;
 * a linear least-squares fit over low-degree polynomials that recovers the
   quadratic rule as the unique normalizable candidate from sampled states.
 """
@@ -84,35 +85,6 @@ class RecoveryResult:
         }
 
 
-@dataclass(frozen=True)
-class ClosedFormCheck:
-    """Boundary-condition fit of the two stationary families.
-
-    direct_*: parameters of f(x) = scale * x^2 + offset pinned by
-    f(0) = 0 and f(1) = 1.  complement_*: parameters of
-    p(x) = scale * (1 - x^2) + offset pinned by p(0) = 0 and p(1) = 1.
-    Both reduce to the quadratic rule; max_deviation is the largest
-    |p(a_k) - a_k^2| observed over sampled orthant points.
-    """
-
-    direct_scale: float
-    direct_offset: float
-    complement_scale: float
-    complement_offset: float
-    stationarity_max: float
-    max_deviation: float
-
-    def as_dict(self) -> dict:
-        return {
-            "direct_scale": self.direct_scale,
-            "direct_offset": self.direct_offset,
-            "complement_scale": self.complement_scale,
-            "complement_offset": self.complement_offset,
-            "stationarity_max": self.stationarity_max,
-            "max_deviation": self.max_deviation,
-        }
-
-
 def rule_stationarity(
     f: Callable[[float], float],
     point: ModulusVector,
@@ -169,47 +141,22 @@ def outcome_stationarity(
     return StationarityResidual(multiplier, indices, residuals)
 
 
-def closed_form_check(
-    scale: float, offset: float, samples: int, seed: int, dim: int = 3
-) -> ClosedFormCheck:
-    """Pin both stationary families to the quadratic rule and measure the gap.
+def closed_form_check(point: ModulusVector, k: int, scale: float, offset: float) -> float:
+    """Largest stationarity residual of the closed-form solution family.
 
-    The input (scale, offset) picks an arbitrary member of the quadratic-
-    affine family; its stationarity is spot-checked with its own scale as
-    the multiplier.  The boundary conditions then determine the unique
-    member of each family, independent of the starting choice, and the
-    complement form is compared against a_k^2 over sampled orthant points.
+    The Lagrange conditions are solved by f(a) = scale * a^2 + offset (sum
+    form) and p(a) = scale * sum_{j != k} a_j^2 + offset (fixed-outcome form
+    at k), each with its own scale as the multiplier.  Stationarity leaves
+    this two-parameter family; the boundary values f(0) = 0 and f(1) = 1
+    pin it to a^2.  Returns the larger residual of the two forms at point.
     """
-    if samples < 1:
-        raise ValueError("need at least one sample")
 
-    # direct family f(x) = s x^2 + m: f(0) = m = 0, then f(1) = s + m = 1
-    direct_offset = 0.0
-    direct_scale = 1.0 - direct_offset
-    # complement family p(x) = s (1 - x^2) + m: p(1) = m = 1, then p(0) = s + m = 0
-    complement_offset = 1.0
-    complement_scale = 0.0 - complement_offset
+    def outcome(values: np.ndarray) -> float:
+        return scale * (values @ values - values[k] ** 2) + offset
 
-    member = Affine(scale, offset)
-    stationarity_max = 0.0
-    max_deviation = 0.0
-    for i in range(samples):
-        point = moduli(haar_state(dim, substream(seed, i)).amplitudes)
-        if i < min(samples, 100):
-            stationarity_max = max(
-                stationarity_max, rule_stationarity(member, point, scale).max_abs
-            )
-        pinned = complement_scale * (1.0 - point.moduli**2) + complement_offset
-        max_deviation = max(
-            max_deviation, float(np.max(np.abs(pinned - point.moduli**2)))
-        )
-    return ClosedFormCheck(
-        direct_scale=direct_scale,
-        direct_offset=direct_offset,
-        complement_scale=complement_scale,
-        complement_offset=complement_offset,
-        stationarity_max=stationarity_max,
-        max_deviation=max_deviation,
+    return max(
+        rule_stationarity(Affine(scale, offset), point, scale).max_abs,
+        outcome_stationarity(outcome, point, k, scale).max_abs,
     )
 
 

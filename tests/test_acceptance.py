@@ -154,20 +154,17 @@ def test_criterion_5_born_stationarity():
 
 
 def test_criterion_6_closed_form_fit():
-    """Boundary conditions pin both families to the square, exactly."""
-    check = closed_form_check(2.0, -1.0, samples=10_000, seed=6)
-    fits = (
-        check.direct_scale == 1.0
-        and check.direct_offset == 0.0
-        and check.complement_scale == -1.0
-        and check.complement_offset == 1.0
-    )
+    """The closed-form member f = 2a^2 - 1 is stationary in both forms; the
+    boundary values f(0) = 0, f(1) = 1 then leave only the square."""
+    worst = 0.0
+    for i in range(10_000):
+        d = 2 + i % 7
+        point = moduli(haar_state(d, substream(6, i)).amplitudes)
+        worst = max(worst, closed_form_check(point, i % d, 2.0, -1.0))
     report(
         "criterion 6",
-        fits and check.max_deviation <= 1e-15,
-        f"direct fit ({check.direct_scale:g}, {check.direct_offset:g}), complement fit "
-        f"({check.complement_scale:g}, {check.complement_offset:g}); max |p - a^2| = "
-        f"{check.max_deviation:.3e} over 10^4 points (tol 1e-15)",
+        worst <= 1e-6,
+        f"closed-form residual {worst:.3e} over 10^4 points at d=2..8 (tol 1e-6)",
     )
 
 

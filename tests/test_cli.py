@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from bornlab import variational
 from bornlab.cli import build_parser, main, run_config
 
 SMALL = ["--trials", "200", "--seed", "42"]
@@ -129,6 +130,16 @@ class TestExitCodes:
     def test_plain_rule_falsify_runs_one_trial(self, capsys):
         code, report = run_json(capsys, ["falsify", "--rule", "power:1", "--dim", "2", "--trials", "1"])
         assert code == 1 and report["results"]["defect"]["trials"] == 1
+
+    def test_stationarity_gates_on_the_closed_form_residual(self, capsys, monkeypatch):
+        argv = ["stationarity", "--dims", "2,4", "--trials", "20"]
+        code, report = run_json(capsys, argv)
+        results = report["results"]
+        assert code == 0 and results["max_closed_form_residual"] <= results["residual_threshold"]
+        monkeypatch.setattr(variational, "closed_form_check", lambda point, k, scale, offset: 1.0)
+        code, report = run_json(capsys, argv)
+        assert code == 1 and report["pass"] is False
+        assert report["results"]["max_closed_form_residual"] == 1.0
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-0.001", "abc"])
     @pytest.mark.parametrize("flag", ["--tol-defect", "--tol-spread"])

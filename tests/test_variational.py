@@ -1,10 +1,11 @@
-"""Stationarity residuals, closed-form boundary fits, and rule recovery."""
+"""Stationarity residuals, the closed-form solution family, and rule recovery."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bornlab import variational
 from bornlab.quantum import ModulusVector, haar_state, moduli
 from bornlab.rules import Affine, Born, Power, Renormalized, outcome_function
 from bornlab.variational import (
@@ -104,27 +105,29 @@ class TestOutcomeStationarity:
 
 
 class TestClosedForm:
-    def test_boundary_fit_is_exact(self):
-        check = closed_form_check(2.0, -1.0, samples=100, seed=0)
-        assert check.direct_scale == 1.0 and check.direct_offset == 0.0
-        assert check.complement_scale == -1.0 and check.complement_offset == 1.0
-
-    def test_fit_ignores_the_starting_member(self):
-        a = closed_form_check(2.0, -1.0, samples=10, seed=0)
-        b = closed_form_check(-5.0, 0.3, samples=10, seed=0)
-        assert (a.direct_scale, a.direct_offset) == (b.direct_scale, b.direct_offset)
-        assert (a.complement_scale, a.complement_offset) == (
-            b.complement_scale,
-            b.complement_offset,
-        )
-
-    def test_pinned_member_reproduces_the_square(self):
-        check = closed_form_check(2.0, -1.0, samples=10_000, seed=1)
-        assert check.max_deviation <= 1e-15
-
     def test_starting_member_is_stationary(self):
-        check = closed_form_check(3.0, 0.5, samples=100, seed=2)
-        assert check.stationarity_max <= 1e-5
+        for seed in range(100):
+            point = moduli(haar_state(3, np.random.default_rng(seed)).amplitudes)
+            assert closed_form_check(point, seed % 3, 3.0, 0.5) <= 1e-5
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        scale=st.floats(-3.0, 3.0),
+        offset=st.floats(-2.0, 2.0),
+        d=st.integers(2, 8),
+        k=st.integers(0, 7),
+        seed=st.integers(0, 10_000),
+    )
+    def test_every_member_is_stationary_in_both_forms(self, scale, offset, d, k, seed):
+        point = moduli(haar_state(d, np.random.default_rng(seed)).amplitudes)
+        assert closed_form_check(point, k % d, scale, offset) <= 1e-6
+
+    def test_rule_outside_the_family_fails(self, monkeypatch):
+        # a cubic in place of the quadratic-affine member has f'(a) = 3a^2,
+        # which no constant multiplier turns into 2 * lam * a
+        monkeypatch.setattr(variational, "Affine", lambda scale, offset: Power(3.0))
+        point = ModulusVector(np.array([0.5, 0.5, np.sqrt(0.5)]))
+        assert closed_form_check(point, 0, 2.0, -1.0) > 1e-3
 
 
 class TestRecovery:
