@@ -5,7 +5,8 @@ and derives its verdict from the serialized results and thresholds alone,
 so a reader can re-check the pass flag.  Exit codes: 0 every check passed,
 1 a scientific check failed (or a rule was falsified, the expected outcome
 for non-quadratic rules), 2 usage, domain or I/O error, 3 inconclusive (the
-configuration cannot separate the rule from the quadratic one).
+configuration cannot separate the rule from the quadratic one), 4 runtime
+failure (any other exception, one line on stderr: a crash is not a verdict).
 
 Reports are byte-identical across reruns with the same seed, and across
 thread counts, because every random draw comes from a substream addressed
@@ -375,8 +376,8 @@ def cmd_spin1(args) -> Verdict:
     jz = quantum.spin1_jz()
     jxy = quantum.spin1_jx2_minus_jy2()
     shared = StateVector(np.array([0.0, 1.0, 0.0], dtype=complex))
-    k_z = invariance.match_eigenvector(jz, shared)
-    k_x = invariance.match_eigenvector(jxy, shared)
+    k_z = int(invariance.match_eigenvector(jz.eigensystem.eigenvectors, shared.amplitudes))
+    k_x = int(invariance.match_eigenvector(jxy.eigensystem.eigenvectors, shared.amplitudes))
     max_delta = 0.0
     series: list[tuple] = []
     for i in range(args.trials):
@@ -465,6 +466,9 @@ def main(argv: list[str] | None = None) -> int:
             sys.stdout.write(text)
     except (rules.DomainError, OSError) as exc:
         parser.error(str(exc))
+    except Exception as exc:  # a crash is not a scientific result
+        print(f"bornlab: runtime failure: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 4
     return report.exit_code
 
 

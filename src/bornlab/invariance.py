@@ -1,10 +1,9 @@
-"""Observable-independence experiments.
+"""Observable-independence experiments, run on blocks of BLOCK draws.
 
 Two ways of rotating everything the outcome should not care about:
 
-* unitaries that preserve a single modulus (a phase on the outcome
-  direction times an arbitrary unitary on its complement), realized as
-  random observables sharing one fixed eigenvector;
+* random observables sharing one fixed eigenvector, diagonalized by eigh,
+  with the shared eigenvector found again by overlap;
 * direct resampling of the unobserved moduli on the complement orthant of
   radius sqrt(1 - a_k^2).
 
@@ -19,19 +18,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import complete_basis, haar_array
-from .quantum import (
-    ModulusVector,
-    Observable,
-    StateVector,
-    expand,
-    gapped_eigenvalues,
-)
+from .linalg import check_eigensystems, complete_basis, haar_array
+from .quantum import ModulusVector, StateVector, check_orthant, gapped_eigenvalues
 from .rules import ProbabilityRule, rule_probabilities
 from .streams import map_trials, substream
 from .tolerances import TOL
 
 MIN_DRAWS = 2  # a spread needs two values
+BLOCK = 128  # draws per block: the unit of streams, checks and thread-pool work
 
 
 class IndexOutOfRange(IndexError):
@@ -70,61 +64,76 @@ class InvarianceReport:
         }
 
 
-def complement_rotation(
-    point: ModulusVector, k: int, rng: np.random.Generator
-) -> ModulusVector:
-    """Resample the unobserved moduli uniformly at fixed a_k.
+def complement_rotation(point: ModulusVector, k: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n resamplings of the unobserved moduli at fixed a_k, as rows (n, d).
 
-    The tail is a fresh point on the complement orthant of radius
+    Each tail is a fresh point on the complement orthant of radius
     sqrt(1 - a_k^2): absolute values of a standard Gaussian, normalized and
-    scaled.  For dim 2 the complement orthant is a single point, so the
-    input is returned unchanged.
+    scaled.  For dim 2 the complement orthant is a single point, so every
+    row is the input.
     """
     d = point.dim
     if not 0 <= k < d:
         raise IndexOutOfRange(f"index {k} for dimension {d}")
-    if d == 2:
-        return point
-    others = [j for j in range(d) if j != k]
+    rows = np.tile(point.moduli, (n, 1))
+    others = np.arange(d) != k
     radius = float(np.linalg.norm(point.moduli[others]))
-    if radius == 0.0:
-        return point
-    while True:
-        direction = np.abs(rng.standard_normal(d - 1))
-        norm = np.linalg.norm(direction)
-        if norm > 0.0:
-            break
-    out = np.array(point.moduli)
-    out[others] = radius * direction / norm
-    return ModulusVector(out)
+    if d == 2 or radius == 0.0:
+        return rows
+    direction = np.abs(rng.standard_normal((n, d - 1)))
+    norm = np.linalg.norm(direction, axis=1, keepdims=True)  # 0 has probability 0; check_orthant rejects the nan
+    rows[:, others] = radius * direction / norm
+    check_orthant(rows)
+    return rows
 
 
-def observable_with_eigenstate(phi: StateVector | np.ndarray, rng: np.random.Generator) -> Observable:
-    """Random observable that has the given state as one eigenvector.
+def observable_with_eigenstate(basis: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n random observables (n, d, d) sharing the eigenvector basis[:, 0].
 
-    The remaining eigenvectors are Haar-random on the complement and the
-    spectrum is a gapped random draw, so the shared eigenvector lands at a
-    uniformly random position in the sorted eigensystem.
+    basis is a unitary with the shared state as column 0 (complete_basis).
+    Each observable rotates the other columns by its own Haar unitary and
+    draws a gapped spectrum, so the shared eigenvector lands at a uniformly
+    random sorted position.  V diag(w) V^dag is not re-Hermitized.
     """
-    if not isinstance(phi, StateVector):
-        phi = StateVector(np.asarray(phi))
-    basis = np.array(complete_basis(phi.amplitudes).entries)
-    if phi.dim > 1:
-        basis[:, 1:] = basis[:, 1:] @ haar_array(phi.dim - 1, rng)
-    return Observable.from_eigenbasis(gapped_eigenvalues(phi.dim, rng), basis)
+    d = basis.shape[0]
+    vectors = np.repeat(basis[None], n, axis=0)
+    vectors[:, :, 1:] = basis[:, 1:] @ haar_array(d - 1, rng, (n,))
+    values = gapped_eigenvalues(d, rng, (n,))
+    return (vectors * values[:, None, :]) @ np.conj(np.swapaxes(vectors, -1, -2))
 
 
-def match_eigenvector(observable: Observable, phi: StateVector) -> int:
-    """Index of the eigenvector matching phi up to phase.
+def match_eigenvector(vectors: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """Index of the eigenvector column matching phi up to phase, per stack entry.
 
-    Matching by eigenvalue would be meaningless across random observables;
-    the overlap must be essentially perfect or the match is rejected.
+    vectors holds eigenvector columns (..., d, d).  Matching by eigenvalue
+    would be meaningless across random observables; every best overlap must
+    be essentially perfect, or the whole stack is rejected.
     """
-    overlaps = np.abs(observable.eigensystem.eigenvectors.conj().T @ phi.amplitudes)
-    k = int(np.argmax(overlaps))
-    if overlaps[k] <= 1.0 - TOL.match_overlap:
-        raise ValueError(f"no eigenvector matches: best overlap {overlaps[k]:.12f}")
+    overlaps = np.abs(np.asarray(phi) @ np.conj(vectors))
+    k = np.argmax(overlaps, axis=-1)
+    best = float(np.min(np.max(overlaps, axis=-1)))
+    if not best > 1.0 - TOL.match_overlap:
+        raise ValueError(f"no eigenvector matches: worst best overlap {best:.12f}")
     return k
+
+
+def _blockwise(kernel, draws: int, seed: int, threads: int) -> np.ndarray:
+    """p-values of kernel(n, rng) -> (n,) over blocks of at most BLOCK draws.
+
+    Block b holds draws [b*BLOCK, (b+1)*BLOCK), draws all its arrays from
+    substream(seed, b) and writes only its own slice, so the result is the
+    same for any thread count and finishing order.
+    """
+    if draws < MIN_DRAWS:
+        raise ValueError(f"need at least {MIN_DRAWS} draws")
+    p_values = np.empty(draws, dtype=np.float64)
+
+    def run(b: int) -> None:
+        start, stop = b * BLOCK, min((b + 1) * BLOCK, draws)
+        p_values[start:stop] = kernel(stop - start, substream(seed, b))
+
+    map_trials(run, -(-draws // BLOCK), threads)
+    return p_values
 
 
 def observable_independence_scan(
@@ -137,24 +146,24 @@ def observable_independence_scan(
 ) -> InvarianceReport:
     """Spread of p(outcome = phi) across random observables sharing phi.
 
-    Each draw builds a fresh observable with phi as an eigenvector, expands
-    psi in its eigenbasis, and evaluates the rule at the matched outcome.
+    Each draw builds a fresh observable with phi as an eigenvector,
+    diagonalizes it, finds phi among its eigenvectors by overlap, and
+    evaluates the rule on psi's moduli in that eigenbasis at the match.
     """
-    if draws < MIN_DRAWS:
-        raise ValueError(f"need at least {MIN_DRAWS} draws")
     if psi.dim != phi.dim:
         raise ValueError("state and eigenvector dimensions differ")
-    p_values = np.empty(draws, dtype=np.float64)
+    basis = complete_basis(phi.amplitudes).entries
 
-    def run(i: int) -> None:
-        observable = observable_with_eigenstate(phi, substream(seed, i))
-        point = ModulusVector(np.abs(expand(psi, observable)))
-        k = match_eigenvector(observable, phi)
-        p_values[i] = rule_probabilities(rule, point)[k]
+    def kernel(n: int, rng: np.random.Generator) -> np.ndarray:
+        matrices = observable_with_eigenstate(basis, n, rng)
+        values, vectors = np.linalg.eigh(matrices)
+        check_eigensystems(matrices, values, vectors)  # the checks an Observable makes
+        k = match_eigenvector(vectors, phi.amplitudes)
+        point = np.abs(psi.amplitudes @ np.conj(vectors))
+        check_orthant(point)
+        return rule_probabilities(rule, point)[np.arange(n), k]
 
-    map_trials(run, draws, threads)
-
-    return InvarianceReport(rule.name, psi.dim, None, draws, p_values, seed)
+    return InvarianceReport(rule.name, psi.dim, None, draws, _blockwise(kernel, draws, seed, threads), seed)
 
 
 def unobserved_independence_scan(
@@ -170,14 +179,8 @@ def unobserved_independence_scan(
     Structurally zero for any rule of the plain single-modulus form; for
     renormalized rules the spread is the falsification signal.
     """
-    if draws < MIN_DRAWS:
-        raise ValueError(f"need at least {MIN_DRAWS} draws")
-    p_values = np.empty(draws, dtype=np.float64)
-
-    def run(i: int) -> None:
-        rotated = complement_rotation(point, k, substream(seed, i))
-        p_values[i] = rule_probabilities(rule, rotated)[k]
-
-    map_trials(run, draws, threads)
-
+    p_values = _blockwise(
+        lambda n, rng: rule_probabilities(rule, complement_rotation(point, k, n, rng))[:, k],
+        draws, seed, threads,
+    )
     return InvarianceReport(rule.name, point.dim, k, draws, p_values, seed)

@@ -12,11 +12,34 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .tolerances import TOL
+from .tolerances import TOL, within
 
 
 class ZeroVector(ValueError):
     """A vector with (numerically) zero norm cannot be normalized."""
+
+
+def hermitian_defect(matrices: np.ndarray) -> float:
+    """Largest |M - M^dag| entry over a stack of square matrices (..., d, d)."""
+    return float(np.max(np.abs(matrices - np.conj(np.swapaxes(matrices, -1, -2)))))
+
+
+def unitary_defect(matrices: np.ndarray) -> float:
+    """Largest |U^dag U - I| entry over a stack of square matrices (..., d, d)."""
+    gram = np.conj(np.swapaxes(matrices, -1, -2)) @ matrices
+    return float(np.max(np.abs(gram - np.eye(matrices.shape[-1]))))
+
+
+def check_eigensystems(matrices: np.ndarray, values: np.ndarray, vectors: np.ndarray) -> None:
+    """Reject a stack (..., d, d) unless each matrix is Hermitian, with
+    orthonormal eigenvectors, a gapped spectrum and small M v - w v."""
+    within(hermitian_defect(matrices), TOL.hermitian_entry, "matrix is not Hermitian: max |M - M^dag| =")
+    within(unitary_defect(vectors), TOL.orthonormality, "eigenvectors are not orthonormal: defect")
+    gap = float(np.min(np.diff(values, axis=-1), initial=np.inf))
+    if not gap > TOL.degeneracy_gap:
+        raise ValueError(f"degenerate spectrum: smallest gap {gap:.3e}")
+    residual = np.linalg.norm(matrices @ vectors - vectors * values[..., None, :], axis=-2)
+    within(float(np.max(residual)), TOL.eigen_residual, "eigensystem residual")
 
 
 @dataclass(frozen=True)
@@ -45,19 +68,14 @@ class HermitianMatrix(ComplexMatrix):
         super().__post_init__()
         if self.dim < 2:
             raise ValueError("Hermitian operators need dimension >= 2")
-        defect = np.max(np.abs(self.entries - self.entries.conj().T))
-        if defect > TOL.hermitian_entry:
-            raise ValueError(f"matrix is not Hermitian: max |M - M^dag| = {defect:.3e}")
+        within(hermitian_defect(self.entries), TOL.hermitian_entry, "matrix is not Hermitian: max |M - M^dag| =")
 
 
 @dataclass(frozen=True)
 class UnitaryMatrix(ComplexMatrix):
     def __post_init__(self) -> None:
         super().__post_init__()
-        gram = self.entries.conj().T @ self.entries
-        defect = np.max(np.abs(gram - np.eye(self.dim)))
-        if defect > TOL.unitary_entry:
-            raise ValueError(f"matrix is not unitary: max |U^dag U - I| = {defect:.3e}")
+        within(unitary_defect(self.entries), TOL.unitary_entry, "matrix is not unitary: max |U^dag U - I| =")
 
 
 @dataclass(frozen=True)
@@ -75,10 +93,7 @@ class Eigensystem:
             raise ValueError("eigenvalues and eigenvector columns do not match")
         if np.any(np.diff(values) < 0):
             raise ValueError("eigenvalues must be sorted ascending")
-        gram = vectors.conj().T @ vectors
-        defect = np.max(np.abs(gram - np.eye(d)))
-        if defect > TOL.orthonormality:
-            raise ValueError(f"eigenvectors are not orthonormal: defect {defect:.3e}")
+        within(unitary_defect(vectors), TOL.orthonormality, "eigenvectors are not orthonormal: defect")
         values.setflags(write=False)
         vectors.setflags(write=False)
         object.__setattr__(self, "eigenvalues", values)
@@ -113,21 +128,22 @@ def eigendecompose(matrix: HermitianMatrix | np.ndarray) -> Eigensystem:
     return Eigensystem(values, fix_column_phases(vectors))
 
 
-def haar_array(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Raw Haar-distributed unitary as an ndarray (dim >= 1)."""
+def haar_array(dim: int, rng: np.random.Generator, batch: tuple[int, ...] = ()) -> np.ndarray:
+    """Raw Haar-distributed unitaries (dim >= 1), one per index of ``batch``."""
     if dim < 1:
         raise ValueError("dimension must be at least 1")
+    shape = (*batch, dim, dim)
     while True:
-        ginibre = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+        ginibre = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
         try:
             q, r = np.linalg.qr(ginibre)
         except np.linalg.LinAlgError:  # pragma: no cover - probability zero
             continue
-        diag = np.diag(r)
+        diag = np.diagonal(r, axis1=-2, axis2=-1)
         if np.any(np.abs(diag) == 0.0):  # pragma: no cover - probability zero
             continue
         # phase correction makes the distribution exactly Haar, not just unitary
-        return q * (diag / np.abs(diag))
+        return q * (diag / np.abs(diag))[..., None, :]
 
 
 def complete_basis(vector: np.ndarray) -> UnitaryMatrix:

@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Eigensystem, HermitianMatrix, eigendecompose, fix_column_phases, haar_array
-from .tolerances import TOL
+from .linalg import Eigensystem, HermitianMatrix, check_eigensystems, eigendecompose
+from .linalg import fix_column_phases, haar_array
+from .tolerances import TOL, within
 
 SHOT_CHUNK = 1 << 16  # uniforms drawn at once by sample_outcomes
 
@@ -35,9 +36,7 @@ class StateVector:
 
     def __post_init__(self) -> None:
         amplitudes = np.array(self.amplitudes, dtype=np.complex128).reshape(-1)
-        defect = abs(np.sum(np.abs(amplitudes) ** 2) - 1.0)
-        if defect > TOL.state_norm:
-            raise NotNormalized(f"state norm defect {defect:.3e}")
+        within(abs(np.sum(np.abs(amplitudes) ** 2) - 1.0), TOL.state_norm, "state norm defect", NotNormalized)
         amplitudes.setflags(write=False)
         object.__setattr__(self, "amplitudes", amplitudes)
 
@@ -54,6 +53,14 @@ class StateVector:
         return cls(raw / norm)
 
 
+def check_orthant(rows: np.ndarray) -> None:
+    """Reject moduli rows (..., d) unless each is non-negative with unit square sum."""
+    if rows.min(initial=0.0) < 0.0:  # methods, not np.any/np.max: this runs per defect-scan trial
+        raise ValueError("moduli must be non-negative")
+    defect = float(np.abs(np.sum(rows**2, axis=-1) - 1.0).max(initial=0.0))
+    within(defect, TOL.orthant_norm, "orthant norm defect", NotNormalized)
+
+
 @dataclass(frozen=True)
 class ModulusVector:
     """A point on the unit orthant: non-negative moduli with unit square sum."""
@@ -62,11 +69,7 @@ class ModulusVector:
 
     def __post_init__(self) -> None:
         moduli = np.array(self.moduli, dtype=np.float64).reshape(-1)
-        if np.any(moduli < 0.0):
-            raise ValueError("moduli must be non-negative")
-        defect = abs(np.sum(moduli**2) - 1.0)
-        if defect > TOL.orthant_norm:
-            raise NotNormalized(f"orthant norm defect {defect:.3e}")
+        check_orthant(moduli)
         moduli.setflags(write=False)
         object.__setattr__(self, "moduli", moduli)
 
@@ -85,20 +88,7 @@ class Observable:
     def __post_init__(self) -> None:
         if self.matrix.dim != self.eigensystem.dim:
             raise DimMismatch("matrix and eigensystem dimensions differ")
-        gaps = np.diff(self.eigensystem.eigenvalues)
-        if gaps.size and np.min(gaps) <= TOL.degeneracy_gap:
-            raise ValueError(
-                f"degenerate spectrum: smallest gap {np.min(gaps):.3e}"
-            )
-        residual = np.max(
-            np.linalg.norm(
-                self.matrix.entries @ self.eigensystem.eigenvectors
-                - self.eigensystem.eigenvectors * self.eigensystem.eigenvalues,
-                axis=0,
-            )
-        )
-        if residual > TOL.eigen_residual:
-            raise ValueError(f"cached eigensystem residual {residual:.3e}")
+        check_eigensystems(self.matrix.entries, self.eigensystem.eigenvalues, self.eigensystem.eigenvectors)
 
     @property
     def dim(self) -> int:
@@ -161,7 +151,7 @@ def probabilities(state: StateVector, observable: Observable, rule) -> np.ndarra
     """
     from .rules import rule_probabilities
 
-    return rule_probabilities(rule, moduli(expand(state, observable)))
+    return rule_probabilities(rule, moduli(expand(state, observable)).moduli)
 
 
 def born_probabilities(state: StateVector, observable: Observable) -> np.ndarray:
@@ -212,15 +202,13 @@ def haar_state(dim: int, rng: np.random.Generator) -> StateVector:
             return StateVector(z / norm)
 
 
-def gapped_eigenvalues(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """Distinct eigenvalues uniform on [-1, 1], resampled until the minimum
-    pairwise gap clears the threshold.  Returned in draw order (unsorted)."""
-    if dim == 1:
-        return rng.uniform(-1.0, 1.0, size=1)
-    while True:
-        values = rng.uniform(-1.0, 1.0, size=dim)
-        if np.min(np.diff(np.sort(values))) > TOL.random_gap:
-            return values
+def gapped_eigenvalues(dim: int, rng: np.random.Generator, batch: tuple[int, ...] = ()) -> np.ndarray:
+    """Spectra uniform on [-1, 1], one per index of ``batch``, each redrawn
+    until its minimum pairwise gap clears the threshold.  Unsorted."""
+    values = rng.uniform(-1.0, 1.0, size=(*batch, dim))
+    while np.any(redraw := np.min(np.diff(np.sort(values), axis=-1), axis=-1, initial=np.inf) <= TOL.random_gap):
+        values[redraw] = rng.uniform(-1.0, 1.0, size=(np.count_nonzero(redraw), dim))
+    return values
 
 
 def random_observable(dim: int, rng: np.random.Generator) -> Observable:

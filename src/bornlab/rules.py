@@ -87,8 +87,8 @@ class Renormalized:
 
     def probabilities(self, values: np.ndarray) -> np.ndarray:
         raw = self.base(values)
-        total = float(np.sum(raw))
-        if total <= 0.0:
+        total = np.sum(raw, axis=-1, keepdims=True)
+        if np.any(total <= 0.0):
             raise DomainError("renormalization sum is not positive")
         return raw / total
 
@@ -114,15 +114,16 @@ def parse_rule(name: str) -> ProbabilityRule:
     raise ValueError(f"unknown rule name {name!r}")
 
 
-def rule_probabilities(rule: ProbabilityRule, point: ModulusVector) -> np.ndarray:
-    """Apply a rule to every modulus of an orthant point.
+def rule_probabilities(rule: ProbabilityRule, rows: np.ndarray) -> np.ndarray:
+    """Apply a rule to every modulus of orthant rows (..., d).
 
     Plain rules are applied entrywise with no renormalization; whether the
-    result sums to one is exactly what the defect scan measures.
+    result sums to one is exactly what the defect scan measures.  Rows come
+    validated, as ModulusVector moduli or through check_orthant.
     """
     if isinstance(rule, Renormalized):
-        return rule.probabilities(point.moduli)
-    return np.asarray(rule(point.moduli), dtype=np.float64)
+        return rule.probabilities(rows)
+    return np.asarray(rule(rows), dtype=np.float64)
 
 
 def outcome_function(rule: ProbabilityRule, k: int) -> Callable[[np.ndarray], float]:

@@ -21,7 +21,6 @@ class Tolerances:
     # eigensystem quality
     eigen_residual: float = 1e-10    # ||M v - w v|| per eigenpair
     orthonormality: float = 1e-10    # max |V^dag V - I| entry
-    reconstruction: float = 1e-9     # max |V diag(w) V^dag - M| entry
 
     # observables
     degeneracy_gap: float = 1e-8     # minimum eigenvalue separation accepted
@@ -40,3 +39,9 @@ class Tolerances:
 
 
 TOL = Tolerances()
+
+
+def within(value: float, bound: float, what: str, error: type[ValueError] = ValueError) -> None:
+    """Raise error("<what> <value>") unless value <= bound; nan is never within."""
+    if not value <= bound:
+        raise error(f"{what} {value:.3e}")

@@ -5,7 +5,9 @@ import json
 
 import pytest
 
-from bornlab import variational
+import numpy as np
+
+from bornlab import invariance, variational
 from bornlab.cli import build_parser, main, run_config
 
 SMALL = ["--trials", "200", "--seed", "42"]
@@ -130,6 +132,28 @@ class TestExitCodes:
     def test_plain_rule_falsify_runs_one_trial(self, capsys):
         code, report = run_json(capsys, ["falsify", "--rule", "power:1", "--dim", "2", "--trials", "1"])
         assert code == 1 and report["results"]["defect"]["trials"] == 1
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["independence", "--rule", "born", "--dim", "3", "--trials", "20"],
+            ["falsify", "--rule", "renorm:power:4", "--dim", "3", "--trials", "20"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_runtime_failure_exits_four(self, capsys, monkeypatch, argv):
+        # observables that do not share phi fail the scan's overlap check: a
+        # crash, reported as one line, never as a verdict
+        def unrelated(basis, n, rng):
+            z = rng.standard_normal((n, 3, 3)) + 1j * rng.standard_normal((n, 3, 3))
+            return z + np.conj(np.swapaxes(z, -1, -2))
+
+        monkeypatch.setattr(invariance, "observable_with_eigenstate", unrelated)
+        assert main(argv) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("bornlab: runtime failure: ValueError: no eigenvector matches")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
     def test_stationarity_gates_on_the_closed_form_residual(self, capsys, monkeypatch):
         argv = ["stationarity", "--dims", "2,4", "--trials", "20"]

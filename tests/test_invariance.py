@@ -1,116 +1,178 @@
-"""Modulus-preserving unitaries, complement rotations, and independence scans."""
+"""Observables sharing an eigenvector, complement rotations, and the
+block-form independence scans."""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bornlab import invariance
 from bornlab.invariance import (
-    IndexOutOfRange,
+    BLOCK,
     complement_rotation,
     match_eigenvector,
     observable_independence_scan,
     observable_with_eigenstate,
     unobserved_independence_scan,
 )
+from bornlab.linalg import complete_basis
 from bornlab.quantum import (
     ModulusVector,
     StateVector,
-    expand,
     haar_state,
     moduli,
     spin1_jx2_minus_jy2,
     spin1_jz,
 )
-from bornlab.rules import Born, Power, Renormalized, rule_probabilities
+from bornlab.rules import Affine, Born, Power, Renormalized, rule_probabilities
 from bornlab.streams import substream
+from bornlab.tolerances import TOL
+
+
+def draw_observables(phi: StateVector, n: int, rng):
+    """n observables sharing phi, their eigh eigensystems and the matched indices."""
+    matrices = observable_with_eigenstate(complete_basis(phi.amplitudes).entries, n, rng)
+    values, vectors = np.linalg.eigh(matrices)
+    return matrices, values, vectors, match_eigenvector(vectors, phi.amplitudes)
 
 
 class TestComplementRotation:
     def test_degenerate_radius_is_fixed_point(self):
         point = ModulusVector(np.array([1.0, 0.0, 0.0]))
-        out = complement_rotation(point, 0, np.random.default_rng(1))
-        np.testing.assert_array_equal(out.moduli, point.moduli)
+        out = complement_rotation(point, 0, 5, np.random.default_rng(1))
+        np.testing.assert_array_equal(out, np.tile(point.moduli, (5, 1)))
 
     def test_qubit_complement_is_rigid(self):
         point = ModulusVector(np.array([0.6, 0.8]))
-        out = complement_rotation(point, 0, np.random.default_rng(2))
-        np.testing.assert_array_equal(out.moduli, point.moduli)
+        out = complement_rotation(point, 0, 5, np.random.default_rng(2))
+        np.testing.assert_array_equal(out, np.tile(point.moduli, (5, 1)))
 
     def test_radius_contract(self):
         point = ModulusVector(np.array([0.6, 0.8, 0.0]))
-        for seed in range(50):
-            out = complement_rotation(point, 0, np.random.default_rng(seed))
-            assert out.moduli[0] == 0.6
-            assert abs(out.moduli[1] ** 2 + out.moduli[2] ** 2 - 0.64) <= 1e-12
-            assert np.all(out.moduli >= 0.0)
+        out = complement_rotation(point, 0, 50, np.random.default_rng(0))
+        assert out.shape == (50, 3)
+        for row in out:
+            assert row[0] == 0.6
+            assert abs(row[1] ** 2 + row[2] ** 2 - 0.64) <= 1e-12
+            assert np.all(row >= 0.0)
 
     @settings(max_examples=50, deadline=None)
-    @given(d=st.integers(3, 8), seed=st.integers(0, 10_000))
-    def test_output_is_on_the_orthant(self, d, seed):
+    @given(d=st.integers(3, 8), n=st.integers(1, 20), seed=st.integers(0, 10_000))
+    def test_output_is_on_the_orthant(self, d, n, seed):
+        # every rotated row keeps a_k exactly and stays on the unit orthant
         rng = np.random.default_rng(seed)
         point = moduli(haar_state(d, rng).amplitudes)
         k = int(rng.integers(0, d))
-        out = complement_rotation(point, k, rng)
-        assert out.moduli[k] == point.moduli[k]
-        assert abs(np.sum(out.moduli**2) - 1.0) <= 1e-12
+        out = complement_rotation(point, k, n, rng)
+        assert np.all(out[:, k] == point.moduli[k])
+        assert np.all(out >= 0.0)
+        assert np.max(np.abs(np.sum(out**2, axis=1) - 1.0)) <= 1e-12
+
+    def test_rejects_bad_index(self):
+        point = ModulusVector(np.array([0.6, 0.8, 0.0]))
+        with pytest.raises(invariance.IndexOutOfRange):
+            complement_rotation(point, 3, 4, np.random.default_rng(0))
 
 
 class TestObservableWithEigenstate:
     def test_shared_eigenvector_residual(self):
         rng = np.random.default_rng(3)
         phi = haar_state(4, rng)
-        obs = observable_with_eigenstate(phi, rng)
-        k = match_eigenvector(obs, phi)
-        w = obs.eigensystem.eigenvalues[k]
-        residual = np.linalg.norm(obs.matrix.entries @ phi.amplitudes - w * phi.amplitudes)
-        assert residual <= 1e-10
+        matrices, values, _, k = draw_observables(phi, 20, rng)
+        for m, w in zip(matrices, values[np.arange(20), k]):
+            residual = np.linalg.norm(m @ phi.amplitudes - w * phi.amplitudes)
+            assert residual <= 1e-10
 
     def test_two_draws_share_only_that_eigenvector(self):
         e2 = StateVector(np.array([0.0, 1.0, 0.0], dtype=complex))
-        a = observable_with_eigenstate(e2, np.random.default_rng(4))
-        b = observable_with_eigenstate(e2, np.random.default_rng(5))
-        ka, kb = match_eigenvector(a, e2), match_eigenvector(b, e2)
-        assert abs(np.vdot(a.eigensystem.eigenvectors[:, ka], e2.amplitudes)) > 1 - 1e-10
-        assert abs(np.vdot(b.eigensystem.eigenvectors[:, kb], e2.amplitudes)) > 1 - 1e-10
-        others_a = np.delete(a.eigensystem.eigenvectors, ka, axis=1)
-        others_b = np.delete(b.eigensystem.eigenvectors, kb, axis=1)
+        _, _, (a, b), (ka, kb) = draw_observables(e2, 2, np.random.default_rng(4))
+        assert abs(np.vdot(a[:, ka], e2.amplitudes)) > 1 - 1e-10
+        assert abs(np.vdot(b[:, kb], e2.amplitudes)) > 1 - 1e-10
+        others_a = np.delete(a, ka, axis=1)
+        others_b = np.delete(b, kb, axis=1)
         # complements are independent Haar draws, so they differ
         assert np.max(np.abs(np.abs(others_a.conj().T @ others_b) - np.eye(2))) > 1e-3
 
     def test_spin1_operators_also_share_it(self):
         e2 = StateVector(np.array([0.0, 1.0, 0.0], dtype=complex))
-        drawn = observable_with_eigenstate(e2, np.random.default_rng(6))
-        for obs in (spin1_jz(), spin1_jx2_minus_jy2(), drawn):
-            assert match_eigenvector(obs, e2) == 1
+        for obs in (spin1_jz(), spin1_jx2_minus_jy2()):
+            assert match_eigenvector(obs.eigensystem.eigenvectors, e2.amplitudes) == 1
+        # a drawn observable puts e2 at a random sorted position: the match
+        # must land on the eigenvalue e2 carries, <e2|M|e2>
+        matrices, values, _, k = draw_observables(e2, 20, np.random.default_rng(6))
+        carried = np.real(matrices[:, 1, 1])
+        np.testing.assert_allclose(values[np.arange(20), k], carried, rtol=0, atol=1e-12)
+        assert len(set(k.tolist())) > 1
 
     def test_qubit_eigenbasis_is_forced(self):
         phi = StateVector(np.array([1.0, 1.0]) / np.sqrt(2))
-        obs = observable_with_eigenstate(phi, np.random.default_rng(7))
-        k = match_eigenvector(obs, phi)
-        other = obs.eigensystem.eigenvectors[:, 1 - k]
+        _, _, vectors, k = draw_observables(phi, 10, np.random.default_rng(7))
         target = np.array([1.0, -1.0]) / np.sqrt(2)
-        assert abs(abs(np.vdot(other, target)) - 1.0) < 1e-12
+        for v, kk in zip(vectors, k):
+            assert abs(abs(np.vdot(v[:, 1 - kk], target)) - 1.0) < 1e-12
 
     @settings(max_examples=50, deadline=None)
     @given(d=st.integers(2, 8), seed=st.integers(0, 10_000))
     def test_modulus_preservation_contract(self, d, seed):
-        # the shared eigenvector's coefficient keeps the modulus |<phi|psi>|
+        # the matched eigenvector's coefficient keeps the modulus |<phi|psi>|
         # whatever the rest of the drawn eigenbasis is
         rng = np.random.default_rng(seed)
         phi = haar_state(d, rng)
-        obs = observable_with_eigenstate(phi, rng)
-        k = match_eigenvector(obs, phi)
+        _, _, vectors, k = draw_observables(phi, 5, rng)
         for _ in range(5):
             psi = haar_state(d, rng)
-            coefficient = abs(expand(psi, obs))[k]
-            assert abs(coefficient - abs(np.vdot(phi.amplitudes, psi.amplitudes))) <= 1e-12
+            coefficients = np.abs(psi.amplitudes @ np.conj(vectors))[np.arange(5), k]
+            expected = abs(np.vdot(phi.amplitudes, psi.amplitudes))
+            assert np.max(np.abs(coefficients - expected)) <= 1e-12
 
     def test_gap_enforced(self):
         phi = haar_state(5, np.random.default_rng(8))
-        for seed in range(10):
-            obs = observable_with_eigenstate(phi, np.random.default_rng(seed))
-            assert np.min(np.diff(obs.eigensystem.eigenvalues)) > 1e-3
+        _, values, _, _ = draw_observables(phi, 10, np.random.default_rng(0))
+        assert np.min(np.diff(values, axis=1)) > 1e-3
+
+    def test_match_rejects_a_state_that_is_not_an_eigenvector(self):
+        rng = np.random.default_rng(9)
+        phi = haar_state(4, rng)
+        _, _, vectors, _ = draw_observables(phi, 6, rng)
+        with pytest.raises(ValueError, match="no eigenvector matches"):
+            match_eigenvector(vectors, haar_state(4, rng).amplitudes)
+        # one foreign observable in the stack rejects the whole stack
+        vectors[3] = np.eye(4)
+        with pytest.raises(ValueError, match="no eigenvector matches"):
+            match_eigenvector(vectors, phi.amplitudes)
+
+
+class TestBlockKernelsMatchScalarFormulas:
+    PLAIN = st.one_of(
+        st.just(Born()),
+        st.floats(0.5, 5.0).map(Power),
+        st.tuples(st.floats(-2.0, 2.0), st.floats(-1.0, 1.0)).map(lambda sm: Affine(*sm)),
+    )
+    POSITIVE = st.one_of(
+        st.just(Born()),
+        st.floats(0.5, 5.0).map(Power),
+        st.tuples(st.floats(0.1, 2.0), st.floats(0.0, 1.0)).map(lambda sm: Affine(*sm)),
+    )
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        rule=st.one_of(PLAIN, POSITIVE.map(Renormalized)),
+        d=st.integers(2, 8),
+        n=st.integers(1, 12),
+        seed=st.integers(0, 10_000),
+    )
+    def test_rule_rows_equal_per_row_evaluation(self, rule, d, n, seed):
+        rng = np.random.default_rng(seed)
+        points = [moduli(haar_state(d, rng).amplitudes) for _ in range(n)]
+        block = rule_probabilities(rule, np.stack([p.moduli for p in points]))
+        assert block.shape == (n, d)
+        for row, point in zip(block, points):
+            np.testing.assert_array_equal(row, rule_probabilities(rule, point.moduli))
+            base = rule.base if isinstance(rule, Renormalized) else rule
+            scalar = [float(base(float(a))) for a in point.moduli]
+            if isinstance(rule, Renormalized):
+                scalar = [s / sum(scalar) for s in scalar]
+            np.testing.assert_allclose(row, scalar, rtol=1e-13, atol=1e-15)
 
 
 class TestObservableIndependence:
@@ -147,17 +209,15 @@ class TestObservableIndependence:
             assert report.spread <= 1e-12
 
     def test_equal_observables_give_zero_spread(self):
-        # n evaluations against the same drawn observable: the scan
-        # machinery run by hand, with the draw stream held fixed
-        rng_master = 13
+        # n evaluations against the same drawn block: the scan machinery run
+        # by hand, with the draw stream held fixed
         psi = haar_state(4, np.random.default_rng(14))
         phi = haar_state(4, np.random.default_rng(15))
         p_values = []
         for _ in range(10):
-            obs = observable_with_eigenstate(phi, substream(rng_master, 0))
-            point = ModulusVector(np.abs(expand(psi, obs)))
-            k = match_eigenvector(obs, phi)
-            p_values.append(rule_probabilities(Renormalized(Power(1.0)), point)[k])
+            _, _, vectors, k = draw_observables(phi, 4, substream(13, 0))
+            point = np.abs(psi.amplitudes @ np.conj(vectors))
+            p_values.append(rule_probabilities(Renormalized(Power(1.0)), point)[0, k[0]])
         assert max(p_values) - min(p_values) == 0.0
 
     def test_scan_is_deterministic_and_thread_invariant(self):
@@ -171,6 +231,100 @@ class TestObservableIndependence:
         psi = haar_state(3, np.random.default_rng(19))
         with pytest.raises(ValueError):
             observable_independence_scan(psi, psi, Born(), 1, seed=0)
+
+    def test_failed_match_stops_the_scan(self, monkeypatch):
+        # observables that do not share phi must be caught by the overlap check
+        def unrelated(basis, n, rng):
+            z = rng.standard_normal((n, 3, 3)) + 1j * rng.standard_normal((n, 3, 3))
+            return z + np.conj(np.swapaxes(z, -1, -2))
+
+        monkeypatch.setattr(invariance, "observable_with_eigenstate", unrelated)
+        psi, phi = haar_state(3, np.random.default_rng(20)), haar_state(3, np.random.default_rng(21))
+        with pytest.raises(ValueError, match="no eigenvector matches"):
+            observable_independence_scan(psi, phi, Born(), 10, seed=0)
+
+
+    @pytest.mark.parametrize(
+        "target, broken, message",
+        [
+            # rounding-sized asymmetry is tolerated, 1e-9 is not
+            ("observable_with_eigenstate", lambda real: lambda basis, n, rng: real(basis, n, rng) + 1e-9j,
+             "not Hermitian"),
+            # two equal eigenvalues: the shared eigenvector is no longer unique
+            ("gapped_eigenvalues", lambda real: lambda d, rng, batch: np.sort(real(d, rng, batch))[..., [0, 0, 2, 3]],
+             "degenerate spectrum"),
+        ],
+        ids=["hermitian", "gap"],
+    )
+    def test_block_checks_stop_the_scan(self, monkeypatch, target, broken, message):
+        monkeypatch.setattr(invariance, target, broken(getattr(invariance, target)))
+        psi, phi = haar_state(4, np.random.default_rng(22)), haar_state(4, np.random.default_rng(23))
+        with pytest.raises(ValueError, match=message):
+            observable_independence_scan(psi, phi, Born(), 10, seed=0)
+
+
+    def test_orthant_check_catches_what_orthonormality_allows(self, monkeypatch):
+        # eigenvectors scaled by 1 + 2e-11 pass the 1e-10 orthonormality
+        # check, but put psi's moduli 4e-11 off the unit sphere (tol 1e-12)
+        real_eigh = np.linalg.eigh
+        monkeypatch.setattr(np.linalg, "eigh", lambda m: (lambda w, v: (w, v * (1 + 2e-11)))(*real_eigh(m)))
+        psi, phi = haar_state(4, np.random.default_rng(24)), haar_state(4, np.random.default_rng(25))
+        with pytest.raises(ValueError, match="orthant norm defect"):
+            observable_independence_scan(psi, phi, Born(), 10, seed=0)
+
+
+class TestBlocks:
+    DRAWS = 2 * BLOCK + 3  # two full blocks and a partial one
+
+    def scans(self, threads):
+        psi = haar_state(4, np.random.default_rng(30))
+        phi = haar_state(4, np.random.default_rng(31))
+        rule = Renormalized(Power(3.0))
+        return (
+            observable_independence_scan(psi, phi, rule, self.DRAWS, seed=32, threads=threads),
+            unobserved_independence_scan(moduli(psi.amplitudes), 1, rule, self.DRAWS, seed=33, threads=threads),
+        )
+
+    def test_multi_block_scans_are_thread_invariant(self):
+        serial = [scan.p_values.tobytes() for scan in self.scans(1)]
+        for threads in (2, 8):
+            assert [scan.p_values.tobytes() for scan in self.scans(threads)] == serial
+
+    def test_block_b_draws_from_substream_seed_b(self, monkeypatch):
+        seen = []
+
+        def recording(seed, *indices):
+            seen.append((seed, *indices))
+            return substream(seed, *indices)
+
+        monkeypatch.setattr(invariance, "substream", recording)
+        self.scans(1)
+        assert seen == [(32, 0), (32, 1), (32, 2), (33, 0), (33, 1), (33, 2)]
+
+    def test_full_blocks_do_not_depend_on_the_draw_count(self):
+        # draw i comes from substream(seed, i // BLOCK), so a full block is
+        # the same whatever follows it
+        psi = haar_state(3, np.random.default_rng(34))
+        phi = haar_state(3, np.random.default_rng(35))
+        rule = Renormalized(Power(1.0))
+        short = observable_independence_scan(psi, phi, rule, BLOCK, seed=36)
+        long = observable_independence_scan(psi, phi, rule, self.DRAWS, seed=36)
+        np.testing.assert_array_equal(long.p_values[:BLOCK], short.p_values)
+        assert len(set(long.p_values.tolist())) == self.DRAWS
+
+
+class TestBornSpreadIsMeasured:
+    @pytest.mark.parametrize("d", range(2, 9))
+    def test_seed_sweep_stays_within_tolerance(self, d):
+        # the outcome is found by eigh and overlap, so its Born probability
+        # carries rounding: the spread is small but no longer zero by design
+        spreads = []
+        for seed in range(30):
+            psi = haar_state(d, substream(40, d, seed, 0))
+            phi = haar_state(d, substream(40, d, seed, 1))
+            spreads.append(observable_independence_scan(psi, phi, Born(), 100, seed=seed).spread)
+        assert max(spreads) <= TOL.spread
+        assert max(spreads) > 0.0
 
 
 class TestUnobservedIndependence:

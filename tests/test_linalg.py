@@ -37,6 +37,15 @@ class TestMatrixTypes:
         with pytest.raises(ValueError):
             HermitianMatrix(np.array([[0.0, 1.0], [0.0, 0.0]]))
 
+    def test_rejects_nan_entries(self):
+        # a nan defect compares false against every bound, so it must be caught explicitly
+        nan = np.full((2, 2), np.nan)
+        for kind in (HermitianMatrix, UnitaryMatrix):
+            with pytest.raises(ValueError):
+                kind(nan)
+        with pytest.raises(ValueError):
+            Eigensystem(np.array([0.0, 1.0]), nan)
+
     def test_rejects_non_unitary(self):
         with pytest.raises(ValueError):
             UnitaryMatrix(np.array([[1.0, 0.0], [0.0, 2.0]]))
@@ -106,7 +115,7 @@ class TestEigendecompose:
         m = random_hermitian(d, seed)
         system = eigendecompose(m)
         rebuilt = (system.eigenvectors * system.eigenvalues) @ system.eigenvectors.conj().T
-        assert np.max(np.abs(rebuilt - m)) <= TOL.reconstruction
+        assert np.max(np.abs(rebuilt - m)) <= 1e-9
 
     def test_deterministic(self):
         m = random_hermitian(6, seed=99)
@@ -148,6 +157,17 @@ class TestHaarUnitary:
             total += abs(haar_array(2, rng)[0, 0]) ** 2
         standard_error = np.sqrt(1.0 / 12.0 / n)
         assert abs(total / n - 0.5) < 3 * standard_error
+
+    def test_batched_draws_equal_per_matrix_qr(self):
+        # reference: the Ginibre draw of the whole stack, one QR and phase fix per matrix
+        u = haar_array(3, np.random.default_rng(5), (40,))
+        rng = np.random.default_rng(5)
+        ginibre = rng.standard_normal((40, 3, 3)) + 1j * rng.standard_normal((40, 3, 3))
+        assert u.shape == (40, 3, 3)
+        for got, g in zip(u, ginibre):
+            q, r = np.linalg.qr(g)
+            np.testing.assert_allclose(got, q * (np.diag(r) / np.abs(np.diag(r))), rtol=0, atol=1e-14)
+            assert np.max(np.abs(got.conj().T @ got - np.eye(3))) < 1e-12
 
     def test_deterministic_for_fixed_stream(self):
         a = haar_array(5, np.random.default_rng(123))

@@ -14,6 +14,7 @@ from bornlab.quantum import (
     StateVector,
     born_probabilities,
     expand,
+    gapped_eigenvalues,
     haar_state,
     measure,
     moduli,
@@ -56,6 +57,12 @@ class TestStateAndModulus:
     def test_modulus_rejects_off_orthant(self):
         with pytest.raises(NotNormalized):
             ModulusVector(np.array([0.9, 0.9]))
+
+    def test_nan_is_not_normalized(self):
+        with pytest.raises(NotNormalized):
+            StateVector(np.array([np.nan, 0.0]))
+        with pytest.raises(NotNormalized):
+            ModulusVector(np.array([np.nan, 0.0]))
 
     def test_moduli_strips_phases(self):
         out = moduli(np.array([1j * 0.6, 0.8]))
@@ -101,6 +108,21 @@ class TestObservable:
         for seed in range(20):
             obs = random_observable(5, np.random.default_rng(seed))
             assert np.min(np.diff(obs.eigensystem.eigenvalues)) > 1e-3
+
+    def test_gapped_spectra_rows_and_the_per_draw_loop(self):
+        def per_draw(dim, rng):  # reference: redraw the whole spectrum until gapped
+            while True:
+                values = rng.uniform(-1.0, 1.0, size=dim)
+                if np.min(np.diff(np.sort(values))) > 1e-3:
+                    return values
+
+        for seed in range(300):  # at d=8 about 3% of first draws are redrawn
+            np.testing.assert_array_equal(
+                gapped_eigenvalues(8, np.random.default_rng(seed)), per_draw(8, np.random.default_rng(seed))
+            )
+        rows = gapped_eigenvalues(8, np.random.default_rng(0), (500,))
+        assert rows.shape == (500, 8)
+        assert np.min(np.diff(np.sort(rows, axis=1), axis=1)) > 1e-3
 
 
 class TestExpand:

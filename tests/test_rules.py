@@ -9,6 +9,7 @@ from bornlab.quantum import ModulusVector, haar_state, moduli
 from bornlab.rules import (
     Affine,
     Born,
+    DomainError,
     Power,
     Renormalized,
     defect_scan,
@@ -83,11 +84,18 @@ class TestNormalizationSum:
     def test_renormalized_sums_to_one_by_construction(self):
         assert normalization_sum(Renormalized(Power(3.0)), SYMMETRIC_QUBIT) == 1.0
 
+    def test_renormalized_rows_reject_any_nonpositive_sum(self):
+        rows = np.array([[0.6, 0.8], [1.0, 0.0]])
+        np.testing.assert_allclose(np.sum(rule_probabilities(Renormalized(Born()), rows), axis=1), 1.0)
+        # a^2 - 0.5 sums to 0 on every row: no renormalization exists
+        with pytest.raises(DomainError):
+            rule_probabilities(Renormalized(Affine(1.0, -0.5)), rows)
+
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 10_000), p=st.floats(0.5, 5.0))
     def test_renormalized_probabilities_sum_to_one(self, seed, p):
         point = moduli(haar_state(3, np.random.default_rng(seed)).amplitudes)
-        values = rule_probabilities(Renormalized(Power(p)), point)
+        values = rule_probabilities(Renormalized(Power(p)), point.moduli)
         assert abs(np.sum(values) - 1.0) <= 1e-12
 
 
