@@ -35,6 +35,7 @@ from .quantum import (
     born_probabilities,
     expand,
     haar_state,
+    haar_states,
     measure,
     moduli,
     probabilities,
@@ -62,7 +63,6 @@ from .variational import (
     PolynomialCandidate,
     RankDeficient,
     RecoveryResult,
-    StationarityResidual,
     closed_form_check,
     fit_power_series,
     outcome_stationarity,

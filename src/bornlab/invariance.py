@@ -1,4 +1,4 @@
-"""Observable-independence experiments, run on blocks of BLOCK draws.
+"""Observable-independence experiments, run on blocks of streams.BLOCK draws.
 
 Two ways of rotating everything the outcome should not care about:
 
@@ -21,11 +21,10 @@ import numpy as np
 from .linalg import check_eigensystems, complete_basis, haar_array
 from .quantum import ModulusVector, StateVector, check_orthant, gapped_eigenvalues
 from .rules import ProbabilityRule, rule_probabilities
-from .streams import map_trials, substream
+from .streams import blockwise
 from .tolerances import TOL
 
 MIN_DRAWS = 2  # a spread needs two values
-BLOCK = 128  # draws per block: the unit of streams, checks and thread-pool work
 
 
 class IndexOutOfRange(IndexError):
@@ -117,23 +116,9 @@ def match_eigenvector(vectors: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return k
 
 
-def _blockwise(kernel, draws: int, seed: int, threads: int) -> np.ndarray:
-    """p-values of kernel(n, rng) -> (n,) over blocks of at most BLOCK draws.
-
-    Block b holds draws [b*BLOCK, (b+1)*BLOCK), draws all its arrays from
-    substream(seed, b) and writes only its own slice, so the result is the
-    same for any thread count and finishing order.
-    """
+def _check_draws(draws: int) -> None:
     if draws < MIN_DRAWS:
         raise ValueError(f"need at least {MIN_DRAWS} draws")
-    p_values = np.empty(draws, dtype=np.float64)
-
-    def run(b: int) -> None:
-        start, stop = b * BLOCK, min((b + 1) * BLOCK, draws)
-        p_values[start:stop] = kernel(stop - start, substream(seed, b))
-
-    map_trials(run, -(-draws // BLOCK), threads)
-    return p_values
 
 
 def observable_independence_scan(
@@ -152,9 +137,11 @@ def observable_independence_scan(
     """
     if psi.dim != phi.dim:
         raise ValueError("state and eigenvector dimensions differ")
+    _check_draws(draws)
     basis = complete_basis(phi.amplitudes).entries
 
-    def kernel(n: int, rng: np.random.Generator) -> np.ndarray:
+    def kernel(index: np.ndarray, rng: np.random.Generator) -> np.ndarray:
+        n = index.size
         matrices = observable_with_eigenstate(basis, n, rng)
         values, vectors = np.linalg.eigh(matrices)
         check_eigensystems(matrices, values, vectors)  # the checks an Observable makes
@@ -163,7 +150,7 @@ def observable_independence_scan(
         check_orthant(point)
         return rule_probabilities(rule, point)[np.arange(n), k]
 
-    return InvarianceReport(rule.name, psi.dim, None, draws, _blockwise(kernel, draws, seed, threads), seed)
+    return InvarianceReport(rule.name, psi.dim, None, draws, blockwise(kernel, draws, seed, threads=threads), seed)
 
 
 def unobserved_independence_scan(
@@ -179,8 +166,9 @@ def unobserved_independence_scan(
     Structurally zero for any rule of the plain single-modulus form; for
     renormalized rules the spread is the falsification signal.
     """
-    p_values = _blockwise(
-        lambda n, rng: rule_probabilities(rule, complement_rotation(point, k, n, rng))[:, k],
-        draws, seed, threads,
+    _check_draws(draws)
+    p_values = blockwise(
+        lambda index, rng: rule_probabilities(rule, complement_rotation(point, k, index.size, rng))[:, k],
+        draws, seed, threads=threads,
     )
     return InvarianceReport(rule.name, point.dim, k, draws, p_values, seed)

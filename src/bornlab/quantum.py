@@ -159,8 +159,8 @@ def born_probabilities(state: StateVector, observable: Observable) -> np.ndarray
     return np.abs(expand(state, observable)) ** 2
 
 
-def _draw_outcomes(cumulative: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    # inverse CDF with ties resolved toward the lower index
+def draw_outcomes(cumulative: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+    """Outcome index of each uniform: the inverse CDF, ties toward the lower index."""
     idx = np.searchsorted(cumulative, uniforms, side="left")
     return np.minimum(idx, cumulative.shape[0] - 1)
 
@@ -176,7 +176,7 @@ def measure(
     """
     p = born_probabilities(state, observable)
     cumulative = np.cumsum(p)
-    k = int(_draw_outcomes(cumulative, np.array([rng.random()]))[0])
+    k = int(draw_outcomes(cumulative, np.array([rng.random()]))[0])
     post = StateVector.normalize(observable.eigensystem.eigenvectors[:, k])
     return MeasurementRecord(k, post)
 
@@ -189,7 +189,7 @@ def sample_outcomes(
     counts = np.zeros(state.dim, dtype=np.intp)
     for start in range(0, shots, SHOT_CHUNK):  # bounded memory for any shot count
         uniforms = rng.random(min(SHOT_CHUNK, shots - start))
-        counts += np.bincount(_draw_outcomes(cumulative, uniforms), minlength=state.dim)
+        counts += np.bincount(draw_outcomes(cumulative, uniforms), minlength=state.dim)
     return counts
 
 
@@ -200,6 +200,22 @@ def haar_state(dim: int, rng: np.random.Generator) -> StateVector:
         norm = np.linalg.norm(z)
         if norm > TOL.zero_vector:
             return StateVector(z / norm)
+
+
+def haar_states(dim: int, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n uniformly random pure states as amplitude rows (n, dim).
+
+    Each row is a normalized complex Gaussian; a row whose norm is at or
+    below the zero-vector threshold is redrawn.  The moduli rows are checked
+    once for the whole block.
+    """
+    draw = lambda rows: rng.standard_normal((rows, dim)) + 1j * rng.standard_normal((rows, dim))
+    z = draw(n)
+    while np.any(redraw := np.linalg.norm(z, axis=-1) <= TOL.zero_vector):
+        z[redraw] = draw(np.count_nonzero(redraw))
+    states = z / np.linalg.norm(z, axis=-1, keepdims=True)
+    check_orthant(np.abs(states))
+    return states
 
 
 def gapped_eigenvalues(dim: int, rng: np.random.Generator, batch: tuple[int, ...] = ()) -> np.ndarray:

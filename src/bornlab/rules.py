@@ -11,7 +11,7 @@ scans instead.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Union
+from typing import Union
 
 import numpy as np
 
@@ -124,14 +124,6 @@ def rule_probabilities(rule: ProbabilityRule, rows: np.ndarray) -> np.ndarray:
     if isinstance(rule, Renormalized):
         return rule.probabilities(rows)
     return np.asarray(rule(rows), dtype=np.float64)
-
-
-def outcome_function(rule: ProbabilityRule, k: int) -> Callable[[np.ndarray], float]:
-    """The probability of outcome k as a function of a raw modulus array."""
-    if isinstance(rule, Renormalized):
-        base = rule.base
-        return lambda values: float(base(values[k]) / np.sum(base(values)))
-    return lambda values: float(rule(values[k]))
 
 
 def normalization_sum(rule: ProbabilityRule, point: ModulusVector) -> float:

@@ -1,7 +1,8 @@
 """Deterministic RNG stream derivation for seeded, parallel-safe trials.
 
-Every trial of a scan gets its own generator derived from (seed, indices),
-so results are identical no matter how trials are scheduled across threads.
+Every trial, or every block of BLOCK draws, gets its own generator derived
+from (seed, indices), so results are identical no matter how the work is
+scheduled across threads.
 """
 
 from __future__ import annotations
@@ -11,6 +12,8 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Callable
 
 import numpy as np
+
+BLOCK = 128  # draws per block: the unit of streams, checks and thread-pool work
 
 
 def substream(seed: int, *indices: int) -> np.random.Generator:
@@ -42,3 +45,28 @@ def map_trials(run: Callable[[int], None], n: int, threads: int = 1) -> None:
     else:
         for i in range(n):
             run(i)
+
+
+def blockwise(
+    kernel: Callable[[np.ndarray, np.random.Generator], np.ndarray],
+    n: int,
+    seed: int,
+    *indices: int,
+    threads: int = 1,
+) -> np.ndarray:
+    """Results of kernel(index, rng) for n draws, stacked over blocks of BLOCK.
+
+    Block b gets the draw indices [b*BLOCK, (b+1)*BLOCK) as an array, draws
+    all its randomness from substream(seed, *indices, b) and returns one
+    result row per draw.  Each block writes only its own slot, so the
+    result is the same for any thread count and finishing order, and a
+    full block does not depend on how many draws follow it.
+    """
+    blocks: list[np.ndarray | None] = [None] * -(-n // BLOCK)
+
+    def run(b: int) -> None:
+        index = np.arange(b * BLOCK, min((b + 1) * BLOCK, n))
+        blocks[b] = kernel(index, substream(seed, *indices, b))
+
+    map_trials(run, len(blocks), threads)
+    return np.concatenate(blocks)

@@ -19,9 +19,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .quantum import ModulusVector, haar_state, moduli
+from .quantum import haar_states
 from .rules import Affine
-from .streams import substream
+from .streams import blockwise
 from .tolerances import TOL
 
 MIN_SAMPLES = 10 * 4  # ten sampled rows per fitted coefficient
@@ -50,24 +50,6 @@ class PolynomialCandidate:
 
 
 @dataclass(frozen=True)
-class StationarityResidual:
-    """Per-index residuals of a Lagrange stationarity condition."""
-
-    multiplier: float
-    indices: tuple[int, ...]
-    residuals: np.ndarray
-
-    def __post_init__(self) -> None:
-        residuals = np.array(self.residuals, dtype=np.float64)
-        residuals.setflags(write=False)
-        object.__setattr__(self, "residuals", residuals)
-
-    @property
-    def max_abs(self) -> float:
-        return float(np.max(np.abs(self.residuals))) if self.residuals.size else 0.0
-
-
-@dataclass(frozen=True)
 class RecoveryResult:
     candidate: PolynomialCandidate
     objective_value: float
@@ -86,84 +68,76 @@ class RecoveryResult:
 
 
 def rule_stationarity(
-    f: Callable[[float], float],
-    point: ModulusVector,
+    f: Callable[[np.ndarray], np.ndarray],
+    rows: np.ndarray,
     multiplier: float,
     step: float = TOL.fd_step,
-) -> StationarityResidual:
-    """Residuals f'(a_j) - 2 * multiplier * a_j by central differences.
+) -> np.ndarray:
+    """Residuals f'(a_j) - 2 * multiplier * a_j by central differences, (..., d).
 
     The derivative of the probability-normalization sum with respect to
-    each modulus, minus the multiplier term from the unit-sphere
-    constraint.  Moduli within one step of the orthant boundary are
-    excluded, since one-sided variations would apply there.
+    each modulus of each orthant row, minus the multiplier term from the
+    unit-sphere constraint.  Moduli within one step of the orthant boundary
+    are excluded, since one-sided variations would apply there: their
+    residual is 0, and f is never evaluated outside [0, 1].
     """
-    indices = tuple(
-        int(j) for j, a in enumerate(point.moduli) if step <= a <= 1.0 - step
-    )
-    residuals = np.array(
-        [
-            (f(point.moduli[j] + step) - f(point.moduli[j] - step)) / (2.0 * step)
-            - 2.0 * multiplier * point.moduli[j]
-            for j in indices
-        ]
-    )
-    return StationarityResidual(multiplier, indices, residuals)
+    rows = np.asarray(rows, dtype=np.float64)
+    inside = (step <= rows) & (rows <= 1.0 - step)
+    a = np.where(inside, rows, 0.5)
+    residuals = (f(a + step) - f(a - step)) / (2.0 * step) - 2.0 * multiplier * a
+    return np.where(inside, residuals, 0.0)
 
 
 def outcome_stationarity(
-    p: Callable[[np.ndarray], float],
-    point: ModulusVector,
-    k: int,
+    p: Callable[[np.ndarray], np.ndarray],
+    rows: np.ndarray,
+    ks: np.ndarray,
     multiplier: float,
     step: float = TOL.fd_step,
-) -> StationarityResidual:
-    """Residuals dp/da_j - 2 * multiplier * a_j for j != k.
+) -> np.ndarray:
+    """Residuals dp_k/da_j - 2 * multiplier * a_j for j != k, (..., d).
 
-    Partials are raw central differences in each coordinate (no projection
-    back onto the sphere); the constraint enters only through the
-    multiplier term.  Boundary-adjacent moduli are excluded as above.
+    p maps modulus arrays (..., d) to every outcome's probability (..., d);
+    ks names the outcome of each row.  Partials are raw central differences
+    in each coordinate (no projection back onto the sphere); the constraint
+    enters only through the multiplier term.  The residual at j = k and at
+    boundary-adjacent moduli is 0, as above.
     """
-    indices = tuple(
-        int(j)
-        for j, a in enumerate(point.moduli)
-        if j != k and step <= a <= 1.0 - step
-    )
-    residuals = np.empty(len(indices), dtype=np.float64)
-    base = np.array(point.moduli, dtype=np.float64)
-    for pos, j in enumerate(indices):
-        up = base.copy()
-        up[j] += step
-        down = base.copy()
-        down[j] -= step
-        partial = (p(up) - p(down)) / (2.0 * step)
-        residuals[pos] = partial - 2.0 * multiplier * base[j]
-    return StationarityResidual(multiplier, indices, residuals)
+    rows = np.asarray(rows, dtype=np.float64)
+    d = rows.shape[-1]
+    ks = np.asarray(ks)[..., None]
+    inside = (step <= rows) & (rows <= 1.0 - step) & (np.arange(d) != ks)
+    shift = step * np.eye(d) * inside[..., :, None]  # copy j moves coordinate j only
+    up = p(rows[..., None, :] + shift)  # (..., j, outcome)
+    down = p(rows[..., None, :] - shift)
+    partial = np.take_along_axis(up - down, ks[..., None], axis=-1)[..., 0] / (2.0 * step)
+    return np.where(inside, partial - 2.0 * multiplier * rows, 0.0)
 
 
-def closed_form_check(point: ModulusVector, k: int, scale: float, offset: float) -> float:
-    """Largest stationarity residual of the closed-form solution family.
+def closed_form_check(rows: np.ndarray, ks: np.ndarray, scale: float, offset: float) -> np.ndarray:
+    """Largest stationarity residual of the closed-form solution family, per row.
 
     The Lagrange conditions are solved by f(a) = scale * a^2 + offset (sum
-    form) and p(a) = scale * sum_{j != k} a_j^2 + offset (fixed-outcome form
-    at k), each with its own scale as the multiplier.  Stationarity leaves
+    form) and p_k(a) = scale * sum_{j != k} a_j^2 + offset (fixed-outcome
+    form), each with its own scale as the multiplier.  Stationarity leaves
     this two-parameter family; the boundary values f(0) = 0 and f(1) = 1
-    pin it to a^2.  Returns the larger residual of the two forms at point.
+    pin it to a^2.  Returns the larger residual of the two forms at each
+    orthant row, the outcome form taken at that row's k.
     """
 
-    def outcome(values: np.ndarray) -> float:
-        return scale * (values @ values - values[k] ** 2) + offset
+    def outcomes(values: np.ndarray) -> np.ndarray:
+        squares = values * values
+        return scale * (np.sum(squares, axis=-1, keepdims=True) - squares) + offset
 
-    return max(
-        rule_stationarity(Affine(scale, offset), point, scale).max_abs,
-        outcome_stationarity(outcome, point, k, scale).max_abs,
+    return np.maximum(
+        np.max(np.abs(rule_stationarity(Affine(scale, offset), rows, scale)), axis=-1),
+        np.max(np.abs(outcome_stationarity(outcomes, rows, ks, scale)), axis=-1),
     )
 
 
-def power_sums(point: ModulusVector) -> np.ndarray:
-    """Row [sum a_i, sum a_i^2, sum a_i^3, sum a_i^4] for one orthant point."""
-    a = point.moduli
-    return np.array([np.sum(a), np.sum(a**2), np.sum(a**3), np.sum(a**4)])
+def power_sums(rows: np.ndarray) -> np.ndarray:
+    """[sum a_i, sum a_i^2, sum a_i^3, sum a_i^4] for each orthant row, (..., 4)."""
+    return np.stack([np.sum(rows**n, axis=-1) for n in (1, 2, 3, 4)], axis=-1)
 
 
 def fit_power_series(
@@ -196,7 +170,8 @@ def recover_rule(
     """Recover the unique normalizable polynomial rule from sampled states.
 
     For every sampled orthant point, requiring the probabilities to sum to
-    one gives one linear equation in the coefficients.  The quadratic power
+    one gives one linear equation in the coefficients.  Point i of the
+    di-th dimension comes from block substream(seed, di, i // BLOCK).  The quadratic power
     sum is identically one while the others vary across samples, which
     forces the fit to (0, 1, 0, 0).
     """
@@ -208,11 +183,10 @@ def recover_rule(
     if samples_per_dim < MIN_SAMPLES:
         raise ValueError("need at least 10 samples per coefficient")
 
-    rows = np.empty((len(dims) * samples_per_dim, 4), dtype=np.float64)
-    for di, d in enumerate(dims):
-        for s in range(samples_per_dim):
-            point = moduli(haar_state(d, substream(seed, di, s)).amplitudes)
-            rows[di * samples_per_dim + s] = power_sums(point)
+    def block_sums(d: int) -> Callable[[np.ndarray, np.random.Generator], np.ndarray]:
+        return lambda index, rng: power_sums(np.abs(haar_states(d, index.size, rng)))
+
+    rows = np.concatenate([blockwise(block_sums(d), samples_per_dim, seed, di) for di, d in enumerate(dims)])
     candidate, objective = fit_power_series(rows)
     return RecoveryResult(
         candidate=candidate,

@@ -5,6 +5,7 @@ captured output of a failing run) and then asserts, so the suite both
 documents and enforces the thresholds.
 """
 
+import functools
 import json
 
 import numpy as np
@@ -31,7 +32,7 @@ from bornlab.rules import (
     Renormalized,
     defect_scan,
     normalization_sum,
-    outcome_function,
+    rule_probabilities,
 )
 from bornlab.streams import substream
 from bornlab.variational import (
@@ -135,16 +136,12 @@ def test_criterion_5_born_stationarity():
     """Quadratic-rule residuals vanish: unit multiplier for the sum form,
     zero multiplier for the outcome form."""
     born = Born()
-    worst_sum = 0.0
-    worst_outcome = 0.0
-    for i in range(1000):
-        point = moduli(haar_state(3, substream(5, i)).amplitudes)
-        worst_sum = max(worst_sum, rule_stationarity(born, point, 1.0).max_abs)
-        k = i % 3
-        worst_outcome = max(
-            worst_outcome,
-            outcome_stationarity(outcome_function(born, k), point, k, 0.0).max_abs,
-        )
+    rows = np.array([moduli(haar_state(3, substream(5, i)).amplitudes).moduli for i in range(1000)])
+    ks = np.arange(1000) % 3
+    worst_sum = float(np.max(np.abs(rule_stationarity(born, rows, 1.0))))
+    worst_outcome = float(np.max(np.abs(
+        outcome_stationarity(functools.partial(rule_probabilities, born), rows, ks, 0.0)
+    )))
     report(
         "criterion 5",
         worst_sum <= 1e-6 and worst_outcome <= 1e-6,
@@ -157,10 +154,10 @@ def test_criterion_6_closed_form_fit():
     """The closed-form member f = 2a^2 - 1 is stationary in both forms; the
     boundary values f(0) = 0, f(1) = 1 then leave only the square."""
     worst = 0.0
-    for i in range(10_000):
-        d = 2 + i % 7
-        point = moduli(haar_state(d, substream(6, i)).amplitudes)
-        worst = max(worst, closed_form_check(point, i % d, 2.0, -1.0))
+    for d in range(2, 9):  # point i has d = 2 + i % 7: one call per dimension
+        index = np.arange(d - 2, 10_000, 7)
+        rows = np.array([moduli(haar_state(d, substream(6, int(i))).amplitudes).moduli for i in index])
+        worst = max(worst, float(np.max(closed_form_check(rows, index % d, 2.0, -1.0))))
     report(
         "criterion 6",
         worst <= 1e-6,
@@ -207,10 +204,10 @@ def test_criterion_8_spin1_demo():
         and np.max(np.abs(oracle - np.array([[0, 0, 1], [0, 0, 0], [1, 0, 0]]))) <= 1e-15
     )
 
-    worst = 0.0
-    for i in range(1000):
-        psi = haar_state(3, substream(8, i))
-        worst = max(worst, abs(born_probabilities(psi, jz)[1] - born_probabilities(psi, jxy)[1]))
+    states = np.array([haar_state(3, substream(8, i)).amplitudes for i in range(1000)])
+    shared = [obs.eigensystem.eigenvectors[:, 1] for obs in (jz, jxy)]
+    p_z, p_x = (np.abs(states @ np.conj(vector)) ** 2 for vector in shared)
+    worst = float(np.max(np.abs(p_z - p_x)))
     report(
         "criterion 8",
         matrix_ok and worst <= 1e-12,

@@ -7,8 +7,9 @@ import pytest
 
 import numpy as np
 
-from bornlab import invariance, variational
+from bornlab import invariance, quantum, streams, variational
 from bornlab.cli import build_parser, main, run_config
+from bornlab.streams import BLOCK, substream
 
 SMALL = ["--trials", "200", "--seed", "42"]
 
@@ -164,6 +165,23 @@ class TestExitCodes:
         code, report = run_json(capsys, argv)
         assert code == 1 and report["pass"] is False
         assert report["results"]["max_closed_form_residual"] == 1.0
+
+    def test_stationarity_csv_value_is_the_largest_gated_residual(self, capsys, monkeypatch):
+        # each point's value is the max of its sum, outcome and closed-form
+        # residuals, so a closed-form failure shows in the series; point i
+        # is checked at outcome k = i % d in every block
+        argv = ["stationarity", "--dims", "3,4", "--trials", str(2 * BLOCK + 3), "--format", "csv"]
+        rows = lambda: [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
+        assert main(argv) == 0
+        assert max(float(value) for *_, value in rows()) <= 1e-6
+        monkeypatch.setattr(variational, "closed_form_check", lambda points, ks, scale, offset: 0.25 * ks)
+        assert main(argv) == 1
+        series = rows()
+        assert [row[:3] for row in series] == [
+            [str(i), str(d), str(i % d)] for d in (3, 4) for i in range(2 * BLOCK + 3)
+        ]
+        for _, _, k, value in series:
+            assert float(value) == 0.25 * int(k) if int(k) else float(value) <= 1e-6
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-0.001", "abc"])
     @pytest.mark.parametrize("flag", ["--tol-defect", "--tol-spread"])
@@ -358,7 +376,7 @@ class TestDeterminism:
         assert json.dumps(first["results"]) == json.dumps(second["results"])
         assert first["pass"] == second["pass"]
 
-    @pytest.mark.parametrize("argv", COMMANDS[:4], ids=lambda a: a[0] + ":" + a[2])
+    @pytest.mark.parametrize("argv", COMMANDS, ids=lambda a: a[0] + ":" + a[2])
     def test_thread_count_does_not_change_results(self, capsys, argv):
         _, single = run_json(capsys, argv + ["--seed", "11", "--threads", "1"])
         _, pooled = run_json(capsys, argv + ["--seed", "11", "--threads", "8"])
@@ -376,3 +394,42 @@ class TestDeterminism:
         main(argv)
         second = capsys.readouterr().out
         assert first == second
+
+
+class TestBlocks:
+    POINTS = 2 * BLOCK + 3  # two full blocks and a partial one per dimension
+    COMMANDS = {
+        "stationarity": (["stationarity", "--dims", "2,3"], [(7, di, b) for di in (0, 1) for b in (0, 1, 2)]),
+        "spin1": (["spin1"], [(7, b) for b in (0, 1, 2)]),
+    }
+
+    def csv_rows(self, capsys, argv, points):
+        assert main(argv + ["--trials", str(points), "--seed", "7", "--format", "csv"]) == 0
+        return capsys.readouterr().out.splitlines()[1:]
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_block_b_draws_from_substream_seed_b(self, capsys, monkeypatch, command):
+        argv, addresses = self.COMMANDS[command]
+        seen = []
+
+        def recording(seed, *indices):
+            seen.append((seed, *indices))
+            return substream(seed, *indices)
+
+        monkeypatch.setattr(streams, "substream", recording)
+        self.csv_rows(capsys, argv, self.POINTS)
+        assert seen == addresses
+
+    @pytest.mark.parametrize("command", sorted(COMMANDS))
+    def test_full_blocks_do_not_depend_on_the_point_count(self, capsys, monkeypatch, command):
+        argv, addresses = self.COMMANDS[command]
+        blocks = []
+        draw = quantum.haar_states
+        monkeypatch.setattr(quantum, "haar_states", lambda *args: blocks.append(draw(*args)) or blocks[-1])
+        short_csv = self.csv_rows(capsys, argv, BLOCK)
+        short, blocks[:] = list(blocks), []
+        long_csv = self.csv_rows(capsys, argv, self.POINTS)
+        assert [len(block) for block in blocks] == [BLOCK, BLOCK, 3] * len(short)
+        for di, block in enumerate(short):  # the series lists each dimension's points in turn
+            np.testing.assert_array_equal(blocks[3 * di], block)
+            assert long_csv[di * self.POINTS : di * self.POINTS + BLOCK] == short_csv[di * BLOCK : (di + 1) * BLOCK]

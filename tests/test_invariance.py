@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bornlab import invariance
+from bornlab import invariance, streams
 from bornlab.invariance import (
-    BLOCK,
     complement_rotation,
     match_eigenvector,
     observable_independence_scan,
@@ -25,7 +24,7 @@ from bornlab.quantum import (
     spin1_jz,
 )
 from bornlab.rules import Affine, Born, Power, Renormalized, rule_probabilities
-from bornlab.streams import substream
+from bornlab.streams import BLOCK, substream
 from bornlab.tolerances import TOL
 
 
@@ -297,7 +296,7 @@ class TestBlocks:
             seen.append((seed, *indices))
             return substream(seed, *indices)
 
-        monkeypatch.setattr(invariance, "substream", recording)
+        monkeypatch.setattr(streams, "substream", recording)
         self.scans(1)
         assert seen == [(32, 0), (32, 1), (32, 2), (33, 0), (33, 1), (33, 2)]
 

@@ -13,9 +13,11 @@ from bornlab.quantum import (
     Observable,
     StateVector,
     born_probabilities,
+    draw_outcomes,
     expand,
     gapped_eigenvalues,
     haar_state,
+    haar_states,
     measure,
     moduli,
     probabilities,
@@ -81,6 +83,22 @@ class TestStateAndModulus:
         np.testing.assert_allclose(
             moduli(psi.amplitudes * phases).moduli, moduli(psi.amplitudes).moduli
         )
+
+    def test_stacked_states_redraw_zero_rows(self):
+        rng = np.random.default_rng(20)
+        shapes = []
+
+        class FirstRowZeroTwice:  # the real part, then the imaginary part
+            def standard_normal(self, shape):
+                z = rng.standard_normal(shape)
+                if len(shapes) < 2:
+                    z[0] = 0.0
+                shapes.append(shape)
+                return z
+
+        states = haar_states(4, 3, FirstRowZeroTwice())
+        assert shapes == [(3, 4), (3, 4), (1, 4), (1, 4)]
+        np.testing.assert_allclose(np.linalg.norm(states, axis=1), 1.0, rtol=0, atol=1e-15)
 
     def test_moduli_rejects_unnormalized(self):
         with pytest.raises(NotNormalized):
@@ -265,6 +283,25 @@ class TestMeasurement:
         monkeypatch.setattr(quantum, "SHOT_CHUNK", 7)
         counts = sample_outcomes(psi, obs, shots, np.random.default_rng(18))
         np.testing.assert_array_equal(counts, reference)
+
+
+    def test_one_draw_repeats_equal_scalar_measure_calls(self):
+        # sample's collapse check: one draw of 100 uniforms through the
+        # inverse CDF, against the 100 measure() calls it replaced
+        mixed = False
+        for seed in range(20):
+            obs = random_observable(3, substream(19, seed, 1))
+            psi = haar_state(3, substream(19, seed, 0))
+            record = measure(psi, obs, substream(19, seed, 3))
+            for state in (psi, record.post_state):
+                rng = substream(19, seed, 4)
+                scalar = [measure(state, obs, rng).outcome_index for _ in range(100)]
+                cumulative = np.cumsum(born_probabilities(state, obs))
+                one_draw = draw_outcomes(cumulative, substream(19, seed, 4).random(100))
+                np.testing.assert_array_equal(one_draw, scalar)
+                mixed = mixed or len(set(scalar)) > 1
+            assert set(scalar) == {record.outcome_index}  # the collapsed state repeats
+        assert mixed  # the uncollapsed states exercise more than one outcome
 
 
 class TestSpinOneFixtures:

@@ -26,3 +26,9 @@ def test_exponent_sweep_csv():
     assert by_exponent[2.0][0] <= 1e-12
     for p, (_, _, symmetric) in by_exponent.items():
         assert symmetric == abs(2 ** (1 - p / 2) - 1)
+
+
+def test_run_all_experiments(tmp_path):
+    lines = run_script("run_all_experiments.py", "--outdir", str(tmp_path)).splitlines()
+    assert not any("SURPRISE" in line for line in lines)
+    assert len(list(tmp_path.glob("*.json"))) == 13
