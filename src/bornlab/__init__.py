@@ -38,7 +38,6 @@ from .quantum import (
     haar_states,
     measure,
     moduli,
-    probabilities,
     random_observable,
     sample_outcomes,
     spin1_jx2_minus_jy2,

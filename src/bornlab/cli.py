@@ -8,9 +8,9 @@ for non-quadratic rules), 2 usage, domain or I/O error, 3 inconclusive (the
 configuration cannot separate the rule from the quadratic one), 4 runtime
 failure (any other exception, one line on stderr: a crash is not a verdict).
 
-Reports are byte-identical across reruns with the same seed, and across
-thread counts, because every random draw comes from a substream addressed
-by (seed, trial index) rather than from shared generator state.
+Reports are byte-identical across reruns with the same seed, because every
+random draw comes from a substream addressed by (seed, trial index) rather
+than from shared generator state.
 """
 
 from __future__ import annotations
@@ -146,7 +146,7 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument(f"--tol-{name}", type=_parse_tolerance, default=getattr(TOL, name))
         p.add_argument("--format", choices=["json", "csv"], default="json")
         p.add_argument("--out", default=None, help="write the report to this path")
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--threads", type=int, default=1, help="accepted for compatibility; has no effect")
 
     p = sub.add_parser("verify-born", help="normalization and observable-independence checks for the quadratic rule")
     p.add_argument("--dims", type=_parse_dims, default=(2, 3, 4, 5, 6, 7, 8))
@@ -204,16 +204,14 @@ def cmd_verify_born(args) -> Verdict:
     pairs, draws = 10, 100
 
     for di, d in enumerate(args.dims):
-        scan = rules.defect_scan(born, d, args.trials, subseed(args.seed, di, 0), args.threads)
+        scan = rules.defect_scan(born, d, args.trials, subseed(args.seed, di, 0))
         series.extend((i, d, None, scan.defects[i]) for i in range(scan.trials))
 
         spreads = []
         for pair in range(pairs):
             psi = haar_state(d, substream(args.seed, di, 1, pair, 0))
             phi = haar_state(d, substream(args.seed, di, 1, pair, 1))
-            report = invariance.observable_independence_scan(
-                psi, phi, born, draws, subseed(args.seed, di, 1, pair), args.threads
-            )
+            report = invariance.observable_independence_scan(psi, phi, born, draws, subseed(args.seed, di, 1, pair))
             spreads.append(report.spread)
 
         per_dim.append(
@@ -241,7 +239,7 @@ def cmd_verify_born(args) -> Verdict:
 def cmd_falsify(args) -> Verdict:
     rule = args.rule
     d = args.dim
-    scan = rules.defect_scan(rule, d, args.trials, subseed(args.seed, 0), args.threads)
+    scan = rules.defect_scan(rule, d, args.trials, subseed(args.seed, 0))
     series = [(i, d, None, scan.defects[i]) for i in range(scan.trials)]
     results: dict = {
         "rule": rule.name,
@@ -257,13 +255,9 @@ def cmd_falsify(args) -> Verdict:
     if isinstance(rule, rules.Renormalized):
         psi = haar_state(d, substream(args.seed, 1))
         phi = haar_state(d, substream(args.seed, 2))
-        obs_scan = invariance.observable_independence_scan(
-            psi, phi, rule, args.trials, subseed(args.seed, 3), args.threads
-        )
+        obs_scan = invariance.observable_independence_scan(psi, phi, rule, args.trials, subseed(args.seed, 3))
         point = moduli(haar_state(d, substream(args.seed, 4)).amplitudes)
-        rot_scan = invariance.unobserved_independence_scan(
-            point, 0, rule, args.trials, subseed(args.seed, 5), args.threads
-        )
+        rot_scan = invariance.unobserved_independence_scan(point, 0, rule, args.trials, subseed(args.seed, 5))
         results["observable_scan"] = obs_scan.as_dict()
         results["rotation_scan"] = rot_scan.as_dict()
         series.extend((i, d, None, p) for i, p in enumerate(obs_scan.p_values))
@@ -292,13 +286,9 @@ def cmd_independence(args) -> Verdict:
     d = args.dim
     psi = haar_state(d, substream(args.seed, 0))
     phi = haar_state(d, substream(args.seed, 1))
-    obs_scan = invariance.observable_independence_scan(
-        psi, phi, rule, args.trials, subseed(args.seed, 2), args.threads
-    )
+    obs_scan = invariance.observable_independence_scan(psi, phi, rule, args.trials, subseed(args.seed, 2))
     point = moduli(psi.amplitudes)
-    rot_scan = invariance.unobserved_independence_scan(
-        point, 0, rule, args.trials, subseed(args.seed, 3), args.threads
-    )
+    rot_scan = invariance.unobserved_independence_scan(point, 0, rule, args.trials, subseed(args.seed, 3))
     results = {
         "observable_scan": obs_scan.as_dict(),
         "rotation_scan": rot_scan.as_dict(),

@@ -127,7 +127,6 @@ def observable_independence_scan(
     rule: ProbabilityRule,
     draws: int,
     seed: int,
-    threads: int = 1,
 ) -> InvarianceReport:
     """Spread of p(outcome = phi) across random observables sharing phi.
 
@@ -150,7 +149,7 @@ def observable_independence_scan(
         check_orthant(point)
         return rule_probabilities(rule, point)[np.arange(n), k]
 
-    return InvarianceReport(rule.name, psi.dim, None, draws, blockwise(kernel, draws, seed, threads=threads), seed)
+    return InvarianceReport(rule.name, psi.dim, None, draws, blockwise(kernel, draws, seed), seed)
 
 
 def unobserved_independence_scan(
@@ -159,7 +158,6 @@ def unobserved_independence_scan(
     rule: ProbabilityRule,
     draws: int,
     seed: int,
-    threads: int = 1,
 ) -> InvarianceReport:
     """Spread of p_k as the unobserved moduli rotate at fixed a_k.
 
@@ -168,7 +166,6 @@ def unobserved_independence_scan(
     """
     _check_draws(draws)
     p_values = blockwise(
-        lambda index, rng: rule_probabilities(rule, complement_rotation(point, k, index.size, rng))[:, k],
-        draws, seed, threads=threads,
+        lambda index, rng: rule_probabilities(rule, complement_rotation(point, k, index.size, rng))[:, k], draws, seed
     )
     return InvarianceReport(rule.name, point.dim, k, draws, p_values, seed)

@@ -1,9 +1,9 @@
 """States, observables, measurement bases, and measurement simulation.
 
 A measurement expands the state in the eigenbasis of a nondegenerate
-Hermitian observable, assigns outcome probabilities through a candidate
-probability rule, and (for the quadratic rule) samples an outcome and
-collapses onto the matching eigenvector.  Includes the spin-1 fixtures
+Hermitian observable, whose moduli a candidate rule turns into outcome
+values (rules.rule_probabilities), and (for the quadratic rule) samples an
+outcome and collapses onto the matching eigenvector.  Includes the spin-1 fixtures
 used by the two-observable demonstration.
 """
 
@@ -140,18 +140,6 @@ def moduli(amplitudes: np.ndarray) -> ModulusVector:
     the amplitude norm check.
     """
     return ModulusVector(np.abs(amplitudes))
-
-
-def probabilities(state: StateVector, observable: Observable, rule) -> np.ndarray:
-    """Outcome values assigned by a probability rule.
-
-    For plain rules this is the rule applied to each modulus; the result is
-    NOT forced to sum to one — the normalization defect is the experimental
-    signal.  Renormalized rules divide by their own sum.
-    """
-    from .rules import rule_probabilities
-
-    return rule_probabilities(rule, moduli(expand(state, observable)).moduli)
 
 
 def born_probabilities(state: StateVector, observable: Observable) -> np.ndarray:

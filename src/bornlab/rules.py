@@ -16,7 +16,7 @@ from typing import Union
 import numpy as np
 
 from .quantum import ModulusVector, haar_state, moduli
-from .streams import map_trials, substream
+from .streams import substream
 
 
 class DomainError(ValueError):
@@ -163,26 +163,17 @@ class NormalizationReport:
         }
 
 
-def defect_scan(
-    rule: ProbabilityRule, dim: int, trials: int, seed: int, threads: int = 1
-) -> NormalizationReport:
+def defect_scan(rule: ProbabilityRule, dim: int, trials: int, seed: int) -> NormalizationReport:
     """Measure the normalization defect over Haar-random states.
 
     Each trial draws its own substream from (seed, trial index), so the
-    report is a deterministic function of (rule, dim, trials, seed) for any
-    thread count.  The worst state is recorded as a falsification witness.
+    report is a deterministic function of (rule, dim, trials, seed).  The
+    worst state is recorded as a falsification witness.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    defects = np.empty(trials, dtype=np.float64)
-    points: list[ModulusVector | None] = [None] * trials
-
-    def run(i: int) -> None:
-        point = moduli(haar_state(dim, substream(seed, i)).amplitudes)
-        points[i] = point
-        defects[i] = abs(normalization_sum(rule, point) - 1.0)
-
-    map_trials(run, trials, threads)
+    points = [moduli(haar_state(dim, substream(seed, i)).amplitudes) for i in range(trials)]
+    defects = np.array([abs(normalization_sum(rule, point) - 1.0) for point in points])
     worst = int(np.argmax(defects))  # first max index: deterministic
     return NormalizationReport(
         rule=rule.name,

@@ -25,6 +25,7 @@ from .streams import blockwise
 from .tolerances import TOL
 
 MIN_SAMPLES = 10 * 4  # ten sampled rows per fitted coefficient
+BOUNDARY_WEIGHT = 10.0  # weight of the f(1) = 1 row in fit_power_series
 
 
 class RankDeficient(RuntimeError):
@@ -67,20 +68,16 @@ class RecoveryResult:
         }
 
 
-def rule_stationarity(
-    f: Callable[[np.ndarray], np.ndarray],
-    rows: np.ndarray,
-    multiplier: float,
-    step: float = TOL.fd_step,
-) -> np.ndarray:
+def rule_stationarity(f: Callable[[np.ndarray], np.ndarray], rows: np.ndarray, multiplier: float) -> np.ndarray:
     """Residuals f'(a_j) - 2 * multiplier * a_j by central differences, (..., d).
 
     The derivative of the probability-normalization sum with respect to
     each modulus of each orthant row, minus the multiplier term from the
-    unit-sphere constraint.  Moduli within one step of the orthant boundary
-    are excluded, since one-sided variations would apply there: their
-    residual is 0, and f is never evaluated outside [0, 1].
+    unit-sphere constraint.  Moduli within one fd_step of the orthant
+    boundary are excluded, since one-sided variations would apply there:
+    their residual is 0, and f is never evaluated outside [0, 1].
     """
+    step = TOL.fd_step
     rows = np.asarray(rows, dtype=np.float64)
     inside = (step <= rows) & (rows <= 1.0 - step)
     a = np.where(inside, rows, 0.5)
@@ -93,7 +90,6 @@ def outcome_stationarity(
     rows: np.ndarray,
     ks: np.ndarray,
     multiplier: float,
-    step: float = TOL.fd_step,
 ) -> np.ndarray:
     """Residuals dp_k/da_j - 2 * multiplier * a_j for j != k, (..., d).
 
@@ -103,6 +99,7 @@ def outcome_stationarity(
     enters only through the multiplier term.  The residual at j = k and at
     boundary-adjacent moduli is 0, as above.
     """
+    step = TOL.fd_step
     rows = np.asarray(rows, dtype=np.float64)
     d = rows.shape[-1]
     ks = np.asarray(ks)[..., None]
@@ -140,9 +137,7 @@ def power_sums(rows: np.ndarray) -> np.ndarray:
     return np.stack([np.sum(rows**n, axis=-1) for n in (1, 2, 3, 4)], axis=-1)
 
 
-def fit_power_series(
-    rows: np.ndarray, boundary_weight: float = 10.0
-) -> tuple[PolynomialCandidate, float]:
+def fit_power_series(rows: np.ndarray) -> tuple[PolynomialCandidate, float]:
     """Least-squares solve of sum_n c_n S_n(a) = 1 plus the f(1) = 1 row.
 
     The boundary condition f(1) = sum_n c_n = 1 enters as one weighted
@@ -153,8 +148,8 @@ def fit_power_series(
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[1] != 4:
         raise ValueError("expected an (n, 4) array of power sums")
-    design = np.vstack([rows, boundary_weight * np.ones((1, 4))])
-    target = np.concatenate([np.ones(rows.shape[0]), [boundary_weight]])
+    design = np.vstack([rows, BOUNDARY_WEIGHT * np.ones((1, 4))])
+    target = np.concatenate([np.ones(rows.shape[0]), [BOUNDARY_WEIGHT]])
     solution, _, rank, _ = np.linalg.lstsq(design, target, rcond=None)
     if rank < 4:
         raise RankDeficient(

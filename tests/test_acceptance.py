@@ -16,10 +16,10 @@ from bornlab.invariance import observable_independence_scan
 from bornlab.quantum import (
     ModulusVector,
     born_probabilities,
+    expand,
     haar_state,
     measure,
     moduli,
-    probabilities,
     random_observable,
     sample_outcomes,
     spin1_jx2_minus_jy2,
@@ -57,7 +57,8 @@ def test_criterion_1_born_normalization(d):
     for _ in range(10_000):
         observable = random_observable(d, rng)
         psi = haar_state(d, rng)
-        worst = max(worst, abs(float(np.sum(probabilities(psi, observable, born))) - 1.0))
+        p = rule_probabilities(born, moduli(expand(psi, observable)).moduli)
+        worst = max(worst, abs(float(np.sum(p)) - 1.0))
     report(
         f"criterion 1 (d={d})",
         worst <= 1e-12,

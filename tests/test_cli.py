@@ -2,6 +2,8 @@
 
 import argparse
 import json
+import os
+import threading
 
 import pytest
 
@@ -394,6 +396,28 @@ class TestDeterminism:
         main(argv)
         second = capsys.readouterr().out
         assert first == second
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["verify-born", "--dims", "2,8", "--trials", "300"], 0),
+        (["falsify", "--rule", "renorm:power:4", "--dim", "3", "--trials", "300"], 1),
+        (["independence", "--dim", "8", "--trials", "1000"], 0),
+    ],
+    ids=["verify-born", "falsify", "independence"],
+)
+def test_no_command_starts_a_thread(capsys, monkeypatch, argv, code):
+    def refuse(self):
+        raise RuntimeError("a command started a thread")
+
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    monkeypatch.setattr(os, "cpu_count", lambda: 4)
+    payloads = []
+    for threads in ("1", "8"):
+        assert main(argv + ["--threads", threads]) == code
+        payloads.append(json.dumps(json.loads(capsys.readouterr().out)["results"]))
+    assert payloads[1] == payloads[0]
 
 
 class TestBlocks:

@@ -220,10 +220,11 @@ class TestObservableIndependence:
         assert max(p_values) - min(p_values) == 0.0
 
     def test_scan_is_deterministic_and_thread_invariant(self):
+        # the scan runs on the calling thread, so invariance is a rerun
         psi = haar_state(3, np.random.default_rng(16))
         phi = haar_state(3, np.random.default_rng(17))
         a = observable_independence_scan(psi, phi, Renormalized(Power(2.5)), 60, seed=18)
-        b = observable_independence_scan(psi, phi, Renormalized(Power(2.5)), 60, seed=18, threads=8)
+        b = observable_independence_scan(psi, phi, Renormalized(Power(2.5)), 60, seed=18)
         np.testing.assert_array_equal(a.p_values, b.p_values)
 
     def test_needs_two_draws(self):
@@ -275,19 +276,19 @@ class TestObservableIndependence:
 class TestBlocks:
     DRAWS = 2 * BLOCK + 3  # two full blocks and a partial one
 
-    def scans(self, threads):
+    def scans(self):
         psi = haar_state(4, np.random.default_rng(30))
         phi = haar_state(4, np.random.default_rng(31))
         rule = Renormalized(Power(3.0))
         return (
-            observable_independence_scan(psi, phi, rule, self.DRAWS, seed=32, threads=threads),
-            unobserved_independence_scan(moduli(psi.amplitudes), 1, rule, self.DRAWS, seed=33, threads=threads),
+            observable_independence_scan(psi, phi, rule, self.DRAWS, seed=32),
+            unobserved_independence_scan(moduli(psi.amplitudes), 1, rule, self.DRAWS, seed=33),
         )
 
     def test_multi_block_scans_are_thread_invariant(self):
-        serial = [scan.p_values.tobytes() for scan in self.scans(1)]
-        for threads in (2, 8):
-            assert [scan.p_values.tobytes() for scan in self.scans(threads)] == serial
+        # blocks run in order on the calling thread, so invariance is a rerun
+        first = [scan.p_values.tobytes() for scan in self.scans()]
+        assert [scan.p_values.tobytes() for scan in self.scans()] == first
 
     def test_block_b_draws_from_substream_seed_b(self, monkeypatch):
         seen = []
@@ -297,7 +298,7 @@ class TestBlocks:
             return substream(seed, *indices)
 
         monkeypatch.setattr(streams, "substream", recording)
-        self.scans(1)
+        self.scans()
         assert seen == [(32, 0), (32, 1), (32, 2), (33, 0), (33, 1), (33, 2)]
 
     def test_full_blocks_do_not_depend_on_the_draw_count(self):

@@ -20,13 +20,12 @@ from bornlab.quantum import (
     haar_states,
     measure,
     moduli,
-    probabilities,
     random_observable,
     sample_outcomes,
     spin1_jx2_minus_jy2,
     spin1_jz,
 )
-from bornlab.rules import Born, Power
+from bornlab.rules import Born, Power, rule_probabilities
 from bornlab.streams import substream
 
 
@@ -179,20 +178,21 @@ class TestProbabilities:
     def test_certainty_on_eigenstate(self):
         obs = random_observable(4, np.random.default_rng(2))
         phi = StateVector(obs.eigensystem.eigenvectors[:, 2])
-        p = probabilities(phi, obs, Born())
+        p = rule_probabilities(Born(), moduli(expand(phi, obs)).moduli)
         np.testing.assert_allclose(p, [0, 0, 1, 0], atol=1e-12)
 
     def test_symmetric_state_uniform(self):
         obs = Observable.from_matrix(np.diag([0.1, 0.5, 0.9]).astype(complex))
         psi = StateVector(np.ones(3) / np.sqrt(3))
-        np.testing.assert_allclose(probabilities(psi, obs, Born()), np.ones(3) / 3, atol=1e-14)
+        p = rule_probabilities(Born(), moduli(expand(psi, obs)).moduli)
+        np.testing.assert_allclose(p, np.ones(3) / 3, atol=1e-14)
 
     def test_linear_rule_defect_signal(self):
         # f(a) = a at the symmetric qubit state: entries 1/sqrt(2) each and
         # the sum is sqrt(2), not 1 - the defect is the point
         obs = Observable.from_matrix(np.diag([-0.5, 0.5]).astype(complex))
         psi = StateVector(np.array([1.0, 1.0]) / np.sqrt(2))
-        p = probabilities(psi, obs, Power(1))
+        p = rule_probabilities(Power(1), moduli(expand(psi, obs)).moduli)
         np.testing.assert_allclose(p, [0.7071067811865475] * 2, atol=1e-12)
         assert abs(np.sum(p) - np.sqrt(2)) < 1e-12
 
@@ -200,7 +200,7 @@ class TestProbabilities:
     @given(d=st.integers(2, 8), seed=st.integers(0, 10_000))
     def test_born_probabilities_normalized(self, d, seed):
         rng = np.random.default_rng(seed)
-        p = probabilities(haar_state(d, rng), random_observable(d, rng), Born())
+        p = rule_probabilities(Born(), moduli(expand(haar_state(d, rng), random_observable(d, rng))).moduli)
         assert abs(np.sum(p) - 1.0) <= 1e-12
 
     @settings(max_examples=30, deadline=None)
@@ -215,8 +215,8 @@ class TestProbabilities:
         phases = np.exp(1j * rng.uniform(0, 2 * np.pi, size=d))
         conjugated = StateVector((vectors * phases) @ (vectors.conj().T @ psi.amplitudes))
         for rule in (Born(), Power(1.5)):
-            base = probabilities(psi, obs, rule)
-            shifted = probabilities(conjugated, obs, rule)
+            base = rule_probabilities(rule, moduli(expand(psi, obs)).moduli)
+            shifted = rule_probabilities(rule, moduli(expand(conjugated, obs)).moduli)
             assert np.max(np.abs(base - shifted)) <= 1e-12
 
 

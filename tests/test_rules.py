@@ -144,8 +144,9 @@ class TestDefectScan:
         assert report.max_defect == 0.0
 
     def test_deterministic_and_thread_invariant(self):
-        a = defect_scan(Power(1.5), 3, 400, seed=7, threads=1)
-        b = defect_scan(Power(1.5), 3, 400, seed=7, threads=8)
+        # the scan runs on the calling thread, so invariance is a rerun
+        a = defect_scan(Power(1.5), 3, 400, seed=7)
+        b = defect_scan(Power(1.5), 3, 400, seed=7)
         np.testing.assert_array_equal(a.defects, b.defects)
         assert a.max_defect == b.max_defect
         np.testing.assert_array_equal(a.argmax_state.moduli, b.argmax_state.moduli)
