@@ -23,7 +23,7 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass, fields
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,32 +33,16 @@ from .streams import blockwise, subseed, substream
 from .tolerances import TOL
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Echo of everything that determines a command's results payload."""
-
-    command: str
-    seed: int
-    dims: tuple[int, ...] | None = None
-    dim: int | None = None
-    trials: int | None = None
-    shots: int | None = None
-    rule: str | None = None
-    tol_defect: float | None = None
-    tol_spread: float | None = None
-    format: str = "json"
-    out: str | None = None
-
-    def as_dict(self) -> dict:
-        return {key: value for key, value in asdict(self).items() if value is not None}
+# the configuration a report echoes, in order: every name the command registers
+ECHO = ("command", "seed", "dims", "dim", "trials", "shots", "rule", "tol_defect", "tol_spread", "format", "out")
 
 
-def run_config(args: argparse.Namespace) -> RunConfig:
-    """The echo of a parsed command line: every RunConfig field it registers."""
-    echo = {f.name: getattr(args, f.name) for f in fields(RunConfig) if hasattr(args, f.name)}
+def run_config(args: argparse.Namespace) -> dict:
+    """The echo of a parsed command line: every ECHO name it registers, minus None."""
+    echo = {name: getattr(args, name) for name in ECHO if getattr(args, name, None) is not None}
     if "rule" in echo:
         echo["rule"] = echo["rule"].name
-    return RunConfig(**echo)
+    return echo
 
 
 Verdict = tuple[dict, bool, list[tuple]]  # what a command returns: results, pass, CSV series
@@ -66,7 +50,7 @@ Verdict = tuple[dict, bool, list[tuple]]  # what a command returns: results, pas
 
 @dataclass
 class Report:
-    config: RunConfig
+    config: dict
     results: dict
     passed: bool
     series: list[tuple]  # (index, d, k, value) rows
@@ -76,8 +60,8 @@ class Report:
         return json.dumps(
             {
                 "schema_version": "1",
-                "command": self.config.command,
-                "config": self.config.as_dict(),
+                "command": self.config["command"],
+                "config": self.config,
                 "results": self.results,
                 "pass": self.passed,
                 "runtime_ms": self.runtime_ms,
@@ -302,16 +286,22 @@ def cmd_independence(args) -> Verdict:
 
 
 def cmd_recover(args) -> Verdict:
-    result = variational.recover_rule(args.dims, args.trials, args.seed)
-    target = np.array([0.0, 1.0, 0.0, 0.0])
-    error = float(np.max(np.abs(result.candidate.coefficients - target)))
+    coefficients, objective, sample_count = variational.recover_rule(args.dims, args.trials, args.seed)
+    target = [0.0, 1.0, 0.0, 0.0]
+    error = float(np.max(np.abs(coefficients - target)))
     results = {
-        "recovery": result.as_dict(),
-        "target": [0.0, 1.0, 0.0, 0.0],
+        "recovery": {
+            "coefficients": [float(c) for c in coefficients],
+            "objective_value": objective,
+            "sample_count": sample_count,
+            "dims_used": list(args.dims),
+            "seed": args.seed,
+        },
+        "target": target,
         "max_coefficient_error": error,
         "coefficient_threshold": TOL.coefficient_error,
     }
-    series = [(n + 1, None, None, c) for n, c in enumerate(result.candidate.coefficients)]
+    series = [(n + 1, None, None, c) for n, c in enumerate(coefficients)]
     return results, error <= TOL.coefficient_error, series
 
 
@@ -383,18 +373,18 @@ def cmd_sample(args) -> Verdict:
         sigma = np.sqrt(p * (1.0 - p) / args.shots)
         within = bool(np.all(np.abs(frequencies - p) <= 3.0 * sigma))
 
-        record = quantum.measure(psi, observable, substream(args.seed, i, 3))
+        first, post_state = quantum.measure(psi, observable, substream(args.seed, i, 3))
         # 100 re-measurements of the collapsed state: measure()'s inverse CDF on one draw
-        post = np.cumsum(quantum.born_probabilities(record.post_state, observable))
+        post = np.cumsum(quantum.born_probabilities(post_state, observable))
         repeats = quantum.draw_outcomes(post, substream(args.seed, i, 4).random(100))
-        repeat_ok = bool(np.all(repeats == record.outcome_index))
+        repeat_ok = bool(np.all(repeats == first))
         pairs.append(
             {
                 "pair": i,
                 "frequencies": [float(x) for x in frequencies],
                 "born": [float(x) for x in p],
                 "within_3_sigma": within,
-                "first_outcome": record.outcome_index,
+                "first_outcome": first,
                 "repeat_consistent": repeat_ok,
             }
         )

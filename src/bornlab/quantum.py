@@ -118,14 +118,6 @@ class Observable:
         return cls(matrix, Eigensystem(values, vectors))
 
 
-@dataclass(frozen=True)
-class MeasurementRecord:
-    """One measurement outcome: its index and the collapsed state."""
-
-    outcome_index: int
-    post_state: StateVector
-
-
 def expand(state: StateVector, observable: Observable) -> np.ndarray:
     """Expansion coefficients of the state in the observable's eigenbasis."""
     if state.dim != observable.dim:
@@ -153,20 +145,17 @@ def draw_outcomes(cumulative: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     return np.minimum(idx, cumulative.shape[0] - 1)
 
 
-def measure(
-    state: StateVector, observable: Observable, rng: np.random.Generator
-) -> MeasurementRecord:
-    """Sample one outcome (quadratic rule) and collapse onto its eigenvector.
+def measure(state: StateVector, observable: Observable, rng: np.random.Generator) -> tuple[int, StateVector]:
+    """Sample one outcome k (quadratic rule); return k and the collapsed state,
+    its eigenvector.
 
     Only the quadratic rule yields a normalized distribution, so sampling
     under any other rule is rejected by construction: this function does
     not take a rule argument.
     """
-    p = born_probabilities(state, observable)
-    cumulative = np.cumsum(p)
+    cumulative = np.cumsum(born_probabilities(state, observable))
     k = int(draw_outcomes(cumulative, np.array([rng.random()]))[0])
-    post = StateVector.normalize(observable.eigensystem.eigenvectors[:, k])
-    return MeasurementRecord(k, post)
+    return k, StateVector.normalize(observable.eigensystem.eigenvectors[:, k])
 
 
 def sample_outcomes(

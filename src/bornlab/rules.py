@@ -10,6 +10,7 @@ scans instead.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Union
 
@@ -37,13 +38,13 @@ class Born:
 
 @dataclass(frozen=True)
 class Power:
-    """Pure power rule f(a) = a^p with exponent p > 0."""
+    """Pure power rule f(a) = a^p with a finite exponent p > 0."""
 
     exponent: float
 
     def __post_init__(self) -> None:
-        if not self.exponent > 0:
-            raise ValueError("power rules need a positive exponent")
+        if not 0 < self.exponent < math.inf:  # also rejects nan
+            raise ValueError("power rules need a finite positive exponent")
 
     def __call__(self, a):
         return np.power(a, self.exponent)
@@ -55,10 +56,14 @@ class Power:
 
 @dataclass(frozen=True)
 class Affine:
-    """Quadratic-affine rule f(a) = scale * a^2 + offset."""
+    """Quadratic-affine rule f(a) = scale * a^2 + offset, both finite."""
 
     scale: float
     offset: float
+
+    def __post_init__(self) -> None:
+        if not (math.isfinite(self.scale) and math.isfinite(self.offset)):
+            raise ValueError("affine rules need a finite scale and offset")
 
     def __call__(self, a):
         return self.scale * np.square(a) + self.offset

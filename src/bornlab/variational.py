@@ -14,7 +14,6 @@ Three related computations:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
@@ -30,42 +29,6 @@ BOUNDARY_WEIGHT = 10.0  # weight of the f(1) = 1 row in fit_power_series
 
 class RankDeficient(RuntimeError):
     """Sampled design matrix cannot pin the polynomial coefficients."""
-
-
-@dataclass(frozen=True)
-class PolynomialCandidate:
-    """f(x) = c1 x + c2 x^2 + c3 x^3 + c4 x^4, with f(0) = 0 structural."""
-
-    coefficients: np.ndarray
-
-    def __post_init__(self) -> None:
-        coefficients = np.array(self.coefficients, dtype=np.float64).reshape(-1)
-        if coefficients.shape != (4,):
-            raise ValueError("expected exactly four coefficients (powers 1..4)")
-        coefficients.setflags(write=False)
-        object.__setattr__(self, "coefficients", coefficients)
-
-    def __call__(self, x):
-        c1, c2, c3, c4 = self.coefficients
-        return x * (c1 + x * (c2 + x * (c3 + x * c4)))
-
-
-@dataclass(frozen=True)
-class RecoveryResult:
-    candidate: PolynomialCandidate
-    objective_value: float
-    sample_count: int
-    dims_used: tuple[int, ...]
-    seed: int
-
-    def as_dict(self) -> dict:
-        return {
-            "coefficients": [float(c) for c in self.candidate.coefficients],
-            "objective_value": self.objective_value,
-            "sample_count": self.sample_count,
-            "dims_used": list(self.dims_used),
-            "seed": self.seed,
-        }
 
 
 def rule_stationarity(f: Callable[[np.ndarray], np.ndarray], rows: np.ndarray, multiplier: float) -> np.ndarray:
@@ -137,8 +100,11 @@ def power_sums(rows: np.ndarray) -> np.ndarray:
     return np.stack([np.sum(rows**n, axis=-1) for n in (1, 2, 3, 4)], axis=-1)
 
 
-def fit_power_series(rows: np.ndarray) -> tuple[PolynomialCandidate, float]:
+def fit_power_series(rows: np.ndarray) -> tuple[np.ndarray, float]:
     """Least-squares solve of sum_n c_n S_n(a) = 1 plus the f(1) = 1 row.
+
+    Returns the coefficients (c1, c2, c3, c4) of f(x) = sum_n c_n x^n and
+    the objective, the summed squared residuals of the solve.
 
     The boundary condition f(1) = sum_n c_n = 1 enters as one weighted
     equation, keeping the solve a single unconstrained linear least
@@ -156,19 +122,18 @@ def fit_power_series(rows: np.ndarray) -> tuple[PolynomialCandidate, float]:
             f"design matrix rank {rank} < 4: sampling does not pin the coefficients"
         )
     objective = float(np.sum((design @ solution - target) ** 2))
-    return PolynomialCandidate(solution), objective
+    return solution, objective
 
 
-def recover_rule(
-    dims: Sequence[int], samples_per_dim: int, seed: int
-) -> RecoveryResult:
+def recover_rule(dims: Sequence[int], samples_per_dim: int, seed: int) -> tuple[np.ndarray, float, int]:
     """Recover the unique normalizable polynomial rule from sampled states.
 
     For every sampled orthant point, requiring the probabilities to sum to
     one gives one linear equation in the coefficients.  Point i of the
     di-th dimension comes from block substream(seed, di, i // BLOCK).  The quadratic power
     sum is identically one while the others vary across samples, which
-    forces the fit to (0, 1, 0, 0).
+    forces the fit to (0, 1, 0, 0).  Returns the fit_power_series result
+    and the number of sampled rows.
     """
     dims = tuple(int(d) for d in dims)
     if not dims:
@@ -182,11 +147,5 @@ def recover_rule(
         return lambda index, rng: power_sums(np.abs(haar_states(d, index.size, rng)))
 
     rows = np.concatenate([blockwise(block_sums(d), samples_per_dim, seed, di) for di, d in enumerate(dims)])
-    candidate, objective = fit_power_series(rows)
-    return RecoveryResult(
-        candidate=candidate,
-        objective_value=objective,
-        sample_count=rows.shape[0],
-        dims_used=dims,
-        seed=seed,
-    )
+    coefficients, objective = fit_power_series(rows)
+    return coefficients, objective, rows.shape[0]

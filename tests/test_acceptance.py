@@ -171,12 +171,12 @@ def test_criterion_7_recovery_unique():
     target = np.array([0.0, 1.0, 0.0, 0.0])
     worst = 0.0
     for seed in range(20):
-        result = recover_rule([2, 3], 500, seed=seed)
-        worst = max(worst, float(np.max(np.abs(result.candidate.coefficients - target))))
+        coefficients, _, _ = recover_rule([2, 3], 500, seed=seed)
+        worst = max(worst, float(np.max(np.abs(coefficients - target))))
     ok_mixed = worst <= 1e-3
 
-    qubit_only = recover_rule([2], 500, seed=0)
-    qubit_err = float(np.max(np.abs(qubit_only.candidate.coefficients - target)))
+    qubit_only, _, _ = recover_rule([2], 500, seed=0)
+    qubit_err = float(np.max(np.abs(qubit_only - target)))
     report(
         "criterion 7",
         ok_mixed and qubit_err <= 1e-2,
@@ -230,13 +230,9 @@ def test_criterion_9_sampling_and_collapse():
         sigma = np.sqrt(p * (1.0 - p) / shots)
         all_within = all_within and bool(np.all(np.abs(counts / shots - p) <= 3.0 * sigma))
 
-        record = measure(psi, observable, substream(9, i, 3))
+        first, post_state = measure(psi, observable, substream(9, i, 3))
         repeat_rng = substream(9, i, 4)
-        repeats = sum(
-            measure(record.post_state, observable, repeat_rng).outcome_index
-            == record.outcome_index
-            for _ in range(100)
-        )
+        repeats = sum(measure(post_state, observable, repeat_rng)[0] == first for _ in range(100))
         all_repeat = all_repeat and repeats == 100
     report(
         "criterion 9",

@@ -195,6 +195,14 @@ class TestExitCodes:
         assert excinfo.value.code == 2
         assert "tolerance must be a finite number >= 0" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("rule", ["affine:nan:0", "affine:1:nan", "renorm:affine:nan:0", "affine:inf:0", "power:inf"])
+    def test_non_finite_rule_parameter_is_usage_error(self, capsys, rule):
+        # a nan parameter makes every defect nan, which no threshold rejects
+        with pytest.raises(SystemExit) as excinfo:
+            main(["falsify", "--rule", rule, "--dim", "3", "--trials", "10"])
+        assert excinfo.value.code == 2
+        assert capsys.readouterr().out == ""
+
     @pytest.mark.parametrize(
         "argv",
         [
@@ -318,7 +326,7 @@ class TestSchema:
         def outcome(argv):
             args = build_parser().parse_args(argv)
             results, _, series = args.func(args)
-            return json.loads(json.dumps(run_config(args).as_dict())), json.dumps(results), series
+            return json.loads(json.dumps(run_config(args))), json.dumps(results), series
 
         flags = _echoed_flags(command)
         base = [command] + [x for flag in flags for x in (flag, FLAG_VALUES[flag][0])]

@@ -225,25 +225,25 @@ class TestMeasurement:
         obs = random_observable(3, np.random.default_rng(3))
         phi1 = StateVector(obs.eigensystem.eigenvectors[:, 0])
         for seed in range(20):
-            record = measure(phi1, obs, np.random.default_rng(seed))
-            assert record.outcome_index == 0
+            k, _ = measure(phi1, obs, np.random.default_rng(seed))
+            assert k == 0
 
     def test_post_state_is_matching_eigenvector(self):
         obs = random_observable(4, np.random.default_rng(4))
         psi = haar_state(4, np.random.default_rng(5))
-        record = measure(psi, obs, np.random.default_rng(6))
-        phi = obs.eigensystem.eigenvectors[:, record.outcome_index]
-        overlap = abs(np.vdot(record.post_state.amplitudes, phi))
+        k, post_state = measure(psi, obs, np.random.default_rng(6))
+        phi = obs.eigensystem.eigenvectors[:, k]
+        overlap = abs(np.vdot(post_state.amplitudes, phi))
         assert abs(overlap - 1.0) < 1e-12
 
     def test_repeatability_after_collapse(self):
         obs = random_observable(3, np.random.default_rng(7))
         psi = haar_state(3, np.random.default_rng(8))
         rng = np.random.default_rng(9)
-        record = measure(psi, obs, rng)
+        k, post_state = measure(psi, obs, rng)
         for _ in range(100):
-            again = measure(record.post_state, obs, rng)
-            assert again.outcome_index == record.outcome_index
+            again, _ = measure(post_state, obs, rng)
+            assert again == k
 
     def test_frequencies_match_binomial_oracle(self):
         # symmetric qubit state: outcome 0 is a fair coin, so the count over
@@ -260,7 +260,7 @@ class TestMeasurement:
         psi = StateVector(np.array([0.6, 0.8]))
         shots = 4000
         rng = np.random.default_rng(13)
-        hits = sum(measure(psi, obs, rng).outcome_index == 0 for _ in range(shots))
+        hits = sum(measure(psi, obs, rng)[0] == 0 for _ in range(shots))
         sigma = np.sqrt(0.36 * 0.64 / shots)
         assert abs(hits / shots - 0.36) < 3 * sigma
 
@@ -292,15 +292,15 @@ class TestMeasurement:
         for seed in range(20):
             obs = random_observable(3, substream(19, seed, 1))
             psi = haar_state(3, substream(19, seed, 0))
-            record = measure(psi, obs, substream(19, seed, 3))
-            for state in (psi, record.post_state):
+            k, post_state = measure(psi, obs, substream(19, seed, 3))
+            for state in (psi, post_state):
                 rng = substream(19, seed, 4)
-                scalar = [measure(state, obs, rng).outcome_index for _ in range(100)]
+                scalar = [measure(state, obs, rng)[0] for _ in range(100)]
                 cumulative = np.cumsum(born_probabilities(state, obs))
                 one_draw = draw_outcomes(cumulative, substream(19, seed, 4).random(100))
                 np.testing.assert_array_equal(one_draw, scalar)
                 mixed = mixed or len(set(scalar)) > 1
-            assert set(scalar) == {record.outcome_index}  # the collapsed state repeats
+            assert set(scalar) == {k}  # the collapsed state repeats
         assert mixed  # the uncollapsed states exercise more than one outcome
 
 

@@ -2,6 +2,7 @@
 
 import csv
 import io
+import json
 import os
 import subprocess
 import sys
@@ -10,8 +11,8 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_script(name, *args):
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+def run_script(name, *args, **env_vars):
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"), **env_vars)
     completed = subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args],
         capture_output=True, text=True, env=env, check=True, timeout=300,
@@ -29,6 +30,16 @@ def test_exponent_sweep_csv():
 
 
 def test_run_all_experiments(tmp_path):
-    lines = run_script("run_all_experiments.py", "--outdir", str(tmp_path)).splitlines()
-    assert not any("SURPRISE" in line for line in lines)
-    assert len(list(tmp_path.glob("*.json"))) == 13
+    # two processes with different string hashing write the same reports
+    reports = []
+    for hashseed in ("0", "1"):
+        outdir = tmp_path / hashseed
+        lines = run_script("run_all_experiments.py", "--outdir", str(outdir), PYTHONHASHSEED=hashseed).splitlines()
+        assert not any("SURPRISE" in line for line in lines)
+        reports.append({path.name: json.loads(path.read_text()) for path in outdir.glob("*.json")})
+    first, second = reports
+    assert len(first) == 13 and first.keys() == second.keys()
+    for name, report in first.items():
+        other = second[name]
+        assert (report["results"], report["pass"]) == (other["results"], other["pass"]), name
+        assert report["config"] == dict(other["config"], out=report["config"]["out"]), name

@@ -13,7 +13,6 @@ from bornlab.rules import Affine, Born, Power, Renormalized, rule_probabilities
 from bornlab.streams import BLOCK, substream
 from bornlab.tolerances import TOL
 from bornlab.variational import (
-    PolynomialCandidate,
     RankDeficient,
     closed_form_check,
     fit_power_series,
@@ -250,24 +249,20 @@ class TestRowKernelsMatchScalarFormulas:
 
 class TestRecovery:
     def test_mixed_dims_recover_the_square(self):
-        result = recover_rule([2, 3], 500, seed=0)
-        np.testing.assert_allclose(
-            result.candidate.coefficients, [0.0, 1.0, 0.0, 0.0], atol=1e-3
-        )
-        assert result.objective_value <= 1e-6
-        assert result.sample_count == 1000
+        coefficients, objective, sample_count = recover_rule([2, 3], 500, seed=0)
+        np.testing.assert_allclose(coefficients, [0.0, 1.0, 0.0, 0.0], atol=1e-3)
+        assert objective <= 1e-6
+        assert sample_count == 1000
 
     def test_qubit_only_still_recovers(self):
-        result = recover_rule([2], 500, seed=0)
-        np.testing.assert_allclose(
-            result.candidate.coefficients, [0.0, 1.0, 0.0, 0.0], atol=1e-2
-        )
+        coefficients, _, _ = recover_rule([2], 500, seed=0)
+        np.testing.assert_allclose(coefficients, [0.0, 1.0, 0.0, 0.0], atol=1e-2)
 
     def test_solution_is_the_global_optimum(self):
         # the problem is convex; cross-check the solver against the known
         # solution and against a local grid around it
         rows = np.concatenate([power_sums(haar_rows(d, range(200))) for d in (2, 3)])
-        candidate, objective = fit_power_series(rows)
+        coefficients, objective = fit_power_series(rows)
 
         def objective_at(c):
             design = np.vstack([rows, 10.0 * np.ones((1, 4))])
@@ -278,7 +273,7 @@ class TestRecovery:
         assert objective <= objective_at(known) + 1e-12
         rng = np.random.default_rng(99)
         for _ in range(200):
-            perturbed = candidate.coefficients + rng.uniform(-1e-2, 1e-2, size=4)
+            perturbed = coefficients + rng.uniform(-1e-2, 1e-2, size=4)
             assert objective <= objective_at(perturbed) + 1e-12
 
     def test_repeated_symmetric_point_is_rank_deficient(self):
@@ -295,18 +290,11 @@ class TestRecovery:
         with pytest.raises(ValueError):
             recover_rule([2], 39, seed=0)
 
-    def test_candidate_vanishes_at_zero(self):
-        candidate = PolynomialCandidate(np.array([0.3, 0.5, -0.1, 0.2]))
-        assert candidate(0.0) == 0.0
-        assert abs(candidate(1.0) - 0.9) <= 1e-15
-
     @settings(max_examples=10, deadline=None)
     @given(seed=st.integers(0, 10_000))
     def test_recovery_is_seed_stable(self, seed):
-        result = recover_rule([2, 3], 120, seed=seed)
-        np.testing.assert_allclose(
-            result.candidate.coefficients, [0.0, 1.0, 0.0, 0.0], atol=1e-3
-        )
+        coefficients, _, _ = recover_rule([2, 3], 120, seed=seed)
+        np.testing.assert_allclose(coefficients, [0.0, 1.0, 0.0, 0.0], atol=1e-3)
 
 
 class TestRecoveryBlocks:
