@@ -36,7 +36,7 @@ class StateVector:
 
     def __post_init__(self) -> None:
         amplitudes = np.array(self.amplitudes, dtype=np.complex128).reshape(-1)
-        within(abs(np.sum(np.abs(amplitudes) ** 2) - 1.0), TOL.state_norm, "state norm defect", NotNormalized)
+        within(abs(np.vdot(amplitudes, amplitudes).real - 1.0), TOL.state_norm, "state norm defect", NotNormalized)
         amplitudes.setflags(write=False)
         object.__setattr__(self, "amplitudes", amplitudes)
 
@@ -55,9 +55,12 @@ class StateVector:
 
 def check_orthant(rows: np.ndarray) -> None:
     """Reject moduli rows (..., d) unless each is non-negative with unit square sum."""
-    if rows.min(initial=0.0) < 0.0:  # methods, not np.any/np.max: this runs per defect-scan trial
+    # Array methods and one vecdot keep this cheap on the single row of a
+    # defect-scan trial; atleast_2d keeps that row's square sum an array.
+    rows = np.atleast_2d(rows)
+    if rows.min(initial=0.0) < 0.0:
         raise ValueError("moduli must be non-negative")
-    defect = float(np.abs(np.sum(rows**2, axis=-1) - 1.0).max(initial=0.0))
+    defect = float(np.abs(np.vecdot(rows, rows) - 1.0).max(initial=0.0))
     within(defect, TOL.orthant_norm, "orthant norm defect", NotNormalized)
 
 
@@ -173,7 +176,8 @@ def sample_outcomes(
 def haar_state(dim: int, rng: np.random.Generator) -> StateVector:
     """Uniformly random pure state (normalized complex Gaussian vector)."""
     while True:
-        z = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        real, imag = rng.standard_normal((2, dim))  # the same numbers as two draws of dim
+        z = real + 1j * imag
         norm = np.linalg.norm(z)
         if norm > TOL.zero_vector:
             return StateVector(z / norm)

@@ -115,7 +115,7 @@ def parse_rule(name: str) -> ProbabilityRule:
             _, scale, offset = text.split(":")
             return Affine(float(scale), float(offset))
     except (ValueError, TypeError) as exc:
-        raise ValueError(f"malformed rule name {name!r}") from exc
+        raise ValueError(f"malformed rule name {name!r}: {exc}") from exc
     raise ValueError(f"unknown rule name {name!r}")
 
 
@@ -131,11 +131,11 @@ def rule_probabilities(rule: ProbabilityRule, rows: np.ndarray) -> np.ndarray:
     return np.asarray(rule(rows), dtype=np.float64)
 
 
-def normalization_sum(rule: ProbabilityRule, point: ModulusVector) -> float:
-    """Sum of the rule over all moduli; identically 1 for renormalized rules."""
+def normalization_sum(rule: ProbabilityRule, rows: np.ndarray) -> np.ndarray:
+    """Sum of the rule over each orthant row (..., d); exactly 1 for renormalized rules."""
     if isinstance(rule, Renormalized):
-        return 1.0
-    return float(np.sum(rule(point.moduli)))
+        return np.ones(rows.shape[:-1])
+    return np.sum(rule(rows), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -173,12 +173,13 @@ def defect_scan(rule: ProbabilityRule, dim: int, trials: int, seed: int) -> Norm
 
     Each trial draws its own substream from (seed, trial index), so the
     report is a deterministic function of (rule, dim, trials, seed).  The
+    rule is evaluated once, on the stacked moduli of every trial.  The
     worst state is recorded as a falsification witness.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
     points = [moduli(haar_state(dim, substream(seed, i)).amplitudes) for i in range(trials)]
-    defects = np.array([abs(normalization_sum(rule, point) - 1.0) for point in points])
+    defects = np.abs(normalization_sum(rule, np.array([point.moduli for point in points])) - 1.0)
     worst = int(np.argmax(defects))  # first max index: deterministic
     return NormalizationReport(
         rule=rule.name,

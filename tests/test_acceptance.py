@@ -74,7 +74,7 @@ def test_criterion_2_power_rule_falsified(p):
     found = scan.max_defect >= 0.05
 
     symmetric = ModulusVector(np.array([1.0, 1.0]) / np.sqrt(2))
-    witness_defect = abs(normalization_sum(Power(p), symmetric) - 1.0)
+    witness_defect = abs(normalization_sum(Power(p), symmetric.moduli) - 1.0)
     analytic = abs(2.0 ** (1.0 - p / 2.0) - 1.0)
     matches = abs(witness_defect - analytic) <= 1e-10
 

@@ -204,6 +204,19 @@ class TestExitCodes:
         assert capsys.readouterr().out == ""
 
     @pytest.mark.parametrize(
+        "rule, reason",
+        [
+            ("power:inf", "power rules need a finite positive exponent"),
+            ("affine:nan:0", "affine rules need a finite scale and offset"),
+        ],
+    )
+    def test_rejected_rule_name_gives_the_reason(self, capsys, rule, reason):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["falsify", "--rule", rule, "--dim", "3", "--trials", "10"])
+        assert excinfo.value.code == 2
+        assert f"malformed rule name {rule!r}: {reason}" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
         "argv",
         [
             ["recover", "--tol-spread", "0"],

@@ -13,6 +13,7 @@ from bornlab.quantum import (
     Observable,
     StateVector,
     born_probabilities,
+    check_orthant,
     draw_outcomes,
     expand,
     gapped_eigenvalues,
@@ -42,6 +43,17 @@ def spin1_ladder_matrices():
     return jx, jy
 
 
+OFF_BY_1E11 = np.sqrt([0.5 + 1e-11, 0.5])  # square sum 1 + 1e-11
+
+
+def stacked(row):
+    """The row as (d,), as row 2 of (3, d) rows and as row [1, 2] of (2, 3, d)
+    rows; every other row is the basis state e_0."""
+    rows = np.tile(np.eye(1, row.size), (2, 3, 1))
+    rows[1, 2] = row
+    return row, rows[1], rows
+
+
 class TestStateAndModulus:
     def test_state_rejects_unnormalized(self):
         with pytest.raises(NotNormalized):
@@ -64,6 +76,40 @@ class TestStateAndModulus:
             StateVector(np.array([np.nan, 0.0]))
         with pytest.raises(NotNormalized):
             ModulusVector(np.array([np.nan, 0.0]))
+
+    # The norm checks reject each boundary case with the same exception
+    # type as the elementwise norms they replaced.
+    @pytest.mark.parametrize(
+        "amplitudes",
+        [OFF_BY_1E11, np.sqrt([0.5 - 1e-11, 0.5]), 1j * OFF_BY_1E11, np.array([np.nan, 1.0]), np.array([])],
+    )
+    def test_state_rejects_boundary_cases(self, amplitudes):
+        with pytest.raises(NotNormalized):
+            StateVector(amplitudes)
+
+    @pytest.mark.parametrize(
+        "row, error",
+        [
+            (OFF_BY_1E11, NotNormalized),
+            (np.sqrt([0.5 - 1e-11, 0.5]), NotNormalized),
+            (np.array([np.nan, 1.0]), NotNormalized),
+            (np.array([-0.6, 0.8]), ValueError),
+            (np.array([]), NotNormalized),
+        ],
+    )
+    def test_modulus_and_orthant_reject_boundary_cases(self, row, error):
+        with pytest.raises(ValueError) as excinfo:
+            ModulusVector(row)
+        assert type(excinfo.value) is error
+        for rows in stacked(row):
+            with pytest.raises(ValueError) as excinfo:
+                check_orthant(rows)
+            assert type(excinfo.value) is error
+
+    def test_orthant_accepts_every_batch_shape(self):
+        for rows in stacked(np.array([0.6, 0.8])):
+            check_orthant(rows)
+        check_orthant(np.empty((0, 3)))  # no rows, nothing to reject
 
     def test_moduli_strips_phases(self):
         out = moduli(np.array([1j * 0.6, 0.8]))

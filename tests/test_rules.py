@@ -17,8 +17,14 @@ from bornlab.rules import (
     parse_rule,
     rule_probabilities,
 )
+from bornlab.streams import substream
 
 SYMMETRIC_QUBIT = ModulusVector(np.array([1.0, 1.0]) / np.sqrt(2))
+PLAIN_RULES = st.one_of(
+    st.just(Born()),
+    st.builds(Power, st.floats(0.25, 6.0)),
+    st.builds(Affine, st.floats(-2.0, 2.0), st.floats(-1.0, 1.0)),
+)
 
 
 class TestRuleFamily:
@@ -73,16 +79,27 @@ class TestNormalizationSum:
     def test_born_is_the_orthant_identity(self):
         for seed in range(20):
             point = moduli(haar_state(4, np.random.default_rng(seed)).amplitudes)
-            assert abs(normalization_sum(Born(), point) - 1.0) <= 1e-12
+            assert abs(normalization_sum(Born(), point.moduli) - 1.0) <= 1e-12
 
     def test_linear_rule_at_symmetric_point(self):
-        assert abs(normalization_sum(Power(1.0), SYMMETRIC_QUBIT) - np.sqrt(2)) <= 1e-12
+        assert abs(normalization_sum(Power(1.0), SYMMETRIC_QUBIT.moduli) - np.sqrt(2)) <= 1e-12
 
     def test_quartic_rule_at_symmetric_point(self):
-        assert abs(normalization_sum(Power(4.0), SYMMETRIC_QUBIT) - 0.5) <= 1e-12
+        assert abs(normalization_sum(Power(4.0), SYMMETRIC_QUBIT.moduli) - 0.5) <= 1e-12
 
     def test_renormalized_sums_to_one_by_construction(self):
-        assert normalization_sum(Renormalized(Power(3.0)), SYMMETRIC_QUBIT) == 1.0
+        assert normalization_sum(Renormalized(Power(3.0)), SYMMETRIC_QUBIT.moduli) == 1.0
+
+    @settings(max_examples=40, deadline=None)
+    @given(rule=PLAIN_RULES, d=st.integers(2, 8), batch=st.sampled_from([(), (5,), (3, 4)]), seed=st.integers(0, 10_000))
+    def test_rows_sum_like_one_row_at_a_time(self, rule, d, batch, seed):
+        z = np.random.default_rng(seed).standard_normal((*batch, d))
+        rows = np.abs(z) / np.linalg.norm(z, axis=-1, keepdims=True)
+        sums = normalization_sum(rule, rows)
+        assert sums.shape == batch
+        for index in np.ndindex(batch):
+            assert sums[index] == np.sum(rule(rows[index]))
+        np.testing.assert_array_equal(normalization_sum(Renormalized(rule), rows), np.ones(batch))
 
     def test_renormalized_rows_reject_any_nonpositive_sum(self):
         rows = np.array([[0.6, 0.8], [1.0, 0.0]])
@@ -134,9 +151,21 @@ class TestDefectScan:
         report = defect_scan(Power(p), 2, 100, seed=4)
         assert report.max_defect >= 0.05
 
+    @settings(max_examples=30, deadline=None)
+    @given(rule=PLAIN_RULES, d=st.integers(2, 8), n=st.integers(1, 40), seed=st.integers(0, 10_000))
+    def test_stacked_defects_equal_the_scalar_formula(self, rule, d, n, seed):
+        # exact equality: stacking the trials must not change a single bit
+        report = defect_scan(rule, d, n, seed)
+        scalar = [
+            abs(float(np.sum(rule(moduli(haar_state(d, substream(seed, i)).amplitudes).moduli))) - 1.0)
+            for i in range(n)
+        ]
+        np.testing.assert_array_equal(report.defects, scalar)
+        np.testing.assert_array_equal(defect_scan(Renormalized(rule), d, n, seed).defects, np.zeros(n))
+
     def test_witness_is_recorded(self):
         report = defect_scan(Power(1.0), 2, 500, seed=5)
-        witness_sum = normalization_sum(Power(1.0), report.argmax_state)
+        witness_sum = normalization_sum(Power(1.0), report.argmax_state.moduli)
         assert abs(abs(witness_sum - 1.0) - report.max_defect) <= 1e-15
 
     def test_renormalized_always_passes_this_falsifier(self):
