@@ -117,11 +117,22 @@ def _min_trials(args: argparse.Namespace) -> int:
     return 1
 
 
+def _dispatch(args: argparse.Namespace) -> Verdict:
+    """Run the parsed command's cmd_* function, looked up at call time: the
+    parser is built once per process, so a function rebound after that (a
+    test's patch, a tracer's wrapper) is still the one that runs."""
+    return globals()["cmd_" + args.command.replace("-", "_")](args)
+
+
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process and shared by every
+    call: parse_args does not change it, and callers must not either."""
     parser = argparse.ArgumentParser(
         prog="bornlab",
         description="Seeded numerical experiments on measurement probability rules.",
     )
+    parser.set_defaults(func=_dispatch)
     sub = parser.add_subparsers(dest="command", required=True)
 
     def add_common(p: argparse.ArgumentParser, *tolerances: str) -> None:
@@ -136,45 +147,38 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--dims", type=_parse_dims, default=(2, 3, 4, 5, 6, 7, 8))
     p.add_argument("--trials", type=int, default=10_000)
     add_common(p, "defect", "spread")
-    p.set_defaults(func=cmd_verify_born)
 
     p = sub.add_parser("falsify", help="defect and independence falsifiers for a candidate rule")
     p.add_argument("--rule", type=_parse_rule, required=True)
     p.add_argument("--dim", type=int, default=3)
     p.add_argument("--trials", type=int, default=1000)
     add_common(p, "defect", "spread")
-    p.set_defaults(func=cmd_falsify)
 
     p = sub.add_parser("independence", help="observable- and rotation-independence scans for one rule")
     p.add_argument("--rule", type=_parse_rule, default="born")
     p.add_argument("--dim", type=int, default=3)
     p.add_argument("--trials", type=int, default=100, help="draws per scan")
     add_common(p, "spread")
-    p.set_defaults(func=cmd_independence)
 
     p = sub.add_parser("recover", help="least-squares recovery of the unique normalizable rule")
     p.add_argument("--dims", type=_parse_dims, default=(2, 3))
     p.add_argument("--trials", type=int, default=500, help="samples per dimension")
     add_common(p)
-    p.set_defaults(func=cmd_recover)
 
     p = sub.add_parser("stationarity", help="Lagrange stationarity residuals of the square and of the closed-form family")
     p.add_argument("--dims", type=_parse_dims, default=(3,))
     p.add_argument("--trials", type=int, default=1000, help="orthant points per dimension")
     add_common(p)
-    p.set_defaults(func=cmd_stationarity)
 
     p = sub.add_parser("spin1", help="two spin-1 observables sharing the m=0 eigenvector assign it equal probability")
     p.add_argument("--trials", type=int, default=1000, help="random states")
     add_common(p, "spread")
-    p.set_defaults(func=cmd_spin1)
 
     p = sub.add_parser("sample", help="Monte-Carlo measurement: frequencies vs probabilities, collapse repeatability")
     p.add_argument("--dim", type=int, default=3)
     p.add_argument("--shots", type=int, default=100_000)
     p.add_argument("--trials", type=int, default=10, help="random (state, observable) pairs")
     add_common(p)
-    p.set_defaults(func=cmd_sample)
 
     return parser
 

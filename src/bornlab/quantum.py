@@ -164,13 +164,20 @@ def measure(state: StateVector, observable: Observable, rng: np.random.Generator
 def sample_outcomes(
     state: StateVector, observable: Observable, shots: int, rng: np.random.Generator
 ) -> np.ndarray:
-    """Outcome counts over many shots, using the same draw rule as measure()."""
-    cumulative = np.cumsum(born_probabilities(state, observable))
-    counts = np.zeros(state.dim, dtype=np.intp)
+    """Outcome counts over many shots, by the draw rule of measure().
+
+    Shots are counted as the uniforms at or below each cumulative
+    probability, which is measure()'s inverse CDF with ties toward the
+    lower index; the last outcome takes every other shot, also a uniform
+    above a last cumulative value that rounding left below 1.
+    """
+    edges = np.cumsum(born_probabilities(state, observable))[:-1]
+    at_or_below = np.zeros(state.dim, dtype=np.intp)
     for start in range(0, shots, SHOT_CHUNK):  # bounded memory for any shot count
         uniforms = rng.random(min(SHOT_CHUNK, shots - start))
-        counts += np.bincount(draw_outcomes(cumulative, uniforms), minlength=state.dim)
-    return counts
+        at_or_below[:-1] += [np.count_nonzero(uniforms <= edge) for edge in edges]
+    at_or_below[-1] = shots
+    return np.diff(at_or_below, prepend=0)
 
 
 def haar_state(dim: int, rng: np.random.Generator) -> StateVector:
@@ -201,9 +208,10 @@ def haar_states(dim: int, n: int, rng: np.random.Generator) -> np.ndarray:
 
 def gapped_eigenvalues(dim: int, rng: np.random.Generator, batch: tuple[int, ...] = ()) -> np.ndarray:
     """Spectra uniform on [-1, 1], one per index of ``batch``, each redrawn
-    until its minimum pairwise gap clears the threshold.  Unsorted."""
+    until its minimum pairwise gap clears TOL.spectrum_gap(dim).  Unsorted."""
+    gap = TOL.spectrum_gap(dim)
     values = rng.uniform(-1.0, 1.0, size=(*batch, dim))
-    while np.any(redraw := np.min(np.diff(np.sort(values), axis=-1), axis=-1, initial=np.inf) <= TOL.random_gap):
+    while np.any(redraw := np.min(np.diff(np.sort(values), axis=-1), axis=-1, initial=np.inf) <= gap):
         values[redraw] = rng.uniform(-1.0, 1.0, size=(np.count_nonzero(redraw), dim))
     return values
 

@@ -24,7 +24,7 @@ class Tolerances:
 
     # observables
     degeneracy_gap: float = 1e-8     # minimum eigenvalue separation accepted
-    random_gap: float = 1e-3         # minimum gap enforced when drawing spectra
+    random_gap: float = 1e-3         # minimum gap enforced when drawing spectra, up to d=31 (spectrum_gap)
     match_overlap: float = 1e-8      # matching needs |<v, phi>| > 1 - match_overlap
 
     # vectors
@@ -36,6 +36,13 @@ class Tolerances:
     stationarity_residual: float = 1e-6   # stationarity residuals (finite-difference floor)
     coefficient_error: float = 1e-3       # recovered-coefficient distance from (0, 1, 0, 0)
     fd_step: float = 1e-6            # central-difference step for rule derivatives
+
+    def spectrum_gap(self, dim: int) -> float:
+        """min(random_gap, 1/dim^2), the gap a drawn spectrum must clear; it is
+        random_gap up to d=31.  dim uniform values on [-1, 1] clear a gap g
+        with probability about exp(-dim^2 g / 2): 0.61 for 1/dim^2 at any dim,
+        7e-15 for a fixed 1e-3 at d=256."""
+        return min(self.random_gap, 1.0 / dim**2)
 
 
 TOL = Tolerances()

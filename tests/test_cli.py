@@ -9,7 +9,7 @@ import pytest
 
 import numpy as np
 
-from bornlab import invariance, quantum, streams, variational
+from bornlab import cli, invariance, quantum, streams, variational
 from bornlab.cli import build_parser, main, run_config
 from bornlab.streams import BLOCK, substream
 
@@ -131,6 +131,20 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"--trials must be at least {minimum}" in err
         assert "Traceback" not in err
+
+    def test_large_dim_sample_finishes(self, capsys):
+        # a fixed 1e-3 spectral gap is all but impossible to draw at d=200
+        code, report = run_json(capsys, ["sample", "--dim", "200", "--shots", "1000", "--trials", "1"])
+        results = report["results"]
+        assert sum(results["pairs"][0]["frequencies"]) == pytest.approx(1.0)
+        assert results["all_repeat_consistent"] is True
+        # per-cell 3-sigma bands over 200 cells of 1000 shots often fail a
+        # correct sampler (the known false alarm), so either verdict may come
+        assert code == (0 if results["all_within_3_sigma"] else 1)
+
+    def test_large_dim_independence_passes(self, capsys):
+        code, report = run_json(capsys, ["independence", "--dim", "256", "--trials", "2"])
+        assert code == 0 and report["pass"] is True
 
     def test_plain_rule_falsify_runs_one_trial(self, capsys):
         code, report = run_json(capsys, ["falsify", "--rule", "power:1", "--dim", "2", "--trials", "1"])
@@ -378,6 +392,40 @@ class TestSchema:
         assert capsys.readouterr().out == ""
         report = json.loads(path.read_text())
         assert report["command"] == "spin1"
+
+
+class TestParserCache:
+    COMMANDS = [
+        ["falsify", "--rule", "power:3", "--dim", "3", "--trials", "50"],
+        ["independence", "--dim", "3", "--trials", "20"],  # the default rule, born
+        ["sample", "--dim", "3", "--shots", "500", "--trials", "2"],
+    ]
+
+    def test_parser_is_built_once(self):
+        assert build_parser() is build_parser()
+
+    def test_cached_parser_leaks_no_state_between_calls(self, capsys):
+        fresh = []
+        for argv in self.COMMANDS:
+            build_parser.cache_clear()
+            report = run_json(capsys, argv)[1]
+            fresh.append((report["config"], report["results"]))
+        build_parser.cache_clear()
+        for _ in range(2):  # one parser for every call below
+            for argv, expected in zip(self.COMMANDS, fresh):
+                with pytest.raises(SystemExit) as excinfo:
+                    main(["falsify", "--rule", "power:3", "--trials", "0"])
+                assert excinfo.value.code == 2
+                capsys.readouterr()
+                report = run_json(capsys, argv)[1]
+                assert (report["config"], report["results"]) == expected
+
+    def test_dispatch_reads_the_current_command_function(self, capsys, monkeypatch):
+        run_json(capsys, ["spin1", "--trials", "5"])  # builds the parser
+        real, calls = cli.cmd_spin1, []
+        monkeypatch.setattr(cli, "cmd_spin1", lambda args: calls.append(args.trials) or real(args))
+        code, _ = run_json(capsys, ["spin1", "--trials", "6"])
+        assert code == 0 and calls == [6]
 
 
 class TestDeterminism:

@@ -28,6 +28,7 @@ from bornlab.quantum import (
 )
 from bornlab.rules import Born, Power, rule_probabilities
 from bornlab.streams import substream
+from bornlab.tolerances import TOL
 
 
 def spin1_ladder_matrices():
@@ -187,6 +188,18 @@ class TestObservable:
         assert rows.shape == (500, 8)
         assert np.min(np.diff(np.sort(rows, axis=1), axis=1)) > 1e-3
 
+    def test_spectrum_gap_is_random_gap_up_to_d31(self):
+        # the dims every command and test uses keep the fixed 1e-3 gap, so
+        # their draws are unchanged
+        assert all(TOL.spectrum_gap(d) == TOL.random_gap == 1e-3 for d in range(2, 32))
+        assert TOL.spectrum_gap(32) == 1.0 / 32**2 < 1e-3
+
+    def test_large_dim_spectra_are_drawn(self):
+        # a fixed 1e-3 gap accepts a d=256 draw with probability about 7e-15
+        rows = gapped_eigenvalues(256, np.random.default_rng(0), (4,))
+        assert rows.shape == (4, 256)
+        assert np.min(np.diff(np.sort(rows, axis=1), axis=1)) > 1.0 / 256**2
+
 
 class TestExpand:
     def test_eigenstate_expansion(self):
@@ -328,6 +341,42 @@ class TestMeasurement:
         reference = np.bincount(outcomes, minlength=3)
         monkeypatch.setattr(quantum, "SHOT_CHUNK", 7)
         counts = sample_outcomes(psi, obs, shots, np.random.default_rng(18))
+        np.testing.assert_array_equal(counts, reference)
+
+    @pytest.mark.parametrize(
+        "probabilities, scale",
+        [
+            ([0.5, 0.5], 1.0),
+            ([0.3, 0.7], 1.0 - 2e-13),  # a last cumulative value below 1, as rounding leaves it
+            ([0.0, 1.0], 1.0),
+            ([0.0, 0.25, 0.0, 0.0, 0.25, 0.5, 0.0, 0.0], 1.0),  # zero cells repeat cumulative values
+            ([0.125] * 8, 1.0 - 2e-13),
+        ],
+    )
+    def test_chunked_counts_equal_one_draw_at_the_edges(self, monkeypatch, probabilities, scale):
+        d = len(probabilities)
+        obs = Observable.from_matrix(np.diag(np.arange(d, dtype=float)).astype(complex))
+        psi = StateVector(np.sqrt(probabilities) * scale)
+        cumulative = np.cumsum(born_probabilities(psi, obs))
+        if scale < 1.0:
+            assert cumulative[-1] < 1.0
+        # uniforms on every cumulative value and its neighbours, at the ends
+        # of [0, 1) and above the last cumulative value, then random ones
+        edges = np.concatenate([cumulative, np.nextafter(cumulative, 0.0), np.nextafter(cumulative, 1.0)])
+        top = np.nextafter(1.0, 0.0)
+        fixed = np.concatenate([edges[edges < 1.0], [0.0, top, (cumulative[-1] + top) / 2]])
+        uniforms = np.concatenate([fixed, np.random.default_rng(20).random(50)])
+        reference = np.bincount(draw_outcomes(cumulative, uniforms), minlength=d)
+
+        class Replay:  # a generator whose random(n) hands out the next n of ``uniforms``
+            used = 0
+
+            def random(self, n):
+                self.used += n
+                return uniforms[self.used - n : self.used]
+
+        monkeypatch.setattr(quantum, "SHOT_CHUNK", 7)
+        counts = sample_outcomes(psi, obs, uniforms.size, Replay())
         np.testing.assert_array_equal(counts, reference)
 
 
