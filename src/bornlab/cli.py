@@ -187,8 +187,6 @@ def cmd_verify_born(args) -> Verdict:
     born = rules.Born()
     per_dim = []
     series: list[tuple] = []
-    max_defect = 0.0
-    max_spread = 0.0
     pairs, draws = 10, 100
 
     for di, d in enumerate(args.dims):
@@ -211,22 +209,43 @@ def cmd_verify_born(args) -> Verdict:
                 "independence_max_spread": max(spreads),
             }
         )
-        max_defect = max(max_defect, scan.max_defect)
-        max_spread = max(max_spread, max(spreads))
 
     results = {
         "per_dim": per_dim,
-        "max_defect": max_defect,
-        "max_spread": max_spread,
+        "max_defect": max(entry["defect"]["max_defect"] for entry in per_dim),
+        "max_spread": max(entry["independence_max_spread"] for entry in per_dim),
         "thresholds": {"defect": args.tol_defect, "spread": args.tol_spread},
     }
-    passed = max_defect <= args.tol_defect and max_spread <= args.tol_spread
+    passed = results["max_defect"] <= args.tol_defect and results["max_spread"] <= args.tol_spread
     return results, passed, series
 
 
+def _independence_scans(args, first: int) -> tuple[dict, list[tuple], invariance.InvarianceReport]:
+    """Both independence scans of args.rule at args.dim, on streams first..first+3.
+
+    The observable scan measures psi (substream first) at the outcome phi
+    (substream first + 1); the rotation scan resamples the complement of
+    psi's own a_0.  Returns their results entries, CSV rows and the scan
+    with the larger spread (the observable scan on a tie).
+    """
+    rule, d, seed = args.rule, args.dim, args.seed
+    psi = haar_state(d, substream(seed, first))
+    phi = haar_state(d, substream(seed, first + 1))
+    obs_scan = invariance.observable_independence_scan(psi, phi, rule, args.trials, subseed(seed, first + 2))
+    point = moduli(psi.amplitudes)
+    rot_scan = invariance.unobserved_independence_scan(point, 0, rule, args.trials, subseed(seed, first + 3))
+    results = {"observable_scan": obs_scan.as_dict(), "rotation_scan": rot_scan.as_dict()}
+    if d == 2 and isinstance(rule, rules.Renormalized):
+        # the complement orthant is a single point, so both spreads vanish
+        # for every rule: the d=2 gap of Gleason's theorem
+        results["inconclusive"] = "at d=2 both independence spreads vanish for every rule; use --dim 3 or more"
+    series = [(i, d, None, p) for i, p in enumerate(obs_scan.p_values)]
+    series += [(i, d, 0, p) for i, p in enumerate(rot_scan.p_values)]
+    return results, series, obs_scan if obs_scan.spread >= rot_scan.spread else rot_scan
+
+
 def cmd_falsify(args) -> Verdict:
-    rule = args.rule
-    d = args.dim
+    rule, d = args.rule, args.dim
     scan = rules.defect_scan(rule, d, args.trials, subseed(args.seed, 0))
     series = [(i, d, None, scan.defects[i]) for i in range(scan.trials)]
     results: dict = {
@@ -236,32 +255,16 @@ def cmd_falsify(args) -> Verdict:
         "thresholds": {"defect": args.tol_defect, "spread": args.tol_spread},
     }
     falsified = scan.max_defect > args.tol_defect
-    witness: list[float] | None = (
-        [float(x) for x in scan.argmax_state.moduli] if falsified else None
-    )
+    witness = [float(x) for x in scan.argmax_state.moduli] if falsified else None
 
     if isinstance(rule, rules.Renormalized):
-        psi = haar_state(d, substream(args.seed, 1))
-        phi = haar_state(d, substream(args.seed, 2))
-        obs_scan = invariance.observable_independence_scan(psi, phi, rule, args.trials, subseed(args.seed, 3))
-        point = moduli(haar_state(d, substream(args.seed, 4)).amplitudes)
-        rot_scan = invariance.unobserved_independence_scan(point, 0, rule, args.trials, subseed(args.seed, 5))
-        results["observable_scan"] = obs_scan.as_dict()
-        results["rotation_scan"] = rot_scan.as_dict()
-        series.extend((i, d, None, p) for i, p in enumerate(obs_scan.p_values))
-        series.extend((i, d, 0, p) for i, p in enumerate(rot_scan.p_values))
-        if d == 2:
-            # the complement orthant is a single point, so both spreads
-            # vanish for every rule: the d=2 gap of Gleason's theorem
-            falsified = None
-            witness = None
-            results["inconclusive"] = (
-                "at d=2 both independence spreads vanish for every rule; "
-                "use --dim 3 or more"
-            )
-        elif obs_scan.spread > args.tol_spread or rot_scan.spread > args.tol_spread:
+        scans, rows, worst = _independence_scans(args, 1)
+        results.update(scans)
+        series += rows
+        if "inconclusive" in results:
+            falsified = witness = None
+        elif worst.spread > args.tol_spread:
             falsified = True
-            worst = obs_scan if obs_scan.spread >= rot_scan.spread else rot_scan
             witness = [float(p) for p in (np.min(worst.p_values), np.max(worst.p_values))]
 
     results["falsified"] = falsified
@@ -270,22 +273,9 @@ def cmd_falsify(args) -> Verdict:
 
 
 def cmd_independence(args) -> Verdict:
-    rule = args.rule
-    d = args.dim
-    psi = haar_state(d, substream(args.seed, 0))
-    phi = haar_state(d, substream(args.seed, 1))
-    obs_scan = invariance.observable_independence_scan(psi, phi, rule, args.trials, subseed(args.seed, 2))
-    point = moduli(psi.amplitudes)
-    rot_scan = invariance.unobserved_independence_scan(point, 0, rule, args.trials, subseed(args.seed, 3))
-    results = {
-        "observable_scan": obs_scan.as_dict(),
-        "rotation_scan": rot_scan.as_dict(),
-        "max_spread": max(obs_scan.spread, rot_scan.spread),
-        "threshold": args.tol_spread,
-    }
-    series = [(i, d, None, p) for i, p in enumerate(obs_scan.p_values)]
-    series += [(i, d, 0, p) for i, p in enumerate(rot_scan.p_values)]
-    passed = results["max_spread"] <= args.tol_spread
+    results, series, worst = _independence_scans(args, 0)
+    results.update(max_spread=worst.spread, threshold=args.tol_spread)
+    passed = worst.spread <= args.tol_spread and "inconclusive" not in results
     return results, passed, series
 
 
@@ -366,8 +356,6 @@ def cmd_sample(args) -> Verdict:
     d = args.dim
     pairs = []
     series: list[tuple] = []
-    all_within = True
-    all_repeat = True
     for i in range(args.trials):
         psi = haar_state(d, substream(args.seed, i, 0))
         observable = quantum.random_observable(d, substream(args.seed, i, 1))
@@ -393,15 +381,13 @@ def cmd_sample(args) -> Verdict:
             }
         )
         series.extend((i, d, k, frequencies[k]) for k in range(d))
-        all_within = all_within and within
-        all_repeat = all_repeat and repeat_ok
 
     results = {
         "pairs": pairs,
-        "all_within_3_sigma": all_within,
-        "all_repeat_consistent": all_repeat,
+        "all_within_3_sigma": all(pair["within_3_sigma"] for pair in pairs),
+        "all_repeat_consistent": all(pair["repeat_consistent"] for pair in pairs),
     }
-    return results, all_within and all_repeat, series
+    return results, results["all_within_3_sigma"] and results["all_repeat_consistent"], series
 
 
 def main(argv: list[str] | None = None) -> int:

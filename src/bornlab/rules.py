@@ -91,8 +91,11 @@ class Renormalized:
         return f"renorm:{self.base.name}"
 
     def probabilities(self, values: np.ndarray) -> np.ndarray:
-        raw = self.base(values)
-        total = np.sum(raw, axis=-1, keepdims=True)
+        with np.errstate(over="ignore"):  # an overflow is reported below
+            raw = self.base(values)
+            total = np.sum(raw, axis=-1, keepdims=True)  # not finite if any raw value is not
+        if not np.all(np.isfinite(total)):
+            raise DomainError("renormalization sum is not finite")
         if np.any(total <= 0.0):
             raise DomainError("renormalization sum is not positive")
         return raw / total
@@ -124,18 +127,27 @@ def rule_probabilities(rule: ProbabilityRule, rows: np.ndarray) -> np.ndarray:
 
     Plain rules are applied entrywise with no renormalization; whether the
     result sums to one is exactly what the defect scan measures.  Rows come
-    validated, as ModulusVector moduli or through check_orthant.
+    validated, as ModulusVector moduli or through check_orthant; a value
+    that overflows is a DomainError.
     """
     if isinstance(rule, Renormalized):
         return rule.probabilities(rows)
-    return np.asarray(rule(rows), dtype=np.float64)
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        values = np.asarray(rule(rows), dtype=np.float64)
+    if not np.all(np.isfinite(values)):
+        raise DomainError(f"{rule.name} is not finite at every modulus")
+    return values
 
 
 def normalization_sum(rule: ProbabilityRule, rows: np.ndarray) -> np.ndarray:
     """Sum of the rule over each orthant row (..., d); exactly 1 for renormalized rules."""
     if isinstance(rule, Renormalized):
         return np.ones(rows.shape[:-1])
-    return np.sum(rule(rows), axis=-1)
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        sums = np.sum(rule(rows), axis=-1)  # not finite if any value is not
+    if not np.all(np.isfinite(sums)):
+        raise DomainError(f"the normalization sum of {rule.name} is not finite")
+    return sums
 
 
 @dataclass(frozen=True)

@@ -3,7 +3,9 @@
 import argparse
 import json
 import os
+import shlex
 import threading
+from pathlib import Path
 
 import pytest
 
@@ -87,25 +89,38 @@ class TestExitCodes:
             main(["spin1", "--seed", "-1"])
         assert excinfo.value.code == 2
 
-    def test_renormalized_rule_at_dim_two_is_inconclusive(self, capsys):
+    @pytest.mark.parametrize("command", ["falsify", "independence"])
+    def test_renormalized_rule_at_dim_two_is_inconclusive(self, capsys, command):
         # the complement orthant of a qubit is a single point, so neither
         # independence scan can separate a renormalized rule from Born
-        code, report = run_json(
-            capsys, ["falsify", "--rule", "renorm:power:4", "--dim", "2", "--trials", "50", "--seed", "3"]
-        )
+        argv = [command, "--dim", "2", "--trials", "50", "--seed", "3"]
+        code, report = run_json(capsys, argv + ["--rule", "renorm:power:4"])
         results = report["results"]
         assert code == 3 and report["pass"] is False
-        assert results["falsified"] is None and results["witness"] is None
-        assert isinstance(results["inconclusive"], str) and "\n" not in results["inconclusive"]
+        assert results["inconclusive"] == "at d=2 both independence spreads vanish for every rule; use --dim 3 or more"
+        if command == "falsify":
+            assert results["falsified"] is None and results["witness"] is None
+        assert run_json(capsys, argv + ["--rule", "born"])[0] == 0
 
-    def test_domain_error_is_usage_error(self, capsys):
-        # affine:1:-1 gives a^2 - 1 <= 0 at every modulus, so no renormalization exists
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            # a^2 - 1 <= 0 at every modulus, so no renormalization exists
+            (["falsify", "--rule", "renorm:affine:1:-1"], "renormalization sum is not positive"),
+            # 1e308 * (a^2 + 1) overflows once a^2 > 0.8
+            (["falsify", "--rule", "affine:1e308:1e308"], "the normalization sum of affine:1e+308:1e+308 is not finite"),
+            (["falsify", "--rule", "renorm:affine:1e308:1e308"], "renormalization sum is not finite"),
+            (["independence", "--rule", "renorm:affine:1e308:1e308"], "renormalization sum is not finite"),
+        ],
+        ids=["renorm:affine:1:-1", "affine-overflow", "renorm:affine-overflow", "independence:renorm:affine-overflow"],
+    )
+    def test_domain_error_is_usage_error(self, capsys, argv, reason):
         with pytest.raises(SystemExit) as excinfo:
-            main(["falsify", "--rule", "renorm:affine:1:-1", "--dim", "3", "--trials", "10"])
+            main(argv + ["--dim", "3", "--trials", "10"])
         assert excinfo.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert "renormalization sum is not positive" in captured.err
+        assert reason in captured.err
         assert "Traceback" not in captured.err
 
     def test_out_into_missing_directory_is_usage_error(self, tmp_path, capsys):
@@ -295,14 +310,61 @@ class TestSchema:
         ]
         assert report["schema_version"] == "1"
 
-    def test_pass_rederivable_from_results(self, capsys):
-        _, report = run_json(capsys, ["verify-born", "--dims", "2,3"] + SMALL)
-        results = report["results"]
-        rederived = (
-            results["max_defect"] <= results["thresholds"]["defect"]
-            and results["max_spread"] <= results["thresholds"]["spread"]
-        )
-        assert rederived == report["pass"]
+    @staticmethod
+    def rederive(command: str, results: dict) -> bool:
+        """A command's pass flag from its results entries and thresholds alone."""
+        spread = lambda scan: max(scan["p_values"]) - min(scan["p_values"])
+        if command == "verify-born":
+            return all(
+                entry["defect"]["max_defect"] <= results["thresholds"]["defect"]
+                and entry["independence_max_spread"] <= results["thresholds"]["spread"]
+                for entry in results["per_dim"]
+            )
+        if command == "falsify":
+            scans = [results[name] for name in ("observable_scan", "rotation_scan") if name in results]
+            return (
+                "inconclusive" not in results
+                and results["defect"]["max_defect"] <= results["thresholds"]["defect"]
+                and all(spread(scan) <= results["thresholds"]["spread"] for scan in scans)
+            )
+        if command == "independence":
+            scans = (results["observable_scan"], results["rotation_scan"])
+            return "inconclusive" not in results and all(spread(scan) <= results["threshold"] for scan in scans)
+        if command == "recover":
+            coefficients = results["recovery"]["coefficients"]
+            error = max(abs(c - t) for c, t in zip(coefficients, results["target"]))
+            return error <= results["coefficient_threshold"]
+        if command == "stationarity":
+            residuals = ("max_sum_residual", "max_outcome_residual", "max_closed_form_residual")
+            return max(results[name] for name in residuals) <= results["residual_threshold"]
+        if command == "spin1":
+            return results["max_probability_delta"] <= results["threshold"]
+        if command == "sample":
+            return all(pair["within_3_sigma"] and pair["repeat_consistent"] for pair in results["pairs"])
+        raise AssertionError(f"no rederivation for {command}")
+
+    @pytest.mark.parametrize(
+        "argv, passed",
+        [
+            (["verify-born", "--dims", "2,3", "--trials", "200"], True),
+            (["falsify", "--rule", "born", "--dim", "3", "--trials", "200"], True),
+            (["falsify", "--rule", "power:1", "--dim", "2", "--trials", "200"], False),
+            (["falsify", "--rule", "renorm:power:4", "--dim", "3", "--trials", "50"], False),
+            (["falsify", "--rule", "renorm:power:4", "--dim", "2", "--trials", "50"], False),
+            (["independence", "--rule", "born", "--dim", "3", "--trials", "50"], True),
+            (["independence", "--rule", "renorm:power:4", "--dim", "2", "--trials", "50"], False),
+            (["recover", "--dims", "2,3", "--trials", "120"], True),
+            (["stationarity", "--dims", "3", "--trials", "50"], True),
+            (["spin1", "--trials", "50"], True),
+            (["sample", "--dim", "3", "--shots", "2000", "--trials", "2"], True),
+        ],
+        ids=["verify-born", "falsify:born", "falsify:power:1", "falsify:renorm:d3", "falsify:renorm:d2",
+             "independence:born", "independence:renorm:d2", "recover", "stationarity", "spin1", "sample"],
+    )
+    def test_pass_rederivable_from_results(self, capsys, argv, passed):
+        _, report = run_json(capsys, argv + ["--seed", "42"])
+        assert report["pass"] is passed
+        assert self.rederive(argv[0], report["results"]) is passed
 
     @pytest.mark.parametrize(
         "argv, config",
@@ -392,6 +454,16 @@ class TestSchema:
         assert capsys.readouterr().out == ""
         report = json.loads(path.read_text())
         assert report["command"] == "spin1"
+
+
+def test_readme_examples_parse():
+    # every example line of the README's command-line block names a real
+    # command and real flags; nothing is run
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = readme.split("## Command-line interface", 1)[1].split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line.split("#", 1)[0] for line in block.splitlines() if line.startswith("bornlab ")]
+    commands = {build_parser().parse_args(shlex.split(line)[1:]).command for line in lines}
+    assert commands == set(SUBCOMMANDS)
 
 
 class TestParserCache:

@@ -108,6 +108,16 @@ class TestNormalizationSum:
         with pytest.raises(DomainError):
             rule_probabilities(Renormalized(Affine(1.0, -0.5)), rows)
 
+    def test_overflow_is_a_domain_error(self):
+        # 1e308 * (a^2 + 1) exceeds the largest double once a^2 > 0.8:
+        # an inf defect would serialize as Infinity, and an inf
+        # renormalization sum would turn every probability into 0.0
+        rows = np.array([[0.6, 0.8], [1.0, 0.0]])
+        rule = Affine(1e308, 1e308)
+        for evaluate in (normalization_sum, rule_probabilities, lambda rule, rows: Renormalized(rule).probabilities(rows)):
+            with pytest.raises(DomainError, match="not finite"):
+                evaluate(rule, rows)
+
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 10_000), p=st.floats(0.5, 5.0))
     def test_renormalized_probabilities_sum_to_one(self, seed, p):
