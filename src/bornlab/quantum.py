@@ -9,6 +9,7 @@ used by the two-observable demonstration.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -55,12 +56,14 @@ class StateVector:
 
 def check_orthant(rows: np.ndarray) -> None:
     """Reject moduli rows (..., d) unless each is non-negative with unit square sum."""
-    # Array methods and one vecdot keep this cheap on the single row of a
-    # defect-scan trial; atleast_2d keeps that row's square sum an array.
-    rows = np.atleast_2d(rows)
+    # A single row (each ModulusVector, so each defect-scan trial) takes one
+    # dot and float arithmetic; a block of rows takes one vecdot.
     if rows.min(initial=0.0) < 0.0:
         raise ValueError("moduli must be non-negative")
-    defect = float(np.abs(np.vecdot(rows, rows) - 1.0).max(initial=0.0))
+    if rows.ndim == 1:
+        defect = abs(float(rows.dot(rows)) - 1.0)
+    else:
+        defect = float(np.abs(np.vecdot(rows, rows) - 1.0).max(initial=0.0))
     within(defect, TOL.orthant_norm, "orthant norm defect", NotNormalized)
 
 
@@ -180,12 +183,20 @@ def sample_outcomes(
     return np.diff(at_or_below, prepend=0)
 
 
+def _check_dim(dim: int) -> None:
+    if dim < 1:  # every draw of no amplitudes has norm 0 and would be redrawn forever
+        raise ValueError("a state needs dimension at least 1")
+
+
 def haar_state(dim: int, rng: np.random.Generator) -> StateVector:
     """Uniformly random pure state (normalized complex Gaussian vector)."""
+    _check_dim(dim)
     while True:
         real, imag = rng.standard_normal((2, dim))  # the same numbers as two draws of dim
         z = real + 1j * imag
-        norm = np.linalg.norm(z)
+        # np.linalg.norm's own formula on the strided views of z, so the same
+        # bits; the contiguous real and imag rows would round differently
+        norm = math.sqrt(z.real.dot(z.real) + z.imag.dot(z.imag))
         if norm > TOL.zero_vector:
             return StateVector(z / norm)
 
@@ -197,6 +208,7 @@ def haar_states(dim: int, n: int, rng: np.random.Generator) -> np.ndarray:
     below the zero-vector threshold is redrawn.  The moduli rows are checked
     once for the whole block.
     """
+    _check_dim(dim)
     draw = lambda rows: rng.standard_normal((rows, dim)) + 1j * rng.standard_normal((rows, dim))
     z = draw(n)
     while np.any(redraw := np.linalg.norm(z, axis=-1) <= TOL.zero_vector):

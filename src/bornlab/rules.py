@@ -4,8 +4,8 @@ normalization-defect scan that falsifies every non-quadratic one.
 The family is deliberately small and closed so that reports can name rules
 reproducibly: the quadratic rule, pure powers, the quadratic-affine family,
 and renormalized wrappers.  Renormalized rules sum to one by construction
-and therefore evade the defect scan; they are falsified by the invariance
-scans instead.
+and therefore evade the defect scan, which draws only their witness state;
+they are falsified by the invariance scans instead.
 """
 
 from __future__ import annotations
@@ -186,13 +186,19 @@ def defect_scan(rule: ProbabilityRule, dim: int, trials: int, seed: int) -> Norm
     Each trial draws its own substream from (seed, trial index), so the
     report is a deterministic function of (rule, dim, trials, seed).  The
     rule is evaluated once, on the stacked moduli of every trial.  The
-    worst state is recorded as a falsification witness.
+    worst state (the first at the maximum) is recorded as a falsification
+    witness.  A renormalized rule sums to one by construction: every defect
+    is 0, the witness is trial 0, and only that trial is drawn.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    points = [moduli(haar_state(dim, substream(seed, i)).amplitudes) for i in range(trials)]
-    defects = np.abs(normalization_sum(rule, np.array([point.moduli for point in points])) - 1.0)
-    worst = int(np.argmax(defects))  # first max index: deterministic
+    if isinstance(rule, Renormalized):
+        points = [moduli(haar_state(dim, substream(seed, 0)).amplitudes)]
+        defects = np.zeros(trials)
+    else:
+        points = [moduli(haar_state(dim, substream(seed, i)).amplitudes) for i in range(trials)]
+        defects = np.abs(normalization_sum(rule, np.array([point.moduli for point in points])) - 1.0)
+    worst = int(np.argmax(defects))
     return NormalizationReport(
         rule=rule.name,
         dim=dim,

@@ -150,6 +150,25 @@ class TestStateAndModulus:
         with pytest.raises(NotNormalized):
             moduli(np.array([1.0, 1.0]))
 
+    @pytest.mark.parametrize("dim", [0, -1])
+    def test_states_need_a_dimension(self, dim):
+        # a draw of no amplitudes has norm 0, so the redraw loops never ended
+        rng = np.random.default_rng(21)
+        with pytest.raises(ValueError):
+            haar_state(dim, rng)
+        with pytest.raises(ValueError):
+            haar_states(dim, 3, rng)
+
+    def test_state_norm_is_the_numpy_norm(self):
+        # exact equality: the norm of the strided views of z, as numpy takes
+        # it; the same sums over contiguous rows round differently
+        for seed in range(4):
+            for d in range(1, 65):
+                real, imag = np.random.default_rng(seed).standard_normal((2, d))
+                z = real + 1j * imag
+                state = haar_state(d, np.random.default_rng(seed))
+                np.testing.assert_array_equal(state.amplitudes, z / np.linalg.norm(z))
+
 
 class TestObservable:
     def test_rejects_degenerate_spectrum(self):

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from bornlab import rules
 from bornlab.quantum import ModulusVector, haar_state, moduli
 from bornlab.rules import (
     Affine,
@@ -171,7 +172,42 @@ class TestDefectScan:
             for i in range(n)
         ]
         np.testing.assert_array_equal(report.defects, scalar)
-        np.testing.assert_array_equal(defect_scan(Renormalized(rule), d, n, seed).defects, np.zeros(n))
+        renormalized = defect_scan(Renormalized(rule), d, n, seed)
+        np.testing.assert_array_equal(renormalized.defects, np.zeros(n))
+        witness = moduli(haar_state(d, substream(seed, 0)).amplitudes).moduli
+        np.testing.assert_array_equal(renormalized.argmax_state.moduli, witness)
+
+    @pytest.mark.parametrize("rule, draws", [(Renormalized(Power(4.0)), 1), (Power(4.0), 50)])
+    def test_renormalized_scan_draws_only_its_witness(self, monkeypatch, rule, draws):
+        calls = []
+
+        def counted(*address):
+            calls.append(address)
+            return substream(*address)
+
+        monkeypatch.setattr(rules, "substream", counted)
+        defect_scan(rule, 4, 50, seed=9)
+        assert len(calls) == draws
+
+    def test_renormalized_report_is_that_of_every_trial(self):
+        # every defect is 0, so the first trial is the witness, as when all are drawn
+        report = defect_scan(Renormalized(Power(4.0)), 4, 50, seed=9)
+        witness = moduli(haar_state(4, substream(9, 0)).amplitudes)
+        assert report.as_dict() == {
+            "rule": "renorm:power:4.0",
+            "dim": 4,
+            "trials": 50,
+            "max_defect": 0.0,
+            "mean_defect": 0.0,
+            "argmax_state": [float(x) for x in witness.moduli],
+            "seed": 9,
+        }
+        np.testing.assert_array_equal(report.defects, np.zeros(50))
+
+    @pytest.mark.parametrize("rule", [Born(), Renormalized(Born())])
+    def test_scan_needs_a_dimension(self, rule):
+        with pytest.raises(ValueError):
+            defect_scan(rule, 0, 5, seed=0)
 
     def test_witness_is_recorded(self):
         report = defect_scan(Power(1.0), 2, 500, seed=5)
