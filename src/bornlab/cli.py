@@ -16,9 +16,7 @@ than from shared generator state.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
-import io
 import json
 import math
 import sys
@@ -29,7 +27,7 @@ import numpy as np
 
 from . import invariance, quantum, rules, variational
 from .quantum import StateVector, haar_state, moduli
-from .streams import blockwise, subseed, substream
+from .streams import subseed, substream
 from .tolerances import TOL
 
 
@@ -76,12 +74,9 @@ class Report:
         return 3 if "inconclusive" in self.results else 1
 
     def to_csv(self) -> str:
-        buffer = io.StringIO()
-        writer = csv.writer(buffer, lineterminator="\n")
-        writer.writerow(["index", "d", "k", "value"])
-        for index, d, k, value in self.series:
-            writer.writerow([index, d, "" if k is None else k, repr(float(value))])
-        return buffer.getvalue()
+        cell = lambda x: "" if x is None else x
+        rows = "".join(f"{index},{cell(d)},{cell(k)},{float(value)!r}\n" for index, d, k, value in self.series)
+        return "index,d,k,value\n" + rows
 
 
 def _parse_dims(text: str) -> tuple[int, ...]:
@@ -305,16 +300,12 @@ def cmd_stationarity(args) -> Verdict:
     series: list[tuple] = []
     worst = np.zeros(3)  # sum-form, outcome-form and closed-form residuals
     for di, d in enumerate(args.dims):
-
-        def kernel(index: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-            rows = np.abs(quantum.haar_states(d, index.size, rng))
-            ks = index % d
-            sum_res = np.max(np.abs(variational.rule_stationarity(born, rows, 1.0)), axis=-1)
-            out_res = np.max(np.abs(variational.outcome_stationarity(probabilities, rows, ks, 0.0)), axis=-1)
-            closed = variational.closed_form_check(rows, ks, 2.0, -1.0)
-            return np.column_stack(np.broadcast_arrays(sum_res, out_res, closed))
-
-        residuals = blockwise(kernel, args.trials, args.seed, di)
+        rows = np.abs(quantum.haar_blocks(d, args.trials, args.seed, di))
+        ks = np.arange(args.trials) % d
+        sum_res = np.max(np.abs(variational.rule_stationarity(born, rows, 1.0)), axis=-1)
+        out_res = np.max(np.abs(variational.outcome_stationarity(probabilities, rows, ks, 0.0)), axis=-1)
+        closed = variational.closed_form_check(rows, ks, 2.0, -1.0)
+        residuals = np.column_stack(np.broadcast_arrays(sum_res, out_res, closed))
         series.extend((i, d, i % d, value) for i, value in enumerate(np.max(residuals, axis=1)))
         worst = np.maximum(worst, np.max(residuals, axis=0))
 
@@ -336,11 +327,8 @@ def cmd_spin1(args) -> Verdict:
     # the two eigenvectors for the shared outcome, as columns
     pair = np.column_stack([jz.eigensystem.eigenvectors[:, k_z], jxy.eigensystem.eigenvectors[:, k_x]])
 
-    def kernel(index: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        p = np.abs(quantum.haar_states(3, index.size, rng) @ np.conj(pair)) ** 2
-        return np.abs(p[:, 0] - p[:, 1])
-
-    deltas = blockwise(kernel, args.trials, args.seed)
+    p = np.abs(quantum.haar_blocks(3, args.trials, args.seed) @ np.conj(pair)) ** 2
+    deltas = np.abs(p[:, 0] - p[:, 1])
     results = {
         "trials": args.trials,
         "shared_eigenvector_index_jz": k_z,
@@ -353,22 +341,23 @@ def cmd_spin1(args) -> Verdict:
 
 
 def cmd_sample(args) -> Verdict:
-    d = args.dim
+    d, seed = args.dim, args.seed
+    # every pair's observable, drawn from its own stream and assembled as one stack
+    _, _, bases = quantum.random_observables(d, (substream(seed, i, 1) for i in range(args.trials)))
     pairs = []
     series: list[tuple] = []
-    for i in range(args.trials):
-        psi = haar_state(d, substream(args.seed, i, 0))
-        observable = quantum.random_observable(d, substream(args.seed, i, 1))
-        counts = quantum.sample_outcomes(psi, observable, args.shots, substream(args.seed, i, 2))
+    for i, vectors in enumerate(bases):
+        psi = haar_state(d, substream(seed, i, 0))
+        counts = quantum.sample_outcomes(psi, vectors, args.shots, substream(seed, i, 2))
         frequencies = counts / args.shots
-        p = quantum.born_probabilities(psi, observable)
+        p = quantum.born_probabilities(psi, vectors)
         sigma = np.sqrt(p * (1.0 - p) / args.shots)
         within = bool(np.all(np.abs(frequencies - p) <= 3.0 * sigma))
 
-        first, post_state = quantum.measure(psi, observable, substream(args.seed, i, 3))
+        first, post_state = quantum.measure(psi, vectors, substream(seed, i, 3))
         # 100 re-measurements of the collapsed state: measure()'s inverse CDF on one draw
-        post = np.cumsum(quantum.born_probabilities(post_state, observable))
-        repeats = quantum.draw_outcomes(post, substream(args.seed, i, 4).random(100))
+        post = np.cumsum(quantum.born_probabilities(post_state, vectors))
+        repeats = quantum.draw_outcomes(post, substream(seed, i, 4).random(100))
         repeat_ok = bool(np.all(repeats == first))
         pairs.append(
             {

@@ -105,15 +105,16 @@ class Eigensystem:
 
 
 def fix_column_phases(vectors: np.ndarray) -> np.ndarray:
-    """Rotate each column's global phase so its largest entry is real positive.
+    """Rotate each column's global phase so its largest entry is real positive,
+    in every matrix of a stack (..., d, d).
 
     Ties in magnitude resolve to the lowest index, which keeps the output a
-    deterministic function of the input.
+    deterministic function of the input.  The copy keeps the input's memory
+    layout.
     """
     out = np.array(vectors, dtype=np.complex128)
-    magnitudes = np.abs(out)
-    pivot_rows = np.argmax(magnitudes, axis=0)  # first max per column
-    pivots = out[pivot_rows, np.arange(out.shape[1])]
+    pivot_rows = np.argmax(np.abs(out), axis=-2)[..., None, :]  # first max per column
+    pivots = np.take_along_axis(out, pivot_rows, axis=-2)
     mags = np.abs(pivots)
     safe = np.where(mags > 0.0, mags, 1.0)
     out *= np.where(mags > 0.0, pivots.conj() / safe, 1.0)

@@ -11,11 +11,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
 from .linalg import Eigensystem, HermitianMatrix, check_eigensystems, eigendecompose
 from .linalg import fix_column_phases, haar_array
+from .streams import blockwise
 from .tolerances import TOL, within
 
 SHOT_CHUNK = 1 << 16  # uniforms drawn at once by sample_outcomes
@@ -108,27 +110,42 @@ class Observable:
 
     @classmethod
     def from_eigenbasis(cls, eigenvalues: np.ndarray, basis: np.ndarray) -> "Observable":
-        """Assemble an observable whose eigensystem is known by construction.
-
-        The basis columns are the eigenvectors; they are reordered to
-        ascending eigenvalue and phase-fixed, and the matrix is built as
-        V diag(w) V^dag (re-Hermitized to kill rounding asymmetry).
-        """
-        values = np.asarray(eigenvalues, dtype=np.float64).reshape(-1)
-        vectors = np.asarray(basis, dtype=np.complex128)
-        order = np.argsort(values, kind="stable")
-        values = values[order]
-        vectors = fix_column_phases(vectors[:, order])
-        raw = (vectors * values) @ vectors.conj().T
-        matrix = HermitianMatrix((raw + raw.conj().T) / 2.0)
-        return cls(matrix, Eigensystem(values, vectors))
+        """Assemble an observable whose eigensystem is known by construction:
+        the n = 1 case of eigenbasis_stack."""
+        values = np.asarray(eigenvalues, dtype=np.float64).reshape(1, -1)
+        matrices, values, vectors = eigenbasis_stack(values, np.asarray(basis)[None])
+        return cls(HermitianMatrix(matrices[0]), Eigensystem(values[0], vectors[0]))
 
 
-def expand(state: StateVector, observable: Observable) -> np.ndarray:
-    """Expansion coefficients of the state in the observable's eigenbasis."""
-    if state.dim != observable.dim:
-        raise DimMismatch(f"state dim {state.dim} vs observable dim {observable.dim}")
-    return observable.eigensystem.eigenvectors.conj().T @ state.amplitudes
+def eigenbasis_stack(eigenvalues: np.ndarray, bases: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Observables (n, d, d) assembled from spectra (n, d) and eigenbases (n, d, d).
+
+    Each basis's columns are its eigenvectors.  They are stable-sorted to
+    ascending eigenvalue and phase-fixed, and each matrix is built as
+    V diag(w) V^dag and re-Hermitized to kill rounding asymmetry.  One
+    check_eigensystems call checks the whole stack.  Returns the matrices,
+    the sorted spectra and the eigenvector columns.
+
+    Each (d, d) slice of the columns is Fortran-ordered, the layout a column
+    reindex of one basis gives: V^dag psi rounds differently on a C-ordered
+    copy, so every observable's expansion keeps the bits of a single build.
+    """
+    values = np.asarray(eigenvalues, dtype=np.float64)
+    order = np.argsort(values, axis=-1, kind="stable")
+    values = np.take_along_axis(values, order, axis=-1)
+    rows = np.swapaxes(np.asarray(bases, dtype=np.complex128), -1, -2)  # row j is column j
+    vectors = fix_column_phases(np.swapaxes(np.take_along_axis(rows, order[..., None], axis=-2), -1, -2))
+    raw = (vectors * values[..., None, :]) @ np.conj(np.swapaxes(vectors, -1, -2))
+    matrices = (raw + np.conj(np.swapaxes(raw, -1, -2))) / 2.0
+    check_eigensystems(matrices, values, vectors)
+    return matrices, values, vectors
+
+
+def expand(state: StateVector, vectors: np.ndarray) -> np.ndarray:
+    """Expansion coefficients of the state in the eigenbasis with columns vectors (d, d)."""
+    if state.dim != vectors.shape[-1]:
+        raise DimMismatch(f"state dim {state.dim} vs eigenbasis dim {vectors.shape[-1]}")
+    return vectors.conj().T @ state.amplitudes
 
 
 def moduli(amplitudes: np.ndarray) -> ModulusVector:
@@ -140,9 +157,9 @@ def moduli(amplitudes: np.ndarray) -> ModulusVector:
     return ModulusVector(np.abs(amplitudes))
 
 
-def born_probabilities(state: StateVector, observable: Observable) -> np.ndarray:
-    """Squared moduli of the expansion coefficients."""
-    return np.abs(expand(state, observable)) ** 2
+def born_probabilities(state: StateVector, vectors: np.ndarray) -> np.ndarray:
+    """Squared moduli of the expansion coefficients in the eigenbasis vectors (d, d)."""
+    return np.abs(expand(state, vectors)) ** 2
 
 
 def draw_outcomes(cumulative: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
@@ -151,30 +168,29 @@ def draw_outcomes(cumulative: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     return np.minimum(idx, cumulative.shape[0] - 1)
 
 
-def measure(state: StateVector, observable: Observable, rng: np.random.Generator) -> tuple[int, StateVector]:
-    """Sample one outcome k (quadratic rule); return k and the collapsed state,
-    its eigenvector.
+def measure(state: StateVector, vectors: np.ndarray, rng: np.random.Generator) -> tuple[int, StateVector]:
+    """Sample one outcome k (quadratic rule) in the eigenbasis vectors (d, d);
+    return k and the collapsed state, eigenvector column k.
 
     Only the quadratic rule yields a normalized distribution, so sampling
     under any other rule is rejected by construction: this function does
     not take a rule argument.
     """
-    cumulative = np.cumsum(born_probabilities(state, observable))
+    cumulative = np.cumsum(born_probabilities(state, vectors))
     k = int(draw_outcomes(cumulative, np.array([rng.random()]))[0])
-    return k, StateVector.normalize(observable.eigensystem.eigenvectors[:, k])
+    return k, StateVector.normalize(vectors[:, k])
 
 
-def sample_outcomes(
-    state: StateVector, observable: Observable, shots: int, rng: np.random.Generator
-) -> np.ndarray:
-    """Outcome counts over many shots, by the draw rule of measure().
+def sample_outcomes(state: StateVector, vectors: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:
+    """Outcome counts over many shots in the eigenbasis vectors (d, d), by the
+    draw rule of measure().
 
     Shots are counted as the uniforms at or below each cumulative
     probability, which is measure()'s inverse CDF with ties toward the
     lower index; the last outcome takes every other shot, also a uniform
     above a last cumulative value that rounding left below 1.
     """
-    edges = np.cumsum(born_probabilities(state, observable))[:-1]
+    edges = np.cumsum(born_probabilities(state, vectors))[:-1]
     at_or_below = np.zeros(state.dim, dtype=np.intp)
     for start in range(0, shots, SHOT_CHUNK):  # bounded memory for any shot count
         uniforms = rng.random(min(SHOT_CHUNK, shots - start))
@@ -218,6 +234,12 @@ def haar_states(dim: int, n: int, rng: np.random.Generator) -> np.ndarray:
     return states
 
 
+def haar_blocks(dim: int, n: int, seed: int, *indices: int) -> np.ndarray:
+    """n Haar states as amplitude rows (n, dim), drawn and checked by
+    haar_states one block at a time: block b comes from substream(seed, *indices, b)."""
+    return blockwise(lambda index, rng: haar_states(dim, index.size, rng), n, seed, *indices)
+
+
 def gapped_eigenvalues(dim: int, rng: np.random.Generator, batch: tuple[int, ...] = ()) -> np.ndarray:
     """Spectra uniform on [-1, 1], one per index of ``batch``, each redrawn
     until its minimum pairwise gap clears TOL.spectrum_gap(dim).  Unsorted."""
@@ -231,6 +253,13 @@ def gapped_eigenvalues(dim: int, rng: np.random.Generator, batch: tuple[int, ...
 def random_observable(dim: int, rng: np.random.Generator) -> Observable:
     """Observable with Haar-random eigenbasis and a gapped random spectrum."""
     return Observable.from_eigenbasis(gapped_eigenvalues(dim, rng), haar_array(dim, rng))
+
+
+def random_observables(dim: int, rngs: Iterable[np.random.Generator]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """One random_observable per generator, drawn as it draws one and
+    assembled as one eigenbasis_stack: (matrices, spectra, eigenvector columns)."""
+    draws = [(gapped_eigenvalues(dim, rng), haar_array(dim, rng)) for rng in rngs]
+    return eigenbasis_stack(np.array([values for values, _ in draws]), np.array([basis for _, basis in draws]))
 
 
 def spin1_jz() -> Observable:

@@ -139,10 +139,13 @@ def rule_probabilities(rule: ProbabilityRule, rows: np.ndarray) -> np.ndarray:
     return values
 
 
-def normalization_sum(rule: ProbabilityRule, rows: np.ndarray) -> np.ndarray:
-    """Sum of the rule over each orthant row (..., d); exactly 1 for renormalized rules."""
+def normalization_sum(rule: PlainRule, rows: np.ndarray) -> np.ndarray:
+    """Sum of a plain rule over each orthant row (..., d).
+
+    A renormalized rule sums to one by construction, so it is rejected.
+    """
     if isinstance(rule, Renormalized):
-        return np.ones(rows.shape[:-1])
+        raise TypeError(f"{rule.name} sums to one by construction; normalization_sum takes plain rules")
     with np.errstate(over="ignore"):  # an overflow is reported below
         sums = np.sum(rule(rows), axis=-1)  # not finite if any value is not
     if not np.all(np.isfinite(sums)):

@@ -40,7 +40,9 @@ def blockwise(
     Block b gets the draw indices [b*BLOCK, (b+1)*BLOCK) as an array, draws
     all its randomness from substream(seed, *indices, b) and returns one
     result row per draw.  A full block does not depend on how many draws
-    follow it.
+    follow it.  A kernel that only draws (and checks) its block leaves the
+    arithmetic to run once on the stacked rows, which gives the same bits
+    as running it per block wherever that arithmetic is row by row.
     """
     return np.concatenate([
         kernel(np.arange(start, min(start + BLOCK, n)), substream(seed, *indices, b))

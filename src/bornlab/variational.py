@@ -18,9 +18,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .quantum import haar_states
+from .quantum import haar_blocks
 from .rules import Affine
-from .streams import blockwise
 from .tolerances import TOL
 
 MIN_SAMPLES = 10 * 4  # ten sampled rows per fitted coefficient
@@ -143,9 +142,6 @@ def recover_rule(dims: Sequence[int], samples_per_dim: int, seed: int) -> tuple[
     if samples_per_dim < MIN_SAMPLES:
         raise ValueError("need at least 10 samples per coefficient")
 
-    def block_sums(d: int) -> Callable[[np.ndarray, np.random.Generator], np.ndarray]:
-        return lambda index, rng: power_sums(np.abs(haar_states(d, index.size, rng)))
-
-    rows = np.concatenate([blockwise(block_sums(d), samples_per_dim, seed, di) for di, d in enumerate(dims)])
+    rows = np.concatenate([power_sums(np.abs(haar_blocks(d, samples_per_dim, seed, di))) for di, d in enumerate(dims)])
     coefficients, objective = fit_power_series(rows)
     return coefficients, objective, rows.shape[0]

@@ -57,7 +57,7 @@ def test_criterion_1_born_normalization(d):
     for _ in range(10_000):
         observable = random_observable(d, rng)
         psi = haar_state(d, rng)
-        p = rule_probabilities(born, moduli(expand(psi, observable)).moduli)
+        p = rule_probabilities(born, moduli(expand(psi, observable.eigensystem.eigenvectors)).moduli)
         worst = max(worst, abs(float(np.sum(p)) - 1.0))
     report(
         f"criterion 1 (d={d})",
@@ -225,14 +225,14 @@ def test_criterion_9_sampling_and_collapse():
     for i in range(10):
         psi = haar_state(3, substream(9, i, 0))
         observable = random_observable(3, substream(9, i, 1))
-        counts = sample_outcomes(psi, observable, shots, substream(9, i, 2))
-        p = born_probabilities(psi, observable)
+        counts = sample_outcomes(psi, observable.eigensystem.eigenvectors, shots, substream(9, i, 2))
+        p = born_probabilities(psi, observable.eigensystem.eigenvectors)
         sigma = np.sqrt(p * (1.0 - p) / shots)
         all_within = all_within and bool(np.all(np.abs(counts / shots - p) <= 3.0 * sigma))
 
-        first, post_state = measure(psi, observable, substream(9, i, 3))
+        first, post_state = measure(psi, observable.eigensystem.eigenvectors, substream(9, i, 3))
         repeat_rng = substream(9, i, 4)
-        repeats = sum(measure(post_state, observable, repeat_rng)[0] == first for _ in range(100))
+        repeats = sum(measure(post_state, observable.eigensystem.eigenvectors, repeat_rng)[0] == first for _ in range(100))
         all_repeat = all_repeat and repeats == 100
     report(
         "criterion 9",

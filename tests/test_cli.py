@@ -1,6 +1,9 @@
 """End-to-end command-line behavior: exit codes, schema, determinism."""
 
 import argparse
+import csv
+import functools
+import io
 import json
 import os
 import shlex
@@ -11,9 +14,10 @@ import pytest
 
 import numpy as np
 
-from bornlab import cli, invariance, quantum, streams, variational
-from bornlab.cli import build_parser, main, run_config
-from bornlab.streams import BLOCK, substream
+from bornlab import cli, invariance, quantum, rules, streams, variational
+from bornlab.cli import Report, build_parser, main, run_config
+from bornlab.linalg import fix_column_phases, haar_array
+from bornlab.streams import BLOCK, blockwise, substream
 
 SMALL = ["--trials", "200", "--seed", "42"]
 
@@ -598,3 +602,131 @@ class TestBlocks:
         for di, block in enumerate(short):  # the series lists each dimension's points in turn
             np.testing.assert_array_equal(blocks[3 * di], block)
             assert long_csv[di * self.POINTS : di * self.POINTS + BLOCK] == short_csv[di * BLOCK : (di + 1) * BLOCK]
+
+
+def csv_reference(series) -> str:
+    """The CSV text of a series as the csv module writes it."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(["index", "d", "k", "value"])
+    for index, d, k, value in series:
+        writer.writerow([index, d, "" if k is None else k, repr(float(value))])
+    return buffer.getvalue()
+
+
+class TestCsvRows:
+    def test_rows_equal_the_csv_module(self):
+        values = [3, np.float64(0.1), np.nan, np.inf, -np.inf, -0.0, 1e-300, np.float64(-2.5e-17), 0.0]
+        series = [(i, d, k, value) for i, value in enumerate(values) for d in (None, 2) for k in (None, 0, 11)]
+        text = Report({"command": "spin1"}, {}, True, series, 0.0).to_csv()
+        assert text == csv_reference(series)
+        assert text.splitlines()[1:4] == ["0,,,3.0", "0,,0,3.0", "0,,11,3.0"]
+        assert Report({"command": "spin1"}, {}, True, [], 0.0).to_csv() == "index,d,k,value\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["verify-born", "--dims", "2,3", "--trials", "20"],
+            ["falsify", "--rule", "renorm:power:4", "--dim", "3", "--trials", "20"],
+            ["independence", "--rule", "renorm:power:1", "--dim", "3", "--trials", "20"],
+            ["recover", "--dims", "2,3", "--trials", "40"],
+            ["stationarity", "--dims", "2,3", "--trials", "30"],
+            ["spin1", "--trials", "30"],
+            ["sample", "--dim", "3", "--shots", "200", "--trials", "3"],
+        ],
+        ids=lambda argv: argv[0],
+    )
+    def test_commands_write_what_the_csv_module_writes(self, capsys, argv):
+        argv = argv + ["--seed", "4", "--format", "csv"]
+        args = build_parser().parse_args(argv)
+        _, _, series = args.func(args)
+        main(argv)
+        assert capsys.readouterr().out == csv_reference(series)
+
+
+class TestStackedEqualsPerBlock:
+    """Commands draw per block and compute once on the stacked rows; a
+    per-block kernel gives the same bits."""
+
+    SEED = 9
+
+    def csv_values(self, capsys, argv):
+        main(argv + ["--seed", str(self.SEED), "--format", "csv"])
+        return [line.rsplit(",", 1)[1] for line in capsys.readouterr().out.splitlines()[1:]]
+
+    @pytest.mark.parametrize("trials", [BLOCK - 1, BLOCK, 2 * BLOCK + 3])
+    def test_stationarity(self, capsys, trials):
+        born = rules.Born()
+        probabilities = functools.partial(rules.rule_probabilities, born)
+        values, worst = [], np.zeros(3)
+        for di, d in enumerate((2, 3, 5)):
+
+            def kernel(index, rng):
+                rows = np.abs(quantum.haar_states(d, index.size, rng))
+                ks = index % d
+                return np.column_stack([
+                    np.max(np.abs(variational.rule_stationarity(born, rows, 1.0)), axis=-1),
+                    np.max(np.abs(variational.outcome_stationarity(probabilities, rows, ks, 0.0)), axis=-1),
+                    variational.closed_form_check(rows, ks, 2.0, -1.0),
+                ])
+
+            residuals = blockwise(kernel, trials, self.SEED, di)
+            values += [repr(float(x)) for x in np.max(residuals, axis=1)]
+            worst = np.maximum(worst, np.max(residuals, axis=0))
+        argv = ["stationarity", "--dims", "2,3,5", "--trials", str(trials)]
+        assert self.csv_values(capsys, argv) == values
+        _, report = run_json(capsys, argv + ["--seed", str(self.SEED)])
+        names = ("max_sum_residual", "max_outcome_residual", "max_closed_form_residual")
+        assert [report["results"][name] for name in names] == [float(x) for x in worst]
+
+    @pytest.mark.parametrize("trials", [BLOCK - 1, BLOCK, 2 * BLOCK + 3])
+    def test_recover(self, trials):
+        def kernel(d):
+            return lambda index, rng: variational.power_sums(np.abs(quantum.haar_states(d, index.size, rng)))
+
+        rows = np.concatenate([blockwise(kernel(d), trials, self.SEED, di) for di, d in enumerate((2, 3, 6))])
+        coefficients, objective = variational.fit_power_series(rows)
+        assert variational.MIN_SAMPLES <= trials
+        got, got_objective, count = variational.recover_rule((2, 3, 6), trials, self.SEED)
+        np.testing.assert_array_equal(got, coefficients)
+        assert got_objective == objective and count == 3 * trials
+
+    @pytest.mark.parametrize("trials", [BLOCK - 1, BLOCK, 2 * BLOCK + 3])
+    def test_spin1(self, capsys, trials):
+        jz, jxy = quantum.spin1_jz().eigensystem.eigenvectors, quantum.spin1_jx2_minus_jy2().eigensystem.eigenvectors
+        pair = np.column_stack([jz[:, 1], jxy[:, 1]])  # both share |m=0> as eigenvector 1
+
+        def kernel(index, rng):
+            p = np.abs(quantum.haar_states(3, index.size, rng) @ np.conj(pair)) ** 2
+            return np.abs(p[:, 0] - p[:, 1])
+
+        values = [repr(float(x)) for x in blockwise(kernel, trials, self.SEED)]
+        assert self.csv_values(capsys, ["spin1", "--trials", str(trials)]) == values
+
+    @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8, 16])
+    def test_sample(self, capsys, d):
+        # reference: one observable per pair, its columns sorted by a column
+        # reindex as a single build lays them out
+        shots, trials = 300, 6
+        argv = ["sample", "--dim", str(d), "--shots", str(shots), "--trials", str(trials), "--seed", str(self.SEED)]
+        _, report = run_json(capsys, argv)
+        for i, pair in enumerate(report["results"]["pairs"]):
+            psi = quantum.haar_state(d, substream(self.SEED, i, 0))
+            rng = substream(self.SEED, i, 1)
+            values, basis = quantum.gapped_eigenvalues(d, rng), haar_array(d, rng)
+            vectors = fix_column_phases(basis[:, np.argsort(values, kind="stable")])
+            np.testing.assert_array_equal(
+                quantum.random_observable(d, substream(self.SEED, i, 1)).eigensystem.eigenvectors, vectors
+            )
+            counts = quantum.sample_outcomes(psi, vectors, shots, substream(self.SEED, i, 2))
+            assert pair["born"] == [float(x) for x in quantum.born_probabilities(psi, vectors)]
+            assert pair["frequencies"] == [float(x) for x in counts / shots]
+            assert pair["first_outcome"] == quantum.measure(psi, vectors, substream(self.SEED, i, 3))[0]
+
+    def test_sample_checks_one_stack(self, capsys, monkeypatch):
+        checked, built = [], []
+        check = quantum.check_eigensystems
+        monkeypatch.setattr(quantum, "check_eigensystems", lambda m, w, v: checked.append(m.shape) or check(m, w, v))
+        monkeypatch.setattr(quantum.Observable, "from_eigenbasis", lambda *args: built.append(args))
+        assert main(["sample", "--dim", "4", "--shots", "100", "--trials", "7"]) in (0, 1)
+        assert checked == [(7, 4, 4)] and built == []

@@ -13,6 +13,7 @@ from bornlab.linalg import (
     ZeroVector,
     complete_basis,
     eigendecompose,
+    fix_column_phases,
     haar_array,
 )
 from bornlab.tolerances import TOL
@@ -123,6 +124,36 @@ class TestEigendecompose:
         second = eigendecompose(m)
         np.testing.assert_array_equal(first.eigenvalues, second.eigenvalues)
         np.testing.assert_array_equal(first.eigenvectors, second.eigenvectors)
+
+
+class TestFixColumnPhases:
+    def stack(self):
+        rng = np.random.default_rng(8)
+        stack = rng.standard_normal((2, 5, 4, 4)) + 1j * rng.standard_normal((2, 5, 4, 4))
+        stack[0, 0] = np.exp(0.3j) * np.eye(4)
+        stack[0, 1, :, 2] = 0.0  # a zero column keeps its phase
+        stack[1, 2, :, 1] = [0.5j, -0.5, 0.5, 0.1]  # a magnitude tie goes to the lowest row
+        return stack
+
+    def test_stack_equals_each_matrix_alone(self):
+        stack = self.stack()
+        fixed = fix_column_phases(stack)
+        assert fixed.shape == stack.shape
+        for index in np.ndindex(stack.shape[:-2]):
+            np.testing.assert_array_equal(fixed[index], fix_column_phases(stack[index]))
+        np.testing.assert_array_equal(fixed[1, 2, :, 1], [0.5, 0.5j, -0.5j, -0.1j])
+        np.testing.assert_array_equal(fixed[0, 1, :, 2], 0.0)
+        pivots = np.take_along_axis(fixed, np.argmax(np.abs(fixed), axis=-2)[..., None, :], axis=-2)
+        np.testing.assert_allclose(pivots.imag, 0.0, rtol=0, atol=1e-15)
+        assert np.all(pivots.real >= 0.0)
+
+    def test_copy_keeps_the_memory_layout(self):
+        stack = self.stack()
+        columns = np.swapaxes(np.ascontiguousarray(np.swapaxes(stack, -1, -2)), -1, -2)
+        fixed = fix_column_phases(columns)
+        assert all(fixed[index].flags.f_contiguous for index in np.ndindex(stack.shape[:-2]))
+        np.testing.assert_array_equal(fixed, fix_column_phases(stack))
+        assert not np.shares_memory(fixed, columns)
 
 
 class TestHaarUnitary:

@@ -187,6 +187,33 @@ class TestObservable:
             built.eigensystem.eigenvectors, recovered.eigensystem.eigenvectors, atol=1e-9
         )
 
+    @pytest.mark.parametrize("d", [2, 3, 6, 16])
+    def test_stacked_observables_equal_single_builds(self, d):
+        streams = lambda: (substream(4, i) for i in range(5))
+        matrices, values, vectors = quantum.random_observables(d, streams())
+        assert matrices.shape == vectors.shape == (5, d, d) and values.shape == (5, d)
+        for i, rng in enumerate(streams()):
+            single = random_observable(d, rng)
+            np.testing.assert_array_equal(values[i], single.eigensystem.eigenvalues)
+            np.testing.assert_array_equal(vectors[i], single.eigensystem.eigenvectors)
+            np.testing.assert_allclose(matrices[i], single.matrix.entries, rtol=0, atol=1e-14)
+            # the column layout of a single build, which V^dag psi's rounding depends on
+            assert vectors[i].flags.f_contiguous and single.eigensystem.eigenvectors.flags.f_contiguous
+
+    def test_stack_is_checked_as_a_whole(self):
+        rng = np.random.default_rng(6)
+        bases = quantum.haar_array(3, rng, (4,))
+        values = np.array([[0.3, -0.2, 0.9]] * 4)
+        matrices, sorted_values, _ = quantum.eigenbasis_stack(values, bases)
+        np.testing.assert_array_equal(sorted_values, [[-0.2, 0.3, 0.9]] * 4)
+        assert np.max(np.abs(matrices - np.conj(np.swapaxes(matrices, -1, -2)))) == 0.0
+        values[2, 1] = values[2, 0]  # one degenerate member rejects the stack
+        with pytest.raises(ValueError, match="degenerate"):
+            quantum.eigenbasis_stack(values, bases)
+        bases[3, :, 0] *= 2.0  # as does one basis that is not orthonormal
+        with pytest.raises(ValueError, match="not orthonormal"):
+            quantum.eigenbasis_stack(np.array([[0.3, -0.2, 0.9]] * 4), bases)
+
     def test_random_observable_gap(self):
         for seed in range(20):
             obs = random_observable(5, np.random.default_rng(seed))
@@ -224,31 +251,31 @@ class TestExpand:
     def test_eigenstate_expansion(self):
         obs = random_observable(3, np.random.default_rng(0))
         phi2 = StateVector(obs.eigensystem.eigenvectors[:, 1])
-        alpha = expand(phi2, obs)
+        alpha = expand(phi2, obs.eigensystem.eigenvectors)
         np.testing.assert_allclose(np.abs(alpha), [0.0, 1.0, 0.0], atol=1e-12)
 
     def test_diagonal_observable_returns_own_entries(self):
         obs = Observable.from_matrix(np.diag([-1.0, 0.0, 1.0]).astype(complex))
         psi = StateVector.normalize(np.array([1.0, 2.0, 2.0]))
-        alpha = expand(psi, obs)
+        alpha = expand(psi, obs.eigensystem.eigenvectors)
         np.testing.assert_allclose(np.abs(alpha), np.abs(psi.amplitudes), atol=1e-14)
 
     def test_symmetric_state(self):
         obs = Observable.from_matrix(np.diag([0.1, 0.5, 0.9]).astype(complex))
         psi = StateVector(np.ones(3) / np.sqrt(3))
-        alpha = expand(psi, obs)
+        alpha = expand(psi, obs.eigensystem.eigenvectors)
         np.testing.assert_allclose(np.abs(alpha) ** 2, np.ones(3) / 3, atol=1e-14)
 
     def test_dim_mismatch(self):
         obs = random_observable(3, np.random.default_rng(1))
         with pytest.raises(DimMismatch):
-            expand(StateVector(np.array([1.0, 0.0])), obs)
+            expand(StateVector(np.array([1.0, 0.0])), obs.eigensystem.eigenvectors)
 
     @settings(max_examples=40, deadline=None)
     @given(d=st.integers(2, 8), seed=st.integers(0, 10_000))
     def test_expansion_preserves_norm(self, d, seed):
         rng = np.random.default_rng(seed)
-        alpha = expand(haar_state(d, rng), random_observable(d, rng))
+        alpha = expand(haar_state(d, rng), random_observable(d, rng).eigensystem.eigenvectors)
         assert abs(np.sum(np.abs(alpha) ** 2) - 1.0) <= 1e-12
 
 
@@ -256,13 +283,13 @@ class TestProbabilities:
     def test_certainty_on_eigenstate(self):
         obs = random_observable(4, np.random.default_rng(2))
         phi = StateVector(obs.eigensystem.eigenvectors[:, 2])
-        p = rule_probabilities(Born(), moduli(expand(phi, obs)).moduli)
+        p = rule_probabilities(Born(), moduli(expand(phi, obs.eigensystem.eigenvectors)).moduli)
         np.testing.assert_allclose(p, [0, 0, 1, 0], atol=1e-12)
 
     def test_symmetric_state_uniform(self):
         obs = Observable.from_matrix(np.diag([0.1, 0.5, 0.9]).astype(complex))
         psi = StateVector(np.ones(3) / np.sqrt(3))
-        p = rule_probabilities(Born(), moduli(expand(psi, obs)).moduli)
+        p = rule_probabilities(Born(), moduli(expand(psi, obs.eigensystem.eigenvectors)).moduli)
         np.testing.assert_allclose(p, np.ones(3) / 3, atol=1e-14)
 
     def test_linear_rule_defect_signal(self):
@@ -270,7 +297,7 @@ class TestProbabilities:
         # the sum is sqrt(2), not 1 - the defect is the point
         obs = Observable.from_matrix(np.diag([-0.5, 0.5]).astype(complex))
         psi = StateVector(np.array([1.0, 1.0]) / np.sqrt(2))
-        p = rule_probabilities(Power(1), moduli(expand(psi, obs)).moduli)
+        p = rule_probabilities(Power(1), moduli(expand(psi, obs.eigensystem.eigenvectors)).moduli)
         np.testing.assert_allclose(p, [0.7071067811865475] * 2, atol=1e-12)
         assert abs(np.sum(p) - np.sqrt(2)) < 1e-12
 
@@ -278,7 +305,7 @@ class TestProbabilities:
     @given(d=st.integers(2, 8), seed=st.integers(0, 10_000))
     def test_born_probabilities_normalized(self, d, seed):
         rng = np.random.default_rng(seed)
-        p = rule_probabilities(Born(), moduli(expand(haar_state(d, rng), random_observable(d, rng))).moduli)
+        p = rule_probabilities(Born(), moduli(expand(haar_state(d, rng), random_observable(d, rng).eigensystem.eigenvectors)).moduli)
         assert abs(np.sum(p) - 1.0) <= 1e-12
 
     @settings(max_examples=30, deadline=None)
@@ -293,8 +320,8 @@ class TestProbabilities:
         phases = np.exp(1j * rng.uniform(0, 2 * np.pi, size=d))
         conjugated = StateVector((vectors * phases) @ (vectors.conj().T @ psi.amplitudes))
         for rule in (Born(), Power(1.5)):
-            base = rule_probabilities(rule, moduli(expand(psi, obs)).moduli)
-            shifted = rule_probabilities(rule, moduli(expand(conjugated, obs)).moduli)
+            base = rule_probabilities(rule, moduli(expand(psi, obs.eigensystem.eigenvectors)).moduli)
+            shifted = rule_probabilities(rule, moduli(expand(conjugated, obs.eigensystem.eigenvectors)).moduli)
             assert np.max(np.abs(base - shifted)) <= 1e-12
 
 
@@ -303,13 +330,13 @@ class TestMeasurement:
         obs = random_observable(3, np.random.default_rng(3))
         phi1 = StateVector(obs.eigensystem.eigenvectors[:, 0])
         for seed in range(20):
-            k, _ = measure(phi1, obs, np.random.default_rng(seed))
+            k, _ = measure(phi1, obs.eigensystem.eigenvectors, np.random.default_rng(seed))
             assert k == 0
 
     def test_post_state_is_matching_eigenvector(self):
         obs = random_observable(4, np.random.default_rng(4))
         psi = haar_state(4, np.random.default_rng(5))
-        k, post_state = measure(psi, obs, np.random.default_rng(6))
+        k, post_state = measure(psi, obs.eigensystem.eigenvectors, np.random.default_rng(6))
         phi = obs.eigensystem.eigenvectors[:, k]
         overlap = abs(np.vdot(post_state.amplitudes, phi))
         assert abs(overlap - 1.0) < 1e-12
@@ -318,9 +345,9 @@ class TestMeasurement:
         obs = random_observable(3, np.random.default_rng(7))
         psi = haar_state(3, np.random.default_rng(8))
         rng = np.random.default_rng(9)
-        k, post_state = measure(psi, obs, rng)
+        k, post_state = measure(psi, obs.eigensystem.eigenvectors, rng)
         for _ in range(100):
-            again, _ = measure(post_state, obs, rng)
+            again, _ = measure(post_state, obs.eigensystem.eigenvectors, rng)
             assert again == k
 
     def test_frequencies_match_binomial_oracle(self):
@@ -329,7 +356,7 @@ class TestMeasurement:
         obs = Observable.from_matrix(np.diag([-0.5, 0.5]).astype(complex))
         psi = StateVector(np.array([1.0, 1.0]) / np.sqrt(2))
         shots = 100_000
-        counts = sample_outcomes(psi, obs, shots, np.random.default_rng(11))
+        counts = sample_outcomes(psi, obs.eigensystem.eigenvectors, shots, np.random.default_rng(11))
         sigma = np.sqrt(0.25 / shots)
         assert abs(counts[0] / shots - 0.5) < 3 * sigma
 
@@ -338,28 +365,28 @@ class TestMeasurement:
         psi = StateVector(np.array([0.6, 0.8]))
         shots = 4000
         rng = np.random.default_rng(13)
-        hits = sum(measure(psi, obs, rng)[0] == 0 for _ in range(shots))
+        hits = sum(measure(psi, obs.eigensystem.eigenvectors, rng)[0] == 0 for _ in range(shots))
         sigma = np.sqrt(0.36 * 0.64 / shots)
         assert abs(hits / shots - 0.36) < 3 * sigma
 
     def test_sampling_deterministic_for_fixed_stream(self):
         obs = random_observable(3, np.random.default_rng(14))
         psi = haar_state(3, np.random.default_rng(15))
-        a = sample_outcomes(psi, obs, 1000, substream(77, 0))
-        b = sample_outcomes(psi, obs, 1000, substream(77, 0))
+        a = sample_outcomes(psi, obs.eigensystem.eigenvectors, 1000, substream(77, 0))
+        b = sample_outcomes(psi, obs.eigensystem.eigenvectors, 1000, substream(77, 0))
         np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("shots", [1, 6, 7, 50, 301])
     def test_chunked_counts_equal_one_draw(self, monkeypatch, shots):
         obs = random_observable(3, np.random.default_rng(16))
         psi = haar_state(3, np.random.default_rng(17))
-        cumulative = np.cumsum(born_probabilities(psi, obs))
+        cumulative = np.cumsum(born_probabilities(psi, obs.eigensystem.eigenvectors))
         # one draw of all the uniforms, inverse CDF with ties to the lower index
         single = np.random.default_rng(18).random(shots)
         outcomes = np.minimum(np.searchsorted(cumulative, single, side="left"), 2)
         reference = np.bincount(outcomes, minlength=3)
         monkeypatch.setattr(quantum, "SHOT_CHUNK", 7)
-        counts = sample_outcomes(psi, obs, shots, np.random.default_rng(18))
+        counts = sample_outcomes(psi, obs.eigensystem.eigenvectors, shots, np.random.default_rng(18))
         np.testing.assert_array_equal(counts, reference)
 
     @pytest.mark.parametrize(
@@ -376,7 +403,7 @@ class TestMeasurement:
         d = len(probabilities)
         obs = Observable.from_matrix(np.diag(np.arange(d, dtype=float)).astype(complex))
         psi = StateVector(np.sqrt(probabilities) * scale)
-        cumulative = np.cumsum(born_probabilities(psi, obs))
+        cumulative = np.cumsum(born_probabilities(psi, obs.eigensystem.eigenvectors))
         if scale < 1.0:
             assert cumulative[-1] < 1.0
         # uniforms on every cumulative value and its neighbours, at the ends
@@ -395,7 +422,7 @@ class TestMeasurement:
                 return uniforms[self.used - n : self.used]
 
         monkeypatch.setattr(quantum, "SHOT_CHUNK", 7)
-        counts = sample_outcomes(psi, obs, uniforms.size, Replay())
+        counts = sample_outcomes(psi, obs.eigensystem.eigenvectors, uniforms.size, Replay())
         np.testing.assert_array_equal(counts, reference)
 
 
@@ -406,11 +433,11 @@ class TestMeasurement:
         for seed in range(20):
             obs = random_observable(3, substream(19, seed, 1))
             psi = haar_state(3, substream(19, seed, 0))
-            k, post_state = measure(psi, obs, substream(19, seed, 3))
+            k, post_state = measure(psi, obs.eigensystem.eigenvectors, substream(19, seed, 3))
             for state in (psi, post_state):
                 rng = substream(19, seed, 4)
-                scalar = [measure(state, obs, rng)[0] for _ in range(100)]
-                cumulative = np.cumsum(born_probabilities(state, obs))
+                scalar = [measure(state, obs.eigensystem.eigenvectors, rng)[0] for _ in range(100)]
+                cumulative = np.cumsum(born_probabilities(state, obs.eigensystem.eigenvectors))
                 one_draw = draw_outcomes(cumulative, substream(19, seed, 4).random(100))
                 np.testing.assert_array_equal(one_draw, scalar)
                 mixed = mixed or len(set(scalar)) > 1
@@ -451,6 +478,6 @@ class TestSpinOneFixtures:
     @given(seed=st.integers(0, 100_000))
     def test_same_probability_for_middle_state(self, seed):
         psi = haar_state(3, np.random.default_rng(seed))
-        p_z = born_probabilities(psi, spin1_jz())[1]
-        p_x = born_probabilities(psi, spin1_jx2_minus_jy2())[1]
+        p_z = born_probabilities(psi, spin1_jz().eigensystem.eigenvectors)[1]
+        p_x = born_probabilities(psi, spin1_jx2_minus_jy2().eigensystem.eigenvectors)[1]
         assert abs(p_z - p_x) <= 1e-12
