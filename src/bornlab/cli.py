@@ -355,10 +355,8 @@ def cmd_sample(args) -> Verdict:
         within = bool(np.all(np.abs(frequencies - p) <= 3.0 * sigma))
 
         first, post_state = quantum.measure(psi, vectors, substream(seed, i, 3))
-        # 100 re-measurements of the collapsed state: measure()'s inverse CDF on one draw
-        post = np.cumsum(quantum.born_probabilities(post_state, vectors))
-        repeats = quantum.draw_outcomes(post, substream(seed, i, 4).random(100))
-        repeat_ok = bool(np.all(repeats == first))
+        # 100 re-measurements of the collapsed state, by measure()'s draw rule
+        repeat_ok = bool(quantum.sample_outcomes(post_state, vectors, 100, substream(seed, i, 4))[first] == 100)
         pairs.append(
             {
                 "pair": i,

@@ -75,7 +75,7 @@ class HermitianMatrix(ComplexMatrix):
 class UnitaryMatrix(ComplexMatrix):
     def __post_init__(self) -> None:
         super().__post_init__()
-        within(unitary_defect(self.entries), TOL.unitary_entry, "matrix is not unitary: max |U^dag U - I| =")
+        within(unitary_defect(self.entries), TOL.orthonormality, "matrix is not unitary: max |U^dag U - I| =")
 
 
 @dataclass(frozen=True)

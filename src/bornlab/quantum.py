@@ -39,7 +39,7 @@ class StateVector:
 
     def __post_init__(self) -> None:
         amplitudes = np.array(self.amplitudes, dtype=np.complex128).reshape(-1)
-        within(abs(np.vdot(amplitudes, amplitudes).real - 1.0), TOL.state_norm, "state norm defect", NotNormalized)
+        within(abs(np.vdot(amplitudes, amplitudes).real - 1.0), TOL.unit_norm, "state norm defect", NotNormalized)
         amplitudes.setflags(write=False)
         object.__setattr__(self, "amplitudes", amplitudes)
 
@@ -66,7 +66,7 @@ def check_orthant(rows: np.ndarray) -> None:
         defect = abs(float(rows.dot(rows)) - 1.0)
     else:
         defect = float(np.abs(np.vecdot(rows, rows) - 1.0).max(initial=0.0))
-    within(defect, TOL.orthant_norm, "orthant norm defect", NotNormalized)
+    within(defect, TOL.unit_norm, "orthant norm defect", NotNormalized)
 
 
 @dataclass(frozen=True)
@@ -162,12 +162,6 @@ def born_probabilities(state: StateVector, vectors: np.ndarray) -> np.ndarray:
     return np.abs(expand(state, vectors)) ** 2
 
 
-def draw_outcomes(cumulative: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
-    """Outcome index of each uniform: the inverse CDF, ties toward the lower index."""
-    idx = np.searchsorted(cumulative, uniforms, side="left")
-    return np.minimum(idx, cumulative.shape[0] - 1)
-
-
 def measure(state: StateVector, vectors: np.ndarray, rng: np.random.Generator) -> tuple[int, StateVector]:
     """Sample one outcome k (quadratic rule) in the eigenbasis vectors (d, d);
     return k and the collapsed state, eigenvector column k.
@@ -176,27 +170,27 @@ def measure(state: StateVector, vectors: np.ndarray, rng: np.random.Generator) -
     under any other rule is rejected by construction: this function does
     not take a rule argument.
     """
-    cumulative = np.cumsum(born_probabilities(state, vectors))
-    k = int(draw_outcomes(cumulative, np.array([rng.random()]))[0])
+    k = int(np.argmax(sample_outcomes(state, vectors, 1, rng)))
     return k, StateVector.normalize(vectors[:, k])
 
 
 def sample_outcomes(state: StateVector, vectors: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:
-    """Outcome counts over many shots in the eigenbasis vectors (d, d), by the
-    draw rule of measure().
+    """Outcome counts over many shots in the eigenbasis vectors (d, d): the
+    one draw rule, which measure() takes one shot of.
 
-    Shots are counted as the uniforms at or below each cumulative
-    probability, which is measure()'s inverse CDF with ties toward the
-    lower index; the last outcome takes every other shot, also a uniform
-    above a last cumulative value that rounding left below 1.
+    Each shot draws one uniform and takes the inverse CDF of the Born
+    probabilities, ties toward the lower index: shots are counted as the
+    uniforms at or below each cumulative probability, and the last outcome
+    takes every other shot, also a uniform above a last cumulative value
+    that rounding left below 1.
     """
     edges = np.cumsum(born_probabilities(state, vectors))[:-1]
-    at_or_below = np.zeros(state.dim, dtype=np.intp)
+    at_or_below = np.zeros(state.dim + 1, dtype=np.intp)  # [0]: no shot is below the first outcome
     for start in range(0, shots, SHOT_CHUNK):  # bounded memory for any shot count
         uniforms = rng.random(min(SHOT_CHUNK, shots - start))
-        at_or_below[:-1] += [np.count_nonzero(uniforms <= edge) for edge in edges]
+        at_or_below[1:-1] += [np.count_nonzero(uniforms <= edge) for edge in edges]
     at_or_below[-1] = shots
-    return np.diff(at_or_below, prepend=0)
+    return at_or_below[1:] - at_or_below[:-1]  # np.diff's prepend costs more than the draw at one shot
 
 
 def _check_dim(dim: int) -> None:

@@ -16,15 +16,11 @@ BLOCK = 128  # draws per block: the unit of streams and checks
 
 def substream(seed: int, *indices: int) -> np.random.Generator:
     """Return an independent generator for a (seed, trial/phase) address."""
-    if seed < 0:
-        raise ValueError("seed must be a non-negative integer")
     return np.random.default_rng(np.random.SeedSequence((seed, *indices)))
 
 
 def subseed(seed: int, *indices: int) -> int:
     """Derive a child seed for a named phase of a larger experiment."""
-    if seed < 0:
-        raise ValueError("seed must be a non-negative integer")
     words = np.random.SeedSequence((seed, *indices)).generate_state(2)
     return (int(words[0]) << 32) | int(words[1])
 

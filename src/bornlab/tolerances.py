@@ -14,13 +14,11 @@ from dataclasses import dataclass
 class Tolerances:
     # construction-time invariants
     hermitian_entry: float = 1e-12   # max |M - M^dag| entry accepted as Hermitian
-    unitary_entry: float = 1e-10     # max |U^dag U - I| entry accepted as unitary
-    state_norm: float = 1e-12        # | sum |amp|^2 - 1 | for state vectors
-    orthant_norm: float = 1e-12      # | sum a_i^2 - 1 | for modulus vectors
+    unit_norm: float = 1e-12         # | sum |a_i|^2 - 1 | for state amplitudes and orthant moduli rows
 
     # eigensystem quality
     eigen_residual: float = 1e-10    # ||M v - w v|| per eigenpair
-    orthonormality: float = 1e-10    # max |V^dag V - I| entry
+    orthonormality: float = 1e-10    # max |U^dag U - I| entry, for unitaries and eigenvector columns
 
     # observables
     degeneracy_gap: float = 1e-8     # minimum eigenvalue separation accepted

@@ -24,6 +24,7 @@ from .tolerances import TOL
 
 MIN_SAMPLES = 10 * 4  # ten sampled rows per fitted coefficient
 BOUNDARY_WEIGHT = 10.0  # weight of the f(1) = 1 row in fit_power_series
+ROW_CHUNK = 4096  # orthant rows evaluated at once by outcome_stationarity
 
 
 class RankDeficient(RuntimeError):
@@ -60,17 +61,25 @@ def outcome_stationarity(
     in each coordinate (no projection back onto the sphere); the constraint
     enters only through the multiplier term.  The residual at j = k and at
     boundary-adjacent moduli is 0, as above.
+
+    Rows are evaluated ROW_CHUNK at a time, which bounds the (rows, d, d)
+    arrays; each row's partials depend only on that row, so the bits do not
+    depend on the chunking.
     """
     step = TOL.fd_step
     rows = np.asarray(rows, dtype=np.float64)
     d = rows.shape[-1]
-    ks = np.asarray(ks)[..., None]
-    inside = (step <= rows) & (rows <= 1.0 - step) & (np.arange(d) != ks)
-    shift = step * np.eye(d) * inside[..., :, None]  # copy j moves coordinate j only
-    up = p(rows[..., None, :] + shift)  # (..., j, outcome)
-    down = p(rows[..., None, :] - shift)
-    partial = np.take_along_axis(up - down, ks[..., None], axis=-1)[..., 0] / (2.0 * step)
-    return np.where(inside, partial - 2.0 * multiplier * rows, 0.0)
+    flat, flat_ks = rows.reshape(-1, d), np.broadcast_to(ks, rows.shape[:-1]).reshape(-1, 1)
+    residuals = []
+    for start in range(0, flat.shape[0], ROW_CHUNK):
+        a, k = flat[start : start + ROW_CHUNK], flat_ks[start : start + ROW_CHUNK]
+        inside = (step <= a) & (a <= 1.0 - step) & (np.arange(d) != k)
+        shift = step * np.eye(d) * inside[:, :, None]  # copy j moves coordinate j only
+        up = p(a[:, None, :] + shift)  # (row, j, outcome)
+        down = p(a[:, None, :] - shift)
+        partial = np.take_along_axis(up - down, k[:, :, None], axis=-1)[..., 0] / (2.0 * step)
+        residuals.append(np.where(inside, partial - 2.0 * multiplier * a, 0.0))
+    return np.concatenate(residuals).reshape(rows.shape)
 
 
 def closed_form_check(rows: np.ndarray, ks: np.ndarray, scale: float, offset: float) -> np.ndarray:

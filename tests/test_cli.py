@@ -679,6 +679,19 @@ class TestStackedEqualsPerBlock:
         names = ("max_sum_residual", "max_outcome_residual", "max_closed_form_residual")
         assert [report["results"][name] for name in names] == [float(x) for x in worst]
 
+    def test_stationarity_row_chunks(self, capsys, monkeypatch):
+        # a cap of 7 rows splits every dimension's finite differences into
+        # many chunks, and no bit of the report moves
+        argv = ["stationarity", "--dims", "2,3,8", "--trials", "259"]
+
+        def outputs():
+            code, report = run_json(capsys, argv + ["--seed", str(self.SEED)])
+            return code, report["results"], report["pass"], self.csv_values(capsys, argv)
+
+        whole = outputs()
+        monkeypatch.setattr(variational, "ROW_CHUNK", 7)
+        assert outputs() == whole
+
     @pytest.mark.parametrize("trials", [BLOCK - 1, BLOCK, 2 * BLOCK + 3])
     def test_recover(self, trials):
         def kernel(d):

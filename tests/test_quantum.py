@@ -14,7 +14,6 @@ from bornlab.quantum import (
     StateVector,
     born_probabilities,
     check_orthant,
-    draw_outcomes,
     expand,
     gapped_eigenvalues,
     haar_state,
@@ -29,6 +28,23 @@ from bornlab.quantum import (
 from bornlab.rules import Born, Power, rule_probabilities
 from bornlab.streams import substream
 from bornlab.tolerances import TOL
+
+
+def inverse_cdf(cumulative, uniforms):
+    """Reference draw: the first outcome whose cumulative probability reaches
+    the uniform, ties toward the lower index, the last outcome above them all."""
+    return np.minimum(np.searchsorted(cumulative, uniforms, side="left"), cumulative.size - 1)
+
+
+class Replay:
+    """A generator whose random(n) hands out the next n of a fixed list of uniforms."""
+
+    def __init__(self, uniforms):
+        self.uniforms, self.used = uniforms, 0
+
+    def random(self, n):
+        self.used += n
+        return self.uniforms[self.used - n : self.used]
 
 
 def spin1_ladder_matrices():
@@ -412,23 +428,39 @@ class TestMeasurement:
         top = np.nextafter(1.0, 0.0)
         fixed = np.concatenate([edges[edges < 1.0], [0.0, top, (cumulative[-1] + top) / 2]])
         uniforms = np.concatenate([fixed, np.random.default_rng(20).random(50)])
-        reference = np.bincount(draw_outcomes(cumulative, uniforms), minlength=d)
-
-        class Replay:  # a generator whose random(n) hands out the next n of ``uniforms``
-            used = 0
-
-            def random(self, n):
-                self.used += n
-                return uniforms[self.used - n : self.used]
-
+        reference = np.bincount(inverse_cdf(cumulative, uniforms), minlength=d)
         monkeypatch.setattr(quantum, "SHOT_CHUNK", 7)
-        counts = sample_outcomes(psi, obs.eigensystem.eigenvectors, uniforms.size, Replay())
+        counts = sample_outcomes(psi, obs.eigensystem.eigenvectors, uniforms.size, Replay(uniforms))
         np.testing.assert_array_equal(counts, reference)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        weights=st.lists(st.integers(0, 3), min_size=2, max_size=8).filter(any),
+        scale=st.sampled_from([1.0, 1.0 - 2e-13, 1.0 - 4e-13]),
+        data=st.data(),
+    )
+    def test_measure_and_counts_follow_one_draw_rule(self, weights, scale, data):
+        # zero weights tie cumulative values, a scale below 1 leaves the last
+        # one below 1; uniforms sit on and next to every cumulative value
+        d = len(weights)
+        vectors = np.eye(d, dtype=complex)
+        psi = StateVector(np.sqrt(np.array(weights) / sum(weights)) * scale)
+        cumulative = np.cumsum(born_probabilities(psi, vectors))
+        edges = np.concatenate([cumulative, np.nextafter(cumulative, 0.0), np.nextafter(cumulative, 1.0), [0.0]])
+        uniform = st.one_of(st.sampled_from(sorted(edges[edges < 1.0])), st.floats(0.0, 1.0, exclude_max=True))
+        uniforms = np.array(data.draw(st.lists(uniform, min_size=1, max_size=30)))
+        reference = inverse_cdf(cumulative, uniforms)
+
+        rng = Replay(uniforms)  # measure() and sample_outcomes() draw these same uniforms
+        outcomes = [measure(psi, vectors, rng)[0] for _ in uniforms]
+        np.testing.assert_array_equal(outcomes, reference)
+        counts = sample_outcomes(psi, vectors, uniforms.size, Replay(uniforms))
+        np.testing.assert_array_equal(counts, np.bincount(reference, minlength=d))
 
 
     def test_one_draw_repeats_equal_scalar_measure_calls(self):
-        # sample's collapse check: one draw of 100 uniforms through the
-        # inverse CDF, against the 100 measure() calls it replaced
+        # sample's collapse check: 100 shots of sample_outcomes, against the
+        # 100 measure() calls it replaced and the inverse CDF of one draw
         mixed = False
         for seed in range(20):
             obs = random_observable(3, substream(19, seed, 1))
@@ -438,8 +470,10 @@ class TestMeasurement:
                 rng = substream(19, seed, 4)
                 scalar = [measure(state, obs.eigensystem.eigenvectors, rng)[0] for _ in range(100)]
                 cumulative = np.cumsum(born_probabilities(state, obs.eigensystem.eigenvectors))
-                one_draw = draw_outcomes(cumulative, substream(19, seed, 4).random(100))
+                one_draw = inverse_cdf(cumulative, substream(19, seed, 4).random(100))
                 np.testing.assert_array_equal(one_draw, scalar)
+                counts = sample_outcomes(state, obs.eigensystem.eigenvectors, 100, substream(19, seed, 4))
+                np.testing.assert_array_equal(counts, np.bincount(scalar, minlength=3))
                 mixed = mixed or len(set(scalar)) > 1
             assert set(scalar) == {k}  # the collapsed state repeats
         assert mixed  # the uncollapsed states exercise more than one outcome
