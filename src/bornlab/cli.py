@@ -178,6 +178,44 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+Check = tuple[dict, list[tuple], float, list[float]]  # results entries, CSV rows, statistic, witness
+
+
+def _defect_check(rule, d: int, trials: int, seed: int, *address: int) -> Check:
+    """The normalization-defect scan of rule at d, run at subseed(seed, *address).
+
+    Returns its results entry, one CSV row per trial, the largest defect and
+    the worst state's moduli.
+    """
+    scan = rules.defect_scan(rule, d, trials, subseed(seed, *address))
+    series = [(i, d, None, scan.defects[i]) for i in range(scan.trials)]
+    return {"defect": scan.as_dict()}, series, scan.max_defect, [float(x) for x in scan.argmax_state.moduli]
+
+
+def _independence_check(rule, d: int, draws: int, seed: int, *address: int, first: int = 0) -> Check:
+    """Both independence scans of rule at d, on streams (seed, *address, first..first+3).
+
+    The observable scan measures psi (substream first) at the outcome phi
+    (substream first + 1); the rotation scan resamples the complement of
+    psi's own a_0.  Returns their results entries, CSV rows, the larger
+    spread (the observable scan's on a tie) and that scan's [min p, max p].
+    """
+    psi = haar_state(d, substream(seed, *address, first))
+    phi = haar_state(d, substream(seed, *address, first + 1))
+    obs_scan = invariance.observable_independence_scan(psi, phi, rule, draws, subseed(seed, *address, first + 2))
+    point = moduli(psi.amplitudes)
+    rot_scan = invariance.unobserved_independence_scan(point, 0, rule, draws, subseed(seed, *address, first + 3))
+    results = {"observable_scan": obs_scan.as_dict(), "rotation_scan": rot_scan.as_dict()}
+    if d == 2 and isinstance(rule, rules.Renormalized):
+        # the complement orthant is a single point, so both spreads vanish
+        # for every rule: the d=2 gap of Gleason's theorem
+        results["inconclusive"] = "at d=2 both independence spreads vanish for every rule; use --dim 3 or more"
+    series = [(i, d, None, p) for i, p in enumerate(obs_scan.p_values)]
+    series += [(i, d, 0, p) for i, p in enumerate(rot_scan.p_values)]
+    worst = obs_scan if obs_scan.spread >= rot_scan.spread else rot_scan
+    return results, series, worst.spread, [float(np.min(worst.p_values)), float(np.max(worst.p_values))]
+
+
 def cmd_verify_born(args) -> Verdict:
     born = rules.Born()
     per_dim = []
@@ -185,20 +223,13 @@ def cmd_verify_born(args) -> Verdict:
     pairs, draws = 10, 100
 
     for di, d in enumerate(args.dims):
-        scan = rules.defect_scan(born, d, args.trials, subseed(args.seed, di, 0))
-        series.extend((i, d, None, scan.defects[i]) for i in range(scan.trials))
-
-        spreads = []
-        for pair in range(pairs):
-            psi = haar_state(d, substream(args.seed, di, 1, pair, 0))
-            phi = haar_state(d, substream(args.seed, di, 1, pair, 1))
-            report = invariance.observable_independence_scan(psi, phi, born, draws, subseed(args.seed, di, 1, pair))
-            spreads.append(report.spread)
-
+        defect, rows, _, _ = _defect_check(born, d, args.trials, args.seed, di, 0)
+        series += rows
+        spreads = [_independence_check(born, d, draws, args.seed, di, 1, pair)[2] for pair in range(pairs)]
         per_dim.append(
             {
                 "dim": d,
-                "defect": scan.as_dict(),
+                **defect,
                 "independence_pairs": pairs,
                 "independence_draws": draws,
                 "independence_max_spread": max(spreads),
@@ -215,63 +246,31 @@ def cmd_verify_born(args) -> Verdict:
     return results, passed, series
 
 
-def _independence_scans(args, first: int) -> tuple[dict, list[tuple], invariance.InvarianceReport]:
-    """Both independence scans of args.rule at args.dim, on streams first..first+3.
-
-    The observable scan measures psi (substream first) at the outcome phi
-    (substream first + 1); the rotation scan resamples the complement of
-    psi's own a_0.  Returns their results entries, CSV rows and the scan
-    with the larger spread (the observable scan on a tie).
-    """
-    rule, d, seed = args.rule, args.dim, args.seed
-    psi = haar_state(d, substream(seed, first))
-    phi = haar_state(d, substream(seed, first + 1))
-    obs_scan = invariance.observable_independence_scan(psi, phi, rule, args.trials, subseed(seed, first + 2))
-    point = moduli(psi.amplitudes)
-    rot_scan = invariance.unobserved_independence_scan(point, 0, rule, args.trials, subseed(seed, first + 3))
-    results = {"observable_scan": obs_scan.as_dict(), "rotation_scan": rot_scan.as_dict()}
-    if d == 2 and isinstance(rule, rules.Renormalized):
-        # the complement orthant is a single point, so both spreads vanish
-        # for every rule: the d=2 gap of Gleason's theorem
-        results["inconclusive"] = "at d=2 both independence spreads vanish for every rule; use --dim 3 or more"
-    series = [(i, d, None, p) for i, p in enumerate(obs_scan.p_values)]
-    series += [(i, d, 0, p) for i, p in enumerate(rot_scan.p_values)]
-    return results, series, obs_scan if obs_scan.spread >= rot_scan.spread else rot_scan
-
-
 def cmd_falsify(args) -> Verdict:
     rule, d = args.rule, args.dim
-    scan = rules.defect_scan(rule, d, args.trials, subseed(args.seed, 0))
-    series = [(i, d, None, scan.defects[i]) for i in range(scan.trials)]
-    results: dict = {
-        "rule": rule.name,
-        "dim": d,
-        "defect": scan.as_dict(),
-        "thresholds": {"defect": args.tol_defect, "spread": args.tol_spread},
-    }
-    falsified = scan.max_defect > args.tol_defect
-    witness = [float(x) for x in scan.argmax_state.moduli] if falsified else None
+    defect, series, max_defect, witness = _defect_check(rule, d, args.trials, args.seed, 0)
+    thresholds = {"defect": args.tol_defect, "spread": args.tol_spread}
+    results: dict = {"rule": rule.name, "dim": d, **defect, "thresholds": thresholds}
+    falsified = max_defect > args.tol_defect
 
     if isinstance(rule, rules.Renormalized):
-        scans, rows, worst = _independence_scans(args, 1)
+        scans, rows, spread, spread_witness = _independence_check(rule, d, args.trials, args.seed, first=1)
         results.update(scans)
         series += rows
         if "inconclusive" in results:
-            falsified = witness = None
-        elif worst.spread > args.tol_spread:
-            falsified = True
-            witness = [float(p) for p in (np.min(worst.p_values), np.max(worst.p_values))]
+            falsified = None
+        elif spread > args.tol_spread:
+            falsified, witness = True, spread_witness
 
     results["falsified"] = falsified
-    results["witness"] = witness
+    results["witness"] = witness if falsified else None
     return results, falsified is False, series
 
 
 def cmd_independence(args) -> Verdict:
-    results, series, worst = _independence_scans(args, 0)
-    results.update(max_spread=worst.spread, threshold=args.tol_spread)
-    passed = worst.spread <= args.tol_spread and "inconclusive" not in results
-    return results, passed, series
+    results, series, spread, _ = _independence_check(args.rule, args.dim, args.trials, args.seed)
+    results.update(max_spread=spread, threshold=args.tol_spread)
+    return results, spread <= args.tol_spread and "inconclusive" not in results, series
 
 
 def cmd_recover(args) -> Verdict:

@@ -193,36 +193,26 @@ def sample_outcomes(state: StateVector, vectors: np.ndarray, shots: int, rng: np
     return at_or_below[1:] - at_or_below[:-1]  # np.diff's prepend costs more than the draw at one shot
 
 
-def _check_dim(dim: int) -> None:
-    if dim < 1:  # every draw of no amplitudes has norm 0 and would be redrawn forever
-        raise ValueError("a state needs dimension at least 1")
-
-
 def haar_state(dim: int, rng: np.random.Generator) -> StateVector:
-    """Uniformly random pure state (normalized complex Gaussian vector)."""
-    _check_dim(dim)
-    while True:
-        real, imag = rng.standard_normal((2, dim))  # the same numbers as two draws of dim
-        z = real + 1j * imag
-        # np.linalg.norm's own formula on the strided views of z, so the same
-        # bits; the contiguous real and imag rows would round differently
-        norm = math.sqrt(z.real.dot(z.real) + z.imag.dot(z.imag))
-        if norm > TOL.zero_vector:
-            return StateVector(z / norm)
+    """Uniformly random pure state (normalized complex Gaussian vector).
+
+    A zero draw (probability 0) becomes nan, which StateVector rejects.
+    """
+    real, imag = rng.standard_normal((2, dim))  # the same numbers as two draws of dim
+    z = real + 1j * imag
+    # np.linalg.norm's own formula on the strided views of z, so the same
+    # bits; the contiguous real and imag rows would round differently
+    return StateVector(z / math.sqrt(z.real.dot(z.real) + z.imag.dot(z.imag)))
 
 
 def haar_states(dim: int, n: int, rng: np.random.Generator) -> np.ndarray:
     """n uniformly random pure states as amplitude rows (n, dim).
 
-    Each row is a normalized complex Gaussian; a row whose norm is at or
-    below the zero-vector threshold is redrawn.  The moduli rows are checked
-    once for the whole block.
+    Each row is a normalized complex Gaussian.  The moduli rows are checked
+    once for the whole block; a zero row (probability 0) becomes nan and
+    fails that check.
     """
-    _check_dim(dim)
-    draw = lambda rows: rng.standard_normal((rows, dim)) + 1j * rng.standard_normal((rows, dim))
-    z = draw(n)
-    while np.any(redraw := np.linalg.norm(z, axis=-1) <= TOL.zero_vector):
-        z[redraw] = draw(np.count_nonzero(redraw))
+    z = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
     states = z / np.linalg.norm(z, axis=-1, keepdims=True)
     check_orthant(np.abs(states))
     return states

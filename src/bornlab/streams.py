@@ -3,6 +3,12 @@
 Every trial, or every block of BLOCK draws, gets its own generator derived
 from (seed, indices), so a result depends only on its address, never on
 what was drawn before it.
+
+np.random.SeedSequence pads its entropy with zero words up to four 32-bit
+words (a seed from 2**32 up takes two), so addresses that differ only in
+trailing zeros within those four words are one stream: substream(s, k),
+substream(s, k, 0) and substream(s, k, 0, 0) coincide for s < 2**32, while
+a fifth word, even a zero, makes a different stream.
 """
 
 from __future__ import annotations

@@ -146,21 +146,21 @@ class TestStateAndModulus:
             moduli(psi.amplitudes * phases).moduli, moduli(psi.amplitudes).moduli
         )
 
-    def test_stacked_states_redraw_zero_rows(self):
-        rng = np.random.default_rng(20)
-        shapes = []
+    def test_a_zero_draw_is_not_normalized(self):
+        class ZeroRows:  # standard normal draws whose first rows are zero
+            def __init__(self, rows):
+                self.rng, self.rows = np.random.default_rng(20), rows
 
-        class FirstRowZeroTwice:  # the real part, then the imaginary part
             def standard_normal(self, shape):
-                z = rng.standard_normal(shape)
-                if len(shapes) < 2:
-                    z[0] = 0.0
-                shapes.append(shape)
+                z = self.rng.standard_normal(shape)
+                z[: self.rows] = 0.0
                 return z
 
-        states = haar_states(4, 3, FirstRowZeroTwice())
-        assert shapes == [(3, 4), (3, 4), (1, 4), (1, 4)]
-        np.testing.assert_allclose(np.linalg.norm(states, axis=1), 1.0, rtol=0, atol=1e-15)
+        with np.errstate(invalid="ignore"):  # the zero row's 0/0
+            with pytest.raises(NotNormalized):
+                haar_state(4, ZeroRows(2))  # real and imaginary parts both zero
+            with pytest.raises(NotNormalized):
+                haar_states(4, 3, ZeroRows(1))  # row 0 of each part
 
     def test_moduli_rejects_unnormalized(self):
         with pytest.raises(NotNormalized):
@@ -168,7 +168,7 @@ class TestStateAndModulus:
 
     @pytest.mark.parametrize("dim", [0, -1])
     def test_states_need_a_dimension(self, dim):
-        # a draw of no amplitudes has norm 0, so the redraw loops never ended
+        # dim 0 draws no amplitudes, which are not normalized; dim -1 is numpy's ValueError
         rng = np.random.default_rng(21)
         with pytest.raises(ValueError):
             haar_state(dim, rng)

@@ -1,7 +1,9 @@
-"""Stream derivation: the seed boundary."""
+"""Stream derivation: the seed boundary, and distinct streams within a command."""
 
+import numpy as np
 import pytest
 
+from bornlab import cli
 from bornlab.streams import subseed, substream
 
 
@@ -13,3 +15,34 @@ def test_negative_seed_or_index_is_rejected(derive, address):
     # np.random.SeedSequence rejects any negative entry: the one seed check
     with pytest.raises(ValueError, match="non-negative"):
         derive(*address)
+
+
+COMMANDS = [
+    ["verify-born", "--dims", "2,3", "--trials", "5"],
+    ["falsify", "--rule", "power:1", "--dim", "3", "--trials", "5"],
+    ["falsify", "--rule", "renorm:power:4", "--dim", "3", "--trials", "5"],
+    ["independence", "--rule", "renorm:power:1", "--dim", "3", "--trials", "5"],
+    ["recover", "--dims", "2,3", "--trials", "40"],
+    ["stationarity", "--dims", "2,3", "--trials", "200"],
+    ["spin1", "--trials", "200"],
+    ["sample", "--dim", "3", "--shots", "10", "--trials", "3"],
+]
+
+
+@pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
+@pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: argv[0] + ("-" + argv[2] if argv[1] == "--rule" else ""))
+def test_no_two_streams_of_a_command_coincide(monkeypatch, capsys, argv, seed):
+    # streams.py states SeedSequence's zero padding, which puts a clash one
+    # address word away: (s, k) and (s, k, 0) are one stream
+    states = []
+
+    class Recording(np.random.SeedSequence):  # what each substream and subseed derives from
+        def __init__(self, entropy=None, **kwargs):
+            super().__init__(entropy, **kwargs)
+            states.append(tuple(int(word) for word in self.generate_state(4)))
+
+    monkeypatch.setattr(np.random, "SeedSequence", Recording)
+    assert cli.main(argv + ["--seed", str(seed)]) in (0, 1)
+    capsys.readouterr()
+    assert len(states) > 1
+    assert len(set(states)) == len(states)
