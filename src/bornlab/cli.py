@@ -210,6 +210,8 @@ def _independence_check(rule, d: int, draws: int, seed: int, *address: int, firs
         # the complement orthant is a single point, so both spreads vanish
         # for every rule: the d=2 gap of Gleason's theorem
         results["inconclusive"] = "at d=2 both independence spreads vanish for every rule; use --dim 3 or more"
+    elif not isinstance(rule, (rules.Born, rules.Renormalized)):  # p_k = f(a_k): a_k is what both scans fix
+        results["inconclusive"] = "both independence spreads vanish for every plain rule; use falsify for its defect"
     series = [(i, d, None, p) for i, p in enumerate(obs_scan.p_values)]
     series += [(i, d, 0, p) for i, p in enumerate(rot_scan.p_values)]
     worst = obs_scan if obs_scan.spread >= rot_scan.spread else rot_scan

@@ -13,6 +13,7 @@ a fifth word, even a zero, makes a different stream.
 
 from __future__ import annotations
 
+import operator
 from typing import Callable
 
 import numpy as np
@@ -20,14 +21,26 @@ import numpy as np
 BLOCK = 128  # draws per block: the unit of streams and checks
 
 
+def _seed_sequence(address: tuple) -> np.random.SeedSequence:
+    """SeedSequence(address), handed as one uint32 array the words it splits address into."""
+    words = []  # each entry in 32-bit words, least significant first; 0 is [0]
+    for n in map(operator.index, address):
+        if n < 0:
+            raise ValueError("expected non-negative integer")
+        words.append(n & 0xFFFFFFFF)
+        while n := n >> 32:
+            words.append(n & 0xFFFFFFFF)
+    return np.random.SeedSequence(np.array(words, dtype=np.uint32))
+
+
 def substream(seed: int, *indices: int) -> np.random.Generator:
     """Return an independent generator for a (seed, trial/phase) address."""
-    return np.random.default_rng(np.random.SeedSequence((seed, *indices)))
+    return np.random.Generator(np.random.PCG64(_seed_sequence((seed, *indices))))
 
 
 def subseed(seed: int, *indices: int) -> int:
     """Derive a child seed for a named phase of a larger experiment."""
-    words = np.random.SeedSequence((seed, *indices)).generate_state(2)
+    words = _seed_sequence((seed, *indices)).generate_state(2)
     return (int(words[0]) << 32) | int(words[1])
 
 

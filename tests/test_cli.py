@@ -292,6 +292,21 @@ class TestFalsification:
         assert code == 1
         assert report["results"]["max_spread"] > 1e-3
 
+    @pytest.mark.parametrize("rule", ["power:4", "power:1", "affine:2:0"])
+    @pytest.mark.parametrize("dim", ["3", "5"])
+    def test_independence_with_a_plain_rule_is_inconclusive(self, capsys, rule, dim):
+        # p_k = f(a_k) reads only the a_k both scans hold fixed, so the spreads
+        # vanish for every plain rule; only falsify's defect scan separates it
+        argv = ["--rule", rule, "--dim", dim, "--trials", "100", "--seed", "1"]
+        code, report = run_json(capsys, ["independence"] + argv)
+        results = report["results"]
+        assert code == 3 and report["pass"] is False
+        assert results["max_spread"] <= results["threshold"]
+        assert "falsify" in results["inconclusive"]
+        assert run_json(capsys, ["falsify"] + argv)[0] == 1
+        code, report = run_json(capsys, ["independence", "--rule", "born", "--dim", dim, "--trials", "100"])
+        assert code == 0 and "inconclusive" not in report["results"]
+
 
 class TestSchema:
     @pytest.mark.parametrize(

@@ -1,12 +1,18 @@
 """Smoke tests of the experiment scripts, run as a user runs them."""
 
+import contextlib
 import csv
+import hashlib
+import importlib.util
 import io
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
+
+from bornlab import cli
+from test_acceptance import CRITERION_10_COMMANDS
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -43,3 +49,35 @@ def test_run_all_experiments(tmp_path):
         other = second[name]
         assert (report["results"], report["pass"]) == (other["results"], other["pass"]), name
         assert report["config"] == dict(other["config"], out=report["config"]["out"]), name
+
+
+def test_result_hashes_table():
+    spec = importlib.util.spec_from_file_location("result_hashes", ROOT / "scripts" / "result_hashes.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert script.CRITERION_10_COMMANDS == CRITERION_10_COMMANDS
+
+    header, *lines = run_script("result_hashes.py", "--seed", "10").splitlines()
+    assert header == "command\tjson\tcsv\texit json/csv"
+    rows = {command: rest for command, *rest in (line.split("\t") for line in lines)}
+    assert list(rows) == [" ".join(argv + ["--seed", "10"]) for argv in script.COMMANDS]
+    for command, (json_hash, csv_hash, codes) in rows.items():
+        assert len(json_hash) == len(csv_hash) == 16 and int(json_hash + csv_hash, 16) >= 0, command
+        json_code, csv_code = codes.removeprefix("exit ").split("/")
+        assert json_code == csv_code, command
+        argv = command.split()
+        if argv[0] == "falsify" and argv[2] in script.PLAIN_RULES:
+            kind, *params = argv[2].split(":")
+            d = int(argv[4])
+            normalizes = kind == "born" or (kind == "affine" and abs(float(params[0]) + d * float(params[1]) - 1.0) <= 1e-12)
+            assert json_code == ("0" if normalizes else "1"), command
+        if argv[0] == "independence" and argv[2] in script.PLAIN_RULES:
+            assert json_code == ("0" if argv[2] == "born" else "3"), command
+
+    # the JSON digest is the sha256 of results, config and pass as emitted
+    argv = ["falsify", "--rule", "power:1", "--dim", "2", "--trials", "150", "--seed", "10"]
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        cli.main(argv)
+    report = json.loads(out.getvalue())
+    payload = json.dumps({"results": report["results"], "config": report["config"], "pass": report["pass"]})
+    assert rows[" ".join(argv)][0] == hashlib.sha256(payload.encode()).hexdigest()[:16]

@@ -1,10 +1,43 @@
-"""Stream derivation: the seed boundary, and distinct streams within a command."""
+"""Stream derivation: numpy's own streams, the seed boundary, and distinct
+streams within a command."""
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from bornlab import cli
 from bornlab.streams import subseed, substream
+
+# address entries around the 32-bit word boundaries, Python ints of any size
+# and numpy ints
+ENTRIES = st.one_of(
+    st.sampled_from([0, 1, 2**32 - 1, 2**32, 2**32 + 1, 2**64 - 1, 2**64]),
+    st.integers(0, 2**100),
+    st.builds(np.int64, st.integers(0, 2**63 - 1)),
+    st.builds(np.uint64, st.integers(0, 2**64 - 1)),
+    st.builds(np.uint32, st.integers(0, 2**32 - 1)),
+    st.builds(np.int8, st.integers(0, 127)),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(ENTRIES, min_size=1, max_size=5))
+def test_streams_are_those_of_the_address_tuple(address):
+    # the words handed to SeedSequence are the ones it derives from the tuple
+    reference = np.random.default_rng(np.random.SeedSequence(tuple(address)))
+    rng = substream(*address)
+    assert rng.bit_generator.state == reference.bit_generator.state
+    np.testing.assert_array_equal(rng.standard_normal(8), reference.standard_normal(8))
+    words = np.random.SeedSequence(tuple(address)).generate_state(2)
+    assert subseed(*address) == (int(words[0]) << 32) | int(words[1])
+
+
+@pytest.mark.parametrize("derive", [substream, subseed])
+@pytest.mark.parametrize("address", [(1.0,), (0, 2.5), (3, np.float64(1.0))])
+def test_a_float_entry_is_rejected(derive, address):
+    with pytest.raises(TypeError):
+        derive(*address)
 
 
 @pytest.mark.parametrize(
