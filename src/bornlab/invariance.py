@@ -139,8 +139,7 @@ def observable_independence_scan(
     _check_draws(draws)
     basis = complete_basis(phi.amplitudes).entries
 
-    def kernel(index: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-        n = index.size
+    def kernel(n: int, rng: np.random.Generator) -> np.ndarray:
         matrices = observable_with_eigenstate(basis, n, rng)
         values, vectors = np.linalg.eigh(matrices)
         check_eigensystems(matrices, values, vectors)  # the checks an Observable makes
@@ -166,6 +165,6 @@ def unobserved_independence_scan(
     """
     _check_draws(draws)
     p_values = blockwise(
-        lambda index, rng: rule_probabilities(rule, complement_rotation(point, k, index.size, rng))[:, k], draws, seed
+        lambda n, rng: rule_probabilities(rule, complement_rotation(point, k, n, rng))[:, k], draws, seed
     )
     return InvarianceReport(rule.name, point.dim, k, draws, p_values, seed)

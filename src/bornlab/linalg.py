@@ -130,21 +130,18 @@ def eigendecompose(matrix: HermitianMatrix | np.ndarray) -> Eigensystem:
 
 
 def haar_array(dim: int, rng: np.random.Generator, batch: tuple[int, ...] = ()) -> np.ndarray:
-    """Raw Haar-distributed unitaries (dim >= 1), one per index of ``batch``."""
+    """Raw Haar-distributed unitaries (dim >= 1), one per index of ``batch``.
+
+    One Ginibre draw, one QR and one phase fix.  A zero diagonal of R
+    (probability 0) becomes a nan column, which the unitarity checks reject.
+    """
     if dim < 1:
         raise ValueError("dimension must be at least 1")
     shape = (*batch, dim, dim)
-    while True:
-        ginibre = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        try:
-            q, r = np.linalg.qr(ginibre)
-        except np.linalg.LinAlgError:  # pragma: no cover - probability zero
-            continue
-        diag = np.diagonal(r, axis1=-2, axis2=-1)
-        if np.any(np.abs(diag) == 0.0):  # pragma: no cover - probability zero
-            continue
-        # phase correction makes the distribution exactly Haar, not just unitary
-        return q * (diag / np.abs(diag))[..., None, :]
+    q, r = np.linalg.qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    # phase correction makes the distribution exactly Haar, not just unitary
+    return q * (diag / np.abs(diag))[..., None, :]
 
 
 def complete_basis(vector: np.ndarray) -> UnitaryMatrix:

@@ -98,10 +98,6 @@ class Observable:
             raise DimMismatch("matrix and eigensystem dimensions differ")
         check_eigensystems(self.matrix.entries, self.eigensystem.eigenvalues, self.eigensystem.eigenvectors)
 
-    @property
-    def dim(self) -> int:
-        return self.matrix.dim
-
     @classmethod
     def from_matrix(cls, matrix: HermitianMatrix | np.ndarray) -> "Observable":
         if not isinstance(matrix, HermitianMatrix):
@@ -221,7 +217,7 @@ def haar_states(dim: int, n: int, rng: np.random.Generator) -> np.ndarray:
 def haar_blocks(dim: int, n: int, seed: int, *indices: int) -> np.ndarray:
     """n Haar states as amplitude rows (n, dim), drawn and checked by
     haar_states one block at a time: block b comes from substream(seed, *indices, b)."""
-    return blockwise(lambda index, rng: haar_states(dim, index.size, rng), n, seed, *indices)
+    return blockwise(lambda size, rng: haar_states(dim, size, rng), n, seed, *indices)
 
 
 def gapped_eigenvalues(dim: int, rng: np.random.Generator, batch: tuple[int, ...] = ()) -> np.ndarray:
@@ -234,14 +230,10 @@ def gapped_eigenvalues(dim: int, rng: np.random.Generator, batch: tuple[int, ...
     return values
 
 
-def random_observable(dim: int, rng: np.random.Generator) -> Observable:
-    """Observable with Haar-random eigenbasis and a gapped random spectrum."""
-    return Observable.from_eigenbasis(gapped_eigenvalues(dim, rng), haar_array(dim, rng))
-
-
 def random_observables(dim: int, rngs: Iterable[np.random.Generator]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One random_observable per generator, drawn as it draws one and
-    assembled as one eigenbasis_stack: (matrices, spectra, eigenvector columns)."""
+    """One observable per generator, its gapped spectrum and then its Haar
+    eigenbasis drawn from that generator, assembled and checked as one
+    eigenbasis_stack: (matrices, spectra, eigenvector columns)."""
     draws = [(gapped_eigenvalues(dim, rng), haar_array(dim, rng)) for rng in rngs]
     return eigenbasis_stack(np.array([values for values, _ in draws]), np.array([basis for _, basis in draws]))
 

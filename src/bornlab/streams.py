@@ -45,21 +45,20 @@ def subseed(seed: int, *indices: int) -> int:
 
 
 def blockwise(
-    kernel: Callable[[np.ndarray, np.random.Generator], np.ndarray],
+    kernel: Callable[[int, np.random.Generator], np.ndarray],
     n: int,
     seed: int,
     *indices: int,
 ) -> np.ndarray:
-    """Results of kernel(index, rng) for n draws, stacked over blocks of BLOCK.
+    """Results of kernel(size, rng) for n draws, stacked over blocks of BLOCK.
 
-    Block b gets the draw indices [b*BLOCK, (b+1)*BLOCK) as an array, draws
-    all its randomness from substream(seed, *indices, b) and returns one
-    result row per draw.  A full block does not depend on how many draws
-    follow it.  A kernel that only draws (and checks) its block leaves the
-    arithmetic to run once on the stacked rows, which gives the same bits
-    as running it per block wherever that arithmetic is row by row.
+    Block b holds the draws [b*BLOCK, (b+1)*BLOCK), so its size is BLOCK but
+    for the last; it draws all its randomness from substream(seed, *indices, b)
+    and returns one result row per draw.  A full block does not depend on how
+    many draws follow it.  A kernel that only draws (and checks) its block
+    leaves the arithmetic to run once on the stacked rows, which gives the
+    same bits as running it per block wherever that arithmetic is row by row.
     """
     return np.concatenate([
-        kernel(np.arange(start, min(start + BLOCK, n)), substream(seed, *indices, b))
-        for b, start in enumerate(range(0, n, BLOCK))
+        kernel(min(BLOCK, n - start), substream(seed, *indices, b)) for b, start in enumerate(range(0, n, BLOCK))
     ])

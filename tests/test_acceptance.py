@@ -20,7 +20,7 @@ from bornlab.quantum import (
     haar_state,
     measure,
     moduli,
-    random_observable,
+    random_observables,
     sample_outcomes,
     spin1_jx2_minus_jy2,
     spin1_jz,
@@ -52,12 +52,11 @@ def report(criterion: str, ok: bool, detail: str) -> None:
 def test_criterion_1_born_normalization(d):
     """Quadratic-rule outcome values sum to one for every state and basis."""
     born = Born()
-    rng = substream(1, d)
+    rngs = [substream(1, d, i) for i in range(10_000)]
+    _, _, vectors = random_observables(d, rngs)  # pair i draws its observable, then its state
     worst = 0.0
-    for _ in range(10_000):
-        observable = random_observable(d, rng)
-        psi = haar_state(d, rng)
-        p = rule_probabilities(born, moduli(expand(psi, observable.eigensystem.eigenvectors)).moduli)
+    for rng, eigenvectors in zip(rngs, vectors):
+        p = rule_probabilities(born, moduli(expand(haar_state(d, rng), eigenvectors)).moduli)
         worst = max(worst, abs(float(np.sum(p)) - 1.0))
     report(
         f"criterion 1 (d={d})",
@@ -222,17 +221,17 @@ def test_criterion_9_sampling_and_collapse():
     shots = 100_000
     all_within = True
     all_repeat = True
-    for i in range(10):
+    _, _, observables = random_observables(3, (substream(9, i, 1) for i in range(10)))
+    for i, vectors in enumerate(observables):
         psi = haar_state(3, substream(9, i, 0))
-        observable = random_observable(3, substream(9, i, 1))
-        counts = sample_outcomes(psi, observable.eigensystem.eigenvectors, shots, substream(9, i, 2))
-        p = born_probabilities(psi, observable.eigensystem.eigenvectors)
+        counts = sample_outcomes(psi, vectors, shots, substream(9, i, 2))
+        p = born_probabilities(psi, vectors)
         sigma = np.sqrt(p * (1.0 - p) / shots)
         all_within = all_within and bool(np.all(np.abs(counts / shots - p) <= 3.0 * sigma))
 
-        first, post_state = measure(psi, observable.eigensystem.eigenvectors, substream(9, i, 3))
+        first, post_state = measure(psi, vectors, substream(9, i, 3))
         repeat_rng = substream(9, i, 4)
-        repeats = sum(measure(post_state, observable.eigensystem.eigenvectors, repeat_rng)[0] == first for _ in range(100))
+        repeats = sum(measure(post_state, vectors, repeat_rng)[0] == first for _ in range(100))
         all_repeat = all_repeat and repeats == 100
     report(
         "criterion 9",

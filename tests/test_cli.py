@@ -675,17 +675,17 @@ class TestStackedEqualsPerBlock:
         probabilities = functools.partial(rules.rule_probabilities, born)
         values, worst = [], np.zeros(3)
         for di, d in enumerate((2, 3, 5)):
-
-            def kernel(index, rng):
-                rows = np.abs(quantum.haar_states(d, index.size, rng))
+            blocks = []  # walked here: k = i % d needs each draw's index, and a blockwise kernel gets only a size
+            for b, start in enumerate(range(0, trials, BLOCK)):
+                index = np.arange(start, min(start + BLOCK, trials))
+                rows = np.abs(quantum.haar_states(d, index.size, substream(self.SEED, di, b)))
                 ks = index % d
-                return np.column_stack([
+                blocks.append(np.column_stack([
                     np.max(np.abs(variational.rule_stationarity(born, rows, 1.0)), axis=-1),
                     np.max(np.abs(variational.outcome_stationarity(probabilities, rows, ks, 0.0)), axis=-1),
                     variational.closed_form_check(rows, ks, 2.0, -1.0),
-                ])
-
-            residuals = blockwise(kernel, trials, self.SEED, di)
+                ]))
+            residuals = np.concatenate(blocks)
             values += [repr(float(x)) for x in np.max(residuals, axis=1)]
             worst = np.maximum(worst, np.max(residuals, axis=0))
         argv = ["stationarity", "--dims", "2,3,5", "--trials", str(trials)]
@@ -710,7 +710,7 @@ class TestStackedEqualsPerBlock:
     @pytest.mark.parametrize("trials", [BLOCK - 1, BLOCK, 2 * BLOCK + 3])
     def test_recover(self, trials):
         def kernel(d):
-            return lambda index, rng: variational.power_sums(np.abs(quantum.haar_states(d, index.size, rng)))
+            return lambda n, rng: variational.power_sums(np.abs(quantum.haar_states(d, n, rng)))
 
         rows = np.concatenate([blockwise(kernel(d), trials, self.SEED, di) for di, d in enumerate((2, 3, 6))])
         coefficients, objective = variational.fit_power_series(rows)
@@ -724,8 +724,8 @@ class TestStackedEqualsPerBlock:
         jz, jxy = quantum.spin1_jz().eigensystem.eigenvectors, quantum.spin1_jx2_minus_jy2().eigensystem.eigenvectors
         pair = np.column_stack([jz[:, 1], jxy[:, 1]])  # both share |m=0> as eigenvector 1
 
-        def kernel(index, rng):
-            p = np.abs(quantum.haar_states(3, index.size, rng) @ np.conj(pair)) ** 2
+        def kernel(n, rng):
+            p = np.abs(quantum.haar_states(3, n, rng) @ np.conj(pair)) ** 2
             return np.abs(p[:, 0] - p[:, 1])
 
         values = [repr(float(x)) for x in blockwise(kernel, trials, self.SEED)]
@@ -743,9 +743,8 @@ class TestStackedEqualsPerBlock:
             rng = substream(self.SEED, i, 1)
             values, basis = quantum.gapped_eigenvalues(d, rng), haar_array(d, rng)
             vectors = fix_column_phases(basis[:, np.argsort(values, kind="stable")])
-            np.testing.assert_array_equal(
-                quantum.random_observable(d, substream(self.SEED, i, 1)).eigensystem.eigenvectors, vectors
-            )
+            single = quantum.Observable.from_eigenbasis(values, basis)
+            np.testing.assert_array_equal(single.eigensystem.eigenvectors, vectors)
             counts = quantum.sample_outcomes(psi, vectors, shots, substream(self.SEED, i, 2))
             assert pair["born"] == [float(x) for x in quantum.born_probabilities(psi, vectors)]
             assert pair["frequencies"] == [float(x) for x in counts / shots]

@@ -182,12 +182,9 @@ class TestHaarUnitary:
         # on [0, 1], so the sample mean over n draws must land within three
         # standard errors of 1/2 (variance 1/12)
         n = 100_000
-        rng = np.random.default_rng(2024)
-        total = 0.0
-        for _ in range(n):
-            total += abs(haar_array(2, rng)[0, 0]) ** 2
+        corner = np.abs(haar_array(2, np.random.default_rng(2024), (n,))[:, 0, 0]) ** 2
         standard_error = np.sqrt(1.0 / 12.0 / n)
-        assert abs(total / n - 0.5) < 3 * standard_error
+        assert abs(corner.mean() - 0.5) < 3 * standard_error
 
     def test_batched_draws_equal_per_matrix_qr(self):
         # reference: the Ginibre draw of the whole stack, one QR and phase fix per matrix
@@ -199,6 +196,23 @@ class TestHaarUnitary:
             q, r = np.linalg.qr(g)
             np.testing.assert_allclose(got, q * (np.diag(r) / np.abs(np.diag(r))), rtol=0, atol=1e-14)
             assert np.max(np.abs(got.conj().T @ got - np.eye(3))) < 1e-12
+
+    def test_zero_draw_is_rejected_not_redrawn(self):
+        # a Ginibre draw of zeros (probability 0) leaves R a zero diagonal:
+        # the result is nan, which the unitarity check rejects
+        class ZeroFirst:
+            def __init__(self):
+                self.rng, self.calls = np.random.default_rng(0), 0
+
+            def standard_normal(self, shape):  # real, then imaginary part
+                self.calls += 1
+                return np.zeros(shape) if self.calls <= 2 else self.rng.standard_normal(shape)
+
+        with pytest.warns(RuntimeWarning, match="invalid value"):
+            u = haar_array(3, ZeroFirst())
+        assert np.all(np.isnan(u))
+        with pytest.raises(ValueError, match="not unitary"):
+            UnitaryMatrix(u)
 
     def test_deterministic_for_fixed_stream(self):
         a = haar_array(5, np.random.default_rng(123))

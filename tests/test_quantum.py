@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bornlab import quantum
+from bornlab.linalg import haar_array
 from bornlab.quantum import (
     DimMismatch,
     ModulusVector,
@@ -20,7 +21,7 @@ from bornlab.quantum import (
     haar_states,
     measure,
     moduli,
-    random_observable,
+    random_observables,
     sample_outcomes,
     spin1_jx2_minus_jy2,
     spin1_jz,
@@ -194,7 +195,7 @@ class TestObservable:
 
     def test_from_eigenbasis_matches_from_matrix(self):
         rng = np.random.default_rng(5)
-        built = random_observable(4, rng)
+        built = Observable.from_eigenbasis(gapped_eigenvalues(4, rng), haar_array(4, rng))
         recovered = Observable.from_matrix(built.matrix)
         np.testing.assert_allclose(
             built.eigensystem.eigenvalues, recovered.eigensystem.eigenvalues, atol=1e-12
@@ -207,10 +208,10 @@ class TestObservable:
     @pytest.mark.parametrize("d", [2, 3, 6, 16])
     def test_stacked_observables_equal_single_builds(self, d):
         streams = lambda: (substream(4, i) for i in range(5))
-        matrices, values, vectors = quantum.random_observables(d, streams())
+        matrices, values, vectors = random_observables(d, streams())
         assert matrices.shape == vectors.shape == (5, d, d) and values.shape == (5, d)
         for i, rng in enumerate(streams()):
-            single = random_observable(d, rng)
+            single = Observable.from_eigenbasis(gapped_eigenvalues(d, rng), haar_array(d, rng))
             np.testing.assert_array_equal(values[i], single.eigensystem.eigenvalues)
             np.testing.assert_array_equal(vectors[i], single.eigensystem.eigenvectors)
             np.testing.assert_allclose(matrices[i], single.matrix.entries, rtol=0, atol=1e-14)
@@ -219,7 +220,7 @@ class TestObservable:
 
     def test_stack_is_checked_as_a_whole(self):
         rng = np.random.default_rng(6)
-        bases = quantum.haar_array(3, rng, (4,))
+        bases = haar_array(3, rng, (4,))
         values = np.array([[0.3, -0.2, 0.9]] * 4)
         matrices, sorted_values, _ = quantum.eigenbasis_stack(values, bases)
         np.testing.assert_array_equal(sorted_values, [[-0.2, 0.3, 0.9]] * 4)
@@ -232,9 +233,8 @@ class TestObservable:
             quantum.eigenbasis_stack(np.array([[0.3, -0.2, 0.9]] * 4), bases)
 
     def test_random_observable_gap(self):
-        for seed in range(20):
-            obs = random_observable(5, np.random.default_rng(seed))
-            assert np.min(np.diff(obs.eigensystem.eigenvalues)) > 1e-3
+        _, values, _ = random_observables(5, (np.random.default_rng(seed) for seed in range(20)))
+        assert np.min(np.diff(values, axis=-1)) > 1e-3
 
     def test_gapped_spectra_rows_and_the_per_draw_loop(self):
         def per_draw(dim, rng):  # reference: redraw the whole spectrum until gapped
@@ -266,9 +266,9 @@ class TestObservable:
 
 class TestExpand:
     def test_eigenstate_expansion(self):
-        obs = random_observable(3, np.random.default_rng(0))
-        phi2 = StateVector(obs.eigensystem.eigenvectors[:, 1])
-        alpha = expand(phi2, obs.eigensystem.eigenvectors)
+        _, _, (vectors,) = random_observables(3, [np.random.default_rng(0)])
+        phi2 = StateVector(vectors[:, 1])
+        alpha = expand(phi2, vectors)
         np.testing.assert_allclose(np.abs(alpha), [0.0, 1.0, 0.0], atol=1e-12)
 
     def test_diagonal_observable_returns_own_entries(self):
@@ -284,23 +284,25 @@ class TestExpand:
         np.testing.assert_allclose(np.abs(alpha) ** 2, np.ones(3) / 3, atol=1e-14)
 
     def test_dim_mismatch(self):
-        obs = random_observable(3, np.random.default_rng(1))
+        _, _, (vectors,) = random_observables(3, [np.random.default_rng(1)])
         with pytest.raises(DimMismatch):
-            expand(StateVector(np.array([1.0, 0.0])), obs.eigensystem.eigenvectors)
+            expand(StateVector(np.array([1.0, 0.0])), vectors)
 
     @settings(max_examples=40, deadline=None)
     @given(d=st.integers(2, 8), seed=st.integers(0, 10_000))
     def test_expansion_preserves_norm(self, d, seed):
         rng = np.random.default_rng(seed)
-        alpha = expand(haar_state(d, rng), random_observable(d, rng).eigensystem.eigenvectors)
+        psi = haar_state(d, rng)
+        _, _, (vectors,) = random_observables(d, [rng])
+        alpha = expand(psi, vectors)
         assert abs(np.sum(np.abs(alpha) ** 2) - 1.0) <= 1e-12
 
 
 class TestProbabilities:
     def test_certainty_on_eigenstate(self):
-        obs = random_observable(4, np.random.default_rng(2))
-        phi = StateVector(obs.eigensystem.eigenvectors[:, 2])
-        p = rule_probabilities(Born(), moduli(expand(phi, obs.eigensystem.eigenvectors)).moduli)
+        _, _, (vectors,) = random_observables(4, [np.random.default_rng(2)])
+        phi = StateVector(vectors[:, 2])
+        p = rule_probabilities(Born(), moduli(expand(phi, vectors)).moduli)
         np.testing.assert_allclose(p, [0, 0, 1, 0], atol=1e-12)
 
     def test_symmetric_state_uniform(self):
@@ -322,7 +324,9 @@ class TestProbabilities:
     @given(d=st.integers(2, 8), seed=st.integers(0, 10_000))
     def test_born_probabilities_normalized(self, d, seed):
         rng = np.random.default_rng(seed)
-        p = rule_probabilities(Born(), moduli(expand(haar_state(d, rng), random_observable(d, rng).eigensystem.eigenvectors)).moduli)
+        psi = haar_state(d, rng)
+        _, _, (vectors,) = random_observables(d, [rng])
+        p = rule_probabilities(Born(), moduli(expand(psi, vectors)).moduli)
         assert abs(np.sum(p) - 1.0) <= 1e-12
 
     @settings(max_examples=30, deadline=None)
@@ -331,40 +335,39 @@ class TestProbabilities:
         # multiplying each expansion coefficient by an arbitrary phase is a
         # diagonal unitary in the eigenbasis; probabilities cannot move
         rng = np.random.default_rng(seed)
-        obs = random_observable(d, rng)
+        _, _, (vectors,) = random_observables(d, [rng])
         psi = haar_state(d, rng)
-        vectors = obs.eigensystem.eigenvectors
         phases = np.exp(1j * rng.uniform(0, 2 * np.pi, size=d))
         conjugated = StateVector((vectors * phases) @ (vectors.conj().T @ psi.amplitudes))
         for rule in (Born(), Power(1.5)):
-            base = rule_probabilities(rule, moduli(expand(psi, obs.eigensystem.eigenvectors)).moduli)
-            shifted = rule_probabilities(rule, moduli(expand(conjugated, obs.eigensystem.eigenvectors)).moduli)
+            base = rule_probabilities(rule, moduli(expand(psi, vectors)).moduli)
+            shifted = rule_probabilities(rule, moduli(expand(conjugated, vectors)).moduli)
             assert np.max(np.abs(base - shifted)) <= 1e-12
 
 
 class TestMeasurement:
     def test_eigenstate_is_deterministic(self):
-        obs = random_observable(3, np.random.default_rng(3))
-        phi1 = StateVector(obs.eigensystem.eigenvectors[:, 0])
+        _, _, (vectors,) = random_observables(3, [np.random.default_rng(3)])
+        phi1 = StateVector(vectors[:, 0])
         for seed in range(20):
-            k, _ = measure(phi1, obs.eigensystem.eigenvectors, np.random.default_rng(seed))
+            k, _ = measure(phi1, vectors, np.random.default_rng(seed))
             assert k == 0
 
     def test_post_state_is_matching_eigenvector(self):
-        obs = random_observable(4, np.random.default_rng(4))
+        _, _, (vectors,) = random_observables(4, [np.random.default_rng(4)])
         psi = haar_state(4, np.random.default_rng(5))
-        k, post_state = measure(psi, obs.eigensystem.eigenvectors, np.random.default_rng(6))
-        phi = obs.eigensystem.eigenvectors[:, k]
+        k, post_state = measure(psi, vectors, np.random.default_rng(6))
+        phi = vectors[:, k]
         overlap = abs(np.vdot(post_state.amplitudes, phi))
         assert abs(overlap - 1.0) < 1e-12
 
     def test_repeatability_after_collapse(self):
-        obs = random_observable(3, np.random.default_rng(7))
+        _, _, (vectors,) = random_observables(3, [np.random.default_rng(7)])
         psi = haar_state(3, np.random.default_rng(8))
         rng = np.random.default_rng(9)
-        k, post_state = measure(psi, obs.eigensystem.eigenvectors, rng)
+        k, post_state = measure(psi, vectors, rng)
         for _ in range(100):
-            again, _ = measure(post_state, obs.eigensystem.eigenvectors, rng)
+            again, _ = measure(post_state, vectors, rng)
             assert again == k
 
     def test_frequencies_match_binomial_oracle(self):
@@ -387,23 +390,23 @@ class TestMeasurement:
         assert abs(hits / shots - 0.36) < 3 * sigma
 
     def test_sampling_deterministic_for_fixed_stream(self):
-        obs = random_observable(3, np.random.default_rng(14))
+        _, _, (vectors,) = random_observables(3, [np.random.default_rng(14)])
         psi = haar_state(3, np.random.default_rng(15))
-        a = sample_outcomes(psi, obs.eigensystem.eigenvectors, 1000, substream(77, 0))
-        b = sample_outcomes(psi, obs.eigensystem.eigenvectors, 1000, substream(77, 0))
+        a = sample_outcomes(psi, vectors, 1000, substream(77, 0))
+        b = sample_outcomes(psi, vectors, 1000, substream(77, 0))
         np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("shots", [1, 6, 7, 50, 301])
     def test_chunked_counts_equal_one_draw(self, monkeypatch, shots):
-        obs = random_observable(3, np.random.default_rng(16))
+        _, _, (vectors,) = random_observables(3, [np.random.default_rng(16)])
         psi = haar_state(3, np.random.default_rng(17))
-        cumulative = np.cumsum(born_probabilities(psi, obs.eigensystem.eigenvectors))
+        cumulative = np.cumsum(born_probabilities(psi, vectors))
         # one draw of all the uniforms, inverse CDF with ties to the lower index
         single = np.random.default_rng(18).random(shots)
         outcomes = np.minimum(np.searchsorted(cumulative, single, side="left"), 2)
         reference = np.bincount(outcomes, minlength=3)
         monkeypatch.setattr(quantum, "SHOT_CHUNK", 7)
-        counts = sample_outcomes(psi, obs.eigensystem.eigenvectors, shots, np.random.default_rng(18))
+        counts = sample_outcomes(psi, vectors, shots, np.random.default_rng(18))
         np.testing.assert_array_equal(counts, reference)
 
     @pytest.mark.parametrize(
@@ -464,16 +467,16 @@ class TestMeasurement:
         # 100 measure() calls it replaced and the inverse CDF of one draw
         mixed = False
         for seed in range(20):
-            obs = random_observable(3, substream(19, seed, 1))
+            _, _, (vectors,) = random_observables(3, [substream(19, seed, 1)])
             psi = haar_state(3, substream(19, seed, 0))
-            k, post_state = measure(psi, obs.eigensystem.eigenvectors, substream(19, seed, 3))
+            k, post_state = measure(psi, vectors, substream(19, seed, 3))
             for state in (psi, post_state):
                 rng = substream(19, seed, 4)
-                scalar = [measure(state, obs.eigensystem.eigenvectors, rng)[0] for _ in range(100)]
-                cumulative = np.cumsum(born_probabilities(state, obs.eigensystem.eigenvectors))
+                scalar = [measure(state, vectors, rng)[0] for _ in range(100)]
+                cumulative = np.cumsum(born_probabilities(state, vectors))
                 one_draw = inverse_cdf(cumulative, substream(19, seed, 4).random(100))
                 np.testing.assert_array_equal(one_draw, scalar)
-                counts = sample_outcomes(state, obs.eigensystem.eigenvectors, 100, substream(19, seed, 4))
+                counts = sample_outcomes(state, vectors, 100, substream(19, seed, 4))
                 np.testing.assert_array_equal(counts, np.bincount(scalar, minlength=3))
                 mixed = mixed or len(set(scalar)) > 1
             assert set(scalar) == {k}  # the collapsed state repeats

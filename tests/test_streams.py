@@ -1,5 +1,5 @@
-"""Stream derivation: numpy's own streams, the seed boundary, and distinct
-streams within a command."""
+"""Stream derivation: numpy's own streams, the seed boundary, blocks, and
+distinct streams within a command."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bornlab import cli
-from bornlab.streams import subseed, substream
+from bornlab.streams import blockwise, subseed, substream
 
 # address entries around the 32-bit word boundaries, Python ints of any size
 # and numpy ints
@@ -48,6 +48,19 @@ def test_negative_seed_or_index_is_rejected(derive, address):
     # np.random.SeedSequence rejects any negative entry: the one seed check
     with pytest.raises(ValueError, match="non-negative"):
         derive(*address)
+
+
+def test_blockwise_hands_each_kernel_its_block_size():
+    # 300 draws are blocks of 128, 128 and 44, block b drawn from substream(seed, *indices, b)
+    sizes = []
+
+    def kernel(size, rng):
+        sizes.append(size)
+        return rng.random(size)
+
+    rows = blockwise(kernel, 300, 5, 2, 7)
+    assert sizes == [128, 128, 44]
+    np.testing.assert_array_equal(rows, np.concatenate([substream(5, 2, 7, b).random(n) for b, n in enumerate(sizes)]))
 
 
 COMMANDS = [
