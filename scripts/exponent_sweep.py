@@ -23,6 +23,11 @@ def main() -> int:
     parser.add_argument("--dim", type=int, default=2)
     parser.add_argument("--out", default="-", help="CSV path, '-' for stdout")
     args = parser.parse_args()
+    # the CLI's lower bounds: a d=1 state has the single modulus 1, so no
+    # exponent can be told from another there
+    for name, low in {"seed": 0, "trials": 1, "dim": 2}.items():
+        if getattr(args, name) < low:
+            parser.error(f"--{name} must be at least {low}")
 
     exponents = np.concatenate([np.arange(0.5, 2.0, 0.25), [2.0], np.arange(2.25, 4.25, 0.25)])
     handle = sys.stdout if args.out == "-" else open(args.out, "w", encoding="utf-8")

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import invariance, quantum, rules, variational
-from .quantum import StateVector, haar_state, moduli
+from .quantum import haar_state, moduli
 from .streams import subseed, substream
 from .tolerances import TOL
 
@@ -320,13 +320,10 @@ def cmd_stationarity(args) -> Verdict:
 
 
 def cmd_spin1(args) -> Verdict:
-    jz = quantum.spin1_jz()
-    jxy = quantum.spin1_jx2_minus_jy2()
-    shared = StateVector(np.array([0.0, 1.0, 0.0], dtype=complex))
-    k_z = int(invariance.match_eigenvector(jz.eigensystem.eigenvectors, shared.amplitudes))
-    k_x = int(invariance.match_eigenvector(jxy.eigensystem.eigenvectors, shared.amplitudes))
-    # the two eigenvectors for the shared outcome, as columns
-    pair = np.column_stack([jz.eigensystem.eigenvectors[:, k_z], jxy.eigensystem.eigenvectors[:, k_x]])
+    _, _, vectors = quantum.spin1_observables()
+    # the shared m = 0 vector in both eigenbases, and its two columns
+    k_z, k_x = (int(k) for k in invariance.match_eigenvector(vectors, np.eye(3)[1]))
+    pair = np.column_stack([vectors[0, :, k_z], vectors[1, :, k_x]])
 
     p = np.abs(quantum.haar_blocks(3, args.trials, args.seed) @ np.conj(pair)) ** 2
     deltas = np.abs(p[:, 0] - p[:, 1])

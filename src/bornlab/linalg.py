@@ -1,7 +1,7 @@
 """Dense complex linear algebra at small dimension.
 
-Hermitian eigendecomposition (LAPACK eigh plus a deterministic phase
-convention), Haar-distributed unitary sampling, and orthonormal basis
+Checked Hermitian eigensystems (LAPACK eigh, phase-fixed where a result
+needs a convention), Haar-distributed unitary sampling, and orthonormal basis
 completion by QR.  Everything is plain double precision: the effects the
 experiments must detect are >= 0.01, far above rounding noise.
 """
@@ -40,6 +40,13 @@ def check_eigensystems(matrices: np.ndarray, values: np.ndarray, vectors: np.nda
         raise ValueError(f"degenerate spectrum: smallest gap {gap:.3e}")
     residual = np.linalg.norm(matrices @ vectors - vectors * values[..., None, :], axis=-2)
     within(float(np.max(residual)), TOL.eigen_residual, "eigensystem residual")
+
+
+def eigensystems(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """eigh of a Hermitian stack (..., d, d), then check_eigensystems; the columns keep eigh's phases."""
+    values, vectors = np.linalg.eigh(matrices)
+    check_eigensystems(matrices, values, vectors)
+    return values, vectors
 
 
 @dataclass(frozen=True)
@@ -144,7 +151,7 @@ def haar_array(dim: int, rng: np.random.Generator, batch: tuple[int, ...] = ()) 
     return q * (diag / np.abs(diag))[..., None, :]
 
 
-def complete_basis(vector: np.ndarray) -> UnitaryMatrix:
+def complete_basis(vector: np.ndarray) -> np.ndarray:
     """Extend a vector to an orthonormal basis with v/|v| as column zero.
 
     One Householder QR of [v/|v| | I] gives a unitary whose first column is
@@ -160,4 +167,5 @@ def complete_basis(vector: np.ndarray) -> UnitaryMatrix:
     unit = v / norm
     q, _ = np.linalg.qr(np.column_stack([unit, np.eye(v.shape[0])]))
     q[:, 0] = unit
-    return UnitaryMatrix(q)
+    within(unitary_defect(q), TOL.orthonormality, "matrix is not unitary: max |U^dag U - I| =")
+    return q

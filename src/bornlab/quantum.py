@@ -15,8 +15,8 @@ from typing import Iterable
 
 import numpy as np
 
-from .linalg import Eigensystem, HermitianMatrix, check_eigensystems, eigendecompose
-from .linalg import fix_column_phases, haar_array
+from .linalg import Eigensystem, HermitianMatrix, check_eigensystems
+from .linalg import eigensystems, fix_column_phases, haar_array
 from .streams import blockwise
 from .tolerances import TOL, within
 
@@ -97,12 +97,6 @@ class Observable:
         if self.matrix.dim != self.eigensystem.dim:
             raise DimMismatch("matrix and eigensystem dimensions differ")
         check_eigensystems(self.matrix.entries, self.eigensystem.eigenvalues, self.eigensystem.eigenvectors)
-
-    @classmethod
-    def from_matrix(cls, matrix: HermitianMatrix | np.ndarray) -> "Observable":
-        if not isinstance(matrix, HermitianMatrix):
-            matrix = HermitianMatrix(matrix)
-        return cls(matrix, eigendecompose(matrix))
 
     @classmethod
     def from_eigenbasis(cls, eigenvalues: np.ndarray, basis: np.ndarray) -> "Observable":
@@ -238,13 +232,10 @@ def random_observables(dim: int, rngs: Iterable[np.random.Generator]) -> tuple[n
     return eigenbasis_stack(np.array([values for values, _ in draws]), np.array([basis for _, basis in draws]))
 
 
-def spin1_jz() -> Observable:
-    """Angular momentum along z for spin 1, in the m = 1, 0, -1 ordering."""
-    return Observable.from_matrix(np.diag([1.0, 0.0, -1.0]).astype(complex))
-
-
-def spin1_jx2_minus_jy2() -> Observable:
-    """The spin-1 operator Jx^2 - Jy^2, which shares the m = 0 eigenvector
-    with Jz while its other eigenvectors are (|1> +/- |-1>)/sqrt(2)."""
-    m = np.array([[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]], dtype=complex)
-    return Observable.from_matrix(m)
+def spin1_observables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Jz and Jx^2 - Jy^2 for spin 1 (m = 1, 0, -1 ordering) as one stack (2, 3, 3),
+    with spectra and phase-fixed eigenvector columns; both share the m = 0 eigenvector."""
+    jx2_minus_jy2 = [[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]  # other eigenvectors (|1> +/- |-1>)/sqrt(2)
+    matrices = np.array([np.diag([1.0, 0.0, -1.0]), jx2_minus_jy2], dtype=complex)
+    values, vectors = eigensystems(matrices)
+    return matrices, values, fix_column_phases(vectors)

@@ -22,8 +22,7 @@ from bornlab.quantum import (
     moduli,
     random_observables,
     sample_outcomes,
-    spin1_jx2_minus_jy2,
-    spin1_jz,
+    spin1_observables,
 )
 from bornlab.rules import (
     Affine,
@@ -187,8 +186,7 @@ def test_criterion_7_recovery_unique():
 def test_criterion_8_spin1_demo():
     """Both spin-1 operators give the middle state the same probability,
     and the fixture matrix matches the ladder-operator construction."""
-    jz = spin1_jz()
-    jxy = spin1_jx2_minus_jy2()
+    matrices, _, vectors = spin1_observables()
 
     # oracle: Jx, Jy from the spin-1 ladder operators
     m_values = np.array([1.0, 0.0, -1.0])
@@ -200,12 +198,12 @@ def test_criterion_8_spin1_demo():
     jy = (jplus - jplus.T) / 2j
     oracle = jx @ jx - jy @ jy
     matrix_ok = bool(
-        np.max(np.abs(jxy.matrix.entries - oracle)) <= 1e-15
+        np.max(np.abs(matrices[1] - oracle)) <= 1e-15
         and np.max(np.abs(oracle - np.array([[0, 0, 1], [0, 0, 0], [1, 0, 0]]))) <= 1e-15
     )
 
     states = np.array([haar_state(3, substream(8, i)).amplitudes for i in range(1000)])
-    shared = [obs.eigensystem.eigenvectors[:, 1] for obs in (jz, jxy)]
+    shared = vectors[:, :, 1]  # the middle column of Jz and of Jx^2 - Jy^2
     p_z, p_x = (np.abs(states @ np.conj(vector)) ** 2 for vector in shared)
     worst = float(np.max(np.abs(p_z - p_x)))
     report(

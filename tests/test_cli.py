@@ -721,7 +721,7 @@ class TestStackedEqualsPerBlock:
 
     @pytest.mark.parametrize("trials", [BLOCK - 1, BLOCK, 2 * BLOCK + 3])
     def test_spin1(self, capsys, trials):
-        jz, jxy = quantum.spin1_jz().eigensystem.eigenvectors, quantum.spin1_jx2_minus_jy2().eigensystem.eigenvectors
+        _, _, (jz, jxy) = quantum.spin1_observables()
         pair = np.column_stack([jz[:, 1], jxy[:, 1]])  # both share |m=0> as eigenvector 1
 
         def kernel(n, rng):

@@ -20,8 +20,7 @@ from bornlab.quantum import (
     StateVector,
     haar_state,
     moduli,
-    spin1_jx2_minus_jy2,
-    spin1_jz,
+    spin1_observables,
 )
 from bornlab.rules import Affine, Born, Power, Renormalized, rule_probabilities
 from bornlab.streams import BLOCK, substream
@@ -30,7 +29,7 @@ from bornlab.tolerances import TOL
 
 def draw_observables(phi: StateVector, n: int, rng):
     """n observables sharing phi, their eigh eigensystems and the matched indices."""
-    matrices = observable_with_eigenstate(complete_basis(phi.amplitudes).entries, n, rng)
+    matrices = observable_with_eigenstate(complete_basis(phi.amplitudes), n, rng)
     values, vectors = np.linalg.eigh(matrices)
     return matrices, values, vectors, match_eigenvector(vectors, phi.amplitudes)
 
@@ -94,8 +93,8 @@ class TestObservableWithEigenstate:
 
     def test_spin1_operators_also_share_it(self):
         e2 = StateVector(np.array([0.0, 1.0, 0.0], dtype=complex))
-        for obs in (spin1_jz(), spin1_jx2_minus_jy2()):
-            assert match_eigenvector(obs.eigensystem.eigenvectors, e2.amplitudes) == 1
+        _, _, vectors = spin1_observables()
+        np.testing.assert_array_equal(match_eigenvector(vectors, e2.amplitudes), [1, 1])
         # a drawn observable puts e2 at a random sorted position: the match
         # must land on the eigenvalue e2 carries, <e2|M|e2>
         matrices, values, _, k = draw_observables(e2, 20, np.random.default_rng(6))

@@ -223,19 +223,25 @@ class TestHaarUnitary:
 class TestCompleteBasis:
     def test_canonical_vector_gives_identity(self):
         u = complete_basis(np.array([1.0, 0.0, 0.0], dtype=complex))
-        np.testing.assert_allclose(u.entries, np.eye(3), atol=1e-15)
+        np.testing.assert_allclose(u, np.eye(3), atol=1e-15)
 
     def test_symmetric_qubit_vector(self):
         u = complete_basis(np.array([1.0, 1.0]) / np.sqrt(2))
         s = 1 / np.sqrt(2)
-        np.testing.assert_allclose(u.entries[:, 0], [s, s], atol=1e-15)
+        np.testing.assert_allclose(u[:, 0], [s, s], atol=1e-15)
         # second column is forced up to phase
-        overlap = abs(np.vdot(u.entries[:, 1], np.array([s, -s])))
+        overlap = abs(np.vdot(u[:, 1], np.array([s, -s])))
         assert abs(overlap - 1.0) < 1e-12
 
     def test_zero_vector_rejected(self):
         with pytest.raises(ZeroVector):
             complete_basis(np.zeros(4))
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_non_finite_vector_rejected(self, bad):
+        # a non-finite entry gives a nan basis, which the unitarity check rejects
+        with pytest.raises(ValueError, match="not unitary"), np.errstate(invalid="ignore"):
+            complete_basis(np.array([bad, 1.0]))
 
     @settings(max_examples=40, deadline=None)
     @given(
@@ -252,8 +258,8 @@ class TestCompleteBasis:
         v[rng.random(d) > keep] = 0.0
         v[rng.integers(d)] = scale  # at least one nonzero entry
         u = complete_basis(v)
-        np.testing.assert_allclose(u.entries[:, 0], v / np.linalg.norm(v), atol=1e-12)
-        gram = u.entries.conj().T @ u.entries
+        np.testing.assert_allclose(u[:, 0], v / np.linalg.norm(v), atol=1e-12)
+        gram = u.conj().T @ u
         assert np.max(np.abs(gram - np.eye(d))) <= 1e-10
 
     @pytest.mark.parametrize("d", range(2, 7))
@@ -261,7 +267,7 @@ class TestCompleteBasis:
         for k in range(d):
             e = np.zeros(d, dtype=complex)
             e[k] = 1.0
-            u = complete_basis(e).entries
+            u = complete_basis(e)
             np.testing.assert_array_equal(u[:, 0], e)
             assert np.max(np.abs(u.conj().T @ u - np.eye(d))) <= 1e-10
 
@@ -276,12 +282,12 @@ class TestCompleteBasis:
     )
     def test_vectors_with_zero_entries(self, v):
         v = np.array(v, dtype=complex)
-        u = complete_basis(v).entries
+        u = complete_basis(v)
         np.testing.assert_allclose(u[:, 0], v / np.linalg.norm(v), atol=1e-12)
         assert np.max(np.abs(u.conj().T @ u - np.eye(v.size))) <= 1e-10
 
     def test_near_parallel_candidate_skipped(self):
         v = np.array([1.0, 1e-10, 0.0], dtype=complex)
         u = complete_basis(v)
-        gram = u.entries.conj().T @ u.entries
+        gram = u.conj().T @ u
         assert np.max(np.abs(gram - np.eye(3))) <= 1e-10

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bornlab import quantum
-from bornlab.linalg import haar_array
+from bornlab.linalg import eigendecompose, eigensystems, haar_array
 from bornlab.quantum import (
     DimMismatch,
     ModulusVector,
@@ -23,8 +23,7 @@ from bornlab.quantum import (
     moduli,
     random_observables,
     sample_outcomes,
-    spin1_jx2_minus_jy2,
-    spin1_jz,
+    spin1_observables,
 )
 from bornlab.rules import Born, Power, rule_probabilities
 from bornlab.streams import substream
@@ -35,6 +34,11 @@ def inverse_cdf(cumulative, uniforms):
     """Reference draw: the first outcome whose cumulative probability reaches
     the uniform, ties toward the lower index, the last outcome above them all."""
     return np.minimum(np.searchsorted(cumulative, uniforms, side="left"), cumulative.size - 1)
+
+
+def diagonal_basis(values):
+    """Checked eigenvector columns of the diagonal observable diag(values)."""
+    return eigensystems(np.diag(values).astype(complex))[1]
 
 
 class Replay:
@@ -191,19 +195,15 @@ class TestStateAndModulus:
 class TestObservable:
     def test_rejects_degenerate_spectrum(self):
         with pytest.raises(ValueError):
-            Observable.from_matrix(np.diag([1.0, 1.0, 2.0]).astype(complex))
+            eigensystems(np.diag([1.0, 1.0, 2.0]).astype(complex))
 
     def test_from_eigenbasis_matches_from_matrix(self):
         rng = np.random.default_rng(5)
         built = Observable.from_eigenbasis(gapped_eigenvalues(4, rng), haar_array(4, rng))
-        recovered = Observable.from_matrix(built.matrix)
-        np.testing.assert_allclose(
-            built.eigensystem.eigenvalues, recovered.eigensystem.eigenvalues, atol=1e-12
-        )
+        recovered = eigendecompose(built.matrix)
+        np.testing.assert_allclose(built.eigensystem.eigenvalues, recovered.eigenvalues, atol=1e-12)
         # phase-fixed eigenvectors agree column by column
-        np.testing.assert_allclose(
-            built.eigensystem.eigenvectors, recovered.eigensystem.eigenvectors, atol=1e-9
-        )
+        np.testing.assert_allclose(built.eigensystem.eigenvectors, recovered.eigenvectors, atol=1e-9)
 
     @pytest.mark.parametrize("d", [2, 3, 6, 16])
     def test_stacked_observables_equal_single_builds(self, d):
@@ -272,15 +272,15 @@ class TestExpand:
         np.testing.assert_allclose(np.abs(alpha), [0.0, 1.0, 0.0], atol=1e-12)
 
     def test_diagonal_observable_returns_own_entries(self):
-        obs = Observable.from_matrix(np.diag([-1.0, 0.0, 1.0]).astype(complex))
+        vectors = diagonal_basis([-1.0, 0.0, 1.0])
         psi = StateVector.normalize(np.array([1.0, 2.0, 2.0]))
-        alpha = expand(psi, obs.eigensystem.eigenvectors)
+        alpha = expand(psi, vectors)
         np.testing.assert_allclose(np.abs(alpha), np.abs(psi.amplitudes), atol=1e-14)
 
     def test_symmetric_state(self):
-        obs = Observable.from_matrix(np.diag([0.1, 0.5, 0.9]).astype(complex))
+        vectors = diagonal_basis([0.1, 0.5, 0.9])
         psi = StateVector(np.ones(3) / np.sqrt(3))
-        alpha = expand(psi, obs.eigensystem.eigenvectors)
+        alpha = expand(psi, vectors)
         np.testing.assert_allclose(np.abs(alpha) ** 2, np.ones(3) / 3, atol=1e-14)
 
     def test_dim_mismatch(self):
@@ -306,17 +306,17 @@ class TestProbabilities:
         np.testing.assert_allclose(p, [0, 0, 1, 0], atol=1e-12)
 
     def test_symmetric_state_uniform(self):
-        obs = Observable.from_matrix(np.diag([0.1, 0.5, 0.9]).astype(complex))
+        vectors = diagonal_basis([0.1, 0.5, 0.9])
         psi = StateVector(np.ones(3) / np.sqrt(3))
-        p = rule_probabilities(Born(), moduli(expand(psi, obs.eigensystem.eigenvectors)).moduli)
+        p = rule_probabilities(Born(), moduli(expand(psi, vectors)).moduli)
         np.testing.assert_allclose(p, np.ones(3) / 3, atol=1e-14)
 
     def test_linear_rule_defect_signal(self):
         # f(a) = a at the symmetric qubit state: entries 1/sqrt(2) each and
         # the sum is sqrt(2), not 1 - the defect is the point
-        obs = Observable.from_matrix(np.diag([-0.5, 0.5]).astype(complex))
+        vectors = diagonal_basis([-0.5, 0.5])
         psi = StateVector(np.array([1.0, 1.0]) / np.sqrt(2))
-        p = rule_probabilities(Power(1), moduli(expand(psi, obs.eigensystem.eigenvectors)).moduli)
+        p = rule_probabilities(Power(1), moduli(expand(psi, vectors)).moduli)
         np.testing.assert_allclose(p, [0.7071067811865475] * 2, atol=1e-12)
         assert abs(np.sum(p) - np.sqrt(2)) < 1e-12
 
@@ -373,19 +373,19 @@ class TestMeasurement:
     def test_frequencies_match_binomial_oracle(self):
         # symmetric qubit state: outcome 0 is a fair coin, so the count over
         # n shots sits within three binomial standard deviations of n/2
-        obs = Observable.from_matrix(np.diag([-0.5, 0.5]).astype(complex))
+        vectors = diagonal_basis([-0.5, 0.5])
         psi = StateVector(np.array([1.0, 1.0]) / np.sqrt(2))
         shots = 100_000
-        counts = sample_outcomes(psi, obs.eigensystem.eigenvectors, shots, np.random.default_rng(11))
+        counts = sample_outcomes(psi, vectors, shots, np.random.default_rng(11))
         sigma = np.sqrt(0.25 / shots)
         assert abs(counts[0] / shots - 0.5) < 3 * sigma
 
     def test_single_shot_loop_agrees_with_batch(self):
-        obs = Observable.from_matrix(np.diag([-0.5, 0.5]).astype(complex))
+        vectors = diagonal_basis([-0.5, 0.5])
         psi = StateVector(np.array([0.6, 0.8]))
         shots = 4000
         rng = np.random.default_rng(13)
-        hits = sum(measure(psi, obs.eigensystem.eigenvectors, rng)[0] == 0 for _ in range(shots))
+        hits = sum(measure(psi, vectors, rng)[0] == 0 for _ in range(shots))
         sigma = np.sqrt(0.36 * 0.64 / shots)
         assert abs(hits / shots - 0.36) < 3 * sigma
 
@@ -421,9 +421,9 @@ class TestMeasurement:
     )
     def test_chunked_counts_equal_one_draw_at_the_edges(self, monkeypatch, probabilities, scale):
         d = len(probabilities)
-        obs = Observable.from_matrix(np.diag(np.arange(d, dtype=float)).astype(complex))
+        vectors = diagonal_basis(np.arange(d, dtype=float))
         psi = StateVector(np.sqrt(probabilities) * scale)
-        cumulative = np.cumsum(born_probabilities(psi, obs.eigensystem.eigenvectors))
+        cumulative = np.cumsum(born_probabilities(psi, vectors))
         if scale < 1.0:
             assert cumulative[-1] < 1.0
         # uniforms on every cumulative value and its neighbours, at the ends
@@ -434,7 +434,7 @@ class TestMeasurement:
         uniforms = np.concatenate([fixed, np.random.default_rng(20).random(50)])
         reference = np.bincount(inverse_cdf(cumulative, uniforms), minlength=d)
         monkeypatch.setattr(quantum, "SHOT_CHUNK", 7)
-        counts = sample_outcomes(psi, obs.eigensystem.eigenvectors, uniforms.size, Replay(uniforms))
+        counts = sample_outcomes(psi, vectors, uniforms.size, Replay(uniforms))
         np.testing.assert_array_equal(counts, reference)
 
     @settings(max_examples=200, deadline=None)
@@ -485,37 +485,50 @@ class TestMeasurement:
 
 class TestSpinOneFixtures:
     def test_jz_spectrum(self):
-        np.testing.assert_allclose(spin1_jz().eigensystem.eigenvalues, [-1.0, 0.0, 1.0])
+        _, values, _ = spin1_observables()
+        np.testing.assert_allclose(values[0], [-1.0, 0.0, 1.0])
 
     def test_fixture_matrix_matches_ladder_oracle(self):
         jx, jy = spin1_ladder_matrices()
         expected = jx @ jx - jy @ jy
         np.testing.assert_allclose(expected, [[0, 0, 1], [0, 0, 0], [1, 0, 0]], atol=1e-15)
-        np.testing.assert_allclose(spin1_jx2_minus_jy2().matrix.entries, expected, atol=1e-15)
+        matrices, _, _ = spin1_observables()
+        np.testing.assert_allclose(matrices[1], expected, atol=1e-15)
 
     def test_jx2_jy2_spectrum_from_oracle(self):
         jx, jy = spin1_ladder_matrices()
         oracle = np.linalg.eigvalsh(jx @ jx - jy @ jy)
-        np.testing.assert_allclose(
-            spin1_jx2_minus_jy2().eigensystem.eigenvalues, oracle, atol=1e-14
-        )
+        _, values, _ = spin1_observables()
+        np.testing.assert_allclose(values[1], oracle, atol=1e-14)
 
     def test_both_share_middle_eigenvector(self):
         e2 = np.array([0.0, 1.0, 0.0], dtype=complex)
-        for obs in (spin1_jz(), spin1_jx2_minus_jy2()):
-            residual = obs.matrix.entries @ e2 - (e2.conj() @ obs.matrix.entries @ e2) * e2
+        matrices, _, _ = spin1_observables()
+        for matrix in matrices:
+            residual = matrix @ e2 - (e2.conj() @ matrix @ e2) * e2
             assert np.linalg.norm(residual) < 1e-14
 
     def test_plus_minus_eigenvectors(self):
-        system = spin1_jx2_minus_jy2().eigensystem
+        _, _, vectors = spin1_observables()
         s = 1 / np.sqrt(2)
-        np.testing.assert_allclose(system.eigenvectors[:, 0], [s, 0, -s], atol=1e-14)
-        np.testing.assert_allclose(system.eigenvectors[:, 2], [s, 0, s], atol=1e-14)
+        np.testing.assert_allclose(vectors[1, :, 0], [s, 0, -s], atol=1e-14)
+        np.testing.assert_allclose(vectors[1, :, 2], [s, 0, s], atol=1e-14)
+
+    def test_stack_equals_single_decompositions(self):
+        # bit for bit: eigh and the phase fix on the stack give each
+        # matrix's eigendecompose, the reference path
+        matrices, values, vectors = spin1_observables()
+        assert matrices.shape == vectors.shape == (2, 3, 3) and values.shape == (2, 3)
+        for i, matrix in enumerate(matrices):
+            single = eigendecompose(matrix)
+            assert values[i].tobytes() == single.eigenvalues.tobytes()
+            assert vectors[i].tobytes() == single.eigenvectors.tobytes()
 
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 100_000))
     def test_same_probability_for_middle_state(self, seed):
         psi = haar_state(3, np.random.default_rng(seed))
-        p_z = born_probabilities(psi, spin1_jz().eigensystem.eigenvectors)[1]
-        p_x = born_probabilities(psi, spin1_jx2_minus_jy2().eigensystem.eigenvectors)[1]
+        _, _, vectors = spin1_observables()
+        p_z = born_probabilities(psi, vectors[0])[1]
+        p_x = born_probabilities(psi, vectors[1])[1]
         assert abs(p_z - p_x) <= 1e-12

@@ -11,6 +11,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from bornlab import cli
 from test_acceptance import CRITERION_10_COMMANDS
 
@@ -33,6 +35,27 @@ def test_exponent_sweep_csv():
     assert by_exponent[2.0][0] <= 1e-12
     for p, (_, _, symmetric) in by_exponent.items():
         assert symmetric == abs(2 ** (1 - p / 2) - 1)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--dim", "1", "--trials", "5"],  # d=1 has the single modulus 1: every defect would read zero
+        ["--dim", "0", "--trials", "5"],
+        ["--trials", "0"],
+        ["--trials", "-3"],
+        ["--seed", "-1", "--trials", "5"],
+    ],
+)
+def test_exponent_sweep_rejects_what_the_cli_rejects(argv):
+    # a usage error: exit 2 and one line of usage, no traceback and no table
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    completed = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / "exponent_sweep.py"), *argv],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert completed.returncode == 2 and completed.stdout == "", completed.stderr
+    assert f"{argv[0]} must be at least" in completed.stderr and "Traceback" not in completed.stderr
 
 
 def test_run_all_experiments(tmp_path):
