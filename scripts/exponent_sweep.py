@@ -30,7 +30,10 @@ def main() -> int:
             parser.error(f"--{name} must be at least {low}")
 
     exponents = np.concatenate([np.arange(0.5, 2.0, 0.25), [2.0], np.arange(2.25, 4.25, 0.25)])
-    handle = sys.stdout if args.out == "-" else open(args.out, "w", encoding="utf-8")
+    try:
+        handle = sys.stdout if args.out == "-" else open(args.out, "w", encoding="utf-8")
+    except OSError as exc:  # as the CLI reports --out into a missing directory
+        parser.error(str(exc))
     writer = csv.writer(handle, lineterminator="\n")
     writer.writerow(["exponent", "max_defect", "mean_defect", "symmetric_point_defect"])
     for p in (float(x) for x in exponents):

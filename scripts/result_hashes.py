@@ -61,6 +61,8 @@ def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--seed", type=int, default=10)
     args = parser.parse_args()
+    if args.seed < 0:  # the CLI's bound, checked before the table header
+        parser.error("--seed must be at least 0")
     print("command\tjson\tcsv\texit json/csv")
     for argv in COMMANDS:
         print(row(argv, args.seed))

@@ -38,9 +38,14 @@ def main() -> int:
     parser.add_argument("--seed", type=int, default=42)
     parser.add_argument("--outdir", default="runs")
     args = parser.parse_args()
+    if args.seed < 0:  # the CLI's bound, checked before the output directory exists
+        parser.error("--seed must be at least 0")
 
     outdir = Path(args.outdir)
-    outdir.mkdir(parents=True, exist_ok=True)
+    try:
+        outdir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        parser.error(str(exc))
 
     surprises = 0
     for argv in COMMANDS:

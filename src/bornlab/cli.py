@@ -204,7 +204,7 @@ def _independence_check(rule, d: int, draws: int, seed: int, *address: int, firs
     phi = haar_state(d, substream(seed, *address, first + 1))
     obs_scan = invariance.observable_independence_scan(psi, phi, rule, draws, subseed(seed, *address, first + 2))
     point = moduli(psi.amplitudes)
-    rot_scan = invariance.unobserved_independence_scan(point, 0, rule, draws, subseed(seed, *address, first + 3))
+    rot_scan = invariance.unobserved_independence_scan(point, rule, draws, subseed(seed, *address, first + 3))
     results = {"observable_scan": obs_scan.as_dict(), "rotation_scan": rot_scan.as_dict()}
     if d == 2 and isinstance(rule, rules.Renormalized):
         # the complement orthant is a single point, so both spreads vanish

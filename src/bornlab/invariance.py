@@ -5,7 +5,7 @@ Two ways of rotating everything the outcome should not care about:
 * random observables sharing one fixed eigenvector, diagonalized by eigh,
   with the shared eigenvector found again by overlap;
 * direct resampling of the unobserved moduli on the complement orthant of
-  radius sqrt(1 - a_k^2).
+  radius sqrt(1 - a_0^2).
 
 For the quadratic rule the outcome probability is invariant under both;
 renormalized rules leak dependence on the rest of the basis, and the scans
@@ -25,10 +25,6 @@ from .streams import blockwise
 from .tolerances import TOL
 
 MIN_DRAWS = 2  # a spread needs two values
-
-
-class IndexOutOfRange(IndexError):
-    """Fixed index is outside the vector's dimension."""
 
 
 @dataclass(frozen=True)
@@ -63,25 +59,22 @@ class InvarianceReport:
         }
 
 
-def complement_rotation(point: ModulusVector, k: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n resamplings of the unobserved moduli at fixed a_k, as rows (n, d).
+def complement_rotation(point: ModulusVector, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n resamplings of the unobserved moduli a_1..a_{d-1} at fixed a_0, as rows (n, d).
 
     Each tail is a fresh point on the complement orthant of radius
-    sqrt(1 - a_k^2): absolute values of a standard Gaussian, normalized and
+    sqrt(1 - a_0^2): absolute values of a standard Gaussian, normalized and
     scaled.  For dim 2 the complement orthant is a single point, so every
     row is the input.
     """
     d = point.dim
-    if not 0 <= k < d:
-        raise IndexOutOfRange(f"index {k} for dimension {d}")
     rows = np.tile(point.moduli, (n, 1))
-    others = np.arange(d) != k
-    radius = float(np.linalg.norm(point.moduli[others]))
+    radius = float(np.linalg.norm(point.moduli[1:]))
     if d == 2 or radius == 0.0:
         return rows
     direction = np.abs(rng.standard_normal((n, d - 1)))
     norm = np.linalg.norm(direction, axis=1, keepdims=True)  # 0 has probability 0; check_orthant rejects the nan
-    rows[:, others] = radius * direction / norm
+    rows[:, 1:] = radius * direction / norm
     check_orthant(rows)
     return rows
 
@@ -152,18 +145,17 @@ def observable_independence_scan(
 
 def unobserved_independence_scan(
     point: ModulusVector,
-    k: int,
     rule: ProbabilityRule,
     draws: int,
     seed: int,
 ) -> InvarianceReport:
-    """Spread of p_k as the unobserved moduli rotate at fixed a_k.
+    """Spread of p_0 as the unobserved moduli rotate at fixed a_0.
 
-    Structurally zero for any rule of the plain single-modulus form; for
-    renormalized rules the spread is the falsification signal.
+    Zero for plain rules, the falsification signal for renormalized ones.
+    Every rule is permutation-equivariant: outcome k is outcome 0 with a_k first.
     """
     _check_draws(draws)
     p_values = blockwise(
-        lambda n, rng: rule_probabilities(rule, complement_rotation(point, k, n, rng))[:, k], draws, seed
+        lambda n, rng: rule_probabilities(rule, complement_rotation(point, n, rng))[:, 0], draws, seed
     )
-    return InvarianceReport(rule.name, point.dim, k, draws, p_values, seed)
+    return InvarianceReport(rule.name, point.dim, 0, draws, p_values, seed)

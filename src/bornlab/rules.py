@@ -97,7 +97,7 @@ class Renormalized:
         if not np.all(np.isfinite(total)):
             raise DomainError("renormalization sum is not finite")
         if np.any(total <= 0.0):
-            raise DomainError("renormalization sum is not positive")
+            raise DomainError("renormalization sum is not positive: a base value is not positive, or the sum underflows")
         return raw / total
 
 

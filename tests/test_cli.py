@@ -127,6 +127,16 @@ class TestExitCodes:
         assert reason in captured.err
         assert "Traceback" not in captured.err
 
+    def test_underflowing_renormalization_sum_is_named(self, capsys):
+        # every a^2000 > 0, but a state with all moduli below 0.69 takes each
+        # to 0.0, so the sum is zero without a non-positive base value
+        with pytest.raises(SystemExit) as excinfo:
+            main(["falsify", "--rule", "renorm:power:2000", "--dim", "8", "--trials", "10"])
+        assert excinfo.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "renormalization sum is not positive" in captured.err
+        assert "underflow" in captured.err
+
     def test_out_into_missing_directory_is_usage_error(self, tmp_path, capsys):
         path = tmp_path / "missing" / "report.json"
         with pytest.raises(SystemExit) as excinfo:

@@ -23,8 +23,13 @@ from bornlab.quantum import (
     spin1_observables,
 )
 from bornlab.rules import Affine, Born, Power, Renormalized, rule_probabilities
-from bornlab.streams import BLOCK, substream
+from bornlab.streams import BLOCK, blockwise, substream
 from bornlab.tolerances import TOL
+
+
+def listed_first(point: ModulusVector, k: int) -> ModulusVector:
+    """The point with a_k moved to the front and the other moduli in order."""
+    return ModulusVector(np.concatenate([point.moduli[k : k + 1], np.delete(point.moduli, k)]))
 
 
 def draw_observables(phi: StateVector, n: int, rng):
@@ -37,17 +42,17 @@ def draw_observables(phi: StateVector, n: int, rng):
 class TestComplementRotation:
     def test_degenerate_radius_is_fixed_point(self):
         point = ModulusVector(np.array([1.0, 0.0, 0.0]))
-        out = complement_rotation(point, 0, 5, np.random.default_rng(1))
+        out = complement_rotation(point, 5, np.random.default_rng(1))
         np.testing.assert_array_equal(out, np.tile(point.moduli, (5, 1)))
 
     def test_qubit_complement_is_rigid(self):
         point = ModulusVector(np.array([0.6, 0.8]))
-        out = complement_rotation(point, 0, 5, np.random.default_rng(2))
+        out = complement_rotation(point, 5, np.random.default_rng(2))
         np.testing.assert_array_equal(out, np.tile(point.moduli, (5, 1)))
 
     def test_radius_contract(self):
         point = ModulusVector(np.array([0.6, 0.8, 0.0]))
-        out = complement_rotation(point, 0, 50, np.random.default_rng(0))
+        out = complement_rotation(point, 50, np.random.default_rng(0))
         assert out.shape == (50, 3)
         for row in out:
             assert row[0] == 0.6
@@ -57,19 +62,14 @@ class TestComplementRotation:
     @settings(max_examples=50, deadline=None)
     @given(d=st.integers(3, 8), n=st.integers(1, 20), seed=st.integers(0, 10_000))
     def test_output_is_on_the_orthant(self, d, n, seed):
-        # every rotated row keeps a_k exactly and stays on the unit orthant
+        # every rotated row keeps a_k (listed first) exactly and stays on the unit orthant
         rng = np.random.default_rng(seed)
         point = moduli(haar_state(d, rng).amplitudes)
         k = int(rng.integers(0, d))
-        out = complement_rotation(point, k, n, rng)
-        assert np.all(out[:, k] == point.moduli[k])
+        out = complement_rotation(listed_first(point, k), n, rng)
+        assert np.all(out[:, 0] == point.moduli[k])
         assert np.all(out >= 0.0)
         assert np.max(np.abs(np.sum(out**2, axis=1) - 1.0)) <= 1e-12
-
-    def test_rejects_bad_index(self):
-        point = ModulusVector(np.array([0.6, 0.8, 0.0]))
-        with pytest.raises(invariance.IndexOutOfRange):
-            complement_rotation(point, 3, 4, np.random.default_rng(0))
 
 
 class TestObservableWithEigenstate:
@@ -281,7 +281,7 @@ class TestBlocks:
         rule = Renormalized(Power(3.0))
         return (
             observable_independence_scan(psi, phi, rule, self.DRAWS, seed=32),
-            unobserved_independence_scan(moduli(psi.amplitudes), 1, rule, self.DRAWS, seed=33),
+            unobserved_independence_scan(listed_first(moduli(psi.amplitudes), 1), rule, self.DRAWS, seed=33),
         )
 
     def test_multi_block_scans_are_thread_invariant(self):
@@ -330,7 +330,7 @@ class TestUnobservedIndependence:
     def test_single_modulus_rules_are_structurally_flat(self):
         point = moduli(haar_state(5, np.random.default_rng(20)).amplitudes)
         for rule in (Born(), Power(1.0), Power(3.0)):
-            report = unobserved_independence_scan(point, 2, rule, 50, seed=21)
+            report = unobserved_independence_scan(listed_first(point, 2), rule, 50, seed=21)
             assert report.spread == 0.0
 
     def test_renormalized_quartic_leaks(self):
@@ -343,18 +343,70 @@ class TestUnobservedIndependence:
         oracle_spread = float(np.max(p_grid) - np.min(p_grid))
 
         point = ModulusVector(np.array([0.6, 0.8, 0.0]))
-        report = unobserved_independence_scan(point, 0, Renormalized(Power(4.0)), 50, seed=22)
+        report = unobserved_independence_scan(point, Renormalized(Power(4.0)), 50, seed=22)
         assert report.spread > 0.01
         assert report.spread <= oracle_spread + 1e-9
 
     def test_qubit_spread_is_exactly_zero(self):
         point = ModulusVector(np.array([0.6, 0.8]))
         for rule in (Born(), Renormalized(Power(4.0))):
-            report = unobserved_independence_scan(point, 0, rule, 20, seed=23)
+            report = unobserved_independence_scan(point, rule, 20, seed=23)
             assert report.spread == 0.0
 
     def test_report_records_the_fixed_index(self):
         point = ModulusVector(np.array([0.6, 0.8, 0.0]))
-        report = unobserved_independence_scan(point, 1, Renormalized(Power(1.0)), 10, seed=24)
-        assert report.k == 1
+        # outcome 1 of the point is outcome 0 once a_1 is listed first
+        report = unobserved_independence_scan(listed_first(point, 1), Renormalized(Power(1.0)), 10, seed=24)
+        assert report.k == 0
         assert report.spread == max(report.p_values) - min(report.p_values)
+
+
+def rotation_at(point: ModulusVector, k: int, n: int, rng) -> np.ndarray:
+    """The rotation at fixed a_k, written with a boolean mask over the other
+    moduli: the reference for the outcome-k scan that outcome 0 stands in for."""
+    d = point.dim
+    rows = np.tile(point.moduli, (n, 1))
+    others = np.arange(d) != k
+    radius = float(np.linalg.norm(point.moduli[others]))
+    if d == 2 or radius == 0.0:
+        return rows
+    direction = np.abs(rng.standard_normal((n, d - 1)))
+    rows[:, others] = radius * direction / np.linalg.norm(direction, axis=1, keepdims=True)
+    return rows
+
+
+class TestPermutationEquivariance:
+    """Every rule commutes with a permutation of the moduli, so the rotation
+    scan at outcome 0 loses nothing: outcome k is outcome 0 with a_k first.
+    Plain rules act entrywise and agree bit for bit; a renormalized rule's
+    sum runs in another order and agrees to rounding."""
+
+    RULES = st.one_of(
+        TestBlockKernelsMatchScalarFormulas.PLAIN, TestBlockKernelsMatchScalarFormulas.POSITIVE.map(Renormalized)
+    )
+
+    @staticmethod
+    def assert_same(rule, actual, expected):
+        if isinstance(rule, Renormalized):
+            np.testing.assert_allclose(actual, expected, rtol=0, atol=1e-15)
+        else:
+            np.testing.assert_array_equal(actual, expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(rule=RULES, d=st.integers(2, 8), n=st.integers(1, 12), seed=st.integers(0, 10_000))
+    def test_rules_commute_with_permutations(self, rule, d, n, seed):
+        rng = np.random.default_rng(seed)
+        points = np.stack([moduli(haar_state(d, rng).amplitudes).moduli for _ in range(n)])
+        order = rng.permutation(d)
+        self.assert_same(rule, rule_probabilities(rule, points[:, order]), rule_probabilities(rule, points)[:, order])
+
+    @settings(max_examples=40, deadline=None)
+    @given(rule=RULES, d=st.integers(2, 8), draws=st.integers(2, 40), seed=st.integers(0, 10_000))
+    def test_scan_at_outcome_zero_is_the_scan_at_outcome_k(self, rule, d, draws, seed):
+        rng = np.random.default_rng(seed)
+        point = moduli(haar_state(d, rng).amplitudes)
+        k = int(rng.integers(0, d))
+        reference = blockwise(lambda n, rng: rule_probabilities(rule, rotation_at(point, k, n, rng))[:, k], draws, seed)
+        report = unobserved_independence_scan(listed_first(point, k), rule, draws, seed)
+        assert report.k == 0
+        self.assert_same(rule, report.p_values, reference)

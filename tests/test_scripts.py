@@ -28,6 +28,19 @@ def run_script(name, *args, **env_vars):
     return completed.stdout
 
 
+def usage_error(name, *args):
+    """Run a script that must stop as the CLI does on bad input: exit 2, no
+    traceback, nothing on stdout, one error line from the script's parser."""
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    completed = subprocess.run(
+        [sys.executable, str(ROOT / "scripts" / name), *args],
+        capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert completed.returncode == 2 and completed.stdout == "", completed.stderr
+    assert f"{name}: error: " in completed.stderr and "Traceback" not in completed.stderr
+    return completed.stderr
+
+
 def test_exponent_sweep_csv():
     rows = list(csv.reader(io.StringIO(run_script("exponent_sweep.py", "--trials", "50"))))
     assert rows[0] == ["exponent", "max_defect", "mean_defect", "symmetric_point_defect"]
@@ -49,13 +62,24 @@ def test_exponent_sweep_csv():
 )
 def test_exponent_sweep_rejects_what_the_cli_rejects(argv):
     # a usage error: exit 2 and one line of usage, no traceback and no table
-    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
-    completed = subprocess.run(
-        [sys.executable, str(ROOT / "scripts" / "exponent_sweep.py"), *argv],
-        capture_output=True, text=True, env=env, timeout=300,
-    )
-    assert completed.returncode == 2 and completed.stdout == "", completed.stderr
-    assert f"{argv[0]} must be at least" in completed.stderr and "Traceback" not in completed.stderr
+    assert f"{argv[0]} must be at least" in usage_error("exponent_sweep.py", *argv)
+
+
+@pytest.mark.parametrize(
+    "name, argv, message",
+    [
+        ("exponent_sweep.py", ["--trials", "5", "--out", "{tmp}/missing/x.csv"], "No such file or directory"),
+        ("run_all_experiments.py", ["--outdir", "{tmp}/file/runs"], "Not a directory"),
+        ("run_all_experiments.py", ["--seed", "-1", "--outdir", "{tmp}/runs"], "--seed must be at least 0"),
+        ("result_hashes.py", ["--seed", "-1"], "--seed must be at least 0"),
+    ],
+    ids=["sweep-missing-dir", "run-all-outdir-under-file", "run-all-negative-seed", "hashes-negative-seed"],
+)
+def test_scripts_report_bad_input_as_usage_errors(tmp_path, name, argv, message):
+    # tmp_path holds one regular file; the script must stop before it writes anything
+    (tmp_path / "file").write_text("")
+    assert message in usage_error(name, *(arg.format(tmp=tmp_path) for arg in argv))
+    assert [path.name for path in tmp_path.iterdir()] == ["file"]
 
 
 def test_run_all_experiments(tmp_path):
