@@ -20,7 +20,8 @@ import json
 from bornlab import cli
 
 # the determinism criterion's commands (the list of tests/test_acceptance.py),
-# the plain-rule falsify grid, and independence on plain rules
+# the plain-rule falsify grid, independence on plain rules, and both
+# independence checks of a renormalized rule at d=2 (inconclusive)
 CRITERION_10_COMMANDS = [
     ["verify-born", "--dims", "2,3", "--trials", "150"],
     ["falsify", "--rule", "power:1", "--dim", "2", "--trials", "150"],
@@ -34,7 +35,8 @@ CRITERION_10_COMMANDS = [
 PLAIN_RULES = ["born", "power:1", "power:3", "affine:0.5:0.125", "affine:0.7:0.1"]
 FALSIFY_GRID = [["falsify", "--rule", rule, "--dim", str(d)] for d in range(2, 9) for rule in PLAIN_RULES]
 INDEPENDENCE = [["independence", "--rule", rule, "--dim", "3"] for rule in PLAIN_RULES]
-COMMANDS = CRITERION_10_COMMANDS + FALSIFY_GRID + INDEPENDENCE
+RENORM_D2 = [[command, "--rule", "renorm:power:4", "--dim", "2"] for command in ("falsify", "independence")]
+COMMANDS = CRITERION_10_COMMANDS + FALSIFY_GRID + INDEPENDENCE + RENORM_D2
 
 
 def digest(text: str) -> str:

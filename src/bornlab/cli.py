@@ -9,8 +9,8 @@ configuration cannot separate the rule from the quadratic one), 4 runtime
 failure (any other exception, one line on stderr: a crash is not a verdict).
 
 Reports are byte-identical across reruns with the same seed, because every
-random draw comes from a substream addressed by (seed, trial index) rather
-than from shared generator state.
+random draw comes from substream(seed, *address) at its own address, not
+from shared generator state; each scan's report records [seed, *address].
 """
 
 from __future__ import annotations
@@ -27,7 +27,7 @@ import numpy as np
 
 from . import invariance, quantum, rules, variational
 from .quantum import haar_state, moduli
-from .streams import subseed, substream
+from .streams import substream
 from .tolerances import TOL
 
 
@@ -182,29 +182,28 @@ Check = tuple[dict, list[tuple], float, list[float]]  # results entries, CSV row
 
 
 def _defect_check(rule, d: int, trials: int, seed: int, *address: int) -> Check:
-    """The normalization-defect scan of rule at d, run at subseed(seed, *address).
+    """The normalization-defect scan of rule at d: trial i from substream(seed, *address, i).
 
     Returns its results entry, one CSV row per trial, the largest defect and
     the worst state's moduli.
     """
-    scan = rules.defect_scan(rule, d, trials, subseed(seed, *address))
+    scan = rules.defect_scan(rule, d, trials, seed, *address)
     series = [(i, d, None, scan.defects[i]) for i in range(scan.trials)]
     return {"defect": scan.as_dict()}, series, scan.max_defect, [float(x) for x in scan.argmax_state.moduli]
 
 
-def _independence_check(rule, d: int, draws: int, seed: int, *address: int, first: int = 0) -> Check:
-    """Both independence scans of rule at d, on streams (seed, *address, first..first+3).
+def _independence_check(rule, d: int, draws: int, seed: int, *address: int) -> Check:
+    """Both independence scans of rule at d, on streams (seed, *address, 0..3).
 
-    The observable scan measures psi (substream first) at the outcome phi
-    (substream first + 1); the rotation scan resamples the complement of
-    psi's own a_0.  Returns their results entries, CSV rows, the larger
+    The observable scan, at (*address, 2), measures psi (stream 0) at the
+    outcome phi (stream 1); the rotation scan, at (*address, 3), resamples
+    the complement of psi's own a_0.  Returns their results entries, CSV rows, the larger
     spread (the observable scan's on a tie) and that scan's [min p, max p].
     """
-    psi = haar_state(d, substream(seed, *address, first))
-    phi = haar_state(d, substream(seed, *address, first + 1))
-    obs_scan = invariance.observable_independence_scan(psi, phi, rule, draws, subseed(seed, *address, first + 2))
-    point = moduli(psi.amplitudes)
-    rot_scan = invariance.unobserved_independence_scan(point, rule, draws, subseed(seed, *address, first + 3))
+    psi = haar_state(d, substream(seed, *address, 0))
+    phi = haar_state(d, substream(seed, *address, 1))
+    obs_scan = invariance.observable_independence_scan(psi, phi, rule, draws, seed, *address, 2)
+    rot_scan = invariance.unobserved_independence_scan(moduli(psi.amplitudes), rule, draws, seed, *address, 3)
     results = {"observable_scan": obs_scan.as_dict(), "rotation_scan": rot_scan.as_dict()}
     if d == 2 and isinstance(rule, rules.Renormalized):
         # the complement orthant is a single point, so both spreads vanish
@@ -256,7 +255,7 @@ def cmd_falsify(args) -> Verdict:
     falsified = max_defect > args.tol_defect
 
     if isinstance(rule, rules.Renormalized):
-        scans, rows, spread, spread_witness = _independence_check(rule, d, args.trials, args.seed, first=1)
+        scans, rows, spread, spread_witness = _independence_check(rule, d, args.trials, args.seed, 1)
         results.update(scans)
         series += rows
         if "inconclusive" in results:
@@ -270,7 +269,7 @@ def cmd_falsify(args) -> Verdict:
 
 
 def cmd_independence(args) -> Verdict:
-    results, series, spread, _ = _independence_check(args.rule, args.dim, args.trials, args.seed)
+    results, series, spread, _ = _independence_check(args.rule, args.dim, args.trials, args.seed, 1)
     results.update(max_spread=spread, threshold=args.tol_spread)
     return results, spread <= args.tol_spread and "inconclusive" not in results, series
 

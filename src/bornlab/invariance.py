@@ -36,7 +36,7 @@ class InvarianceReport:
     k: int | None
     draws: int
     p_values: np.ndarray
-    seed: int
+    address: tuple[int, ...]  # (seed, *address): block b is drawn from substream(*address, b)
 
     def __post_init__(self) -> None:
         p_values = np.array(self.p_values, dtype=np.float64)
@@ -55,7 +55,7 @@ class InvarianceReport:
             "draws": self.draws,
             "p_values": [float(p) for p in self.p_values],
             "spread": self.spread,
-            "seed": self.seed,
+            "address": list(self.address),
         }
 
 
@@ -120,6 +120,7 @@ def observable_independence_scan(
     rule: ProbabilityRule,
     draws: int,
     seed: int,
+    *address: int,
 ) -> InvarianceReport:
     """Spread of p(outcome = phi) across random observables sharing phi.
 
@@ -140,7 +141,7 @@ def observable_independence_scan(
         check_orthant(point)
         return rule_probabilities(rule, point)[np.arange(n), k]
 
-    return InvarianceReport(rule.name, psi.dim, None, draws, blockwise(kernel, draws, seed), seed)
+    return InvarianceReport(rule.name, psi.dim, None, draws, blockwise(kernel, draws, seed, *address), (seed, *address))
 
 
 def unobserved_independence_scan(
@@ -148,6 +149,7 @@ def unobserved_independence_scan(
     rule: ProbabilityRule,
     draws: int,
     seed: int,
+    *address: int,
 ) -> InvarianceReport:
     """Spread of p_0 as the unobserved moduli rotate at fixed a_0.
 
@@ -156,6 +158,6 @@ def unobserved_independence_scan(
     """
     _check_draws(draws)
     p_values = blockwise(
-        lambda n, rng: rule_probabilities(rule, complement_rotation(point, n, rng))[:, 0], draws, seed
+        lambda n, rng: rule_probabilities(rule, complement_rotation(point, n, rng))[:, 0], draws, seed, *address
     )
-    return InvarianceReport(rule.name, point.dim, 0, draws, p_values, seed)
+    return InvarianceReport(rule.name, point.dim, 0, draws, p_values, (seed, *address))

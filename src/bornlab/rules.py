@@ -163,7 +163,7 @@ class NormalizationReport:
     max_defect: float
     mean_defect: float
     argmax_state: ModulusVector
-    seed: int
+    address: tuple[int, ...]  # (seed, *address): trial i is drawn from substream(*address, i)
     defects: np.ndarray
 
     def __post_init__(self) -> None:
@@ -179,15 +179,15 @@ class NormalizationReport:
             "max_defect": self.max_defect,
             "mean_defect": self.mean_defect,
             "argmax_state": [float(x) for x in self.argmax_state.moduli],
-            "seed": self.seed,
+            "address": list(self.address),
         }
 
 
-def defect_scan(rule: ProbabilityRule, dim: int, trials: int, seed: int) -> NormalizationReport:
+def defect_scan(rule: ProbabilityRule, dim: int, trials: int, seed: int, *address: int) -> NormalizationReport:
     """Measure the normalization defect over Haar-random states.
 
-    Each trial draws its own substream from (seed, trial index), so the
-    report is a deterministic function of (rule, dim, trials, seed).  The
+    Trial i draws from substream(seed, *address, i), so the report is a
+    deterministic function of (rule, dim, trials, seed, *address).  The
     rule is evaluated once, on the stacked moduli of every trial.  The
     worst state (the first at the maximum) is recorded as a falsification
     witness.  A renormalized rule sums to one by construction: every defect
@@ -196,10 +196,10 @@ def defect_scan(rule: ProbabilityRule, dim: int, trials: int, seed: int) -> Norm
     if trials < 1:
         raise ValueError("trials must be at least 1")
     if isinstance(rule, Renormalized):
-        points = [moduli(haar_state(dim, substream(seed, 0)).amplitudes)]
+        points = [moduli(haar_state(dim, substream(seed, *address, 0)).amplitudes)]
         defects = np.zeros(trials)
     else:
-        points = [moduli(haar_state(dim, substream(seed, i)).amplitudes) for i in range(trials)]
+        points = [moduli(haar_state(dim, substream(seed, *address, i)).amplitudes) for i in range(trials)]
         defects = np.abs(normalization_sum(rule, np.array([point.moduli for point in points])) - 1.0)
     worst = int(np.argmax(defects))
     return NormalizationReport(
@@ -209,6 +209,6 @@ def defect_scan(rule: ProbabilityRule, dim: int, trials: int, seed: int) -> Norm
         max_defect=float(defects[worst]),
         mean_defect=float(np.mean(defects)),
         argmax_state=points[worst],
-        seed=seed,
+        address=(seed, *address),
         defects=defects,
     )

@@ -1,8 +1,9 @@
 """Deterministic RNG stream derivation for seeded trials.
 
-Every trial, or every block of BLOCK draws, gets its own generator derived
-from (seed, indices), so a result depends only on its address, never on
-what was drawn before it.
+Every random draw comes from substream(seed, *address): a scan at an address
+draws its trial or block i from substream(seed, *address, i), so a result
+depends only on its address, never on what was drawn before it, and a
+report's address replays any of its draws.
 
 np.random.SeedSequence pads its entropy with zero words up to four 32-bit
 words (a seed from 2**32 up takes two), so addresses that differ only in
@@ -21,27 +22,17 @@ import numpy as np
 BLOCK = 128  # draws per block: the unit of streams and checks
 
 
-def _seed_sequence(address: tuple) -> np.random.SeedSequence:
-    """SeedSequence(address), handed as one uint32 array the words it splits address into."""
+def substream(seed: int, *indices: int) -> np.random.Generator:
+    """Return an independent generator for a (seed, *indices) address: its
+    SeedSequence gets the address as one uint32 array of words."""
     words = []  # each entry in 32-bit words, least significant first; 0 is [0]
-    for n in map(operator.index, address):
+    for n in map(operator.index, (seed, *indices)):
         if n < 0:
             raise ValueError("expected non-negative integer")
         words.append(n & 0xFFFFFFFF)
         while n := n >> 32:
             words.append(n & 0xFFFFFFFF)
-    return np.random.SeedSequence(np.array(words, dtype=np.uint32))
-
-
-def substream(seed: int, *indices: int) -> np.random.Generator:
-    """Return an independent generator for a (seed, trial/phase) address."""
-    return np.random.Generator(np.random.PCG64(_seed_sequence((seed, *indices))))
-
-
-def subseed(seed: int, *indices: int) -> int:
-    """Derive a child seed for a named phase of a larger experiment."""
-    words = _seed_sequence((seed, *indices)).generate_state(2)
-    return (int(words[0]) << 32) | int(words[1])
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(np.array(words, dtype=np.uint32))))
 
 
 def blockwise(

@@ -302,6 +302,28 @@ class TestFalsification:
         assert code == 1
         assert report["results"]["max_spread"] > 1e-3
 
+    def test_witness_replays_from_the_defect_address(self, capsys):
+        # trial i of the defect scan is drawn from substream(*address, i)
+        argv = ["falsify", "--rule", "power:1", "--dim", "3", "--trials", "50", "--seed", "7"]
+        _, report = run_json(capsys, argv)
+        defect = report["results"]["defect"]
+        assert defect["address"] == [7, 0]
+        states = [quantum.haar_state(3, substream(*defect["address"], i)) for i in range(50)]
+        defects = [abs(float(np.sum(quantum.moduli(s.amplitudes).moduli)) - 1.0) for s in states]
+        worst = int(np.argmax(defects))
+        assert defects[worst] == defect["max_defect"]
+        assert report["results"]["witness"] == [float(x) for x in quantum.moduli(states[worst].amplitudes).moduli]
+
+    def test_falsify_and_independence_run_one_independence_check(self, capsys):
+        # both run it at address (1,), so a renormalized rule gets the same scans
+        argv = ["--rule", "renorm:power:4", "--dim", "3", "--trials", "60", "--seed", "3"]
+        falsify = run_json(capsys, ["falsify"] + argv)[1]["results"]
+        independence = run_json(capsys, ["independence"] + argv)[1]["results"]
+        for scan in ("observable_scan", "rotation_scan"):
+            assert falsify[scan] == independence[scan]
+        assert falsify["observable_scan"]["address"] == [3, 1, 2]
+        assert falsify["rotation_scan"]["address"] == [3, 1, 3]
+
     @pytest.mark.parametrize("rule", ["power:4", "power:1", "affine:2:0"])
     @pytest.mark.parametrize("dim", ["3", "5"])
     def test_independence_with_a_plain_rule_is_inconclusive(self, capsys, rule, dim):

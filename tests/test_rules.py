@@ -203,7 +203,7 @@ class TestDefectScan:
             "max_defect": 0.0,
             "mean_defect": 0.0,
             "argmax_state": [float(x) for x in witness.moduli],
-            "seed": 9,
+            "address": [9],
         }
         np.testing.assert_array_equal(report.defects, np.zeros(50))
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bornlab import cli
-from bornlab.streams import blockwise, subseed, substream
+from bornlab.streams import blockwise, substream
 
 # address entries around the 32-bit word boundaries, Python ints of any size
 # and numpy ints
@@ -22,18 +22,16 @@ ENTRIES = st.one_of(
 
 
 @settings(max_examples=300, deadline=None)
-@given(st.lists(ENTRIES, min_size=1, max_size=5))
+@given(st.lists(ENTRIES, min_size=1, max_size=6))
 def test_streams_are_those_of_the_address_tuple(address):
     # the words handed to SeedSequence are the ones it derives from the tuple
     reference = np.random.default_rng(np.random.SeedSequence(tuple(address)))
     rng = substream(*address)
     assert rng.bit_generator.state == reference.bit_generator.state
     np.testing.assert_array_equal(rng.standard_normal(8), reference.standard_normal(8))
-    words = np.random.SeedSequence(tuple(address)).generate_state(2)
-    assert subseed(*address) == (int(words[0]) << 32) | int(words[1])
 
 
-@pytest.mark.parametrize("derive", [substream, subseed])
+@pytest.mark.parametrize("derive", [substream])
 @pytest.mark.parametrize("address", [(1.0,), (0, 2.5), (3, np.float64(1.0))])
 def test_a_float_entry_is_rejected(derive, address):
     with pytest.raises(TypeError):
@@ -42,7 +40,7 @@ def test_a_float_entry_is_rejected(derive, address):
 
 @pytest.mark.parametrize(
     "derive, address",
-    [(substream, (-1,)), (substream, (0, -1)), (subseed, (-1, 0))],
+    [(substream, (-1,)), (substream, (0, -1))],
 )
 def test_negative_seed_or_index_is_rejected(derive, address):
     # np.random.SeedSequence rejects any negative entry: the one seed check
@@ -63,32 +61,44 @@ def test_blockwise_hands_each_kernel_its_block_size():
     np.testing.assert_array_equal(rows, np.concatenate([substream(5, 2, 7, b).random(n) for b, n in enumerate(sizes)]))
 
 
+def command(code: int | dict, *argv: str, name: str = "") -> pytest.param:
+    """A command line and its exit code (per seed if a dict), named by its
+    command and rule unless a name is given."""
+    return pytest.param(list(argv), code, id=name or argv[0] + ("-" + argv[2] if argv[1] == "--rule" else ""))
+
+
 COMMANDS = [
-    ["verify-born", "--dims", "2,3", "--trials", "5"],
-    ["falsify", "--rule", "power:1", "--dim", "3", "--trials", "5"],
-    ["falsify", "--rule", "renorm:power:4", "--dim", "3", "--trials", "5"],
-    ["independence", "--rule", "renorm:power:1", "--dim", "3", "--trials", "5"],
-    ["recover", "--dims", "2,3", "--trials", "40"],
-    ["stationarity", "--dims", "2,3", "--trials", "200"],
-    ["spin1", "--trials", "200"],
-    ["sample", "--dim", "3", "--shots", "10", "--trials", "3"],
+    command(0, "verify-born", "--dims", "2,3", "--trials", "5"),
+    command(1, "falsify", "--rule", "power:1", "--dim", "3", "--trials", "5"),
+    command(1, "falsify", "--rule", "renorm:power:4", "--dim", "3", "--trials", "5"),
+    command(1, "independence", "--rule", "renorm:power:1", "--dim", "3", "--trials", "5"),
+    command(0, "recover", "--dims", "2,3", "--trials", "40"),
+    command(0, "stationarity", "--dims", "2,3", "--trials", "200"),
+    command(0, "spin1", "--trials", "200"),
+    # seed 7 is one of the 3-sigma false alarms of a correct sampler
+    command({0: 0, 7: 1, 2**40 + 3: 0}, "sample", "--dim", "3", "--shots", "10", "--trials", "3"),
+    # inconclusive layouts, scans of more than one block, a third dimension
+    command(3, "falsify", "--rule", "renorm:power:4", "--dim", "2", name="falsify-renorm:power:4-dim2"),
+    command(3, "independence", "--rule", "power:3", "--dim", "3"),
+    command(0, "independence", "--rule", "born", "--dim", "4", "--trials", "300"),
+    command(0, "verify-born", "--dims", "2,3,4", "--trials", "5", name="verify-born-dims2,3,4"),
 ]
 
 
 @pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
-@pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: argv[0] + ("-" + argv[2] if argv[1] == "--rule" else ""))
-def test_no_two_streams_of_a_command_coincide(monkeypatch, capsys, argv, seed):
+@pytest.mark.parametrize("argv, code", COMMANDS)
+def test_no_two_streams_of_a_command_coincide(monkeypatch, capsys, argv, code, seed):
     # streams.py states SeedSequence's zero padding, which puts a clash one
     # address word away: (s, k) and (s, k, 0) are one stream
     states = []
 
-    class Recording(np.random.SeedSequence):  # what each substream and subseed derives from
+    class Recording(np.random.SeedSequence):  # what each substream derives from
         def __init__(self, entropy=None, **kwargs):
             super().__init__(entropy, **kwargs)
             states.append(tuple(int(word) for word in self.generate_state(4)))
 
     monkeypatch.setattr(np.random, "SeedSequence", Recording)
-    assert cli.main(argv + ["--seed", str(seed)]) in (0, 1)
+    assert cli.main(argv + ["--seed", str(seed)]) == (code[seed] if isinstance(code, dict) else code)
     capsys.readouterr()
     assert len(states) > 1
     assert len(set(states)) == len(states)
