@@ -74,9 +74,8 @@ class Report:
         return 3 if "inconclusive" in self.results else 1
 
     def to_csv(self) -> str:
-        cell = lambda x: "" if x is None else x
-        rows = "".join(f"{index},{cell(d)},{cell(k)},{float(value)!r}\n" for index, d, k, value in self.series)
-        return "index,d,k,value\n" + rows
+        rows = [f"{i},{'' if d is None else d},{'' if k is None else k},{float(v)!r}\n" for i, d, k, v in self.series]
+        return "index,d,k,value\n" + "".join(rows)
 
 
 def _parse_dims(text: str) -> tuple[int, ...]:
@@ -188,8 +187,8 @@ def _defect_check(rule, d: int, trials: int, seed: int, *address: int) -> Check:
     the worst state's moduli.
     """
     scan = rules.defect_scan(rule, d, trials, seed, *address)
-    series = [(i, d, None, scan.defects[i]) for i in range(scan.trials)]
-    return {"defect": scan.as_dict()}, series, scan.max_defect, [float(x) for x in scan.argmax_state.moduli]
+    series = [(i, d, None, defect) for i, defect in enumerate(scan.defects.tolist())]
+    return {"defect": scan.as_dict()}, series, scan.max_defect, scan.argmax_state.moduli.tolist()
 
 
 def _independence_check(rule, d: int, draws: int, seed: int, *address: int) -> Check:
@@ -211,8 +210,8 @@ def _independence_check(rule, d: int, draws: int, seed: int, *address: int) -> C
         results["inconclusive"] = "at d=2 both independence spreads vanish for every rule; use --dim 3 or more"
     elif not isinstance(rule, (rules.Born, rules.Renormalized)):  # p_k = f(a_k): a_k is what both scans fix
         results["inconclusive"] = "both independence spreads vanish for every plain rule; use falsify for its defect"
-    series = [(i, d, None, p) for i, p in enumerate(obs_scan.p_values)]
-    series += [(i, d, 0, p) for i, p in enumerate(rot_scan.p_values)]
+    series = [(i, d, None, p) for i, p in enumerate(obs_scan.p_values.tolist())]
+    series += [(i, d, 0, p) for i, p in enumerate(rot_scan.p_values.tolist())]
     worst = obs_scan if obs_scan.spread >= rot_scan.spread else rot_scan
     return results, series, worst.spread, [float(np.min(worst.p_values)), float(np.max(worst.p_values))]
 
@@ -280,7 +279,7 @@ def cmd_recover(args) -> Verdict:
     error = float(np.max(np.abs(coefficients - target)))
     results = {
         "recovery": {
-            "coefficients": [float(c) for c in coefficients],
+            "coefficients": coefficients.tolist(),
             "objective_value": objective,
             "sample_count": sample_count,
             "dims_used": list(args.dims),
@@ -290,7 +289,7 @@ def cmd_recover(args) -> Verdict:
         "max_coefficient_error": error,
         "coefficient_threshold": TOL.coefficient_error,
     }
-    series = [(n + 1, None, None, c) for n, c in enumerate(coefficients)]
+    series = [(n, None, None, c) for n, c in enumerate(coefficients.tolist(), 1)]
     return results, error <= TOL.coefficient_error, series
 
 
@@ -306,7 +305,7 @@ def cmd_stationarity(args) -> Verdict:
         out_res = np.max(np.abs(variational.outcome_stationarity(probabilities, rows, ks, 0.0)), axis=-1)
         closed = variational.closed_form_check(rows, ks, 2.0, -1.0)
         residuals = np.column_stack(np.broadcast_arrays(sum_res, out_res, closed))
-        series.extend((i, d, i % d, value) for i, value in enumerate(np.max(residuals, axis=1)))
+        series.extend((i, d, i % d, value) for i, value in enumerate(np.max(residuals, axis=1).tolist()))
         worst = np.maximum(worst, np.max(residuals, axis=0))
 
     results = {
@@ -333,7 +332,7 @@ def cmd_spin1(args) -> Verdict:
         "max_probability_delta": float(np.max(deltas)),
         "threshold": args.tol_spread,
     }
-    series = [(i, 3, k_z, delta) for i, delta in enumerate(deltas)]
+    series = [(i, 3, k_z, delta) for i, delta in enumerate(deltas.tolist())]
     return results, results["max_probability_delta"] <= args.tol_spread, series
 
 
@@ -357,14 +356,14 @@ def cmd_sample(args) -> Verdict:
         pairs.append(
             {
                 "pair": i,
-                "frequencies": [float(x) for x in frequencies],
-                "born": [float(x) for x in p],
+                "frequencies": frequencies.tolist(),
+                "born": p.tolist(),
                 "within_3_sigma": within,
                 "first_outcome": first,
                 "repeat_consistent": repeat_ok,
             }
         )
-        series.extend((i, d, k, frequencies[k]) for k in range(d))
+        series.extend((i, d, k, frequency) for k, frequency in enumerate(pairs[-1]["frequencies"]))
 
     results = {
         "pairs": pairs,

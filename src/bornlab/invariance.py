@@ -53,7 +53,7 @@ class InvarianceReport:
             "dim": self.dim,
             "k": self.k,
             "draws": self.draws,
-            "p_values": [float(p) for p in self.p_values],
+            "p_values": self.p_values.tolist(),
             "spread": self.spread,
             "address": list(self.address),
         }

@@ -136,19 +136,26 @@ def eigendecompose(matrix: HermitianMatrix | np.ndarray) -> Eigensystem:
     return Eigensystem(values, fix_column_phases(vectors))
 
 
-def haar_array(dim: int, rng: np.random.Generator, batch: tuple[int, ...] = ()) -> np.ndarray:
-    """Raw Haar-distributed unitaries (dim >= 1), one per index of ``batch``.
+def ginibre(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
+    """Complex standard Gaussian entries, all real parts drawn first."""
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
-    One Ginibre draw, one QR and one phase fix.  A zero diagonal of R
-    (probability 0) becomes a nan column, which the unitarity checks reject.
-    """
+
+def haar_factor(ginibres: np.ndarray) -> np.ndarray:
+    """Haar unitaries from Ginibre matrices (..., d, d) by one QR and one phase fix,
+    each matrix factored on its own: a stack has the bits of its members one at a
+    time.  A zero diagonal of R (probability 0) becomes a nan column, which the
+    unitarity checks reject."""
+    q, r = np.linalg.qr(ginibres)
+    diag = np.diagonal(r, axis1=-2, axis2=-1)
+    return q * (diag / np.abs(diag))[..., None, :]  # the phase fix makes it exactly Haar, not just unitary
+
+
+def haar_array(dim: int, rng: np.random.Generator, batch: tuple[int, ...] = ()) -> np.ndarray:
+    """Raw Haar unitaries (dim >= 1), one per index of ``batch``: haar_factor of one Ginibre draw."""
     if dim < 1:
         raise ValueError("dimension must be at least 1")
-    shape = (*batch, dim, dim)
-    q, r = np.linalg.qr(rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
-    diag = np.diagonal(r, axis1=-2, axis2=-1)
-    # phase correction makes the distribution exactly Haar, not just unitary
-    return q * (diag / np.abs(diag))[..., None, :]
+    return haar_factor(ginibre(rng, (*batch, dim, dim)))
 
 
 def complete_basis(vector: np.ndarray) -> np.ndarray:

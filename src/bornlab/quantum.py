@@ -16,7 +16,7 @@ from typing import Iterable
 import numpy as np
 
 from .linalg import Eigensystem, HermitianMatrix, check_eigensystems
-from .linalg import eigensystems, fix_column_phases, haar_array
+from .linalg import eigensystems, fix_column_phases, ginibre, haar_factor
 from .streams import blockwise
 from .tolerances import TOL, within
 
@@ -195,23 +195,15 @@ def haar_state(dim: int, rng: np.random.Generator) -> StateVector:
     return StateVector(z)
 
 
-def haar_states(dim: int, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n uniformly random pure states as amplitude rows (n, dim).
-
-    Each row is a normalized complex Gaussian.  The moduli rows are checked
-    once for the whole block; a zero row (probability 0) becomes nan and
-    fails that check.
-    """
-    z = rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim))
+def haar_blocks(dim: int, n: int, seed: int, *indices: int) -> np.ndarray:
+    """n Haar states as amplitude rows (n, dim): block b draws complex Gaussian rows
+    from substream(seed, *indices, b), then all rows are normalized and their moduli
+    checked once, row by row, so each has the bits of its block normalized alone.
+    A zero row (probability 0) becomes nan and fails the check."""
+    z = blockwise(lambda size, rng: ginibre(rng, (size, dim)), n, seed, *indices)
     states = z / np.linalg.norm(z, axis=-1, keepdims=True)
     check_orthant(np.abs(states))
     return states
-
-
-def haar_blocks(dim: int, n: int, seed: int, *indices: int) -> np.ndarray:
-    """n Haar states as amplitude rows (n, dim), drawn and checked by
-    haar_states one block at a time: block b comes from substream(seed, *indices, b)."""
-    return blockwise(lambda size, rng: haar_states(dim, size, rng), n, seed, *indices)
 
 
 def gapped_eigenvalues(dim: int, rng: np.random.Generator, batch: tuple[int, ...] = ()) -> np.ndarray:
@@ -225,11 +217,12 @@ def gapped_eigenvalues(dim: int, rng: np.random.Generator, batch: tuple[int, ...
 
 
 def random_observables(dim: int, rngs: Iterable[np.random.Generator]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One observable per generator, its gapped spectrum and then its Haar
-    eigenbasis drawn from that generator, assembled and checked as one
-    eigenbasis_stack: (matrices, spectra, eigenvector columns)."""
-    draws = [(gapped_eigenvalues(dim, rng), haar_array(dim, rng)) for rng in rngs]
-    return eigenbasis_stack(np.array([values for values, _ in draws]), np.array([basis for _, basis in draws]))
+    """One observable per generator, which draws its gapped spectrum and then its
+    Ginibre matrix; one haar_factor makes every eigenbasis and one eigenbasis_stack
+    assembles and checks them: (matrices, spectra, eigenvector columns)."""
+    draws = [(gapped_eigenvalues(dim, rng), ginibre(rng, (dim, dim))) for rng in rngs]
+    bases = haar_factor(np.array([matrix for _, matrix in draws]))
+    return eigenbasis_stack(np.array([values for values, _ in draws]), bases)
 
 
 def spin1_observables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -178,7 +178,7 @@ class NormalizationReport:
             "trials": self.trials,
             "max_defect": self.max_defect,
             "mean_defect": self.mean_defect,
-            "argmax_state": [float(x) for x in self.argmax_state.moduli],
+            "argmax_state": self.argmax_state.moduli.tolist(),
             "address": list(self.address),
         }
 

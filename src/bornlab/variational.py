@@ -24,7 +24,7 @@ from .tolerances import TOL
 
 MIN_SAMPLES = 10 * 4  # ten sampled rows per fitted coefficient
 BOUNDARY_WEIGHT = 10.0  # weight of the f(1) = 1 row in fit_power_series
-ROW_CHUNK = 4096  # orthant rows evaluated at once by outcome_stationarity
+CHUNK_CELLS = 4096 * 8**2  # (row, j, outcome) cells evaluated at once by outcome_stationarity
 
 
 class RankDeficient(RuntimeError):
@@ -62,17 +62,18 @@ def outcome_stationarity(
     enters only through the multiplier term.  The residual at j = k and at
     boundary-adjacent moduli is 0, as above.
 
-    Rows are evaluated ROW_CHUNK at a time, which bounds the (rows, d, d)
-    arrays; each row's partials depend only on that row, so the bits do not
-    depend on the chunking.
+    Rows are evaluated CHUNK_CELLS // d^2 at a time (at least one), which
+    bounds the (rows, d, d) arrays at any d; each row's partials depend only
+    on that row, so the bits do not depend on the chunking.
     """
     step = TOL.fd_step
     rows = np.asarray(rows, dtype=np.float64)
     d = rows.shape[-1]
     flat, flat_ks = rows.reshape(-1, d), np.broadcast_to(ks, rows.shape[:-1]).reshape(-1, 1)
+    chunk = max(1, CHUNK_CELLS // (d * d))
     residuals = []
-    for start in range(0, flat.shape[0], ROW_CHUNK):
-        a, k = flat[start : start + ROW_CHUNK], flat_ks[start : start + ROW_CHUNK]
+    for start in range(0, flat.shape[0], chunk):
+        a, k = flat[start : start + chunk], flat_ks[start : start + chunk]
         inside = (step <= a) & (a <= 1.0 - step) & (np.arange(d) != k)
         shift = step * np.eye(d) * inside[:, :, None]  # copy j moves coordinate j only
         up = p(a[:, None, :] + shift)  # (row, j, outcome)

@@ -5,6 +5,7 @@ import csv
 import functools
 import io
 import json
+import math
 import os
 import shlex
 import threading
@@ -639,12 +640,16 @@ class TestBlocks:
     @pytest.mark.parametrize("command", sorted(COMMANDS))
     def test_full_blocks_do_not_depend_on_the_point_count(self, capsys, monkeypatch, command):
         argv, addresses = self.COMMANDS[command]
-        blocks = []
-        draw = quantum.haar_states
-        monkeypatch.setattr(quantum, "haar_states", lambda *args: blocks.append(draw(*args)) or blocks[-1])
+        blocks = []  # every block's draw, as haar_blocks's kernel returns it
+
+        def recording(kernel, n, seed, *indices):
+            return blockwise(lambda size, rng: blocks.append(kernel(size, rng)) or blocks[-1], n, seed, *indices)
+
+        monkeypatch.setattr(quantum, "blockwise", recording)
         short_csv = self.csv_rows(capsys, argv, BLOCK)
         short, blocks[:] = list(blocks), []
         long_csv = self.csv_rows(capsys, argv, self.POINTS)
+        assert len(short) == len(addresses) // 3  # one block per dimension
         assert [len(block) for block in blocks] == [BLOCK, BLOCK, 3] * len(short)
         for di, block in enumerate(short):  # the series lists each dimension's points in turn
             np.testing.assert_array_equal(blocks[3 * di], block)
@@ -670,25 +675,45 @@ class TestCsvRows:
         assert text.splitlines()[1:4] == ["0,,,3.0", "0,,0,3.0", "0,,11,3.0"]
         assert Report({"command": "spin1"}, {}, True, [], 0.0).to_csv() == "index,d,k,value\n"
 
-    @pytest.mark.parametrize(
-        "argv",
-        [
-            ["verify-born", "--dims", "2,3", "--trials", "20"],
-            ["falsify", "--rule", "renorm:power:4", "--dim", "3", "--trials", "20"],
-            ["independence", "--rule", "renorm:power:1", "--dim", "3", "--trials", "20"],
-            ["recover", "--dims", "2,3", "--trials", "40"],
-            ["stationarity", "--dims", "2,3", "--trials", "30"],
-            ["spin1", "--trials", "30"],
-            ["sample", "--dim", "3", "--shots", "200", "--trials", "3"],
-        ],
-        ids=lambda argv: argv[0],
-    )
+    COMMANDS = [
+        ["verify-born", "--dims", "2,3", "--trials", "20"],
+        ["falsify", "--rule", "renorm:power:4", "--dim", "3", "--trials", "20"],
+        ["independence", "--rule", "renorm:power:1", "--dim", "3", "--trials", "20"],
+        ["recover", "--dims", "2,3", "--trials", "40"],
+        ["stationarity", "--dims", "2,3", "--trials", "30"],
+        ["spin1", "--trials", "30"],
+        ["sample", "--dim", "3", "--shots", "200", "--trials", "3"],
+    ]
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: argv[0])
     def test_commands_write_what_the_csv_module_writes(self, capsys, argv):
         argv = argv + ["--seed", "4", "--format", "csv"]
         args = build_parser().parse_args(argv)
         _, _, series = args.func(args)
         main(argv)
         assert capsys.readouterr().out == csv_reference(series)
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: argv[0])
+    def test_commands_return_python_values(self, argv):
+        # rows and results leave numpy once, as .tolist() values: no numpy
+        # scalar reaches the CSV or JSON writers
+        def plain(value):
+            if isinstance(value, dict):
+                return all(type(key) is str and plain(item) for key, item in value.items())
+            if isinstance(value, (list, tuple)):
+                return all(plain(item) for item in value)
+            return value is None or type(value) in (bool, int, float, str)
+
+        args = build_parser().parse_args(argv + ["--seed", "4"])
+        results, passed, series = args.func(args)
+        assert type(passed) is bool and plain(results)
+        assert all(type(index) is int and plain([d, k]) and type(value) is float for index, d, k, value in series)
+
+
+def block_states(d, n, rng):
+    """One block's Haar states, drawn and normalized on their own."""
+    z = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
+    return z / np.linalg.norm(z, axis=-1, keepdims=True)
 
 
 class TestStackedEqualsPerBlock:
@@ -710,7 +735,7 @@ class TestStackedEqualsPerBlock:
             blocks = []  # walked here: k = i % d needs each draw's index, and a blockwise kernel gets only a size
             for b, start in enumerate(range(0, trials, BLOCK)):
                 index = np.arange(start, min(start + BLOCK, trials))
-                rows = np.abs(quantum.haar_states(d, index.size, substream(self.SEED, di, b)))
+                rows = np.abs(block_states(d, index.size, substream(self.SEED, di, b)))
                 ks = index % d
                 blocks.append(np.column_stack([
                     np.max(np.abs(variational.rule_stationarity(born, rows, 1.0)), axis=-1),
@@ -727,8 +752,9 @@ class TestStackedEqualsPerBlock:
         assert [report["results"][name] for name in names] == [float(x) for x in worst]
 
     def test_stationarity_row_chunks(self, capsys, monkeypatch):
-        # a cap of 7 rows splits every dimension's finite differences into
-        # many chunks, and no bit of the report moves
+        # a budget of 7 rows at d=8 (112 at d=2, 49 at d=3) splits every
+        # dimension's finite differences into many chunks, and no bit of the
+        # report moves
         argv = ["stationarity", "--dims", "2,3,8", "--trials", "259"]
 
         def outputs():
@@ -736,13 +762,30 @@ class TestStackedEqualsPerBlock:
             return code, report["results"], report["pass"], self.csv_values(capsys, argv)
 
         whole = outputs()
-        monkeypatch.setattr(variational, "ROW_CHUNK", 7)
+        monkeypatch.setattr(variational, "CHUNK_CELLS", 7 * 8**2)
         assert outputs() == whole
+
+    @pytest.mark.parametrize("d", [2, 8, 32, 64])
+    def test_stationarity_chunks_stay_within_the_cell_budget(self, d):
+        # every finite-difference evaluation holds at most CHUNK_CELLS
+        # (row, j, outcome) cells, and at d=8 a chunk is 4,096 rows
+        shapes = []
+
+        def probabilities(values):
+            shapes.append(values.shape)
+            return rules.rule_probabilities(rules.Born(), values)
+
+        rows = np.abs(quantum.haar_blocks(d, 300, self.SEED))
+        ks = np.arange(300) % d
+        variational.outcome_stationarity(probabilities, rows, ks, 0.0)
+        assert shapes and all(math.prod(shape) <= variational.CHUNK_CELLS for shape in shapes)
+        assert sum(shape[0] for shape in shapes) == 2 * 300  # each row is shifted up and down once
+        assert variational.CHUNK_CELLS // 8**2 == 4096
 
     @pytest.mark.parametrize("trials", [BLOCK - 1, BLOCK, 2 * BLOCK + 3])
     def test_recover(self, trials):
         def kernel(d):
-            return lambda n, rng: variational.power_sums(np.abs(quantum.haar_states(d, n, rng)))
+            return lambda n, rng: variational.power_sums(np.abs(block_states(d, n, rng)))
 
         rows = np.concatenate([blockwise(kernel(d), trials, self.SEED, di) for di, d in enumerate((2, 3, 6))])
         coefficients, objective = variational.fit_power_series(rows)
@@ -757,7 +800,7 @@ class TestStackedEqualsPerBlock:
         pair = np.column_stack([jz[:, 1], jxy[:, 1]])  # both share |m=0> as eigenvector 1
 
         def kernel(n, rng):
-            p = np.abs(quantum.haar_states(3, n, rng) @ np.conj(pair)) ** 2
+            p = np.abs(block_states(3, n, rng) @ np.conj(pair)) ** 2
             return np.abs(p[:, 0] - p[:, 1])
 
         values = [repr(float(x)) for x in blockwise(kernel, trials, self.SEED)]

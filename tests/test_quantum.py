@@ -17,8 +17,8 @@ from bornlab.quantum import (
     check_orthant,
     expand,
     gapped_eigenvalues,
+    haar_blocks,
     haar_state,
-    haar_states,
     measure,
     moduli,
     random_observables,
@@ -26,7 +26,7 @@ from bornlab.quantum import (
     spin1_observables,
 )
 from bornlab.rules import Born, Power, rule_probabilities
-from bornlab.streams import substream
+from bornlab.streams import BLOCK, substream
 from bornlab.tolerances import TOL
 
 
@@ -151,7 +151,7 @@ class TestStateAndModulus:
             moduli(psi.amplitudes * phases).moduli, moduli(psi.amplitudes).moduli
         )
 
-    def test_a_zero_draw_is_not_normalized(self):
+    def test_a_zero_draw_is_not_normalized(self, monkeypatch):
         class ZeroRows:  # standard normal draws whose first rows are zero
             def __init__(self, rows):
                 self.rng, self.rows = np.random.default_rng(20), rows
@@ -164,8 +164,11 @@ class TestStateAndModulus:
         with np.errstate(invalid="ignore"):  # the zero row's 0/0
             with pytest.raises(NotNormalized):
                 haar_state(4, ZeroRows(2))  # real and imaginary parts both zero
+            # row 0 of each part, in the second of three blocks
+            blocks = iter([np.random.default_rng(21), ZeroRows(1), np.random.default_rng(22)])
+            monkeypatch.setattr("bornlab.streams.substream", lambda *address: next(blocks))
             with pytest.raises(NotNormalized):
-                haar_states(4, 3, ZeroRows(1))  # row 0 of each part
+                haar_blocks(4, 2 * BLOCK + 3, 0)
 
     def test_moduli_rejects_unnormalized(self):
         with pytest.raises(NotNormalized):
@@ -178,7 +181,20 @@ class TestStateAndModulus:
         with pytest.raises(ValueError):
             haar_state(dim, rng)
         with pytest.raises(ValueError):
-            haar_states(dim, 3, rng)
+            haar_blocks(dim, 3, 21)
+
+    @pytest.mark.parametrize("d", [2, 3, 8])
+    @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 1000])
+    def test_blocks_are_normalized_as_if_one_at_a_time(self, d, n):
+        # one division and one check on the stacked rows keep the bits of
+        # each block's z / norm(z)
+        blocks = []
+        for b, start in enumerate(range(0, n, BLOCK)):
+            rng = substream(23, 4, b)
+            size = min(BLOCK, n - start)
+            z = rng.standard_normal((size, d)) + 1j * rng.standard_normal((size, d))
+            blocks.append(z / np.linalg.norm(z, axis=-1, keepdims=True))
+        assert haar_blocks(d, n, 23, 4).tobytes() == np.concatenate(blocks).tobytes()
 
     def test_state_norm_is_the_numpy_norm(self):
         # bit for bit: z / norm(z) from the two rows of a fresh draw; the norm
@@ -205,7 +221,7 @@ class TestObservable:
         # phase-fixed eigenvectors agree column by column
         np.testing.assert_allclose(built.eigensystem.eigenvectors, recovered.eigenvectors, atol=1e-9)
 
-    @pytest.mark.parametrize("d", [2, 3, 6, 16])
+    @pytest.mark.parametrize("d", [2, 3, 6, 8, 16])
     def test_stacked_observables_equal_single_builds(self, d):
         streams = lambda: (substream(4, i) for i in range(5))
         matrices, values, vectors = random_observables(d, streams())
