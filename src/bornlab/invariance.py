@@ -38,11 +38,6 @@ class InvarianceReport:
     p_values: np.ndarray
     address: tuple[int, ...]  # (seed, *address): block b is drawn from substream(*address, b)
 
-    def __post_init__(self) -> None:
-        p_values = np.array(self.p_values, dtype=np.float64)
-        p_values.setflags(write=False)
-        object.__setattr__(self, "p_values", p_values)
-
     @property
     def spread(self) -> float:
         return float(np.max(self.p_values) - np.min(self.p_values))

@@ -106,10 +106,6 @@ class Eigensystem:
         object.__setattr__(self, "eigenvalues", values)
         object.__setattr__(self, "eigenvectors", vectors)
 
-    @property
-    def dim(self) -> int:
-        return self.eigenvalues.shape[0]
-
 
 def fix_column_phases(vectors: np.ndarray) -> np.ndarray:
     """Rotate each column's global phase so its largest entry is real positive,
@@ -128,11 +124,9 @@ def fix_column_phases(vectors: np.ndarray) -> np.ndarray:
     return out
 
 
-def eigendecompose(matrix: HermitianMatrix | np.ndarray) -> Eigensystem:
+def eigendecompose(matrix: np.ndarray) -> Eigensystem:
     """Diagonalize a Hermitian matrix: ascending eigenvalues, phase-fixed columns."""
-    if not isinstance(matrix, HermitianMatrix):
-        matrix = HermitianMatrix(matrix)
-    values, vectors = np.linalg.eigh(matrix.entries)
+    values, vectors = np.linalg.eigh(HermitianMatrix(matrix).entries)
     return Eigensystem(values, fix_column_phases(vectors))
 
 

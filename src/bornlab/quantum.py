@@ -88,15 +88,10 @@ class ModulusVector:
 
 @dataclass(frozen=True)
 class Observable:
-    """Hermitian operator with a cached nondegenerate eigensystem."""
+    """Hermitian operator with its nondegenerate eigensystem, checked once by from_eigenbasis."""
 
     matrix: HermitianMatrix
     eigensystem: Eigensystem
-
-    def __post_init__(self) -> None:
-        if self.matrix.dim != self.eigensystem.dim:
-            raise DimMismatch("matrix and eigensystem dimensions differ")
-        check_eigensystems(self.matrix.entries, self.eigensystem.eigenvalues, self.eigensystem.eigenvectors)
 
     @classmethod
     def from_eigenbasis(cls, eigenvalues: np.ndarray, basis: np.ndarray) -> "Observable":

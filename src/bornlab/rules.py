@@ -166,11 +166,6 @@ class NormalizationReport:
     address: tuple[int, ...]  # (seed, *address): trial i is drawn from substream(*address, i)
     defects: np.ndarray
 
-    def __post_init__(self) -> None:
-        defects = np.array(self.defects, dtype=np.float64)
-        defects.setflags(write=False)
-        object.__setattr__(self, "defects", defects)
-
     def as_dict(self) -> dict:
         return {
             "rule": self.rule,

@@ -818,8 +818,8 @@ class TestStackedEqualsPerBlock:
             rng = substream(self.SEED, i, 1)
             values, basis = quantum.gapped_eigenvalues(d, rng), haar_array(d, rng)
             vectors = fix_column_phases(basis[:, np.argsort(values, kind="stable")])
-            single = quantum.Observable.from_eigenbasis(values, basis)
-            np.testing.assert_array_equal(single.eigensystem.eigenvectors, vectors)
+            _, _, single = quantum.eigenbasis_stack(values[None], basis[None])
+            np.testing.assert_array_equal(single[0], vectors)
             counts = quantum.sample_outcomes(psi, vectors, shots, substream(self.SEED, i, 2))
             assert pair["born"] == [float(x) for x in quantum.born_probabilities(psi, vectors)]
             assert pair["frequencies"] == [float(x) for x in counts / shots]

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bornlab import quantum
-from bornlab.linalg import eigendecompose, eigensystems, haar_array
+from bornlab.linalg import eigendecompose, eigensystems, fix_column_phases, haar_array
 from bornlab.quantum import (
     DimMismatch,
     ModulusVector,
@@ -216,7 +216,7 @@ class TestObservable:
     def test_from_eigenbasis_matches_from_matrix(self):
         rng = np.random.default_rng(5)
         built = Observable.from_eigenbasis(gapped_eigenvalues(4, rng), haar_array(4, rng))
-        recovered = eigendecompose(built.matrix)
+        recovered = eigendecompose(built.matrix.entries)
         np.testing.assert_allclose(built.eigensystem.eigenvalues, recovered.eigenvalues, atol=1e-12)
         # phase-fixed eigenvectors agree column by column
         np.testing.assert_allclose(built.eigensystem.eigenvectors, recovered.eigenvectors, atol=1e-9)
@@ -227,12 +227,13 @@ class TestObservable:
         matrices, values, vectors = random_observables(d, streams())
         assert matrices.shape == vectors.shape == (5, d, d) and values.shape == (5, d)
         for i, rng in enumerate(streams()):
-            single = Observable.from_eigenbasis(gapped_eigenvalues(d, rng), haar_array(d, rng))
-            np.testing.assert_array_equal(values[i], single.eigensystem.eigenvalues)
-            np.testing.assert_array_equal(vectors[i], single.eigensystem.eigenvectors)
-            np.testing.assert_allclose(matrices[i], single.matrix.entries, rtol=0, atol=1e-14)
+            spectrum, basis = gapped_eigenvalues(d, rng), haar_array(d, rng)
+            single_matrices, single_values, single_vectors = quantum.eigenbasis_stack(spectrum[None], basis[None])
+            np.testing.assert_array_equal(values[i], single_values[0])
+            np.testing.assert_array_equal(vectors[i], single_vectors[0])
+            np.testing.assert_allclose(matrices[i], single_matrices[0], rtol=0, atol=1e-14)
             # the column layout of a single build, which V^dag psi's rounding depends on
-            assert vectors[i].flags.f_contiguous and single.eigensystem.eigenvectors.flags.f_contiguous
+            assert vectors[i].flags.f_contiguous and single_vectors[0].flags.f_contiguous
 
     def test_stack_is_checked_as_a_whole(self):
         rng = np.random.default_rng(6)
@@ -247,6 +248,11 @@ class TestObservable:
         bases[3, :, 0] *= 2.0  # as does one basis that is not orthonormal
         with pytest.raises(ValueError, match="not orthonormal"):
             quantum.eigenbasis_stack(np.array([[0.3, -0.2, 0.9]] * 4), bases)
+        # the n = 1 case, from_eigenbasis, is checked by the same call
+        with pytest.raises(ValueError, match="degenerate"):
+            Observable.from_eigenbasis(values[2], bases[2])
+        with pytest.raises(ValueError, match="not orthonormal"):
+            Observable.from_eigenbasis([0.3, -0.2, 0.9], bases[3])
 
     def test_random_observable_gap(self):
         _, values, _ = random_observables(5, (np.random.default_rng(seed) for seed in range(20)))
@@ -532,13 +538,13 @@ class TestSpinOneFixtures:
 
     def test_stack_equals_single_decompositions(self):
         # bit for bit: eigh and the phase fix on the stack give each
-        # matrix's eigendecompose, the reference path
+        # matrix's own eigh and phase fix, the reference path
         matrices, values, vectors = spin1_observables()
         assert matrices.shape == vectors.shape == (2, 3, 3) and values.shape == (2, 3)
         for i, matrix in enumerate(matrices):
-            single = eigendecompose(matrix)
-            assert values[i].tobytes() == single.eigenvalues.tobytes()
-            assert vectors[i].tobytes() == single.eigenvectors.tobytes()
+            single_values, single_vectors = np.linalg.eigh(matrix)
+            assert values[i].tobytes() == single_values.tobytes()
+            assert vectors[i].tobytes() == fix_column_phases(single_vectors).tobytes()
 
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 100_000))

@@ -128,3 +128,13 @@ def test_result_hashes_table():
     report = json.loads(out.getvalue())
     payload = json.dumps({"results": report["results"], "config": report["config"], "pass": report["pass"]})
     assert rows[" ".join(argv)][0] == hashlib.sha256(payload.encode()).hexdigest()[:16]
+
+
+def test_one_test_file_runs_from_the_root():
+    # pyproject's pythonpath puts src/ on the path, so no PYTHONPATH is needed
+    env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
+    completed = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", "tests/test_streams.py"],
+        cwd=ROOT, capture_output=True, text=True, env=env, timeout=300,
+    )
+    assert completed.returncode == 0, completed.stdout + completed.stderr
