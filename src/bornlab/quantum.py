@@ -59,8 +59,9 @@ class StateVector:
 def check_orthant(rows: np.ndarray) -> None:
     """Reject moduli rows (..., d) unless each is non-negative with unit square sum."""
     # A single row (each ModulusVector, so each defect-scan trial) takes one
-    # dot and float arithmetic; a block of rows takes one vecdot.
-    if rows.min(initial=0.0) < 0.0:
+    # dot and float arithmetic; a block of rows takes one vecdot.  The ufunc
+    # reduce is rows.min(initial=0.0) without its Python-level wrapper.
+    if np.minimum.reduce(rows, axis=None, initial=0.0) < 0.0:
         raise ValueError("moduli must be non-negative")
     if rows.ndim == 1:
         defect = abs(float(rows.dot(rows)) - 1.0)
@@ -186,7 +187,8 @@ def haar_state(dim: int, rng: np.random.Generator) -> StateVector:
     z = rng.standard_normal((2, dim)).T.copy().view(np.complex128)[:, 0]  # real, imaginary: rows 0, 1
     # np.linalg.norm's own formula on the strided views of z, so the same
     # bits; the contiguous real and imag rows would round differently
-    z /= math.sqrt(z.real.dot(z.real) + z.imag.dot(z.imag))
+    re, im = z.real, z.imag
+    z /= math.sqrt(re.dot(re) + im.dot(im))
     return StateVector(z)
 
 

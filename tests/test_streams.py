@@ -31,6 +31,23 @@ def test_streams_are_those_of_the_address_tuple(address):
     np.testing.assert_array_equal(rng.standard_normal(8), reference.standard_normal(8))
 
 
+@pytest.mark.parametrize("address", [(0,), (7, 3), (2**40 + 3, 0, 5), (2**64 + 1, 2**32, 1, 2, 3)])
+def test_seed_words_come_from_the_pool_alone(monkeypatch, address):
+    # PCG64 is seeded from SeedSequence's pool without a generate_state call,
+    # with the state generate_state(4, np.uint64) would have seeded
+    reference = np.random.default_rng(np.random.SeedSequence(tuple(address))).bit_generator.state
+
+    class PoolOnly(np.random.SeedSequence):
+        def generate_state(self, n_words, dtype=np.uint32):
+            raise AssertionError("generate_state called")
+
+    monkeypatch.setattr(np.random, "SeedSequence", PoolOnly)
+    rng = substream(*address)
+    assert rng.bit_generator.state == reference
+    with pytest.raises(ValueError):
+        rng.bit_generator.seed_seq.generate_state(8)  # holds PCG64's words only
+
+
 @pytest.mark.parametrize("derive", [substream])
 @pytest.mark.parametrize("address", [(1.0,), (0, 2.5), (3, np.float64(1.0))])
 def test_a_float_entry_is_rejected(derive, address):
