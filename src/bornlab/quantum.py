@@ -9,7 +9,6 @@ used by the two-observable demonstration.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -179,17 +178,23 @@ def sample_outcomes(state: StateVector, vectors: np.ndarray, shots: int, rng: np
     return at_or_below[1:] - at_or_below[:-1]  # np.diff's prepend costs more than the draw at one shot
 
 
-def haar_state(dim: int, rng: np.random.Generator) -> StateVector:
-    """Uniformly random pure state (normalized complex Gaussian vector).
-
-    A zero draw (probability 0) becomes nan, which StateVector rejects.
-    """
-    z = rng.standard_normal((2, dim)).T.copy().view(np.complex128)[:, 0]  # real, imaginary: rows 0, 1
-    # np.linalg.norm's own formula on the strided views of z, so the same
+def haar_rows(dim: int, rngs: Iterable[np.random.Generator]) -> np.ndarray:
+    """Uniformly random pure states as amplitude rows (n, dim): each generator
+    draws its row's real and imaginary parts as one (2, dim) standard normal
+    pair, and one pass normalizes every row with the bits of its own
+    z / np.linalg.norm(z).  A zero draw (probability 0) becomes nan."""
+    z = np.array([rng.standard_normal((2, dim)) for rng in rngs]).transpose(0, 2, 1).copy().view(np.complex128)[..., 0]
+    # np.linalg.norm's own formula on the strided views of each row, so the same
     # bits; the contiguous real and imag rows would round differently
     re, im = z.real, z.imag
-    z /= math.sqrt(re.dot(re) + im.dot(im))
-    return StateVector(z)
+    z /= np.sqrt(np.vecdot(re, re) + np.vecdot(im, im))[:, None]
+    return z
+
+
+def haar_state(dim: int, rng: np.random.Generator) -> StateVector:
+    """Uniformly random pure state (normalized complex Gaussian vector): the
+    n = 1 case of haar_rows.  A zero draw becomes nan, which StateVector rejects."""
+    return StateVector(haar_rows(dim, [rng])[0])
 
 
 def haar_blocks(dim: int, n: int, seed: int, *indices: int) -> np.ndarray:

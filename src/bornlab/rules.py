@@ -16,7 +16,7 @@ from typing import Union
 
 import numpy as np
 
-from .quantum import ModulusVector, haar_state, moduli
+from .quantum import ModulusVector, StateVector, haar_rows
 from .streams import substream
 
 
@@ -182,20 +182,27 @@ def defect_scan(rule: ProbabilityRule, dim: int, trials: int, seed: int, *addres
     """Measure the normalization defect over Haar-random states.
 
     Trial i draws from substream(seed, *address, i), so the report is a
-    deterministic function of (rule, dim, trials, seed, *address).  The
-    rule is evaluated once, on the stacked moduli of every trial.  The
-    worst state (the first at the maximum) is recorded as a falsification
-    witness.  A renormalized rule sums to one by construction: every defect
-    is 0, the witness is trial 0, and only that trial is drawn.
+    deterministic function of (rule, dim, trials, seed, *address).  One
+    haar_rows call normalizes every trial's draw, and the rule is evaluated
+    once, on the stacked moduli.  The worst state (the first at the maximum)
+    is recorded as a falsification witness.  A renormalized rule sums to one
+    by construction: every defect is 0, the witness is trial 0, and only that
+    trial is drawn.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    if isinstance(rule, Renormalized):
-        points = [moduli(haar_state(dim, substream(seed, *address, 0)).amplitudes)]
-        defects = np.zeros(trials)
-    else:
-        points = [moduli(haar_state(dim, substream(seed, *address, i)).amplitudes) for i in range(trials)]
-        defects = np.abs(normalization_sum(rule, np.array([point.moduli for point in points])) - 1.0)
+    renormalized = isinstance(rule, Renormalized)
+    rows = haar_rows(dim, (substream(seed, *address, i) for i in range(1 if renormalized else trials)))
+    stacked = np.abs(rows)
+    # Each trial's StateVector and ModulusVector check repeats what one
+    # check_orthant on the stack would do.  They stay only because the
+    # benchmark's tracer pins two quantum.validate calls per trial, until
+    # ROADMAP items 14 and 1; no StateVector outlives its check.
+    points = []
+    for row, point in zip(rows, stacked):
+        StateVector(row)
+        points.append(ModulusVector(point))
+    defects = np.zeros(trials) if renormalized else np.abs(normalization_sum(rule, stacked) - 1.0)
     worst = int(np.argmax(defects))
     return NormalizationReport(
         rule=rule.name,

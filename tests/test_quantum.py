@@ -25,7 +25,7 @@ from bornlab.quantum import (
     sample_outcomes,
     spin1_observables,
 )
-from bornlab.rules import Born, Power, rule_probabilities
+from bornlab.rules import Born, Power, defect_scan, rule_probabilities
 from bornlab.streams import BLOCK, substream
 from bornlab.tolerances import TOL
 
@@ -169,6 +169,12 @@ class TestStateAndModulus:
             monkeypatch.setattr("bornlab.streams.substream", lambda *address: next(blocks))
             with pytest.raises(NotNormalized):
                 haar_blocks(4, 2 * BLOCK + 3, 0)
+            # both parts zero in the second of three defect-scan trials: a
+            # rejected state, not a nan defect
+            trials = iter([np.random.default_rng(23), ZeroRows(2), np.random.default_rng(24)])
+            monkeypatch.setattr("bornlab.rules.substream", lambda *address: next(trials))
+            with pytest.raises(NotNormalized):
+                defect_scan(Power(1.0), 4, 3, 0)
 
     def test_moduli_rejects_unnormalized(self):
         with pytest.raises(NotNormalized):

@@ -163,22 +163,25 @@ class TestDefectScan:
         assert report.max_defect >= 0.05
 
     @settings(max_examples=30, deadline=None)
-    @given(rule=PLAIN_RULES, d=st.integers(2, 8), n=st.integers(1, 40), seed=st.integers(0, 10_000))
+    @given(rule=PLAIN_RULES, d=st.integers(2, 40), n=st.integers(1, 40), seed=st.integers(0, 10_000))
     def test_stacked_defects_equal_the_scalar_formula(self, rule, d, n, seed):
-        # exact equality: stacking the trials must not change a single bit.
-        # Trial i's state is rebuilt from numpy alone: z / norm(z), with z the
-        # two rows of a draw from the SeedSequence of (seed, i)
-        def reference_moduli(i):
+        # exact equality: stacking the trials must not change a single bit,
+        # also at dimensions past BLAS's unroll widths.  Trial i's state is
+        # rebuilt from numpy alone: z / norm(z), with z the two rows of a draw
+        # from the SeedSequence of (seed, i)
+        def reference_state(i):
             real, imag = np.random.default_rng(np.random.SeedSequence((seed, i))).standard_normal((2, d))
             z = real + 1j * imag
-            return np.abs(z / np.linalg.norm(z))
+            return z / np.linalg.norm(z)
 
         report = defect_scan(rule, d, n, seed)
-        scalar = [abs(float(np.sum(rule(reference_moduli(i)))) - 1.0) for i in range(n)]
+        scalar = [abs(float(np.sum(rule(np.abs(reference_state(i))))) - 1.0) for i in range(n)]
         assert report.defects.tobytes() == np.array(scalar).tobytes()
         renormalized = defect_scan(Renormalized(rule), d, n, seed)
         np.testing.assert_array_equal(renormalized.defects, np.zeros(n))
-        assert renormalized.argmax_state.moduli.tobytes() == reference_moduli(0).tobytes()
+        assert renormalized.argmax_state.moduli.tobytes() == np.abs(reference_state(0)).tobytes()
+        # a scan does not call haar_state, so its own bits are pinned here
+        assert haar_state(d, substream(seed, 0)).amplitudes.tobytes() == reference_state(0).tobytes()
 
     @pytest.mark.parametrize("rule, draws", [(Renormalized(Power(4.0)), 1), (Power(4.0), 50)])
     def test_renormalized_scan_draws_only_its_witness(self, monkeypatch, rule, draws):
