@@ -13,7 +13,7 @@ import sys
 
 import numpy as np
 
-from bornlab.rules import Born, Power, defect_scan
+from bornlab.rules import Power, defect_scan
 
 
 def main() -> int:
@@ -37,8 +37,7 @@ def main() -> int:
     writer = csv.writer(handle, lineterminator="\n")
     writer.writerow(["exponent", "max_defect", "mean_defect", "symmetric_point_defect"])
     for p in (float(x) for x in exponents):
-        rule = Born() if p == 2.0 else Power(p)
-        report = defect_scan(rule, args.dim, args.trials, args.seed)
+        report = defect_scan(Power(p), args.dim, args.trials, args.seed)
         analytic = abs(args.dim ** (1.0 - p / 2.0) - 1.0)
         writer.writerow(
             [f"{p:g}", repr(report.max_defect), repr(report.mean_defect), repr(analytic)]

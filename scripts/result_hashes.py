@@ -21,8 +21,9 @@ from bornlab import cli
 
 # the determinism criterion's commands (the list of tests/test_acceptance.py),
 # the plain-rule falsify grid, independence on plain rules, both independence
-# checks of a renormalized rule at d=2 (inconclusive), and the fit and sample
-# commands at their README defaults, several blocks each
+# checks of a renormalized rule at d=2 (inconclusive), both checks of a
+# renormalized two-term rule and of renormalized born at d=3, and the fit and
+# sample commands at their README defaults, several blocks each
 CRITERION_10_COMMANDS = [
     ["verify-born", "--dims", "2,3", "--trials", "150"],
     ["falsify", "--rule", "power:1", "--dim", "2", "--trials", "150"],
@@ -37,8 +38,13 @@ PLAIN_RULES = ["born", "power:1", "power:3", "affine:0.5:0.125", "affine:0.7:0.1
 FALSIFY_GRID = [["falsify", "--rule", rule, "--dim", str(d)] for d in range(2, 9) for rule in PLAIN_RULES]
 INDEPENDENCE = [["independence", "--rule", rule, "--dim", "3"] for rule in PLAIN_RULES]
 RENORM_D2 = [[command, "--rule", "renorm:power:4", "--dim", "2"] for command in ("falsify", "independence")]
+RENORM_D3 = [
+    [command, "--rule", rule, "--dim", "3", "--trials", "60"]
+    for rule in ("renorm:affine:1:0.1", "renorm:born")
+    for command in ("falsify", "independence")
+]
 DEFAULT_SCALE = [[command] for command in ("recover", "stationarity", "spin1", "sample")]
-COMMANDS = CRITERION_10_COMMANDS + FALSIFY_GRID + INDEPENDENCE + RENORM_D2 + DEFAULT_SCALE
+COMMANDS = CRITERION_10_COMMANDS + FALSIFY_GRID + INDEPENDENCE + RENORM_D2 + RENORM_D3 + DEFAULT_SCALE
 
 
 def digest(text: str) -> str:

@@ -85,7 +85,7 @@ def _parse_dims(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(f"bad dimension list {text!r}")
 
 
-def _parse_rule(text: str) -> rules.ProbabilityRule:
+def _parse_rule(text: str) -> rules.Rule:
     try:
         return rules.parse_rule(text)
     except ValueError as exc:
@@ -106,7 +106,7 @@ def _min_trials(args: argparse.Namespace) -> int:
     """Fewest --trials a command can run with."""
     if args.command == "recover":
         return variational.MIN_SAMPLES
-    if args.command == "independence" or isinstance(getattr(args, "rule", None), rules.Renormalized):
+    if args.command == "independence" or ("rule" in args and args.rule.renormalized):
         return invariance.MIN_DRAWS
     return 1
 
@@ -204,11 +204,11 @@ def _independence_check(rule, d: int, draws: int, seed: int, *address: int) -> C
     obs_scan = invariance.observable_independence_scan(psi, phi, rule, draws, seed, *address, 2)
     rot_scan = invariance.unobserved_independence_scan(moduli(psi.amplitudes), rule, draws, seed, *address, 3)
     results = {"observable_scan": obs_scan.as_dict(), "rotation_scan": rot_scan.as_dict()}
-    if d == 2 and isinstance(rule, rules.Renormalized):
+    if d == 2 and rule.renormalized:
         # the complement orthant is a single point, so both spreads vanish
         # for every rule: the d=2 gap of Gleason's theorem
         results["inconclusive"] = "at d=2 both independence spreads vanish for every rule; use --dim 3 or more"
-    elif not isinstance(rule, (rules.Born, rules.Renormalized)):  # p_k = f(a_k): a_k is what both scans fix
+    elif not rule.renormalized and rule != rules.Born():  # p_k = f(a_k): a_k is what both scans fix
         results["inconclusive"] = "both independence spreads vanish for every plain rule; use falsify for its defect"
     series = [(i, d, None, p) for i, p in enumerate(obs_scan.p_values.tolist())]
     series += [(i, d, 0, p) for i, p in enumerate(rot_scan.p_values.tolist())]
@@ -253,7 +253,7 @@ def cmd_falsify(args) -> Verdict:
     results: dict = {"rule": rule.name, "dim": d, **defect, "thresholds": thresholds}
     falsified = max_defect > args.tol_defect
 
-    if isinstance(rule, rules.Renormalized):
+    if rule.renormalized:
         scans, rows, spread, spread_witness = _independence_check(rule, d, args.trials, args.seed, 1)
         results.update(scans)
         series += rows

@@ -20,7 +20,7 @@ import numpy as np
 
 from .linalg import complete_basis, eigensystems, haar_array
 from .quantum import ModulusVector, StateVector, check_orthant, gapped_eigenvalues
-from .rules import ProbabilityRule, rule_probabilities
+from .rules import Rule, rule_probabilities
 from .streams import blockwise
 from .tolerances import TOL
 
@@ -112,7 +112,7 @@ def _check_draws(draws: int) -> None:
 def observable_independence_scan(
     psi: StateVector,
     phi: StateVector,
-    rule: ProbabilityRule,
+    rule: Rule,
     draws: int,
     seed: int,
     *address: int,
@@ -141,7 +141,7 @@ def observable_independence_scan(
 
 def unobserved_independence_scan(
     point: ModulusVector,
-    rule: ProbabilityRule,
+    rule: Rule,
     draws: int,
     seed: int,
     *address: int,

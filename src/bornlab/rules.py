@@ -1,18 +1,19 @@
 """Candidate probability rules over measurement moduli, and the
 normalization-defect scan that falsifies every non-quadratic one.
 
-The family is deliberately small and closed so that reports can name rules
-reproducibly: the quadratic rule, pure powers, the quadratic-affine family,
-and renormalized wrappers.  Renormalized rules sum to one by construction
-and therefore evade the defect scan, which draws only their witness state;
-they are falsified by the invariance scans instead.
+Every candidate is one Rule: f(a) = sum of c * a^p over its terms, applied
+to each modulus as it stands or, when renormalized, divided by its sum over
+the row.  The parsed spellings name rules reproducibly: the quadratic rule,
+pure powers, the quadratic-affine family, and their renormalizations.
+Renormalized rules sum to one by construction and therefore evade the
+defect scan, which draws only their witness state; they are falsified by
+the invariance scans instead.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Union
 
 import numpy as np
 
@@ -25,93 +26,60 @@ class DomainError(ValueError):
 
 
 @dataclass(frozen=True)
-class Born:
+class Rule:
+    """f(a) = sum of c * a^p over terms (c, p), added in order from the first.
+
+    Calling a rule gives f.  rule_probabilities applies it: entrywise, or,
+    when renormalized, as p_k = f(a_k) / sum_i f(a_i).
+    """
+
+    terms: tuple[tuple[float, float], ...]
+    name: str
+    renormalized: bool = False
+
+    def __call__(self, a):
+        (c, p), *rest = self.terms
+        total = c * np.power(a, p)
+        for c, p in rest:
+            total = total + c * np.power(a, p)
+        return total
+
+
+def Born() -> Rule:
     """The quadratic rule: f(a) = a^2."""
-
-    def __call__(self, a):
-        return np.square(a)
-
-    @property
-    def name(self) -> str:
-        return "born"
+    return Rule(((1.0, 2.0),), "born")
 
 
-@dataclass(frozen=True)
-class Power:
+def Power(exponent: float) -> Rule:
     """Pure power rule f(a) = a^p with a finite exponent p > 0."""
-
-    exponent: float
-
-    def __post_init__(self) -> None:
-        if not 0 < self.exponent < math.inf:  # also rejects nan
-            raise ValueError("power rules need a finite positive exponent")
-
-    def __call__(self, a):
-        return np.power(a, self.exponent)
-
-    @property
-    def name(self) -> str:
-        return f"power:{self.exponent!r}"
+    if not 0 < exponent < math.inf:  # also rejects nan
+        raise ValueError("power rules need a finite positive exponent")
+    return Rule(((1.0, exponent),), f"power:{exponent!r}")
 
 
-@dataclass(frozen=True)
-class Affine:
+def Affine(scale: float, offset: float) -> Rule:
     """Quadratic-affine rule f(a) = scale * a^2 + offset, both finite."""
-
-    scale: float
-    offset: float
-
-    def __post_init__(self) -> None:
-        if not (math.isfinite(self.scale) and math.isfinite(self.offset)):
-            raise ValueError("affine rules need a finite scale and offset")
-
-    def __call__(self, a):
-        return self.scale * np.square(a) + self.offset
-
-    @property
-    def name(self) -> str:
-        return f"affine:{self.scale!r}:{self.offset!r}"
+    if not (math.isfinite(scale) and math.isfinite(offset)):
+        raise ValueError("affine rules need a finite scale and offset")
+    return Rule(((scale, 2.0), (offset, 0.0)), f"affine:{scale!r}:{offset!r}")
 
 
-PlainRule = Union[Born, Power, Affine]
-
-
-@dataclass(frozen=True)
-class Renormalized:
+def Renormalized(base: Rule) -> Rule:
     """p_k = f(a_k) / sum_i f(a_i): normalized by construction."""
-
-    base: PlainRule
-
-    def __post_init__(self) -> None:
-        if isinstance(self.base, Renormalized):
-            raise ValueError("renormalized rules cannot be nested")
-
-    @property
-    def name(self) -> str:
-        return f"renorm:{self.base.name}"
-
-    def probabilities(self, values: np.ndarray) -> np.ndarray:
-        with np.errstate(over="ignore"):  # an overflow is reported below
-            raw = self.base(values)
-            total = np.sum(raw, axis=-1, keepdims=True)  # not finite if any raw value is not
-        if not np.all(np.isfinite(total)):
-            raise DomainError("renormalization sum is not finite")
-        if np.any(total <= 0.0):
-            raise DomainError("renormalization sum is not positive: a base value is not positive, or the sum underflows")
-        return raw / total
+    if base.renormalized:
+        raise ValueError("renormalized rules cannot be nested")
+    return Rule(base.terms, f"renorm:{base.name}", renormalized=True)
 
 
-ProbabilityRule = Union[PlainRule, Renormalized]
-
-
-def parse_rule(name: str) -> ProbabilityRule:
+def parse_rule(name: str) -> Rule:
     """Parse "born", "power:<p>", "affine:<scale>:<offset>", "renorm:<base>"."""
     text = name.strip().lower()
     if text == "born":
         return Born()
-    if text.startswith("renorm:"):
-        return Renormalized(parse_rule(text[len("renorm:") :]))
+    base = parse_rule(text[len("renorm:") :]) if text.startswith("renorm:") else None
     try:
+        if base is not None:
+            return Renormalized(base)
         if text.startswith("power:"):
             return Power(float(text[len("power:") :]))
         if text.startswith("affine:"):
@@ -122,29 +90,34 @@ def parse_rule(name: str) -> ProbabilityRule:
     raise ValueError(f"unknown rule name {name!r}")
 
 
-def rule_probabilities(rule: ProbabilityRule, rows: np.ndarray) -> np.ndarray:
+def rule_probabilities(rule: Rule, rows: np.ndarray) -> np.ndarray:
     """Apply a rule to every modulus of orthant rows (..., d).
 
-    Plain rules are applied entrywise with no renormalization; whether the
+    A plain rule is applied entrywise with no renormalization; whether the
     result sums to one is exactly what the defect scan measures.  Rows come
     validated, as ModulusVector moduli or through check_orthant; a value
-    that overflows is a DomainError.
+    or a renormalization sum that overflows is a DomainError.
     """
-    if isinstance(rule, Renormalized):
-        return rule.probabilities(rows)
     with np.errstate(over="ignore"):  # an overflow is reported below
         values = np.asarray(rule(rows), dtype=np.float64)
-    if not np.all(np.isfinite(values)):
-        raise DomainError(f"{rule.name} is not finite at every modulus")
-    return values
+        if not rule.renormalized:
+            if not np.all(np.isfinite(values)):
+                raise DomainError(f"{rule.name} is not finite at every modulus")
+            return values
+        total = np.sum(values, axis=-1, keepdims=True)  # not finite if any value is not
+    if not np.all(np.isfinite(total)):
+        raise DomainError("renormalization sum is not finite")
+    if np.any(total <= 0.0):
+        raise DomainError("renormalization sum is not positive: a base value is not positive, or the sum underflows")
+    return values / total
 
 
-def normalization_sum(rule: PlainRule, rows: np.ndarray) -> np.ndarray:
+def normalization_sum(rule: Rule, rows: np.ndarray) -> np.ndarray:
     """Sum of a plain rule over each orthant row (..., d).
 
     A renormalized rule sums to one by construction, so it is rejected.
     """
-    if isinstance(rule, Renormalized):
+    if rule.renormalized:
         raise TypeError(f"{rule.name} sums to one by construction; normalization_sum takes plain rules")
     with np.errstate(over="ignore"):  # an overflow is reported below
         sums = np.sum(rule(rows), axis=-1)  # not finite if any value is not
@@ -178,7 +151,7 @@ class NormalizationReport:
         }
 
 
-def defect_scan(rule: ProbabilityRule, dim: int, trials: int, seed: int, *address: int) -> NormalizationReport:
+def defect_scan(rule: Rule, dim: int, trials: int, seed: int, *address: int) -> NormalizationReport:
     """Measure the normalization defect over Haar-random states.
 
     Trial i draws from substream(seed, *address, i), so the report is a
@@ -191,7 +164,7 @@ def defect_scan(rule: ProbabilityRule, dim: int, trials: int, seed: int, *addres
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")
-    renormalized = isinstance(rule, Renormalized)
+    renormalized = rule.renormalized
     rows = haar_rows(dim, (substream(seed, *address, i) for i in range(1 if renormalized else trials)))
     stacked = np.abs(rows)
     # Each trial's StateVector and ModulusVector check repeats what one

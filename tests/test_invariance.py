@@ -166,9 +166,8 @@ class TestBlockKernelsMatchScalarFormulas:
         assert block.shape == (n, d)
         for row, point in zip(block, points):
             np.testing.assert_array_equal(row, rule_probabilities(rule, point.moduli))
-            base = rule.base if isinstance(rule, Renormalized) else rule
-            scalar = [float(base(float(a))) for a in point.moduli]
-            if isinstance(rule, Renormalized):
+            scalar = [float(rule(float(a))) for a in point.moduli]
+            if rule.renormalized:
                 scalar = [s / sum(scalar) for s in scalar]
             np.testing.assert_allclose(row, scalar, rtol=1e-13, atol=1e-15)
 
@@ -387,7 +386,7 @@ class TestPermutationEquivariance:
 
     @staticmethod
     def assert_same(rule, actual, expected):
-        if isinstance(rule, Renormalized):
+        if rule.renormalized:
             np.testing.assert_allclose(actual, expected, rtol=0, atol=1e-15)
         else:
             np.testing.assert_array_equal(actual, expected)

@@ -1,9 +1,12 @@
 """Candidate rule family, normalization sums, and the defect scan."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from bornlab import rules
 from bornlab.quantum import ModulusVector, haar_state, moduli
@@ -26,14 +29,33 @@ PLAIN_RULES = st.one_of(
     st.builds(Power, st.floats(0.25, 6.0)),
     st.builds(Affine, st.floats(-2.0, 2.0), st.floats(-1.0, 1.0)),
 )
+MODULI = st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0])
 
 
 class TestRuleFamily:
+    @staticmethod
+    def assert_same_bits(actual, expected):
+        assert type(actual) is type(expected)
+        assert np.asarray(actual).tobytes() == np.asarray(expected).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        a=MODULI | arrays(np.float64, st.tuples(st.integers(1, 5), st.integers(2, 8)), elements=MODULI),
+        p=st.floats(0.25, 6.0) | st.sampled_from([1.0, 2.0]),
+        s=st.floats(-3.0, 3.0) | st.sampled_from([-1.0, 0.0, 1.0]),
+        m=st.floats(-2.0, 2.0) | st.sampled_from([-0.5, 0.0]),
+    )
+    def test_constructors_keep_the_formulas_bits(self, a, p, s, m):
+        # born, power and affine give, bit for bit, the values of their
+        # one-formula definitions: a^2, a^p and s a^2 + m
+        self.assert_same_bits(Born()(a), np.square(a))
+        self.assert_same_bits(Power(p)(a), np.power(a, p))
+        self.assert_same_bits(Affine(s, m)(a), s * np.square(a) + m)
+
     def test_born_equals_power_two_equals_affine(self):
-        born, power, affine = Born(), Power(2.0), Affine(1.0, 0.0)
-        for a in np.linspace(0.0, 1.0, 100):
-            assert abs(born(a) - power(a)) <= 1e-15
-            assert abs(born(a) - affine(a)) <= 1e-15
+        a = np.linspace(0.0, 1.0, 100)
+        np.testing.assert_array_equal(Born()(a), Power(2.0)(a))
+        np.testing.assert_array_equal(Born()(a), Affine(1.0, 0.0)(a))
 
     def test_endpoints_finite_for_all_kinds(self):
         for rule in (Born(), Power(0.5), Power(4.0), Affine(-3.0, 2.0)):
@@ -54,26 +76,33 @@ class TestRuleFamily:
 
 class TestParsing:
     @pytest.mark.parametrize(
-        "name, kind",
+        "name, rule",
         [
-            ("born", Born),
-            ("power:3", Power),
-            ("affine:2:0.5", Affine),
-            ("renorm:power:4", Renormalized),
-            ("renorm:born", Renormalized),
+            ("born", Born()),
+            ("power:3", Power(3.0)),
+            ("affine:2:0.5", Affine(2.0, 0.5)),
+            ("renorm:power:4", Renormalized(Power(4.0))),
+            ("renorm:born", Renormalized(Born())),
         ],
+        ids=["born-Born", "power:3-Power", "affine:2:0.5-Affine", "renorm:power:4-Renormalized", "renorm:born-Renormalized"],
     )
-    def test_known_names(self, name, kind):
-        assert isinstance(parse_rule(name), kind)
+    def test_known_names(self, name, rule):
+        assert parse_rule(name) == rule
 
     def test_name_round_trip(self):
         for name in ("born", "power:3.0", "affine:2.0:0.5", "renorm:power:4.0"):
             assert parse_rule(name).name == name
 
-    @pytest.mark.parametrize("bad", ["nope", "power:", "power:zero", "affine:1", ""])
+    @pytest.mark.parametrize("bad", ["nope", "power:", "power:zero", "affine:1", "", "renorm:renorm:born"])
     def test_rejects_malformed(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=re.escape(repr(bad))):
             parse_rule(bad)
+
+    def test_nesting_error_names_the_rule(self):
+        with pytest.raises(ValueError, match=re.escape("malformed rule name 'renorm:renorm:born': renormalized rules cannot be nested")):
+            parse_rule("renorm:renorm:born")
+        with pytest.raises(ValueError, match="^renormalized rules cannot be nested$"):
+            Renormalized(Renormalized(Born()))
 
 
 class TestNormalizationSum:
@@ -115,7 +144,7 @@ class TestNormalizationSum:
         # renormalization sum would turn every probability into 0.0
         rows = np.array([[0.6, 0.8], [1.0, 0.0]])
         rule = Affine(1e308, 1e308)
-        for evaluate in (normalization_sum, rule_probabilities, lambda rule, rows: Renormalized(rule).probabilities(rows)):
+        for evaluate in (normalization_sum, rule_probabilities, lambda rule, rows: rule_probabilities(Renormalized(rule), rows)):
             with pytest.raises(DomainError, match="not finite"):
                 evaluate(rule, rows)
 

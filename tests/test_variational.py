@@ -164,8 +164,8 @@ def scalar_outcome_stationarity(p, a, k, lam, h=TOL.fd_step):
 
 
 def scalar_outcome(rule, k):
-    if isinstance(rule, Renormalized):
-        return lambda values: float(rule.base(values[k]) / np.sum(rule.base(values)))
+    if rule.renormalized:
+        return lambda values: float(rule(values[k]) / np.sum(rule(values)))
     return lambda values: float(rule(values[k]))
 
 
