@@ -22,8 +22,10 @@ from bornlab import cli
 # the determinism criterion's commands (the list of tests/test_acceptance.py),
 # the plain-rule falsify grid, independence on plain rules, both independence
 # checks of a renormalized rule at d=2 (inconclusive), both checks of a
-# renormalized two-term rule and of renormalized born at d=3, and the fit and
-# sample commands at their README defaults, several blocks each
+# renormalized two-term rule and of renormalized born at d=3, the fit and
+# sample commands at their README defaults, several blocks each, then the
+# collapse at d=8, independence on born's formula under another name, and
+# falsify on the uniform rule p_k = 1/d
 CRITERION_10_COMMANDS = [
     ["verify-born", "--dims", "2,3", "--trials", "150"],
     ["falsify", "--rule", "power:1", "--dim", "2", "--trials", "150"],
@@ -44,7 +46,12 @@ RENORM_D3 = [
     for command in ("falsify", "independence")
 ]
 DEFAULT_SCALE = [[command] for command in ("recover", "stationarity", "spin1", "sample")]
-COMMANDS = CRITERION_10_COMMANDS + FALSIFY_GRID + INDEPENDENCE + RENORM_D2 + RENORM_D3 + DEFAULT_SCALE
+EDGE_CASES = [
+    ["sample", "--dim", "8", "--shots", "5000", "--trials", "4"],
+    ["independence", "--rule", "power:2", "--dim", "3"],
+    ["falsify", "--rule", "renorm:affine:0:1", "--dim", "3"],
+]
+COMMANDS = CRITERION_10_COMMANDS + FALSIFY_GRID + INDEPENDENCE + RENORM_D2 + RENORM_D3 + DEFAULT_SCALE + EDGE_CASES
 
 
 def digest(text: str) -> str:

@@ -323,7 +323,8 @@ def cmd_spin1(args) -> Verdict:
     k_z, k_x = (int(k) for k in invariance.match_eigenvector(vectors, np.eye(3)[1]))
     pair = np.column_stack([vectors[0, :, k_z], vectors[1, :, k_x]])
 
-    p = np.abs(quantum.haar_blocks(3, args.trials, args.seed) @ np.conj(pair)) ** 2
+    amplitudes = quantum.haar_blocks(3, args.trials, args.seed) @ np.conj(pair)
+    p = rules.rule_probabilities(rules.Born(), np.abs(amplitudes))
     deltas = np.abs(p[:, 0] - p[:, 1])
     results = {
         "trials": args.trials,

@@ -46,14 +46,6 @@ class StateVector:
     def dim(self) -> int:
         return self.amplitudes.shape[0]
 
-    @classmethod
-    def normalize(cls, raw: np.ndarray) -> "StateVector":
-        raw = np.asarray(raw, dtype=np.complex128).reshape(-1)
-        norm = np.linalg.norm(raw)
-        if norm <= TOL.zero_vector:
-            raise NotNormalized("cannot normalize a zero vector")
-        return cls(raw / norm)
-
 
 def check_orthant(rows: np.ndarray) -> None:
     """Reject moduli rows (..., d) unless each is non-negative with unit square sum."""
@@ -149,14 +141,14 @@ def born_probabilities(state: StateVector, vectors: np.ndarray) -> np.ndarray:
 
 def measure(state: StateVector, vectors: np.ndarray, rng: np.random.Generator) -> tuple[int, StateVector]:
     """Sample one outcome k (quadratic rule) in the eigenbasis vectors (d, d);
-    return k and the collapsed state, eigenvector column k.
+    return k and the collapsed state, eigenvector column k as it stands.
 
     Only the quadratic rule yields a normalized distribution, so sampling
     under any other rule is rejected by construction: this function does
     not take a rule argument.
     """
     k = int(np.argmax(sample_outcomes(state, vectors, 1, rng)))
-    return k, StateVector.normalize(vectors[:, k])
+    return k, StateVector(vectors[:, k])
 
 
 def sample_outcomes(state: StateVector, vectors: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:

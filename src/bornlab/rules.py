@@ -13,7 +13,7 @@ the invariance scans instead.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -34,7 +34,7 @@ class Rule:
     """
 
     terms: tuple[tuple[float, float], ...]
-    name: str
+    name: str = field(compare=False)  # a rule is its formula: equality and hashing skip the name
     renormalized: bool = False
 
     def __call__(self, a):
@@ -76,17 +76,17 @@ def parse_rule(name: str) -> Rule:
     text = name.strip().lower()
     if text == "born":
         return Born()
-    base = parse_rule(text[len("renorm:") :]) if text.startswith("renorm:") else None
     try:
-        if base is not None:
-            return Renormalized(base)
+        if text.startswith("renorm:"):
+            return Renormalized(parse_rule(text[len("renorm:") :]))
         if text.startswith("power:"):
             return Power(float(text[len("power:") :]))
         if text.startswith("affine:"):
             _, scale, offset = text.split(":")
             return Affine(float(scale), float(offset))
     except (ValueError, TypeError) as exc:
-        raise ValueError(f"malformed rule name {name!r}: {exc}") from exc
+        reason = exc.__cause__ or exc  # a renorm: base's own reason, not its message naming the base
+        raise ValueError(f"malformed rule name {name!r}: {reason}") from reason
     raise ValueError(f"unknown rule name {name!r}")
 
 
@@ -113,14 +113,10 @@ def rule_probabilities(rule: Rule, rows: np.ndarray) -> np.ndarray:
 
 
 def normalization_sum(rule: Rule, rows: np.ndarray) -> np.ndarray:
-    """Sum of a plain rule over each orthant row (..., d).
-
-    A renormalized rule sums to one by construction, so it is rejected.
-    """
-    if rule.renormalized:
-        raise TypeError(f"{rule.name} sums to one by construction; normalization_sum takes plain rules")
-    with np.errstate(over="ignore"):  # an overflow is reported below
-        sums = np.sum(rule(rows), axis=-1)  # not finite if any value is not
+    """Row sums (...,) of rule_probabilities over orthant rows (..., d): one,
+    within rounding, for a renormalized rule.  A sum that overflows is a DomainError."""
+    with np.errstate(over="ignore"):  # finite values can still sum to inf, reported below
+        sums = np.sum(rule_probabilities(rule, rows), axis=-1)
     if not np.all(np.isfinite(sums)):
         raise DomainError(f"the normalization sum of {rule.name} is not finite")
     return sums

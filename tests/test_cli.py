@@ -113,7 +113,7 @@ class TestExitCodes:
             # a^2 - 1 <= 0 at every modulus, so no renormalization exists
             (["falsify", "--rule", "renorm:affine:1:-1"], "renormalization sum is not positive"),
             # 1e308 * (a^2 + 1) overflows once a^2 > 0.8
-            (["falsify", "--rule", "affine:1e308:1e308"], "the normalization sum of affine:1e+308:1e+308 is not finite"),
+            (["falsify", "--rule", "affine:1e308:1e308"], "affine:1e+308:1e+308 is not finite at every modulus"),
             (["falsify", "--rule", "renorm:affine:1e308:1e308"], "renormalization sum is not finite"),
             (["independence", "--rule", "renorm:affine:1e308:1e308"], "renormalization sum is not finite"),
         ],
@@ -339,6 +339,17 @@ class TestFalsification:
         assert run_json(capsys, ["falsify"] + argv)[0] == 1
         code, report = run_json(capsys, ["independence", "--rule", "born", "--dim", dim, "--trials", "100"])
         assert code == 0 and "inconclusive" not in report["results"]
+
+    def test_independence_judges_a_rule_by_its_formula(self, capsys):
+        # power:2 is born's formula, so it passes as born does, with the same numbers
+        argv = ["independence", "--dim", "3", "--seed", "1"]
+        code, report = run_json(capsys, argv + ["--rule", "power:2"])
+        born_code, born = run_json(capsys, argv + ["--rule", "born"])
+        assert code == born_code == 0 and report["pass"] is True
+        results, born_results = report["results"], born["results"]
+        for scan in ("observable_scan", "rotation_scan"):
+            assert results[scan].pop("rule") == "power:2.0" and born_results[scan].pop("rule") == "born"
+        assert results == born_results
 
 
 class TestSchema:
@@ -826,9 +837,10 @@ class TestStackedEqualsPerBlock:
             assert pair["first_outcome"] == quantum.measure(psi, vectors, substream(self.SEED, i, 3))[0]
 
     def test_sample_checks_one_stack(self, capsys, monkeypatch):
-        checked, built = [], []
+        # Observable.from_eigenbasis checks through check_eigensystems too,
+        # so any n = 1 build would show here as a (1, 4, 4) stack
+        checked = []
         check = quantum.check_eigensystems
         monkeypatch.setattr(quantum, "check_eigensystems", lambda m, w, v: checked.append(m.shape) or check(m, w, v))
-        monkeypatch.setattr(quantum.Observable, "from_eigenbasis", lambda *args: built.append(args))
         assert main(["sample", "--dim", "4", "--shots", "100", "--trials", "7"]) in (0, 1)
-        assert checked == [(7, 4, 4)] and built == []
+        assert checked == [(7, 4, 4)]

@@ -81,10 +81,6 @@ class TestStateAndModulus:
         with pytest.raises(NotNormalized):
             StateVector(np.array([1.0, 1.0]))
 
-    def test_normalize_classmethod(self):
-        psi = StateVector.normalize(np.array([3.0, 4.0]))
-        np.testing.assert_allclose(psi.amplitudes, [0.6, 0.8])
-
     def test_modulus_rejects_negative(self):
         with pytest.raises(ValueError):
             ModulusVector(np.array([-0.6, 0.8]))
@@ -301,7 +297,7 @@ class TestExpand:
 
     def test_diagonal_observable_returns_own_entries(self):
         vectors = diagonal_basis([-1.0, 0.0, 1.0])
-        psi = StateVector.normalize(np.array([1.0, 2.0, 2.0]))
+        psi = StateVector(np.array([1.0, 2.0, 2.0]) / 3.0)
         alpha = expand(psi, vectors)
         np.testing.assert_allclose(np.abs(alpha), np.abs(psi.amplitudes), atol=1e-14)
 
@@ -388,6 +384,7 @@ class TestMeasurement:
         phi = vectors[:, k]
         overlap = abs(np.vdot(post_state.amplitudes, phi))
         assert abs(overlap - 1.0) < 1e-12
+        np.testing.assert_array_equal(post_state.amplitudes, phi)  # the column itself, not renormalized
 
     def test_repeatability_after_collapse(self):
         _, _, (vectors,) = random_observables(3, [np.random.default_rng(7)])

@@ -87,16 +87,28 @@ class TestParsing:
         ids=["born-Born", "power:3-Power", "affine:2:0.5-Affine", "renorm:power:4-Renormalized", "renorm:born-Renormalized"],
     )
     def test_known_names(self, name, rule):
-        assert parse_rule(name) == rule
+        parsed = parse_rule(name)
+        assert parsed == rule and parsed.name == rule.name
+
+    def test_equality_reads_the_formula_not_the_name(self):
+        # power:2 is born's formula under another name; affine:1:0 adds a 0 * a^0 term
+        assert Power(2.0) == Born() and hash(Power(2.0)) == hash(Born())
+        assert Power(2.0).name != Born().name
+        assert Affine(1.0, 0.0) != Born()
+        assert Renormalized(Power(2.0)) == Renormalized(Born()) != Born()
 
     def test_name_round_trip(self):
         for name in ("born", "power:3.0", "affine:2.0:0.5", "renorm:power:4.0"):
             assert parse_rule(name).name == name
 
-    @pytest.mark.parametrize("bad", ["nope", "power:", "power:zero", "affine:1", "", "renorm:renorm:born"])
+    @pytest.mark.parametrize(
+        "bad",
+        ["nope", "power:", "power:zero", "affine:1", "", "renorm:renorm:born", "renorm:", "renorm:bogus", "renorm:power:x", "renorm:power:-1"],
+    )
     def test_rejects_malformed(self, bad):
-        with pytest.raises(ValueError, match=re.escape(repr(bad))):
+        with pytest.raises(ValueError, match=re.escape(repr(bad))) as excinfo:
             parse_rule(bad)
+        assert str(excinfo.value).count("malformed rule name") <= 1
 
     def test_nesting_error_names_the_rule(self):
         with pytest.raises(ValueError, match=re.escape("malformed rule name 'renorm:renorm:born': renormalized rules cannot be nested")):
@@ -117,9 +129,16 @@ class TestNormalizationSum:
     def test_quartic_rule_at_symmetric_point(self):
         assert abs(normalization_sum(Power(4.0), SYMMETRIC_QUBIT.moduli) - 0.5) <= 1e-12
 
-    def test_renormalized_rules_are_rejected(self):
-        with pytest.raises(TypeError, match="renorm:power:3.0"):
-            normalization_sum(Renormalized(Power(3.0)), SYMMETRIC_QUBIT.moduli)
+    @settings(max_examples=40, deadline=None)
+    @given(p=st.floats(0.25, 6.0), d=st.integers(2, 8), seed=st.integers(0, 10_000))
+    def test_renormalized_rows_sum_to_one_within_rounding(self, p, d, seed):
+        # a renormalized rule is summed like any other: the row sum of its probabilities
+        rule = Renormalized(Power(p))
+        z = np.random.default_rng(seed).standard_normal((5, d))
+        rows = np.abs(z) / np.linalg.norm(z, axis=-1, keepdims=True)
+        sums = normalization_sum(rule, rows)
+        np.testing.assert_array_equal(sums, np.sum(rule_probabilities(rule, rows), axis=-1))
+        np.testing.assert_allclose(sums, 1.0, rtol=0, atol=1e-12)
 
     @settings(max_examples=40, deadline=None)
     @given(rule=PLAIN_RULES, d=st.integers(2, 8), batch=st.sampled_from([(), (5,), (3, 4)]), seed=st.integers(0, 10_000))

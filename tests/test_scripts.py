@@ -118,8 +118,11 @@ def test_result_hashes_table():
             d = int(argv[4])
             normalizes = kind == "born" or (kind == "affine" and abs(float(params[0]) + d * float(params[1]) - 1.0) <= 1e-12)
             assert json_code == ("0" if normalizes else "1"), command
-        if argv[0] == "independence" and argv[2] in script.PLAIN_RULES:
-            assert json_code == ("0" if argv[2] == "born" else "3"), command
+        if argv[0] == "independence" and argv[2] in script.PLAIN_RULES + ["power:2"]:
+            # a plain rule passes only with born's formula, whatever its name
+            assert json_code == ("0" if argv[2] in ("born", "power:2") else "3"), command
+        if argv[2] == "renorm:affine:0:1":  # the uniform rule p_k = 1/d passes: no check of falsify sees it
+            assert json_code == "0", command
 
     # the JSON digest is the sha256 of results, config and pass as emitted
     argv = ["falsify", "--rule", "power:1", "--dim", "2", "--trials", "150", "--seed", "10"]
