@@ -19,7 +19,7 @@ import json
 
 from bornlab import cli
 
-# the determinism criterion's commands (the list of tests/test_acceptance.py),
+# the determinism criterion's commands (tests/test_acceptance.py loads this list),
 # the plain-rule falsify grid, independence on plain rules, both independence
 # checks of a renormalized rule at d=2 (inconclusive), both checks of a
 # renormalized two-term rule and of renormalized born at d=3, the fit and

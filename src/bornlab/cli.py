@@ -254,10 +254,18 @@ def cmd_falsify(args) -> Verdict:
     falsified = max_defect > args.tol_defect
 
     if rule.renormalized:
+        # certainty on an eigenstate, p_k(e_k) = 1: a renormalized rule sums
+        # to one by construction but need not give certainty, at any d
+        eigenstates = np.eye(d)
+        misses = np.abs(np.diagonal(rules.rule_probabilities(rule, eigenstates)) - 1.0)
+        results["certainty_defect"] = float(np.max(misses))
         scans, rows, spread, spread_witness = _independence_check(rule, d, args.trials, args.seed, 1)
         results.update(scans)
         series += rows
-        if "inconclusive" in results:
+        if results["certainty_defect"] > args.tol_defect:
+            results.pop("inconclusive", None)
+            falsified, witness = True, eigenstates[int(np.argmax(misses))].tolist()
+        elif "inconclusive" in results:
             falsified = None
         elif spread > args.tol_spread:
             falsified, witness = True, spread_witness

@@ -58,18 +58,14 @@ def complement_rotation(point: ModulusVector, n: int, rng: np.random.Generator) 
     """n resamplings of the unobserved moduli a_1..a_{d-1} at fixed a_0, as rows (n, d).
 
     Each tail is a fresh point on the complement orthant of radius
-    sqrt(1 - a_0^2): absolute values of a standard Gaussian, normalized and
-    scaled.  For dim 2 the complement orthant is a single point, so every
-    row is the input.
+    sqrt(1 - a_0^2): absolute values of a standard Gaussian, normalized, then
+    scaled.  Scaling a unit tail keeps the fixed points exact: at dim 2 the
+    tail is x / x = 1 and the radius a_1, and a zero radius gives zero tails.
     """
-    d = point.dim
     rows = np.tile(point.moduli, (n, 1))
-    radius = float(np.linalg.norm(point.moduli[1:]))
-    if d == 2 or radius == 0.0:
-        return rows
-    direction = np.abs(rng.standard_normal((n, d - 1)))
-    norm = np.linalg.norm(direction, axis=1, keepdims=True)  # 0 has probability 0; check_orthant rejects the nan
-    rows[:, 1:] = radius * direction / norm
+    direction = np.abs(rng.standard_normal((n, point.dim - 1)))
+    unit = direction / np.linalg.norm(direction, axis=1, keepdims=True)  # a 0 norm's nan fails check_orthant
+    rows[:, 1:] = np.linalg.norm(point.moduli[1:]) * unit
     check_orthant(rows)
     return rows
 

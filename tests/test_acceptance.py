@@ -6,7 +6,9 @@ documents and enforces the thresholds.
 """
 
 import functools
+import importlib.util
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -239,16 +241,16 @@ def test_criterion_9_sampling_and_collapse():
     )
 
 
-CRITERION_10_COMMANDS = [
-    ["verify-born", "--dims", "2,3", "--trials", "150"],
-    ["falsify", "--rule", "power:1", "--dim", "2", "--trials", "150"],
-    ["falsify", "--rule", "renorm:power:4", "--dim", "3", "--trials", "60"],
-    ["independence", "--rule", "renorm:power:1", "--dim", "3", "--trials", "60"],
-    ["recover", "--dims", "2,3", "--trials", "120"],
-    ["stationarity", "--dims", "3", "--trials", "60"],
-    ["spin1", "--trials", "200"],
-    ["sample", "--dim", "3", "--shots", "20000", "--trials", "3"],
-]
+def _criterion_10_commands() -> list[list[str]]:
+    """The determinism criterion's commands: the first rows of the result-hash table."""
+    path = Path(__file__).resolve().parents[1] / "scripts" / "result_hashes.py"
+    spec = importlib.util.spec_from_file_location("result_hashes", path)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script.CRITERION_10_COMMANDS
+
+
+CRITERION_10_COMMANDS = _criterion_10_commands()
 
 
 def _results_payload(capsys, argv) -> str:

@@ -296,6 +296,23 @@ class TestFalsification:
             or results["rotation_scan"]["spread"] > 1e-3
         )
 
+    def test_renormalized_rule_must_give_certainty_on_an_eigenstate(self, capsys):
+        # the uniform rule p_k = 1/d has no defect and no spread; only
+        # certainty, p_k(e_k) = 1, separates it, by 1 - 1/d at every d
+        falsify = ["falsify", "--trials", "20", "--rule"]
+        for d in (2, 3, 5, 8):
+            code, report = run_json(capsys, falsify + ["renorm:affine:0:1", "--dim", str(d)])
+            results = report["results"]
+            assert code == 1 and results["falsified"] is True and "inconclusive" not in results
+            assert abs(results["certainty_defect"] - (1.0 - 1.0 / d)) <= 1e-15
+            assert results["witness"] == [1.0] + [0.0] * (d - 1)
+        assert run_json(capsys, falsify + ["renorm:affine:1:0.1", "--dim", "3"])[0] == 1
+        # a power maps e_k to itself (1^p = 1, 0^p = 0): d=2 stays inconclusive
+        for p in ("0.5", "1.234", "2.1", "4.0"):
+            for d, expected in ((2, 3), (3, 1)):
+                code, report = run_json(capsys, falsify + [f"renorm:power:{p}", "--dim", str(d)])
+                assert code == expected and report["results"]["certainty_defect"] == 0.0
+
     def test_independence_command_flags_renormalized_rules(self, capsys):
         code, report = run_json(
             capsys, ["independence", "--rule", "renorm:power:1", "--dim", "3"] + SMALL
@@ -388,6 +405,7 @@ class TestSchema:
             return (
                 "inconclusive" not in results
                 and results["defect"]["max_defect"] <= results["thresholds"]["defect"]
+                and results.get("certainty_defect", 0.0) <= results["thresholds"]["defect"]
                 and all(spread(scan) <= results["thresholds"]["spread"] for scan in scans)
             )
         if command == "independence":
@@ -414,6 +432,7 @@ class TestSchema:
             (["falsify", "--rule", "power:1", "--dim", "2", "--trials", "200"], False),
             (["falsify", "--rule", "renorm:power:4", "--dim", "3", "--trials", "50"], False),
             (["falsify", "--rule", "renorm:power:4", "--dim", "2", "--trials", "50"], False),
+            (["falsify", "--rule", "renorm:affine:0:1", "--dim", "3", "--trials", "50"], False),
             (["independence", "--rule", "born", "--dim", "3", "--trials", "50"], True),
             (["independence", "--rule", "renorm:power:4", "--dim", "2", "--trials", "50"], False),
             (["recover", "--dims", "2,3", "--trials", "120"], True),
@@ -422,7 +441,8 @@ class TestSchema:
             (["sample", "--dim", "3", "--shots", "2000", "--trials", "2"], True),
         ],
         ids=["verify-born", "falsify:born", "falsify:power:1", "falsify:renorm:d3", "falsify:renorm:d2",
-             "independence:born", "independence:renorm:d2", "recover", "stationarity", "spin1", "sample"],
+             "falsify:renorm-uniform", "independence:born", "independence:renorm:d2", "recover", "stationarity",
+             "spin1", "sample"],
     )
     def test_pass_rederivable_from_results(self, capsys, argv, passed):
         _, report = run_json(capsys, argv + ["--seed", "42"])

@@ -363,14 +363,11 @@ class TestUnobservedIndependence:
 def rotation_at(point: ModulusVector, k: int, n: int, rng) -> np.ndarray:
     """The rotation at fixed a_k, written with a boolean mask over the other
     moduli: the reference for the outcome-k scan that outcome 0 stands in for."""
-    d = point.dim
     rows = np.tile(point.moduli, (n, 1))
-    others = np.arange(d) != k
-    radius = float(np.linalg.norm(point.moduli[others]))
-    if d == 2 or radius == 0.0:
-        return rows
-    direction = np.abs(rng.standard_normal((n, d - 1)))
-    rows[:, others] = radius * direction / np.linalg.norm(direction, axis=1, keepdims=True)
+    others = np.arange(point.dim) != k
+    direction = np.abs(rng.standard_normal((n, point.dim - 1)))
+    unit = direction / np.linalg.norm(direction, axis=1, keepdims=True)
+    rows[:, others] = np.linalg.norm(point.moduli[others]) * unit
     return rows
 
 

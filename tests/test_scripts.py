@@ -14,7 +14,6 @@ from pathlib import Path
 import pytest
 
 from bornlab import cli
-from test_acceptance import CRITERION_10_COMMANDS
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -102,7 +101,6 @@ def test_result_hashes_table():
     spec = importlib.util.spec_from_file_location("result_hashes", ROOT / "scripts" / "result_hashes.py")
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
-    assert script.CRITERION_10_COMMANDS == CRITERION_10_COMMANDS
 
     header, *lines = run_script("result_hashes.py", "--seed", "10").splitlines()
     assert header == "command\tjson\tcsv\texit json/csv"
@@ -121,8 +119,8 @@ def test_result_hashes_table():
         if argv[0] == "independence" and argv[2] in script.PLAIN_RULES + ["power:2"]:
             # a plain rule passes only with born's formula, whatever its name
             assert json_code == ("0" if argv[2] in ("born", "power:2") else "3"), command
-        if argv[2] == "renorm:affine:0:1":  # the uniform rule p_k = 1/d passes: no check of falsify sees it
-            assert json_code == "0", command
+        if argv[2] == "renorm:affine:0:1":  # the uniform rule p_k = 1/d fails certainty on an eigenstate
+            assert json_code == "1", command
 
     # the JSON digest is the sha256 of results, config and pass as emitted
     argv = ["falsify", "--rule", "power:1", "--dim", "2", "--trials", "150", "--seed", "10"]
