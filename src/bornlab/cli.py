@@ -55,6 +55,7 @@ class Report:
     runtime_ms: float
 
     def to_json(self) -> str:
+        # one line: with indent set, json.dumps falls back to its pure-Python encoder
         return json.dumps(
             {
                 "schema_version": "1",
@@ -63,8 +64,7 @@ class Report:
                 "results": self.results,
                 "pass": self.passed,
                 "runtime_ms": self.runtime_ms,
-            },
-            indent=2,
+            }
         )
 
     @property

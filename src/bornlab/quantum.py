@@ -37,8 +37,10 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        amplitudes = np.array(self.amplitudes, dtype=np.complex128).reshape(-1)
-        within(abs(np.vdot(amplitudes, amplitudes).real - 1.0), TOL.unit_norm, "state norm defect", NotNormalized)
+        amplitudes = np.array(self.amplitudes, dtype=np.complex128)
+        if amplitudes.ndim != 1:  # reshape(-1) of a row is a no-op that still costs a numpy call
+            amplitudes = amplitudes.reshape(-1)
+        within(abs(float(np.vdot(amplitudes, amplitudes).real) - 1.0), TOL.unit_norm, "state norm defect", NotNormalized)
         amplitudes.setflags(write=False)
         object.__setattr__(self, "amplitudes", amplitudes)
 
@@ -49,14 +51,19 @@ class StateVector:
 
 def check_orthant(rows: np.ndarray) -> None:
     """Reject moduli rows (..., d) unless each is non-negative with unit square sum."""
-    # A single row (each ModulusVector, so each defect-scan trial) takes one
-    # dot and float arithmetic; a block of rows takes one vecdot.  The ufunc
-    # reduce is rows.min(initial=0.0) without its Python-level wrapper.
-    if np.minimum.reduce(rows, axis=None, initial=0.0) < 0.0:
-        raise ValueError("moduli must be non-negative")
+    # One row (each ModulusVector, so each defect-scan trial) takes one dot,
+    # Python's min and float arithmetic, cheaper than numpy calls on a few
+    # entries; a block takes one reduce and one vecdot.  A nan anywhere is
+    # NotNormalized on both: numpy's minimum carries it past the sign test,
+    # and Python's min can skip it, so a row's sign test needs a non-nan sum.
     if rows.ndim == 1:
-        defect = abs(float(rows.dot(rows)) - 1.0)
+        square_sum = float(rows.dot(rows))
+        if square_sum == square_sum and rows.size and min(rows.tolist()) < 0.0:
+            raise ValueError("moduli must be non-negative")
+        defect = abs(square_sum - 1.0)
     else:
+        if np.minimum.reduce(rows, axis=None, initial=0.0) < 0.0:
+            raise ValueError("moduli must be non-negative")
         defect = float(np.abs(np.vecdot(rows, rows) - 1.0).max(initial=0.0))
     within(defect, TOL.unit_norm, "orthant norm defect", NotNormalized)
 
@@ -68,7 +75,9 @@ class ModulusVector:
     moduli: np.ndarray
 
     def __post_init__(self) -> None:
-        moduli = np.array(self.moduli, dtype=np.float64).reshape(-1)
+        moduli = np.array(self.moduli, dtype=np.float64)
+        if moduli.ndim != 1:
+            moduli = moduli.reshape(-1)
         check_orthant(moduli)
         moduli.setflags(write=False)
         object.__setattr__(self, "moduli", moduli)

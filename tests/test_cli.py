@@ -379,7 +379,10 @@ class TestSchema:
         ],
     )
     def test_top_level_keys_are_exact(self, capsys, argv):
-        _, report = run_json(capsys, argv)
+        main(argv)
+        text = capsys.readouterr().out
+        assert text.count("\n") == 1 and text.endswith("}\n")  # one line and its newline
+        report = json.loads(text)
         assert list(report.keys()) == [
             "schema_version",
             "command",

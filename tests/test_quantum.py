@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from bornlab import quantum
@@ -66,6 +66,15 @@ def spin1_ladder_matrices():
 
 
 OFF_BY_1E11 = np.sqrt([0.5 + 1e-11, 0.5])  # square sum 1 + 1e-11
+OFF_BY_2E12 = np.sqrt([0.5 + 2e-12, 0.5])  # just outside TOL.unit_norm
+OFF_BY_5E13 = np.sqrt([0.5 + 5e-13, 0.5])  # just inside it
+
+# Row entries that steer the sign and norm tests: nan beside a negative entry,
+# infinities, a signed zero, a negative whose square underflows, and unit-norm pairs.
+ROW_ENTRIES = st.one_of(
+    st.sampled_from([np.nan, np.inf, -np.inf, -0.0, 0.0, 1.0, -1.0, 0.6, 0.8, -0.6, 1e-200, -1e-200]),
+    st.floats(allow_nan=True, allow_infinity=True),
+)
 
 
 def stacked(row):
@@ -113,6 +122,12 @@ class TestStateAndModulus:
             (np.array([np.nan, 1.0]), NotNormalized),
             (np.array([-0.6, 0.8]), ValueError),
             (np.array([]), NotNormalized),
+            # numpy's minimum carries a nan past the sign test, in either order
+            (np.array([-0.6, np.nan]), NotNormalized),
+            (np.array([np.nan, -0.6]), NotNormalized),
+            (np.array([np.inf, 0.0]), NotNormalized),
+            (np.array([1.0, -np.inf]), ValueError),
+            (OFF_BY_2E12, NotNormalized),
         ],
     )
     def test_modulus_and_orthant_reject_boundary_cases(self, row, error):
@@ -123,6 +138,56 @@ class TestStateAndModulus:
             with pytest.raises(ValueError) as excinfo:
                 check_orthant(rows)
             assert type(excinfo.value) is error
+
+    @pytest.mark.parametrize("row", [np.array([-0.0, 1.0]), OFF_BY_5E13])
+    def test_modulus_and_orthant_accept_boundary_cases(self, row):
+        assert ModulusVector(row).moduli.tobytes() == row.tobytes()
+        for rows in stacked(row):
+            check_orthant(rows)
+
+    @staticmethod
+    def rejection(check, value):
+        """The type of ValueError check(value) raises, or None if it accepts."""
+        try:
+            check(value)
+        except ValueError as exc:
+            return type(exc)
+        return None
+
+    @settings(max_examples=400, deadline=None)
+    @given(entries=st.lists(ROW_ENTRIES, max_size=9), normalize=st.booleans())
+    def test_one_row_checks_agree_with_stacked_rows(self, entries, normalize):
+        row = np.array(entries, dtype=np.float64)
+        with np.errstate(all="ignore"):  # a huge entry's square overflows with a warning before it is rejected
+            norm = np.linalg.norm(row)
+            if normalize and 0.0 < norm < np.inf:
+                row = row / norm
+            expected = self.rejection(check_orthant, row[None])
+            assert self.rejection(check_orthant, np.stack([row, row])) is expected
+            assert self.rejection(ModulusVector, row) is expected
+            assert self.rejection(ModulusVector, row[None]) is expected
+            assert self.rejection(check_orthant, row) is expected
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        parts=st.lists(st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)), min_size=1, max_size=9),
+        offset=st.one_of(st.sampled_from([0.0, 5e-13, -5e-13, 2e-12, -2e-12, 1e-11]), st.floats(-3e-12, 3e-12)),
+    )
+    def test_state_accepts_within_the_vdot_norm(self, parts, offset):
+        amplitudes = np.array([complex(re, im) for re, im in parts])
+        norm = np.linalg.norm(amplitudes)
+        assume(norm > 1e-3)
+        amplitudes *= np.sqrt(1.0 + offset) / norm
+        defect = abs(np.vdot(amplitudes, amplitudes).real - 1.0)
+        assume(abs(defect - TOL.unit_norm) > 1e-14)  # away from the edge, where rounding decides
+        for value in (amplitudes, amplitudes[None]):
+            if defect <= TOL.unit_norm:
+                state = StateVector(value)
+                assert state.amplitudes.shape == amplitudes.shape
+                assert state.amplitudes.tobytes() == amplitudes.tobytes()
+            else:
+                with pytest.raises(NotNormalized):
+                    StateVector(value)
 
     def test_orthant_accepts_every_batch_shape(self):
         for rows in stacked(np.array([0.6, 0.8])):
