@@ -2,9 +2,10 @@
 
 A measurement expands the state in the eigenbasis of a nondegenerate
 Hermitian observable, whose moduli a candidate rule turns into outcome
-values (rules.rule_probabilities), and (for the quadratic rule) samples an
-outcome and collapses onto the matching eigenvector.  Includes the spin-1 fixtures
-used by the two-observable demonstration.
+values (rules.rule_probabilities).  Sampling draws outcomes from such a
+row once it is a probability distribution, and collapses onto the matching
+eigenvector.  Includes the spin-1 fixtures used by the two-observable
+demonstration.
 """
 
 from __future__ import annotations
@@ -51,20 +52,24 @@ class StateVector:
 
 def check_orthant(rows: np.ndarray) -> None:
     """Reject moduli rows (..., d) unless each is non-negative with unit square sum."""
-    # One row (each ModulusVector, so each defect-scan trial) takes one dot,
-    # Python's min and float arithmetic, cheaper than numpy calls on a few
-    # entries; a block takes one reduce and one vecdot.  A nan anywhere is
-    # NotNormalized on both: numpy's minimum carries it past the sign test,
-    # and Python's min can skip it, so a row's sign test needs a non-nan sum.
+    # One row (each ModulusVector, so each defect-scan trial) takes Python's
+    # sum and min over its float list, cheaper than numpy on a few entries; a
+    # block takes one reduce and one vecdot.  A square that overflows is inf,
+    # silently: Python floats do not warn, and errstate (too dear per row)
+    # covers the block.  A nan anywhere is NotNormalized on both: numpy's
+    # minimum carries it past the sign test, and Python's min can skip it, so
+    # a row's sign test needs a non-nan sum.
     if rows.ndim == 1:
-        square_sum = float(rows.dot(rows))
-        if square_sum == square_sum and rows.size and min(rows.tolist()) < 0.0:
+        values = rows.tolist()
+        square_sum = sum([x * x for x in values])
+        if square_sum == square_sum and values and min(values) < 0.0:
             raise ValueError("moduli must be non-negative")
         defect = abs(square_sum - 1.0)
     else:
-        if np.minimum.reduce(rows, axis=None, initial=0.0) < 0.0:
-            raise ValueError("moduli must be non-negative")
-        defect = float(np.abs(np.vecdot(rows, rows) - 1.0).max(initial=0.0))
+        with np.errstate(over="ignore"):
+            if np.minimum.reduce(rows, axis=None, initial=0.0) < 0.0:
+                raise ValueError("moduli must be non-negative")
+            defect = float(np.abs(np.vecdot(rows, rows) - 1.0).max(initial=0.0))
     within(defect, TOL.unit_norm, "orthant norm defect", NotNormalized)
 
 
@@ -143,38 +148,35 @@ def moduli(amplitudes: np.ndarray) -> ModulusVector:
     return ModulusVector(np.abs(amplitudes))
 
 
-def born_probabilities(state: StateVector, vectors: np.ndarray) -> np.ndarray:
-    """Squared moduli of the expansion coefficients in the eigenbasis vectors (d, d)."""
-    return np.abs(expand(state, vectors)) ** 2
-
-
-def measure(state: StateVector, vectors: np.ndarray, rng: np.random.Generator) -> tuple[int, StateVector]:
-    """Sample one outcome k (quadratic rule) in the eigenbasis vectors (d, d);
-    return k and the collapsed state, eigenvector column k as it stands.
-
-    Only the quadratic rule yields a normalized distribution, so sampling
-    under any other rule is rejected by construction: this function does
-    not take a rule argument.
-    """
-    k = int(np.argmax(sample_outcomes(state, vectors, 1, rng)))
+def measure(p: np.ndarray, vectors: np.ndarray, rng: np.random.Generator) -> tuple[int, StateVector]:
+    """One shot of sample_outcomes from the probability row p (d,): the outcome k
+    and the collapsed state, column k of the eigenbasis vectors (d, d) as it stands."""
+    if p.shape[-1] != vectors.shape[-1]:
+        raise DimMismatch(f"probability row dim {p.shape[-1]} vs eigenbasis dim {vectors.shape[-1]}")
+    k = int(np.argmax(sample_outcomes(p, 1, rng)))
     return k, StateVector(vectors[:, k])
 
 
-def sample_outcomes(state: StateVector, vectors: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:
-    """Outcome counts over many shots in the eigenbasis vectors (d, d): the
+def sample_outcomes(p: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:
+    """Outcome counts over many shots from the probability row p (d,): the
     one draw rule, which measure() takes one shot of.
 
-    Each shot draws one uniform and takes the inverse CDF of the Born
-    probabilities, ties toward the lower index: shots are counted as the
-    uniforms at or below each cumulative probability, and the last outcome
-    takes every other shot, also a uniform above a last cumulative value
-    that rounding left below 1.
+    The row must be a distribution: a negative entry is a ValueError, and a
+    sum more than TOL.unit_norm from one (nan included) is NotNormalized.
+    Each shot draws one uniform and takes the inverse CDF of p, ties toward
+    the lower index: shots are counted as the uniforms at or below each
+    cumulative probability, and the last outcome takes every other shot,
+    also a uniform above a last cumulative value that rounding left below 1.
     """
-    edges = np.cumsum(born_probabilities(state, vectors))[:-1]
-    at_or_below = np.zeros(state.dim + 1, dtype=np.intp)  # [0]: no shot is below the first outcome
+    cumulative = np.cumsum(p)
+    if np.minimum.reduce(p, initial=0.0) < 0.0:  # a nan carries past, to the sum test
+        raise ValueError("probabilities must be non-negative")
+    total = float(cumulative[-1:].sum())  # an empty row sums to 0
+    within(abs(total - 1.0), TOL.unit_norm, "probability sum defect", NotNormalized)
+    at_or_below = np.zeros(cumulative.size + 1, dtype=np.intp)  # [0]: no shot is below the first outcome
     for start in range(0, shots, SHOT_CHUNK):  # bounded memory for any shot count
         uniforms = rng.random(min(SHOT_CHUNK, shots - start))
-        at_or_below[1:-1] += [np.count_nonzero(uniforms <= edge) for edge in edges]
+        at_or_below[1:-1] += [np.count_nonzero(uniforms <= edge) for edge in cumulative[:-1]]
     at_or_below[-1] = shots
     return at_or_below[1:] - at_or_below[:-1]  # np.diff's prepend costs more than the draw at one shot
 

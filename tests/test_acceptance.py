@@ -17,7 +17,6 @@ from bornlab.cli import main as cli_main
 from bornlab.invariance import observable_independence_scan
 from bornlab.quantum import (
     ModulusVector,
-    born_probabilities,
     expand,
     haar_state,
     measure,
@@ -224,14 +223,15 @@ def test_criterion_9_sampling_and_collapse():
     _, _, observables = random_observables(3, (substream(9, i, 1) for i in range(10)))
     for i, vectors in enumerate(observables):
         psi = haar_state(3, substream(9, i, 0))
-        counts = sample_outcomes(psi, vectors, shots, substream(9, i, 2))
-        p = born_probabilities(psi, vectors)
+        p = rule_probabilities(Born(), moduli(expand(psi, vectors)).moduli)
+        counts = sample_outcomes(p, shots, substream(9, i, 2))
         sigma = np.sqrt(p * (1.0 - p) / shots)
         all_within = all_within and bool(np.all(np.abs(counts / shots - p) <= 3.0 * sigma))
 
-        first, post_state = measure(psi, vectors, substream(9, i, 3))
+        first, post_state = measure(p, vectors, substream(9, i, 3))
+        post = rule_probabilities(Born(), moduli(expand(post_state, vectors)).moduli)
         repeat_rng = substream(9, i, 4)
-        repeats = sum(measure(post_state, vectors, repeat_rng)[0] == first for _ in range(100))
+        repeats = sum(measure(post, vectors, repeat_rng)[0] == first for _ in range(100))
         all_repeat = all_repeat and repeats == 100
     report(
         "criterion 9",

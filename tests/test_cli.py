@@ -854,10 +854,11 @@ class TestStackedEqualsPerBlock:
             vectors = fix_column_phases(basis[:, np.argsort(values, kind="stable")])
             _, _, single = quantum.eigenbasis_stack(values[None], basis[None])
             np.testing.assert_array_equal(single[0], vectors)
-            counts = quantum.sample_outcomes(psi, vectors, shots, substream(self.SEED, i, 2))
-            assert pair["born"] == [float(x) for x in quantum.born_probabilities(psi, vectors)]
+            p = np.abs(quantum.expand(psi, vectors)) ** 2  # |c|^2, which the Born scoring keeps bit for bit
+            counts = quantum.sample_outcomes(p, shots, substream(self.SEED, i, 2))
+            assert pair["born"] == [float(x) for x in p]
             assert pair["frequencies"] == [float(x) for x in counts / shots]
-            assert pair["first_outcome"] == quantum.measure(psi, vectors, substream(self.SEED, i, 3))[0]
+            assert pair["first_outcome"] == quantum.measure(p, vectors, substream(self.SEED, i, 3))[0]
 
     def test_sample_checks_one_stack(self, capsys, monkeypatch):
         # Observable.from_eigenbasis checks through check_eigensystems too,

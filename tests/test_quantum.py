@@ -1,5 +1,7 @@
 """States, observables, expansion, probabilities, and measurement."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -13,7 +15,6 @@ from bornlab.quantum import (
     NotNormalized,
     Observable,
     StateVector,
-    born_probabilities,
     check_orthant,
     expand,
     gapped_eigenvalues,
@@ -25,7 +26,7 @@ from bornlab.quantum import (
     sample_outcomes,
     spin1_observables,
 )
-from bornlab.rules import Born, Power, defect_scan, rule_probabilities
+from bornlab.rules import Born, Power, Renormalized, defect_scan, rule_probabilities
 from bornlab.streams import BLOCK, substream
 from bornlab.tolerances import TOL
 
@@ -34,6 +35,12 @@ def inverse_cdf(cumulative, uniforms):
     """Reference draw: the first outcome whose cumulative probability reaches
     the uniform, ties toward the lower index, the last outcome above them all."""
     return np.minimum(np.searchsorted(cumulative, uniforms, side="left"), cumulative.size - 1)
+
+
+def born(state, vectors):
+    """The Born probability row of a state in the eigenbasis vectors (d, d),
+    scored by rule_probabilities as sample scores it."""
+    return rule_probabilities(Born(), moduli(expand(state, vectors)).moduli)
 
 
 def diagonal_basis(values):
@@ -158,15 +165,23 @@ class TestStateAndModulus:
     @given(entries=st.lists(ROW_ENTRIES, max_size=9), normalize=st.booleans())
     def test_one_row_checks_agree_with_stacked_rows(self, entries, normalize):
         row = np.array(entries, dtype=np.float64)
-        with np.errstate(all="ignore"):  # a huge entry's square overflows with a warning before it is rejected
+        with np.errstate(all="ignore"):  # the norm of a huge or infinite row warns; the checks must not
             norm = np.linalg.norm(row)
             if normalize and 0.0 < norm < np.inf:
                 row = row / norm
-            expected = self.rejection(check_orthant, row[None])
-            assert self.rejection(check_orthant, np.stack([row, row])) is expected
-            assert self.rejection(ModulusVector, row) is expected
-            assert self.rejection(ModulusVector, row[None]) is expected
-            assert self.rejection(check_orthant, row) is expected
+        expected = self.rejection(check_orthant, row[None])
+        assert self.rejection(check_orthant, np.stack([row, row])) is expected
+        assert self.rejection(ModulusVector, row) is expected
+        assert self.rejection(ModulusVector, row[None]) is expected
+        assert self.rejection(check_orthant, row) is expected
+
+    def test_an_overflowing_square_is_not_normalized_without_a_warning(self):
+        row = np.array([1e200, 0.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for check, value in [(StateVector, row), (ModulusVector, row), (check_orthant, row), (check_orthant, row[None])]:
+                with pytest.raises(NotNormalized):
+                    check(value)
 
     @settings(max_examples=300, deadline=None)
     @given(
@@ -411,7 +426,7 @@ class TestProbabilities:
 
     @settings(max_examples=40, deadline=None)
     @given(d=st.integers(2, 8), seed=st.integers(0, 10_000))
-    def test_born_probabilities_normalized(self, d, seed):
+    def test_born_scores_are_normalized(self, d, seed):
         rng = np.random.default_rng(seed)
         psi = haar_state(d, rng)
         _, _, (vectors,) = random_observables(d, [rng])
@@ -437,15 +452,15 @@ class TestProbabilities:
 class TestMeasurement:
     def test_eigenstate_is_deterministic(self):
         _, _, (vectors,) = random_observables(3, [np.random.default_rng(3)])
-        phi1 = StateVector(vectors[:, 0])
+        p = born(StateVector(vectors[:, 0]), vectors)
         for seed in range(20):
-            k, _ = measure(phi1, vectors, np.random.default_rng(seed))
+            k, _ = measure(p, vectors, np.random.default_rng(seed))
             assert k == 0
 
     def test_post_state_is_matching_eigenvector(self):
         _, _, (vectors,) = random_observables(4, [np.random.default_rng(4)])
         psi = haar_state(4, np.random.default_rng(5))
-        k, post_state = measure(psi, vectors, np.random.default_rng(6))
+        k, post_state = measure(born(psi, vectors), vectors, np.random.default_rng(6))
         phi = vectors[:, k]
         overlap = abs(np.vdot(post_state.amplitudes, phi))
         assert abs(overlap - 1.0) < 1e-12
@@ -455,9 +470,9 @@ class TestMeasurement:
         _, _, (vectors,) = random_observables(3, [np.random.default_rng(7)])
         psi = haar_state(3, np.random.default_rng(8))
         rng = np.random.default_rng(9)
-        k, post_state = measure(psi, vectors, rng)
+        k, post_state = measure(born(psi, vectors), vectors, rng)
         for _ in range(100):
-            again, _ = measure(post_state, vectors, rng)
+            again, _ = measure(born(post_state, vectors), vectors, rng)
             assert again == k
 
     def test_frequencies_match_binomial_oracle(self):
@@ -466,37 +481,37 @@ class TestMeasurement:
         vectors = diagonal_basis([-0.5, 0.5])
         psi = StateVector(np.array([1.0, 1.0]) / np.sqrt(2))
         shots = 100_000
-        counts = sample_outcomes(psi, vectors, shots, np.random.default_rng(11))
+        counts = sample_outcomes(born(psi, vectors), shots, np.random.default_rng(11))
         sigma = np.sqrt(0.25 / shots)
         assert abs(counts[0] / shots - 0.5) < 3 * sigma
 
     def test_single_shot_loop_agrees_with_batch(self):
         vectors = diagonal_basis([-0.5, 0.5])
-        psi = StateVector(np.array([0.6, 0.8]))
+        p = born(StateVector(np.array([0.6, 0.8])), vectors)
         shots = 4000
         rng = np.random.default_rng(13)
-        hits = sum(measure(psi, vectors, rng)[0] == 0 for _ in range(shots))
+        hits = sum(measure(p, vectors, rng)[0] == 0 for _ in range(shots))
         sigma = np.sqrt(0.36 * 0.64 / shots)
         assert abs(hits / shots - 0.36) < 3 * sigma
 
     def test_sampling_deterministic_for_fixed_stream(self):
         _, _, (vectors,) = random_observables(3, [np.random.default_rng(14)])
-        psi = haar_state(3, np.random.default_rng(15))
-        a = sample_outcomes(psi, vectors, 1000, substream(77, 0))
-        b = sample_outcomes(psi, vectors, 1000, substream(77, 0))
+        p = born(haar_state(3, np.random.default_rng(15)), vectors)
+        a = sample_outcomes(p, 1000, substream(77, 0))
+        b = sample_outcomes(p, 1000, substream(77, 0))
         np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("shots", [1, 6, 7, 50, 301])
     def test_chunked_counts_equal_one_draw(self, monkeypatch, shots):
         _, _, (vectors,) = random_observables(3, [np.random.default_rng(16)])
-        psi = haar_state(3, np.random.default_rng(17))
-        cumulative = np.cumsum(born_probabilities(psi, vectors))
+        p = born(haar_state(3, np.random.default_rng(17)), vectors)
+        cumulative = np.cumsum(p)
         # one draw of all the uniforms, inverse CDF with ties to the lower index
         single = np.random.default_rng(18).random(shots)
         outcomes = np.minimum(np.searchsorted(cumulative, single, side="left"), 2)
         reference = np.bincount(outcomes, minlength=3)
         monkeypatch.setattr(quantum, "SHOT_CHUNK", 7)
-        counts = sample_outcomes(psi, vectors, shots, np.random.default_rng(18))
+        counts = sample_outcomes(p, shots, np.random.default_rng(18))
         np.testing.assert_array_equal(counts, reference)
 
     @pytest.mark.parametrize(
@@ -510,22 +525,49 @@ class TestMeasurement:
         ],
     )
     def test_chunked_counts_equal_one_draw_at_the_edges(self, monkeypatch, probabilities, scale):
+        # the Born row of the state with these probabilities, and the
+        # renorm:power:4 row at its moduli: any distribution takes one draw rule
         d = len(probabilities)
-        vectors = diagonal_basis(np.arange(d, dtype=float))
-        psi = StateVector(np.sqrt(probabilities) * scale)
-        cumulative = np.cumsum(born_probabilities(psi, vectors))
-        if scale < 1.0:
-            assert cumulative[-1] < 1.0
-        # uniforms on every cumulative value and its neighbours, at the ends
-        # of [0, 1) and above the last cumulative value, then random ones
-        edges = np.concatenate([cumulative, np.nextafter(cumulative, 0.0), np.nextafter(cumulative, 1.0)])
-        top = np.nextafter(1.0, 0.0)
-        fixed = np.concatenate([edges[edges < 1.0], [0.0, top, (cumulative[-1] + top) / 2]])
-        uniforms = np.concatenate([fixed, np.random.default_rng(20).random(50)])
-        reference = np.bincount(inverse_cdf(cumulative, uniforms), minlength=d)
+        point = moduli(np.sqrt(probabilities) * scale).moduli
         monkeypatch.setattr(quantum, "SHOT_CHUNK", 7)
-        counts = sample_outcomes(psi, vectors, uniforms.size, Replay(uniforms))
-        np.testing.assert_array_equal(counts, reference)
+        for rule in (Born(), Renormalized(Power(4.0))):
+            cumulative = np.cumsum(rule_probabilities(rule, point))
+            if scale < 1.0 and rule == Born():
+                assert cumulative[-1] < 1.0
+            # uniforms on every cumulative value and its neighbours, at the ends
+            # of [0, 1) and above the last cumulative value, then random ones
+            edges = np.concatenate([cumulative, np.nextafter(cumulative, 0.0), np.nextafter(cumulative, 1.0)])
+            top = np.nextafter(1.0, 0.0)
+            fixed = np.concatenate([edges[edges < 1.0], [0.0, top, (cumulative[-1] + top) / 2]])
+            uniforms = np.concatenate([fixed, np.random.default_rng(20).random(50)])
+            reference = np.bincount(inverse_cdf(cumulative, uniforms), minlength=d)
+            counts = sample_outcomes(rule_probabilities(rule, point), uniforms.size, Replay(uniforms))
+            np.testing.assert_array_equal(counts, reference)
+
+    @pytest.mark.parametrize(
+        "row, error",
+        [
+            (np.array([-0.25, 1.25]), ValueError),
+            (np.array([0.5 + 2e-12, 0.5]), NotNormalized),  # just outside TOL.unit_norm
+            (np.array([np.nan, 1.0]), NotNormalized),
+            (np.array([1.0, np.nan]), NotNormalized),
+            (np.array([-0.5, np.nan]), NotNormalized),  # a nan anywhere is NotNormalized, as in check_orthant
+            (np.array([]), NotNormalized),
+            # the plain power:4 rule at a non-symmetric point sums to 0.58
+            (rule_probabilities(Power(4.0), np.sqrt([0.3, 0.7])), NotNormalized),
+        ],
+    )
+    def test_draws_reject_a_non_distribution(self, row, error):
+        with pytest.raises(ValueError) as excinfo:
+            sample_outcomes(row, 10, Replay(np.full(10, 0.5)))
+        assert type(excinfo.value) is error
+        with pytest.raises(ValueError) as excinfo:
+            measure(row, np.eye(row.size, dtype=complex), Replay([0.5]))
+        assert type(excinfo.value) is error
+
+    def test_measure_rejects_a_row_of_another_dimension(self):
+        with pytest.raises(DimMismatch):
+            measure(np.array([0.5, 0.5]), np.eye(3, dtype=complex), Replay([0.5]))
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -535,20 +577,21 @@ class TestMeasurement:
     )
     def test_measure_and_counts_follow_one_draw_rule(self, weights, scale, data):
         # zero weights tie cumulative values, a scale below 1 leaves the last
-        # one below 1; uniforms sit on and next to every cumulative value
+        # one below 1 (a sum defect up to about 8e-13, which the draws accept);
+        # uniforms sit on and next to every cumulative value
         d = len(weights)
         vectors = np.eye(d, dtype=complex)
-        psi = StateVector(np.sqrt(np.array(weights) / sum(weights)) * scale)
-        cumulative = np.cumsum(born_probabilities(psi, vectors))
+        p = born(StateVector(np.sqrt(np.array(weights) / sum(weights)) * scale), vectors)
+        cumulative = np.cumsum(p)
         edges = np.concatenate([cumulative, np.nextafter(cumulative, 0.0), np.nextafter(cumulative, 1.0), [0.0]])
         uniform = st.one_of(st.sampled_from(sorted(edges[edges < 1.0])), st.floats(0.0, 1.0, exclude_max=True))
         uniforms = np.array(data.draw(st.lists(uniform, min_size=1, max_size=30)))
         reference = inverse_cdf(cumulative, uniforms)
 
         rng = Replay(uniforms)  # measure() and sample_outcomes() draw these same uniforms
-        outcomes = [measure(psi, vectors, rng)[0] for _ in uniforms]
+        outcomes = [measure(p, vectors, rng)[0] for _ in uniforms]
         np.testing.assert_array_equal(outcomes, reference)
-        counts = sample_outcomes(psi, vectors, uniforms.size, Replay(uniforms))
+        counts = sample_outcomes(p, uniforms.size, Replay(uniforms))
         np.testing.assert_array_equal(counts, np.bincount(reference, minlength=d))
 
 
@@ -559,14 +602,14 @@ class TestMeasurement:
         for seed in range(20):
             _, _, (vectors,) = random_observables(3, [substream(19, seed, 1)])
             psi = haar_state(3, substream(19, seed, 0))
-            k, post_state = measure(psi, vectors, substream(19, seed, 3))
+            k, post_state = measure(born(psi, vectors), vectors, substream(19, seed, 3))
             for state in (psi, post_state):
+                p = born(state, vectors)
                 rng = substream(19, seed, 4)
-                scalar = [measure(state, vectors, rng)[0] for _ in range(100)]
-                cumulative = np.cumsum(born_probabilities(state, vectors))
-                one_draw = inverse_cdf(cumulative, substream(19, seed, 4).random(100))
+                scalar = [measure(p, vectors, rng)[0] for _ in range(100)]
+                one_draw = inverse_cdf(np.cumsum(p), substream(19, seed, 4).random(100))
                 np.testing.assert_array_equal(one_draw, scalar)
-                counts = sample_outcomes(state, vectors, 100, substream(19, seed, 4))
+                counts = sample_outcomes(p, 100, substream(19, seed, 4))
                 np.testing.assert_array_equal(counts, np.bincount(scalar, minlength=3))
                 mixed = mixed or len(set(scalar)) > 1
             assert set(scalar) == {k}  # the collapsed state repeats
@@ -619,6 +662,6 @@ class TestSpinOneFixtures:
     def test_same_probability_for_middle_state(self, seed):
         psi = haar_state(3, np.random.default_rng(seed))
         _, _, vectors = spin1_observables()
-        p_z = born_probabilities(psi, vectors[0])[1]
-        p_x = born_probabilities(psi, vectors[1])[1]
+        p_z = born(psi, vectors[0])[1]
+        p_x = born(psi, vectors[1])[1]
         assert abs(p_z - p_x) <= 1e-12
