@@ -24,8 +24,9 @@ from bornlab import cli
 # checks of a renormalized rule at d=2 (inconclusive), both checks of a
 # renormalized two-term rule and of renormalized born at d=3, the fit and
 # sample commands at their README defaults, several blocks each, then the
-# collapse at d=8, independence on born's formula under another name, and
-# falsify on the uniform rule p_k = 1/d
+# collapse at d=8, independence on born's formula under another name,
+# falsify on the uniform rule p_k = 1/d, and born's two independence
+# commands at a zero spread tolerance
 CRITERION_10_COMMANDS = [
     ["verify-born", "--dims", "2,3", "--trials", "150"],
     ["falsify", "--rule", "power:1", "--dim", "2", "--trials", "150"],
@@ -50,6 +51,8 @@ EDGE_CASES = [
     ["sample", "--dim", "8", "--shots", "5000", "--trials", "4"],
     ["independence", "--rule", "power:2", "--dim", "3"],
     ["falsify", "--rule", "renorm:affine:0:1", "--dim", "3"],
+    ["independence", "--rule", "born", "--dim", "8", "--tol-spread", "0"],
+    ["verify-born", "--dims", "2,3", "--trials", "150", "--tol-spread", "0"],
 ]
 COMMANDS = CRITERION_10_COMMANDS + FALSIFY_GRID + INDEPENDENCE + RENORM_D2 + RENORM_D3 + DEFAULT_SCALE + EDGE_CASES
 

@@ -2,8 +2,9 @@
 
 Two ways of rotating everything the outcome should not care about:
 
-* random observables sharing one fixed eigenvector, diagonalized by eigh,
-  with the shared eigenvector found again by overlap;
+* random observables sharing one fixed eigenvector, measured in the
+  eigenbasis they are drawn from: the probability of an outcome depends on
+  the eigenbasis alone, the eigenvalues only label outcomes;
 * direct resampling of the unobserved moduli on the complement orthant of
   radius sqrt(1 - a_0^2).
 
@@ -18,8 +19,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import complete_basis, eigensystems, haar_array
-from .quantum import ModulusVector, StateVector, check_orthant, gapped_eigenvalues
+from .linalg import complete_basis, haar_array
+from .quantum import ModulusVector, StateVector, check_orthant
 from .rules import Rule, rule_probabilities
 from .streams import blockwise
 from .tolerances import TOL
@@ -71,26 +72,25 @@ def complement_rotation(point: ModulusVector, n: int, rng: np.random.Generator) 
 
 
 def observable_with_eigenstate(basis: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n random observables (n, d, d) sharing the eigenvector basis[:, 0].
+    """n random eigenbases (n, d, d) of observables sharing the eigenvector basis[:, 0].
 
     basis is a unitary with the shared state as column 0 (complete_basis).
-    Each observable rotates the other columns by its own Haar unitary and
-    draws a gapped spectrum, so the shared eigenvector lands at a uniformly
-    random sorted position.  V diag(w) V^dag is not re-Hermitized.
+    Each eigenbasis keeps that column exactly and rotates the other columns
+    by its own Haar unitary.  No spectrum is drawn: an outcome's probability
+    is fixed by the eigenbasis, and the eigenvalues only label outcomes.
     """
     d = basis.shape[0]
     vectors = np.repeat(basis[None], n, axis=0)
     vectors[:, :, 1:] = basis[:, 1:] @ haar_array(d - 1, rng, (n,))
-    values = gapped_eigenvalues(d, rng, (n,))
-    return (vectors * values[:, None, :]) @ np.conj(np.swapaxes(vectors, -1, -2))
+    return vectors
 
 
 def match_eigenvector(vectors: np.ndarray, phi: np.ndarray) -> np.ndarray:
     """Index of the eigenvector column matching phi up to phase, per stack entry.
 
-    vectors holds eigenvector columns (..., d, d).  Matching by eigenvalue
-    would be meaningless across random observables; every best overlap must
-    be essentially perfect, or the whole stack is rejected.
+    vectors holds eigenvector columns (..., d, d), such as the eigenbases of
+    spin1's two operators.  Every best overlap must be essentially perfect,
+    or the whole stack is rejected.
     """
     overlaps = np.abs(np.asarray(phi) @ np.conj(vectors))
     k = np.argmax(overlaps, axis=-1)
@@ -115,9 +115,10 @@ def observable_independence_scan(
 ) -> InvarianceReport:
     """Spread of p(outcome = phi) across random observables sharing phi.
 
-    Each draw builds a fresh observable with phi as an eigenvector,
-    diagonalizes it, finds phi among its eigenvectors by overlap, and
-    evaluates the rule on psi's moduli in that eigenbasis at the match.
+    Each draw is the eigenbasis of a fresh observable with phi as column 0;
+    the rule is evaluated on psi's moduli in that eigenbasis, at outcome 0.
+    The quadratic rule reads only |<phi|psi>|, which every draw holds to the
+    same bits, so its spread is exactly 0.
     """
     if psi.dim != phi.dim:
         raise ValueError("state and eigenvector dimensions differ")
@@ -125,12 +126,9 @@ def observable_independence_scan(
     basis = complete_basis(phi.amplitudes)
 
     def kernel(n: int, rng: np.random.Generator) -> np.ndarray:
-        matrices = observable_with_eigenstate(basis, n, rng)
-        _, vectors = eigensystems(matrices)
-        k = match_eigenvector(vectors, phi.amplitudes)
-        point = np.abs(psi.amplitudes @ np.conj(vectors))
+        point = np.abs(psi.amplitudes @ np.conj(observable_with_eigenstate(basis, n, rng)))
         check_orthant(point)
-        return rule_probabilities(rule, point)[np.arange(n), k]
+        return rule_probabilities(rule, point)[:, 0]
 
     return InvarianceReport(rule.name, psi.dim, None, draws, blockwise(kernel, draws, seed, *address), (seed, *address))
 

@@ -211,14 +211,14 @@ def haar_blocks(dim: int, n: int, seed: int, *indices: int) -> np.ndarray:
     return states
 
 
-def gapped_eigenvalues(dim: int, rng: np.random.Generator, batch: tuple[int, ...] = ()) -> np.ndarray:
-    """Spectra uniform on [-1, 1], one per index of ``batch``, each redrawn
-    until its minimum pairwise gap clears TOL.spectrum_gap(dim).  Unsorted."""
+def gapped_eigenvalues(dim: int, rng: np.random.Generator) -> np.ndarray:
+    """A spectrum uniform on [-1, 1], redrawn whole until its minimum pairwise
+    gap clears TOL.spectrum_gap(dim).  Unsorted."""
     gap = TOL.spectrum_gap(dim)
-    values = rng.uniform(-1.0, 1.0, size=(*batch, dim))
-    while np.any(redraw := np.min(np.diff(np.sort(values), axis=-1), axis=-1, initial=np.inf) <= gap):
-        values[redraw] = rng.uniform(-1.0, 1.0, size=(np.count_nonzero(redraw), dim))
-    return values
+    while True:
+        values = rng.uniform(-1.0, 1.0, size=dim)
+        if np.min(np.diff(np.sort(values)), initial=np.inf) > gap:
+            return values
 
 
 def random_observables(dim: int, rngs: Iterable[np.random.Generator]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

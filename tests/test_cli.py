@@ -189,18 +189,31 @@ class TestExitCodes:
         ids=lambda argv: argv[0],
     )
     def test_runtime_failure_exits_four(self, capsys, monkeypatch, argv):
-        # observables that do not share phi fail the scan's overlap check: a
+        # eigenbases that are not unitary fail the scan's orthant check: a
         # crash, reported as one line, never as a verdict
-        def unrelated(basis, n, rng):
-            z = rng.standard_normal((n, 3, 3)) + 1j * rng.standard_normal((n, 3, 3))
-            return z + np.conj(np.swapaxes(z, -1, -2))
-
-        monkeypatch.setattr(invariance, "observable_with_eigenstate", unrelated)
+        real = invariance.observable_with_eigenstate
+        monkeypatch.setattr(invariance, "observable_with_eigenstate", lambda *args: 2.0 * real(*args))
         assert main(argv) == 4
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("bornlab: runtime failure: ValueError: no eigenvector matches")
+        assert captured.err.startswith("bornlab: runtime failure: NotNormalized: orthant norm defect")
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "argv, code",
+        [
+            (["independence", "--rule", "born", "--dim", "3"], 0),
+            (["verify-born", "--dims", "2,3,4", "--trials", "50"], 0),
+            (["independence", "--rule", "renorm:power:4", "--dim", "3"], 1),
+        ],
+        ids=["born", "verify-born", "renorm"],
+    )
+    def test_zero_spread_tolerance_separates_born(self, capsys, argv, code):
+        # both of born's spreads are exactly 0, so no spread tolerance is needed
+        # to pass it, and a renormalized rule still leaks
+        for seed in range(20):
+            assert main(argv + ["--tol-spread", "0", "--seed", str(seed)]) == code, seed
+            capsys.readouterr()
 
     def test_stationarity_gates_on_the_closed_form_residual(self, capsys, monkeypatch):
         argv = ["stationarity", "--dims", "2,4", "--trials", "20"]

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bornlab import invariance, streams
+from bornlab import invariance, quantum, streams
 from bornlab.invariance import (
     complement_rotation,
     match_eigenvector,
@@ -14,17 +14,17 @@ from bornlab.invariance import (
     observable_with_eigenstate,
     unobserved_independence_scan,
 )
-from bornlab.linalg import complete_basis
+from bornlab.linalg import complete_basis, unitary_defect
 from bornlab.quantum import (
     ModulusVector,
     StateVector,
+    gapped_eigenvalues,
     haar_state,
     moduli,
     spin1_observables,
 )
 from bornlab.rules import Affine, Born, Power, Renormalized, rule_probabilities
 from bornlab.streams import BLOCK, blockwise, substream
-from bornlab.tolerances import TOL
 
 
 def listed_first(point: ModulusVector, k: int) -> ModulusVector:
@@ -33,10 +33,9 @@ def listed_first(point: ModulusVector, k: int) -> ModulusVector:
 
 
 def draw_observables(phi: StateVector, n: int, rng):
-    """n observables sharing phi, their eigh eigensystems and the matched indices."""
-    matrices = observable_with_eigenstate(complete_basis(phi.amplitudes), n, rng)
-    values, vectors = np.linalg.eigh(matrices)
-    return matrices, values, vectors, match_eigenvector(vectors, phi.amplitudes)
+    """The basis completed from phi and n eigenbases (n, d, d) of observables sharing phi."""
+    basis = complete_basis(phi.amplitudes)
+    return basis, observable_with_eigenstate(basis, n, rng)
 
 
 class TestComplementRotation:
@@ -74,64 +73,57 @@ class TestComplementRotation:
 
 class TestObservableWithEigenstate:
     def test_shared_eigenvector_residual(self):
+        # phi is column 0 of every eigenbasis bit for bit, so M phi - w phi
+        # vanishes for any spectrum; the columns are orthonormal
         rng = np.random.default_rng(3)
-        phi = haar_state(4, rng)
-        matrices, values, _, k = draw_observables(phi, 20, rng)
-        for m, w in zip(matrices, values[np.arange(20), k]):
-            residual = np.linalg.norm(m @ phi.amplitudes - w * phi.amplitudes)
-            assert residual <= 1e-10
+        basis, bases = draw_observables(haar_state(4, rng), 20, rng)
+        assert bases.shape == (20, 4, 4)
+        np.testing.assert_array_equal(bases[:, :, 0], np.tile(basis[:, 0], (20, 1)))
+        assert unitary_defect(bases) <= 1e-12
 
     def test_two_draws_share_only_that_eigenvector(self):
         e2 = StateVector(np.array([0.0, 1.0, 0.0], dtype=complex))
-        _, _, (a, b), (ka, kb) = draw_observables(e2, 2, np.random.default_rng(4))
-        assert abs(np.vdot(a[:, ka], e2.amplitudes)) > 1 - 1e-10
-        assert abs(np.vdot(b[:, kb], e2.amplitudes)) > 1 - 1e-10
-        others_a = np.delete(a, ka, axis=1)
-        others_b = np.delete(b, kb, axis=1)
+        _, (a, b) = draw_observables(e2, 2, np.random.default_rng(4))
+        np.testing.assert_array_equal(a[:, 0], b[:, 0])
         # complements are independent Haar draws, so they differ
-        assert np.max(np.abs(np.abs(others_a.conj().T @ others_b) - np.eye(2))) > 1e-3
+        assert np.max(np.abs(np.abs(a[:, 1:].conj().T @ b[:, 1:]) - np.eye(2))) > 1e-3
 
     def test_spin1_operators_also_share_it(self):
         e2 = StateVector(np.array([0.0, 1.0, 0.0], dtype=complex))
         _, _, vectors = spin1_observables()
         np.testing.assert_array_equal(match_eigenvector(vectors, e2.amplitudes), [1, 1])
-        # a drawn observable puts e2 at a random sorted position: the match
-        # must land on the eigenvalue e2 carries, <e2|M|e2>
-        matrices, values, _, k = draw_observables(e2, 20, np.random.default_rng(6))
-        carried = np.real(matrices[:, 1, 1])
-        np.testing.assert_allclose(values[np.arange(20), k], carried, rtol=0, atol=1e-12)
-        assert len(set(k.tolist())) > 1
 
     def test_qubit_eigenbasis_is_forced(self):
         phi = StateVector(np.array([1.0, 1.0]) / np.sqrt(2))
-        _, _, vectors, k = draw_observables(phi, 10, np.random.default_rng(7))
+        _, bases = draw_observables(phi, 10, np.random.default_rng(7))
         target = np.array([1.0, -1.0]) / np.sqrt(2)
-        for v, kk in zip(vectors, k):
-            assert abs(abs(np.vdot(v[:, 1 - kk], target)) - 1.0) < 1e-12
+        for v in bases:
+            assert abs(np.vdot(v[:, 1], phi.amplitudes)) <= 1e-15
+            assert abs(abs(np.vdot(v[:, 1], target)) - 1.0) < 1e-12
 
     @settings(max_examples=50, deadline=None)
     @given(d=st.integers(2, 8), seed=st.integers(0, 10_000))
     def test_modulus_preservation_contract(self, d, seed):
-        # the matched eigenvector's coefficient keeps the modulus |<phi|psi>|
-        # whatever the rest of the drawn eigenbasis is
+        # column 0's coefficient keeps the modulus |<phi|psi>| whatever the
+        # rest of the drawn eigenbasis is
         rng = np.random.default_rng(seed)
         phi = haar_state(d, rng)
-        _, _, vectors, k = draw_observables(phi, 5, rng)
+        _, bases = draw_observables(phi, 5, rng)
         for _ in range(5):
             psi = haar_state(d, rng)
-            coefficients = np.abs(psi.amplitudes @ np.conj(vectors))[np.arange(5), k]
+            coefficients = np.abs(psi.amplitudes @ np.conj(bases))[:, 0]
             expected = abs(np.vdot(phi.amplitudes, psi.amplitudes))
             assert np.max(np.abs(coefficients - expected)) <= 1e-12
 
-    def test_gap_enforced(self):
-        phi = haar_state(5, np.random.default_rng(8))
-        _, values, _, _ = draw_observables(phi, 10, np.random.default_rng(0))
-        assert np.min(np.diff(values, axis=1)) > 1e-3
-
     def test_match_rejects_a_state_that_is_not_an_eigenvector(self):
+        # eigh's eigenvector columns of observables built on drawn eigenbases
         rng = np.random.default_rng(9)
         phi = haar_state(4, rng)
-        _, _, vectors, _ = draw_observables(phi, 6, rng)
+        _, bases = draw_observables(phi, 6, rng)
+        spectra = np.array([gapped_eigenvalues(4, rng) for _ in range(6)])
+        _, vectors = np.linalg.eigh(quantum.eigenbasis_stack(spectra, bases)[0])
+        k = match_eigenvector(vectors, phi.amplitudes)
+        assert np.min(np.abs(np.conj(vectors[np.arange(6), :, k]) @ phi.amplitudes)) > 1 - 1e-10
         with pytest.raises(ValueError, match="no eigenvector matches"):
             match_eigenvector(vectors, haar_state(4, rng).amplitudes)
         # one foreign observable in the stack rejects the whole stack
@@ -212,9 +204,9 @@ class TestObservableIndependence:
         phi = haar_state(4, np.random.default_rng(15))
         p_values = []
         for _ in range(10):
-            _, _, vectors, k = draw_observables(phi, 4, substream(13, 0))
-            point = np.abs(psi.amplitudes @ np.conj(vectors))
-            p_values.append(rule_probabilities(Renormalized(Power(1.0)), point)[0, k[0]])
+            _, bases = draw_observables(phi, 4, substream(13, 0))
+            point = np.abs(psi.amplitudes @ np.conj(bases))
+            p_values.append(rule_probabilities(Renormalized(Power(1.0)), point)[0, 0])
         assert max(p_values) - min(p_values) == 0.0
 
     def test_scan_is_deterministic_and_thread_invariant(self):
@@ -230,42 +222,11 @@ class TestObservableIndependence:
         with pytest.raises(ValueError):
             observable_independence_scan(psi, psi, Born(), 1, seed=0)
 
-    def test_failed_match_stops_the_scan(self, monkeypatch):
-        # observables that do not share phi must be caught by the overlap check
-        def unrelated(basis, n, rng):
-            z = rng.standard_normal((n, 3, 3)) + 1j * rng.standard_normal((n, 3, 3))
-            return z + np.conj(np.swapaxes(z, -1, -2))
-
-        monkeypatch.setattr(invariance, "observable_with_eigenstate", unrelated)
-        psi, phi = haar_state(3, np.random.default_rng(20)), haar_state(3, np.random.default_rng(21))
-        with pytest.raises(ValueError, match="no eigenvector matches"):
-            observable_independence_scan(psi, phi, Born(), 10, seed=0)
-
-
-    @pytest.mark.parametrize(
-        "target, broken, message",
-        [
-            # rounding-sized asymmetry is tolerated, 1e-9 is not
-            ("observable_with_eigenstate", lambda real: lambda basis, n, rng: real(basis, n, rng) + 1e-9j,
-             "not Hermitian"),
-            # two equal eigenvalues: the shared eigenvector is no longer unique
-            ("gapped_eigenvalues", lambda real: lambda d, rng, batch: np.sort(real(d, rng, batch))[..., [0, 0, 2, 3]],
-             "degenerate spectrum"),
-        ],
-        ids=["hermitian", "gap"],
-    )
-    def test_block_checks_stop_the_scan(self, monkeypatch, target, broken, message):
-        monkeypatch.setattr(invariance, target, broken(getattr(invariance, target)))
-        psi, phi = haar_state(4, np.random.default_rng(22)), haar_state(4, np.random.default_rng(23))
-        with pytest.raises(ValueError, match=message):
-            observable_independence_scan(psi, phi, Born(), 10, seed=0)
-
-
     def test_orthant_check_catches_what_orthonormality_allows(self, monkeypatch):
-        # eigenvectors scaled by 1 + 2e-11 pass the 1e-10 orthonormality
+        # eigenbases scaled by 1 + 2e-11 would pass the 1e-10 orthonormality
         # check, but put psi's moduli 4e-11 off the unit sphere (tol 1e-12)
-        real_eigh = np.linalg.eigh
-        monkeypatch.setattr(np.linalg, "eigh", lambda m: (lambda w, v: (w, v * (1 + 2e-11)))(*real_eigh(m)))
+        real = invariance.observable_with_eigenstate
+        monkeypatch.setattr(invariance, "observable_with_eigenstate", lambda *args: real(*args) * (1 + 2e-11))
         psi, phi = haar_state(4, np.random.default_rng(24)), haar_state(4, np.random.default_rng(25))
         with pytest.raises(ValueError, match="orthant norm defect"):
             observable_independence_scan(psi, phi, Born(), 10, seed=0)
@@ -314,15 +275,14 @@ class TestBlocks:
 class TestBornSpreadIsMeasured:
     @pytest.mark.parametrize("d", range(2, 9))
     def test_seed_sweep_stays_within_tolerance(self, d):
-        # the outcome is found by eigh and overlap, so its Born probability
-        # carries rounding: the spread is small but no longer zero by design
+        # phi is column 0 of every drawn eigenbasis, so every draw expands
+        # psi at phi with the same bits: the measured spread is exactly 0
         spreads = []
         for seed in range(30):
             psi = haar_state(d, substream(40, d, seed, 0))
             phi = haar_state(d, substream(40, d, seed, 1))
             spreads.append(observable_independence_scan(psi, phi, Born(), 100, seed=seed).spread)
-        assert max(spreads) <= TOL.spread
-        assert max(spreads) > 0.0
+        assert max(spreads) == 0.0
 
 
 class TestUnobservedIndependence:

@@ -351,7 +351,8 @@ class TestObservable:
             np.testing.assert_array_equal(
                 gapped_eigenvalues(8, np.random.default_rng(seed)), per_draw(8, np.random.default_rng(seed))
             )
-        rows = gapped_eigenvalues(8, np.random.default_rng(0), (500,))
+        rng = np.random.default_rng(0)
+        rows = np.array([gapped_eigenvalues(8, rng) for _ in range(500)])
         assert rows.shape == (500, 8)
         assert np.min(np.diff(np.sort(rows, axis=1), axis=1)) > 1e-3
 
@@ -363,7 +364,8 @@ class TestObservable:
 
     def test_large_dim_spectra_are_drawn(self):
         # a fixed 1e-3 gap accepts a d=256 draw with probability about 7e-15
-        rows = gapped_eigenvalues(256, np.random.default_rng(0), (4,))
+        rng = np.random.default_rng(0)
+        rows = np.array([gapped_eigenvalues(256, rng) for _ in range(4)])
         assert rows.shape == (4, 256)
         assert np.min(np.diff(np.sort(rows, axis=1), axis=1)) > 1.0 / 256**2
 

@@ -121,6 +121,8 @@ def test_result_hashes_table():
             assert json_code == ("0" if argv[2] in ("born", "power:2") else "3"), command
         if argv[2] == "renorm:affine:0:1":  # the uniform rule p_k = 1/d fails certainty on an eigenstate
             assert json_code == "1", command
+        if argv[0] == "verify-born":  # born passes, also at a zero spread tolerance
+            assert json_code == "0", command
 
     # the JSON digest is the sha256 of results, config and pass as emitted
     argv = ["falsify", "--rule", "power:1", "--dim", "2", "--trials", "150", "--seed", "10"]
