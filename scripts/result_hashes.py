@@ -25,8 +25,9 @@ from bornlab import cli
 # renormalized two-term rule and of renormalized born at d=3, the fit and
 # sample commands at their README defaults, several blocks each, then the
 # collapse at d=8, independence on born's formula under another name,
-# falsify on the uniform rule p_k = 1/d, and born's two independence
-# commands at a zero spread tolerance
+# falsify on the uniform rule p_k = 1/d, born's two independence commands
+# at a zero spread tolerance, and scan summaries whose extremes lie past
+# the first block
 CRITERION_10_COMMANDS = [
     ["verify-born", "--dims", "2,3", "--trials", "150"],
     ["falsify", "--rule", "power:1", "--dim", "2", "--trials", "150"],
@@ -53,6 +54,7 @@ EDGE_CASES = [
     ["falsify", "--rule", "renorm:affine:0:1", "--dim", "3"],
     ["independence", "--rule", "born", "--dim", "8", "--tol-spread", "0"],
     ["verify-born", "--dims", "2,3", "--trials", "150", "--tol-spread", "0"],
+    ["independence", "--rule", "renorm:power:4", "--dim", "5", "--trials", "300"],
 ]
 COMMANDS = CRITERION_10_COMMANDS + FALSIFY_GRID + INDEPENDENCE + RENORM_D2 + RENORM_D3 + DEFAULT_SCALE + EDGE_CASES
 

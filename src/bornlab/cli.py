@@ -196,14 +196,17 @@ def _independence_check(rule, d: int, draws: int, seed: int, *address: int) -> C
 
     The observable scan, at (*address, 2), measures psi (stream 0) at the
     outcome phi (stream 1); the rotation scan, at (*address, 3), resamples
-    the complement of psi's own a_0.  Returns their results entries, CSV rows, the larger
-    spread (the observable scan's on a tie) and that scan's [min p, max p].
+    the complement of psi's own a_0.  Returns their results entries (each
+    scan's summary: spread, both extremes, the first draw at each, address),
+    one CSV row per draw, and, read from those summaries, the larger spread
+    (the observable scan's on a tie) and that scan's [min p, max p].
     """
     psi = haar_state(d, substream(seed, *address, 0))
     phi = haar_state(d, substream(seed, *address, 1))
     obs_scan = invariance.observable_independence_scan(psi, phi, rule, draws, seed, *address, 2)
     rot_scan = invariance.unobserved_independence_scan(moduli(psi.amplitudes), rule, draws, seed, *address, 3)
-    results = {"observable_scan": obs_scan.as_dict(), "rotation_scan": rot_scan.as_dict()}
+    obs, rot = obs_scan.as_dict(), rot_scan.as_dict()
+    results = {"observable_scan": obs, "rotation_scan": rot}
     if d == 2 and rule.renormalized:
         # the complement orthant is a single point, so both spreads vanish
         # for every rule: the d=2 gap of Gleason's theorem
@@ -212,8 +215,8 @@ def _independence_check(rule, d: int, draws: int, seed: int, *address: int) -> C
         results["inconclusive"] = "both independence spreads vanish for every plain rule; use falsify for its defect"
     series = [(i, d, None, p) for i, p in enumerate(obs_scan.p_values.tolist())]
     series += [(i, d, 0, p) for i, p in enumerate(rot_scan.p_values.tolist())]
-    worst = obs_scan if obs_scan.spread >= rot_scan.spread else rot_scan
-    return results, series, worst.spread, [float(np.min(worst.p_values)), float(np.max(worst.p_values))]
+    worst = obs if obs["spread"] >= rot["spread"] else rot
+    return results, series, worst["spread"], [worst["min_p"], worst["max_p"]]
 
 
 def cmd_verify_born(args) -> Verdict:

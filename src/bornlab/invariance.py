@@ -16,6 +16,7 @@ report that leak as a spread.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -30,7 +31,13 @@ MIN_DRAWS = 2  # a spread needs two values
 
 @dataclass(frozen=True)
 class InvarianceReport:
-    """Spread of one outcome's probability across rule-preserving transformations."""
+    """Spread of one outcome's probability across rule-preserving transformations.
+
+    Its dict is a summary: the spread, both extremes and the first draw at
+    each.  Draw i is row i % BLOCK of the block drawn from
+    substream(*address, i // BLOCK), so the address replays either extreme;
+    the per-draw values stay in p_values and the CLI's CSV rows.
+    """
 
     rule: str
     dim: int
@@ -39,9 +46,25 @@ class InvarianceReport:
     p_values: np.ndarray
     address: tuple[int, ...]  # (seed, *address): block b is drawn from substream(*address, b)
 
+    @cached_property
+    def argmin(self) -> int:
+        return int(np.argmin(self.p_values))
+
+    @cached_property
+    def argmax(self) -> int:
+        return int(np.argmax(self.p_values))
+
+    @property
+    def min_p(self) -> float:
+        return float(self.p_values[self.argmin])
+
+    @property
+    def max_p(self) -> float:
+        return float(self.p_values[self.argmax])
+
     @property
     def spread(self) -> float:
-        return float(np.max(self.p_values) - np.min(self.p_values))
+        return self.max_p - self.min_p
 
     def as_dict(self) -> dict:
         return {
@@ -49,8 +72,11 @@ class InvarianceReport:
             "dim": self.dim,
             "k": self.k,
             "draws": self.draws,
-            "p_values": self.p_values.tolist(),
             "spread": self.spread,
+            "min_p": self.min_p,
+            "argmin": self.argmin,
+            "max_p": self.max_p,
+            "argmax": self.argmax,
             "address": list(self.address),
         }
 

@@ -17,7 +17,7 @@ import numpy as np
 
 from bornlab import cli, invariance, quantum, rules, streams, variational
 from bornlab.cli import Report, build_parser, main, run_config
-from bornlab.linalg import fix_column_phases, haar_array
+from bornlab.linalg import complete_basis, fix_column_phases, haar_array
 from bornlab.streams import BLOCK, blockwise, substream
 
 SMALL = ["--trials", "200", "--seed", "42"]
@@ -382,6 +382,122 @@ class TestFalsification:
         assert results == born_results
 
 
+def json_lists(value):
+    """Every list in a JSON value, nested ones included."""
+    if isinstance(value, dict):
+        for item in value.values():
+            yield from json_lists(item)
+    elif isinstance(value, list):
+        yield value
+        for item in value:
+            yield from json_lists(item)
+
+
+class TestScanSummaries:
+    """JSON reports summarize each independence scan; CSV rows carry its draws."""
+
+    @staticmethod
+    def csv_series(capsys, argv) -> dict:
+        """Each scan's per-draw values from the command's CSV rows: the
+        rotation scan's rows have k = 0, and the observable scan's are the
+        last run of rows with an empty k (falsify's defect rows come first)."""
+        main(argv + ["--format", "csv"])
+        runs, rotation = [], []
+        for row in csv.DictReader(io.StringIO(capsys.readouterr().out)):
+            if row["k"] == "0":
+                rotation.append(float(row["value"]))
+            elif row["index"] == "0":
+                runs.append([float(row["value"])])
+            else:
+                runs[-1].append(float(row["value"]))
+        return {"observable_scan": runs[-1], "rotation_scan": rotation}
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["independence", "--rule", "born", "--dim", "3"],
+            ["independence", "--rule", "renorm:power:1", "--dim", "3", "--trials", "300"],
+            ["falsify", "--rule", "renorm:power:4", "--dim", "3"],
+        ],
+        ids=["independence:born", "independence:renorm:power:1", "falsify:renorm:power:4"],
+    )
+    def test_json_summary_is_the_summary_of_the_csv_series(self, capsys, argv):
+        argv = argv + ["--seed", "5"]
+        _, report = run_json(capsys, argv)
+        for name, values in self.csv_series(capsys, argv).items():
+            scan = report["results"][name]
+            min_p, max_p = min(values), max(values)
+            assert scan["draws"] == len(values)
+            assert (scan["min_p"].hex(), scan["argmin"]) == (min_p.hex(), values.index(min_p)), name
+            assert (scan["max_p"].hex(), scan["argmax"]) == (max_p.hex(), values.index(max_p)), name
+            assert scan["spread"] == scan["max_p"] - scan["min_p"], name
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["independence", "--rule", "born", "--dim", "3"],
+            ["independence", "--rule", "renorm:power:4", "--dim", "5", "--trials", "300"],
+            ["falsify", "--rule", "renorm:power:1", "--dim", "3"],
+        ],
+        ids=["independence:born", "independence:renorm:power:4:d5", "falsify:renorm:power:1"],
+    )
+    def test_extreme_draws_replay_from_the_report(self, capsys, argv):
+        # draw i is row i % BLOCK of the block drawn from substream(*address, i // BLOCK);
+        # the check draws psi and phi at streams 0 and 1 of the scans' common address
+        _, report = run_json(capsys, argv + ["--seed", "8"])
+        results = report["results"]
+        d = report["config"]["dim"]
+        rule = rules.parse_rule(results["observable_scan"]["rule"])
+        check = results["observable_scan"]["address"][:-1]
+        psi = quantum.haar_state(d, substream(*check, 0))
+        basis = complete_basis(quantum.haar_state(d, substream(*check, 1)).amplitudes)
+        points = {
+            "observable_scan": lambda n, rng: np.abs(
+                psi.amplitudes @ np.conj(invariance.observable_with_eigenstate(basis, n, rng))
+            ),
+            "rotation_scan": lambda n, rng: invariance.complement_rotation(quantum.moduli(psi.amplitudes), n, rng),
+        }
+        beyond_block_0 = False
+        for name, block_points in points.items():
+            scan = results[name]
+            assert scan["address"] == check + [2 if name == "observable_scan" else 3]
+            for index, value in ((scan["argmin"], scan["min_p"]), (scan["argmax"], scan["max_p"])):
+                b, row = divmod(index, BLOCK)
+                n = min(BLOCK, scan["draws"] - b * BLOCK)
+                p = rules.rule_probabilities(rule, block_points(n, substream(*scan["address"], b)))[row, 0]
+                assert float(p).hex() == value.hex(), (name, index)
+                beyond_block_0 |= b > 0
+        assert beyond_block_0 or rule == rules.Born()  # born's p is one number, first at draw 0
+
+    def test_verdict_reads_the_larger_spread_and_its_extremes(self, capsys):
+        argv = ["--rule", "renorm:power:4", "--dim", "3", "--trials", "300", "--seed", "5"]
+        code, report = run_json(capsys, ["falsify"] + argv)
+        results = report["results"]
+        # max keeps the first on a tie: the observable scan's
+        worst = max(results["observable_scan"], results["rotation_scan"], key=lambda scan: scan["spread"])
+        assert code == 1 and results["witness"] == [worst["min_p"], worst["max_p"]]
+        assert run_json(capsys, ["independence"] + argv)[1]["results"]["max_spread"] == worst["spread"]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            [command, "--rule", rule, "--dim", dim]
+            for command, rule, dims in (
+                ("independence", "born", ("3", "8")),
+                ("independence", "renorm:power:4", ("2", "3", "8")),
+                ("falsify", "renorm:power:4", ("2", "3", "8")),
+                ("falsify", "renorm:affine:0:1", ("3",)),
+            )
+            for dim in dims
+        ],
+        ids=lambda argv: ":".join(argv[::2]),
+    )
+    def test_no_per_draw_list_in_json(self, capsys, argv):
+        _, report = run_json(capsys, argv + ["--trials", "600", "--seed", "2"])
+        d = report["config"]["dim"]
+        assert max(map(len, json_lists(report["results"]))) <= max(d, 4)
+
+
 class TestSchema:
     @pytest.mark.parametrize(
         "argv",
@@ -409,7 +525,7 @@ class TestSchema:
     @staticmethod
     def rederive(command: str, results: dict) -> bool:
         """A command's pass flag from its results entries and thresholds alone."""
-        spread = lambda scan: max(scan["p_values"]) - min(scan["p_values"])
+        spread = lambda scan: scan["max_p"] - scan["min_p"]
         if command == "verify-born":
             return all(
                 entry["defect"]["max_defect"] <= results["thresholds"]["defect"]

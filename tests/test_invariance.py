@@ -320,6 +320,14 @@ class TestUnobservedIndependence:
         assert report.spread == max(report.p_values) - min(report.p_values)
 
 
+class TestReportSummary:
+    def test_extremes_are_the_first_draws_at_each(self):
+        p_values = np.array([0.5, 0.2, 0.7, 0.2, 0.7])
+        summary = invariance.InvarianceReport("born", 3, 0, 5, p_values, (0, 1)).as_dict()
+        assert list(summary) == ["rule", "dim", "k", "draws", "spread", "min_p", "argmin", "max_p", "argmax", "address"]
+        assert (summary["min_p"], summary["argmin"], summary["max_p"], summary["argmax"]) == (0.2, 1, 0.7, 2)
+
+
 def rotation_at(point: ModulusVector, k: int, n: int, rng) -> np.ndarray:
     """The rotation at fixed a_k, written with a boolean mask over the other
     moduli: the reference for the outcome-k scan that outcome 0 stands in for."""
