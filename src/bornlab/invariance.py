@@ -4,7 +4,9 @@ Two ways of rotating everything the outcome should not care about:
 
 * random observables sharing one fixed eigenvector, measured in the
   eigenbasis they are drawn from: the probability of an outcome depends on
-  the eigenbasis alone, the eigenvalues only label outcomes;
+  the eigenbasis alone, the eigenvalues only label outcomes.  Each draw
+  re-draws the complement by one Householder reflection, which gives the
+  state's complement moduli the law a Haar rotation would, at O(d^2);
 * direct resampling of the unobserved moduli on the complement orthant of
   radius sqrt(1 - a_0^2).
 
@@ -20,7 +22,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .linalg import complete_basis, haar_array
+from .linalg import complete_basis, ginibre
 from .quantum import ModulusVector, StateVector, check_orthant
 from .rules import Rule, rule_probabilities
 from .streams import blockwise
@@ -97,17 +99,38 @@ def complement_rotation(point: ModulusVector, n: int, rng: np.random.Generator) 
     return rows
 
 
-def observable_with_eigenstate(basis: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+def complement_tail(basis: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """psi's coordinates c on the complement columns basis[:, 1:], as the unit vector c/|c|.
+
+    c = 0 (psi along column 0) has no direction; the first unit vector stands
+    in, since every reflection leaves psi's zero complement component zero.
+    """
+    c = psi @ np.conj(basis[:, 1:])
+    norm = np.linalg.norm(c)
+    return c / norm if norm > 0.0 else np.eye(c.size)[0]
+
+
+def observable_with_eigenstate(basis: np.ndarray, tail: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
     """n random eigenbases (n, d, d) of observables sharing the eigenvector basis[:, 0].
 
-    basis is a unitary with the shared state as column 0 (complete_basis).
-    Each eigenbasis keeps that column exactly and rotates the other columns
-    by its own Haar unitary.  No spectrum is drawn: an outcome's probability
-    is fixed by the eigenbasis, and the eigenvalues only label outcomes.
+    basis is a unitary with the shared state as column 0 (complete_basis) and
+    tail a unit (d - 1)-vector (complement_tail).  Each eigenbasis keeps
+    column 0 exactly and replaces the complement B' by B'H, H the Householder
+    reflection sending tail to -e t: t is uniform on the unit sphere (a
+    normalized Ginibre row) and e the phase of t^dag tail.  A state with
+    complement coordinates |c| tail so has moduli |c| |t_j| there, as after a
+    Haar rotation of the complement, at O(d^2) a draw.  No spectrum is drawn:
+    an outcome's probability is fixed by the eigenbasis, and the eigenvalues
+    only label outcomes.
     """
     d = basis.shape[0]
+    t = ginibre(rng, (n, d - 1))
+    t /= np.linalg.norm(t, axis=1, keepdims=True)
+    phase = np.exp(1j * np.angle(np.conj(t) @ tail))  # angle(0) = 0: phase 1
+    w = tail + phase[:, None] * t  # |w|^2 = 2 + 2|t^dag tail| >= 2: no cancellation
+    w /= np.linalg.norm(w, axis=1, keepdims=True)
     vectors = np.repeat(basis[None], n, axis=0)
-    vectors[:, :, 1:] = basis[:, 1:] @ haar_array(d - 1, rng, (n,))
+    vectors[:, :, 1:] -= 2.0 * (w @ basis[:, 1:].T)[:, :, None] * np.conj(w)[:, None, :]
     return vectors
 
 
@@ -150,9 +173,10 @@ def observable_independence_scan(
         raise ValueError("state and eigenvector dimensions differ")
     _check_draws(draws)
     basis = complete_basis(phi.amplitudes)
+    tail = complement_tail(basis, psi.amplitudes)
 
     def kernel(n: int, rng: np.random.Generator) -> np.ndarray:
-        point = np.abs(psi.amplitudes @ np.conj(observable_with_eigenstate(basis, n, rng)))
+        point = np.abs(psi.amplitudes @ np.conj(observable_with_eigenstate(basis, tail, n, rng)))
         check_orthant(point)
         return rule_probabilities(rule, point)[:, 0]
 

@@ -15,7 +15,7 @@ import pytest
 
 import numpy as np
 
-from bornlab import cli, invariance, quantum, rules, streams, variational
+from bornlab import cli, invariance, linalg, quantum, rules, streams, variational
 from bornlab.cli import Report, build_parser, main, run_config
 from bornlab.linalg import complete_basis, fix_column_phases, haar_array
 from bornlab.streams import BLOCK, blockwise, substream
@@ -451,9 +451,10 @@ class TestScanSummaries:
         check = results["observable_scan"]["address"][:-1]
         psi = quantum.haar_state(d, substream(*check, 0))
         basis = complete_basis(quantum.haar_state(d, substream(*check, 1)).amplitudes)
+        tail = invariance.complement_tail(basis, psi.amplitudes)
         points = {
             "observable_scan": lambda n, rng: np.abs(
-                psi.amplitudes @ np.conj(invariance.observable_with_eigenstate(basis, n, rng))
+                psi.amplitudes @ np.conj(invariance.observable_with_eigenstate(basis, tail, n, rng))
             ),
             "rotation_scan": lambda n, rng: invariance.complement_rotation(quantum.moduli(psi.amplitudes), n, rng),
         }
@@ -774,6 +775,25 @@ def test_no_command_starts_a_thread(capsys, monkeypatch, argv, code):
         assert main(argv + ["--threads", threads]) == code
         payloads.append(json.dumps(json.loads(capsys.readouterr().out)["results"]))
     assert payloads[1] == payloads[0]
+
+
+def test_observable_scan_factors_no_unitary(capsys, monkeypatch):
+    # each observable-scan draw is one Householder reflection: no Haar QR, and
+    # one np.linalg.qr per scan (complete_basis) whatever its number of draws
+    def refuse(*args):
+        raise RuntimeError("a unitary was factored")
+
+    for module in (linalg, quantum, invariance):
+        for name in ("haar_factor", "haar_array"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    real_qr, calls = np.linalg.qr, []
+    monkeypatch.setattr(np.linalg, "qr", lambda *args, **kwargs: calls.append(args) or real_qr(*args, **kwargs))
+    for trials in ("300", "3000"):
+        assert main(["independence", "--rule", "renorm:power:4", "--dim", "5", "--trials", trials]) == 1
+    assert main(["falsify", "--rule", "renorm:power:1", "--dim", "3"]) == 1
+    assert len(calls) == 3
+    capsys.readouterr()
 
 
 class TestBlocks:

@@ -9,12 +9,13 @@ from hypothesis import strategies as st
 from bornlab import invariance, quantum, streams
 from bornlab.invariance import (
     complement_rotation,
+    complement_tail,
     match_eigenvector,
     observable_independence_scan,
     observable_with_eigenstate,
     unobserved_independence_scan,
 )
-from bornlab.linalg import complete_basis, unitary_defect
+from bornlab.linalg import complete_basis, haar_array, unitary_defect
 from bornlab.quantum import (
     ModulusVector,
     StateVector,
@@ -32,10 +33,12 @@ def listed_first(point: ModulusVector, k: int) -> ModulusVector:
     return ModulusVector(np.concatenate([point.moduli[k : k + 1], np.delete(point.moduli, k)]))
 
 
-def draw_observables(phi: StateVector, n: int, rng):
-    """The basis completed from phi and n eigenbases (n, d, d) of observables sharing phi."""
+def draw_observables(phi: StateVector, n: int, rng, psi: StateVector | None = None):
+    """The basis completed from phi and n eigenbases (n, d, d) of observables sharing phi,
+    reflected about psi's complement tail, or that of a Haar state drawn from rng first."""
     basis = complete_basis(phi.amplitudes)
-    return basis, observable_with_eigenstate(basis, n, rng)
+    tail = complement_tail(basis, (psi or haar_state(phi.dim, rng)).amplitudes)
+    return basis, observable_with_eigenstate(basis, tail, n, rng)
 
 
 class TestComplementRotation:
@@ -81,11 +84,50 @@ class TestObservableWithEigenstate:
         np.testing.assert_array_equal(bases[:, :, 0], np.tile(basis[:, 0], (20, 1)))
         assert unitary_defect(bases) <= 1e-12
 
+    @pytest.mark.parametrize("d", [3, 5, 8])
+    def test_tail_moduli_are_haar_distributed(self, d):
+        # psi's squared tail moduli over |c|^2 (c: its complement coordinates)
+        # are a uniform point of the simplex, as after a Haar rotation of the
+        # complement: for m = d - 1 each has mean 1/m, variance
+        # (m-1)/(m^2 (m+1)) and CDF 1 - (1-s)^(m-1).  Bounds: 4 standard
+        # errors on the moments, the 0.1% Kolmogorov value 1.95/sqrt(n) on the CDF
+        n, m = 40_000, d - 1
+        rng = np.random.default_rng(40 + d)
+        psi, phi = haar_state(d, rng), haar_state(d, rng)
+        basis, bases = draw_observables(phi, n, rng, psi)
+        assert unitary_defect(bases) <= 1e-14
+        c = psi.amplitudes @ np.conj(basis[:, 1:])
+        radius = np.vdot(c, c).real
+        reflected = np.abs(psi.amplitudes @ np.conj(bases[:, :, 1:])) ** 2 / radius
+        rotated = np.abs(c @ np.conj(haar_array(m, rng, (n,)))) ** 2 / radius
+        mean, var = 1 / m, (m - 1) / (m * m * (m + 1))
+        mean_se = np.sqrt(var / n)
+        for x in (reflected, rotated):
+            var_se = np.sqrt((np.mean((x - x.mean(0)) ** 4, axis=0) - x.var(0) ** 2) / n)
+            assert np.all(np.abs(x.mean(0) - mean) <= 4 * mean_se)
+            assert np.all(np.abs(x.var(0) - var) <= 4 * var_se)
+        assert np.all(np.abs(reflected.mean(0) - rotated.mean(0)) <= 4 * np.sqrt(2) * mean_se)
+        assert np.all(np.abs(reflected.var(0) - rotated.var(0)) <= 4 * np.sqrt(2) * var_se)
+        cdf = 1 - (1 - np.sort(reflected, axis=0)) ** (m - 1)
+        steps = np.arange(n + 1)[:, None] / n
+        assert np.max(np.maximum(steps[1:] - cdf, cdf - steps[:-1])) <= 1.95 / np.sqrt(n)
+
+    def test_tail_orthogonal_to_the_draw_reflects_without_nan(self, monkeypatch):
+        # t^dag tail = 0 takes angle(0) = 0, phase 1: the reflection sends tail to -t
+        rng = np.random.default_rng(6)
+        monkeypatch.setattr(invariance, "ginibre", lambda rng, shape: np.tile([0.0, 3.0, 4.0j], (shape[0], 1)))
+        basis = complete_basis(haar_state(4, rng).amplitudes)
+        tail = np.array([1.0, 0.0, 0.0], dtype=complex)
+        bases = observable_with_eigenstate(basis, tail, 2, rng)
+        assert unitary_defect(bases) <= 1e-14
+        reflected = (basis[:, 1:] @ tail) @ np.conj(bases[:, :, 1:])
+        np.testing.assert_allclose(reflected, np.tile([0.0, -0.6, -0.8j], (2, 1)), atol=1e-15)
+
     def test_two_draws_share_only_that_eigenvector(self):
         e2 = StateVector(np.array([0.0, 1.0, 0.0], dtype=complex))
         _, (a, b) = draw_observables(e2, 2, np.random.default_rng(4))
         np.testing.assert_array_equal(a[:, 0], b[:, 0])
-        # complements are independent Haar draws, so they differ
+        # each draw reflects the complement about its own random direction, so they differ
         assert np.max(np.abs(np.abs(a[:, 1:].conj().T @ b[:, 1:]) - np.eye(2))) > 1e-3
 
     def test_spin1_operators_also_share_it(self):
@@ -204,10 +246,21 @@ class TestObservableIndependence:
         phi = haar_state(4, np.random.default_rng(15))
         p_values = []
         for _ in range(10):
-            _, bases = draw_observables(phi, 4, substream(13, 0))
+            _, bases = draw_observables(phi, 4, substream(13, 0), psi)
             point = np.abs(psi.amplitudes @ np.conj(bases))
             p_values.append(rule_probabilities(Renormalized(Power(1.0)), point)[0, 0])
         assert max(p_values) - min(p_values) == 0.0
+
+    @pytest.mark.parametrize("rule", [Born(), Renormalized(Power(4.0))], ids=["born", "renorm:power:4"])
+    def test_state_along_the_eigenvector_gives_zero_spread(self, rule):
+        # psi = phase phi has no complement component (exactly none for e_0),
+        # so every draw gives it the same probability
+        psi = haar_state(5, np.random.default_rng(26))
+        phi = StateVector(np.exp(0.7j) * psi.amplitudes)
+        assert observable_independence_scan(psi, phi, rule, 50, seed=27).spread == 0.0
+        e0 = StateVector(np.eye(5)[0])
+        np.testing.assert_array_equal(complement_tail(complete_basis(e0.amplitudes), e0.amplitudes), np.eye(4)[0])
+        assert observable_independence_scan(e0, e0, rule, 50, seed=28).spread == 0.0
 
     def test_scan_is_deterministic_and_thread_invariant(self):
         # the scan runs on the calling thread, so invariance is a rerun
