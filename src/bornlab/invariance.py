@@ -5,8 +5,10 @@ Two ways of rotating everything the outcome should not care about:
 * random observables sharing one fixed eigenvector, measured in the
   eigenbasis they are drawn from: the probability of an outcome depends on
   the eigenbasis alone, the eigenvalues only label outcomes.  Each draw
-  re-draws the complement by one Householder reflection, which gives the
-  state's complement moduli the law a Haar rotation would, at O(d^2);
+  re-draws the complement by one Householder reflection, kept as its unit
+  vector and applied to the state's complement coordinates alone: their
+  moduli get the law a Haar rotation would give, at O(d) a draw, and no
+  eigenbasis is formed;
 * direct resampling of the unobserved moduli on the complement orthant of
   radius sqrt(1 - a_0^2).
 
@@ -99,39 +101,28 @@ def complement_rotation(point: ModulusVector, n: int, rng: np.random.Generator) 
     return rows
 
 
-def complement_tail(basis: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """psi's coordinates c on the complement columns basis[:, 1:], as the unit vector c/|c|.
+def observable_with_eigenstate(c: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n unit Householder vectors w (n, d - 1) of random observables sharing an eigenvector phi.
 
-    c = 0 (psi along column 0) has no direction; the first unit vector stands
-    in, since every reflection leaves psi's zero complement component zero.
+    c holds a state's coordinates B'^dag psi on the complement columns B' of
+    complete_basis(phi).  Draw j stands for the eigenbasis
+    [phi | B'(I - 2 w_j w_j^dag)], never formed: the reflection sends the unit
+    tail c/|c| to -e t, t uniform on the unit sphere (a normalized Ginibre
+    row) and e the phase of t^dag tail.  The state's complement moduli
+    |c - 2(w^dag c) w| are then |c| |t_j|, as after a Haar rotation of the
+    complement, at O(d) a draw.  c = 0 (psi along phi) has no direction; the
+    first unit vector stands in, since every reflection leaves c = 0 at 0.
+    No spectrum is drawn: an outcome's probability is fixed by the
+    eigenbasis, and the eigenvalues only label outcomes.
     """
-    c = psi @ np.conj(basis[:, 1:])
     norm = np.linalg.norm(c)
-    return c / norm if norm > 0.0 else np.eye(c.size)[0]
-
-
-def observable_with_eigenstate(basis: np.ndarray, tail: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n random eigenbases (n, d, d) of observables sharing the eigenvector basis[:, 0].
-
-    basis is a unitary with the shared state as column 0 (complete_basis) and
-    tail a unit (d - 1)-vector (complement_tail).  Each eigenbasis keeps
-    column 0 exactly and replaces the complement B' by B'H, H the Householder
-    reflection sending tail to -e t: t is uniform on the unit sphere (a
-    normalized Ginibre row) and e the phase of t^dag tail.  A state with
-    complement coordinates |c| tail so has moduli |c| |t_j| there, as after a
-    Haar rotation of the complement, at O(d^2) a draw.  No spectrum is drawn:
-    an outcome's probability is fixed by the eigenbasis, and the eigenvalues
-    only label outcomes.
-    """
-    d = basis.shape[0]
-    t = ginibre(rng, (n, d - 1))
+    tail = c / norm if norm > 0.0 else np.eye(c.size)[0]
+    t = ginibre(rng, (n, c.size))
     t /= np.linalg.norm(t, axis=1, keepdims=True)
     phase = np.exp(1j * np.angle(np.conj(t) @ tail))  # angle(0) = 0: phase 1
     w = tail + phase[:, None] * t  # |w|^2 = 2 + 2|t^dag tail| >= 2: no cancellation
     w /= np.linalg.norm(w, axis=1, keepdims=True)
-    vectors = np.repeat(basis[None], n, axis=0)
-    vectors[:, :, 1:] -= 2.0 * (w @ basis[:, 1:].T)[:, :, None] * np.conj(w)[:, None, :]
-    return vectors
+    return w
 
 
 def match_eigenvector(vectors: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -166,17 +157,22 @@ def observable_independence_scan(
 
     Each draw is the eigenbasis of a fresh observable with phi as column 0;
     the rule is evaluated on psi's moduli in that eigenbasis, at outcome 0.
-    The quadratic rule reads only |<phi|psi>|, which every draw holds to the
-    same bits, so its spread is exactly 0.
+    psi is expanded once in complete_basis(phi), and each draw reflects only
+    its complement coordinates c.  The quadratic rule reads only
+    |<phi|psi>|, which every draw holds to the same bits, so its spread is
+    exactly 0.
     """
     if psi.dim != phi.dim:
         raise ValueError("state and eigenvector dimensions differ")
     _check_draws(draws)
-    basis = complete_basis(phi.amplitudes)
-    tail = complement_tail(basis, psi.amplitudes)
+    coefficients = psi.amplitudes @ np.conj(complete_basis(phi.amplitudes))
+    c = coefficients[1:]
 
     def kernel(n: int, rng: np.random.Generator) -> np.ndarray:
-        point = np.abs(psi.amplitudes @ np.conj(observable_with_eigenstate(basis, tail, n, rng)))
+        w = observable_with_eigenstate(c, n, rng)
+        rows = np.tile(coefficients, (n, 1))
+        rows[:, 1:] -= 2.0 * (np.conj(w) @ c)[:, None] * w
+        point = np.abs(rows)
         check_orthant(point)
         return rule_probabilities(rule, point)[:, 0]
 

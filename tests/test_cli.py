@@ -189,8 +189,9 @@ class TestExitCodes:
         ids=lambda argv: argv[0],
     )
     def test_runtime_failure_exits_four(self, capsys, monkeypatch, argv):
-        # eigenbases that are not unitary fail the scan's orthant check: a
-        # crash, reported as one line, never as a verdict
+        # Householder vectors of norm 2 make reflections that are not
+        # unitary, which fail the scan's orthant check: a crash, reported as
+        # one line, never as a verdict
         real = invariance.observable_with_eigenstate
         monkeypatch.setattr(invariance, "observable_with_eigenstate", lambda *args: 2.0 * real(*args))
         assert main(argv) == 4
@@ -450,12 +451,16 @@ class TestScanSummaries:
         rule = rules.parse_rule(results["observable_scan"]["rule"])
         check = results["observable_scan"]["address"][:-1]
         psi = quantum.haar_state(d, substream(*check, 0))
-        basis = complete_basis(quantum.haar_state(d, substream(*check, 1)).amplitudes)
-        tail = invariance.complement_tail(basis, psi.amplitudes)
+        coefficients = psi.amplitudes @ np.conj(complete_basis(quantum.haar_state(d, substream(*check, 1)).amplitudes))
+
+        def reflected(n, rng):
+            w = invariance.observable_with_eigenstate(coefficients[1:], n, rng)
+            rows = np.tile(coefficients, (n, 1))
+            rows[:, 1:] -= 2.0 * (np.conj(w) @ coefficients[1:])[:, None] * w
+            return np.abs(rows)
+
         points = {
-            "observable_scan": lambda n, rng: np.abs(
-                psi.amplitudes @ np.conj(invariance.observable_with_eigenstate(basis, tail, n, rng))
-            ),
+            "observable_scan": reflected,
             "rotation_scan": lambda n, rng: invariance.complement_rotation(quantum.moduli(psi.amplitudes), n, rng),
         }
         beyond_block_0 = False

@@ -1,6 +1,8 @@
 """Observables sharing an eigenvector, complement rotations, and the
 block-form independence scans."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,7 +11,6 @@ from hypothesis import strategies as st
 from bornlab import invariance, quantum, streams
 from bornlab.invariance import (
     complement_rotation,
-    complement_tail,
     match_eigenvector,
     observable_independence_scan,
     observable_with_eigenstate,
@@ -33,12 +34,20 @@ def listed_first(point: ModulusVector, k: int) -> ModulusVector:
     return ModulusVector(np.concatenate([point.moduli[k : k + 1], np.delete(point.moduli, k)]))
 
 
+def eigenbases(basis: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The eigenbases [phi | B'(I - 2 w w^dag)] (n, d, d) that the Householder vectors w
+    (n, d - 1) stand for, B' = basis[:, 1:]: the explicit reference for the scan."""
+    vectors = np.repeat(basis[None], len(w), axis=0)
+    vectors[:, :, 1:] -= 2.0 * (w @ basis[:, 1:].T)[:, :, None] * np.conj(w)[:, None, :]
+    return vectors
+
+
 def draw_observables(phi: StateVector, n: int, rng, psi: StateVector | None = None):
     """The basis completed from phi and n eigenbases (n, d, d) of observables sharing phi,
-    reflected about psi's complement tail, or that of a Haar state drawn from rng first."""
+    reflected about psi's complement coordinates, or those of a Haar state drawn from rng first."""
     basis = complete_basis(phi.amplitudes)
-    tail = complement_tail(basis, (psi or haar_state(phi.dim, rng)).amplitudes)
-    return basis, observable_with_eigenstate(basis, tail, n, rng)
+    c = (psi or haar_state(phi.dim, rng)).amplitudes @ np.conj(basis[:, 1:])
+    return basis, eigenbases(basis, observable_with_eigenstate(c, n, rng))
 
 
 class TestComplementRotation:
@@ -118,10 +127,12 @@ class TestObservableWithEigenstate:
         monkeypatch.setattr(invariance, "ginibre", lambda rng, shape: np.tile([0.0, 3.0, 4.0j], (shape[0], 1)))
         basis = complete_basis(haar_state(4, rng).amplitudes)
         tail = np.array([1.0, 0.0, 0.0], dtype=complex)
-        bases = observable_with_eigenstate(basis, tail, 2, rng)
+        w = observable_with_eigenstate(tail, 2, rng)
+        bases = eigenbases(basis, w)
         assert unitary_defect(bases) <= 1e-14
         reflected = (basis[:, 1:] @ tail) @ np.conj(bases[:, :, 1:])
         np.testing.assert_allclose(reflected, np.tile([0.0, -0.6, -0.8j], (2, 1)), atol=1e-15)
+        np.testing.assert_allclose(tail - 2.0 * (np.conj(w) @ tail)[:, None] * w, reflected, atol=1e-15)
 
     def test_two_draws_share_only_that_eigenvector(self):
         e2 = StateVector(np.array([0.0, 1.0, 0.0], dtype=complex))
@@ -259,7 +270,9 @@ class TestObservableIndependence:
         phi = StateVector(np.exp(0.7j) * psi.amplitudes)
         assert observable_independence_scan(psi, phi, rule, 50, seed=27).spread == 0.0
         e0 = StateVector(np.eye(5)[0])
-        np.testing.assert_array_equal(complement_tail(complete_basis(e0.amplitudes), e0.amplitudes), np.eye(4)[0])
+        c = np.zeros(4, dtype=complex)
+        w = observable_with_eigenstate(c, 50, np.random.default_rng(29))
+        np.testing.assert_array_equal(c - 2.0 * (np.conj(w) @ c)[:, None] * w, np.zeros((50, 4)))
         assert observable_independence_scan(e0, e0, rule, 50, seed=28).spread == 0.0
 
     def test_scan_is_deterministic_and_thread_invariant(self):
@@ -276,13 +289,57 @@ class TestObservableIndependence:
             observable_independence_scan(psi, psi, Born(), 1, seed=0)
 
     def test_orthant_check_catches_what_orthonormality_allows(self, monkeypatch):
-        # eigenbases scaled by 1 + 2e-11 would pass the 1e-10 orthonormality
-        # check, but put psi's moduli 4e-11 off the unit sphere (tol 1e-12)
+        # Householder vectors scaled by s = 1 + 2e-11 stand for eigenbases
+        # at most 1.6e-10 off unitary, but reflect c to a norm squared off by
+        # 4 s^2 (s^2 - 1) |w^dag c|^2 >= 8e-11 |c|^2 (tol 1e-12)
         real = invariance.observable_with_eigenstate
         monkeypatch.setattr(invariance, "observable_with_eigenstate", lambda *args: real(*args) * (1 + 2e-11))
         psi, phi = haar_state(4, np.random.default_rng(24)), haar_state(4, np.random.default_rng(25))
         with pytest.raises(ValueError, match="orthant norm defect"):
             observable_independence_scan(psi, phi, Born(), 10, seed=0)
+
+
+class TestFactoredDraws:
+    @pytest.mark.parametrize("d", [2, 3, 8, 64])
+    @pytest.mark.parametrize(
+        "rule",
+        [Renormalized(Power(1.0)), Renormalized(Power(4.0)), Renormalized(Affine(1.0, 0.1)), Born()],
+        ids=["renorm:power:1", "renorm:power:4", "renorm:affine:1:0.1", "born"],
+    )
+    def test_scan_matches_the_materialized_eigenbases(self, rule, d):
+        # the scan reflects only psi's complement coordinates; the same draws
+        # formed into eigenbases give psi's moduli as |psi @ conj(V)|.  They
+        # agree to rounding, and bit for bit for born, which reads |<phi|psi>|
+        # alone; psi = phase phi has complement coordinates at rounding level
+        rng = np.random.default_rng(50 + d)
+        phi = haar_state(d, rng)
+        basis = complete_basis(phi.amplitudes)
+        for psi in (haar_state(d, rng), StateVector(np.exp(0.3j) * phi.amplitudes)):
+            c = psi.amplitudes @ np.conj(basis[:, 1:])
+
+            def materialized(n, block_rng):
+                vectors = eigenbases(basis, observable_with_eigenstate(c, n, block_rng))
+                return rule_probabilities(rule, np.abs(psi.amplitudes @ np.conj(vectors)))[:, 0]
+
+            expected = blockwise(materialized, BLOCK + 5, 51)
+            actual = observable_independence_scan(psi, phi, rule, BLOCK + 5, seed=51).p_values
+            if rule == Born():
+                np.testing.assert_array_equal(actual, expected)
+            else:
+                np.testing.assert_allclose(actual, expected, rtol=1e-14, atol=0)
+
+    def test_scan_memory_does_not_grow_as_d_squared(self):
+        # one block at d=256 kept as Householder vectors: a (BLOCK, d, d)
+        # complex stack of its eigenbases alone would be 134 MB
+        rng = np.random.default_rng(52)
+        psi, phi = haar_state(256, rng), haar_state(256, rng)
+        tracemalloc.start()
+        try:
+            observable_independence_scan(psi, phi, Renormalized(Power(4.0)), BLOCK, seed=53)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16e6
 
 
 class TestBlocks:
@@ -326,7 +383,7 @@ class TestBlocks:
 
 
 class TestBornSpreadIsMeasured:
-    @pytest.mark.parametrize("d", range(2, 9))
+    @pytest.mark.parametrize("d", [*range(2, 9), 64, 128, 256])
     def test_seed_sweep_stays_within_tolerance(self, d):
         # phi is column 0 of every drawn eigenbasis, so every draw expands
         # psi at phi with the same bits: the measured spread is exactly 0
