@@ -1,16 +1,15 @@
 """Observable-independence experiments, run on blocks of streams.BLOCK draws.
 
-Two ways of rotating everything the outcome should not care about:
+Once the outcome's eigenvector phi is fixed, the rest of an observable can
+only move the state's complement moduli on the sphere of radius
+r = |psi - <phi|psi> phi|, with a_0 = |<phi|psi>| held.  Both scans draw
+exactly that, through one block kernel and two laws for the tail:
 
-* random observables sharing one fixed eigenvector, measured in the
-  eigenbasis they are drawn from: the probability of an outcome depends on
-  the eigenbasis alone, the eigenvalues only label outcomes.  Each draw
-  re-draws the complement by one Householder reflection, kept as its unit
-  vector and applied to the state's complement coordinates alone: their
-  moduli get the law a Haar rotation would give, at O(d) a draw, and no
-  eigenbasis is formed;
-* direct resampling of the unobserved moduli on the complement orthant of
-  radius sqrt(1 - a_0^2).
+* random observables sharing phi, measured in the eigenbasis they are drawn
+  from (observable_with_eigenstate): a Haar rotation of the complement gives
+  the tail r |t| / |t|, t a complex Gaussian row, so no eigenbasis is formed;
+* direct resampling of the unobserved moduli (complement_rotation): the
+  tail r |x| / |x|, x a real Gaussian row.
 
 For the quadratic rule the outcome probability is invariant under both;
 renormalized rules leak dependence on the rest of the basis, and the scans
@@ -21,10 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import Callable
 
 import numpy as np
 
-from .linalg import complete_basis, ginibre
+from .linalg import ginibre
 from .quantum import ModulusVector, StateVector, check_orthant
 from .rules import Rule, rule_probabilities
 from .streams import blockwise
@@ -85,44 +85,39 @@ class InvarianceReport:
         }
 
 
-def complement_rotation(point: ModulusVector, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n resamplings of the unobserved moduli a_1..a_{d-1} at fixed a_0, as rows (n, d).
+def _tails(point: ModulusVector, direction: np.ndarray) -> np.ndarray:
+    """Rows (n, d): the point's a_0, then its complement radius times each row of direction / |direction|.
 
-    Each tail is a fresh point on the complement orthant of radius
-    sqrt(1 - a_0^2): absolute values of a standard Gaussian, normalized, then
-    scaled.  Scaling a unit tail keeps the fixed points exact: at dim 2 the
-    tail is x / x = 1 and the radius a_1, and a zero radius gives zero tails.
+    Scaling a unit tail keeps the fixed points exact: at dim 2 the tail is
+    x / x = 1 and the radius a_1, and a zero radius gives zero tails.
     """
-    rows = np.tile(point.moduli, (n, 1))
-    direction = np.abs(rng.standard_normal((n, point.dim - 1)))
+    rows = np.tile(point.moduli, (len(direction), 1))
     unit = direction / np.linalg.norm(direction, axis=1, keepdims=True)  # a 0 norm's nan fails check_orthant
     rows[:, 1:] = np.linalg.norm(point.moduli[1:]) * unit
-    check_orthant(rows)
     return rows
 
 
-def observable_with_eigenstate(c: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-    """n unit Householder vectors w (n, d - 1) of random observables sharing an eigenvector phi.
+def complement_rotation(point: ModulusVector, n: int, rng: np.random.Generator) -> np.ndarray:
+    """n resamplings of the unobserved moduli a_1..a_{d-1} at fixed a_0, as rows (n, d).
 
-    c holds a state's coordinates B'^dag psi on the complement columns B' of
-    complete_basis(phi).  Draw j stands for the eigenbasis
-    [phi | B'(I - 2 w_j w_j^dag)], never formed: the reflection sends the unit
-    tail c/|c| to -e t, t uniform on the unit sphere (a normalized Ginibre
-    row) and e the phase of t^dag tail.  The state's complement moduli
-    |c - 2(w^dag c) w| are then |c| |t_j|, as after a Haar rotation of the
-    complement, at O(d) a draw.  c = 0 (psi along phi) has no direction; the
-    first unit vector stands in, since every reflection leaves c = 0 at 0.
-    No spectrum is drawn: an outcome's probability is fixed by the
-    eigenbasis, and the eigenvalues only label outcomes.
+    Each tail is a fresh point on the complement orthant: absolute values of
+    a real standard Gaussian, normalized, then scaled; its squares are
+    Dirichlet(1/2, ..., 1/2).
     """
-    norm = np.linalg.norm(c)
-    tail = c / norm if norm > 0.0 else np.eye(c.size)[0]
-    t = ginibre(rng, (n, c.size))
-    t /= np.linalg.norm(t, axis=1, keepdims=True)
-    phase = np.exp(1j * np.angle(np.conj(t) @ tail))  # angle(0) = 0: phase 1
-    w = tail + phase[:, None] * t  # |w|^2 = 2 + 2|t^dag tail| >= 2: no cancellation
-    w /= np.linalg.norm(w, axis=1, keepdims=True)
-    return w
+    return _tails(point, np.abs(rng.standard_normal((n, point.dim - 1))))
+
+
+def observable_with_eigenstate(point: ModulusVector, n: int, rng: np.random.Generator) -> np.ndarray:
+    """A state's moduli (n, d) in the eigenbases of n random observables sharing an eigenvector phi.
+
+    point is (a_0, r, 0, ..., 0): a_0 = |<phi|psi>| and r the norm of psi's
+    complement component.  A Haar rotation of the complement sends that
+    component to r t / |t|, t a complex Gaussian row, so the moduli are
+    (a_0, r |t| / |t|) and no eigenbasis is formed: the squared tails are
+    Dirichlet(1, ..., 1).  No spectrum is drawn: an outcome's probability is
+    fixed by the eigenbasis, and the eigenvalues only label outcomes.
+    """
+    return _tails(point, np.abs(ginibre(rng, (n, point.dim - 1))))
 
 
 def match_eigenvector(vectors: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -140,9 +135,20 @@ def match_eigenvector(vectors: np.ndarray, phi: np.ndarray) -> np.ndarray:
     return k
 
 
-def _check_draws(draws: int) -> None:
+def _complement_scan(
+    law: Callable[[ModulusVector, int, np.random.Generator], np.ndarray],
+    point: ModulusVector, rule: Rule, k: int | None, draws: int, seed: int, address: tuple[int, ...]
+) -> InvarianceReport:
+    """p_0 of rule on law(point, n, rng)'s rows, one block of draws at a time, each block checked once."""
     if draws < MIN_DRAWS:
         raise ValueError(f"need at least {MIN_DRAWS} draws")
+
+    def kernel(n: int, rng: np.random.Generator) -> np.ndarray:
+        rows = law(point, n, rng)
+        check_orthant(rows)
+        return rule_probabilities(rule, rows)[:, 0]
+
+    return InvarianceReport(rule.name, point.dim, k, draws, blockwise(kernel, draws, seed, *address), (seed, *address))
 
 
 def observable_independence_scan(
@@ -157,26 +163,18 @@ def observable_independence_scan(
 
     Each draw is the eigenbasis of a fresh observable with phi as column 0;
     the rule is evaluated on psi's moduli in that eigenbasis, at outcome 0.
-    psi is expanded once in complete_basis(phi), and each draw reflects only
-    its complement coordinates c.  The quadratic rule reads only
-    |<phi|psi>|, which every draw holds to the same bits, so its spread is
-    exactly 0.
+    a_0 and the complement radius r are read once, r as the norm of psi's
+    component off phi (not sqrt(1 - a_0^2), which loses half the digits when
+    psi is near phi).  Every draw holds a_0 to the same bits, so the
+    quadratic rule's spread is exactly 0.
     """
     if psi.dim != phi.dim:
         raise ValueError("state and eigenvector dimensions differ")
-    _check_draws(draws)
-    coefficients = psi.amplitudes @ np.conj(complete_basis(phi.amplitudes))
-    c = coefficients[1:]
-
-    def kernel(n: int, rng: np.random.Generator) -> np.ndarray:
-        w = observable_with_eigenstate(c, n, rng)
-        rows = np.tile(coefficients, (n, 1))
-        rows[:, 1:] -= 2.0 * (np.conj(w) @ c)[:, None] * w
-        point = np.abs(rows)
-        check_orthant(point)
-        return rule_probabilities(rule, point)[:, 0]
-
-    return InvarianceReport(rule.name, psi.dim, None, draws, blockwise(kernel, draws, seed, *address), (seed, *address))
+    unit = phi.amplitudes / np.linalg.norm(phi.amplitudes)
+    overlap = np.vdot(unit, psi.amplitudes)
+    point = np.zeros(psi.dim)
+    point[:2] = abs(overlap), np.linalg.norm(psi.amplitudes - overlap * unit)
+    return _complement_scan(observable_with_eigenstate, ModulusVector(point), rule, None, draws, seed, address)
 
 
 def unobserved_independence_scan(
@@ -191,8 +189,4 @@ def unobserved_independence_scan(
     Zero for plain rules, the falsification signal for renormalized ones.
     Every rule is permutation-equivariant: outcome k is outcome 0 with a_k first.
     """
-    _check_draws(draws)
-    p_values = blockwise(
-        lambda n, rng: rule_probabilities(rule, complement_rotation(point, n, rng))[:, 0], draws, seed, *address
-    )
-    return InvarianceReport(rule.name, point.dim, 0, draws, p_values, (seed, *address))
+    return _complement_scan(complement_rotation, point, rule, 0, draws, seed, address)

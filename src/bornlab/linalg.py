@@ -158,10 +158,9 @@ def complete_basis(vector: np.ndarray) -> np.ndarray:
     One Householder QR of [v/|v| | I] gives a unitary whose first column is
     v/|v| times a phase; that column is then set to v/|v| exactly, which
     keeps the others orthogonal to it.  The other columns are some basis of
-    the complement: callers that need a random one re-draw it by a random
-    Householder reflection of a state's coordinates on these columns
-    (invariance.observable_with_eigenstate), whose law does not depend on
-    the particular choice.
+    the complement.  No library code calls it: the observable scan draws
+    moduli without forming a basis, and the tests keep this as the reference
+    from which drawn eigenbases are formed explicitly.
     """
     v = np.asarray(vector, dtype=np.complex128).reshape(-1)
     norm = np.linalg.norm(v)

@@ -17,7 +17,7 @@ import numpy as np
 
 from bornlab import cli, invariance, linalg, quantum, rules, streams, variational
 from bornlab.cli import Report, build_parser, main, run_config
-from bornlab.linalg import complete_basis, fix_column_phases, haar_array
+from bornlab.linalg import fix_column_phases, haar_array
 from bornlab.streams import BLOCK, blockwise, substream
 
 SMALL = ["--trials", "200", "--seed", "42"]
@@ -189,9 +189,9 @@ class TestExitCodes:
         ids=lambda argv: argv[0],
     )
     def test_runtime_failure_exits_four(self, capsys, monkeypatch, argv):
-        # Householder vectors of norm 2 make reflections that are not
-        # unitary, which fail the scan's orthant check: a crash, reported as
-        # one line, never as a verdict
+        # doubled moduli rows, as from an eigenbasis that is not unitary,
+        # fail the scan kernel's per-block orthant check: a crash, reported
+        # as one line, never as a verdict
         real = invariance.observable_with_eigenstate
         monkeypatch.setattr(invariance, "observable_with_eigenstate", lambda *args: 2.0 * real(*args))
         assert main(argv) == 4
@@ -451,16 +451,13 @@ class TestScanSummaries:
         rule = rules.parse_rule(results["observable_scan"]["rule"])
         check = results["observable_scan"]["address"][:-1]
         psi = quantum.haar_state(d, substream(*check, 0))
-        coefficients = psi.amplitudes @ np.conj(complete_basis(quantum.haar_state(d, substream(*check, 1)).amplitudes))
-
-        def reflected(n, rng):
-            w = invariance.observable_with_eigenstate(coefficients[1:], n, rng)
-            rows = np.tile(coefficients, (n, 1))
-            rows[:, 1:] -= 2.0 * (np.conj(w) @ coefficients[1:])[:, None] * w
-            return np.abs(rows)
-
+        phi = quantum.haar_state(d, substream(*check, 1)).amplitudes
+        unit = phi / np.linalg.norm(phi)
+        overlap = np.vdot(unit, psi.amplitudes)
+        point = np.zeros(d)  # (a_0, r, 0, ..., 0), as the observable scan reads it
+        point[:2] = abs(overlap), np.linalg.norm(psi.amplitudes - overlap * unit)
         points = {
-            "observable_scan": reflected,
+            "observable_scan": lambda n, rng: invariance.observable_with_eigenstate(quantum.ModulusVector(point), n, rng),
             "rotation_scan": lambda n, rng: invariance.complement_rotation(quantum.moduli(psi.amplitudes), n, rng),
         }
         beyond_block_0 = False
@@ -783,8 +780,8 @@ def test_no_command_starts_a_thread(capsys, monkeypatch, argv, code):
 
 
 def test_observable_scan_factors_no_unitary(capsys, monkeypatch):
-    # each observable-scan draw is one Householder reflection: no Haar QR, and
-    # one np.linalg.qr per scan (complete_basis) whatever its number of draws
+    # the observable scan draws moduli from Ginibre rows and forms no basis:
+    # no Haar unitary and no np.linalg.qr, whatever its number of draws
     def refuse(*args):
         raise RuntimeError("a unitary was factored")
 
@@ -797,7 +794,7 @@ def test_observable_scan_factors_no_unitary(capsys, monkeypatch):
     for trials in ("300", "3000"):
         assert main(["independence", "--rule", "renorm:power:4", "--dim", "5", "--trials", trials]) == 1
     assert main(["falsify", "--rule", "renorm:power:1", "--dim", "3"]) == 1
-    assert len(calls) == 3
+    assert calls == []
     capsys.readouterr()
 
 

@@ -1,5 +1,9 @@
 """Observables sharing an eigenvector, complement rotations, and the
-block-form independence scans."""
+block-form independence scans.
+
+The observable scan never forms an eigenbasis.  The Householder construction
+here forms the drawn eigenbases explicitly from the same Ginibre rows, and
+TestFactoredDraws checks that they give the scan's moduli."""
 
 import tracemalloc
 
@@ -16,7 +20,7 @@ from bornlab.invariance import (
     observable_with_eigenstate,
     unobserved_independence_scan,
 )
-from bornlab.linalg import complete_basis, haar_array, unitary_defect
+from bornlab.linalg import complete_basis, ginibre, haar_array, unitary_defect
 from bornlab.quantum import (
     ModulusVector,
     StateVector,
@@ -34,9 +38,26 @@ def listed_first(point: ModulusVector, k: int) -> ModulusVector:
     return ModulusVector(np.concatenate([point.moduli[k : k + 1], np.delete(point.moduli, k)]))
 
 
+def householder_vectors(c: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Unit Householder vectors w (n, d - 1) that reflect the unit tail c/|c| to -e t/|t|,
+    one per Ginibre row of t (n, d - 1), e the phase of t^dag tail.
+
+    The reflection I - 2ww^dag of the complement coordinates c leaves c's norm
+    and sends its direction to a uniform point of the sphere, as a Haar
+    rotation would.  c = 0 (psi along phi) has no direction; the first unit
+    vector stands in, since every reflection leaves c = 0 at 0.
+    """
+    norm = np.linalg.norm(c)
+    tail = c / norm if norm > 0.0 else np.eye(c.size)[0]
+    t = t / np.linalg.norm(t, axis=1, keepdims=True)
+    phase = np.exp(1j * np.angle(np.conj(t) @ tail))  # angle(0) = 0: phase 1
+    w = tail + phase[:, None] * t  # |w|^2 = 2 + 2|t^dag tail| >= 2: no cancellation
+    return w / np.linalg.norm(w, axis=1, keepdims=True)
+
+
 def eigenbases(basis: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """The eigenbases [phi | B'(I - 2 w w^dag)] (n, d, d) that the Householder vectors w
-    (n, d - 1) stand for, B' = basis[:, 1:]: the explicit reference for the scan."""
+    """The eigenbases [phi | B'(I - 2 w w^dag)] (n, d, d) of the Householder vectors w
+    (n, d - 1), B' = basis[:, 1:]: the explicit reference for the scan."""
     vectors = np.repeat(basis[None], len(w), axis=0)
     vectors[:, :, 1:] -= 2.0 * (w @ basis[:, 1:].T)[:, :, None] * np.conj(w)[:, None, :]
     return vectors
@@ -47,7 +68,7 @@ def draw_observables(phi: StateVector, n: int, rng, psi: StateVector | None = No
     reflected about psi's complement coordinates, or those of a Haar state drawn from rng first."""
     basis = complete_basis(phi.amplitudes)
     c = (psi or haar_state(phi.dim, rng)).amplitudes @ np.conj(basis[:, 1:])
-    return basis, eigenbases(basis, observable_with_eigenstate(c, n, rng))
+    return basis, eigenbases(basis, householder_vectors(c, ginibre(rng, (n, phi.dim - 1))))
 
 
 class TestComplementRotation:
@@ -97,7 +118,8 @@ class TestObservableWithEigenstate:
     def test_tail_moduli_are_haar_distributed(self, d):
         # psi's squared tail moduli over |c|^2 (c: its complement coordinates)
         # are a uniform point of the simplex, as after a Haar rotation of the
-        # complement: for m = d - 1 each has mean 1/m, variance
+        # complement, in the formed eigenbases and in the scan's own tails
+        # r |t| / |t|: for m = d - 1 each has mean 1/m, variance
         # (m-1)/(m^2 (m+1)) and CDF 1 - (1-s)^(m-1).  Bounds: 4 standard
         # errors on the moments, the 0.1% Kolmogorov value 1.95/sqrt(n) on the CDF
         n, m = 40_000, d - 1
@@ -109,25 +131,27 @@ class TestObservableWithEigenstate:
         radius = np.vdot(c, c).real
         reflected = np.abs(psi.amplitudes @ np.conj(bases[:, :, 1:])) ** 2 / radius
         rotated = np.abs(c @ np.conj(haar_array(m, rng, (n,)))) ** 2 / radius
+        point = ModulusVector(np.concatenate([[np.sqrt(1.0 - radius), np.sqrt(radius)], np.zeros(m - 1)]))
+        drawn = observable_with_eigenstate(point, n, rng)[:, 1:] ** 2 / radius
         mean, var = 1 / m, (m - 1) / (m * m * (m + 1))
         mean_se = np.sqrt(var / n)
-        for x in (reflected, rotated):
+        for x in (reflected, rotated, drawn):
             var_se = np.sqrt((np.mean((x - x.mean(0)) ** 4, axis=0) - x.var(0) ** 2) / n)
             assert np.all(np.abs(x.mean(0) - mean) <= 4 * mean_se)
             assert np.all(np.abs(x.var(0) - var) <= 4 * var_se)
         assert np.all(np.abs(reflected.mean(0) - rotated.mean(0)) <= 4 * np.sqrt(2) * mean_se)
         assert np.all(np.abs(reflected.var(0) - rotated.var(0)) <= 4 * np.sqrt(2) * var_se)
-        cdf = 1 - (1 - np.sort(reflected, axis=0)) ** (m - 1)
         steps = np.arange(n + 1)[:, None] / n
-        assert np.max(np.maximum(steps[1:] - cdf, cdf - steps[:-1])) <= 1.95 / np.sqrt(n)
+        for x in (reflected, drawn):
+            cdf = 1 - (1 - np.sort(x, axis=0)) ** (m - 1)
+            assert np.max(np.maximum(steps[1:] - cdf, cdf - steps[:-1])) <= 1.95 / np.sqrt(n)
 
-    def test_tail_orthogonal_to_the_draw_reflects_without_nan(self, monkeypatch):
+    def test_tail_orthogonal_to_the_draw_reflects_without_nan(self):
         # t^dag tail = 0 takes angle(0) = 0, phase 1: the reflection sends tail to -t
         rng = np.random.default_rng(6)
-        monkeypatch.setattr(invariance, "ginibre", lambda rng, shape: np.tile([0.0, 3.0, 4.0j], (shape[0], 1)))
         basis = complete_basis(haar_state(4, rng).amplitudes)
         tail = np.array([1.0, 0.0, 0.0], dtype=complex)
-        w = observable_with_eigenstate(tail, 2, rng)
+        w = householder_vectors(tail, np.tile([0.0, 3.0, 4.0j], (2, 1)))
         bases = eigenbases(basis, w)
         assert unitary_defect(bases) <= 1e-14
         reflected = (basis[:, 1:] @ tail) @ np.conj(bases[:, :, 1:])
@@ -271,8 +295,10 @@ class TestObservableIndependence:
         assert observable_independence_scan(psi, phi, rule, 50, seed=27).spread == 0.0
         e0 = StateVector(np.eye(5)[0])
         c = np.zeros(4, dtype=complex)
-        w = observable_with_eigenstate(c, 50, np.random.default_rng(29))
+        w = householder_vectors(c, ginibre(np.random.default_rng(29), (50, 4)))
         np.testing.assert_array_equal(c - 2.0 * (np.conj(w) @ c)[:, None] * w, np.zeros((50, 4)))
+        drawn = observable_with_eigenstate(ModulusVector(np.eye(5)[0]), 50, np.random.default_rng(29))
+        np.testing.assert_array_equal(drawn, np.tile(np.eye(5)[0], (50, 1)))
         assert observable_independence_scan(e0, e0, rule, 50, seed=28).spread == 0.0
 
     def test_scan_is_deterministic_and_thread_invariant(self):
@@ -289,9 +315,10 @@ class TestObservableIndependence:
             observable_independence_scan(psi, psi, Born(), 1, seed=0)
 
     def test_orthant_check_catches_what_orthonormality_allows(self, monkeypatch):
-        # Householder vectors scaled by s = 1 + 2e-11 stand for eigenbases
-        # at most 1.6e-10 off unitary, but reflect c to a norm squared off by
-        # 4 s^2 (s^2 - 1) |w^dag c|^2 >= 8e-11 |c|^2 (tol 1e-12)
+        # moduli scaled by s = 1 + 2e-11 are psi's in s times a unitary
+        # basis, whose U^dag U - I is 4e-11, inside the orthonormality
+        # tolerance (1e-10), but their square sum is off by s^2 - 1 = 4e-11
+        # (tol 1e-12): the scan's per-block orthant check rejects them
         real = invariance.observable_with_eigenstate
         monkeypatch.setattr(invariance, "observable_with_eigenstate", lambda *args: real(*args) * (1 + 2e-11))
         psi, phi = haar_state(4, np.random.default_rng(24)), haar_state(4, np.random.default_rng(25))
@@ -307,10 +334,11 @@ class TestFactoredDraws:
         ids=["renorm:power:1", "renorm:power:4", "renorm:affine:1:0.1", "born"],
     )
     def test_scan_matches_the_materialized_eigenbases(self, rule, d):
-        # the scan reflects only psi's complement coordinates; the same draws
-        # formed into eigenbases give psi's moduli as |psi @ conj(V)|.  They
-        # agree to rounding, and bit for bit for born, which reads |<phi|psi>|
-        # alone; psi = phase phi has complement coordinates at rounding level
+        # the reduction: the scan reads (a_0, r |t| / |t|) from each Ginibre
+        # row t, and the same rows formed into eigenbases give psi's moduli as
+        # |psi @ conj(V)|.  They agree to rounding.  born reads a_0 alone,
+        # which the scan holds to one float, so its spread is exactly 0;
+        # psi = phase phi has complement coordinates at rounding level
         rng = np.random.default_rng(50 + d)
         phi = haar_state(d, rng)
         basis = complete_basis(phi.amplitudes)
@@ -318,18 +346,17 @@ class TestFactoredDraws:
             c = psi.amplitudes @ np.conj(basis[:, 1:])
 
             def materialized(n, block_rng):
-                vectors = eigenbases(basis, observable_with_eigenstate(c, n, block_rng))
+                vectors = eigenbases(basis, householder_vectors(c, ginibre(block_rng, (n, d - 1))))
                 return rule_probabilities(rule, np.abs(psi.amplitudes @ np.conj(vectors)))[:, 0]
 
             expected = blockwise(materialized, BLOCK + 5, 51)
-            actual = observable_independence_scan(psi, phi, rule, BLOCK + 5, seed=51).p_values
+            report = observable_independence_scan(psi, phi, rule, BLOCK + 5, seed=51)
+            np.testing.assert_allclose(report.p_values, expected, rtol=1e-14, atol=0)
             if rule == Born():
-                np.testing.assert_array_equal(actual, expected)
-            else:
-                np.testing.assert_allclose(actual, expected, rtol=1e-14, atol=0)
+                assert len(set(report.p_values.tolist())) == 1 and report.spread == 0.0
 
     def test_scan_memory_does_not_grow_as_d_squared(self):
-        # one block at d=256 kept as Householder vectors: a (BLOCK, d, d)
+        # one block at d=256 is drawn as moduli rows: a (BLOCK, d, d)
         # complex stack of its eigenbases alone would be 134 MB
         rng = np.random.default_rng(52)
         psi, phi = haar_state(256, rng), haar_state(256, rng)
@@ -340,6 +367,33 @@ class TestFactoredDraws:
         finally:
             tracemalloc.stop()
         assert peak < 16e6
+
+
+class TestLawSeparation:
+    @pytest.mark.parametrize("m", [2, 4, 7])
+    def test_each_scan_draws_its_own_law(self, monkeypatch, m):
+        # the rows each scan's kernel receives, squared tails over r^2: the
+        # rotation scan's real law is Dirichlet(1/2, ..., 1/2), variance
+        # 2(m-1)/(m^2 (m+2)); the observable scan's complex law is
+        # Dirichlet(1, ..., 1), variance (m-1)/(m^2 (m+1)).  Bound: 4 standard
+        # errors; a scan given the other's law is about 30 or more off
+        seen = []
+        for name in ("complement_rotation", "observable_with_eigenstate"):
+            law = getattr(invariance, name)
+            monkeypatch.setattr(invariance, name, lambda *args, law=law: seen.append(law(*args)) or seen[-1])
+        rng = np.random.default_rng(60 + m)
+        psi, phi = haar_state(m + 1, rng), haar_state(m + 1, rng)
+        scans = (
+            (2 * (m - 1) / (m * m * (m + 2)), unobserved_independence_scan, (moduli(psi.amplitudes),)),
+            ((m - 1) / (m * m * (m + 1)), observable_independence_scan, (psi, phi)),
+        )
+        for var, scan, inputs in scans:
+            seen.clear()
+            scan(*inputs, Born(), 20_000, 61)
+            tails = np.concatenate(seen)[:, 1:] ** 2
+            x = tails / tails.sum(axis=1, keepdims=True)
+            var_se = np.sqrt((np.mean((x - x.mean(0)) ** 4, axis=0) - x.var(0) ** 2) / len(x))
+            assert np.all(np.abs(x.var(0) - var) <= 4 * var_se)
 
 
 class TestBlocks:
@@ -385,8 +439,8 @@ class TestBlocks:
 class TestBornSpreadIsMeasured:
     @pytest.mark.parametrize("d", [*range(2, 9), 64, 128, 256])
     def test_seed_sweep_stays_within_tolerance(self, d):
-        # phi is column 0 of every drawn eigenbasis, so every draw expands
-        # psi at phi with the same bits: the measured spread is exactly 0
+        # a_0 = |<phi|psi>| is read once per scan and every draw holds it
+        # to the same bits: the measured spread is exactly 0
         spreads = []
         for seed in range(30):
             psi = haar_state(d, substream(40, d, seed, 0))
