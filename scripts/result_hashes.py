@@ -27,8 +27,12 @@ from bornlab import cli
 # collapse at d=8, independence on born's formula under another name,
 # falsify on the uniform rule p_k = 1/d, born's two independence commands
 # at a zero spread tolerance, scan summaries whose extremes lie past the
-# first block, and a renormalized rule's scans at d=16, past the benchmark's d <= 8,
-# and its observable scan at d=128, where a draw's eigenbasis is never formed
+# first block, a renormalized rule's scans at d=16, past the benchmark's d <= 8,
+# its observable scan at d=128, where a draw's eigenbasis is never formed, and
+# one falsify run down each path of the verdict rule: a rule that misses
+# certainty and spreads at rounding level above a zero --tol-spread is
+# falsified by certainty (the earlier row), then by its spread once certainty
+# is tolerated, and at d=2, where both spreads vanish, is inconclusive
 CRITERION_10_COMMANDS = [
     ["verify-born", "--dims", "2,3", "--trials", "150"],
     ["falsify", "--rule", "power:1", "--dim", "2", "--trials", "150"],
@@ -58,6 +62,9 @@ EDGE_CASES = [
     ["independence", "--rule", "renorm:power:4", "--dim", "5", "--trials", "300"],
     ["falsify", "--rule", "renorm:power:4", "--dim", "16", "--trials", "300"],
     ["independence", "--rule", "renorm:power:4", "--dim", "128", "--trials", "300"],
+    ["falsify", "--rule", "renorm:affine:1:0.1", "--dim", "3", "--tol-spread", "0"],
+    ["falsify", "--rule", "renorm:affine:1:0.1", "--dim", "3", "--tol-defect", "1", "--tol-spread", "0"],
+    ["falsify", "--rule", "renorm:affine:1:0.1", "--dim", "2", "--tol-defect", "1"],
 ]
 COMMANDS = CRITERION_10_COMMANDS + FALSIFY_GRID + INDEPENDENCE + RENORM_D2 + RENORM_D3 + DEFAULT_SCALE + EDGE_CASES
 

@@ -8,6 +8,11 @@ for non-quadratic rules), 2 usage, domain or I/O error, 3 inconclusive (the
 configuration cannot separate the rule from the quadratic one), 4 runtime
 failure (any other exception, one line on stderr: a crash is not a verdict).
 
+falsify runs, in order, each FALSIFIERS row whose runs_on(rule) holds.  The
+first row whose statistic exceeds its tolerance falsifies the rule with that
+row's witness; otherwise an inconclusive reason from a row that ran makes
+falsified null (exit 3); otherwise the rule passes.
+
 Reports are byte-identical across reruns with the same seed, because every
 random draw comes from substream(seed, *address) at its own address, not
 from shared generator state; each scan's report records [seed, *address].
@@ -51,7 +56,7 @@ class Report:
     config: dict
     results: dict
     passed: bool
-    series: list[tuple]  # (index, d, k, value) rows
+    series: list[tuple]  # (index, d, k, value, series) rows
     runtime_ms: float
 
     def to_json(self) -> str:
@@ -74,8 +79,8 @@ class Report:
         return 3 if "inconclusive" in self.results else 1
 
     def to_csv(self) -> str:
-        rows = [f"{i},{'' if d is None else d},{'' if k is None else k},{float(v)!r}\n" for i, d, k, v in self.series]
-        return "index,d,k,value\n" + "".join(rows)
+        rows = [f"{i},{'' if d is None else d},{'' if k is None else k},{float(v)!r},{s}\n" for i, d, k, v, s in self.series]
+        return "index,d,k,value,series\n" + "".join(rows)
 
 
 def _parse_dims(text: str) -> tuple[int, ...]:
@@ -187,7 +192,7 @@ def _defect_check(rule, d: int, trials: int, seed: int, *address: int) -> Check:
     the worst state's moduli.
     """
     scan = rules.defect_scan(rule, d, trials, seed, *address)
-    series = [(i, d, None, defect) for i, defect in enumerate(scan.defects.tolist())]
+    series = [(i, d, None, defect, "defect") for i, defect in enumerate(scan.defects.tolist())]
     return {"defect": scan.as_dict()}, series, scan.max_defect, scan.argmax_state.moduli.tolist()
 
 
@@ -213,10 +218,28 @@ def _independence_check(rule, d: int, draws: int, seed: int, *address: int) -> C
         results["inconclusive"] = "at d=2 both independence spreads vanish for every rule; use --dim 3 or more"
     elif not rule.renormalized and rule != rules.Born():  # p_k = f(a_k): a_k is what both scans fix
         results["inconclusive"] = "both independence spreads vanish for every plain rule; use falsify for its defect"
-    series = [(i, d, None, p) for i, p in enumerate(obs_scan.p_values.tolist())]
-    series += [(i, d, 0, p) for i, p in enumerate(rot_scan.p_values.tolist())]
+    series = [(i, d, None, p, "observable_scan") for i, p in enumerate(obs_scan.p_values.tolist())]
+    series += [(i, d, 0, p, "rotation_scan") for i, p in enumerate(rot_scan.p_values.tolist())]
     worst = obs if obs["spread"] >= rot["spread"] else rot
     return results, series, worst["spread"], [worst["min_p"], worst["max_p"]]
+
+
+def _certainty_check(rule, d: int, *_: int) -> Check:
+    """Certainty on an eigenstate, p_k(e_k) = 1, which a renormalized rule need not
+    give at any d: deterministic, no CSV rows; the largest miss, the worst e_k."""
+    eigenstates = np.eye(d)
+    misses = np.abs(np.diagonal(rules.rule_probabilities(rule, eigenstates)) - 1.0)
+    worst = int(np.argmax(misses))
+    return {"certainty_defect": float(misses[worst])}, [], float(misses[worst]), eigenstates[worst].tolist()
+
+
+# falsify's rows in verdict order: (check, address, tolerance name, runs_on(rule)), each check called as
+# check(rule, d, trials, seed, *address); it calls library code through module attributes, which a tracer rebinds.
+FALSIFIERS = (
+    (_defect_check, (0,), "defect", lambda rule: True),
+    (_certainty_check, (), "defect", lambda rule: rule.renormalized),
+    (_independence_check, (1,), "spread", lambda rule: rule.renormalized),
+)
 
 
 def cmd_verify_born(args) -> Verdict:
@@ -250,32 +273,17 @@ def cmd_verify_born(args) -> Verdict:
 
 
 def cmd_falsify(args) -> Verdict:
-    rule, d = args.rule, args.dim
-    defect, series, max_defect, witness = _defect_check(rule, d, args.trials, args.seed, 0)
-    thresholds = {"defect": args.tol_defect, "spread": args.tol_spread}
-    results: dict = {"rule": rule.name, "dim": d, **defect, "thresholds": thresholds}
-    falsified = max_defect > args.tol_defect
-
-    if rule.renormalized:
-        # certainty on an eigenstate, p_k(e_k) = 1: a renormalized rule sums
-        # to one by construction but need not give certainty, at any d
-        eigenstates = np.eye(d)
-        misses = np.abs(np.diagonal(rules.rule_probabilities(rule, eigenstates)) - 1.0)
-        results["certainty_defect"] = float(np.max(misses))
-        scans, rows, spread, spread_witness = _independence_check(rule, d, args.trials, args.seed, 1)
-        results.update(scans)
-        series += rows
-        if results["certainty_defect"] > args.tol_defect:
-            results.pop("inconclusive", None)
-            falsified, witness = True, eigenstates[int(np.argmax(misses))].tolist()
-        elif "inconclusive" in results:
-            falsified = None
-        elif spread > args.tol_spread:
-            falsified, witness = True, spread_witness
-
-    results["falsified"] = falsified
-    results["witness"] = witness if falsified else None
-    return results, falsified is False, series
+    rule, d, thresholds = args.rule, args.dim, {"defect": args.tol_defect, "spread": args.tol_spread}
+    ran = [(check(rule, d, args.trials, args.seed, *address), thresholds[name])
+           for check, address, name, runs_on in FALSIFIERS if runs_on(rule)]
+    witnesses = [witness for (_, _, statistic, witness), tolerance in ran if statistic > tolerance]
+    results: dict = {"rule": rule.name, "dim": d}
+    for (entries, _, _, _), _ in ran:  # a falsified rule is not inconclusive; thresholds follow the first row
+        results.update((key, value) for key, value in entries.items() if not (witnesses and key == "inconclusive"))
+        results.setdefault("thresholds", thresholds)
+    falsified = True if witnesses else None if "inconclusive" in results else False
+    results.update(falsified=falsified, witness=witnesses[0] if witnesses else None)
+    return results, falsified is False, [row for (_, rows, _, _), _ in ran for row in rows]
 
 
 def cmd_independence(args) -> Verdict:
@@ -300,7 +308,7 @@ def cmd_recover(args) -> Verdict:
         "max_coefficient_error": error,
         "coefficient_threshold": TOL.coefficient_error,
     }
-    series = [(n, None, None, c) for n, c in enumerate(coefficients.tolist(), 1)]
+    series = [(n, None, None, c, "coefficients") for n, c in enumerate(coefficients.tolist(), 1)]
     return results, error <= TOL.coefficient_error, series
 
 
@@ -316,7 +324,7 @@ def cmd_stationarity(args) -> Verdict:
         out_res = np.max(np.abs(variational.outcome_stationarity(probabilities, rows, ks, 0.0)), axis=-1)
         closed = variational.closed_form_check(rows, ks, 2.0, -1.0)
         residuals = np.column_stack(np.broadcast_arrays(sum_res, out_res, closed))
-        series.extend((i, d, i % d, value) for i, value in enumerate(np.max(residuals, axis=1).tolist()))
+        series.extend((i, d, i % d, value, "residual") for i, value in enumerate(np.max(residuals, axis=1).tolist()))
         worst = np.maximum(worst, np.max(residuals, axis=0))
 
     results = {
@@ -344,7 +352,7 @@ def cmd_spin1(args) -> Verdict:
         "max_probability_delta": float(np.max(deltas)),
         "threshold": args.tol_spread,
     }
-    series = [(i, 3, k_z, delta) for i, delta in enumerate(deltas.tolist())]
+    series = [(i, 3, k_z, delta, "probability_delta") for i, delta in enumerate(deltas.tolist())]
     return results, results["max_probability_delta"] <= args.tol_spread, series
 
 
@@ -377,7 +385,7 @@ def cmd_sample(args) -> Verdict:
         }
         for i in range(n)
     ]
-    series = [(i, d, k, frequency) for i, pair in enumerate(pairs) for k, frequency in enumerate(pair["frequencies"])]
+    series = [(i, d, k, f, "frequencies") for i, pair in enumerate(pairs) for k, f in enumerate(pair["frequencies"])]
     results = {"pairs": pairs, "all_within_3_sigma": all(within), "all_repeat_consistent": all(repeats)}
     return results, results["all_within_3_sigma"] and results["all_repeat_consistent"], series
 

@@ -4,6 +4,7 @@ import argparse
 import csv
 import functools
 import io
+import itertools
 import json
 import math
 import os
@@ -233,14 +234,14 @@ class TestExitCodes:
         argv = ["stationarity", "--dims", "3,4", "--trials", str(2 * BLOCK + 3), "--format", "csv"]
         rows = lambda: [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
         assert main(argv) == 0
-        assert max(float(value) for *_, value in rows()) <= 1e-6
+        assert max(float(value) for _, _, _, value, _ in rows()) <= 1e-6
         monkeypatch.setattr(variational, "closed_form_check", lambda points, ks, scale, offset: 0.25 * ks)
         assert main(argv) == 1
         series = rows()
-        assert [row[:3] for row in series] == [
-            [str(i), str(d), str(i % d)] for d in (3, 4) for i in range(2 * BLOCK + 3)
+        assert [row[:3] + row[4:] for row in series] == [
+            [str(i), str(d), str(i % d), "residual"] for d in (3, 4) for i in range(2 * BLOCK + 3)
         ]
-        for _, _, k, value in series:
+        for _, _, k, value, _ in series:
             assert float(value) == 0.25 * int(k) if int(k) else float(value) <= 1e-6
 
     @pytest.mark.parametrize("value", ["nan", "inf", "-0.001", "abc"])
@@ -327,6 +328,53 @@ class TestFalsification:
                 code, report = run_json(capsys, falsify + [f"renorm:power:{p}", "--dim", str(d)])
                 assert code == expected and report["results"]["certainty_defect"] == 0.0
 
+    def test_the_first_row_above_its_tolerance_gives_the_witness(self, capsys):
+        # renorm:affine:1:0.1 misses certainty, p_k(e_k) = 1.1 / (1 + 0.1 d),
+        # and its spreads are rounding-level, so both exceed a zero tolerance
+        falsify = ["falsify", "--rule", "renorm:affine:1:0.1", "--seed", "0"]
+        code, report = run_json(capsys, falsify + ["--dim", "3", "--tol-spread", "0"])
+        results = report["results"]
+        assert results["certainty_defect"] == pytest.approx(2 / 13) and results["observable_scan"]["spread"] > 0.0
+        assert code == 1 and results["falsified"] is True and results["witness"] == [1.0, 0.0, 0.0]
+        code, report = run_json(capsys, falsify + ["--dim", "3", "--tol-defect", "1", "--tol-spread", "0"])
+        scan = report["results"]["observable_scan"]
+        assert code == 1 and report["results"]["witness"] == [scan["min_p"], scan["max_p"]]
+        # at d=2 both spreads are 0.0: with certainty passed, the rule is inconclusive
+        code, report = run_json(capsys, falsify + ["--dim", "2", "--tol-defect", "1"])
+        results = report["results"]
+        assert code == 3 and results["falsified"] is None and results["witness"] is None
+        assert results["observable_scan"]["spread"] == results["rotation_scan"]["spread"] == 0.0
+
+    def test_a_falsifier_is_one_row(self, capsys, monkeypatch):
+        # a fourth FALSIFIERS row runs after the others, reports its entries
+        # and CSV rows, and decides the verdict only where no earlier row has
+        calls, outcome = [], {"statistic": 0.5}
+
+        def fourth(rule, d, trials, seed, *address):
+            calls.append((rule.name, d, trials, seed, address))
+            return outcome | {"address": [seed, *address]}, [(0, d, None, 0.5, "fourth")], outcome["statistic"], [d]
+
+        monkeypatch.setattr(cli, "FALSIFIERS", cli.FALSIFIERS + ((fourth, (4,), "spread", lambda rule: True),))
+        argv = ["falsify", "--rule", "born", "--dim", "3", "--trials", "20", "--seed", "2"]
+        code, report = run_json(capsys, argv)
+        results = report["results"]
+        assert code == 1 and results["falsified"] is True and results["witness"] == [3]
+        assert list(results)[-4:] == ["statistic", "address", "falsified", "witness"]
+        assert results["address"] == [2, 4] and calls == [("born", 3, 20, 2, (4,))]
+        assert run_json(capsys, argv + ["--tol-spread", "0.5"])[0] == 0
+        main(argv + ["--format", "csv"])
+        assert capsys.readouterr().out.splitlines()[-1] == "0,3,,0.5,fourth"
+        # an earlier row's falsification wins, and any falsification overrides
+        # an inconclusive reason: renorm:power:4 at d=2 is falsified here
+        code, report = run_json(capsys, ["falsify", "--rule", "power:1", "--dim", "3", "--trials", "20"])
+        assert code == 1 and report["results"]["witness"] == report["results"]["defect"]["argmax_state"]
+        code, report = run_json(capsys, ["falsify", "--rule", "renorm:power:4", "--dim", "2", "--trials", "20"])
+        assert code == 1 and "inconclusive" not in report["results"] and report["results"]["witness"] == [2]
+        # a row's inconclusive reason leaves a rule that no row falsifies inconclusive
+        outcome.update(statistic=0.0, inconclusive="the fourth row cannot separate this rule")
+        code, report = run_json(capsys, argv)
+        assert code == 3 and report["results"]["falsified"] is None and report["results"]["witness"] is None
+
     def test_independence_command_flags_renormalized_rules(self, capsys):
         code, report = run_json(
             capsys, ["independence", "--rule", "renorm:power:1", "--dim", "3"] + SMALL
@@ -399,19 +447,14 @@ class TestScanSummaries:
 
     @staticmethod
     def csv_series(capsys, argv) -> dict:
-        """Each scan's per-draw values from the command's CSV rows: the
-        rotation scan's rows have k = 0, and the observable scan's are the
-        last run of rows with an empty k (falsify's defect rows come first)."""
+        """Each scan's per-draw values from the command's CSV rows, by their
+        series column (falsify's defect rows are left out)."""
         main(argv + ["--format", "csv"])
-        runs, rotation = [], []
+        series = {"observable_scan": [], "rotation_scan": []}
         for row in csv.DictReader(io.StringIO(capsys.readouterr().out)):
-            if row["k"] == "0":
-                rotation.append(float(row["value"]))
-            elif row["index"] == "0":
-                runs.append([float(row["value"])])
-            else:
-                runs[-1].append(float(row["value"]))
-        return {"observable_scan": runs[-1], "rotation_scan": rotation}
+            if row["series"] in series:
+                series[row["series"]].append(float(row["value"]))
+        return series
 
     @pytest.mark.parametrize(
         "argv",
@@ -659,10 +702,10 @@ class TestSchema:
         code = main(["spin1", "--trials", "10", "--seed", "0", "--format", "csv"])
         lines = capsys.readouterr().out.strip().splitlines()
         assert code == 0
-        assert lines[0] == "index,d,k,value"
+        assert lines[0] == "index,d,k,value,series"
         assert len(lines) == 11
-        index, d, k, value = lines[1].split(",")
-        assert (index, d, k) == ("0", "3", "1")
+        index, d, k, value, series = lines[1].split(",")
+        assert (index, d, k, series) == ("0", "3", "1", "probability_delta")
         float(value)
 
     def test_out_writes_file(self, tmp_path, capsys):
@@ -845,20 +888,22 @@ def csv_reference(series) -> str:
     """The CSV text of a series as the csv module writes it."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(["index", "d", "k", "value"])
-    for index, d, k, value in series:
-        writer.writerow([index, d, "" if k is None else k, repr(float(value))])
+    writer.writerow(["index", "d", "k", "value", "series"])
+    for index, d, k, value, name in series:
+        writer.writerow([index, d, "" if k is None else k, repr(float(value)), name])
     return buffer.getvalue()
 
 
 class TestCsvRows:
     def test_rows_equal_the_csv_module(self):
         values = [3, np.float64(0.1), np.nan, np.inf, -np.inf, -0.0, 1e-300, np.float64(-2.5e-17), 0.0]
-        series = [(i, d, k, value) for i, value in enumerate(values) for d in (None, 2) for k in (None, 0, 11)]
+        series = [
+            (i, d, k, value, "delta") for i, value in enumerate(values) for d in (None, 2) for k in (None, 0, 11)
+        ]
         text = Report({"command": "spin1"}, {}, True, series, 0.0).to_csv()
         assert text == csv_reference(series)
-        assert text.splitlines()[1:4] == ["0,,,3.0", "0,,0,3.0", "0,,11,3.0"]
-        assert Report({"command": "spin1"}, {}, True, [], 0.0).to_csv() == "index,d,k,value\n"
+        assert text.splitlines()[1:4] == ["0,,,3.0,delta", "0,,0,3.0,delta", "0,,11,3.0,delta"]
+        assert Report({"command": "spin1"}, {}, True, [], 0.0).to_csv() == "index,d,k,value,series\n"
 
     COMMANDS = [
         ["verify-born", "--dims", "2,3", "--trials", "20"],
@@ -869,6 +914,23 @@ class TestCsvRows:
         ["spin1", "--trials", "30"],
         ["sample", "--dim", "3", "--shots", "200", "--trials", "3"],
     ]
+
+    SERIES = {
+        "verify-born": ["defect"],
+        "falsify": ["defect", "observable_scan", "rotation_scan"],
+        "independence": ["observable_scan", "rotation_scan"],
+        "recover": ["coefficients"],
+        "stationarity": ["residual"],
+        "spin1": ["probability_delta"],
+        "sample": ["frequencies"],
+    }
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: argv[0])
+    def test_rows_name_their_series(self, argv):
+        # each series is one run of rows, named by its JSON key where it has one
+        args = build_parser().parse_args(argv + ["--seed", "4"])
+        _, _, series = args.func(args)
+        assert [name for name, _ in itertools.groupby(row[4] for row in series)] == self.SERIES[argv[0]]
 
     @pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: argv[0])
     def test_commands_write_what_the_csv_module_writes(self, capsys, argv):
@@ -892,7 +954,10 @@ class TestCsvRows:
         args = build_parser().parse_args(argv + ["--seed", "4"])
         results, passed, series = args.func(args)
         assert type(passed) is bool and plain(results)
-        assert all(type(index) is int and plain([d, k]) and type(value) is float for index, d, k, value in series)
+        assert all(
+            type(index) is int and plain([d, k]) and type(value) is float and type(name) is str
+            for index, d, k, value, name in series
+        )
 
 
 def block_states(d, n, rng):
@@ -909,7 +974,7 @@ class TestStackedEqualsPerBlock:
 
     def csv_values(self, capsys, argv):
         main(argv + ["--seed", str(self.SEED), "--format", "csv"])
-        return [line.rsplit(",", 1)[1] for line in capsys.readouterr().out.splitlines()[1:]]
+        return [line.split(",")[3] for line in capsys.readouterr().out.splitlines()[1:]]
 
     @pytest.mark.parametrize("trials", [BLOCK - 1, BLOCK, 2 * BLOCK + 3])
     def test_stationarity(self, capsys, trials):

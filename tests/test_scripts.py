@@ -124,6 +124,10 @@ def test_result_hashes_table():
         if argv[0] == "verify-born":  # born passes, also at a zero spread tolerance
             assert json_code == "0", command
 
+    # one falsify run down each path of the verdict rule: certainty, spread, inconclusive
+    codes = [rows[" ".join(argv + ["--seed", "10"])][2] for argv in script.EDGE_CASES[-3:]]
+    assert codes == ["exit 1/1", "exit 1/1", "exit 3/3"]
+
     # the JSON digest is the sha256 of results, config and pass as emitted
     argv = ["falsify", "--rule", "power:1", "--dim", "2", "--trials", "150", "--seed", "10"]
     with contextlib.redirect_stdout(io.StringIO()) as out:
