@@ -22,10 +22,12 @@ from __future__ import annotations
 
 import argparse
 import functools
+import itertools
 import json
 import math
 import sys
 import time
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
@@ -48,7 +50,7 @@ def run_config(args: argparse.Namespace) -> dict:
     return echo
 
 
-Verdict = tuple[dict, bool, list[tuple]]  # what a command returns: results, pass, CSV series
+Verdict = tuple[dict, bool, Iterable[tuple]]  # what a command returns: results, pass, CSV series
 
 
 @dataclass
@@ -56,7 +58,7 @@ class Report:
     config: dict
     results: dict
     passed: bool
-    series: list[tuple]  # (index, d, k, value, series) rows
+    series: Iterable[tuple]  # (index, d, k, value, series) rows, read once, by to_csv
     runtime_ms: float
 
     def to_json(self) -> str:
@@ -107,15 +109,6 @@ def _parse_tolerance(text: str) -> float:
     return value
 
 
-def _min_trials(args: argparse.Namespace) -> int:
-    """Fewest --trials a command can run with."""
-    if args.command == "recover":
-        return variational.MIN_SAMPLES
-    if args.command == "independence" or ("rule" in args and args.rule.renormalized):
-        return invariance.MIN_DRAWS
-    return 1
-
-
 def _dispatch(args: argparse.Namespace) -> Verdict:
     """Run the parsed command's cmd_* function, looked up at call time: the
     parser is built once per process, so a function rebound after that (a
@@ -123,66 +116,64 @@ def _dispatch(args: argparse.Namespace) -> Verdict:
     return globals()["cmd_" + args.command.replace("-", "_")](args)
 
 
+# every command once, in registration order: (help, the tolerances its verdict reads, its fewest --trials,
+# its own options as flag -> add_argument keywords); a renormalized --rule needs invariance.MIN_DRAWS trials
+COMMANDS = {
+    "verify-born": ("normalization and observable-independence checks for the quadratic rule", ("defect", "spread"), 1, {
+        "--dims": dict(type=_parse_dims, default=(2, 3, 4, 5, 6, 7, 8)),
+        "--trials": dict(type=int, default=10_000)}),
+    "falsify": ("defect and independence falsifiers for a candidate rule", ("defect", "spread"), 1, {
+        "--rule": dict(type=_parse_rule, required=True),
+        "--dim": dict(type=int, default=3),
+        "--trials": dict(type=int, default=1000)}),
+    "independence": ("observable- and rotation-independence scans for one rule", ("spread",), invariance.MIN_DRAWS, {
+        "--rule": dict(type=_parse_rule, default="born"),
+        "--dim": dict(type=int, default=3),
+        "--trials": dict(type=int, default=100, help="draws per scan")}),
+    "recover": ("least-squares recovery of the unique normalizable rule", (), variational.MIN_SAMPLES, {
+        "--dims": dict(type=_parse_dims, default=(2, 3)),
+        "--trials": dict(type=int, default=500, help="samples per dimension")}),
+    "stationarity": ("Lagrange stationarity residuals of the square and of the closed-form family", (), 1, {
+        "--dims": dict(type=_parse_dims, default=(3,)),
+        "--trials": dict(type=int, default=1000, help="orthant points per dimension")}),
+    "spin1": ("two spin-1 observables sharing the m=0 eigenvector assign it equal probability", ("spread",), 1, {
+        "--trials": dict(type=int, default=1000, help="random states")}),
+    "sample": ("Monte-Carlo measurement: frequencies vs probabilities, collapse repeatability", (), 1, {
+        "--dim": dict(type=int, default=3),
+        "--shots": dict(type=int, default=100_000),
+        "--trials": dict(type=int, default=10, help="random (state, observable) pairs")}),
+}
+
+
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process and shared by every
     call: parse_args does not change it, and callers must not either."""
     parser = argparse.ArgumentParser(
-        prog="bornlab",
-        description="Seeded numerical experiments on measurement probability rules.",
-    )
+        prog="bornlab", description="Seeded numerical experiments on measurement probability rules.")
     parser.set_defaults(func=_dispatch)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def add_common(p: argparse.ArgumentParser, *tolerances: str) -> None:
+    for command, (text, tolerances, _, options) in COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        for flag, keywords in options.items():
+            p.add_argument(flag, **keywords)
         p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
         for name in tolerances:  # only on commands whose verdict reads them
             p.add_argument(f"--tol-{name}", type=_parse_tolerance, default=getattr(TOL, name))
         p.add_argument("--format", choices=["json", "csv"], default="json")
         p.add_argument("--out", default=None, help="write the report to this path")
         p.add_argument("--threads", type=int, default=1, help="accepted for compatibility; has no effect")
-
-    p = sub.add_parser("verify-born", help="normalization and observable-independence checks for the quadratic rule")
-    p.add_argument("--dims", type=_parse_dims, default=(2, 3, 4, 5, 6, 7, 8))
-    p.add_argument("--trials", type=int, default=10_000)
-    add_common(p, "defect", "spread")
-
-    p = sub.add_parser("falsify", help="defect and independence falsifiers for a candidate rule")
-    p.add_argument("--rule", type=_parse_rule, required=True)
-    p.add_argument("--dim", type=int, default=3)
-    p.add_argument("--trials", type=int, default=1000)
-    add_common(p, "defect", "spread")
-
-    p = sub.add_parser("independence", help="observable- and rotation-independence scans for one rule")
-    p.add_argument("--rule", type=_parse_rule, default="born")
-    p.add_argument("--dim", type=int, default=3)
-    p.add_argument("--trials", type=int, default=100, help="draws per scan")
-    add_common(p, "spread")
-
-    p = sub.add_parser("recover", help="least-squares recovery of the unique normalizable rule")
-    p.add_argument("--dims", type=_parse_dims, default=(2, 3))
-    p.add_argument("--trials", type=int, default=500, help="samples per dimension")
-    add_common(p)
-
-    p = sub.add_parser("stationarity", help="Lagrange stationarity residuals of the square and of the closed-form family")
-    p.add_argument("--dims", type=_parse_dims, default=(3,))
-    p.add_argument("--trials", type=int, default=1000, help="orthant points per dimension")
-    add_common(p)
-
-    p = sub.add_parser("spin1", help="two spin-1 observables sharing the m=0 eigenvector assign it equal probability")
-    p.add_argument("--trials", type=int, default=1000, help="random states")
-    add_common(p, "spread")
-
-    p = sub.add_parser("sample", help="Monte-Carlo measurement: frequencies vs probabilities, collapse repeatability")
-    p.add_argument("--dim", type=int, default=3)
-    p.add_argument("--shots", type=int, default=100_000)
-    p.add_argument("--trials", type=int, default=10, help="random (state, observable) pairs")
-    add_common(p)
-
     return parser
 
 
-Check = tuple[dict, list[tuple], float, list[float]]  # results entries, CSV rows, statistic, witness
+Check = tuple[dict, Iterable[tuple], float, list[float]]  # results entries, CSV rows, statistic, witness
+
+
+def _rows(name: str, d: int | None, values: np.ndarray, ks: tuple | range = (None,)) -> Iterator[tuple]:
+    """The CSV rows (i, d, ks[i % len(ks)], values[i], name) of one series, built
+    only when to_csv reads them: a JSON run builds none."""
+    for i, (k, value) in enumerate(zip(itertools.cycle(ks), values.tolist())):
+        yield i, d, k, value, name
 
 
 def _defect_check(rule, d: int, trials: int, seed: int, *address: int) -> Check:
@@ -192,8 +183,7 @@ def _defect_check(rule, d: int, trials: int, seed: int, *address: int) -> Check:
     the worst state's moduli.
     """
     scan = rules.defect_scan(rule, d, trials, seed, *address)
-    series = [(i, d, None, defect, "defect") for i, defect in enumerate(scan.defects.tolist())]
-    return {"defect": scan.as_dict()}, series, scan.max_defect, scan.argmax_state.moduli.tolist()
+    return {"defect": scan.as_dict()}, _rows("defect", d, scan.defects), scan.max_defect, scan.argmax_state.moduli.tolist()
 
 
 def _independence_check(rule, d: int, draws: int, seed: int, *address: int) -> Check:
@@ -218,10 +208,9 @@ def _independence_check(rule, d: int, draws: int, seed: int, *address: int) -> C
         results["inconclusive"] = "at d=2 both independence spreads vanish for every rule; use --dim 3 or more"
     elif not rule.renormalized and rule != rules.Born():  # p_k = f(a_k): a_k is what both scans fix
         results["inconclusive"] = "both independence spreads vanish for every plain rule; use falsify for its defect"
-    series = [(i, d, None, p, "observable_scan") for i, p in enumerate(obs_scan.p_values.tolist())]
-    series += [(i, d, 0, p, "rotation_scan") for i, p in enumerate(rot_scan.p_values.tolist())]
+    series = _rows("observable_scan", d, obs_scan.p_values), _rows("rotation_scan", d, rot_scan.p_values, (0,))
     worst = obs if obs["spread"] >= rot["spread"] else rot
-    return results, series, worst["spread"], [worst["min_p"], worst["max_p"]]
+    return results, (row for rows in series for row in rows), worst["spread"], [worst["min_p"], worst["max_p"]]
 
 
 def _certainty_check(rule, d: int, *_: int) -> Check:
@@ -244,13 +233,12 @@ FALSIFIERS = (
 
 def cmd_verify_born(args) -> Verdict:
     born = rules.Born()
-    per_dim = []
-    series: list[tuple] = []
+    per_dim, series = [], []
     pairs, draws = 10, 100
 
     for di, d in enumerate(args.dims):
         defect, rows, _, _ = _defect_check(born, d, args.trials, args.seed, di, 0)
-        series += rows
+        series.append(rows)
         spreads = [_independence_check(born, d, draws, args.seed, di, 1, pair)[2] for pair in range(pairs)]
         per_dim.append(
             {
@@ -269,7 +257,7 @@ def cmd_verify_born(args) -> Verdict:
         "thresholds": {"defect": args.tol_defect, "spread": args.tol_spread},
     }
     passed = results["max_defect"] <= args.tol_defect and results["max_spread"] <= args.tol_spread
-    return results, passed, series
+    return results, passed, (row for rows in series for row in rows)
 
 
 def cmd_falsify(args) -> Verdict:
@@ -283,7 +271,7 @@ def cmd_falsify(args) -> Verdict:
         results.setdefault("thresholds", thresholds)
     falsified = True if witnesses else None if "inconclusive" in results else False
     results.update(falsified=falsified, witness=witnesses[0] if witnesses else None)
-    return results, falsified is False, [row for (_, rows, _, _), _ in ran for row in rows]
+    return results, falsified is False, (row for (_, rows, _, _), _ in ran for row in rows)
 
 
 def cmd_independence(args) -> Verdict:
@@ -308,14 +296,14 @@ def cmd_recover(args) -> Verdict:
         "max_coefficient_error": error,
         "coefficient_threshold": TOL.coefficient_error,
     }
-    series = [(n, None, None, c, "coefficients") for n, c in enumerate(coefficients.tolist(), 1)]
+    series = ((n, None, None, c, "coefficients") for n, c in enumerate(results["recovery"]["coefficients"], 1))
     return results, error <= TOL.coefficient_error, series
 
 
 def cmd_stationarity(args) -> Verdict:
     born = rules.Born()
     probabilities = functools.partial(rules.rule_probabilities, born)
-    series: list[tuple] = []
+    series = []
     worst = np.zeros(3)  # sum-form, outcome-form and closed-form residuals
     for di, d in enumerate(args.dims):
         rows = np.abs(quantum.haar_blocks(d, args.trials, args.seed, di))
@@ -324,7 +312,7 @@ def cmd_stationarity(args) -> Verdict:
         out_res = np.max(np.abs(variational.outcome_stationarity(probabilities, rows, ks, 0.0)), axis=-1)
         closed = variational.closed_form_check(rows, ks, 2.0, -1.0)
         residuals = np.column_stack(np.broadcast_arrays(sum_res, out_res, closed))
-        series.extend((i, d, i % d, value, "residual") for i, value in enumerate(np.max(residuals, axis=1).tolist()))
+        series.append(_rows("residual", d, np.max(residuals, axis=1), range(d)))  # point i at outcome i % d
         worst = np.maximum(worst, np.max(residuals, axis=0))
 
     results = {
@@ -333,7 +321,7 @@ def cmd_stationarity(args) -> Verdict:
         "max_closed_form_residual": float(worst[2]),
         "residual_threshold": TOL.stationarity_residual,
     }
-    return results, float(np.max(worst)) <= TOL.stationarity_residual, series
+    return results, float(np.max(worst)) <= TOL.stationarity_residual, (row for rows in series for row in rows)
 
 
 def cmd_spin1(args) -> Verdict:
@@ -352,8 +340,7 @@ def cmd_spin1(args) -> Verdict:
         "max_probability_delta": float(np.max(deltas)),
         "threshold": args.tol_spread,
     }
-    series = [(i, 3, k_z, delta, "probability_delta") for i, delta in enumerate(deltas.tolist())]
-    return results, results["max_probability_delta"] <= args.tol_spread, series
+    return results, results["max_probability_delta"] <= args.tol_spread, _rows("probability_delta", 3, deltas, (k_z,))
 
 
 def cmd_sample(args) -> Verdict:
@@ -369,7 +356,7 @@ def cmd_sample(args) -> Verdict:
 
     p = born([haar_state(d, substream(seed, i, 0)) for i in range(n)])
     frequencies = np.array([quantum.sample_outcomes(p[i], shots, substream(seed, i, 2)) for i in range(n)]) / shots
-    within = np.all(np.abs(frequencies - p) <= 3.0 * np.sqrt(p * (1.0 - p) / shots), axis=-1).tolist()
+    within = np.all(np.abs(frequencies - p) <= TOL.sample_sigmas * np.sqrt(p * (1.0 - p) / shots), axis=-1).tolist()
     firsts, post_states = zip(*(quantum.measure(p[i], bases[i], substream(seed, i, 3)) for i in range(n)))
     # 100 re-measurements of each collapsed state, by measure()'s draw rule
     post = born(post_states)
@@ -385,7 +372,7 @@ def cmd_sample(args) -> Verdict:
         }
         for i in range(n)
     ]
-    series = [(i, d, k, f, "frequencies") for i, pair in enumerate(pairs) for k, f in enumerate(pair["frequencies"])]
+    series = ((i, d, k, f, "frequencies") for i, pair in enumerate(pairs) for k, f in enumerate(pair["frequencies"]))
     results = {"pairs": pairs, "all_within_3_sigma": all(within), "all_repeat_consistent": all(repeats)}
     return results, results["all_within_3_sigma"] and results["all_repeat_consistent"], series
 
@@ -394,7 +381,8 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
 
-    lows = {"seed": 0, "threads": 1, "trials": _min_trials(args), "shots": 1, "dim": 2}
+    trials = invariance.MIN_DRAWS if "rule" in args and args.rule.renormalized else COMMANDS[args.command][2]
+    lows = {"seed": 0, "threads": 1, "trials": trials, "shots": 1, "dim": 2}
     for name, low in lows.items():
         if getattr(args, name, low) < low:
             parser.error(f"--{name} must be at least {low}")

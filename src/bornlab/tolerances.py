@@ -33,6 +33,7 @@ class Tolerances:
     spread: float = 1e-12            # invariance-spread pass threshold
     stationarity_residual: float = 1e-6   # stationarity residuals (finite-difference floor)
     coefficient_error: float = 1e-3       # recovered-coefficient distance from (0, 1, 0, 0)
+    sample_sigmas: float = 3.0       # sample's frequency band, in binomial standard deviations per cell
     fd_step: float = 1e-6            # central-difference step for rule derivatives
 
     def spectrum_gap(self, dim: int) -> float:

@@ -3,6 +3,7 @@
 import argparse
 import csv
 import functools
+import inspect
 import io
 import itertools
 import json
@@ -676,7 +677,7 @@ class TestSchema:
         def outcome(argv):
             args = build_parser().parse_args(argv)
             results, _, series = args.func(args)
-            return json.loads(json.dumps(run_config(args))), json.dumps(results), series
+            return json.loads(json.dumps(run_config(args))), json.dumps(results), list(series)
 
         flags = _echoed_flags(command)
         base = [command] + [x for flag in flags for x in (flag, FLAG_VALUES[flag][0])]
@@ -759,6 +760,11 @@ class TestParserCache:
         monkeypatch.setattr(cli, "cmd_spin1", lambda args: calls.append(args.trials) or real(args))
         code, _ = run_json(capsys, ["spin1", "--trials", "6"])
         assert code == 0 and calls == [6]
+
+    def test_every_command_has_one_function(self):
+        # _dispatch runs cmd_<name> for each COMMANDS entry, and no cmd_* function lacks one
+        functions = {name[4:].replace("_", "-") for name in vars(cli) if name.startswith("cmd_")}
+        assert functions == set(cli.COMMANDS) == set(SUBCOMMANDS)
 
 
 class TestDeterminism:
@@ -939,6 +945,19 @@ class TestCsvRows:
         _, _, series = args.func(args)
         main(argv)
         assert capsys.readouterr().out == csv_reference(series)
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: argv[0])
+    def test_json_run_builds_no_row(self, capsys, monkeypatch, argv):
+        # a JSON run hands Report its series as a generator that was never
+        # started, so no CSV row is built; read later, it holds every row
+        # that the CSV run writes
+        real, seen = cli.Report, []
+        monkeypatch.setattr(cli, "Report", lambda *fields: seen.append(fields[3]) or real(*fields))
+        main(argv + ["--seed", "4"])
+        assert json.loads(capsys.readouterr().out)["command"] == argv[0]
+        assert inspect.getgeneratorstate(seen[0]) == inspect.GEN_CREATED
+        main(argv + ["--seed", "4", "--format", "csv"])
+        assert capsys.readouterr().out == csv_reference(seen[0])
 
     @pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: argv[0])
     def test_commands_return_python_values(self, argv):
