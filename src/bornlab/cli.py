@@ -8,10 +8,11 @@ for non-quadratic rules), 2 usage, domain or I/O error, 3 inconclusive (the
 configuration cannot separate the rule from the quadratic one), 4 runtime
 failure (any other exception, one line on stderr: a crash is not a verdict).
 
-falsify runs, in order, each FALSIFIERS row whose runs_on(rule) holds.  The
-first row whose statistic exceeds its tolerance falsifies the rule with that
-row's witness; otherwise an inconclusive reason from a row that ran makes
-falsified null (exit 3); otherwise the rule passes.
+falsify runs, in order, each FALSIFIERS row whose runs_on(rule) holds
+(run_falsifiers), and row_verdict judges each row.  The first row whose
+statistic exceeds its tolerance falsifies the rule with that row's witness;
+otherwise an inconclusive reason from a row that ran makes falsified null
+(exit 3); otherwise the rule passes.
 
 Reports are byte-identical across reruns with the same seed, because every
 random draw comes from substream(seed, *address) at its own address, not
@@ -231,6 +232,25 @@ FALSIFIERS = (
 )
 
 
+Outcome = tuple[Check, float]  # a FALSIFIERS row's check outcome and its tolerance
+
+
+def run_falsifiers(rule, d: int, trials: int, seed: int, thresholds: dict) -> list[Outcome | None]:
+    """Each FALSIFIERS row at (rule, d), in verdict order: its check's outcome at the
+    row's address and its tolerance, thresholds[name], or None where runs_on(rule) fails."""
+    return [(check(rule, d, trials, seed, *address), thresholds[name]) if runs_on(rule) else None
+            for check, address, name, runs_on in FALSIFIERS]
+
+
+def row_verdict(outcome: Outcome | None) -> str:
+    """One row's verdict: "fail" when its statistic exceeds its tolerance, else
+    "inconclusive" when its check gave a reason, else "pass"; "n/a" where it did not run."""
+    if outcome is None:
+        return "n/a"
+    (entries, _, statistic, _), tolerance = outcome
+    return "fail" if statistic > tolerance else "inconclusive" if "inconclusive" in entries else "pass"
+
+
 def cmd_verify_born(args) -> Verdict:
     born = rules.Born()
     per_dim, series = [], []
@@ -262,14 +282,14 @@ def cmd_verify_born(args) -> Verdict:
 
 def cmd_falsify(args) -> Verdict:
     rule, d, thresholds = args.rule, args.dim, {"defect": args.tol_defect, "spread": args.tol_spread}
-    ran = [(check(rule, d, args.trials, args.seed, *address), thresholds[name])
-           for check, address, name, runs_on in FALSIFIERS if runs_on(rule)]
-    witnesses = [witness for (_, _, statistic, witness), tolerance in ran if statistic > tolerance]
+    ran = [outcome for outcome in run_falsifiers(rule, d, args.trials, args.seed, thresholds) if outcome]
+    verdicts = [row_verdict(outcome) for outcome in ran]
+    witnesses = [witness for ((_, _, _, witness), _), verdict in zip(ran, verdicts) if verdict == "fail"]
     results: dict = {"rule": rule.name, "dim": d}
     for (entries, _, _, _), _ in ran:  # a falsified rule is not inconclusive; thresholds follow the first row
         results.update((key, value) for key, value in entries.items() if not (witnesses and key == "inconclusive"))
         results.setdefault("thresholds", thresholds)
-    falsified = True if witnesses else None if "inconclusive" in results else False
+    falsified = True if witnesses else None if "inconclusive" in verdicts else False
     results.update(falsified=falsified, witness=witnesses[0] if witnesses else None)
     return results, falsified is False, (row for (_, rows, _, _), _ in ran for row in rows)
 

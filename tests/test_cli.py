@@ -114,8 +114,9 @@ class TestExitCodes:
         [
             # a^2 - 1 <= 0 at every modulus, so no renormalization exists
             (["falsify", "--rule", "renorm:affine:1:-1"], "renormalization sum is not positive"),
-            # 1e308 * (a^2 + 1) overflows once a^2 > 0.8
-            (["falsify", "--rule", "affine:1e308:1e308"], "affine:1e+308:1e+308 is not finite at every modulus"),
+            # 1.5e308 * (a^2 + 1) overflows once a^2 > 0.199, and every d=3 state has a modulus
+            # with a^2 >= 1/3, so every draw overflows whatever the seed
+            (["falsify", "--rule", "affine:1.5e308:1.5e308"], "affine:1.5e+308:1.5e+308 is not finite at every modulus"),
             (["falsify", "--rule", "renorm:affine:1e308:1e308"], "renormalization sum is not finite"),
             (["independence", "--rule", "renorm:affine:1e308:1e308"], "renormalization sum is not finite"),
         ],

@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from bornlab import cli
+from bornlab import cli, rules
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -40,39 +40,117 @@ def usage_error(name, *args):
     return completed.stderr
 
 
-def test_exponent_sweep_csv():
-    rows = list(csv.reader(io.StringIO(run_script("exponent_sweep.py", "--trials", "50"))))
-    assert rows[0] == ["exponent", "max_defect", "mean_defect", "symmetric_point_defect"]
-    by_exponent = {float(row[0]): [float(x) for x in row[1:]] for row in rows[1:]}
-    assert by_exponent[2.0][0] <= 1e-12
-    for p, (_, _, symmetric) in by_exponent.items():
-        assert symmetric == abs(2 ** (1 - p / 2) - 1)
+def load_script(name):
+    spec = importlib.util.spec_from_file_location(name.removesuffix(".py"), ROOT / "scripts" / name)
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
 
 
-@pytest.mark.parametrize(
-    "argv",
-    [
-        ["--dim", "1", "--trials", "5"],  # d=1 has the single modulus 1: every defect would read zero
-        ["--dim", "0", "--trials", "5"],
-        ["--trials", "0"],
-        ["--trials", "-3"],
-        ["--seed", "-1", "--trials", "5"],
-    ],
-)
-def test_exponent_sweep_rejects_what_the_cli_rejects(argv):
-    # a usage error: exit 2 and one line of usage, no traceback and no table
-    assert f"{argv[0]} must be at least" in usage_error("exponent_sweep.py", *argv)
+ATLAS_ARGS = ["--trials", "100", "--seed", "0"]  # small scale, one seed that is never changed
+
+
+@pytest.fixture(scope="module")
+def atlas(tmp_path_factory):
+    """The atlas at ATLAS_ARGS, run as a user runs it: its rows as dicts."""
+    path = tmp_path_factory.mktemp("atlas") / "atlas.csv"
+    assert run_script("atlas.py", *ATLAS_ARGS, "--out", str(path)) == ""
+    with path.open(newline="") as handle:
+        return list(csv.DictReader(handle))
+
+
+def quadratic(name):
+    return rules.parse_rule(name).terms == rules.Born().terms
+
+
+def on_normalizing_line(name, d):  # affine:s:m with s + d*m = 1
+    kind, *params = name.split(":")
+    return kind == "affine" and abs(float(params[0]) + d * float(params[1]) - 1.0) <= 1e-12
+
+
+# the survivors the falsifier table cannot yet tell from the quadratic rule, each with the ROADMAP
+# items that close it: (rule name, d) -> whether the gap covers it
+KNOWN_GAPS = {
+    "normalizing-line affine rules (items 3, 22)": on_normalizing_line,
+    "renorm:* at d=2 (items 4, 22)": lambda name, d: name.startswith("renorm:") and d == 2,
+    "renorm:power:100 (items 15, 16, 18)": lambda name, d: name == "renorm:power:100.0",
+    "renorm:power:1e-13 (items 18, 22)": lambda name, d: name == "renorm:power:1e-13",
+}
+
+
+def test_atlas_survivors_are_quadratic_or_known_gaps(atlas):
+    verdicts = {}
+    for row in atlas:
+        verdicts.setdefault((row["rule"], int(row["d"])), []).append(row["verdict"])
+    names = [rules.parse_rule(rule).name for rule in load_script("atlas.py").RULES]
+    assert list(verdicts) == [(name, d) for name in names for d in range(2, 9)]
+    assert all(len(cell) == len(cli.FALSIFIERS) for cell in verdicts.values())
+    survivors = {cell for cell, row in verdicts.items() if "fail" not in row}
+    assert {cell for cell in verdicts if quadratic(cell[0])} <= survivors  # no quadratic spelling fails
+    gaps = {gap: {cell for cell in survivors if covers(*cell)} for gap, covers in KNOWN_GAPS.items()}
+    assert survivors == {cell for cell in survivors if quadratic(cell[0])}.union(*gaps.values())
+    assert all(gaps.values()), gaps  # every known gap shows
+
+
+def test_atlas_power_references(atlas):
+    # the analytic worst defect |d^(1-p/2) - 1| is attained at the symmetric state and bounds the scan
+    for row in atlas:
+        kind, *param = row["rule"].split(":")
+        if kind == "power" and row["check"] == "defect":
+            p, d = float(param[0]), int(row["d"])
+            assert float(row["reference"]) == abs(d ** (1 - p / 2) - 1), row
+            assert float(row["statistic"]) <= float(row["reference"]) + 1e-12, row
+            assert (row["verdict"] == "pass") == (p == 2.0), row
+        else:
+            assert row["reference"] == "", row
+
+
+@pytest.mark.parametrize("rule", ["power:1", "renorm:power:4", "renorm:affine:0:1"])
+def test_atlas_cells_replay_with_falsify(atlas, capsys, rule):
+    name = rules.parse_rule(rule).name
+    cells = {row["check"]: row for row in atlas if row["rule"] == name and row["d"] == "3"}
+    cli.main(["falsify", "--rule", rule, "--dim", "3", *ATLAS_ARGS])
+    results = json.loads(capsys.readouterr().out)["results"]
+    reported = {
+        "defect": results["defect"]["max_defect"],
+        "certainty": results.get("certainty_defect"),
+        "independence": max(results[scan]["spread"] for scan in ("observable_scan", "rotation_scan"))
+        if "observable_scan" in results else None,
+    }
+    for check, value in reported.items():
+        assert cells[check]["statistic"] == ("" if value is None else repr(value)), check
+        assert (cells[check]["verdict"] == "fail") == (value is not None and value > 1e-12), check
+
+
+def test_a_falsifier_row_is_an_atlas_column(capsys, monkeypatch):
+    # a fourth FALSIFIERS row becomes a fourth cell per rule and d, with no edit to the
+    # atlas; it fails born, and a failing spelling of the quadratic rule exits 1
+    def fourth(rule, d, trials, seed, *address):
+        return {}, [], 0.5, [d]
+
+    monkeypatch.setattr(cli, "FALSIFIERS", cli.FALSIFIERS + ((fourth, (4,), "spread", lambda rule: True),))
+    script = load_script("atlas.py")
+    assert script.main(["--dims", "3", "--trials", "2"]) == 1
+    captured = capsys.readouterr()
+    rows = list(csv.DictReader(io.StringIO(captured.out)))
+    assert [row["check"] for row in rows] == ["defect", "certainty", "independence", "fourth"] * len(script.RULES)
+    fourths = {(row["statistic"], row["tolerance"], row["verdict"]) for row in rows if row["check"] == "fourth"}
+    assert fourths == {("0.5", "1e-12", "fail")}
+    assert "the quadratic rule born fails fourth at d=3" in captured.err
 
 
 @pytest.mark.parametrize(
     "name, argv, message",
     [
-        ("exponent_sweep.py", ["--trials", "5", "--out", "{tmp}/missing/x.csv"], "No such file or directory"),
-        ("run_all_experiments.py", ["--outdir", "{tmp}/file/runs"], "Not a directory"),
-        ("run_all_experiments.py", ["--seed", "-1", "--outdir", "{tmp}/runs"], "--seed must be at least 0"),
+        ("atlas.py", ["--seed", "-1"], "--seed must be at least 0"),
+        ("atlas.py", ["--dims", "1,3"], "--dims must be at least 2"),  # d=1 has the single modulus 1
+        ("atlas.py", ["--trials", "0"], "--trials must be at least 2"),
+        ("atlas.py", ["--out", "{tmp}/missing/atlas.csv"], "No such file or directory"),
+        ("atlas.py", ["--out", "{tmp}/file/atlas.csv"], "Not a directory"),
         ("result_hashes.py", ["--seed", "-1"], "--seed must be at least 0"),
     ],
-    ids=["sweep-missing-dir", "run-all-outdir-under-file", "run-all-negative-seed", "hashes-negative-seed"],
+    ids=["atlas-negative-seed", "atlas-dims-below-2", "atlas-zero-trials", "atlas-missing-dir",
+         "atlas-out-under-file", "hashes-negative-seed"],
 )
 def test_scripts_report_bad_input_as_usage_errors(tmp_path, name, argv, message):
     # tmp_path holds one regular file; the script must stop before it writes anything
@@ -81,28 +159,12 @@ def test_scripts_report_bad_input_as_usage_errors(tmp_path, name, argv, message)
     assert [path.name for path in tmp_path.iterdir()] == ["file"]
 
 
-def test_run_all_experiments(tmp_path):
-    # two processes with different string hashing write the same reports
-    reports = []
-    for hashseed in ("0", "1"):
-        outdir = tmp_path / hashseed
-        lines = run_script("run_all_experiments.py", "--outdir", str(outdir), PYTHONHASHSEED=hashseed).splitlines()
-        assert not any("SURPRISE" in line for line in lines)
-        reports.append({path.name: json.loads(path.read_text()) for path in outdir.glob("*.json")})
-    first, second = reports
-    assert len(first) == 13 and first.keys() == second.keys()
-    for name, report in first.items():
-        other = second[name]
-        assert (report["results"], report["pass"]) == (other["results"], other["pass"]), name
-        assert report["config"] == dict(other["config"], out=report["config"]["out"]), name
-
-
 def test_result_hashes_table():
-    spec = importlib.util.spec_from_file_location("result_hashes", ROOT / "scripts" / "result_hashes.py")
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
-
-    header, *lines = run_script("result_hashes.py", "--seed", "10").splitlines()
+    script = load_script("result_hashes.py")
+    # two processes with different string hashing print the same table
+    table = run_script("result_hashes.py", "--seed", "10", PYTHONHASHSEED="0")
+    assert run_script("result_hashes.py", "--seed", "10", PYTHONHASHSEED="1") == table
+    header, *lines = table.splitlines()
     assert header == "command\tjson\tcsv\texit json/csv"
     rows = {command: rest for command, *rest in (line.split("\t") for line in lines)}
     assert list(rows) == [" ".join(argv + ["--seed", "10"]) for argv in script.COMMANDS]
