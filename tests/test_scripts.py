@@ -140,6 +140,26 @@ def test_a_falsifier_row_is_an_atlas_column(capsys, monkeypatch):
 
 
 @pytest.mark.parametrize(
+    "argv",
+    [
+        ["--dims", "1"],  # d=1 has the single modulus 1: every defect would read zero
+        ["--dims", "0"],
+        ["--trials", "0"],
+        ["--trials", "-3"],
+        ["--seed", "-1"],
+    ],
+)
+def test_exponent_sweep_rejects_what_the_cli_rejects(capsys, argv):
+    # the atlas carries the exponent sweep: what falsify rejects as a usage error, the atlas does too
+    flag, value = argv
+    cli_flag = "--dim" if flag == "--dims" else flag  # falsify takes one d
+    with pytest.raises(SystemExit) as exit_info:
+        cli.main(["falsify", "--rule", "power:1", cli_flag, value])
+    assert exit_info.value.code == 2 and f"{cli_flag} must be at least" in capsys.readouterr().err
+    assert f"{flag} must be at least" in usage_error("atlas.py", *argv)
+
+
+@pytest.mark.parametrize(
     "name, argv, message",
     [
         ("atlas.py", ["--seed", "-1"], "--seed must be at least 0"),
@@ -147,10 +167,11 @@ def test_a_falsifier_row_is_an_atlas_column(capsys, monkeypatch):
         ("atlas.py", ["--trials", "0"], "--trials must be at least 2"),
         ("atlas.py", ["--out", "{tmp}/missing/atlas.csv"], "No such file or directory"),
         ("atlas.py", ["--out", "{tmp}/file/atlas.csv"], "Not a directory"),
+        ("atlas.py", ["--seed", "-1", "--out", "{tmp}/atlas.csv"], "--seed must be at least 0"),  # no file made
         ("result_hashes.py", ["--seed", "-1"], "--seed must be at least 0"),
     ],
     ids=["atlas-negative-seed", "atlas-dims-below-2", "atlas-zero-trials", "atlas-missing-dir",
-         "atlas-out-under-file", "hashes-negative-seed"],
+         "atlas-out-under-file", "run-all-negative-seed", "hashes-negative-seed"],
 )
 def test_scripts_report_bad_input_as_usage_errors(tmp_path, name, argv, message):
     # tmp_path holds one regular file; the script must stop before it writes anything
@@ -159,12 +180,20 @@ def test_scripts_report_bad_input_as_usage_errors(tmp_path, name, argv, message)
     assert [path.name for path in tmp_path.iterdir()] == ["file"]
 
 
-def test_result_hashes_table():
+@pytest.fixture(scope="module")
+def hashes_table():
+    """result_hashes.py --seed 10, every command of the suite, under PYTHONHASHSEED=0."""
+    return run_script("result_hashes.py", "--seed", "10", PYTHONHASHSEED="0")
+
+
+def test_run_all_experiments(hashes_table):
+    # two processes with different string hashing run every command to the same results
+    assert run_script("result_hashes.py", "--seed", "10", PYTHONHASHSEED="1") == hashes_table
+
+
+def test_result_hashes_table(hashes_table):
     script = load_script("result_hashes.py")
-    # two processes with different string hashing print the same table
-    table = run_script("result_hashes.py", "--seed", "10", PYTHONHASHSEED="0")
-    assert run_script("result_hashes.py", "--seed", "10", PYTHONHASHSEED="1") == table
-    header, *lines = table.splitlines()
+    header, *lines = hashes_table.splitlines()
     assert header == "command\tjson\tcsv\texit json/csv"
     rows = {command: rest for command, *rest in (line.split("\t") for line in lines)}
     assert list(rows) == [" ".join(argv + ["--seed", "10"]) for argv in script.COMMANDS]
