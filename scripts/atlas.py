@@ -17,7 +17,8 @@ from bornlab import cli, invariance, rules
 from bornlab.tolerances import TOL
 
 POWERS = [f"power:{0.5 + 0.25 * i!r}" for i in range(15)]  # 0.5 ... 4 in steps of 0.25
-AFFINE = ["affine:0.5:0.25", "affine:0.7:0.1", "affine:0.5:0.125"]  # s + d*m = 1 at d = 2, 3 and 4
+# s + d*m = 1 at d = 2, 3 and 4; the last, on the line at d = 4, gives p_k = 0.5 - a_k^2 < 0 once a_k > 0.71
+AFFINE = ["affine:0.5:0.25", "affine:0.7:0.1", "affine:0.5:0.125", "affine:-1:0.5"]
 RENORM = ["born", "power:1", "power:2.1", "power:4", "power:100", "power:1e-13", "affine:1:0.1", "affine:0:1"]
 RULES = ["born"] + POWERS + AFFINE + [f"renorm:{base}" for base in RENORM]
 

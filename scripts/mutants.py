@@ -1,0 +1,174 @@
+#!/usr/bin/env python3
+"""The mutant table: each row breaks one check in src/ and names the test that must catch it.
+
+A row is (path under src/, exact old text, replacement, test node id, reason).
+With no option the script lists the rows.  With --run it first runs every
+named test on an unmutated copy of src/, where each must pass, then, for each
+row, applies the row to a fresh copy of src/ and runs the row's test against
+that copy; the row is killed when the test fails.  It exits 1 if a named test
+fails on the unmutated copy or a mutant survives:
+
+    python3 scripts/mutants.py --run
+"""
+
+import argparse
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class Mutant(NamedTuple):
+    path: str  # under src/
+    old: str  # occurs exactly once in src/
+    new: str
+    test: str  # pytest node id, from the repository root
+    reason: str
+
+
+MUTANTS = [
+    Mutant(
+        "bornlab/cli.py",
+        'worst = obs if obs["spread"] >= rot["spread"] else rot',
+        'worst = obs if obs["spread"] < rot["spread"] else rot',
+        "tests/test_cli.py::TestScanSummaries::test_verdict_reads_the_larger_spread_and_its_extremes",
+        "the independence witness and statistic come from the smaller spread",
+    ),
+    Mutant(
+        "bornlab/invariance.py",
+        "return _tails(point, np.abs(ginibre(rng, (n, point.dim - 1))))",
+        "return _tails(point, np.abs(rng.standard_normal((n, point.dim - 1))))",
+        "tests/test_invariance.py::TestObservableWithEigenstate::test_tail_moduli_are_haar_distributed",
+        "the observable scan draws the real law: Dirichlet(1/2) tails, not a Haar rotation's Dirichlet(1)",
+    ),
+    Mutant(
+        "bornlab/linalg.py",
+        "if not gap > TOL.degeneracy_gap:",
+        "if False:",
+        "tests/test_quantum.py::TestObservable::test_rejects_degenerate_spectrum",
+        "a degenerate spectrum is accepted, so an eigenvector is not fixed up to phase",
+    ),
+    Mutant(
+        "bornlab/invariance.py",
+        "if not best > 1.0 - TOL.match_overlap:",
+        "if False:",
+        "tests/test_invariance.py::TestObservableWithEigenstate::test_match_rejects_a_state_that_is_not_an_eigenvector",
+        "match_eigenvector returns the best column even when no column matches",
+    ),
+    Mutant(
+        "bornlab/cli.py",
+        "misses = np.abs(np.diagonal(rules.rule_probabilities(rule, eigenstates)) - 1.0)",
+        "misses = 0.0 * np.abs(np.diagonal(rules.rule_probabilities(rule, eigenstates)) - 1.0)",
+        "tests/test_cli.py::TestFalsification::test_renormalized_rule_must_give_certainty_on_an_eigenstate",
+        "certainty_defect reads 0, so the uniform rule p_k = 1/d passes falsify",
+    ),
+    Mutant(
+        "bornlab/invariance.py",
+        "rows[:, 1:] = np.linalg.norm(point.moduli[1:]) * unit",
+        "rows[:, 1:] = np.sqrt(1.0 - point.moduli[0] ** 2) * unit",
+        "tests/test_invariance.py::TestNearEigenstate::test_both_scans_see_the_complement",
+        "the tails' radius sqrt(1 - a_0^2) rounds to 0 near an eigenstate: both scans report 0.0",
+    ),
+    Mutant(
+        "bornlab/invariance.py",
+        "point[:2] = abs(overlap), np.linalg.norm(psi.amplitudes - overlap * unit)",
+        "point[:2] = abs(overlap), np.sqrt(1.0 - abs(overlap) ** 2)",
+        "tests/test_invariance.py::TestNearEigenstate::test_both_scans_see_the_complement",
+        "the observable scan's radius sqrt(1 - a_0^2) rounds to 0 near phi: its spread reads 0.0",
+    ),
+    Mutant(
+        "bornlab/rules.py",
+        "if np.minimum.reduce(values, axis=None, initial=0.0) < 0.0:",
+        "if False:",
+        "tests/test_rules.py::TestNormalizationSum::test_renormalized_rows_reject_a_negative_value",
+        "a renormalized rule with a negative value gives negative probabilities and a verdict",
+    ),
+    Mutant(
+        "bornlab/invariance.py",
+        "argmin, argmax = int(np.argmin(self.p_values)), int(np.argmax(self.p_values))",
+        "argmax, argmin = int(np.argmin(self.p_values)), int(np.argmax(self.p_values))",
+        "tests/test_invariance.py::TestReportSummary::test_extremes_are_the_first_draws_at_each",
+        "a scan summary's extremes swap: min_p > max_p and a negative spread",
+    ),
+    Mutant(
+        "bornlab/invariance.py",
+        "        check_orthant(rows)\n        return rule_probabilities(rule, rows)[:, 0]",
+        "        return rule_probabilities(rule, rows)[:, 0]",
+        "tests/test_invariance.py::TestObservableIndependence::test_orthant_check_catches_what_orthonormality_allows",
+        "a block of moduli whose squares do not sum to one is scored",
+    ),
+    Mutant(
+        "bornlab/cli.py",
+        "if d == 2 and rule.renormalized:",
+        "if False:",
+        "tests/test_cli.py::TestExitCodes::test_renormalized_rule_at_dim_two_is_inconclusive",
+        "a renormalized rule at d=2, where both spreads vanish for every rule, passes",
+    ),
+    Mutant(
+        "bornlab/cli.py",
+        "elif not rule.renormalized and rule != rules.Born():",
+        "elif False:",
+        "tests/test_cli.py::TestFalsification::test_independence_with_a_plain_rule_is_inconclusive",
+        "independence passes a plain rule, whose spreads vanish whatever its defect",
+    ),
+    Mutant(
+        "bornlab/cli.py",
+        'return "fail" if statistic > tolerance',
+        'return "fail" if statistic >= tolerance',
+        "tests/test_cli.py::TestFalsification::test_a_falsifier_is_one_row",
+        "a statistic equal to its tolerance falsifies, though a tolerance is the largest value that passes",
+    ),
+]
+
+
+def mutated_source(root: Path, mutant: Mutant | None) -> Path:
+    """A copy of src/ under root, with mutant applied when one is given."""
+    src = root / "src"
+    shutil.copytree(ROOT / "src", src, ignore=shutil.ignore_patterns("__pycache__"))
+    if mutant is not None:
+        target = src / mutant.path
+        text = target.read_text(encoding="utf-8")
+        if text.count(mutant.old) != 1:
+            raise SystemExit(f"mutants.py: the old text of {mutant.path} does not occur exactly once: {mutant.old!r}")
+        target.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+    return src
+
+
+def pytest_code(src: Path, tests: list[str]) -> int:
+    """pytest's exit code for tests run against the bornlab in src (0 passed, 1 a test failed)."""
+    env = dict(os.environ, PYTHONPATH=str(src), PYTHONDONTWRITEBYTECODE="1")
+    argv = [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", "-o", f"pythonpath={src}", *tests]
+    return subprocess.run(argv, cwd=ROOT, env=env, capture_output=True, timeout=600).returncode
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--run", action="store_true", help="apply each row to a copy of src/ and run its test")
+    args = parser.parse_args(argv)
+    if not args.run:
+        for mutant in MUTANTS:
+            print(f"{mutant.path}\t{mutant.test}\t{mutant.reason}")
+        return 0
+    survivors = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        tests = list(dict.fromkeys(mutant.test for mutant in MUTANTS))
+        code = pytest_code(mutated_source(Path(tmp) / "clean", None), tests)
+        if code != 0:
+            print(f"mutants.py: the named tests do not pass on unmutated src/ (pytest exit {code})", file=sys.stderr)
+            return 1
+        for i, mutant in enumerate(MUTANTS):
+            code = pytest_code(mutated_source(Path(tmp) / str(i), mutant), [mutant.test])
+            verdict = "killed" if code == 1 else "SURVIVED" if code == 0 else f"error (pytest exit {code})"
+            survivors += verdict != "killed"
+            print(f"{verdict}\t{mutant.path}\t{mutant.test}\t{mutant.reason}", flush=True)
+    print(f"{len(MUTANTS) - survivors} of {len(MUTANTS)} mutants killed")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

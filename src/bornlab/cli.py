@@ -331,7 +331,7 @@ def cmd_stationarity(args) -> Verdict:
         sum_res = np.max(np.abs(variational.rule_stationarity(born, rows, 1.0)), axis=-1)
         out_res = np.max(np.abs(variational.outcome_stationarity(probabilities, rows, ks, 0.0)), axis=-1)
         closed = variational.closed_form_check(rows, ks, 2.0, -1.0)
-        residuals = np.column_stack(np.broadcast_arrays(sum_res, out_res, closed))
+        residuals = np.column_stack((sum_res, out_res, closed))
         series.append(_rows("residual", d, np.max(residuals, axis=1), range(d)))  # point i at outcome i % d
         worst = np.maximum(worst, np.max(residuals, axis=0))
 

@@ -19,7 +19,6 @@ report that leak as a spread.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -50,37 +49,23 @@ class InvarianceReport:
     p_values: np.ndarray
     address: tuple[int, ...]  # (seed, *address): block b is drawn from substream(*address, b)
 
-    @cached_property
-    def argmin(self) -> int:
-        return int(np.argmin(self.p_values))
-
-    @cached_property
-    def argmax(self) -> int:
-        return int(np.argmax(self.p_values))
-
-    @property
-    def min_p(self) -> float:
-        return float(self.p_values[self.argmin])
-
-    @property
-    def max_p(self) -> float:
-        return float(self.p_values[self.argmax])
-
     @property
     def spread(self) -> float:
-        return self.max_p - self.min_p
+        return float(np.max(self.p_values) - np.min(self.p_values))
 
     def as_dict(self) -> dict:
+        argmin, argmax = int(np.argmin(self.p_values)), int(np.argmax(self.p_values))
+        min_p, max_p = float(self.p_values[argmin]), float(self.p_values[argmax])
         return {
             "rule": self.rule,
             "dim": self.dim,
             "k": self.k,
             "draws": self.draws,
-            "spread": self.spread,
-            "min_p": self.min_p,
-            "argmin": self.argmin,
-            "max_p": self.max_p,
-            "argmax": self.argmax,
+            "spread": max_p - min_p,
+            "min_p": min_p,
+            "argmin": argmin,
+            "max_p": max_p,
+            "argmax": argmax,
             "address": list(self.address),
         }
 

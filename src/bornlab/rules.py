@@ -96,7 +96,8 @@ def rule_probabilities(rule: Rule, rows: np.ndarray) -> np.ndarray:
     A plain rule is applied entrywise with no renormalization; whether the
     result sums to one is exactly what the defect scan measures.  Rows come
     validated, as ModulusVector moduli or through check_orthant; a value
-    or a renormalization sum that overflows is a DomainError.
+    or a renormalization sum that overflows is a DomainError, and so is a
+    renormalized row with a negative value.
     """
     with np.errstate(over="ignore"):  # an overflow is reported below
         values = np.asarray(rule(rows), dtype=np.float64)
@@ -109,6 +110,8 @@ def rule_probabilities(rule: Rule, rows: np.ndarray) -> np.ndarray:
         raise DomainError("renormalization sum is not finite")
     if np.any(total <= 0.0):
         raise DomainError("renormalization sum is not positive: a base value is not positive, or the sum underflows")
+    if np.minimum.reduce(values, axis=None, initial=0.0) < 0.0:
+        raise DomainError(f"{rule.name} has a negative base value: a renormalized row would hold a negative probability")
     return values / total
 
 

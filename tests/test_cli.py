@@ -119,8 +119,13 @@ class TestExitCodes:
             (["falsify", "--rule", "affine:1.5e308:1.5e308"], "affine:1.5e+308:1.5e+308 is not finite at every modulus"),
             (["falsify", "--rule", "renorm:affine:1e308:1e308"], "renormalization sum is not finite"),
             (["independence", "--rule", "renorm:affine:1e308:1e308"], "renormalization sum is not finite"),
+            # a^2 - 0.2 sums to 1 - 0.6 > 0 at d=3 but is negative below a^2 = 0.2: the certainty
+            # check's eigenstates and the scans' small tail moduli each hold such a value
+            (["independence", "--rule", "renorm:affine:1:-0.2"], "renorm:affine:1.0:-0.2 has a negative base value"),
+            (["falsify", "--rule", "renorm:affine:1:-0.2"], "renorm:affine:1.0:-0.2 has a negative base value"),
         ],
-        ids=["renorm:affine:1:-1", "affine-overflow", "renorm:affine-overflow", "independence:renorm:affine-overflow"],
+        ids=["renorm:affine:1:-1", "affine-overflow", "renorm:affine-overflow", "independence:renorm:affine-overflow",
+             "independence:renorm:affine-negative", "falsify:renorm:affine-negative"],
     )
     def test_domain_error_is_usage_error(self, capsys, argv, reason):
         with pytest.raises(SystemExit) as excinfo:
@@ -129,6 +134,8 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert reason in captured.err
+        errors = [line for line in captured.err.splitlines() if line.startswith("bornlab: error: ")]
+        assert len(errors) == 1 and reason in errors[0]  # the one-line message after argparse's usage
         assert "Traceback" not in captured.err
 
     def test_underflowing_renormalization_sum_is_named(self, capsys):
@@ -224,7 +231,8 @@ class TestExitCodes:
         code, report = run_json(capsys, argv)
         results = report["results"]
         assert code == 0 and results["max_closed_form_residual"] <= results["residual_threshold"]
-        monkeypatch.setattr(variational, "closed_form_check", lambda point, k, scale, offset: 1.0)
+        # one residual per point, the shape closed_form_check returns
+        monkeypatch.setattr(variational, "closed_form_check", lambda points, ks, scale, offset: np.ones(len(ks)))
         code, report = run_json(capsys, argv)
         assert code == 1 and report["pass"] is False
         assert report["results"]["max_closed_form_residual"] == 1.0

@@ -31,6 +31,7 @@ from bornlab.quantum import (
 )
 from bornlab.rules import Affine, Born, Power, Renormalized, rule_probabilities
 from bornlab.streams import BLOCK, blockwise, substream
+from bornlab.tolerances import TOL
 
 
 def listed_first(point: ModulusVector, k: int) -> ModulusVector:
@@ -447,6 +448,25 @@ class TestBornSpreadIsMeasured:
             phi = haar_state(d, substream(40, d, seed, 1))
             spreads.append(observable_independence_scan(psi, phi, Born(), 100, seed=seed).spread)
         assert max(spreads) == 0.0
+
+
+class TestNearEigenstate:
+    def test_both_scans_see_the_complement(self):
+        # psi = cos(eps) phi + sin(eps) chi: 1 - a_0^2 rounds to 0, so a radius taken as
+        # sqrt(1 - a_0^2) reads 0 and the scan reports 0.0; the norm of the complement keeps
+        # r = sin(eps).  renorm:power:1 gives p_0 = a_0 / (a_0 + r s), s the unit tail's
+        # 1-norm in [1, sqrt(2)] at d=3, so each spread is above TOL.spread and below
+        # eps (sqrt(2) - 1), with room for rounding at p_0 near 1
+        eps = 1e-9
+        phi, chi, _ = np.eye(3)
+        psi = StateVector(np.cos(eps) * phi + np.sin(eps) * chi)
+        rule = Renormalized(Power(1.0))
+        scans = (
+            observable_independence_scan(psi, StateVector(phi), rule, 100, seed=0),
+            unobserved_independence_scan(moduli(psi.amplitudes), rule, 100, seed=0),
+        )
+        for report in scans:
+            assert TOL.spread < report.spread <= eps * (np.sqrt(2.0) - 1.0) + 1e-15, report.spread
 
 
 class TestUnobservedIndependence:

@@ -157,6 +157,17 @@ class TestNormalizationSum:
         with pytest.raises(DomainError):
             rule_probabilities(Renormalized(Affine(1.0, -0.5)), rows)
 
+    def test_renormalized_rows_reject_a_negative_value(self):
+        # a^2 - 0.2 sums to 0.6 on each row, yet is -0.2 at the modulus 0: only the renormalized rule is a
+        # domain error; the plain rule's negative value is a defect, which falsify reports as a verdict
+        rows = np.array([[0.6, 0.8], [1.0, 0.0]])
+        with pytest.raises(DomainError, match="renorm:affine:1.0:-0.2 has a negative base value"):
+            rule_probabilities(Renormalized(Affine(1.0, -0.2)), rows)
+        np.testing.assert_allclose(rule_probabilities(Affine(1.0, -0.2), rows), [[0.16, 0.44], [0.8, -0.2]])
+        # the sum checks come first: a^2 - 1 is negative and sums to -1 on each row
+        with pytest.raises(DomainError, match="renormalization sum is not positive"):
+            rule_probabilities(Renormalized(Affine(1.0, -1.0)), rows)
+
     def test_overflow_is_a_domain_error(self):
         # 1e308 * (a^2 + 1) exceeds the largest double once a^2 > 0.8:
         # an inf defect would serialize as Infinity, and an inf

@@ -228,6 +228,18 @@ def test_result_hashes_table(hashes_table):
     assert rows[" ".join(argv)][0] == hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
+def test_each_mutant_row_names_one_line_of_src_and_a_test():
+    # the rows are run by `scripts/mutants.py --run`; here only their anchors are checked, so a
+    # change that removes or repeats a mutated line, or renames its test, must update the row
+    sources = {path: path.read_text(encoding="utf-8") for path in (ROOT / "src").rglob("*.py")}
+    for mutant in load_script("mutants.py").MUTANTS:
+        assert sum(text.count(mutant.old) for text in sources.values()) == 1, mutant.old
+        assert sources[ROOT / "src" / mutant.path].count(mutant.old) == 1, mutant.old
+        path, *names = mutant.test.split("::")
+        test_source = (ROOT / path).read_text(encoding="utf-8")
+        assert f"class {names[0]}" in test_source and f"def {names[-1]}(" in test_source, mutant.test
+
+
 def test_one_test_file_runs_from_the_root():
     # pyproject's pythonpath puts src/ on the path, so no PYTHONPATH is needed
     env = {key: value for key, value in os.environ.items() if key != "PYTHONPATH"}
