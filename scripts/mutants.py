@@ -75,13 +75,6 @@ MUTANTS = [
         "the tails' radius sqrt(1 - a_0^2) rounds to 0 near an eigenstate: both scans report 0.0",
     ),
     Mutant(
-        "bornlab/invariance.py",
-        "point[:2] = abs(overlap), np.linalg.norm(psi.amplitudes - overlap * unit)",
-        "point[:2] = abs(overlap), np.sqrt(1.0 - abs(overlap) ** 2)",
-        "tests/test_invariance.py::TestNearEigenstate::test_both_scans_see_the_complement",
-        "the observable scan's radius sqrt(1 - a_0^2) rounds to 0 near phi: its spread reads 0.0",
-    ),
-    Mutant(
         "bornlab/rules.py",
         "if np.minimum.reduce(values, axis=None, initial=0.0) < 0.0:",
         "if False:",
@@ -122,6 +115,27 @@ MUTANTS = [
         'return "fail" if statistic >= tolerance',
         "tests/test_cli.py::TestFalsification::test_a_falsifier_is_one_row",
         "a statistic equal to its tolerance falsifies, though a tolerance is the largest value that passes",
+    ),
+    Mutant(
+        "bornlab/rules.py",
+        "negative = min(base(0.0), base(1.0)) < 0.0",
+        "negative = False",
+        "tests/test_cli.py::TestExitCodes::test_renormalized_rule_negative_near_zero_is_rejected_on_every_seed",
+        "a renormalized rule negative only near a zero modulus passes independence on the seeds whose draws miss it",
+    ),
+    Mutant(
+        "bornlab/cli.py",
+        'return 3 if "inconclusive" in self.results else 1',
+        "return 1",
+        "tests/test_cli.py::TestExitCodes::test_renormalized_rule_at_dim_two_is_inconclusive",
+        "a configuration that cannot separate the rule exits 1, as if the rule were falsified",
+    ),
+    Mutant(
+        "bornlab/rules.py",
+        "np.abs(normalization_sum(rule, stacked) - 1.0)",
+        "(normalization_sum(rule, stacked) - 1.0)",
+        "tests/test_rules.py::TestDefectScan::test_non_quadratic_power_found_within_100_trials",
+        "a rule whose sums fall short of one, as power:3 and power:4 do, has a negative defect and passes",
     ),
 ]
 

@@ -188,19 +188,18 @@ def _defect_check(rule, d: int, trials: int, seed: int, *address: int) -> Check:
 
 
 def _independence_check(rule, d: int, draws: int, seed: int, *address: int) -> Check:
-    """Both independence scans of rule at d, on streams (seed, *address, 0..3).
+    """Both independence scans of rule at d, each at outcome 0 of its own Haar state's moduli.
 
-    The observable scan, at (*address, 2), measures psi (stream 0) at the
-    outcome phi (stream 1); the rotation scan, at (*address, 3), resamples
-    the complement of psi's own a_0.  Returns their results entries (each
-    scan's summary: spread, both extremes, the first draw at each, address),
-    one CSV row per draw, and, read from those summaries, the larger spread
-    (the observable scan's on a tie) and that scan's [min p, max p].
+    The rotation scan, at (*address, 3), resamples the complement of the state
+    from (*address, 0); the observable scan, at (*address, 2), measures the
+    state from (*address, 1) in eigenbases sharing e_0.  Returns their results
+    entries (each scan's summary: spread, both extremes, the first draw at
+    each, address), one CSV row per draw, and, read from those summaries, the
+    larger spread (the observable scan's on a tie) and that scan's [min p, max p].
     """
-    psi = haar_state(d, substream(seed, *address, 0))
-    phi = haar_state(d, substream(seed, *address, 1))
-    obs_scan = invariance.observable_independence_scan(psi, phi, rule, draws, seed, *address, 2)
-    rot_scan = invariance.unobserved_independence_scan(moduli(psi.amplitudes), rule, draws, seed, *address, 3)
+    rot_point, obs_point = (moduli(haar_state(d, substream(seed, *address, i)).amplitudes) for i in (0, 1))
+    obs_scan = invariance.observable_independence_scan(obs_point, rule, draws, seed, *address, 2)
+    rot_scan = invariance.unobserved_independence_scan(rot_point, rule, draws, seed, *address, 3)
     obs, rot = obs_scan.as_dict(), rot_scan.as_dict()
     results = {"observable_scan": obs, "rotation_scan": rot}
     if d == 2 and rule.renormalized:
@@ -209,7 +208,7 @@ def _independence_check(rule, d: int, draws: int, seed: int, *address: int) -> C
         results["inconclusive"] = "at d=2 both independence spreads vanish for every rule; use --dim 3 or more"
     elif not rule.renormalized and rule != rules.Born():  # p_k = f(a_k): a_k is what both scans fix
         results["inconclusive"] = "both independence spreads vanish for every plain rule; use falsify for its defect"
-    series = _rows("observable_scan", d, obs_scan.p_values), _rows("rotation_scan", d, rot_scan.p_values, (0,))
+    series = _rows("observable_scan", d, obs_scan.p_values, (0,)), _rows("rotation_scan", d, rot_scan.p_values, (0,))
     worst = obs if obs["spread"] >= rot["spread"] else rot
     return results, (row for rows in series for row in rows), worst["spread"], [worst["min_p"], worst["max_p"]]
 

@@ -1,11 +1,12 @@
 """Observable-independence experiments, run on blocks of streams.BLOCK draws.
 
-Once the outcome's eigenvector phi is fixed, the rest of an observable can
-only move the state's complement moduli on the sphere of radius
-r = |psi - <phi|psi> phi|, with a_0 = |<phi|psi>| held.  Both scans draw
-exactly that, through one block kernel and two laws for the tail:
+Both scans take an orthant point: a state's moduli, with the outcome's
+eigenvector as e_0 (a Haar state's law is unitarily invariant).  The rest
+of an observable can only move the complement moduli on the sphere of
+radius r = |(a_1, ..., a_{d-1})|, with a_0 held.  Both scans draw exactly
+that, through one block kernel and two laws for the tail:
 
-* random observables sharing phi, measured in the eigenbasis they are drawn
+* random observables sharing e_0, measured in the eigenbasis they are drawn
   from (observable_with_eigenstate): a Haar rotation of the complement gives
   the tail r |t| / |t|, t a complex Gaussian row, so no eigenbasis is formed;
 * direct resampling of the unobserved moduli (complement_rotation): the
@@ -24,7 +25,7 @@ from typing import Callable
 import numpy as np
 
 from .linalg import ginibre
-from .quantum import ModulusVector, StateVector, check_orthant
+from .quantum import ModulusVector, check_orthant
 from .rules import Rule, rule_probabilities
 from .streams import blockwise
 from .tolerances import TOL
@@ -44,14 +45,9 @@ class InvarianceReport:
 
     rule: str
     dim: int
-    k: int | None
     draws: int
     p_values: np.ndarray
     address: tuple[int, ...]  # (seed, *address): block b is drawn from substream(*address, b)
-
-    @property
-    def spread(self) -> float:
-        return float(np.max(self.p_values) - np.min(self.p_values))
 
     def as_dict(self) -> dict:
         argmin, argmax = int(np.argmin(self.p_values)), int(np.argmax(self.p_values))
@@ -59,7 +55,6 @@ class InvarianceReport:
         return {
             "rule": self.rule,
             "dim": self.dim,
-            "k": self.k,
             "draws": self.draws,
             "spread": max_p - min_p,
             "min_p": min_p,
@@ -93,11 +88,11 @@ def complement_rotation(point: ModulusVector, n: int, rng: np.random.Generator) 
 
 
 def observable_with_eigenstate(point: ModulusVector, n: int, rng: np.random.Generator) -> np.ndarray:
-    """A state's moduli (n, d) in the eigenbases of n random observables sharing an eigenvector phi.
+    """A state's moduli (n, d) in the eigenbases of n random observables sharing the eigenvector e_0.
 
-    point is (a_0, r, 0, ..., 0): a_0 = |<phi|psi>| and r the norm of psi's
-    complement component.  A Haar rotation of the complement sends that
-    component to r t / |t|, t a complex Gaussian row, so the moduli are
+    point is the state's moduli: a_0 = |<e_0|psi>| and r = |(a_1, ..., a_{d-1})|,
+    the norm of its complement component.  A Haar rotation of the complement
+    sends that component to r t / |t|, t a complex Gaussian row, so the moduli are
     (a_0, r |t| / |t|) and no eigenbasis is formed: the squared tails are
     Dirichlet(1, ..., 1).  No spectrum is drawn: an outcome's probability is
     fixed by the eigenbasis, and the eigenvalues only label outcomes.
@@ -122,7 +117,7 @@ def match_eigenvector(vectors: np.ndarray, phi: np.ndarray) -> np.ndarray:
 
 def _complement_scan(
     law: Callable[[ModulusVector, int, np.random.Generator], np.ndarray],
-    point: ModulusVector, rule: Rule, k: int | None, draws: int, seed: int, address: tuple[int, ...]
+    point: ModulusVector, rule: Rule, draws: int, seed: int, address: tuple[int, ...]
 ) -> InvarianceReport:
     """p_0 of rule on law(point, n, rng)'s rows, one block of draws at a time, each block checked once."""
     if draws < MIN_DRAWS:
@@ -133,33 +128,24 @@ def _complement_scan(
         check_orthant(rows)
         return rule_probabilities(rule, rows)[:, 0]
 
-    return InvarianceReport(rule.name, point.dim, k, draws, blockwise(kernel, draws, seed, *address), (seed, *address))
+    return InvarianceReport(rule.name, point.dim, draws, blockwise(kernel, draws, seed, *address), (seed, *address))
 
 
 def observable_independence_scan(
-    psi: StateVector,
-    phi: StateVector,
+    point: ModulusVector,
     rule: Rule,
     draws: int,
     seed: int,
     *address: int,
 ) -> InvarianceReport:
-    """Spread of p(outcome = phi) across random observables sharing phi.
+    """Spread of p(outcome = e_0) across random observables sharing the eigenvector e_0.
 
-    Each draw is the eigenbasis of a fresh observable with phi as column 0;
-    the rule is evaluated on psi's moduli in that eigenbasis, at outcome 0.
-    a_0 and the complement radius r are read once, r as the norm of psi's
-    component off phi (not sqrt(1 - a_0^2), which loses half the digits when
-    psi is near phi).  Every draw holds a_0 to the same bits, so the
-    quadratic rule's spread is exactly 0.
+    Each draw is the eigenbasis of a fresh observable with e_0 as column 0;
+    the rule is evaluated on the state's moduli in that eigenbasis, at
+    outcome 0.  Every draw holds a_0 = point.moduli[0] to the same bits, so
+    the quadratic rule's spread is exactly 0.
     """
-    if psi.dim != phi.dim:
-        raise ValueError("state and eigenvector dimensions differ")
-    unit = phi.amplitudes / np.linalg.norm(phi.amplitudes)
-    overlap = np.vdot(unit, psi.amplitudes)
-    point = np.zeros(psi.dim)
-    point[:2] = abs(overlap), np.linalg.norm(psi.amplitudes - overlap * unit)
-    return _complement_scan(observable_with_eigenstate, ModulusVector(point), rule, None, draws, seed, address)
+    return _complement_scan(observable_with_eigenstate, point, rule, draws, seed, address)
 
 
 def unobserved_independence_scan(
@@ -174,4 +160,4 @@ def unobserved_independence_scan(
     Zero for plain rules, the falsification signal for renormalized ones.
     Every rule is permutation-equivariant: outcome k is outcome 0 with a_k first.
     """
-    return _complement_scan(complement_rotation, point, rule, 0, draws, seed, address)
+    return _complement_scan(complement_rotation, point, rule, draws, seed, address)

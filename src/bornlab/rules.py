@@ -78,7 +78,12 @@ def parse_rule(name: str) -> Rule:
         return Born()
     try:
         if text.startswith("renorm:"):
-            return Renormalized(parse_rule(text[len("renorm:") :]))
+            base = parse_rule(text[len("renorm:") :])
+            with np.errstate(over="ignore"):  # an infinite value is rule_probabilities' to report
+                negative = min(base(0.0), base(1.0)) < 0.0  # every parsed base is monotone on [0, 1]
+            if negative:
+                raise ValueError(f"{base.name} has a negative base value: a renormalized row could hold a negative probability")
+            return Renormalized(base)
         if text.startswith("power:"):
             return Power(float(text[len("power:") :]))
         if text.startswith("affine:"):

@@ -112,17 +112,17 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv, reason",
         [
-            # a^2 - 1 <= 0 at every modulus, so no renormalization exists
-            (["falsify", "--rule", "renorm:affine:1:-1"], "renormalization sum is not positive"),
+            # a^2 - 1 <= 0 at every modulus, so no renormalization exists: rejected when parsed
+            (["falsify", "--rule", "renorm:affine:1:-1"], "affine:1.0:-1.0 has a negative base value"),
             # 1.5e308 * (a^2 + 1) overflows once a^2 > 0.199, and every d=3 state has a modulus
             # with a^2 >= 1/3, so every draw overflows whatever the seed
             (["falsify", "--rule", "affine:1.5e308:1.5e308"], "affine:1.5e+308:1.5e+308 is not finite at every modulus"),
             (["falsify", "--rule", "renorm:affine:1e308:1e308"], "renormalization sum is not finite"),
             (["independence", "--rule", "renorm:affine:1e308:1e308"], "renormalization sum is not finite"),
-            # a^2 - 0.2 sums to 1 - 0.6 > 0 at d=3 but is negative below a^2 = 0.2: the certainty
-            # check's eigenstates and the scans' small tail moduli each hold such a value
-            (["independence", "--rule", "renorm:affine:1:-0.2"], "renorm:affine:1.0:-0.2 has a negative base value"),
-            (["falsify", "--rule", "renorm:affine:1:-0.2"], "renorm:affine:1.0:-0.2 has a negative base value"),
+            # a^2 - 0.2 sums to 1 - 0.6 > 0 at d=3 but is negative below a^2 = 0.2, at a = 0 first of
+            # all: the parser rejects it before any state is drawn
+            (["independence", "--rule", "renorm:affine:1:-0.2"], "affine:1.0:-0.2 has a negative base value"),
+            (["falsify", "--rule", "renorm:affine:1:-0.2"], "affine:1.0:-0.2 has a negative base value"),
         ],
         ids=["renorm:affine:1:-1", "affine-overflow", "renorm:affine-overflow", "independence:renorm:affine-overflow",
              "independence:renorm:affine-negative", "falsify:renorm:affine-negative"],
@@ -134,9 +134,21 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert reason in captured.err
-        errors = [line for line in captured.err.splitlines() if line.startswith("bornlab: error: ")]
-        assert len(errors) == 1 and reason in errors[0]  # the one-line message after argparse's usage
+        # the one-line message after argparse's usage: the command's parser names a rule it rejects
+        errors = [line for line in captured.err.splitlines() if line.startswith(("bornlab: error: ", f"bornlab {argv[0]}: error: "))]
+        assert len(errors) == 1 and reason in errors[0]
         assert "Traceback" not in captured.err
+
+    @pytest.mark.parametrize("command", ["independence", "falsify"])
+    def test_renormalized_rule_negative_near_zero_is_rejected_on_every_seed(self, capsys, command):
+        # a^2 - 0.0001 is negative only at a < 0.01, which a scan's draws may miss; the parser
+        # reads the base rule at a = 0, so no seed reaches a verdict
+        for seed in range(20):
+            with pytest.raises(SystemExit) as excinfo:
+                main([command, "--rule", "renorm:affine:1:-0.0001", "--dim", "3", "--seed", str(seed)])
+            assert excinfo.value.code == 2, seed
+            captured = capsys.readouterr()
+            assert captured.out == "" and "affine:1.0:-0.0001 has a negative base value" in captured.err
 
     def test_underflowing_renormalization_sum_is_named(self, capsys):
         # every a^2000 > 0, but a state with all moduli below 0.69 takes each
@@ -458,11 +470,12 @@ class TestScanSummaries:
     @staticmethod
     def csv_series(capsys, argv) -> dict:
         """Each scan's per-draw values from the command's CSV rows, by their
-        series column (falsify's defect rows are left out)."""
+        series column (falsify's defect rows are left out); both scans score outcome 0."""
         main(argv + ["--format", "csv"])
         series = {"observable_scan": [], "rotation_scan": []}
         for row in csv.DictReader(io.StringIO(capsys.readouterr().out)):
             if row["series"] in series:
+                assert row["k"] == "0"
                 series[row["series"]].append(float(row["value"]))
         return series
 
@@ -497,21 +510,17 @@ class TestScanSummaries:
     )
     def test_extreme_draws_replay_from_the_report(self, capsys, argv):
         # draw i is row i % BLOCK of the block drawn from substream(*address, i // BLOCK);
-        # the check draws psi and phi at streams 0 and 1 of the scans' common address
+        # the check draws the rotation and observable scans' states at streams 0 and 1 of the
+        # scans' common address, and phi is e_0
         _, report = run_json(capsys, argv + ["--seed", "8"])
         results = report["results"]
         d = report["config"]["dim"]
         rule = rules.parse_rule(results["observable_scan"]["rule"])
         check = results["observable_scan"]["address"][:-1]
-        psi = quantum.haar_state(d, substream(*check, 0))
-        phi = quantum.haar_state(d, substream(*check, 1)).amplitudes
-        unit = phi / np.linalg.norm(phi)
-        overlap = np.vdot(unit, psi.amplitudes)
-        point = np.zeros(d)  # (a_0, r, 0, ..., 0), as the observable scan reads it
-        point[:2] = abs(overlap), np.linalg.norm(psi.amplitudes - overlap * unit)
+        rot_point, obs_point = (quantum.moduli(quantum.haar_state(d, substream(*check, i)).amplitudes) for i in (0, 1))
         points = {
-            "observable_scan": lambda n, rng: invariance.observable_with_eigenstate(quantum.ModulusVector(point), n, rng),
-            "rotation_scan": lambda n, rng: invariance.complement_rotation(quantum.moduli(psi.amplitudes), n, rng),
+            "observable_scan": lambda n, rng: invariance.observable_with_eigenstate(obs_point, n, rng),
+            "rotation_scan": lambda n, rng: invariance.complement_rotation(rot_point, n, rng),
         }
         beyond_block_0 = False
         for name, block_points in points.items():
@@ -524,6 +533,20 @@ class TestScanSummaries:
                 assert float(p).hex() == value.hex(), (name, index)
                 beyond_block_0 |= b > 0
         assert beyond_block_0 or rule == rules.Born()  # born's p is one number, first at draw 0
+
+    @pytest.mark.parametrize("d", [3, 5, 8])
+    def test_observable_scan_point_has_the_overlap_law(self, d):
+        # phi = e_0 stands for any fixed eigenvector, since psi is Haar: the observable scan's
+        # a_0^2, which every born draw gives as p, has the law of |<phi|psi>|^2 for a fixed unit
+        # phi, Beta(1, d - 1), with mean 1/d and variance (d-1)/(d^2 (d+1)); and the rotation
+        # scan's state is another draw, so their a_0^2 are uncorrelated.  Bounds: 4 standard errors
+        n = 2000
+        checks = [cli._independence_check(rules.Born(), d, 2, seed, 1)[0] for seed in range(n)]
+        x, y = (np.array([check[name]["min_p"] for check in checks]) for name in ("observable_scan", "rotation_scan"))
+        mean, var = 1 / d, (d - 1) / (d * d * (d + 1))
+        assert abs(x.mean() - mean) <= 4 * np.sqrt(var / n)
+        assert abs(x.var() - var) <= 4 * np.sqrt((np.mean((x - x.mean()) ** 4) - x.var() ** 2) / n)
+        assert abs(np.corrcoef(x, y)[0, 1]) <= 4 / np.sqrt(n)
 
     def test_verdict_reads_the_larger_spread_and_its_extremes(self, capsys):
         argv = ["--rule", "renorm:power:4", "--dim", "3", "--trials", "300", "--seed", "5"]

@@ -34,6 +34,10 @@ from bornlab.streams import BLOCK, blockwise, substream
 from bornlab.tolerances import TOL
 
 
+def spread(report: invariance.InvarianceReport) -> float:
+    return report.as_dict()["spread"]
+
+
 def listed_first(point: ModulusVector, k: int) -> ModulusVector:
     """The point with a_k moved to the front and the other moduli in order."""
     return ModulusVector(np.concatenate([point.moduli[k : k + 1], np.delete(point.moduli, k)]))
@@ -245,35 +249,28 @@ class TestBlockKernelsMatchScalarFormulas:
 class TestObservableIndependence:
     def test_quadratic_rule_is_observable_independent(self):
         for d in (2, 3, 4, 5, 6, 7, 8):
-            rng = np.random.default_rng(d)
-            psi, phi = haar_state(d, rng), haar_state(d, rng)
-            report = observable_independence_scan(psi, phi, Born(), 100, seed=9)
-            assert report.spread <= 1e-12
+            point = moduli(haar_state(d, np.random.default_rng(d)).amplitudes)
+            assert spread(observable_independence_scan(point, Born(), 100, seed=9)) <= 1e-12
 
     def test_renormalized_linear_leaks_at_d3(self):
-        # oracle: with a_1 = sqrt(0.5) fixed, p_1 = a_1/(a_1 + t) where the
+        # oracle: with a_0 = sqrt(0.5) fixed, p_0 = a_0/(a_0 + t) where the
         # tail sum t = rho (cos + sin) ranges over [rho, rho sqrt(2)];
         # a dense angle grid bounds the reachable spread
-        psi = StateVector(np.sqrt(np.array([0.5, 0.3, 0.2])).astype(complex))
-        phi = StateVector(np.array([1.0, 0.0, 0.0], dtype=complex))
-        a1 = np.sqrt(0.5)
+        point = ModulusVector(np.sqrt(np.array([0.5, 0.3, 0.2])))
+        a0 = np.sqrt(0.5)
         rho = np.sqrt(1 - 0.5)
         theta = np.linspace(0, np.pi / 2, 2001)
-        p_grid = a1 / (a1 + rho * (np.cos(theta) + np.sin(theta)))
+        p_grid = a0 / (a0 + rho * (np.cos(theta) + np.sin(theta)))
         oracle_spread = float(np.max(p_grid) - np.min(p_grid))
 
-        report = observable_independence_scan(
-            psi, phi, Renormalized(Power(1.0)), 100, seed=10
-        )
-        assert report.spread >= 0.01
-        assert report.spread <= oracle_spread + 1e-9
+        leak = spread(observable_independence_scan(point, Renormalized(Power(1.0)), 100, seed=10))
+        assert leak >= 0.01
+        assert leak <= oracle_spread + 1e-9
 
     def test_qubit_single_modulus_rules_cannot_leak(self):
-        rng = np.random.default_rng(11)
-        psi, phi = haar_state(2, rng), haar_state(2, rng)
+        point = moduli(haar_state(2, np.random.default_rng(11)).amplitudes)
         for rule in (Born(), Power(1.0), Power(4.0)):
-            report = observable_independence_scan(psi, phi, rule, 50, seed=12)
-            assert report.spread <= 1e-12
+            assert spread(observable_independence_scan(point, rule, 50, seed=12)) <= 1e-12
 
     def test_equal_observables_give_zero_spread(self):
         # n evaluations against the same drawn block: the scan machinery run
@@ -289,31 +286,28 @@ class TestObservableIndependence:
 
     @pytest.mark.parametrize("rule", [Born(), Renormalized(Power(4.0))], ids=["born", "renorm:power:4"])
     def test_state_along_the_eigenvector_gives_zero_spread(self, rule):
-        # psi = phase phi has no complement component (exactly none for e_0),
-        # so every draw gives it the same probability
-        psi = haar_state(5, np.random.default_rng(26))
-        phi = StateVector(np.exp(0.7j) * psi.amplitudes)
-        assert observable_independence_scan(psi, phi, rule, 50, seed=27).spread == 0.0
-        e0 = StateVector(np.eye(5)[0])
+        # psi = phase e_0 has no complement component, so every draw gives it
+        # the same probability
+        point = moduli(np.exp(0.7j) * np.eye(5)[0])
+        assert not point.moduli[1:].any()
         c = np.zeros(4, dtype=complex)
         w = householder_vectors(c, ginibre(np.random.default_rng(29), (50, 4)))
         np.testing.assert_array_equal(c - 2.0 * (np.conj(w) @ c)[:, None] * w, np.zeros((50, 4)))
-        drawn = observable_with_eigenstate(ModulusVector(np.eye(5)[0]), 50, np.random.default_rng(29))
-        np.testing.assert_array_equal(drawn, np.tile(np.eye(5)[0], (50, 1)))
-        assert observable_independence_scan(e0, e0, rule, 50, seed=28).spread == 0.0
+        drawn = observable_with_eigenstate(point, 50, np.random.default_rng(29))
+        np.testing.assert_array_equal(drawn, np.tile(point.moduli, (50, 1)))
+        assert spread(observable_independence_scan(point, rule, 50, seed=28)) == 0.0
 
     def test_scan_is_deterministic_and_thread_invariant(self):
         # the scan runs on the calling thread, so invariance is a rerun
-        psi = haar_state(3, np.random.default_rng(16))
-        phi = haar_state(3, np.random.default_rng(17))
-        a = observable_independence_scan(psi, phi, Renormalized(Power(2.5)), 60, seed=18)
-        b = observable_independence_scan(psi, phi, Renormalized(Power(2.5)), 60, seed=18)
+        point = moduli(haar_state(3, np.random.default_rng(16)).amplitudes)
+        a = observable_independence_scan(point, Renormalized(Power(2.5)), 60, seed=18)
+        b = observable_independence_scan(point, Renormalized(Power(2.5)), 60, seed=18)
         np.testing.assert_array_equal(a.p_values, b.p_values)
 
     def test_needs_two_draws(self):
-        psi = haar_state(3, np.random.default_rng(19))
+        point = moduli(haar_state(3, np.random.default_rng(19)).amplitudes)
         with pytest.raises(ValueError):
-            observable_independence_scan(psi, psi, Born(), 1, seed=0)
+            observable_independence_scan(point, Born(), 1, seed=0)
 
     def test_orthant_check_catches_what_orthonormality_allows(self, monkeypatch):
         # moduli scaled by s = 1 + 2e-11 are psi's in s times a unitary
@@ -322,9 +316,9 @@ class TestObservableIndependence:
         # (tol 1e-12): the scan's per-block orthant check rejects them
         real = invariance.observable_with_eigenstate
         monkeypatch.setattr(invariance, "observable_with_eigenstate", lambda *args: real(*args) * (1 + 2e-11))
-        psi, phi = haar_state(4, np.random.default_rng(24)), haar_state(4, np.random.default_rng(25))
+        point = moduli(haar_state(4, np.random.default_rng(24)).amplitudes)
         with pytest.raises(ValueError, match="orthant norm defect"):
-            observable_independence_scan(psi, phi, Born(), 10, seed=0)
+            observable_independence_scan(point, Born(), 10, seed=0)
 
 
 class TestFactoredDraws:
@@ -336,14 +330,13 @@ class TestFactoredDraws:
     )
     def test_scan_matches_the_materialized_eigenbases(self, rule, d):
         # the reduction: the scan reads (a_0, r |t| / |t|) from each Ginibre
-        # row t, and the same rows formed into eigenbases give psi's moduli as
-        # |psi @ conj(V)|.  They agree to rounding.  born reads a_0 alone,
-        # which the scan holds to one float, so its spread is exactly 0;
-        # psi = phase phi has complement coordinates at rounding level
+        # row t, and the same rows formed into eigenbases sharing phi = e_0
+        # give psi's moduli as |psi @ conj(V)|.  They agree to rounding.  born
+        # reads a_0 alone, which the scan holds to one float, so its spread is
+        # exactly 0; psi = phase e_0 has no complement coordinates
         rng = np.random.default_rng(50 + d)
-        phi = haar_state(d, rng)
-        basis = complete_basis(phi.amplitudes)
-        for psi in (haar_state(d, rng), StateVector(np.exp(0.3j) * phi.amplitudes)):
+        basis = complete_basis(np.eye(d)[0])
+        for psi in (haar_state(d, rng), StateVector(np.exp(0.3j) * np.eye(d)[0])):
             c = psi.amplitudes @ np.conj(basis[:, 1:])
 
             def materialized(n, block_rng):
@@ -351,19 +344,18 @@ class TestFactoredDraws:
                 return rule_probabilities(rule, np.abs(psi.amplitudes @ np.conj(vectors)))[:, 0]
 
             expected = blockwise(materialized, BLOCK + 5, 51)
-            report = observable_independence_scan(psi, phi, rule, BLOCK + 5, seed=51)
+            report = observable_independence_scan(moduli(psi.amplitudes), rule, BLOCK + 5, seed=51)
             np.testing.assert_allclose(report.p_values, expected, rtol=1e-14, atol=0)
             if rule == Born():
-                assert len(set(report.p_values.tolist())) == 1 and report.spread == 0.0
+                assert len(set(report.p_values.tolist())) == 1 and spread(report) == 0.0
 
     def test_scan_memory_does_not_grow_as_d_squared(self):
         # one block at d=256 is drawn as moduli rows: a (BLOCK, d, d)
         # complex stack of its eigenbases alone would be 134 MB
-        rng = np.random.default_rng(52)
-        psi, phi = haar_state(256, rng), haar_state(256, rng)
+        point = moduli(haar_state(256, np.random.default_rng(52)).amplitudes)
         tracemalloc.start()
         try:
-            observable_independence_scan(psi, phi, Renormalized(Power(4.0)), BLOCK, seed=53)
+            observable_independence_scan(point, Renormalized(Power(4.0)), BLOCK, seed=53)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -382,15 +374,14 @@ class TestLawSeparation:
         for name in ("complement_rotation", "observable_with_eigenstate"):
             law = getattr(invariance, name)
             monkeypatch.setattr(invariance, name, lambda *args, law=law: seen.append(law(*args)) or seen[-1])
-        rng = np.random.default_rng(60 + m)
-        psi, phi = haar_state(m + 1, rng), haar_state(m + 1, rng)
+        point = moduli(haar_state(m + 1, np.random.default_rng(60 + m)).amplitudes)
         scans = (
-            (2 * (m - 1) / (m * m * (m + 2)), unobserved_independence_scan, (moduli(psi.amplitudes),)),
-            ((m - 1) / (m * m * (m + 1)), observable_independence_scan, (psi, phi)),
+            (2 * (m - 1) / (m * m * (m + 2)), unobserved_independence_scan),
+            ((m - 1) / (m * m * (m + 1)), observable_independence_scan),
         )
-        for var, scan, inputs in scans:
+        for var, scan in scans:
             seen.clear()
-            scan(*inputs, Born(), 20_000, 61)
+            scan(point, Born(), 20_000, 61)
             tails = np.concatenate(seen)[:, 1:] ** 2
             x = tails / tails.sum(axis=1, keepdims=True)
             var_se = np.sqrt((np.mean((x - x.mean(0)) ** 4, axis=0) - x.var(0) ** 2) / len(x))
@@ -401,12 +392,11 @@ class TestBlocks:
     DRAWS = 2 * BLOCK + 3  # two full blocks and a partial one
 
     def scans(self):
-        psi = haar_state(4, np.random.default_rng(30))
-        phi = haar_state(4, np.random.default_rng(31))
+        point = moduli(haar_state(4, np.random.default_rng(30)).amplitudes)
         rule = Renormalized(Power(3.0))
         return (
-            observable_independence_scan(psi, phi, rule, self.DRAWS, seed=32),
-            unobserved_independence_scan(listed_first(moduli(psi.amplitudes), 1), rule, self.DRAWS, seed=33),
+            observable_independence_scan(point, rule, self.DRAWS, seed=32),
+            unobserved_independence_scan(listed_first(point, 1), rule, self.DRAWS, seed=33),
         )
 
     def test_multi_block_scans_are_thread_invariant(self):
@@ -428,11 +418,10 @@ class TestBlocks:
     def test_full_blocks_do_not_depend_on_the_draw_count(self):
         # draw i comes from substream(seed, i // BLOCK), so a full block is
         # the same whatever follows it
-        psi = haar_state(3, np.random.default_rng(34))
-        phi = haar_state(3, np.random.default_rng(35))
+        point = moduli(haar_state(3, np.random.default_rng(34)).amplitudes)
         rule = Renormalized(Power(1.0))
-        short = observable_independence_scan(psi, phi, rule, BLOCK, seed=36)
-        long = observable_independence_scan(psi, phi, rule, self.DRAWS, seed=36)
+        short = observable_independence_scan(point, rule, BLOCK, seed=36)
+        long = observable_independence_scan(point, rule, self.DRAWS, seed=36)
         np.testing.assert_array_equal(long.p_values[:BLOCK], short.p_values)
         assert len(set(long.p_values.tolist())) == self.DRAWS
 
@@ -440,41 +429,35 @@ class TestBlocks:
 class TestBornSpreadIsMeasured:
     @pytest.mark.parametrize("d", [*range(2, 9), 64, 128, 256])
     def test_seed_sweep_stays_within_tolerance(self, d):
-        # a_0 = |<phi|psi>| is read once per scan and every draw holds it
-        # to the same bits: the measured spread is exactly 0
+        # every draw holds the point's a_0 to the same bits: the measured
+        # spread is exactly 0
         spreads = []
         for seed in range(30):
-            psi = haar_state(d, substream(40, d, seed, 0))
-            phi = haar_state(d, substream(40, d, seed, 1))
-            spreads.append(observable_independence_scan(psi, phi, Born(), 100, seed=seed).spread)
+            point = moduli(haar_state(d, substream(40, d, seed, 0)).amplitudes)
+            spreads.append(spread(observable_independence_scan(point, Born(), 100, seed=seed)))
         assert max(spreads) == 0.0
 
 
 class TestNearEigenstate:
     def test_both_scans_see_the_complement(self):
-        # psi = cos(eps) phi + sin(eps) chi: 1 - a_0^2 rounds to 0, so a radius taken as
+        # psi = cos(eps) e_0 + sin(eps) e_1: 1 - a_0^2 rounds to 0, so a radius taken as
         # sqrt(1 - a_0^2) reads 0 and the scan reports 0.0; the norm of the complement keeps
         # r = sin(eps).  renorm:power:1 gives p_0 = a_0 / (a_0 + r s), s the unit tail's
         # 1-norm in [1, sqrt(2)] at d=3, so each spread is above TOL.spread and below
         # eps (sqrt(2) - 1), with room for rounding at p_0 near 1
         eps = 1e-9
-        phi, chi, _ = np.eye(3)
-        psi = StateVector(np.cos(eps) * phi + np.sin(eps) * chi)
+        point = moduli(np.array([np.cos(eps), np.sin(eps), 0.0]))
         rule = Renormalized(Power(1.0))
-        scans = (
-            observable_independence_scan(psi, StateVector(phi), rule, 100, seed=0),
-            unobserved_independence_scan(moduli(psi.amplitudes), rule, 100, seed=0),
-        )
-        for report in scans:
-            assert TOL.spread < report.spread <= eps * (np.sqrt(2.0) - 1.0) + 1e-15, report.spread
+        for scan in (observable_independence_scan, unobserved_independence_scan):
+            leak = spread(scan(point, rule, 100, seed=0))
+            assert TOL.spread < leak <= eps * (np.sqrt(2.0) - 1.0) + 1e-15, (scan.__name__, leak)
 
 
 class TestUnobservedIndependence:
     def test_single_modulus_rules_are_structurally_flat(self):
         point = moduli(haar_state(5, np.random.default_rng(20)).amplitudes)
         for rule in (Born(), Power(1.0), Power(3.0)):
-            report = unobserved_independence_scan(listed_first(point, 2), rule, 50, seed=21)
-            assert report.spread == 0.0
+            assert spread(unobserved_independence_scan(listed_first(point, 2), rule, 50, seed=21)) == 0.0
 
     def test_renormalized_quartic_leaks(self):
         # oracle: p_0 = a0^4 / (a0^4 + a1^4 + a2^4) along the circle
@@ -486,29 +469,21 @@ class TestUnobservedIndependence:
         oracle_spread = float(np.max(p_grid) - np.min(p_grid))
 
         point = ModulusVector(np.array([0.6, 0.8, 0.0]))
-        report = unobserved_independence_scan(point, Renormalized(Power(4.0)), 50, seed=22)
-        assert report.spread > 0.01
-        assert report.spread <= oracle_spread + 1e-9
+        leak = spread(unobserved_independence_scan(point, Renormalized(Power(4.0)), 50, seed=22))
+        assert leak > 0.01
+        assert leak <= oracle_spread + 1e-9
 
     def test_qubit_spread_is_exactly_zero(self):
         point = ModulusVector(np.array([0.6, 0.8]))
         for rule in (Born(), Renormalized(Power(4.0))):
-            report = unobserved_independence_scan(point, rule, 20, seed=23)
-            assert report.spread == 0.0
-
-    def test_report_records_the_fixed_index(self):
-        point = ModulusVector(np.array([0.6, 0.8, 0.0]))
-        # outcome 1 of the point is outcome 0 once a_1 is listed first
-        report = unobserved_independence_scan(listed_first(point, 1), Renormalized(Power(1.0)), 10, seed=24)
-        assert report.k == 0
-        assert report.spread == max(report.p_values) - min(report.p_values)
+            assert spread(unobserved_independence_scan(point, rule, 20, seed=23)) == 0.0
 
 
 class TestReportSummary:
     def test_extremes_are_the_first_draws_at_each(self):
         p_values = np.array([0.5, 0.2, 0.7, 0.2, 0.7])
-        summary = invariance.InvarianceReport("born", 3, 0, 5, p_values, (0, 1)).as_dict()
-        assert list(summary) == ["rule", "dim", "k", "draws", "spread", "min_p", "argmin", "max_p", "argmax", "address"]
+        summary = invariance.InvarianceReport("born", 3, 5, p_values, (0, 1)).as_dict()
+        assert list(summary) == ["rule", "dim", "draws", "spread", "min_p", "argmin", "max_p", "argmax", "address"]
         assert (summary["min_p"], summary["argmin"], summary["max_p"], summary["argmax"]) == (0.2, 1, 0.7, 2)
 
 
@@ -556,5 +531,4 @@ class TestPermutationEquivariance:
         k = int(rng.integers(0, d))
         reference = blockwise(lambda n, rng: rule_probabilities(rule, rotation_at(point, k, n, rng))[:, k], draws, seed)
         report = unobserved_independence_scan(listed_first(point, k), rule, draws, seed)
-        assert report.k == 0
         self.assert_same(rule, report.p_values, reference)
