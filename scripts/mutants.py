@@ -137,6 +137,41 @@ MUTANTS = [
         "tests/test_rules.py::TestDefectScan::test_non_quadratic_power_found_within_100_trials",
         "a rule whose sums fall short of one, as power:3 and power:4 do, has a negative defect and passes",
     ),
+    Mutant(
+        "bornlab/quantum.py",
+        "        if pool[1] >= TOL.sample_min_expected:\n",
+        "        if True:\n",
+        "tests/test_quantum.py::TestChiSquare::test_cells_pool_until_each_expects_five",
+        "no cell is pooled, so cells expecting under five shots each count as a degree of freedom",
+    ),
+    Mutant(
+        "bornlab/quantum.py",
+        "return rng.multinomial(shots, np.minimum(p, 1.0))",
+        "return rng.multinomial(shots, p)",
+        "tests/test_quantum.py::TestMeasurement::test_a_one_hot_row_rounded_above_one_takes_every_shot",
+        "a collapsed state's Born row that rounds to 1 + 2e-16 is rejected by numpy: a crash, not a verdict",
+    ),
+    Mutant(
+        "bornlab/quantum.py",
+        'within(abs(float(np.sum(p)) - 1.0), TOL.unit_norm, "probability sum defect", NotNormalized)',
+        "pass",
+        "tests/test_quantum.py::TestMeasurement::test_draws_reject_a_non_distribution",
+        "sample_outcomes draws from a row that is not a distribution, so a plain rule's row is sampled",
+    ),
+    Mutant(
+        "bornlab/tolerances.py",
+        "return -math.expm1(math.log1p(-alpha) / pairs)",
+        "return alpha",
+        "tests/test_quantum.py::TestChiSquare::test_sidak_level_holds_the_run_to_the_two_sided_three_sigma_tail",
+        "each pair is judged at the run's level, so a run of n pairs false-alarms n times as often",
+    ),
+    Mutant(
+        "bornlab/quantum.py",
+        "tail = math.erfc(math.sqrt(half)) if dof % 2 else 0.0",
+        "tail = 0.0",
+        "tests/test_quantum.py::TestChiSquare::test_survival_at_tabulated_quantiles",
+        "an odd-dof p-value misses its normal tail, so a correct sampler's small chi-square fails",
+    ),
 ]
 
 

@@ -33,10 +33,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import invariance, quantum, rules, variational
+from . import invariance, linalg, quantum, rules, variational
 from .quantum import haar_state, moduli
 from .streams import substream
-from .tolerances import TOL
+from .tolerances import TOL, within
 
 
 # the configuration a report echoes, in order: every name the command registers
@@ -364,36 +364,35 @@ def cmd_spin1(args) -> Verdict:
 
 def cmd_sample(args) -> Verdict:
     d, seed, shots, n = args.dim, args.seed, args.shots, args.trials
-    # every pair's observable, drawn from its own stream and assembled as one stack
-    _, _, bases = quantum.random_observables(d, (substream(seed, i, 1) for i in range(n)))
+    # every pair's eigenbasis, a Haar unitary from its own stream, factored and checked as one stack;
+    # it needs no spectrum, which would only label the outcomes
+    bases = linalg.haar_factor(np.array([linalg.ginibre(substream(seed, i, 1), (d, d)) for i in range(n)]))
+    within(linalg.unitary_defect(bases), TOL.orthonormality, "eigenbases are not orthonormal: defect")
 
-    def born(states) -> np.ndarray:
-        """Born probabilities of every pair's state in its eigenbasis, one stacked scoring (n, d)."""
-        rows = np.abs([quantum.expand(state, vectors) for state, vectors in zip(states, bases)])
+    def born(states: np.ndarray) -> np.ndarray:
+        """Born probabilities of every pair's state row (n, d) in its eigenbasis, one stacked scoring (n, d)."""
+        rows = np.abs(np.vecdot(bases, states[:, :, None], axis=-2))  # row i is bases[i]^dag states[i]
         quantum.check_orthant(rows)
         return rules.rule_probabilities(rules.Born(), rows)
 
-    p = born([haar_state(d, substream(seed, i, 0)) for i in range(n)])
-    frequencies = np.array([quantum.sample_outcomes(p[i], shots, substream(seed, i, 2)) for i in range(n)]) / shots
-    within = np.all(np.abs(frequencies - p) <= TOL.sample_sigmas * np.sqrt(p * (1.0 - p) / shots), axis=-1).tolist()
+    p = born(quantum.haar_rows(d, (substream(seed, i, 0) for i in range(n))))
+    counts = [quantum.sample_outcomes(p[i], shots, substream(seed, i, 2)) for i in range(n)]
+    threshold = TOL.sample_p_value(n)  # the Sidak level of each pair's test: the run false-alarms at alpha
+    tests = [quantum.chi_square_test(counts[i], shots * p[i]) for i in range(n)]
     firsts, post_states = zip(*(quantum.measure(p[i], bases[i], substream(seed, i, 3)) for i in range(n)))
     # 100 re-measurements of each collapsed state, by measure()'s draw rule
-    post = born(post_states)
+    post = born(np.array([state.amplitudes for state in post_states]))
     repeats = [bool(quantum.sample_outcomes(post[i], 100, substream(seed, i, 4))[firsts[i]] == 100) for i in range(n)]
     pairs = [
-        {
-            "pair": i,
-            "frequencies": frequencies[i].tolist(),
-            "born": p[i].tolist(),
-            "within_3_sigma": within[i],
-            "first_outcome": firsts[i],
-            "repeat_consistent": repeats[i],
-        }
-        for i in range(n)
+        {"pair": i, "frequencies": (counts[i] / shots).tolist(), "born": p[i].tolist(),
+         "chi_square": statistic, "dof": dof, "p_value": p_value, "within_3_sigma": p_value >= threshold,
+         "first_outcome": firsts[i], "repeat_consistent": repeats[i]}
+        for i, (statistic, dof, p_value) in enumerate(tests)
     ]
     series = ((i, d, k, f, "frequencies") for i, pair in enumerate(pairs) for k, f in enumerate(pair["frequencies"]))
-    results = {"pairs": pairs, "all_within_3_sigma": all(within), "all_repeat_consistent": all(repeats)}
-    return results, results["all_within_3_sigma"] and results["all_repeat_consistent"], series
+    within_all = all(pair["within_3_sigma"] for pair in pairs)
+    results = {"pairs": pairs, "p_value_threshold": threshold, "all_within_3_sigma": within_all, "all_repeat_consistent": all(repeats)}
+    return results, within_all and results["all_repeat_consistent"], series
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -10,17 +10,16 @@ demonstration.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Iterable
 
 import numpy as np
 
 from .linalg import Eigensystem, HermitianMatrix, check_eigensystems
-from .linalg import eigensystems, fix_column_phases, ginibre, haar_factor
+from .linalg import eigensystems, fix_column_phases, ginibre
 from .streams import blockwise
 from .tolerances import TOL, within
-
-SHOT_CHUNK = 1 << 16  # uniforms drawn at once by sample_outcomes
 
 
 class DimMismatch(ValueError):
@@ -163,22 +162,48 @@ def sample_outcomes(p: np.ndarray, shots: int, rng: np.random.Generator) -> np.n
 
     The row must be a distribution: a negative entry is a ValueError, and a
     sum more than TOL.unit_norm from one (nan included) is NotNormalized.
-    Each shot draws one uniform and takes the inverse CDF of p, ties toward
-    the lower index: shots are counted as the uniforms at or below each
-    cumulative probability, and the last outcome takes every other shot,
-    also a uniform above a last cumulative value that rounding left below 1.
+    The counts are one multinomial draw, which has the law of one inverse-CDF
+    draw per shot; numpy draws successive binomials, so the last outcome takes
+    the shots the others leave.  An entry that rounded above 1 (a collapsed
+    state's certain outcome, 1 + 2e-16) is clipped to 1, as numpy requires.
     """
-    cumulative = np.cumsum(p)
     if np.minimum.reduce(p, initial=0.0) < 0.0:  # a nan carries past, to the sum test
         raise ValueError("probabilities must be non-negative")
-    total = float(cumulative[-1:].sum())  # an empty row sums to 0
-    within(abs(total - 1.0), TOL.unit_norm, "probability sum defect", NotNormalized)
-    at_or_below = np.zeros(cumulative.size + 1, dtype=np.intp)  # [0]: no shot is below the first outcome
-    for start in range(0, shots, SHOT_CHUNK):  # bounded memory for any shot count
-        uniforms = rng.random(min(SHOT_CHUNK, shots - start))
-        at_or_below[1:-1] += [np.count_nonzero(uniforms <= edge) for edge in cumulative[:-1]]
-    at_or_below[-1] = shots
-    return at_or_below[1:] - at_or_below[:-1]  # np.diff's prepend costs more than the draw at one shot
+    within(abs(float(np.sum(p)) - 1.0), TOL.unit_norm, "probability sum defect", NotNormalized)
+    return rng.multinomial(shots, np.minimum(p, 1.0))
+
+
+def chi_square_test(counts: np.ndarray, expected: np.ndarray) -> tuple[float, int, float]:
+    """Pearson's test of counts (d,) against expected counts (d,) of the same
+    total, over cells pooled in ascending order of expectation until each pool
+    expects TOL.sample_min_expected (a short last pool joins the one before):
+    (statistic, degrees of freedom, p-value), or (0.0, 0, 1.0) for one pool."""
+    observed, means = counts.tolist(), expected.tolist()
+    pools, pool = [], [0, 0.0]  # the closed pools' and the open pool's [observed, expected]
+    for k in sorted(range(len(means)), key=means.__getitem__):  # stable: ties in index order
+        pool = [pool[0] + observed[k], pool[1] + means[k]]
+        if pool[1] >= TOL.sample_min_expected:
+            pools.append(pool)
+            pool = [0, 0.0]
+    if len(pools) < 2:  # a short last pool would join the one pool
+        return 0.0, 0, 1.0
+    pools[-1] = [pools[-1][0] + pool[0], pools[-1][1] + pool[1]]
+    statistic = sum((count - mean) ** 2 / mean for count, mean in pools)
+    return statistic, len(pools) - 1, chi_square_sf(statistic, len(pools) - 1)
+
+
+def chi_square_sf(x: float, dof: int) -> float:
+    """P(X >= x) for X chi-square with integer dof >= 1 (Abramowitz & Stegun 26.4.4-5):
+    erfc(sqrt(x/2)) if dof is odd, plus exp(-x/2) (x/2)^s / Gamma(s + 1) for s = dof/2 - 1,
+    dof/2 - 2, ... down to 0 or 1/2, each term taken in logs so that none overflows."""
+    if x <= 0.0:
+        return 1.0
+    half = x / 2.0
+    tail = math.erfc(math.sqrt(half)) if dof % 2 else 0.0
+    for j in range(dof // 2):
+        s = dof / 2.0 - 1.0 - j
+        tail += math.exp(s * math.log(half) - half - math.lgamma(s + 1.0))
+    return min(1.0, tail)
 
 
 def haar_rows(dim: int, rngs: Iterable[np.random.Generator]) -> np.ndarray:
@@ -209,25 +234,6 @@ def haar_blocks(dim: int, n: int, seed: int, *indices: int) -> np.ndarray:
     states = z / np.linalg.norm(z, axis=-1, keepdims=True)
     check_orthant(np.abs(states))
     return states
-
-
-def gapped_eigenvalues(dim: int, rng: np.random.Generator) -> np.ndarray:
-    """A spectrum uniform on [-1, 1], redrawn whole until its minimum pairwise
-    gap clears TOL.spectrum_gap(dim).  Unsorted."""
-    gap = TOL.spectrum_gap(dim)
-    while True:
-        values = rng.uniform(-1.0, 1.0, size=dim)
-        if np.min(np.diff(np.sort(values)), initial=np.inf) > gap:
-            return values
-
-
-def random_observables(dim: int, rngs: Iterable[np.random.Generator]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One observable per generator, which draws its gapped spectrum and then its
-    Ginibre matrix; one haar_factor makes every eigenbasis and one eigenbasis_stack
-    assembles and checks them: (matrices, spectra, eigenvector columns)."""
-    draws = [(gapped_eigenvalues(dim, rng), ginibre(rng, (dim, dim))) for rng in rngs]
-    bases = haar_factor(np.array([matrix for _, matrix in draws]))
-    return eigenbasis_stack(np.array([values for values, _ in draws]), bases)
 
 
 def spin1_observables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -72,7 +72,7 @@ def Renormalized(base: Rule) -> Rule:
 
 
 def parse_rule(name: str) -> Rule:
-    """Parse "born", "power:<p>", "affine:<scale>:<offset>", "renorm:<base>"."""
+    """Parse "born", "power:<p>", "affine:<scale>:<offset>", "renorm:<base>" (a negative base is a DomainError)."""
     text = name.strip().lower()
     if text == "born":
         return Born()
@@ -81,14 +81,17 @@ def parse_rule(name: str) -> Rule:
             base = parse_rule(text[len("renorm:") :])
             with np.errstate(over="ignore"):  # an infinite value is rule_probabilities' to report
                 negative = min(base(0.0), base(1.0)) < 0.0  # every parsed base is monotone on [0, 1]
-            if negative:
-                raise ValueError(f"{base.name} has a negative base value: a renormalized row could hold a negative probability")
+            if negative:  # a well-formed name: the rule's own error, not a malformed one
+                raise DomainError(f"rule {name!r} has a negative base value: {base.name} is below 0 on [0, 1], "
+                                  "so a renormalized row could hold a negative probability")
             return Renormalized(base)
         if text.startswith("power:"):
             return Power(float(text[len("power:") :]))
         if text.startswith("affine:"):
             _, scale, offset = text.split(":")
             return Affine(float(scale), float(offset))
+    except DomainError:
+        raise
     except (ValueError, TypeError) as exc:
         reason = exc.__cause__ or exc  # a renorm: base's own reason, not its message naming the base
         raise ValueError(f"malformed rule name {name!r}: {reason}") from reason

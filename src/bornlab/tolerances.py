@@ -7,6 +7,7 @@ against, and tests never have to invent ad-hoc numbers.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -22,7 +23,6 @@ class Tolerances:
 
     # observables
     degeneracy_gap: float = 1e-8     # minimum eigenvalue separation accepted
-    random_gap: float = 1e-3         # minimum gap enforced when drawing spectra, up to d=31 (spectrum_gap)
     match_overlap: float = 1e-8      # matching needs |<v, phi>| > 1 - match_overlap
 
     # vectors
@@ -33,15 +33,17 @@ class Tolerances:
     spread: float = 1e-12            # invariance-spread pass threshold
     stationarity_residual: float = 1e-6   # stationarity residuals (finite-difference floor)
     coefficient_error: float = 1e-3       # recovered-coefficient distance from (0, 1, 0, 0)
-    sample_sigmas: float = 3.0       # sample's frequency band, in binomial standard deviations per cell
+    sample_sigmas: float = 3.0       # sample's run-wide level, the two-sided normal tail at this many sigmas
+                                     # (0.27% at 3): within_3_sigma keys mean this level (sample_p_value)
+    sample_min_expected: float = 5.0  # sample pools cells until each expects this many shots
     fd_step: float = 1e-6            # central-difference step for rule derivatives
 
-    def spectrum_gap(self, dim: int) -> float:
-        """min(random_gap, 1/dim^2), the gap a drawn spectrum must clear; it is
-        random_gap up to d=31.  dim uniform values on [-1, 1] clear a gap g
-        with probability about exp(-dim^2 g / 2): 0.61 for 1/dim^2 at any dim,
-        7e-15 for a fixed 1e-3 at d=256."""
-        return min(self.random_gap, 1.0 / dim**2)
+    def sample_p_value(self, pairs: int) -> float:
+        """The smallest chi-square p-value a pair of sample passes at, 1 - (1 - alpha)^(1/pairs)
+        with alpha = erfc(sample_sigmas / sqrt 2): a correct sampler fails any of `pairs`
+        independent pairs with probability alpha (Sidak 1967, JASA 62, 626)."""
+        alpha = math.erfc(self.sample_sigmas / math.sqrt(2.0))
+        return -math.expm1(math.log1p(-alpha) / pairs)
 
 
 TOL = Tolerances()

@@ -24,7 +24,6 @@ from bornlab.linalg import complete_basis, ginibre, haar_array, unitary_defect
 from bornlab.quantum import (
     ModulusVector,
     StateVector,
-    gapped_eigenvalues,
     haar_state,
     moduli,
     spin1_observables,
@@ -202,7 +201,7 @@ class TestObservableWithEigenstate:
         rng = np.random.default_rng(9)
         phi = haar_state(4, rng)
         _, bases = draw_observables(phi, 6, rng)
-        spectra = np.array([gapped_eigenvalues(4, rng) for _ in range(6)])
+        spectra = np.array([rng.permutation(np.linspace(-1.0, 1.0, 4)) for _ in range(6)])  # gapped
         _, vectors = np.linalg.eigh(quantum.eigenbasis_stack(spectra, bases)[0])
         k = match_eigenvector(vectors, phi.amplitudes)
         assert np.min(np.abs(np.conj(vectors[np.arange(6), :, k]) @ phi.amplitudes)) > 1 - 1e-10

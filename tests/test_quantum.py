@@ -1,5 +1,6 @@
 """States, observables, expansion, probabilities, and measurement."""
 
+import math
 import warnings
 
 import numpy as np
@@ -16,25 +17,19 @@ from bornlab.quantum import (
     Observable,
     StateVector,
     check_orthant,
+    chi_square_sf,
+    chi_square_test,
     expand,
-    gapped_eigenvalues,
     haar_blocks,
     haar_state,
     measure,
     moduli,
-    random_observables,
     sample_outcomes,
     spin1_observables,
 )
 from bornlab.rules import Born, Power, Renormalized, defect_scan, rule_probabilities
 from bornlab.streams import BLOCK, substream
 from bornlab.tolerances import TOL
-
-
-def inverse_cdf(cumulative, uniforms):
-    """Reference draw: the first outcome whose cumulative probability reaches
-    the uniform, ties toward the lower index, the last outcome above them all."""
-    return np.minimum(np.searchsorted(cumulative, uniforms, side="left"), cumulative.size - 1)
 
 
 def born(state, vectors):
@@ -48,15 +43,9 @@ def diagonal_basis(values):
     return eigensystems(np.diag(values).astype(complex))[1]
 
 
-class Replay:
-    """A generator whose random(n) hands out the next n of a fixed list of uniforms."""
-
-    def __init__(self, uniforms):
-        self.uniforms, self.used = uniforms, 0
-
-    def random(self, n):
-        self.used += n
-        return self.uniforms[self.used - n : self.used]
+def spectrum(dim, rng):
+    """A gapped spectrum in drawn order: an evenly spaced one, permuted by rng."""
+    return rng.permutation(np.linspace(-1.0, 1.0, dim))
 
 
 def spin1_ladder_matrices():
@@ -297,7 +286,7 @@ class TestObservable:
 
     def test_from_eigenbasis_matches_from_matrix(self):
         rng = np.random.default_rng(5)
-        built = Observable.from_eigenbasis(gapped_eigenvalues(4, rng), haar_array(4, rng))
+        built = Observable.from_eigenbasis(spectrum(4, rng), haar_array(4, rng))
         recovered = eigendecompose(built.matrix.entries)
         np.testing.assert_allclose(built.eigensystem.eigenvalues, recovered.eigenvalues, atol=1e-12)
         # phase-fixed eigenvectors agree column by column
@@ -305,12 +294,11 @@ class TestObservable:
 
     @pytest.mark.parametrize("d", [2, 3, 6, 8, 16])
     def test_stacked_observables_equal_single_builds(self, d):
-        streams = lambda: (substream(4, i) for i in range(5))
-        matrices, values, vectors = random_observables(d, streams())
+        draws = [(spectrum(d, rng), haar_array(d, rng)) for rng in (substream(4, i) for i in range(5))]
+        matrices, values, vectors = quantum.eigenbasis_stack(*map(np.array, zip(*draws)))
         assert matrices.shape == vectors.shape == (5, d, d) and values.shape == (5, d)
-        for i, rng in enumerate(streams()):
-            spectrum, basis = gapped_eigenvalues(d, rng), haar_array(d, rng)
-            single_matrices, single_values, single_vectors = quantum.eigenbasis_stack(spectrum[None], basis[None])
+        for i, (spectrum_i, basis) in enumerate(draws):
+            single_matrices, single_values, single_vectors = quantum.eigenbasis_stack(spectrum_i[None], basis[None])
             np.testing.assert_array_equal(values[i], single_values[0])
             np.testing.assert_array_equal(vectors[i], single_vectors[0])
             np.testing.assert_allclose(matrices[i], single_matrices[0], rtol=0, atol=1e-14)
@@ -336,43 +324,10 @@ class TestObservable:
         with pytest.raises(ValueError, match="not orthonormal"):
             Observable.from_eigenbasis([0.3, -0.2, 0.9], bases[3])
 
-    def test_random_observable_gap(self):
-        _, values, _ = random_observables(5, (np.random.default_rng(seed) for seed in range(20)))
-        assert np.min(np.diff(values, axis=-1)) > 1e-3
-
-    def test_gapped_spectra_rows_and_the_per_draw_loop(self):
-        def per_draw(dim, rng):  # reference: redraw the whole spectrum until gapped
-            while True:
-                values = rng.uniform(-1.0, 1.0, size=dim)
-                if np.min(np.diff(np.sort(values))) > 1e-3:
-                    return values
-
-        for seed in range(300):  # at d=8 about 3% of first draws are redrawn
-            np.testing.assert_array_equal(
-                gapped_eigenvalues(8, np.random.default_rng(seed)), per_draw(8, np.random.default_rng(seed))
-            )
-        rng = np.random.default_rng(0)
-        rows = np.array([gapped_eigenvalues(8, rng) for _ in range(500)])
-        assert rows.shape == (500, 8)
-        assert np.min(np.diff(np.sort(rows, axis=1), axis=1)) > 1e-3
-
-    def test_spectrum_gap_is_random_gap_up_to_d31(self):
-        # the dims every command and test uses keep the fixed 1e-3 gap, so
-        # their draws are unchanged
-        assert all(TOL.spectrum_gap(d) == TOL.random_gap == 1e-3 for d in range(2, 32))
-        assert TOL.spectrum_gap(32) == 1.0 / 32**2 < 1e-3
-
-    def test_large_dim_spectra_are_drawn(self):
-        # a fixed 1e-3 gap accepts a d=256 draw with probability about 7e-15
-        rng = np.random.default_rng(0)
-        rows = np.array([gapped_eigenvalues(256, rng) for _ in range(4)])
-        assert rows.shape == (4, 256)
-        assert np.min(np.diff(np.sort(rows, axis=1), axis=1)) > 1.0 / 256**2
-
 
 class TestExpand:
     def test_eigenstate_expansion(self):
-        _, _, (vectors,) = random_observables(3, [np.random.default_rng(0)])
+        vectors = haar_array(3, np.random.default_rng(0))
         phi2 = StateVector(vectors[:, 1])
         alpha = expand(phi2, vectors)
         np.testing.assert_allclose(np.abs(alpha), [0.0, 1.0, 0.0], atol=1e-12)
@@ -390,7 +345,7 @@ class TestExpand:
         np.testing.assert_allclose(np.abs(alpha) ** 2, np.ones(3) / 3, atol=1e-14)
 
     def test_dim_mismatch(self):
-        _, _, (vectors,) = random_observables(3, [np.random.default_rng(1)])
+        vectors = haar_array(3, np.random.default_rng(1))
         with pytest.raises(DimMismatch):
             expand(StateVector(np.array([1.0, 0.0])), vectors)
 
@@ -399,14 +354,14 @@ class TestExpand:
     def test_expansion_preserves_norm(self, d, seed):
         rng = np.random.default_rng(seed)
         psi = haar_state(d, rng)
-        _, _, (vectors,) = random_observables(d, [rng])
+        vectors = haar_array(d, rng)
         alpha = expand(psi, vectors)
         assert abs(np.sum(np.abs(alpha) ** 2) - 1.0) <= 1e-12
 
 
 class TestProbabilities:
     def test_certainty_on_eigenstate(self):
-        _, _, (vectors,) = random_observables(4, [np.random.default_rng(2)])
+        vectors = haar_array(4, np.random.default_rng(2))
         phi = StateVector(vectors[:, 2])
         p = rule_probabilities(Born(), moduli(expand(phi, vectors)).moduli)
         np.testing.assert_allclose(p, [0, 0, 1, 0], atol=1e-12)
@@ -431,7 +386,7 @@ class TestProbabilities:
     def test_born_scores_are_normalized(self, d, seed):
         rng = np.random.default_rng(seed)
         psi = haar_state(d, rng)
-        _, _, (vectors,) = random_observables(d, [rng])
+        vectors = haar_array(d, rng)
         p = rule_probabilities(Born(), moduli(expand(psi, vectors)).moduli)
         assert abs(np.sum(p) - 1.0) <= 1e-12
 
@@ -441,7 +396,7 @@ class TestProbabilities:
         # multiplying each expansion coefficient by an arbitrary phase is a
         # diagonal unitary in the eigenbasis; probabilities cannot move
         rng = np.random.default_rng(seed)
-        _, _, (vectors,) = random_observables(d, [rng])
+        vectors = haar_array(d, rng)
         psi = haar_state(d, rng)
         phases = np.exp(1j * rng.uniform(0, 2 * np.pi, size=d))
         conjugated = StateVector((vectors * phases) @ (vectors.conj().T @ psi.amplitudes))
@@ -453,14 +408,14 @@ class TestProbabilities:
 
 class TestMeasurement:
     def test_eigenstate_is_deterministic(self):
-        _, _, (vectors,) = random_observables(3, [np.random.default_rng(3)])
+        vectors = haar_array(3, np.random.default_rng(3))
         p = born(StateVector(vectors[:, 0]), vectors)
         for seed in range(20):
             k, _ = measure(p, vectors, np.random.default_rng(seed))
             assert k == 0
 
     def test_post_state_is_matching_eigenvector(self):
-        _, _, (vectors,) = random_observables(4, [np.random.default_rng(4)])
+        vectors = haar_array(4, np.random.default_rng(4))
         psi = haar_state(4, np.random.default_rng(5))
         k, post_state = measure(born(psi, vectors), vectors, np.random.default_rng(6))
         phi = vectors[:, k]
@@ -469,7 +424,7 @@ class TestMeasurement:
         np.testing.assert_array_equal(post_state.amplitudes, phi)  # the column itself, not renormalized
 
     def test_repeatability_after_collapse(self):
-        _, _, (vectors,) = random_observables(3, [np.random.default_rng(7)])
+        vectors = haar_array(3, np.random.default_rng(7))
         psi = haar_state(3, np.random.default_rng(8))
         rng = np.random.default_rng(9)
         k, post_state = measure(born(psi, vectors), vectors, rng)
@@ -497,54 +452,58 @@ class TestMeasurement:
         assert abs(hits / shots - 0.36) < 3 * sigma
 
     def test_sampling_deterministic_for_fixed_stream(self):
-        _, _, (vectors,) = random_observables(3, [np.random.default_rng(14)])
+        vectors = haar_array(3, np.random.default_rng(14))
         p = born(haar_state(3, np.random.default_rng(15)), vectors)
         a = sample_outcomes(p, 1000, substream(77, 0))
         b = sample_outcomes(p, 1000, substream(77, 0))
         np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("shots", [1, 6, 7, 50, 301])
-    def test_chunked_counts_equal_one_draw(self, monkeypatch, shots):
-        _, _, (vectors,) = random_observables(3, [np.random.default_rng(16)])
+    def test_chunked_counts_equal_one_draw(self, shots):
+        # the name is kept from the chunked inverse-CDF draw: the counts of any
+        # shot number are now one multinomial draw from the generator as it
+        # stands, and they add up to the shots
+        vectors = haar_array(3, np.random.default_rng(16))
         p = born(haar_state(3, np.random.default_rng(17)), vectors)
-        cumulative = np.cumsum(p)
-        # one draw of all the uniforms, inverse CDF with ties to the lower index
-        single = np.random.default_rng(18).random(shots)
-        outcomes = np.minimum(np.searchsorted(cumulative, single, side="left"), 2)
-        reference = np.bincount(outcomes, minlength=3)
-        monkeypatch.setattr(quantum, "SHOT_CHUNK", 7)
         counts = sample_outcomes(p, shots, np.random.default_rng(18))
-        np.testing.assert_array_equal(counts, reference)
+        np.testing.assert_array_equal(counts, np.random.default_rng(18).multinomial(shots, p))
+        assert counts.sum() == shots
 
     @pytest.mark.parametrize(
         "probabilities, scale",
         [
             ([0.5, 0.5], 1.0),
-            ([0.3, 0.7], 1.0 - 2e-13),  # a last cumulative value below 1, as rounding leaves it
+            ([0.3, 0.7], 1.0 - 2e-13),  # a sum below 1, as rounding leaves it
             ([0.0, 1.0], 1.0),
-            ([0.0, 0.25, 0.0, 0.0, 0.25, 0.5, 0.0, 0.0], 1.0),  # zero cells repeat cumulative values
+            ([0.0, 0.25, 0.0, 0.0, 0.25, 0.5, 0.0, 0.0], 1.0),  # zero cells
             ([0.125] * 8, 1.0 - 2e-13),
         ],
     )
-    def test_chunked_counts_equal_one_draw_at_the_edges(self, monkeypatch, probabilities, scale):
+    def test_chunked_counts_equal_one_draw_at_the_edges(self, probabilities, scale):
         # the Born row of the state with these probabilities, and the
-        # renorm:power:4 row at its moduli: any distribution takes one draw rule
-        d = len(probabilities)
+        # renorm:power:4 row at its moduli: any distribution takes one draw
+        # rule, in which a zero cell takes no shot and the last outcome takes
+        # what the others leave, also the share of a sum below 1
         point = moduli(np.sqrt(probabilities) * scale).moduli
-        monkeypatch.setattr(quantum, "SHOT_CHUNK", 7)
         for rule in (Born(), Renormalized(Power(4.0))):
-            cumulative = np.cumsum(rule_probabilities(rule, point))
+            p = rule_probabilities(rule, point)
             if scale < 1.0 and rule == Born():
-                assert cumulative[-1] < 1.0
-            # uniforms on every cumulative value and its neighbours, at the ends
-            # of [0, 1) and above the last cumulative value, then random ones
-            edges = np.concatenate([cumulative, np.nextafter(cumulative, 0.0), np.nextafter(cumulative, 1.0)])
-            top = np.nextafter(1.0, 0.0)
-            fixed = np.concatenate([edges[edges < 1.0], [0.0, top, (cumulative[-1] + top) / 2]])
-            uniforms = np.concatenate([fixed, np.random.default_rng(20).random(50)])
-            reference = np.bincount(inverse_cdf(cumulative, uniforms), minlength=d)
-            counts = sample_outcomes(rule_probabilities(rule, point), uniforms.size, Replay(uniforms))
-            np.testing.assert_array_equal(counts, reference)
+                assert p.sum() < 1.0
+            counts = sample_outcomes(p, 10_000, np.random.default_rng(20))
+            np.testing.assert_array_equal(counts, np.random.default_rng(20).multinomial(10_000, p))
+            assert counts.sum() == 10_000
+            assert not np.any(counts[np.array(probabilities) == 0.0])
+
+    @pytest.mark.parametrize("k", [0, 1, 2])
+    def test_a_one_hot_row_rounded_above_one_takes_every_shot(self, k):
+        # a collapsed state's Born row can round to 1 + 2e-16 in its cell,
+        # which numpy's multinomial rejects as a probability above 1
+        row = np.zeros(3)
+        row[k] = np.nextafter(1.0, 2.0)
+        with pytest.raises(ValueError):
+            np.random.default_rng(0).multinomial(10, row)
+        np.testing.assert_array_equal(sample_outcomes(row, 1000, np.random.default_rng(21)), 1000 * np.eye(3, dtype=int)[k])
+        assert measure(row, np.eye(3, dtype=complex), np.random.default_rng(22))[0] == k
 
     @pytest.mark.parametrize(
         "row, error",
@@ -561,61 +520,114 @@ class TestMeasurement:
     )
     def test_draws_reject_a_non_distribution(self, row, error):
         with pytest.raises(ValueError) as excinfo:
-            sample_outcomes(row, 10, Replay(np.full(10, 0.5)))
+            sample_outcomes(row, 10, np.random.default_rng(0))
         assert type(excinfo.value) is error
         with pytest.raises(ValueError) as excinfo:
-            measure(row, np.eye(row.size, dtype=complex), Replay([0.5]))
+            measure(row, np.eye(row.size, dtype=complex), np.random.default_rng(0))
         assert type(excinfo.value) is error
 
     def test_measure_rejects_a_row_of_another_dimension(self):
         with pytest.raises(DimMismatch):
-            measure(np.array([0.5, 0.5]), np.eye(3, dtype=complex), Replay([0.5]))
+            measure(np.array([0.5, 0.5]), np.eye(3, dtype=complex), np.random.default_rng(0))
 
     @settings(max_examples=200, deadline=None)
     @given(
         weights=st.lists(st.integers(0, 3), min_size=2, max_size=8).filter(any),
         scale=st.sampled_from([1.0, 1.0 - 2e-13, 1.0 - 4e-13]),
-        data=st.data(),
+        seed=st.integers(0, 2**32 - 1),
+        shots=st.integers(1, 30),
     )
-    def test_measure_and_counts_follow_one_draw_rule(self, weights, scale, data):
-        # zero weights tie cumulative values, a scale below 1 leaves the last
-        # one below 1 (a sum defect up to about 8e-13, which the draws accept);
-        # uniforms sit on and next to every cumulative value
+    def test_measure_and_counts_follow_one_draw_rule(self, weights, scale, seed, shots):
+        # zero weights give zero cells, and a scale below 1 leaves the sum
+        # below 1 (a defect up to about 8e-13, which the draws accept):
+        # measure() is one multinomial shot, sample_outcomes() one draw of all
         d = len(weights)
         vectors = np.eye(d, dtype=complex)
         p = born(StateVector(np.sqrt(np.array(weights) / sum(weights)) * scale), vectors)
-        cumulative = np.cumsum(p)
-        edges = np.concatenate([cumulative, np.nextafter(cumulative, 0.0), np.nextafter(cumulative, 1.0), [0.0]])
-        uniform = st.one_of(st.sampled_from(sorted(edges[edges < 1.0])), st.floats(0.0, 1.0, exclude_max=True))
-        uniforms = np.array(data.draw(st.lists(uniform, min_size=1, max_size=30)))
-        reference = inverse_cdf(cumulative, uniforms)
-
-        rng = Replay(uniforms)  # measure() and sample_outcomes() draw these same uniforms
-        outcomes = [measure(p, vectors, rng)[0] for _ in uniforms]
-        np.testing.assert_array_equal(outcomes, reference)
-        counts = sample_outcomes(p, uniforms.size, Replay(uniforms))
-        np.testing.assert_array_equal(counts, np.bincount(reference, minlength=d))
-
+        rng, reference = np.random.default_rng(seed), np.random.default_rng(seed)
+        outcomes = [measure(p, vectors, rng)[0] for _ in range(shots)]
+        assert outcomes == [int(np.argmax(reference.multinomial(1, p))) for _ in range(shots)]
+        assert all(weights[k] for k in outcomes)
+        counts = sample_outcomes(p, shots, np.random.default_rng(seed))
+        np.testing.assert_array_equal(counts, np.random.default_rng(seed).multinomial(shots, p))
 
     def test_one_draw_repeats_equal_scalar_measure_calls(self):
-        # sample's collapse check: 100 shots of sample_outcomes, against the
-        # 100 measure() calls it replaced and the inverse CDF of one draw
+        # sample's collapse check on the eigenbasis and state of its pair
+        # `seed`: 100 shots of sample_outcomes and 100 measure() calls
         mixed = False
         for seed in range(20):
-            _, _, (vectors,) = random_observables(3, [substream(19, seed, 1)])
+            vectors = haar_array(3, substream(19, seed, 1))
             psi = haar_state(3, substream(19, seed, 0))
             k, post_state = measure(born(psi, vectors), vectors, substream(19, seed, 3))
             for state in (psi, post_state):
                 p = born(state, vectors)
                 rng = substream(19, seed, 4)
                 scalar = [measure(p, vectors, rng)[0] for _ in range(100)]
-                one_draw = inverse_cdf(np.cumsum(p), substream(19, seed, 4).random(100))
-                np.testing.assert_array_equal(one_draw, scalar)
                 counts = sample_outcomes(p, 100, substream(19, seed, 4))
-                np.testing.assert_array_equal(counts, np.bincount(scalar, minlength=3))
+                assert counts.sum() == 100
                 mixed = mixed or len(set(scalar)) > 1
-            assert set(scalar) == {k}  # the collapsed state repeats
+            assert set(scalar) == {k} and counts[k] == 100  # the collapsed state repeats
         assert mixed  # the uncollapsed states exercise more than one outcome
+
+
+class TestChiSquare:
+    # 95% quantiles of the chi-square law (standard tables, to 16 digits)
+    QUANTILES = {1: 3.841458820694124, 2: 5.991464547107979, 3: 7.814727903251178,
+                 10: 18.307038053275146, 100: 124.34211340400407}
+
+    def test_survival_at_tabulated_quantiles(self):
+        for dof, x in self.QUANTILES.items():
+            assert chi_square_sf(x, dof) == pytest.approx(0.05, rel=1e-12)
+
+    def test_survival_low_dof_closed_forms_and_the_two_step_recurrence(self):
+        # dof 1 is the two-sided normal tail, dof 2 exp(-x/2), and
+        # Q(x; k + 2) = Q(x; k) + (x/2)^(k/2) exp(-x/2) / Gamma(k/2 + 1)
+        for x in (0.01, 0.7, 3.0, 9.0, 40.0, 300.0):
+            assert chi_square_sf(x, 1) == pytest.approx(math.erfc(math.sqrt(x / 2)), rel=1e-15)
+            assert chi_square_sf(x, 2) == pytest.approx(math.exp(-x / 2), rel=1e-15)
+            for k in range(1, 300):
+                step = math.exp(k / 2 * math.log(x / 2) - x / 2 - math.lgamma(k / 2 + 1))
+                assert chi_square_sf(x, k + 2) == pytest.approx(min(1.0, chi_square_sf(x, k) + step), rel=1e-9, abs=1e-300)
+
+    def test_survival_against_the_integrated_density(self):
+        for dof in (1, 2, 3, 5, 8, 31, 255):
+            for x in (0.5 * dof, dof, 2.0 * dof + 5.0):
+                grid = np.linspace(x, x + 40.0 * math.sqrt(2.0 * dof) + 200.0, 400_001)
+                log_pdf = (dof / 2 - 1) * np.log(grid) - grid / 2 - dof / 2 * math.log(2) - math.lgamma(dof / 2)
+                assert chi_square_sf(x, dof) == pytest.approx(np.trapezoid(np.exp(log_pdf), grid), rel=1e-6, abs=1e-15)
+
+    def test_survival_ends(self):
+        assert chi_square_sf(0.0, 3) == 1.0 and chi_square_sf(1e-300, 300) == 1.0
+        assert chi_square_sf(1e6, 255) == 0.0  # every term underflows; none overflows
+
+    def test_sidak_level_holds_the_run_to_the_two_sided_three_sigma_tail(self):
+        alpha = math.erfc(3.0 / math.sqrt(2.0))  # 0.27%
+        assert TOL.sample_sigmas == 3.0 and TOL.sample_p_value(1) == pytest.approx(alpha, rel=1e-12)
+        for pairs in (2, 10, 1000):
+            # independent pairs that each pass with probability 1 - p all pass with probability 1 - alpha
+            assert 1.0 - (1.0 - TOL.sample_p_value(pairs)) ** pairs == pytest.approx(alpha, rel=1e-9)
+
+    def test_cells_pool_until_each_expects_five(self):
+        # ascending expectation: 1.7 + 1.7 + 1.7 closes a pool, 1.8 + 1.8 + 1.8
+        # another, and the short last pool (1.9) joins the one before it
+        expected = np.array([1.9, 1.7, 1.8, 1.7, 1.8, 1.7, 1.8])
+        counts = np.array([3, 1, 2, 2, 0, 1, 4])
+        pools = [(1 + 2 + 1, 5.1), (2 + 0 + 4 + 3, 7.3)]
+        statistic, dof, p_value = chi_square_test(counts, expected)
+        assert dof == 1
+        assert statistic == pytest.approx(sum((o - e) ** 2 / e for o, e in pools), rel=1e-12)
+        assert p_value == chi_square_sf(statistic, 1)
+
+    def test_cells_that_expect_five_stay_apart(self):
+        expected = np.array([20.0, 5.0, 75.0])
+        counts = np.array([25, 2, 73])
+        statistic, dof, p_value = chi_square_test(counts, expected)
+        assert dof == 2 and statistic == pytest.approx(25 / 20 + 9 / 5 + 4 / 75, rel=1e-12)
+
+    def test_one_pool_is_no_test(self):
+        # fewer shots than TOL.sample_min_expected, and a second pool too short to close
+        assert chi_square_test(np.array([1, 2, 0]), np.array([1.0, 1.5, 0.5])) == (0.0, 0, 1.0)
+        assert chi_square_test(np.array([5, 2]), np.array([5.5, 1.5])) == (0.0, 0, 1.0)
 
 
 class TestSpinOneFixtures:

@@ -110,6 +110,11 @@ class TestParsing:
             parse_rule(bad)
         assert str(excinfo.value).count("malformed rule name") <= 1
 
+    def test_negative_renormalized_base_is_a_domain_error_not_a_malformed_name(self):
+        with pytest.raises(DomainError, match=re.escape("rule 'renorm:affine:1:-1' has a negative base value")) as excinfo:
+            parse_rule("renorm:affine:1:-1")
+        assert "malformed" not in str(excinfo.value)
+
     def test_nesting_error_names_the_rule(self):
         with pytest.raises(ValueError, match=re.escape("malformed rule name 'renorm:renorm:born': renormalized rules cannot be nested")):
             parse_rule("renorm:renorm:born")
