@@ -146,17 +146,31 @@ MUTANTS = [
     ),
     Mutant(
         "bornlab/quantum.py",
-        "return rng.multinomial(shots, np.minimum(p, 1.0))",
-        "return rng.multinomial(shots, p)",
+        "clipped = np.minimum(p, 1.0)",
+        "clipped = p",
         "tests/test_quantum.py::TestMeasurement::test_a_one_hot_row_rounded_above_one_takes_every_shot",
         "a collapsed state's Born row that rounds to 1 + 2e-16 is rejected by numpy: a crash, not a verdict",
     ),
     Mutant(
         "bornlab/quantum.py",
-        'within(abs(float(np.sum(p)) - 1.0), TOL.unit_norm, "probability sum defect", NotNormalized)',
+        'within(float(np.abs(np.sum(p, axis=-1) - 1.0).max()), TOL.unit_norm, "probability sum defect", NotNormalized)',
         "pass",
         "tests/test_quantum.py::TestMeasurement::test_draws_reject_a_non_distribution",
         "sample_outcomes draws from a row that is not a distribution, so a plain rule's row is sampled",
+    ),
+    Mutant(
+        "bornlab/quantum.py",
+        "np.abs(np.sum(p, axis=-1) - 1.0).max()",
+        "np.abs(np.sum(p, axis=-1) - 1.0).flat[0]",
+        "tests/test_quantum.py::TestMeasurement::test_draws_reject_a_non_distribution",
+        "a stacked draw checks its first row's sum alone, so a later pair's non-distribution is sampled",
+    ),
+    Mutant(
+        "bornlab/cli.py",
+        "per_point = np.maximum(np.max(np.maximum(sum_res, out_res), axis=-1), closed)",
+        "per_point = np.max(np.maximum(sum_res, out_res), axis=-1)",
+        "tests/test_cli.py::TestStackedEqualsPerBlock::test_stationarity",
+        "stationarity's per-point value drops the closed-form residual, so a point's CSV value misses it",
     ),
     Mutant(
         "bornlab/tolerances.py",

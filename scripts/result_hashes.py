@@ -6,9 +6,11 @@ CSV.  A row gives the first 16 hex digits of the sha256 of
 ``json.dumps({"results", "config", "pass"})`` (keys in the order the report
 emits them), the same digits for the CSV text, and both exit codes.  A
 runtime failure (exit 4) writes no report, and its digest is that of the
-empty string.  Run it on two checkouts and diff the output:
+empty string.  Each --seed (repeatable; 10 when none is given) prints one
+block, its header line first, and blocks are separated by an empty line.
+Run it on two checkouts and diff the output:
 
-    PYTHONPATH=src python3 scripts/result_hashes.py --seed 10
+    PYTHONPATH=src python3 scripts/result_hashes.py --seed 10 --seed 11 --seed 12
 """
 
 import argparse
@@ -89,15 +91,18 @@ def row(argv: list[str], seed: int) -> str:
     return f"{' '.join(argv)}\t{digest(payload)}\t{digest(csv_text)}\texit {json_code}/{csv_code}"
 
 
-def main() -> int:
+def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--seed", type=int, default=10)
-    args = parser.parse_args()
-    if args.seed < 0:  # the CLI's bound, checked before the table header
+    parser.add_argument("--seed", type=int, action="append", help="master seed of one block; repeat for more (default 10)")
+    seeds = parser.parse_args(argv).seed or [10]
+    if min(seeds) < 0:  # the CLI's bound, checked before any table header
         parser.error("--seed must be at least 0")
-    print("command\tjson\tcsv\texit json/csv")
-    for argv in COMMANDS:
-        print(row(argv, args.seed))
+    for block, seed in enumerate(seeds):
+        if block:
+            print()  # an empty line between blocks
+        print("command\tjson\tcsv\texit json/csv")
+        for command in COMMANDS:
+            print(row(command, seed))
     return 0
 
 

@@ -327,12 +327,12 @@ def cmd_stationarity(args) -> Verdict:
     for di, d in enumerate(args.dims):
         rows = np.abs(quantum.haar_blocks(d, args.trials, args.seed, di))
         ks = np.arange(args.trials) % d
-        sum_res = np.max(np.abs(variational.rule_stationarity(born, rows, 1.0)), axis=-1)
-        out_res = np.max(np.abs(variational.outcome_stationarity(probabilities, rows, ks, 0.0)), axis=-1)
+        sum_res = np.abs(variational.rule_stationarity(born, rows, 1.0))
+        out_res = np.abs(variational.outcome_stationarity(probabilities, rows, ks, 0.0))
         closed = variational.closed_form_check(rows, ks, 2.0, -1.0)
-        residuals = np.column_stack((sum_res, out_res, closed))
-        series.append(_rows("residual", d, np.max(residuals, axis=1), range(d)))  # point i at outcome i % d
-        worst = np.maximum(worst, np.max(residuals, axis=0))
+        per_point = np.maximum(np.max(np.maximum(sum_res, out_res), axis=-1), closed)
+        series.append(_rows("residual", d, per_point, range(d)))  # point i at outcome i % d
+        worst = np.maximum(worst, (sum_res.max(), out_res.max(), closed.max()))
 
     results = {
         "max_sum_residual": float(worst[0]),
@@ -376,17 +376,17 @@ def cmd_sample(args) -> Verdict:
         return rules.rule_probabilities(rules.Born(), rows)
 
     p = born(quantum.haar_rows(d, (substream(seed, i, 0) for i in range(n))))
-    counts = [quantum.sample_outcomes(p[i], shots, substream(seed, i, 2)) for i in range(n)]
+    counts = quantum.sample_outcomes(p, shots, (substream(seed, i, 2) for i in range(n)))  # one stack, a stream per pair
     threshold = TOL.sample_p_value(n)  # the Sidak level of each pair's test: the run false-alarms at alpha
     tests = [quantum.chi_square_test(counts[i], shots * p[i]) for i in range(n)]
-    firsts, post_states = zip(*(quantum.measure(p[i], bases[i], substream(seed, i, 3)) for i in range(n)))
-    # 100 re-measurements of each collapsed state, by measure()'s draw rule
-    post = born(np.array([state.amplitudes for state in post_states]))
-    repeats = [bool(quantum.sample_outcomes(post[i], 100, substream(seed, i, 4))[firsts[i]] == 100) for i in range(n)]
+    # first outcomes, one shot each as measure() takes it, and 100 re-measurements of each collapsed column
+    firsts = np.argmax(quantum.sample_outcomes(p, 1, (substream(seed, i, 3) for i in range(n))), axis=-1)
+    post = born(bases[np.arange(n), :, firsts])
+    repeats = (quantum.sample_outcomes(post, 100, (substream(seed, i, 4) for i in range(n)))[np.arange(n), firsts] == 100).tolist()
     pairs = [
         {"pair": i, "frequencies": (counts[i] / shots).tolist(), "born": p[i].tolist(),
          "chi_square": statistic, "dof": dof, "p_value": p_value, "within_3_sigma": p_value >= threshold,
-         "first_outcome": firsts[i], "repeat_consistent": repeats[i]}
+         "first_outcome": int(firsts[i]), "repeat_consistent": repeats[i]}
         for i, (statistic, dof, p_value) in enumerate(tests)
     ]
     series = ((i, d, k, f, "frequencies") for i, pair in enumerate(pairs) for k, f in enumerate(pair["frequencies"]))
@@ -404,6 +404,8 @@ def main(argv: list[str] | None = None) -> int:
     for name, low in lows.items():
         if getattr(args, name, low) < low:
             parser.error(f"--{name} must be at least {low}")
+    if getattr(args, "shots", 1) > 2**63 - 1:  # sample's counts are int64: numpy's multinomial takes no more
+        parser.error(f"--shots must be at most {2**63 - 1}")
     if min(getattr(args, "dims", (2,))) < 2:
         parser.error("--dims must be integers >= 2")
 

@@ -10,6 +10,7 @@ demonstration.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -156,21 +157,24 @@ def measure(p: np.ndarray, vectors: np.ndarray, rng: np.random.Generator) -> tup
     return k, StateVector(vectors[:, k])
 
 
-def sample_outcomes(p: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:
-    """Outcome counts over many shots from the probability row p (d,): the
-    one draw rule, which measure() takes one shot of.
+def sample_outcomes(p: np.ndarray, shots: int, rng: np.random.Generator | Iterable[np.random.Generator]) -> np.ndarray:
+    """Outcome counts over many shots from the probability row p (d,), drawn by the generator
+    rng, or from each row of a stack p (n, d), drawn by its own of the n generators rng yields:
+    the one draw rule, which measure() takes one shot of.
 
-    The row must be a distribution: a negative entry is a ValueError, and a
-    sum more than TOL.unit_norm from one (nan included) is NotNormalized.
-    The counts are one multinomial draw, which has the law of one inverse-CDF
-    draw per shot; numpy draws successive binomials, so the last outcome takes
-    the shots the others leave.  An entry that rounded above 1 (a collapsed
-    state's certain outcome, 1 + 2e-16) is clipped to 1, as numpy requires.
+    The whole stack is checked once, before any draw: a negative entry is a ValueError, and a
+    row sum more than TOL.unit_norm from one (nan included) is NotNormalized.  A row's counts
+    are one multinomial draw, which has the law of one inverse-CDF draw per shot; numpy draws
+    successive binomials, so the last outcome takes the shots the others leave.  An entry that
+    rounded above 1 (a collapsed state's certain outcome, 1 + 2e-16) is clipped to 1, as numpy requires.
     """
-    if np.minimum.reduce(p, initial=0.0) < 0.0:  # a nan carries past, to the sum test
+    if np.minimum.reduce(p, axis=None, initial=0.0) < 0.0:  # a nan carries past, to the sum test
         raise ValueError("probabilities must be non-negative")
-    within(abs(float(np.sum(p)) - 1.0), TOL.unit_norm, "probability sum defect", NotNormalized)
-    return rng.multinomial(shots, np.minimum(p, 1.0))
+    within(float(np.abs(np.sum(p, axis=-1) - 1.0).max()), TOL.unit_norm, "probability sum defect", NotNormalized)
+    clipped = np.minimum(p, 1.0)
+    if p.ndim == 1:
+        return rng.multinomial(shots, clipped)
+    return np.array([generator.multinomial(shots, row) for generator, row in zip(rng, clipped, strict=True)])
 
 
 def chi_square_test(counts: np.ndarray, expected: np.ndarray) -> tuple[float, int, float]:
@@ -236,10 +240,14 @@ def haar_blocks(dim: int, n: int, seed: int, *indices: int) -> np.ndarray:
     return states
 
 
+@functools.cache
 def spin1_observables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Jz and Jx^2 - Jy^2 for spin 1 (m = 1, 0, -1 ordering) as one stack (2, 3, 3),
-    with spectra and phase-fixed eigenvector columns; both share the m = 0 eigenvector."""
+    """Jz and Jx^2 - Jy^2 for spin 1 (m = 1, 0, -1 ordering) as one stack (2, 3, 3), with spectra and phase-fixed
+    eigenvector columns (both share the m = 0 one), built and checked once: every call gets the same read-only arrays."""
     jx2_minus_jy2 = [[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]  # other eigenvectors (|1> +/- |-1>)/sqrt(2)
     matrices = np.array([np.diag([1.0, 0.0, -1.0]), jx2_minus_jy2], dtype=complex)
     values, vectors = eigensystems(matrices)
-    return matrices, values, fix_column_phases(vectors)
+    fixture = matrices, values, fix_column_phases(vectors)
+    for array in fixture:
+        array.setflags(write=False)
+    return fixture

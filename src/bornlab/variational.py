@@ -69,16 +69,17 @@ def outcome_stationarity(
     step = TOL.fd_step
     rows = np.asarray(rows, dtype=np.float64)
     d = rows.shape[-1]
-    flat, flat_ks = rows.reshape(-1, d), np.broadcast_to(ks, rows.shape[:-1]).reshape(-1, 1)
-    chunk = max(1, CHUNK_CELLS // (d * d))
+    flat, flat_ks = rows.reshape(-1, d), np.broadcast_to(ks, rows.shape[:-1]).reshape(-1)
+    chunk, eye = max(1, CHUNK_CELLS // (d * d)), np.eye(d, dtype=bool)
     residuals = []
     for start in range(0, flat.shape[0], chunk):
         a, k = flat[start : start + chunk], flat_ks[start : start + chunk]
-        inside = (step <= a) & (a <= 1.0 - step) & (np.arange(d) != k)
-        shift = step * np.eye(d) * inside[:, :, None]  # copy j moves coordinate j only
+        inside = (step <= a) & (a <= 1.0 - step) & (np.arange(d) != k[:, None])
+        shift = np.where(inside[:, :, None] & eye, step, 0.0)  # copy j moves coordinate j only
         up = p(a[:, None, :] + shift)  # (row, j, outcome)
         down = p(a[:, None, :] - shift)
-        partial = np.take_along_axis(up - down, k[:, :, None], axis=-1)[..., 0] / (2.0 * step)
+        at = np.arange(a.shape[0]), slice(None), k  # each row's outcome k, for every j
+        partial = (up[at] - down[at]) / (2.0 * step)
         residuals.append(np.where(inside, partial - 2.0 * multiplier * a, 0.0))
     return np.concatenate(residuals).reshape(rows.shape)
 
@@ -91,17 +92,16 @@ def closed_form_check(rows: np.ndarray, ks: np.ndarray, scale: float, offset: fl
     form), each with its own scale as the multiplier.  Stationarity leaves
     this two-parameter family; the boundary values f(0) = 0 and f(1) = 1
     pin it to a^2.  Returns the larger residual of the two forms at each
-    orthant row, the outcome form taken at that row's k.
+    orthant row, the outcome form taken at that row's k: the two forms'
+    |residual| rows are merged elementwise, then take one row maximum.
     """
 
     def outcomes(values: np.ndarray) -> np.ndarray:
         squares = values * values
         return scale * (np.sum(squares, axis=-1, keepdims=True) - squares) + offset
 
-    return np.maximum(
-        np.max(np.abs(rule_stationarity(Affine(scale, offset), rows, scale)), axis=-1),
-        np.max(np.abs(outcome_stationarity(outcomes, rows, ks, scale)), axis=-1),
-    )
+    sum_form = np.abs(rule_stationarity(Affine(scale, offset), rows, scale))
+    return np.max(np.maximum(sum_form, np.abs(outcome_stationarity(outcomes, rows, ks, scale))), axis=-1)
 
 
 def power_sums(rows: np.ndarray) -> np.ndarray:

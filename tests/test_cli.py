@@ -185,6 +185,20 @@ class TestExitCodes:
         assert f"--trials must be at least {minimum}" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("shots", [str(2**63), "100000000000000000000"])
+    def test_shots_past_int64_is_usage_error(self, capsys, shots):
+        # numpy's multinomial counts are int64: one shot more was an OverflowError, exit 4
+        with pytest.raises(SystemExit) as excinfo:
+            main(["sample", "--shots", shots, "--trials", "1"])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"--shots must be at most {2**63 - 1}" in err and "Traceback" not in err
+
+    def test_most_shots_run_and_pass(self, capsys):
+        code, report = run_json(capsys, ["sample", "--shots", str(2**63 - 1), "--trials", "2"])
+        assert code == 0 and report["config"]["shots"] == 2**63 - 1
+        assert report["pass"] is True and report["results"]["all_repeat_consistent"] is True
+
     def test_large_dim_sample_finishes(self, capsys):
         # 200 cells of 5 expected shots each on average: the sparse ones are pooled
         code, report = run_json(capsys, ["sample", "--dim", "200", "--shots", "1000", "--trials", "1"])
@@ -1143,6 +1157,7 @@ class TestStackedEqualsPerBlock:
         _, report = run_json(capsys, argv)
         threshold = report["results"]["p_value_threshold"]
         assert threshold == TOL.sample_p_value(trials)
+        repeats = []
         for i, pair in enumerate(report["results"]["pairs"]):
             psi = quantum.haar_state(d, substream(self.SEED, i, 0))
             vectors = haar_array(d, substream(self.SEED, i, 1))
@@ -1153,7 +1168,13 @@ class TestStackedEqualsPerBlock:
             assert pair["frequencies"] == [float(x) for x in counts / shots]
             assert (pair["chi_square"], pair["dof"], pair["p_value"]) == (statistic, dof, p_value)
             assert pair["within_3_sigma"] == (p_value >= threshold)
-            assert pair["first_outcome"] == quantum.measure(p, vectors, substream(self.SEED, i, 3))[0]
+            k, collapsed = quantum.measure(p, vectors, substream(self.SEED, i, 3))
+            assert pair["first_outcome"] == k
+            # the collapsed column, scored alone, and its 100 re-measurements from the pair's own stream
+            post = np.abs(np.vecdot(vectors, collapsed.amplitudes[:, None], axis=0)) ** 2
+            repeats.append(bool(quantum.sample_outcomes(post, 100, substream(self.SEED, i, 4))[k] == 100))
+            assert pair["repeat_consistent"] == repeats[-1]
+        assert report["results"]["all_repeat_consistent"] == all(repeats)
 
     def test_sample_checks_one_stack(self, capsys, monkeypatch):
         # the eigenbases are checked for unitarity once, as one stack; no

@@ -522,6 +522,11 @@ class TestMeasurement:
         with pytest.raises(ValueError) as excinfo:
             sample_outcomes(row, 10, np.random.default_rng(0))
         assert type(excinfo.value) is error
+        # the row as the second of a stack, behind a distribution: the whole stack is checked
+        stack = np.concatenate([np.eye(1, row.size), row[None]])
+        with pytest.raises(ValueError) as excinfo:
+            sample_outcomes(stack, 10, [np.random.default_rng(0), np.random.default_rng(1)])
+        assert type(excinfo.value) is error
         with pytest.raises(ValueError) as excinfo:
             measure(row, np.eye(row.size, dtype=complex), np.random.default_rng(0))
         assert type(excinfo.value) is error
@@ -631,6 +636,14 @@ class TestChiSquare:
 
 
 class TestSpinOneFixtures:
+    def test_fixture_is_built_once_and_read_only(self):
+        # every caller shares one cached stack, so none may write into it
+        first, second = spin1_observables(), spin1_observables()
+        assert all(a is b for a, b in zip(first, second, strict=True))
+        for array in first:
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+
     def test_jz_spectrum(self):
         _, values, _ = spin1_observables()
         np.testing.assert_allclose(values[0], [-1.0, 0.0, 1.0])

@@ -228,6 +228,16 @@ def test_result_hashes_table(hashes_table):
     assert rows[" ".join(argv)][0] == hashlib.sha256(payload.encode()).hexdigest()[:16]
 
 
+def test_result_hashes_prints_one_block_per_seed(monkeypatch):
+    # two short commands at two seeds: each block is its seed's table, in the order given
+    script = load_script("result_hashes.py")
+    monkeypatch.setattr(script, "COMMANDS", [["spin1", "--trials", "20"], ["sample", "--shots", "200", "--trials", "2"]])
+    with contextlib.redirect_stdout(io.StringIO()) as out:
+        assert script.main(["--seed", "11", "--seed", "3"]) == 0
+    for block, seed in zip(out.getvalue().split("\n\n"), (11, 3), strict=True):
+        assert block.splitlines() == ["command\tjson\tcsv\texit json/csv"] + [script.row(argv, seed) for argv in script.COMMANDS]
+
+
 def test_each_mutant_row_names_one_line_of_src_and_a_test():
     # the rows are run by `scripts/mutants.py --run`; here only their anchors are checked, so a
     # change that removes or repeats a mutated line, or renames its test, must update the row
