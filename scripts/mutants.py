@@ -186,6 +186,48 @@ MUTANTS = [
         "tests/test_quantum.py::TestChiSquare::test_survival_at_tabulated_quantiles",
         "an odd-dof p-value misses its normal tail, so a correct sampler's small chi-square fails",
     ),
+    Mutant(
+        "bornlab/quantum.py",
+        "check_eigensystems(matrix, values, vectors)",
+        "pass",
+        "tests/test_quantum.py::TestObservable::test_stack_is_checked_as_a_whole",
+        "from_eigenbasis accepts a degenerate spectrum, whose eigenvectors are not fixed up to phase",
+    ),
+    Mutant(
+        "bornlab/quantum.py",
+        'within(abs(float(np.vdot(amplitudes, amplitudes).real) - 1.0), TOL.unit_norm, "state norm defect", NotNormalized)',
+        "pass",
+        "tests/test_quantum.py::TestStateAndModulus::test_state_rejects_unnormalized",
+        "a StateVector of any norm is accepted, so its moduli are scored off the unit orthant",
+    ),
+    Mutant(
+        "bornlab/cli.py",
+        "return 4",
+        "return 1",
+        "tests/test_cli.py::TestExitCodes::test_runtime_failure_exits_four",
+        "a crash exits 1, as if a check had failed or the rule were falsified",
+    ),
+    Mutant(
+        "bornlab/streams.py",
+        "np.random.SeedSequence(np.array(words, dtype=np.uint32))",
+        "np.random.SeedSequence()",
+        "tests/test_cli.py::TestDeterminism::test_rerun_is_byte_identical",
+        "streams draw fresh OS entropy, so a rerun at the same seed gives another report",
+    ),
+    Mutant(
+        "bornlab/cli.py",
+        '    (_certainty_check, (), "defect", lambda rule: rule.renormalized),\n',
+        "",
+        "tests/test_cli.py::TestFalsification::test_renormalized_rule_must_give_certainty_on_an_eigenstate",
+        "falsify runs no certainty row, so the uniform rule p_k = 1/d passes at d >= 3",
+    ),
+    Mutant(
+        "bornlab/cli.py",
+        "if not any(dof for _, dof, _ in tests) and all(repeats):",
+        "if False:",
+        "tests/test_cli.py::TestExitCodes::test_sample_that_tests_no_frequency_is_inconclusive",
+        "sample with too few shots for any chi-square passes, though no frequency was tested",
+    ),
 ]
 
 

@@ -156,6 +156,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for command, (text, tolerances, _, options) in COMMANDS.items():
         p = sub.add_parser(command, help=text)
+        p.set_defaults(error=p.error)  # main reports every usage error as "bornlab <command>: error: ..."
         for flag, keywords in options.items():
             p.add_argument(flag, **keywords)
         p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
@@ -392,22 +393,23 @@ def cmd_sample(args) -> Verdict:
     series = ((i, d, k, f, "frequencies") for i, pair in enumerate(pairs) for k, f in enumerate(pair["frequencies"]))
     within_all = all(pair["within_3_sigma"] for pair in pairs)
     results = {"pairs": pairs, "p_value_threshold": threshold, "all_within_3_sigma": within_all, "all_repeat_consistent": all(repeats)}
-    return results, within_all and results["all_repeat_consistent"], series
+    if not any(dof for _, dof, _ in tests) and all(repeats):  # a failed repeat is still a failure
+        results["inconclusive"] = "every pair's counts pool into one cell, so no frequency is tested; raise --shots"
+    return results, within_all and all(repeats) and "inconclusive" not in results, series
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
 
     trials = invariance.MIN_DRAWS if "rule" in args and args.rule.renormalized else COMMANDS[args.command][2]
     lows = {"seed": 0, "threads": 1, "trials": trials, "shots": 1, "dim": 2}
     for name, low in lows.items():
         if getattr(args, name, low) < low:
-            parser.error(f"--{name} must be at least {low}")
+            args.error(f"--{name} must be at least {low}")
     if getattr(args, "shots", 1) > 2**63 - 1:  # sample's counts are int64: numpy's multinomial takes no more
-        parser.error(f"--shots must be at most {2**63 - 1}")
+        args.error(f"--shots must be at most {2**63 - 1}")
     if min(getattr(args, "dims", (2,))) < 2:
-        parser.error("--dims must be integers >= 2")
+        args.error("--dims must be integers >= 2")
 
     try:
         start = time.perf_counter()
@@ -422,7 +424,7 @@ def main(argv: list[str] | None = None) -> int:
         else:
             sys.stdout.write(text)
     except (rules.DomainError, OSError) as exc:
-        parser.error(str(exc))
+        args.error(str(exc))
     except Exception as exc:  # a crash is not a scientific result
         print(f"bornlab: runtime failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 4

@@ -101,35 +101,17 @@ class Observable:
 
     @classmethod
     def from_eigenbasis(cls, eigenvalues: np.ndarray, basis: np.ndarray) -> "Observable":
-        """Assemble an observable whose eigensystem is known by construction:
-        the n = 1 case of eigenbasis_stack."""
-        values = np.asarray(eigenvalues, dtype=np.float64).reshape(1, -1)
-        matrices, values, vectors = eigenbasis_stack(values, np.asarray(basis)[None])
-        return cls(HermitianMatrix(matrices[0]), Eigensystem(values[0], vectors[0]))
-
-
-def eigenbasis_stack(eigenvalues: np.ndarray, bases: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Observables (n, d, d) assembled from spectra (n, d) and eigenbases (n, d, d).
-
-    Each basis's columns are its eigenvectors.  They are stable-sorted to
-    ascending eigenvalue and phase-fixed, and each matrix is built as
-    V diag(w) V^dag and re-Hermitized to kill rounding asymmetry.  One
-    check_eigensystems call checks the whole stack.  Returns the matrices,
-    the sorted spectra and the eigenvector columns.
-
-    Each (d, d) slice of the columns is Fortran-ordered, the layout a column
-    reindex of one basis gives: V^dag psi rounds differently on a C-ordered
-    copy, so every observable's expansion keeps the bits of a single build.
-    """
-    values = np.asarray(eigenvalues, dtype=np.float64)
-    order = np.argsort(values, axis=-1, kind="stable")
-    values = np.take_along_axis(values, order, axis=-1)
-    rows = np.swapaxes(np.asarray(bases, dtype=np.complex128), -1, -2)  # row j is column j
-    vectors = fix_column_phases(np.swapaxes(np.take_along_axis(rows, order[..., None], axis=-2), -1, -2))
-    raw = (vectors * values[..., None, :]) @ np.conj(np.swapaxes(vectors, -1, -2))
-    matrices = (raw + np.conj(np.swapaxes(raw, -1, -2))) / 2.0
-    check_eigensystems(matrices, values, vectors)
-    return matrices, values, vectors
+        """Assemble an observable whose eigensystem is known by construction: the basis's columns,
+        stable-sorted to ascending eigenvalue and phase-fixed, are its eigenvectors, V diag(w) V^dag
+        is re-Hermitized to kill rounding asymmetry, and one check_eigensystems call checks the result."""
+        values = np.asarray(eigenvalues, dtype=np.float64)
+        order = np.argsort(values, kind="stable")
+        values = values[order]
+        vectors = fix_column_phases(np.asarray(basis, dtype=np.complex128)[:, order])
+        raw = (vectors * values) @ vectors.conj().T
+        matrix = (raw + raw.conj().T) / 2.0
+        check_eigensystems(matrix, values, vectors)
+        return cls(HermitianMatrix(matrix), Eigensystem(values, vectors))
 
 
 def expand(state: StateVector, vectors: np.ndarray) -> np.ndarray:

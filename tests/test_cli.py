@@ -124,20 +124,24 @@ class TestExitCodes:
             # all: the parser rejects it before any state is drawn
             (["independence", "--rule", "renorm:affine:1:-0.2"], "rule 'renorm:affine:1:-0.2' has a negative base value: affine:1.0:-0.2 is below 0 on [0, 1]"),
             (["falsify", "--rule", "renorm:affine:1:-0.2"], "rule 'renorm:affine:1:-0.2' has a negative base value: affine:1.0:-0.2 is below 0 on [0, 1]"),
+            # a bound main checks after parsing, and an --out path that cannot be opened
+            (["falsify", "--rule", "born", "--dim", "1"], "--dim must be at least 2"),
+            (["falsify", "--rule", "born", "--out", "{tmp}/missing/report.json"], "No such file or directory"),
         ],
         ids=["renorm:affine:1:-1", "affine-overflow", "renorm:affine-overflow", "independence:renorm:affine-overflow",
-             "independence:renorm:affine-negative", "falsify:renorm:affine-negative"],
+             "independence:renorm:affine-negative", "falsify:renorm:affine-negative", "falsify:dim-bound", "falsify:out"],
     )
-    def test_domain_error_is_usage_error(self, capsys, argv, reason):
+    def test_domain_error_is_usage_error(self, capsys, tmp_path, argv, reason):
         with pytest.raises(SystemExit) as excinfo:
-            main(argv + ["--dim", "3", "--trials", "10"])
+            main(argv[:1] + ["--dim", "3", "--trials", "10"] + [arg.format(tmp=tmp_path) for arg in argv[1:]])
         assert excinfo.value.code == 2
         captured = capsys.readouterr()
         assert captured.out == ""
         assert reason in captured.err
-        # the one-line message after argparse's usage: the command's parser names a rule it rejects
-        errors = [line for line in captured.err.splitlines() if line.startswith(("bornlab: error: ", f"bornlab {argv[0]}: error: "))]
-        assert len(errors) == 1 and reason in errors[0]
+        # the one-line message after argparse's usage, from the command's own parser,
+        # whether the parser, a bound, the rule's domain or the file system rejects the run
+        errors = [line for line in captured.err.splitlines() if "error: " in line]
+        assert len(errors) == 1 and errors[0].startswith(f"bornlab {argv[0]}: error: ") and reason in errors[0]
         assert "Traceback" not in captured.err
 
     @pytest.mark.parametrize("command", ["independence", "falsify"])
@@ -198,6 +202,23 @@ class TestExitCodes:
         code, report = run_json(capsys, ["sample", "--shots", str(2**63 - 1), "--trials", "2"])
         assert code == 0 and report["config"]["shots"] == 2**63 - 1
         assert report["pass"] is True and report["results"]["all_repeat_consistent"] is True
+
+    def test_sample_that_tests_no_frequency_is_inconclusive(self, capsys, monkeypatch):
+        # 9 shots in 3 cells: every pair's cells pool into one, so no chi-square runs
+        argv = ["sample", "--dim", "3", "--shots", "9", "--trials", "10", "--seed", "3"]
+        code, report = run_json(capsys, argv)
+        results = report["results"]
+        assert code == 3 and report["pass"] is False
+        assert all(pair["dof"] == 0 and pair["p_value"] == 1.0 for pair in results["pairs"])
+        assert results["all_within_3_sigma"] is True and results["all_repeat_consistent"] is True
+        assert results["inconclusive"] == "every pair's counts pool into one cell, so no frequency is tested; raise --shots"
+        # a collapse that does not repeat is still a failed check: the 100 re-measurements land one outcome over
+        real = quantum.sample_outcomes
+        rolled = lambda p, shots, rng: np.roll(real(p, shots, rng), 1 if shots == 100 else 0, axis=-1)
+        monkeypatch.setattr(quantum, "sample_outcomes", rolled)
+        code, report = run_json(capsys, argv)
+        assert code == 1 and report["results"]["all_repeat_consistent"] is False
+        assert "inconclusive" not in report["results"]
 
     def test_large_dim_sample_finishes(self, capsys):
         # 200 cells of 5 expected shots each on average: the sparse ones are pooled
@@ -672,7 +693,8 @@ class TestSchema:
             return results["max_probability_delta"] <= results["threshold"]
         if command == "sample":
             pairs = results["pairs"]
-            return all(pair["p_value"] >= results["p_value_threshold"] and pair["repeat_consistent"] for pair in pairs)
+            checked = "inconclusive" not in results
+            return checked and all(pair["p_value"] >= results["p_value_threshold"] and pair["repeat_consistent"] for pair in pairs)
         raise AssertionError(f"no rederivation for {command}")
 
     @pytest.mark.parametrize(
@@ -690,10 +712,11 @@ class TestSchema:
             (["stationarity", "--dims", "3", "--trials", "50"], True),
             (["spin1", "--trials", "50"], True),
             (["sample", "--dim", "3", "--shots", "2000", "--trials", "2"], True),
+            (["sample", "--dim", "3", "--shots", "9", "--trials", "2"], False),
         ],
         ids=["verify-born", "falsify:born", "falsify:power:1", "falsify:renorm:d3", "falsify:renorm:d2",
              "falsify:renorm-uniform", "independence:born", "independence:renorm:d2", "recover", "stationarity",
-             "spin1", "sample"],
+             "spin1", "sample", "sample:inconclusive"],
     )
     def test_pass_rederivable_from_results(self, capsys, argv, passed):
         _, report = run_json(capsys, argv + ["--seed", "42"])

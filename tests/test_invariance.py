@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bornlab import invariance, quantum, streams
+from bornlab import invariance, streams
 from bornlab.invariance import (
     complement_rotation,
     match_eigenvector,
@@ -23,6 +23,7 @@ from bornlab.invariance import (
 from bornlab.linalg import complete_basis, ginibre, haar_array, unitary_defect
 from bornlab.quantum import (
     ModulusVector,
+    Observable,
     StateVector,
     haar_state,
     moduli,
@@ -202,7 +203,8 @@ class TestObservableWithEigenstate:
         phi = haar_state(4, rng)
         _, bases = draw_observables(phi, 6, rng)
         spectra = np.array([rng.permutation(np.linspace(-1.0, 1.0, 4)) for _ in range(6)])  # gapped
-        _, vectors = np.linalg.eigh(quantum.eigenbasis_stack(spectra, bases)[0])
+        matrices = [Observable.from_eigenbasis(values, basis).matrix.entries for values, basis in zip(spectra, bases)]
+        _, vectors = np.linalg.eigh(np.array(matrices))
         k = match_eigenvector(vectors, phi.amplitudes)
         assert np.min(np.abs(np.conj(vectors[np.arange(6), :, k]) @ phi.amplitudes)) > 1 - 1e-10
         with pytest.raises(ValueError, match="no eigenvector matches"):

@@ -8,8 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bornlab import quantum
-from bornlab.linalg import eigendecompose, eigensystems, fix_column_phases, haar_array
+from bornlab.linalg import check_eigensystems, eigendecompose, eigensystems, fix_column_phases, haar_array
 from bornlab.quantum import (
     DimMismatch,
     ModulusVector,
@@ -293,34 +292,41 @@ class TestObservable:
         np.testing.assert_allclose(built.eigensystem.eigenvectors, recovered.eigenvectors, atol=1e-9)
 
     @pytest.mark.parametrize("d", [2, 3, 6, 8, 16])
-    def test_stacked_observables_equal_single_builds(self, d):
-        draws = [(spectrum(d, rng), haar_array(d, rng)) for rng in (substream(4, i) for i in range(5))]
-        matrices, values, vectors = quantum.eigenbasis_stack(*map(np.array, zip(*draws)))
-        assert matrices.shape == vectors.shape == (5, d, d) and values.shape == (5, d)
-        for i, (spectrum_i, basis) in enumerate(draws):
-            single_matrices, single_values, single_vectors = quantum.eigenbasis_stack(spectrum_i[None], basis[None])
-            np.testing.assert_array_equal(values[i], single_values[0])
-            np.testing.assert_array_equal(vectors[i], single_vectors[0])
-            np.testing.assert_allclose(matrices[i], single_matrices[0], rtol=0, atol=1e-14)
-            # the column layout of a single build, which V^dag psi's rounding depends on
-            assert vectors[i].flags.f_contiguous and single_vectors[0].flags.f_contiguous
+    def test_from_eigenbasis_matches_eigendecompose(self, d):
+        # a permuted spectrum is sorted with its columns: eigh of the built
+        # matrix recovers the same ascending spectrum and phase-fixed columns
+        for rng in (substream(4, i) for i in range(5)):
+            values, basis = spectrum(d, rng), haar_array(d, rng)
+            built = Observable.from_eigenbasis(values, basis)
+            recovered = eigendecompose(built.matrix.entries)
+            np.testing.assert_array_equal(built.eigensystem.eigenvalues, np.sort(values))
+            np.testing.assert_allclose(recovered.eigenvalues, np.sort(values), rtol=0, atol=1e-12)
+            np.testing.assert_allclose(built.eigensystem.eigenvectors, recovered.eigenvectors, rtol=0, atol=1e-9)
+            # column k is, up to phase, the basis column that carried the k-th smallest value
+            overlaps = np.conj(basis[:, np.argsort(values)]).T @ built.eigensystem.eigenvectors
+            np.testing.assert_allclose(np.abs(np.diagonal(overlaps)), 1.0, rtol=0, atol=1e-12)
 
     def test_stack_is_checked_as_a_whole(self):
         rng = np.random.default_rng(6)
         bases = haar_array(3, rng, (4,))
         values = np.array([[0.3, -0.2, 0.9]] * 4)
-        matrices, sorted_values, _ = quantum.eigenbasis_stack(values, bases)
-        np.testing.assert_array_equal(sorted_values, [[-0.2, 0.3, 0.9]] * 4)
+        built = [Observable.from_eigenbasis(spectrum_i, basis) for spectrum_i, basis in zip(values, bases)]
+        np.testing.assert_array_equal(built[0].eigensystem.eigenvalues, [-0.2, 0.3, 0.9])
+        matrices = np.array([observable.matrix.entries for observable in built])
         assert np.max(np.abs(matrices - np.conj(np.swapaxes(matrices, -1, -2)))) == 0.0
-        values[2, 1] = values[2, 0]  # one degenerate member rejects the stack
+        sorted_values = np.array([observable.eigensystem.eigenvalues for observable in built])
+        vectors = np.array([observable.eigensystem.eigenvectors for observable in built])
+        check_eigensystems(matrices, sorted_values, vectors)
+        sorted_values[2, 1] = sorted_values[2, 0]  # one degenerate member rejects the stack
         with pytest.raises(ValueError, match="degenerate"):
-            quantum.eigenbasis_stack(values, bases)
-        bases[3, :, 0] *= 2.0  # as does one basis that is not orthonormal
+            check_eigensystems(matrices, sorted_values, vectors)
+        vectors[3, :, 0] *= 2.0  # as does one basis that is not orthonormal
         with pytest.raises(ValueError, match="not orthonormal"):
-            quantum.eigenbasis_stack(np.array([[0.3, -0.2, 0.9]] * 4), bases)
-        # the n = 1 case, from_eigenbasis, is checked by the same call
+            check_eigensystems(matrices, np.array([[-0.2, 0.3, 0.9]] * 4), vectors)
+        # from_eigenbasis checks its one observable by the same call
         with pytest.raises(ValueError, match="degenerate"):
-            Observable.from_eigenbasis(values[2], bases[2])
+            Observable.from_eigenbasis([0.3, 0.3, 0.9], bases[2])
+        bases[3, :, 0] *= 2.0
         with pytest.raises(ValueError, match="not orthonormal"):
             Observable.from_eigenbasis([0.3, -0.2, 0.9], bases[3])
 

@@ -92,7 +92,7 @@ COMMANDS = [
     command(0, "recover", "--dims", "2,3", "--trials", "40"),
     command(0, "stationarity", "--dims", "2,3", "--trials", "200"),
     command(0, "spin1", "--trials", "200"),
-    command(0, "sample", "--dim", "3", "--shots", "10", "--trials", "3"),
+    command(3, "sample", "--dim", "3", "--shots", "10", "--trials", "3"),  # too few shots for a chi-square: inconclusive
     # inconclusive layouts, scans of more than one block, a third dimension
     command(3, "falsify", "--rule", "renorm:power:4", "--dim", "2", name="falsify-renorm:power:4-dim2"),
     command(3, "independence", "--rule", "power:3", "--dim", "3"),
