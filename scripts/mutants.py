@@ -228,6 +228,20 @@ MUTANTS = [
         "tests/test_cli.py::TestExitCodes::test_sample_that_tests_no_frequency_is_inconclusive",
         "sample with too few shots for any chi-square passes, though no frequency was tested",
     ),
+    Mutant(
+        "bornlab/cli.py",
+        "if argv and argv[0] in parser.commands:",
+        "if False:",
+        "tests/test_cli.py::TestExitCodes::test_domain_error_is_usage_error",
+        "every command line goes through the top-level parser, so a leftover word reads 'bornlab: error: ...'",
+    ),
+    Mutant(
+        "bornlab/cli.py",
+        "threshold = TOL.sample_p_value(tested) if tested else None",
+        "threshold = TOL.sample_p_value(n) if tested else None",
+        "tests/test_cli.py::TestExitCodes::test_sample_judges_only_the_pairs_it_tests",
+        "pairs that pool into one cell still count in the Sidak level, so each tested pair is judged too strictly",
+    ),
 ]
 
 

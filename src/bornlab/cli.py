@@ -34,7 +34,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import invariance, linalg, quantum, rules, variational
-from .quantum import haar_state, moduli
 from .streams import substream
 from .tolerances import TOL, within
 
@@ -149,14 +148,17 @@ COMMANDS = {
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The command-line parser, built once per process and shared by every
-    call: parse_args does not change it, and callers must not either."""
+    call: parse_args does not change it, and callers must not either.  Its
+    commands attribute maps each command name to that command's parser."""
     parser = argparse.ArgumentParser(
         prog="bornlab", description="Seeded numerical experiments on measurement probability rules.")
-    parser.set_defaults(func=_dispatch)
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
     for command, (text, tolerances, _, options) in COMMANDS.items():
         p = sub.add_parser(command, help=text)
-        p.set_defaults(error=p.error)  # main reports every usage error as "bornlab <command>: error: ..."
+        # every name the top-level parser sets, so a command's own parser builds the same Namespace;
+        # main reports every usage error as "bornlab <command>: error: ..."
+        p.set_defaults(command=command, func=_dispatch, error=p.error)
         for flag, keywords in options.items():
             p.add_argument(flag, **keywords)
         p.add_argument("--seed", type=int, default=0, help="master seed (default 0)")
@@ -198,7 +200,8 @@ def _independence_check(rule, d: int, draws: int, seed: int, *address: int) -> C
     each, address), one CSV row per draw, and, read from those summaries, the
     larger spread (the observable scan's on a tie) and that scan's [min p, max p].
     """
-    rot_point, obs_point = (moduli(haar_state(d, substream(seed, *address, i)).amplitudes) for i in (0, 1))
+    states = quantum.haar_rows(d, (substream(seed, *address, i) for i in (0, 1)))  # each row the bits of its own draw
+    rot_point, obs_point = (quantum.ModulusVector(np.abs(row)) for row in states)  # the orthant check is the norm check
     obs_scan = invariance.observable_independence_scan(obs_point, rule, draws, seed, *address, 2)
     rot_scan = invariance.unobserved_independence_scan(rot_point, rule, draws, seed, *address, 3)
     obs, rot = obs_scan.as_dict(), rot_scan.as_dict()
@@ -378,28 +381,42 @@ def cmd_sample(args) -> Verdict:
 
     p = born(quantum.haar_rows(d, (substream(seed, i, 0) for i in range(n))))
     counts = quantum.sample_outcomes(p, shots, (substream(seed, i, 2) for i in range(n)))  # one stack, a stream per pair
-    threshold = TOL.sample_p_value(n)  # the Sidak level of each pair's test: the run false-alarms at alpha
     tests = [quantum.chi_square_test(counts[i], shots * p[i]) for i in range(n)]
+    # a pair whose counts pool into one cell (dof 0) is not tested; the Sidak level of each tested
+    # pair's test keeps the run's false-alarm rate at alpha, and with no tested pair there is no level
+    tested = sum(1 for _, dof, _ in tests if dof)
+    threshold = TOL.sample_p_value(tested) if tested else None
     # first outcomes, one shot each as measure() takes it, and 100 re-measurements of each collapsed column
     firsts = np.argmax(quantum.sample_outcomes(p, 1, (substream(seed, i, 3) for i in range(n))), axis=-1)
     post = born(bases[np.arange(n), :, firsts])
     repeats = (quantum.sample_outcomes(post, 100, (substream(seed, i, 4) for i in range(n)))[np.arange(n), firsts] == 100).tolist()
     pairs = [
         {"pair": i, "frequencies": (counts[i] / shots).tolist(), "born": p[i].tolist(),
-         "chi_square": statistic, "dof": dof, "p_value": p_value, "within_3_sigma": p_value >= threshold,
+         "chi_square": statistic, "dof": dof, "p_value": p_value, "within_3_sigma": p_value >= threshold if dof else None,
          "first_outcome": int(firsts[i]), "repeat_consistent": repeats[i]}
         for i, (statistic, dof, p_value) in enumerate(tests)
     ]
     series = ((i, d, k, f, "frequencies") for i, pair in enumerate(pairs) for k, f in enumerate(pair["frequencies"]))
-    within_all = all(pair["within_3_sigma"] for pair in pairs)
+    within_all = all(pair["within_3_sigma"] for pair in pairs if pair["dof"])
     results = {"pairs": pairs, "p_value_threshold": threshold, "all_within_3_sigma": within_all, "all_repeat_consistent": all(repeats)}
     if not any(dof for _, dof, _ in tests) and all(repeats):  # a failed repeat is still a failure
         results["inconclusive"] = "every pair's counts pool into one cell, so no frequency is tested; raise --shots"
     return results, within_all and all(repeats) and "inconclusive" not in results, series
 
 
+def parse(argv: list[str] | None = None) -> argparse.Namespace:
+    """The Namespace build_parser().parse_args(argv) gives, parsed once: a command line that starts
+    with a command name goes straight to that command's parser, anything else (no command, --help,
+    an unknown name) to the top-level parser, for its help or error."""
+    argv = sys.argv[1:] if argv is None else argv
+    parser = build_parser()
+    if argv and argv[0] in parser.commands:
+        return parser.commands[argv[0]].parse_args(argv[1:])
+    return parser.parse_args(argv)
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = parse(argv)
 
     trials = invariance.MIN_DRAWS if "rule" in args and args.rule.renormalized else COMMANDS[args.command][2]
     lows = {"seed": 0, "threads": 1, "trials": trials, "shots": 1, "dim": 2}

@@ -71,8 +71,10 @@ def _tails(point: ModulusVector, direction: np.ndarray) -> np.ndarray:
     Scaling a unit tail keeps the fixed points exact: at dim 2 the tail is
     x / x = 1 and the radius a_1, and a zero radius gives zero tails.
     """
-    rows = np.tile(point.moduli, (len(direction), 1))
-    unit = direction / np.linalg.norm(direction, axis=1, keepdims=True)  # a 0 norm's nan fails check_orthant
+    rows = np.empty((len(direction), point.dim))
+    rows[:, 0] = point.moduli[0]
+    # np.linalg.norm's own formula for a real array, without its dispatch; a 0 norm's nan fails check_orthant
+    unit = direction / np.sqrt(np.add.reduce(direction * direction, axis=1, keepdims=True))
     rows[:, 1:] = np.linalg.norm(point.moduli[1:]) * unit
     return rows
 

@@ -3,6 +3,7 @@
 import argparse
 import csv
 import functools
+import importlib.util
 import inspect
 import io
 import itertools
@@ -127,9 +128,13 @@ class TestExitCodes:
             # a bound main checks after parsing, and an --out path that cannot be opened
             (["falsify", "--rule", "born", "--dim", "1"], "--dim must be at least 2"),
             (["falsify", "--rule", "born", "--out", "{tmp}/missing/report.json"], "No such file or directory"),
+            # words the command's parser does not know: it reads the whole command line, so it names them
+            (["falsify", "--rule", "born", "--bogus", "1"], "unrecognized arguments: --bogus 1"),
+            (["falsify", "--rule", "born", "extra"], "unrecognized arguments: extra"),
         ],
         ids=["renorm:affine:1:-1", "affine-overflow", "renorm:affine-overflow", "independence:renorm:affine-overflow",
-             "independence:renorm:affine-negative", "falsify:renorm:affine-negative", "falsify:dim-bound", "falsify:out"],
+             "independence:renorm:affine-negative", "falsify:renorm:affine-negative", "falsify:dim-bound", "falsify:out",
+             "falsify:unrecognized-option", "falsify:unrecognized-word"],
     )
     def test_domain_error_is_usage_error(self, capsys, tmp_path, argv, reason):
         with pytest.raises(SystemExit) as excinfo:
@@ -209,7 +214,8 @@ class TestExitCodes:
         code, report = run_json(capsys, argv)
         results = report["results"]
         assert code == 3 and report["pass"] is False
-        assert all(pair["dof"] == 0 and pair["p_value"] == 1.0 for pair in results["pairs"])
+        assert all(pair["dof"] == 0 and pair["p_value"] == 1.0 and pair["within_3_sigma"] is None for pair in results["pairs"])
+        assert results["p_value_threshold"] is None
         assert results["all_within_3_sigma"] is True and results["all_repeat_consistent"] is True
         assert results["inconclusive"] == "every pair's counts pool into one cell, so no frequency is tested; raise --shots"
         # a collapse that does not repeat is still a failed check: the 100 re-measurements land one outcome over
@@ -219,6 +225,22 @@ class TestExitCodes:
         code, report = run_json(capsys, argv)
         assert code == 1 and report["results"]["all_repeat_consistent"] is False
         assert "inconclusive" not in report["results"]
+
+    def test_sample_judges_only_the_pairs_it_tests(self, capsys):
+        # 12 shots in 3 cells: 7 of the 10 pairs pool into one cell, so 3 pairs are tested,
+        # each at the Sidak level for 3 pairs, and the untested ones are neither passed nor failed
+        code, report = run_json(capsys, ["sample", "--dim", "3", "--shots", "12", "--trials", "10", "--seed", "3"])
+        results = report["results"]
+        tested = [pair for pair in results["pairs"] if pair["dof"]]
+        untested = [pair for pair in results["pairs"] if not pair["dof"]]
+        assert len(tested) == 3 and len(untested) == 7
+        assert all(pair["within_3_sigma"] is None and pair["p_value"] == 1.0 for pair in untested)
+        threshold = results["p_value_threshold"]
+        assert threshold == TOL.sample_p_value(3) > TOL.sample_p_value(10)
+        assert [pair["within_3_sigma"] for pair in tested] == [pair["p_value"] >= threshold for pair in tested]
+        assert results["all_within_3_sigma"] is all(pair["within_3_sigma"] for pair in tested) is True
+        assert "inconclusive" not in results and results["all_repeat_consistent"] is True
+        assert code == 0 and report["pass"] is True
 
     def test_large_dim_sample_finishes(self, capsys):
         # 200 cells of 5 expected shots each on average: the sparse ones are pooled
@@ -1072,6 +1094,40 @@ class TestCsvRows:
             type(index) is int and plain([d, k]) and type(value) is float and type(name) is str
             for index, d, k, value, name in series
         )
+
+
+def _criterion_10_commands() -> list[list[str]]:
+    """The first rows of scripts/result_hashes.py's table."""
+    spec = importlib.util.spec_from_file_location("result_hashes", Path(__file__).resolve().parents[1] / "scripts" / "result_hashes.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script.CRITERION_10_COMMANDS
+
+
+class TestRouting:
+    """main hands a command line that starts with a command name to that command's parser alone."""
+
+    @pytest.mark.parametrize("argv", _criterion_10_commands() + TestCsvRows.COMMANDS, ids=lambda argv: argv[0])
+    def test_routed_namespace_is_the_top_level_one(self, argv):
+        for words in (argv, argv + ["--seed", "7", "--format", "csv", "--threads", "2"]):
+            assert vars(cli.parse(words)) == vars(build_parser().parse_args(words))
+
+    @pytest.mark.parametrize("argv", [[], ["--help"], ["bogus"], ["--", "spin1"], ["--bogus"]],
+                             ids=["empty", "help", "unknown", "dashes", "option"])
+    def test_other_command_lines_get_the_top_level_text(self, capsys, argv):
+        with pytest.raises(SystemExit) as excinfo:
+            build_parser().parse_args(argv)
+        expected = excinfo.value.code, capsys.readouterr()
+        with pytest.raises(SystemExit) as excinfo:
+            main(argv)
+        assert (excinfo.value.code, capsys.readouterr()) == expected
+        code, captured = expected
+        assert code == (0 if argv == ["--help"] else 2)
+        assert (captured.out if code == 0 else captured.err).startswith("usage: bornlab [-h]")
+        if argv == []:
+            assert captured.err.endswith("bornlab: error: the following arguments are required: command\n")
+        if argv == ["bogus"]:
+            assert "bornlab: error: argument command: invalid choice: 'bogus'" in captured.err
 
 
 def block_states(d, n, rng):
