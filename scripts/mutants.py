@@ -242,6 +242,20 @@ MUTANTS = [
         "tests/test_cli.py::TestExitCodes::test_sample_judges_only_the_pairs_it_tests",
         "pairs that pool into one cell still count in the Sidak level, so each tested pair is judged too strictly",
     ),
+    Mutant(
+        "bornlab/rules.py",
+        "if not math.isfinite(float(scale) + float(offset)):",
+        "if False:",
+        "tests/test_cli.py::TestExitCodes::test_overflow_and_underflow_are_refused_on_every_seed",
+        "an affine rule that overflows at a = 1 is a domain error on some seeds and inconclusive on others",
+    ),
+    Mutant(
+        "bornlab/cli.py",
+        "if rule.renormalized and not rule(d ** -0.5) > 0.0:",
+        "if False:",
+        "tests/test_cli.py::TestExitCodes::test_overflow_and_underflow_are_refused_on_every_seed",
+        "a renormalized rule whose sum can underflow passes, fails or is a domain error, by seed",
+    ),
 ]
 
 

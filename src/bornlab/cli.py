@@ -199,9 +199,12 @@ def _independence_check(rule, d: int, draws: int, seed: int, *address: int) -> C
     entries (each scan's summary: spread, both extremes, the first draw at
     each, address), one CSV row per draw, and, read from those summaries, the
     larger spread (the observable scan's on a tie) and that scan's [min p, max p].
+    A renormalized base that is 0 at 1/sqrt(d) is a DomainError before any draw.
     """
-    states = quantum.haar_rows(d, (substream(seed, *address, i) for i in (0, 1)))  # each row the bits of its own draw
-    rot_point, obs_point = (quantum.ModulusVector(np.abs(row)) for row in states)  # the orthant check is the norm check
+    if rule.renormalized and not rule(d ** -0.5) > 0.0:  # no row's sum at d is below its base at 1/sqrt(d)
+        raise rules.DomainError(f"renormalization sum is not positive: {rule.name}'s base is 0 at 1/sqrt({d}), so a sum can underflow")
+    # each row has the bits of its own draw, and moduli's orthant check is the norm check
+    rot_point, obs_point = map(quantum.moduli, quantum.haar_rows(d, (substream(seed, *address, i) for i in (0, 1))))
     obs_scan = invariance.observable_independence_scan(obs_point, rule, draws, seed, *address, 2)
     rot_scan = invariance.unobserved_independence_scan(rot_point, rule, draws, seed, *address, 3)
     obs, rot = obs_scan.as_dict(), rot_scan.as_dict()

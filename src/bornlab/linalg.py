@@ -42,13 +42,6 @@ def check_eigensystems(matrices: np.ndarray, values: np.ndarray, vectors: np.nda
     within(float(np.max(residual)), TOL.eigen_residual, "eigensystem residual")
 
 
-def eigensystems(matrices: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """eigh of a Hermitian stack (..., d, d), then check_eigensystems; the columns keep eigh's phases."""
-    values, vectors = np.linalg.eigh(matrices)
-    check_eigensystems(matrices, values, vectors)
-    return values, vectors
-
-
 @dataclass(frozen=True)
 class ComplexMatrix:
     """A square complex matrix with its entries frozen after construction."""

@@ -17,8 +17,7 @@ from typing import Iterable
 
 import numpy as np
 
-from .linalg import Eigensystem, HermitianMatrix, check_eigensystems
-from .linalg import eigensystems, fix_column_phases, ginibre
+from .linalg import Eigensystem, HermitianMatrix, check_eigensystems, fix_column_phases, ginibre
 from .streams import blockwise
 from .tolerances import TOL, within
 
@@ -131,18 +130,18 @@ def moduli(amplitudes: np.ndarray) -> ModulusVector:
 
 
 def measure(p: np.ndarray, vectors: np.ndarray, rng: np.random.Generator) -> tuple[int, StateVector]:
-    """One shot of sample_outcomes from the probability row p (d,): the outcome k
-    and the collapsed state, column k of the eigenbasis vectors (d, d) as it stands."""
+    """One shot of sample_outcomes from the probability row p (d,), as a one-row stack: the
+    outcome k and the collapsed state, column k of the eigenbasis vectors (d, d) as it stands."""
     if p.shape[-1] != vectors.shape[-1]:
         raise DimMismatch(f"probability row dim {p.shape[-1]} vs eigenbasis dim {vectors.shape[-1]}")
-    k = int(np.argmax(sample_outcomes(p, 1, rng)))
+    k = int(np.argmax(sample_outcomes(p[None], 1, [rng])[0]))
     return k, StateVector(vectors[:, k])
 
 
-def sample_outcomes(p: np.ndarray, shots: int, rng: np.random.Generator | Iterable[np.random.Generator]) -> np.ndarray:
-    """Outcome counts over many shots from the probability row p (d,), drawn by the generator
-    rng, or from each row of a stack p (n, d), drawn by its own of the n generators rng yields:
-    the one draw rule, which measure() takes one shot of.
+def sample_outcomes(p: np.ndarray, shots: int, rngs: Iterable[np.random.Generator]) -> np.ndarray:
+    """Outcome counts (n, d) over many shots from each row of a stack of probability rows
+    p (n, d), drawn by its own of the n generators rngs yields: the one draw rule, whose
+    one-row, one-shot case is measure().
 
     The whole stack is checked once, before any draw: a negative entry is a ValueError, and a
     row sum more than TOL.unit_norm from one (nan included) is NotNormalized.  A row's counts
@@ -154,9 +153,7 @@ def sample_outcomes(p: np.ndarray, shots: int, rng: np.random.Generator | Iterab
         raise ValueError("probabilities must be non-negative")
     within(float(np.abs(np.sum(p, axis=-1) - 1.0).max()), TOL.unit_norm, "probability sum defect", NotNormalized)
     clipped = np.minimum(p, 1.0)
-    if p.ndim == 1:
-        return rng.multinomial(shots, clipped)
-    return np.array([generator.multinomial(shots, row) for generator, row in zip(rng, clipped, strict=True)])
+    return np.array([generator.multinomial(shots, row) for generator, row in zip(rngs, clipped, strict=True)])
 
 
 def chi_square_test(counts: np.ndarray, expected: np.ndarray) -> tuple[float, int, float]:
@@ -228,7 +225,8 @@ def spin1_observables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     eigenvector columns (both share the m = 0 one), built and checked once: every call gets the same read-only arrays."""
     jx2_minus_jy2 = [[0.0, 0.0, 1.0], [0.0, 0.0, 0.0], [1.0, 0.0, 0.0]]  # other eigenvectors (|1> +/- |-1>)/sqrt(2)
     matrices = np.array([np.diag([1.0, 0.0, -1.0]), jx2_minus_jy2], dtype=complex)
-    values, vectors = eigensystems(matrices)
+    values, vectors = np.linalg.eigh(matrices)
+    check_eigensystems(matrices, values, vectors)
     fixture = matrices, values, fix_column_phases(vectors)
     for array in fixture:
         array.setflags(write=False)

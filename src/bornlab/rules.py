@@ -72,15 +72,15 @@ def Renormalized(base: Rule) -> Rule:
 
 
 def parse_rule(name: str) -> Rule:
-    """Parse "born", "power:<p>", "affine:<scale>:<offset>", "renorm:<base>" (a negative base is a DomainError)."""
+    """Parse "born", "power:<p>", "affine:<scale>:<offset>", "renorm:<base>" (an affine rule that overflows
+    on [0, 1] and a negative base are DomainErrors)."""
     text = name.strip().lower()
     if text == "born":
         return Born()
     try:
         if text.startswith("renorm:"):
             base = parse_rule(text[len("renorm:") :])
-            with np.errstate(over="ignore"):  # an infinite value is rule_probabilities' to report
-                negative = min(base(0.0), base(1.0)) < 0.0  # every parsed base is monotone on [0, 1]
+            negative = min(base(0.0), base(1.0)) < 0.0  # every parsed base is monotone and finite on [0, 1]
             if negative:  # a well-formed name: the rule's own error, not a malformed one
                 raise DomainError(f"rule {name!r} has a negative base value: {base.name} is below 0 on [0, 1], "
                                   "so a renormalized row could hold a negative probability")
@@ -89,7 +89,10 @@ def parse_rule(name: str) -> Rule:
             return Power(float(text[len("power:") :]))
         if text.startswith("affine:"):
             _, scale, offset = text.split(":")
-            return Affine(float(scale), float(offset))
+            rule = Affine(float(scale), float(offset))
+            if not math.isfinite(float(scale) + float(offset)):  # f(1): no |f| on [0, 1] is larger
+                raise DomainError(f"rule {name!r} overflows: {rule.name} is not finite at every modulus")
+            return rule
     except DomainError:
         raise
     except (ValueError, TypeError) as exc:

@@ -116,11 +116,11 @@ class TestExitCodes:
         [
             # a^2 - 1 <= 0 at every modulus, so no renormalization exists: rejected when parsed
             (["falsify", "--rule", "renorm:affine:1:-1"], "rule 'renorm:affine:1:-1' has a negative base value: affine:1.0:-1.0 is below 0 on [0, 1]"),
-            # 1.5e308 * (a^2 + 1) overflows once a^2 > 0.199, and every d=3 state has a modulus
-            # with a^2 >= 1/3, so every draw overflows whatever the seed
+            # f(1) = scale + offset is the largest |f| on [0, 1]: one that overflows is rejected when
+            # parsed, a renorm: rule's base too, before any state is drawn
             (["falsify", "--rule", "affine:1.5e308:1.5e308"], "affine:1.5e+308:1.5e+308 is not finite at every modulus"),
-            (["falsify", "--rule", "renorm:affine:1e308:1e308"], "renormalization sum is not finite"),
-            (["independence", "--rule", "renorm:affine:1e308:1e308"], "renormalization sum is not finite"),
+            (["falsify", "--rule", "renorm:affine:1e308:1e308"], "affine:1e+308:1e+308 is not finite at every modulus"),
+            (["independence", "--rule", "renorm:affine:1e308:1e308"], "affine:1e+308:1e+308 is not finite at every modulus"),
             # a^2 - 0.2 sums to 1 - 0.6 > 0 at d=3 but is negative below a^2 = 0.2, at a = 0 first of
             # all: the parser rejects it before any state is drawn
             (["independence", "--rule", "renorm:affine:1:-0.2"], "rule 'renorm:affine:1:-0.2' has a negative base value: affine:1.0:-0.2 is below 0 on [0, 1]"),
@@ -159,6 +159,31 @@ class TestExitCodes:
             assert excinfo.value.code == 2, seed
             captured = capsys.readouterr()
             assert captured.out == "" and "rule 'renorm:affine:1:-0.0001' has a negative base value" in captured.err
+
+    @pytest.mark.parametrize(
+        "argv, reason",
+        [
+            # f(1) = 2e308 overflows, while a draw overflows only where some a^2 > 0.797
+            (["independence", "--rule", "affine:1e308:1e308", "--dim", "3"], "affine:1e+308:1e+308 is not finite at every modulus"),
+            (["independence", "--rule", "affine:1e308:1e308", "--dim", "8"], "affine:1e+308:1e+308 is not finite at every modulus"),
+            # a^p at 1/sqrt(d) underflows to 0, while a draw's sum underflows only where every modulus is small
+            (["falsify", "--rule", "renorm:power:1500", "--dim", "3"], "renorm:power:1500.0's base is 0 at 1/sqrt(3), so a sum can underflow"),
+            (["independence", "--rule", "renorm:power:1500", "--dim", "3"], "renorm:power:1500.0's base is 0 at 1/sqrt(3), so a sum can underflow"),
+            (["falsify", "--rule", "renorm:power:1000", "--dim", "8"], "renorm:power:1000.0's base is 0 at 1/sqrt(8), so a sum can underflow"),
+        ],
+        ids=["independence:affine-overflow-d3", "independence:affine-overflow-d8", "falsify:renorm-underflow-d3",
+             "independence:renorm-underflow-d3", "falsify:renorm-underflow-d8"],
+    )
+    def test_overflow_and_underflow_are_refused_on_every_seed(self, capsys, argv, reason):
+        # each line exited 0, 1, 2 or 3 by seed while only a draw could find the overflow or underflow
+        for seed in range(10):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv + ["--trials", "20", "--seed", str(seed)])
+            assert excinfo.value.code == 2, seed
+            captured = capsys.readouterr()
+            errors = [line for line in captured.err.splitlines() if "error: " in line]
+            assert captured.out == "" and len(errors) == 1 and reason in errors[0], seed
+            assert "Traceback" not in captured.err
 
     def test_underflowing_renormalization_sum_is_named(self, capsys):
         # every a^2000 > 0, but a state with all moduli below 0.69 takes each
@@ -507,6 +532,14 @@ class TestFalsification:
             assert falsify[scan] == independence[scan]
         assert falsify["observable_scan"]["address"] == [3, 1, 2]
         assert falsify["rotation_scan"]["address"] == [3, 1, 3]
+
+    def test_independence_points_are_quantum_moduli(self, monkeypatch):
+        # both orthant points go through quantum.moduli, the traced layer, and keep its bits
+        expected = cli._independence_check(rules.parse_rule("renorm:power:4"), 3, 10, 5, 1)[0]
+        calls, real = [], quantum.moduli
+        monkeypatch.setattr(quantum, "moduli", lambda amplitudes: calls.append(amplitudes.shape) or real(amplitudes))
+        assert cli._independence_check(rules.parse_rule("renorm:power:4"), 3, 10, 5, 1)[0] == expected
+        assert calls == [(3,), (3,)]
 
     @pytest.mark.parametrize("rule", ["power:4", "power:1", "affine:2:0"])
     @pytest.mark.parametrize("dim", ["3", "5"])
@@ -1241,7 +1274,7 @@ class TestStackedEqualsPerBlock:
             psi = quantum.haar_state(d, substream(self.SEED, i, 0))
             vectors = haar_array(d, substream(self.SEED, i, 1))
             p = np.abs(np.vecdot(vectors, psi.amplitudes[:, None], axis=0)) ** 2  # |c|^2, bit for bit the Born scoring
-            counts = quantum.sample_outcomes(p, shots, substream(self.SEED, i, 2))
+            counts = quantum.sample_outcomes(p[None], shots, [substream(self.SEED, i, 2)])[0]
             statistic, dof, p_value = quantum.chi_square_test(counts, shots * p)
             assert pair["born"] == [float(x) for x in p]
             assert pair["frequencies"] == [float(x) for x in counts / shots]
@@ -1251,7 +1284,7 @@ class TestStackedEqualsPerBlock:
             assert pair["first_outcome"] == k
             # the collapsed column, scored alone, and its 100 re-measurements from the pair's own stream
             post = np.abs(np.vecdot(vectors, collapsed.amplitudes[:, None], axis=0)) ** 2
-            repeats.append(bool(quantum.sample_outcomes(post, 100, substream(self.SEED, i, 4))[k] == 100))
+            repeats.append(bool(quantum.sample_outcomes(post[None], 100, [substream(self.SEED, i, 4)])[0, k] == 100))
             assert pair["repeat_consistent"] == repeats[-1]
         assert report["results"]["all_repeat_consistent"] == all(repeats)
 

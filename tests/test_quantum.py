@@ -8,7 +8,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from bornlab.linalg import check_eigensystems, eigendecompose, eigensystems, fix_column_phases, haar_array
+from bornlab.linalg import check_eigensystems, eigendecompose, fix_column_phases, haar_array
 from bornlab.quantum import (
     DimMismatch,
     ModulusVector,
@@ -39,7 +39,10 @@ def born(state, vectors):
 
 def diagonal_basis(values):
     """Checked eigenvector columns of the diagonal observable diag(values)."""
-    return eigensystems(np.diag(values).astype(complex))[1]
+    matrix = np.diag(values).astype(complex)
+    eigenvalues, vectors = np.linalg.eigh(matrix)
+    check_eigensystems(matrix, eigenvalues, vectors)
+    return vectors
 
 
 def spectrum(dim, rng):
@@ -280,8 +283,9 @@ class TestStateAndModulus:
 
 class TestObservable:
     def test_rejects_degenerate_spectrum(self):
+        matrix = np.diag([1.0, 1.0, 2.0]).astype(complex)
         with pytest.raises(ValueError):
-            eigensystems(np.diag([1.0, 1.0, 2.0]).astype(complex))
+            check_eigensystems(matrix, *np.linalg.eigh(matrix))
 
     def test_from_eigenbasis_matches_from_matrix(self):
         rng = np.random.default_rng(5)
@@ -444,7 +448,7 @@ class TestMeasurement:
         vectors = diagonal_basis([-0.5, 0.5])
         psi = StateVector(np.array([1.0, 1.0]) / np.sqrt(2))
         shots = 100_000
-        counts = sample_outcomes(born(psi, vectors), shots, np.random.default_rng(11))
+        counts = sample_outcomes(born(psi, vectors)[None], shots, [np.random.default_rng(11)])[0]
         sigma = np.sqrt(0.25 / shots)
         assert abs(counts[0] / shots - 0.5) < 3 * sigma
 
@@ -460,8 +464,8 @@ class TestMeasurement:
     def test_sampling_deterministic_for_fixed_stream(self):
         vectors = haar_array(3, np.random.default_rng(14))
         p = born(haar_state(3, np.random.default_rng(15)), vectors)
-        a = sample_outcomes(p, 1000, substream(77, 0))
-        b = sample_outcomes(p, 1000, substream(77, 0))
+        a = sample_outcomes(p[None], 1000, [substream(77, 0)])
+        b = sample_outcomes(p[None], 1000, [substream(77, 0)])
         np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("shots", [1, 6, 7, 50, 301])
@@ -471,7 +475,7 @@ class TestMeasurement:
         # stands, and they add up to the shots
         vectors = haar_array(3, np.random.default_rng(16))
         p = born(haar_state(3, np.random.default_rng(17)), vectors)
-        counts = sample_outcomes(p, shots, np.random.default_rng(18))
+        counts = sample_outcomes(p[None], shots, [np.random.default_rng(18)])[0]
         np.testing.assert_array_equal(counts, np.random.default_rng(18).multinomial(shots, p))
         assert counts.sum() == shots
 
@@ -495,7 +499,7 @@ class TestMeasurement:
             p = rule_probabilities(rule, point)
             if scale < 1.0 and rule == Born():
                 assert p.sum() < 1.0
-            counts = sample_outcomes(p, 10_000, np.random.default_rng(20))
+            counts = sample_outcomes(p[None], 10_000, [np.random.default_rng(20)])[0]
             np.testing.assert_array_equal(counts, np.random.default_rng(20).multinomial(10_000, p))
             assert counts.sum() == 10_000
             assert not np.any(counts[np.array(probabilities) == 0.0])
@@ -508,7 +512,7 @@ class TestMeasurement:
         row[k] = np.nextafter(1.0, 2.0)
         with pytest.raises(ValueError):
             np.random.default_rng(0).multinomial(10, row)
-        np.testing.assert_array_equal(sample_outcomes(row, 1000, np.random.default_rng(21)), 1000 * np.eye(3, dtype=int)[k])
+        np.testing.assert_array_equal(sample_outcomes(row[None], 1000, [np.random.default_rng(21)])[0], 1000 * np.eye(3, dtype=int)[k])
         assert measure(row, np.eye(3, dtype=complex), np.random.default_rng(22))[0] == k
 
     @pytest.mark.parametrize(
@@ -526,7 +530,7 @@ class TestMeasurement:
     )
     def test_draws_reject_a_non_distribution(self, row, error):
         with pytest.raises(ValueError) as excinfo:
-            sample_outcomes(row, 10, np.random.default_rng(0))
+            sample_outcomes(row[None], 10, [np.random.default_rng(0)])
         assert type(excinfo.value) is error
         # the row as the second of a stack, behind a distribution: the whole stack is checked
         stack = np.concatenate([np.eye(1, row.size), row[None]])
@@ -559,7 +563,7 @@ class TestMeasurement:
         outcomes = [measure(p, vectors, rng)[0] for _ in range(shots)]
         assert outcomes == [int(np.argmax(reference.multinomial(1, p))) for _ in range(shots)]
         assert all(weights[k] for k in outcomes)
-        counts = sample_outcomes(p, shots, np.random.default_rng(seed))
+        counts = sample_outcomes(p[None], shots, [np.random.default_rng(seed)])[0]
         np.testing.assert_array_equal(counts, np.random.default_rng(seed).multinomial(shots, p))
 
     def test_one_draw_repeats_equal_scalar_measure_calls(self):
@@ -574,7 +578,7 @@ class TestMeasurement:
                 p = born(state, vectors)
                 rng = substream(19, seed, 4)
                 scalar = [measure(p, vectors, rng)[0] for _ in range(100)]
-                counts = sample_outcomes(p, 100, substream(19, seed, 4))
+                counts = sample_outcomes(p[None], 100, [substream(19, seed, 4)])[0]
                 assert counts.sum() == 100
                 mixed = mixed or len(set(scalar)) > 1
             assert set(scalar) == {k} and counts[k] == 100  # the collapsed state repeats

@@ -173,6 +173,13 @@ class TestNormalizationSum:
         with pytest.raises(DomainError, match="renormalization sum is not positive"):
             rule_probabilities(Renormalized(Affine(1.0, -1.0)), rows)
 
+    def test_affine_rule_that_overflows_at_one_is_refused_when_parsed(self):
+        # f(1) = scale + offset is the largest |f| on [0, 1]; opposite signs keep every value finite
+        with pytest.raises(DomainError, match=r"affine:1e\+308:1e\+308 is not finite at every modulus"):
+            parse_rule("affine:1e308:1e308")
+        rule = parse_rule("affine:1e308:-1e308")
+        assert np.all(np.isfinite(rule_probabilities(rule, np.array([[0.6, 0.8], [1.0, 0.0]]))))
+
     def test_overflow_is_a_domain_error(self):
         # 1e308 * (a^2 + 1) exceeds the largest double once a^2 > 0.8:
         # an inf defect would serialize as Infinity, and an inf
