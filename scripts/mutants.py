@@ -75,13 +75,6 @@ MUTANTS = [
         "the tails' radius sqrt(1 - a_0^2) rounds to 0 near an eigenstate: both scans report 0.0",
     ),
     Mutant(
-        "bornlab/rules.py",
-        "if np.minimum.reduce(values, axis=None, initial=0.0) < 0.0:",
-        "if False:",
-        "tests/test_rules.py::TestNormalizationSum::test_renormalized_rows_reject_a_negative_value",
-        "a renormalized rule with a negative value gives negative probabilities and a verdict",
-    ),
-    Mutant(
         "bornlab/invariance.py",
         "argmin, argmax = int(np.argmin(self.p_values)), int(np.argmax(self.p_values))",
         "argmax, argmin = int(np.argmin(self.p_values)), int(np.argmax(self.p_values))",
@@ -121,7 +114,14 @@ MUTANTS = [
         "negative = min(base(0.0), base(1.0)) < 0.0",
         "negative = False",
         "tests/test_cli.py::TestExitCodes::test_renormalized_rule_negative_near_zero_is_rejected_on_every_seed",
-        "a renormalized rule negative only near a zero modulus passes independence on the seeds whose draws miss it",
+        "a renormalized rule negative only near a zero modulus is built, and independence passes it on every seed",
+    ),
+    Mutant(
+        "bornlab/rules.py",
+        "if max(base(0.0), base(1.0)) <= 0.0:",
+        "if False:",
+        "tests/test_cli.py::TestExitCodes::test_domain_error_is_usage_error[falsify:renorm-zero-base]",
+        "a renormalized rule that is 0 on [0, 1] is built: falsify refuses it only at its certainty row, as an underflow",
     ),
     Mutant(
         "bornlab/cli.py",
@@ -244,16 +244,16 @@ MUTANTS = [
     ),
     Mutant(
         "bornlab/rules.py",
-        "if not math.isfinite(float(scale) + float(offset)):",
+        "if not math.isfinite(scale + offset):",
         "if False:",
-        "tests/test_cli.py::TestExitCodes::test_overflow_and_underflow_are_refused_on_every_seed",
-        "an affine rule that overflows at a = 1 is a domain error on some seeds and inconclusive on others",
+        "tests/test_cli.py::TestExitCodes::test_overflow_and_underflow_are_refused_on_every_seed[independence:affine-overflow-d3]",
+        "an affine rule that overflows at a = 1 is built, and independence reports its inf values as inconclusive",
     ),
     Mutant(
         "bornlab/cli.py",
         "if rule.renormalized and not rule(d ** -0.5) > 0.0:",
         "if False:",
-        "tests/test_cli.py::TestExitCodes::test_overflow_and_underflow_are_refused_on_every_seed",
+        "tests/test_cli.py::TestExitCodes::test_overflow_and_underflow_are_refused_on_every_seed[falsify:renorm-underflow-d3]",
         "a renormalized rule whose sum can underflow passes, fails or is a domain error, by seed",
     ),
 ]

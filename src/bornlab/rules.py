@@ -58,71 +58,65 @@ def Power(exponent: float) -> Rule:
 
 
 def Affine(scale: float, offset: float) -> Rule:
-    """Quadratic-affine rule f(a) = scale * a^2 + offset, both finite."""
+    """Quadratic-affine rule f(a) = scale * a^2 + offset, both finite; a DomainError if it overflows on [0, 1]."""
     if not (math.isfinite(scale) and math.isfinite(offset)):
         raise ValueError("affine rules need a finite scale and offset")
-    return Rule(((scale, 2.0), (offset, 0.0)), f"affine:{scale!r}:{offset!r}")
+    name = f"affine:{scale!r}:{offset!r}"
+    if not math.isfinite(scale + offset):  # f(1): no |f| on [0, 1] is larger
+        raise DomainError(f"overflows: {name} is not finite at every modulus")
+    return Rule(((scale, 2.0), (offset, 0.0)), name)
 
 
 def Renormalized(base: Rule) -> Rule:
-    """p_k = f(a_k) / sum_i f(a_i): normalized by construction."""
+    """p_k = f(a_k) / sum_i f(a_i); a base below 0 somewhere on [0, 1], or 0 on all of it, is a DomainError."""
     if base.renormalized:
         raise ValueError("renormalized rules cannot be nested")
+    negative = min(base(0.0), base(1.0)) < 0.0  # every factory's base is monotone and finite on [0, 1]
+    if negative:
+        raise DomainError(f"has a negative base value: {base.name} is below 0 on [0, 1], "
+                          "so a renormalized row could hold a negative probability")
+    if max(base(0.0), base(1.0)) <= 0.0:
+        raise DomainError(f"has no positive base value: {base.name} is 0 on [0, 1], so no row can be renormalized")
     return Rule(base.terms, f"renorm:{base.name}", renormalized=True)
 
 
+SPELLINGS = {"born": Born, "power": Power, "affine": Affine}  # kind -> factory of its float parameters
+
+
 def parse_rule(name: str) -> Rule:
-    """Parse "born", "power:<p>", "affine:<scale>:<offset>", "renorm:<base>" (an affine rule that overflows
-    on [0, 1] and a negative base are DomainErrors)."""
-    text = name.strip().lower()
-    if text == "born":
-        return Born()
+    """Parse "born", "power:<p>", "affine:<scale>:<offset>" or "renorm:<one of those>"; a factory's
+    DomainError and a malformed name's ValueError name the spelling."""
+    *renorms, spelling = name.strip().lower().split("renorm:")
+    kind, *params = spelling.strip().split(":")
+    if kind not in SPELLINGS or "".join(renorms).strip():
+        raise ValueError(f"unknown rule name {name!r}")
     try:
-        if text.startswith("renorm:"):
-            base = parse_rule(text[len("renorm:") :])
-            negative = min(base(0.0), base(1.0)) < 0.0  # every parsed base is monotone and finite on [0, 1]
-            if negative:  # a well-formed name: the rule's own error, not a malformed one
-                raise DomainError(f"rule {name!r} has a negative base value: {base.name} is below 0 on [0, 1], "
-                                  "so a renormalized row could hold a negative probability")
-            return Renormalized(base)
-        if text.startswith("power:"):
-            return Power(float(text[len("power:") :]))
-        if text.startswith("affine:"):
-            _, scale, offset = text.split(":")
-            rule = Affine(float(scale), float(offset))
-            if not math.isfinite(float(scale) + float(offset)):  # f(1): no |f| on [0, 1] is larger
-                raise DomainError(f"rule {name!r} overflows: {rule.name} is not finite at every modulus")
-            return rule
-    except DomainError:
-        raise
+        rule = SPELLINGS[kind](*map(float, params))
+        for _ in renorms:
+            rule = Renormalized(rule)
+    except DomainError as exc:
+        raise DomainError(f"rule {name!r} {exc}") from exc
     except (ValueError, TypeError) as exc:
-        reason = exc.__cause__ or exc  # a renorm: base's own reason, not its message naming the base
-        raise ValueError(f"malformed rule name {name!r}: {reason}") from reason
-    raise ValueError(f"unknown rule name {name!r}")
+        raise ValueError(f"malformed rule name {name!r}: {exc}") from exc
+    return rule
 
 
 def rule_probabilities(rule: Rule, rows: np.ndarray) -> np.ndarray:
-    """Apply a rule to every modulus of orthant rows (..., d).
-
-    A plain rule is applied entrywise with no renormalization; whether the
-    result sums to one is exactly what the defect scan measures.  Rows come
-    validated, as ModulusVector moduli or through check_orthant; a value
-    or a renormalization sum that overflows is a DomainError, and so is a
-    renormalized row with a negative value.
+    """Apply a rule to every modulus of orthant rows (..., d), validated as ModulusVector
+    moduli or by check_orthant.  A plain rule is applied entrywise with no renormalization:
+    whether it sums to one is what the defect scan measures.  The rule's factory made it finite
+    on [0, 1], and nonnegative if renormalized; a renormalization sum that overflows or is not
+    positive is a DomainError.
     """
+    values = np.asarray(rule(rows), dtype=np.float64)
+    if not rule.renormalized:
+        return values
     with np.errstate(over="ignore"):  # an overflow is reported below
-        values = np.asarray(rule(rows), dtype=np.float64)
-        if not rule.renormalized:
-            if not np.all(np.isfinite(values)):
-                raise DomainError(f"{rule.name} is not finite at every modulus")
-            return values
-        total = np.sum(values, axis=-1, keepdims=True)  # not finite if any value is not
+        total = np.sum(values, axis=-1, keepdims=True)
     if not np.all(np.isfinite(total)):
         raise DomainError("renormalization sum is not finite")
     if np.any(total <= 0.0):
         raise DomainError("renormalization sum is not positive: a base value is not positive, or the sum underflows")
-    if np.minimum.reduce(values, axis=None, initial=0.0) < 0.0:
-        raise DomainError(f"{rule.name} has a negative base value: a renormalized row would hold a negative probability")
     return values / total
 
 

@@ -119,12 +119,18 @@ class TestExitCodes:
             # f(1) = scale + offset is the largest |f| on [0, 1]: one that overflows is rejected when
             # parsed, a renorm: rule's base too, before any state is drawn
             (["falsify", "--rule", "affine:1.5e308:1.5e308"], "affine:1.5e+308:1.5e+308 is not finite at every modulus"),
-            (["falsify", "--rule", "renorm:affine:1e308:1e308"], "affine:1e+308:1e+308 is not finite at every modulus"),
-            (["independence", "--rule", "renorm:affine:1e308:1e308"], "affine:1e+308:1e+308 is not finite at every modulus"),
+            (["falsify", "--rule", "renorm:affine:1e308:1e308"],
+             "rule 'renorm:affine:1e308:1e308' overflows: affine:1e+308:1e+308 is not finite at every modulus"),
+            (["independence", "--rule", "renorm:affine:1e308:1e308"],
+             "rule 'renorm:affine:1e308:1e308' overflows: affine:1e+308:1e+308 is not finite at every modulus"),
             # a^2 - 0.2 sums to 1 - 0.6 > 0 at d=3 but is negative below a^2 = 0.2, at a = 0 first of
             # all: the parser rejects it before any state is drawn
             (["independence", "--rule", "renorm:affine:1:-0.2"], "rule 'renorm:affine:1:-0.2' has a negative base value: affine:1.0:-0.2 is below 0 on [0, 1]"),
             (["falsify", "--rule", "renorm:affine:1:-0.2"], "rule 'renorm:affine:1:-0.2' has a negative base value: affine:1.0:-0.2 is below 0 on [0, 1]"),
+            # 0 on all of [0, 1]: no row can be renormalized, so both commands refuse it when parsed,
+            # where falsify's certainty row and independence's 1/sqrt(d) guard refused it in two ways
+            (["falsify", "--rule", "renorm:affine:0:0"], "rule 'renorm:affine:0:0' has no positive base value: affine:0.0:0.0 is 0 on [0, 1]"),
+            (["independence", "--rule", "renorm:affine:0:0"], "rule 'renorm:affine:0:0' has no positive base value: affine:0.0:0.0 is 0 on [0, 1]"),
             # a bound main checks after parsing, and an --out path that cannot be opened
             (["falsify", "--rule", "born", "--dim", "1"], "--dim must be at least 2"),
             (["falsify", "--rule", "born", "--out", "{tmp}/missing/report.json"], "No such file or directory"),
@@ -133,7 +139,8 @@ class TestExitCodes:
             (["falsify", "--rule", "born", "extra"], "unrecognized arguments: extra"),
         ],
         ids=["renorm:affine:1:-1", "affine-overflow", "renorm:affine-overflow", "independence:renorm:affine-overflow",
-             "independence:renorm:affine-negative", "falsify:renorm:affine-negative", "falsify:dim-bound", "falsify:out",
+             "independence:renorm:affine-negative", "falsify:renorm:affine-negative", "falsify:renorm-zero-base",
+             "independence:renorm-zero-base", "falsify:dim-bound", "falsify:out",
              "falsify:unrecognized-option", "falsify:unrecognized-word"],
     )
     def test_domain_error_is_usage_error(self, capsys, tmp_path, argv, reason):

@@ -30,6 +30,28 @@ PLAIN_RULES = st.one_of(
     st.builds(Affine, st.floats(-2.0, 2.0), st.floats(-1.0, 1.0)),
 )
 MODULI = st.floats(0.0, 1.0) | st.sampled_from([0.0, 1.0])
+MALFORMED = ["nope", "power:", "power:zero", "affine:1", "", "renorm:renorm:born", "renorm:", "renorm:bogus", "renorm:power:x", "renorm:power:-1"]
+# spellings and what parse_rule gave for them while it made the domain checks itself: a rule name,
+# or the exact exception class
+PARSED_BEFORE = {
+    **dict.fromkeys(MALFORMED, ValueError),
+    "renorm: power:4": "renorm:power:4.0",
+    "Power:2": "power:2.0",
+    "RENORM:BORN": "renorm:born",
+    " renorm:born ": "renorm:born",
+    "born:1": ValueError,
+    "affine: 1: 2": "affine:1.0:2.0",
+    "affine:1:2:3": ValueError,
+    "affine:nan:1": ValueError,
+    "power:inf": ValueError,
+    "renorm:affine:-1:1": "renorm:affine:-1.0:1.0",  # 1 - a^2 is 0 at a = 1 only
+    "renorm:affine:0:1e-320": "renorm:affine:0.0:1e-320",
+    "renorm:affine:1:-1": DomainError,
+    "renorm:affine:1:-0.2": DomainError,
+    "affine:1e308:1e308": DomainError,
+    "renorm:affine:1e308:1e308": DomainError,
+    "renorm:affine:0:0": DomainError,  # the one change: it parsed to renorm:affine:0.0:0.0, which no row can renormalize
+}
 
 
 class TestRuleFamily:
@@ -101,10 +123,7 @@ class TestParsing:
         for name in ("born", "power:3.0", "affine:2.0:0.5", "renorm:power:4.0"):
             assert parse_rule(name).name == name
 
-    @pytest.mark.parametrize(
-        "bad",
-        ["nope", "power:", "power:zero", "affine:1", "", "renorm:renorm:born", "renorm:", "renorm:bogus", "renorm:power:x", "renorm:power:-1"],
-    )
+    @pytest.mark.parametrize("bad", MALFORMED)
     def test_rejects_malformed(self, bad):
         with pytest.raises(ValueError, match=re.escape(repr(bad))) as excinfo:
             parse_rule(bad)
@@ -114,6 +133,33 @@ class TestParsing:
         with pytest.raises(DomainError, match=re.escape("rule 'renorm:affine:1:-1' has a negative base value")) as excinfo:
             parse_rule("renorm:affine:1:-1")
         assert "malformed" not in str(excinfo.value)
+
+    @pytest.mark.parametrize("spelling, parsed", PARSED_BEFORE.items(), ids=list(PARSED_BEFORE))
+    def test_spellings_parse_as_before(self, spelling, parsed):
+        if isinstance(parsed, str):
+            assert parse_rule(spelling).name == parsed
+        else:
+            with pytest.raises(ValueError) as excinfo:
+                parse_rule(spelling)
+            assert type(excinfo.value) is parsed
+
+    @pytest.mark.parametrize(
+        "spelling, build",
+        [
+            ("affine:1e308:1e308", lambda: Affine(1e308, 1e308)),
+            ("renorm:affine:1e308:1e308", lambda: Renormalized(Affine(1e308, 1e308))),
+            ("renorm:affine:1:-1", lambda: Renormalized(Affine(1.0, -1.0))),
+            ("renorm:affine:0:0", lambda: Renormalized(Affine(0.0, 0.0))),
+        ],
+        ids=["affine-overflow", "renorm:affine-overflow", "renorm:affine-negative", "renorm:affine-zero"],
+    )
+    def test_a_spelling_is_refused_as_its_factory_refuses_it(self, spelling, build):
+        # the factory makes the refusal; parsing names the user's whole spelling in front of it
+        with pytest.raises(DomainError) as built:
+            build()
+        with pytest.raises(DomainError) as parsed:
+            parse_rule(spelling)
+        assert str(parsed.value) == f"rule {spelling!r} {built.value}"
 
     def test_nesting_error_names_the_rule(self):
         with pytest.raises(ValueError, match=re.escape("malformed rule name 'renorm:renorm:born': renormalized rules cannot be nested")):
@@ -158,20 +204,24 @@ class TestNormalizationSum:
     def test_renormalized_rows_reject_any_nonpositive_sum(self):
         rows = np.array([[0.6, 0.8], [1.0, 0.0]])
         np.testing.assert_allclose(np.sum(rule_probabilities(Renormalized(Born()), rows), axis=1), 1.0)
-        # a^2 - 0.5 sums to 0 on every row: no renormalization exists
-        with pytest.raises(DomainError):
-            rule_probabilities(Renormalized(Affine(1.0, -0.5)), rows)
+        # a^2 - 0.5 sums to 0 on every row, but is negative at a = 0: refused when built
+        with pytest.raises(DomainError, match="has a negative base value"):
+            Renormalized(Affine(1.0, -0.5))
+        # every a^2000 > 0 on [0, 1] at a > 0, yet (8^-1/2)^2000 underflows: the sum of a valid rule is 0
+        with pytest.raises(DomainError, match="renormalization sum is not positive"):
+            rule_probabilities(Renormalized(Power(2000.0)), np.full((1, 8), 8**-0.5))
 
     def test_renormalized_rows_reject_a_negative_value(self):
         # a^2 - 0.2 sums to 0.6 on each row, yet is -0.2 at the modulus 0: only the renormalized rule is a
-        # domain error; the plain rule's negative value is a defect, which falsify reports as a verdict
+        # domain error, refused when built; the plain rule's negative value is a defect, which falsify
+        # reports as a verdict
         rows = np.array([[0.6, 0.8], [1.0, 0.0]])
-        with pytest.raises(DomainError, match="renorm:affine:1.0:-0.2 has a negative base value"):
-            rule_probabilities(Renormalized(Affine(1.0, -0.2)), rows)
+        with pytest.raises(DomainError, match=re.escape("has a negative base value: affine:1.0:-0.2 is below 0 on [0, 1]")):
+            Renormalized(Affine(1.0, -0.2))
         np.testing.assert_allclose(rule_probabilities(Affine(1.0, -0.2), rows), [[0.16, 0.44], [0.8, -0.2]])
-        # the sum checks come first: a^2 - 1 is negative and sums to -1 on each row
-        with pytest.raises(DomainError, match="renormalization sum is not positive"):
-            rule_probabilities(Renormalized(Affine(1.0, -1.0)), rows)
+        # a^2 - 1 is negative and sums to -1 on each row: refused when built, before any sum
+        with pytest.raises(DomainError, match=re.escape("has a negative base value: affine:1.0:-1.0")):
+            Renormalized(Affine(1.0, -1.0))
 
     def test_affine_rule_that_overflows_at_one_is_refused_when_parsed(self):
         # f(1) = scale + offset is the largest |f| on [0, 1]; opposite signs keep every value finite
@@ -181,12 +231,13 @@ class TestNormalizationSum:
         assert np.all(np.isfinite(rule_probabilities(rule, np.array([[0.6, 0.8], [1.0, 0.0]]))))
 
     def test_overflow_is_a_domain_error(self):
-        # 1e308 * (a^2 + 1) exceeds the largest double once a^2 > 0.8:
-        # an inf defect would serialize as Infinity, and an inf
+        # 0.8e308 * (a^2 + 1) is finite on [0, 1], up to f(1) = 1.6e308, but a d=2 row sums to
+        # s + 2m = 2.4e308: an inf defect would serialize as Infinity, and an inf
         # renormalization sum would turn every probability into 0.0
         rows = np.array([[0.6, 0.8], [1.0, 0.0]])
-        rule = Affine(1e308, 1e308)
-        for evaluate in (normalization_sum, rule_probabilities, lambda rule, rows: rule_probabilities(Renormalized(rule), rows)):
+        rule = Affine(0.8e308, 0.8e308)
+        assert np.all(np.isfinite(rule_probabilities(rule, rows)))
+        for evaluate in (normalization_sum, lambda rule, rows: rule_probabilities(Renormalized(rule), rows)):
             with pytest.raises(DomainError, match="not finite"):
                 evaluate(rule, rows)
 
@@ -248,9 +299,14 @@ class TestDefectScan:
         report = defect_scan(rule, d, n, seed)
         scalar = [abs(float(np.sum(rule(np.abs(reference_state(i))))) - 1.0) for i in range(n)]
         assert report.defects.tobytes() == np.array(scalar).tobytes()
-        renormalized = defect_scan(Renormalized(rule), d, n, seed)
-        np.testing.assert_array_equal(renormalized.defects, np.zeros(n))
-        assert renormalized.argmax_state.moduli.tobytes() == np.abs(reference_state(0)).tobytes()
+        ends = rule(0.0), rule(1.0)  # every plain rule here is monotone on [0, 1]
+        if min(ends) < 0.0 or max(ends) <= 0.0:  # below 0 somewhere, or 0 everywhere: no renormalization
+            with pytest.raises(DomainError):
+                Renormalized(rule)
+        else:
+            renormalized = defect_scan(Renormalized(rule), d, n, seed)
+            np.testing.assert_array_equal(renormalized.defects, np.zeros(n))
+            assert renormalized.argmax_state.moduli.tobytes() == np.abs(reference_state(0)).tobytes()
         # a scan does not call haar_state, so its own bits are pinned here
         assert haar_state(d, substream(seed, 0)).amplitudes.tobytes() == reference_state(0).tobytes()
 

@@ -105,6 +105,14 @@ def test_atlas_power_references(atlas):
             assert row["reference"] == "", row
 
 
+def test_atlas_spellings_parse_as_before():
+    # the names parse_rule gave the atlas's spellings while it made the domain checks itself
+    renorm = ["born", "power:1.0", "power:2.1", "power:4.0", "power:100.0", "power:1e-13", "affine:1.0:0.1", "affine:0.0:1.0"]
+    expected = ["born", *(f"power:{0.25 * i!r}" for i in range(2, 17)),
+                "affine:0.5:0.25", "affine:0.7:0.1", "affine:0.5:0.125", "affine:-1.0:0.5", *(f"renorm:{name}" for name in renorm)]
+    assert [rules.parse_rule(rule).name for rule in load_script("atlas.py").RULES] == expected
+
+
 @pytest.mark.parametrize("rule", ["power:1", "renorm:power:4", "renorm:affine:0:1"])
 def test_atlas_cells_replay_with_falsify(atlas, capsys, rule):
     name = rules.parse_rule(rule).name
@@ -247,7 +255,8 @@ def test_each_mutant_row_names_one_line_of_src_and_a_test():
         assert sources[ROOT / "src" / mutant.path].count(mutant.old) == 1, mutant.old
         path, *names = mutant.test.split("::")
         test_source = (ROOT / path).read_text(encoding="utf-8")
-        assert f"class {names[0]}" in test_source and f"def {names[-1]}(" in test_source, mutant.test
+        function = names[-1].partition("[")[0]  # a parametrized test's node id ends in [case]
+        assert f"class {names[0]}" in test_source and f"def {function}(" in test_source, mutant.test
 
 
 def test_one_test_file_runs_from_the_root():
