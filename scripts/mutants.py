@@ -209,10 +209,24 @@ MUTANTS = [
     ),
     Mutant(
         "bornlab/streams.py",
-        "np.random.SeedSequence(np.array(words, dtype=np.uint32))",
+        "np.random.SeedSequence(_words(seed, *indices))",
         "np.random.SeedSequence()",
         "tests/test_cli.py::TestDeterminism::test_rerun_is_byte_identical",
         "streams draw fresh OS entropy, so a rerun at the same seed gives another report",
+    ),
+    Mutant(
+        "bornlab/streams.py",
+        "h = (values ^ hash_[k : k + m]) * hash_[k + 1 : k + m + 1]",
+        "h = (values ^ hash_[k : k + m]) * hash_[k : k + m]",
+        "tests/test_streams.py::TestFamily::test_is_its_substreams_bit_for_bit",
+        "a family's hashmix multiplies by its own xor constant, not the next one, so its streams are not substream's",
+    ),
+    Mutant(
+        "bornlab/streams.py",
+        "for j in range(4, width):",
+        "for j in range(5, width):",
+        "tests/test_streams.py::TestFamily::test_is_its_substreams_bit_for_bit",
+        "a family skips the fifth entropy word, so addresses that differ only there share a stream",
     ),
     Mutant(
         "bornlab/cli.py",

@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import invariance, linalg, quantum, rules, variational
-from .streams import substream
+from .streams import generators, substream, substreams
 from .tolerances import TOL, within
 
 
@@ -371,9 +371,10 @@ def cmd_spin1(args) -> Verdict:
 
 def cmd_sample(args) -> Verdict:
     d, seed, shots, n = args.dim, args.seed, args.shots, args.trials
+    words = substreams(seed, shape=(n, 5))  # pair i's stream t is substream(seed, i, t), all derived at once
     # every pair's eigenbasis, a Haar unitary from its own stream, factored and checked as one stack;
     # it needs no spectrum, which would only label the outcomes
-    bases = linalg.haar_factor(np.array([linalg.ginibre(substream(seed, i, 1), (d, d)) for i in range(n)]))
+    bases = linalg.haar_factor(np.array([linalg.ginibre(rng, (d, d)) for rng in generators(words[:, 1])]))
     within(linalg.unitary_defect(bases), TOL.orthonormality, "eigenbases are not orthonormal: defect")
 
     def born(states: np.ndarray) -> np.ndarray:
@@ -382,17 +383,17 @@ def cmd_sample(args) -> Verdict:
         quantum.check_orthant(rows)
         return rules.rule_probabilities(rules.Born(), rows)
 
-    p = born(quantum.haar_rows(d, (substream(seed, i, 0) for i in range(n))))
-    counts = quantum.sample_outcomes(p, shots, (substream(seed, i, 2) for i in range(n)))  # one stack, a stream per pair
+    p = born(quantum.haar_rows(d, generators(words[:, 0])))
+    counts = quantum.sample_outcomes(p, shots, generators(words[:, 2]))  # one stack, a stream per pair
     tests = [quantum.chi_square_test(counts[i], shots * p[i]) for i in range(n)]
     # a pair whose counts pool into one cell (dof 0) is not tested; the Sidak level of each tested
     # pair's test keeps the run's false-alarm rate at alpha, and with no tested pair there is no level
     tested = sum(1 for _, dof, _ in tests if dof)
     threshold = TOL.sample_p_value(tested) if tested else None
     # first outcomes, one shot each as measure() takes it, and 100 re-measurements of each collapsed column
-    firsts = np.argmax(quantum.sample_outcomes(p, 1, (substream(seed, i, 3) for i in range(n))), axis=-1)
+    firsts = np.argmax(quantum.sample_outcomes(p, 1, generators(words[:, 3])), axis=-1)
     post = born(bases[np.arange(n), :, firsts])
-    repeats = (quantum.sample_outcomes(post, 100, (substream(seed, i, 4) for i in range(n)))[np.arange(n), firsts] == 100).tolist()
+    repeats = (quantum.sample_outcomes(post, 100, generators(words[:, 4]))[np.arange(n), firsts] == 100).tolist()
     pairs = [
         {"pair": i, "frequencies": (counts[i] / shots).tolist(), "born": p[i].tolist(),
          "chi_square": statistic, "dof": dof, "p_value": p_value, "within_3_sigma": p_value >= threshold if dof else None,

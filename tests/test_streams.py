@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bornlab import cli
-from bornlab.streams import blockwise, substream
+from bornlab import cli, streams
+from bornlab.streams import blockwise, generators, substream, substreams
 
 # address entries around the 32-bit word boundaries, Python ints of any size
 # and numpy ints
@@ -48,7 +48,48 @@ def test_seed_words_come_from_the_pool_alone(monkeypatch, address):
         rng.bit_generator.seed_seq.generate_state(8)  # holds PCG64's words only
 
 
-@pytest.mark.parametrize("derive", [substream])
+# a family's first stream, words and generator both built
+def family(*prefix):
+    return next(generators(substreams(*prefix, shape=(2,))))
+
+
+class TestFamily:
+    # substreams(*prefix, shape=shape) against substream(*prefix, *idx), one address at a time
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.lists(st.one_of(ENTRIES, st.integers(2**32, 2**64), st.integers(2**64, 2**96)), min_size=1, max_size=5),
+        st.sampled_from([(1,), (7,), (3, 5)]),
+    )
+    def test_is_its_substreams_bit_for_bit(self, prefix, shape):
+        # a seed or index from 2**32 up takes two or three words, so many addresses run past
+        # the four entropy words mix_entropy hashes first and fold in the rest one by one
+        words = substreams(*prefix, shape=shape)
+        assert words.shape == (*shape, 4)
+        for idx, rng in zip(np.ndindex(shape), generators(words.reshape(-1, 4)), strict=True):
+            reference = substream(*prefix, *idx)
+            assert rng.bit_generator.state == reference.bit_generator.state
+            np.testing.assert_array_equal(rng.standard_normal(8), reference.standard_normal(8))
+
+    def test_a_column_is_its_substreams(self):
+        # sample reads column t of a (n, 5) family as pair i's stream substream(seed, i, t)
+        words = substreams(2**40 + 3, shape=(4, 5))
+        for t in range(5):
+            for i, rng in enumerate(generators(words[:, t])):
+                assert rng.bit_generator.state == substream(2**40 + 3, i, t).bit_generator.state
+
+    @pytest.mark.parametrize("shape", [(2**32 + 1,), (3, 2**40), (2**64, 2)])
+    def test_a_dimension_above_two_to_the_32_is_refused(self, monkeypatch, shape):
+        # its last indices would take two words each, so another stream; refused before any allocation
+        def no_allocation(*args, **kwargs):
+            raise AssertionError("allocated")
+
+        monkeypatch.setattr(np, "indices", no_allocation)
+        with pytest.raises(ValueError, match="above 2\\*\\*32"):
+            substreams(0, shape=shape)
+
+
+@pytest.mark.parametrize("derive", [substream, family])
 @pytest.mark.parametrize("address", [(1.0,), (0, 2.5), (3, np.float64(1.0))])
 def test_a_float_entry_is_rejected(derive, address):
     with pytest.raises(TypeError):
@@ -57,10 +98,10 @@ def test_a_float_entry_is_rejected(derive, address):
 
 @pytest.mark.parametrize(
     "derive, address",
-    [(substream, (-1,)), (substream, (0, -1))],
+    [(substream, (-1,)), (substream, (0, -1)), (family, (-1,)), (family, (0, -1))],
 )
 def test_negative_seed_or_index_is_rejected(derive, address):
-    # np.random.SeedSequence rejects any negative entry: the one seed check
+    # the one address split rejects any negative entry, as np.random.SeedSequence does
     with pytest.raises(ValueError, match="non-negative"):
         derive(*address)
 
@@ -108,12 +149,12 @@ def test_no_two_streams_of_a_command_coincide(monkeypatch, capsys, argv, code, s
     # address word away: (s, k) and (s, k, 0) are one stream
     states = []
 
-    class Recording(np.random.SeedSequence):  # what each substream derives from
-        def __init__(self, entropy=None, **kwargs):
-            super().__init__(entropy, **kwargs)
-            states.append(tuple(int(word) for word in self.generate_state(4)))
+    class Recording(streams._Seeded):  # the seed words of every generator, substream's or a family's
+        def __init__(self, words):
+            super().__init__(words)
+            states.append(tuple(int(word) for word in words))
 
-    monkeypatch.setattr(np.random, "SeedSequence", Recording)
+    monkeypatch.setattr(streams, "_Seeded", Recording)
     assert cli.main(argv + ["--seed", str(seed)]) == (code[seed] if isinstance(code, dict) else code)
     capsys.readouterr()
     assert len(states) > 1
