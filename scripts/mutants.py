@@ -270,6 +270,13 @@ MUTANTS = [
         "tests/test_cli.py::TestExitCodes::test_overflow_and_underflow_are_refused_on_every_seed[falsify:renorm-underflow-d3]",
         "a renormalized rule whose sum can underflow passes, fails or is a domain error, by seed",
     ),
+    Mutant(
+        "bornlab/rules.py",
+        "        check_orthant(stacked)\n",
+        "",
+        "tests/test_quantum.py::TestStateAndModulus::test_a_zero_draw_in_a_stream_family_is_not_normalized",
+        "a scan of FAMILY_MIN or more trials checks no state, so a zero draw is a domain error, not a rejected state",
+    ),
 ]
 
 

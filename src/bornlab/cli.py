@@ -427,8 +427,11 @@ def main(argv: list[str] | None = None) -> int:
     for name, low in lows.items():
         if getattr(args, name, low) < low:
             args.error(f"--{name} must be at least {low}")
-    if getattr(args, "shots", 1) > 2**63 - 1:  # sample's counts are int64: numpy's multinomial takes no more
-        args.error(f"--shots must be at most {2**63 - 1}")
+    # a trial's index is one 32-bit word of its stream family's address; sample's multinomial counts are int64
+    highs = {"trials": 2**32, "shots": 2**63 - 1}
+    for name, high in highs.items():
+        if getattr(args, name, high) > high:
+            args.error(f"--{name} must be at most {high}")
     if min(getattr(args, "dims", (2,))) < 2:
         args.error("--dims must be integers >= 2")
 

@@ -17,8 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quantum import ModulusVector, StateVector, haar_rows
-from .streams import substream
+from .quantum import ModulusVector, StateVector, check_orthant, haar_rows
+from .streams import FAMILY_MIN, generators, substream, substreams
 
 
 class DomainError(ValueError):
@@ -159,7 +159,10 @@ def defect_scan(rule: Rule, dim: int, trials: int, seed: int, *address: int) -> 
     """Measure the normalization defect over Haar-random states.
 
     Trial i draws from substream(seed, *address, i), so the report is a
-    deterministic function of (rule, dim, trials, seed, *address).  One
+    deterministic function of (rule, dim, trials, seed, *address).  From
+    FAMILY_MIN trials on, their streams are one substreams family and one
+    check_orthant checks the stacked moduli; below it each trial takes its
+    own substream and is checked alone, which is cheaper there.  One
     haar_rows call normalizes every trial's draw, and the rule is evaluated
     once, on the stacked moduli.  The worst state (the first at the maximum)
     is recorded as a falsification witness.  A renormalized rule sums to one
@@ -169,16 +172,23 @@ def defect_scan(rule: Rule, dim: int, trials: int, seed: int, *address: int) -> 
     if trials < 1:
         raise ValueError("trials must be at least 1")
     renormalized = rule.renormalized
-    rows = haar_rows(dim, (substream(seed, *address, i) for i in range(1 if renormalized else trials)))
-    stacked = np.abs(rows)
-    # Each trial's StateVector and ModulusVector check repeats what one
-    # check_orthant on the stack would do.  They stay only because the
-    # benchmark's tracer pins two quantum.validate calls per trial, until
-    # ROADMAP items 14 and 1; no StateVector outlives its check.
-    points = []
-    for row, point in zip(rows, stacked):
-        StateVector(row)
-        points.append(ModulusVector(point))
+    n = 1 if renormalized else trials
+    if n >= FAMILY_MIN:
+        stacked = np.abs(haar_rows(dim, generators(substreams(seed, *address, shape=(n,)))))
+        check_orthant(stacked)
+        witness = lambda i: ModulusVector(stacked[i])  # only the witness row becomes a ModulusVector
+    else:
+        rows = haar_rows(dim, (substream(seed, *address, i) for i in range(n)))
+        stacked = np.abs(rows)
+        # Each row's StateVector and ModulusVector check repeats what one
+        # check_orthant on the stack would do.  They stay only because the
+        # benchmark's tracer pins two quantum.validate calls per row on this
+        # path, until ROADMAP item 14; no StateVector outlives its check.
+        points = []
+        for row, point in zip(rows, stacked):
+            StateVector(row)
+            points.append(ModulusVector(point))
+        witness = points.__getitem__
     defects = np.zeros(trials) if renormalized else np.abs(normalization_sum(rule, stacked) - 1.0)
     worst = int(np.argmax(defects))
     return NormalizationReport(
@@ -187,7 +197,7 @@ def defect_scan(rule: Rule, dim: int, trials: int, seed: int, *address: int) -> 
         trials=trials,
         max_defect=float(defects[worst]),
         mean_defect=float(np.mean(defects)),
-        argmax_state=points[worst],
+        argmax_state=witness(worst),
         address=(seed, *address),
         defects=defects,
     )

@@ -19,9 +19,12 @@ substream's rng.bit_generator.seed_seq differs: it holds those words and
 nothing else, so it cannot spawn.
 
 substreams derives those words for a whole family of addresses in one numpy
-pass of SeedSequence's mixing; from about ten streams on that is cheaper, so
-sample takes its 5 * trials pair streams as one family, and every other
-caller takes substream.
+pass of SeedSequence's mixing, at a larger fixed cost than substream.  sample
+takes its 5 * trials pair streams as one family, and the defect scan its
+trials' streams from FAMILY_MIN on, the measured crossover: at d = 5 a scan
+of 7 trials takes 138 us with a substream per trial and 149 us with a family,
+of 8 trials 158 and 152 us, of 1,000 trials 14.7 and 3.0 ms (2-core x86-64
+VM; BENCH_defect_family.json).  Every other caller takes substream.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ import numpy as np
 from numpy.random.bit_generator import ISeedSequence
 
 BLOCK = 128  # draws per block: the unit of streams and checks
+FAMILY_MIN = 8  # streams from which one substreams family is cheaper than a substream each
 
 # generate_state's hash constants INIT_B * MULT_B**j mod 2**32, j = 0..8: word j
 # of the state is (pool[j % 4] ^ _HASH[j]) * _HASH[j + 1], xorshifted by 16.

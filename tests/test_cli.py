@@ -235,6 +235,18 @@ class TestExitCodes:
         err = capsys.readouterr().err
         assert f"--shots must be at most {2**63 - 1}" in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("command", cli.COMMANDS)
+    @pytest.mark.parametrize("trials", [str(2**32 + 1), "5000000000"])
+    def test_trials_past_a_family_index_is_usage_error(self, capsys, command, trials):
+        # a family's trial index is one 32-bit word: more trials were substreams' ValueError, exit 4.
+        # Only values past the bound are run, so the check stops them before any draw
+        rule = ["--rule", "power:3"] if command == "falsify" else []
+        with pytest.raises(SystemExit) as excinfo:
+            main([command, *rule, "--trials", trials])
+        assert excinfo.value.code == 2
+        err = capsys.readouterr().err
+        assert f"--trials must be at most {2**32}" in err and "Traceback" not in err
+
     def test_most_shots_run_and_pass(self, capsys):
         code, report = run_json(capsys, ["sample", "--shots", str(2**63 - 1), "--trials", "2"])
         assert code == 0 and report["config"]["shots"] == 2**63 - 1

@@ -27,7 +27,7 @@ from bornlab.quantum import (
     spin1_observables,
 )
 from bornlab.rules import Born, Power, Renormalized, defect_scan, rule_probabilities
-from bornlab.streams import BLOCK, substream
+from bornlab.streams import BLOCK, FAMILY_MIN, substream
 from bornlab.tolerances import TOL
 
 
@@ -43,6 +43,18 @@ def diagonal_basis(values):
     eigenvalues, vectors = np.linalg.eigh(matrix)
     check_eigensystems(matrix, eigenvalues, vectors)
     return vectors
+
+
+class ZeroRows:
+    """Standard normal draws whose first rows are zero."""
+
+    def __init__(self, rows):
+        self.rng, self.rows = np.random.default_rng(20), rows
+
+    def standard_normal(self, shape):
+        z = self.rng.standard_normal(shape)
+        z[: self.rows] = 0.0
+        return z
 
 
 def spectrum(dim, rng):
@@ -219,15 +231,6 @@ class TestStateAndModulus:
         )
 
     def test_a_zero_draw_is_not_normalized(self, monkeypatch):
-        class ZeroRows:  # standard normal draws whose first rows are zero
-            def __init__(self, rows):
-                self.rng, self.rows = np.random.default_rng(20), rows
-
-            def standard_normal(self, shape):
-                z = self.rng.standard_normal(shape)
-                z[: self.rows] = 0.0
-                return z
-
         with np.errstate(invalid="ignore"):  # the zero row's 0/0
             with pytest.raises(NotNormalized):
                 haar_state(4, ZeroRows(2))  # real and imaginary parts both zero
@@ -242,6 +245,17 @@ class TestStateAndModulus:
             monkeypatch.setattr("bornlab.rules.substream", lambda *address: next(trials))
             with pytest.raises(NotNormalized):
                 defect_scan(Power(1.0), 4, 3, 0)
+
+    def test_a_zero_draw_in_a_stream_family_is_not_normalized(self, monkeypatch):
+        # both parts zero in trial FAMILY_MIN of a scan that draws one family: one
+        # check of the stacked moduli rejects the state, so no nan defect is reported
+        def zero_at_family_min(words):
+            return (ZeroRows(2) if i == FAMILY_MIN else np.random.default_rng(30 + i) for i in range(len(words)))
+
+        monkeypatch.setattr("bornlab.rules.generators", zero_at_family_min)
+        with np.errstate(invalid="ignore"):  # the zero row's 0/0
+            with pytest.raises(NotNormalized):
+                defect_scan(Power(1.0), 4, FAMILY_MIN + 2, 0)
 
     def test_moduli_rejects_unnormalized(self):
         with pytest.raises(NotNormalized):

@@ -4,7 +4,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
@@ -21,7 +21,7 @@ from bornlab.rules import (
     parse_rule,
     rule_probabilities,
 )
-from bornlab.streams import substream
+from bornlab.streams import FAMILY_MIN, substream, substreams
 
 SYMMETRIC_QUBIT = ModulusVector(np.array([1.0, 1.0]) / np.sqrt(2))
 PLAIN_RULES = st.one_of(
@@ -286,11 +286,13 @@ class TestDefectScan:
 
     @settings(max_examples=30, deadline=None)
     @given(rule=PLAIN_RULES, d=st.integers(2, 40), n=st.integers(1, 40), seed=st.integers(0, 10_000))
+    @example(rule=Power(3.0), d=5, n=FAMILY_MIN - 1, seed=7)  # the last scan of a substream per trial
+    @example(rule=Power(3.0), d=5, n=FAMILY_MIN, seed=7)  # the first scan of one stream family
     def test_stacked_defects_equal_the_scalar_formula(self, rule, d, n, seed):
         # exact equality: stacking the trials must not change a single bit,
-        # also at dimensions past BLAS's unroll widths.  Trial i's state is
-        # rebuilt from numpy alone: z / norm(z), with z the two rows of a draw
-        # from the SeedSequence of (seed, i)
+        # on either side of FAMILY_MIN and at dimensions past BLAS's unroll
+        # widths.  Trial i's state is rebuilt from numpy alone: z / norm(z),
+        # with z the two rows of a draw from the SeedSequence of (seed, i)
         def reference_state(i):
             real, imag = np.random.default_rng(np.random.SeedSequence((seed, i))).standard_normal((2, d))
             z = real + 1j * imag
@@ -310,17 +312,37 @@ class TestDefectScan:
         # a scan does not call haar_state, so its own bits are pinned here
         assert haar_state(d, substream(seed, 0)).amplitudes.tobytes() == reference_state(0).tobytes()
 
-    @pytest.mark.parametrize("rule, draws", [(Renormalized(Power(4.0)), 1), (Power(4.0), 50)])
-    def test_renormalized_scan_draws_only_its_witness(self, monkeypatch, rule, draws):
-        calls = []
+    @staticmethod
+    def counted_draws(monkeypatch, rule, trials):
+        """The addresses a scan passes to substream, and the shapes of the families it takes."""
+        singles, families = [], []
 
-        def counted(*address):
-            calls.append(address)
+        def single(*address):
+            singles.append(address)
             return substream(*address)
 
-        monkeypatch.setattr(rules, "substream", counted)
-        defect_scan(rule, 4, 50, seed=9)
-        assert len(calls) == draws
+        def family(*address, shape):
+            families.append(shape)
+            return substreams(*address, shape=shape)
+
+        monkeypatch.setattr(rules, "substream", single)
+        monkeypatch.setattr(rules, "substreams", family)
+        defect_scan(rule, 4, trials, 9)
+        return singles, families
+
+    @pytest.mark.parametrize("rule, draws", [(Renormalized(Power(4.0)), 1), (Power(4.0), 50)])
+    def test_renormalized_scan_draws_only_its_witness(self, monkeypatch, rule, draws):
+        # the witness alone takes one substream; 50 plain trials are one family of 50 streams
+        singles, families = self.counted_draws(monkeypatch, rule, 50)
+        assert (len(singles), families) == ((1, []) if draws == 1 else (0, [(draws,)]))
+
+    @pytest.mark.parametrize("trials", [FAMILY_MIN - 1, FAMILY_MIN])
+    def test_a_scan_takes_one_family_from_family_min_trials(self, monkeypatch, trials):
+        singles, families = self.counted_draws(monkeypatch, Power(4.0), trials)
+        if trials < FAMILY_MIN:
+            assert singles == [(9, i) for i in range(trials)] and families == []
+        else:
+            assert singles == [] and families == [(trials,)]
 
     def test_renormalized_report_is_that_of_every_trial(self):
         # every defect is 0, so the first trial is the witness, as when all are drawn

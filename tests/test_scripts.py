@@ -255,8 +255,9 @@ def test_each_mutant_row_names_one_line_of_src_and_a_test():
         assert sources[ROOT / "src" / mutant.path].count(mutant.old) == 1, mutant.old
         path, *names = mutant.test.split("::")
         test_source = (ROOT / path).read_text(encoding="utf-8")
-        function = names[-1].partition("[")[0]  # a parametrized test's node id ends in [case]
-        assert f"class {names[0]}" in test_source and f"def {function}(" in test_source, mutant.test
+        *classes, function = [name.partition("[")[0] for name in names]  # a parametrized test's node id ends in [case]
+        assert all(f"class {name}" in test_source for name in classes), mutant.test  # a module-level test has none
+        assert f"def {function}(" in test_source, mutant.test
 
 
 def test_one_test_file_runs_from_the_root():
