@@ -229,6 +229,13 @@ MUTANTS = [
         "a family skips the fifth entropy word, so addresses that differ only there share a stream",
     ),
     Mutant(
+        "bornlab/streams.py",
+        "for w, row in zip(words, out):",
+        "for w, row in zip(words[::-1], out):",
+        "tests/test_streams.py::TestFamily::test_normals_are_each_substreams_first_draw_bit_for_bit",
+        "a family's draws land in the wrong rows, so trial i is not drawn from its own address",
+    ),
+    Mutant(
         "bornlab/cli.py",
         '    (_certainty_check, (), "defect", lambda rule: rule.renormalized),\n',
         "",

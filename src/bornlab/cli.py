@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import invariance, linalg, quantum, rules, variational
-from .streams import generators, substream, substreams
+from .streams import generators, normals, substream, substreams
 from .tolerances import TOL, within
 
 
@@ -204,7 +204,8 @@ def _independence_check(rule, d: int, draws: int, seed: int, *address: int) -> C
     if rule.renormalized and not rule(d ** -0.5) > 0.0:  # no row's sum at d is below its base at 1/sqrt(d)
         raise rules.DomainError(f"renormalization sum is not positive: {rule.name}'s base is 0 at 1/sqrt({d}), so a sum can underflow")
     # each row has the bits of its own draw, and moduli's orthant check is the norm check
-    rot_point, obs_point = map(quantum.moduli, quantum.haar_rows(d, (substream(seed, *address, i) for i in (0, 1))))
+    pairs = np.array([substream(seed, *address, i).standard_normal((2, d)) for i in (0, 1)])
+    rot_point, obs_point = map(quantum.moduli, quantum.haar_rows(pairs))
     obs_scan = invariance.observable_independence_scan(obs_point, rule, draws, seed, *address, 2)
     rot_scan = invariance.unobserved_independence_scan(rot_point, rule, draws, seed, *address, 3)
     obs, rot = obs_scan.as_dict(), rot_scan.as_dict()
@@ -374,7 +375,8 @@ def cmd_sample(args) -> Verdict:
     words = substreams(seed, shape=(n, 5))  # pair i's stream t is substream(seed, i, t), all derived at once
     # every pair's eigenbasis, a Haar unitary from its own stream, factored and checked as one stack;
     # it needs no spectrum, which would only label the outcomes
-    bases = linalg.haar_factor(np.array([linalg.ginibre(rng, (d, d)) for rng in generators(words[:, 1])]))
+    g = normals(words[:, 1], (2, d, d))  # pair i's ginibre(substream(seed, i, 1), (d, d)), real parts first
+    bases = linalg.haar_factor(g[:, 0] + 1j * g[:, 1])
     within(linalg.unitary_defect(bases), TOL.orthonormality, "eigenbases are not orthonormal: defect")
 
     def born(states: np.ndarray) -> np.ndarray:
@@ -383,7 +385,7 @@ def cmd_sample(args) -> Verdict:
         quantum.check_orthant(rows)
         return rules.rule_probabilities(rules.Born(), rows)
 
-    p = born(quantum.haar_rows(d, generators(words[:, 0])))
+    p = born(quantum.haar_rows(normals(words[:, 0], (2, d))))
     counts = quantum.sample_outcomes(p, shots, generators(words[:, 2]))  # one stack, a stream per pair
     tests = [quantum.chi_square_test(counts[i], shots * p[i]) for i in range(n)]
     # a pair whose counts pool into one cell (dof 0) is not tested; the Sidak level of each tested

@@ -189,12 +189,12 @@ def chi_square_sf(x: float, dof: int) -> float:
     return min(1.0, tail)
 
 
-def haar_rows(dim: int, rngs: Iterable[np.random.Generator]) -> np.ndarray:
-    """Uniformly random pure states as amplitude rows (n, dim): each generator
-    draws its row's real and imaginary parts as one (2, dim) standard normal
-    pair, and one pass normalizes every row with the bits of its own
-    z / np.linalg.norm(z).  A zero draw (probability 0) becomes nan."""
-    z = np.array([rng.standard_normal((2, dim)) for rng in rngs]).transpose(0, 2, 1).copy().view(np.complex128)[..., 0]
+def haar_rows(pairs: np.ndarray) -> np.ndarray:
+    """Uniformly random pure states as amplitude rows (n, d) from standard normal
+    pairs (n, 2, d), each row's real parts then its imaginary parts: one pass
+    normalizes every row with the bits of its own z / np.linalg.norm(z).  A zero
+    draw (probability 0) becomes nan."""
+    z = pairs.transpose(0, 2, 1).copy().view(np.complex128)[..., 0]
     # np.linalg.norm's own formula on the strided views of each row, so the same
     # bits; the contiguous real and imag rows would round differently
     re, im = z.real, z.imag
@@ -204,8 +204,8 @@ def haar_rows(dim: int, rngs: Iterable[np.random.Generator]) -> np.ndarray:
 
 def haar_state(dim: int, rng: np.random.Generator) -> StateVector:
     """Uniformly random pure state (normalized complex Gaussian vector): the
-    n = 1 case of haar_rows.  A zero draw becomes nan, which StateVector rejects."""
-    return StateVector(haar_rows(dim, [rng])[0])
+    one-row case of haar_rows.  A zero draw becomes nan, which StateVector rejects."""
+    return StateVector(haar_rows(rng.standard_normal((2, dim))[None])[0])
 
 
 def haar_blocks(dim: int, n: int, seed: int, *indices: int) -> np.ndarray:

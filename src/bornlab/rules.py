@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .quantum import ModulusVector, StateVector, check_orthant, haar_rows
-from .streams import FAMILY_MIN, generators, substream, substreams
+from .streams import FAMILY_MIN, normals, substream, substreams
 
 
 class DomainError(ValueError):
@@ -159,12 +159,13 @@ def defect_scan(rule: Rule, dim: int, trials: int, seed: int, *address: int) -> 
     """Measure the normalization defect over Haar-random states.
 
     Trial i draws from substream(seed, *address, i), so the report is a
-    deterministic function of (rule, dim, trials, seed, *address).  From
-    FAMILY_MIN trials on, their streams are one substreams family and one
-    check_orthant checks the stacked moduli; below it each trial takes its
-    own substream and is checked alone, which is cheaper there.  One
-    haar_rows call normalizes every trial's draw, and the rule is evaluated
-    once, on the stacked moduli.  The worst state (the first at the maximum)
+    deterministic function of (rule, dim, trials, seed, *address).  Each
+    trial draws one (2, dim) Gaussian pair.  From FAMILY_MIN trials on, their
+    streams are one substreams family, normals draws every pair straight into
+    one stack, and one check_orthant checks the stacked moduli; below it each
+    trial draws from its own substream and is checked alone, which is cheaper
+    there.  One haar_rows call normalizes every pair, and the rule is
+    evaluated once, on the stacked moduli.  The worst state (the first at the maximum)
     is recorded as a falsification witness.  A renormalized rule sums to one
     by construction: every defect is 0, the witness is trial 0, and only that
     trial is drawn.
@@ -174,11 +175,11 @@ def defect_scan(rule: Rule, dim: int, trials: int, seed: int, *address: int) -> 
     renormalized = rule.renormalized
     n = 1 if renormalized else trials
     if n >= FAMILY_MIN:
-        stacked = np.abs(haar_rows(dim, generators(substreams(seed, *address, shape=(n,)))))
+        stacked = np.abs(haar_rows(normals(substreams(seed, *address, shape=(n,)), (2, dim))))
         check_orthant(stacked)
         witness = lambda i: ModulusVector(stacked[i])  # only the witness row becomes a ModulusVector
     else:
-        rows = haar_rows(dim, (substream(seed, *address, i) for i in range(n)))
+        rows = haar_rows(np.array([substream(seed, *address, i).standard_normal((2, dim)) for i in range(n)]))
         stacked = np.abs(rows)
         # Each row's StateVector and ModulusVector check repeats what one
         # check_orthant on the stack would do.  They stay only because the

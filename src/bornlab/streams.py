@@ -19,12 +19,14 @@ substream's rng.bit_generator.seed_seq differs: it holds those words and
 nothing else, so it cannot spawn.
 
 substreams derives those words for a whole family of addresses in one numpy
-pass of SeedSequence's mixing, at a larger fixed cost than substream.  sample
+pass of SeedSequence's mixing, at a larger fixed cost than substream, and
+normals draws every row's standard normals straight into one stack.  sample
 takes its 5 * trials pair streams as one family, and the defect scan its
 trials' streams from FAMILY_MIN on, the measured crossover: at d = 5 a scan
-of 7 trials takes 138 us with a substream per trial and 149 us with a family,
-of 8 trials 158 and 152 us, of 1,000 trials 14.7 and 3.0 ms (2-core x86-64
-VM; BENCH_defect_family.json).  Every other caller takes substream.
+of 7 trials takes 138 us with a substream per trial and 142 us with a family,
+of 8 trials 147 and 135 us, of 1,000 trials 15.7 and 2.4 ms, and d = 2 and 8
+cross between 7 and 8 trials too (2-core x86-64 VM; BENCH_defect_draws.json).
+Every other caller takes substream.
 """
 
 from __future__ import annotations
@@ -130,6 +132,17 @@ def substreams(seed: int, *indices: int, shape: tuple[int, ...]) -> np.ndarray:
 def generators(words: np.ndarray) -> Iterator[np.random.Generator]:
     """The generators of seed words (n, 4) from substreams, each built as it is read."""
     return (np.random.Generator(np.random.PCG64(_Seeded(w))) for w in words)
+
+
+def normals(words: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Standard normals (n, *shape): row i is standard_normal(shape), the first draw of the
+    generator of seed words[i] (n, 4) from substreams.  Each generator is built, draws
+    straight into its row and is dropped, so no generator or row array outlives its draw."""
+    out = np.empty((len(words), *shape))
+    generator, pcg64 = np.random.Generator, np.random.PCG64  # looked up once, not per row
+    for w, row in zip(words, out):
+        generator(pcg64(_Seeded(w))).standard_normal(out=row)
+    return out
 
 
 def blockwise(

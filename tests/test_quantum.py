@@ -27,7 +27,7 @@ from bornlab.quantum import (
     spin1_observables,
 )
 from bornlab.rules import Born, Power, Renormalized, defect_scan, rule_probabilities
-from bornlab.streams import BLOCK, FAMILY_MIN, substream
+from bornlab.streams import BLOCK, FAMILY_MIN, normals, substream
 from bornlab.tolerances import TOL
 
 
@@ -249,10 +249,12 @@ class TestStateAndModulus:
     def test_a_zero_draw_in_a_stream_family_is_not_normalized(self, monkeypatch):
         # both parts zero in trial FAMILY_MIN of a scan that draws one family: one
         # check of the stacked moduli rejects the state, so no nan defect is reported
-        def zero_at_family_min(words):
-            return (ZeroRows(2) if i == FAMILY_MIN else np.random.default_rng(30 + i) for i in range(len(words)))
+        def zero_at_family_min(words, shape):
+            pairs = normals(words, shape)
+            pairs[FAMILY_MIN] = 0.0
+            return pairs
 
-        monkeypatch.setattr("bornlab.rules.generators", zero_at_family_min)
+        monkeypatch.setattr("bornlab.rules.normals", zero_at_family_min)
         with np.errstate(invalid="ignore"):  # the zero row's 0/0
             with pytest.raises(NotNormalized):
                 defect_scan(Power(1.0), 4, FAMILY_MIN + 2, 0)

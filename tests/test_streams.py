@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bornlab import cli, streams
-from bornlab.streams import blockwise, generators, substream, substreams
+from bornlab.streams import blockwise, generators, normals, substream, substreams
 
 # address entries around the 32-bit word boundaries, Python ints of any size
 # and numpy ints
@@ -77,6 +77,17 @@ class TestFamily:
         for t in range(5):
             for i, rng in enumerate(generators(words[:, t])):
                 assert rng.bit_generator.state == substream(2**40 + 3, i, t).bit_generator.state
+            for i, row in enumerate(normals(words[:, t], (2, 3))):  # a strided column draws as its rows would
+                np.testing.assert_array_equal(row, substream(2**40 + 3, i, t).standard_normal((2, 3)))
+
+    @pytest.mark.parametrize("rows", [1, 7, 8, 1000])
+    @pytest.mark.parametrize("shape", [(2, 5), (2, 3, 3)])
+    def test_normals_are_each_substreams_first_draw_bit_for_bit(self, rows, shape):
+        # the defect scan's (2, d) pairs and sample's (2, d, d) Ginibre parts, on either side of FAMILY_MIN
+        pairs = normals(substreams(7, 2**33, shape=(rows,)), shape)
+        assert pairs.shape == (rows, *shape)
+        for i, row in enumerate(pairs):
+            np.testing.assert_array_equal(row, substream(7, 2**33, i).standard_normal(shape))
 
     @pytest.mark.parametrize("shape", [(2**32 + 1,), (3, 2**40), (2**64, 2)])
     def test_a_dimension_above_two_to_the_32_is_refused(self, monkeypatch, shape):
