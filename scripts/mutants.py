@@ -174,9 +174,9 @@ MUTANTS = [
     ),
     Mutant(
         "bornlab/tolerances.py",
-        "return -math.expm1(math.log1p(-alpha) / pairs)",
-        "return alpha",
-        "tests/test_quantum.py::TestChiSquare::test_sidak_level_holds_the_run_to_the_two_sided_three_sigma_tail",
+        "return -math.expm1(math.log1p(-self.sample_alpha) / pairs)",
+        "return self.sample_alpha",
+        "tests/test_quantum.py::TestChiSquare::test_sidak_level_holds_the_run_to_the_two_sided_six_sigma_tail",
         "each pair is judged at the run's level, so a run of n pairs false-alarms n times as often",
     ),
     Mutant(

@@ -404,7 +404,8 @@ def cmd_sample(args) -> Verdict:
     ]
     series = ((i, d, k, f, "frequencies") for i, pair in enumerate(pairs) for k, f in enumerate(pair["frequencies"]))
     within_all = all(pair["within_3_sigma"] for pair in pairs if pair["dof"])
-    results = {"pairs": pairs, "p_value_threshold": threshold, "all_within_3_sigma": within_all, "all_repeat_consistent": all(repeats)}
+    results = {"pairs": pairs, "p_value_threshold": threshold, "alpha": TOL.sample_alpha,
+               "all_within_3_sigma": within_all, "all_repeat_consistent": all(repeats)}
     if not any(dof for _, dof, _ in tests) and all(repeats):  # a failed repeat is still a failure
         results["inconclusive"] = "every pair's counts pool into one cell, so no frequency is tested; raise --shots"
     return results, within_all and all(repeats) and "inconclusive" not in results, series

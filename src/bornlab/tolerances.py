@@ -33,17 +33,21 @@ class Tolerances:
     spread: float = 1e-12            # invariance-spread pass threshold
     stationarity_residual: float = 1e-6   # stationarity residuals (finite-difference floor)
     coefficient_error: float = 1e-3       # recovered-coefficient distance from (0, 1, 0, 0)
-    sample_sigmas: float = 3.0       # sample's run-wide level, the two-sided normal tail at this many sigmas
-                                     # (0.27% at 3): within_3_sigma keys mean this level (sample_p_value)
+    sample_sigmas: float = 6.0       # sample's run-wide level, the two-sided normal tail at this many sigmas
+                                     # (2.0e-9 at 6): within_3_sigma keys mean this level (sample_p_value)
     sample_min_expected: float = 5.0  # sample pools cells until each expects this many shots
     fd_step: float = 1e-6            # central-difference step for rule derivatives
 
+    @property
+    def sample_alpha(self) -> float:
+        """sample's run-wide false-alarm rate, erfc(sample_sigmas / sqrt 2)."""
+        return math.erfc(self.sample_sigmas / math.sqrt(2.0))
+
     def sample_p_value(self, pairs: int) -> float:
         """The smallest chi-square p-value a pair of sample passes at, 1 - (1 - alpha)^(1/pairs)
-        with alpha = erfc(sample_sigmas / sqrt 2): a correct sampler fails any of `pairs`
-        independent pairs with probability alpha (Sidak 1967, JASA 62, 626)."""
-        alpha = math.erfc(self.sample_sigmas / math.sqrt(2.0))
-        return -math.expm1(math.log1p(-alpha) / pairs)
+        with alpha = sample_alpha: a correct sampler fails any of `pairs` independent pairs
+        with probability alpha (Sidak 1967, JASA 62, 626)."""
+        return -math.expm1(math.log1p(-self.sample_alpha) / pairs)
 
 
 TOL = Tolerances()

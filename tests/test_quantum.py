@@ -631,9 +631,10 @@ class TestChiSquare:
         assert chi_square_sf(0.0, 3) == 1.0 and chi_square_sf(1e-300, 300) == 1.0
         assert chi_square_sf(1e6, 255) == 0.0  # every term underflows; none overflows
 
-    def test_sidak_level_holds_the_run_to_the_two_sided_three_sigma_tail(self):
-        alpha = math.erfc(3.0 / math.sqrt(2.0))  # 0.27%
-        assert TOL.sample_sigmas == 3.0 and TOL.sample_p_value(1) == pytest.approx(alpha, rel=1e-12)
+    def test_sidak_level_holds_the_run_to_the_two_sided_six_sigma_tail(self):
+        alpha = math.erfc(6.0 / math.sqrt(2.0))  # 2.0e-9
+        assert TOL.sample_sigmas == 6.0 and TOL.sample_alpha == alpha
+        assert TOL.sample_p_value(1) == pytest.approx(alpha, rel=1e-12)
         for pairs in (2, 10, 1000):
             # independent pairs that each pass with probability 1 - p all pass with probability 1 - alpha
             assert 1.0 - (1.0 - TOL.sample_p_value(pairs)) ** pairs == pytest.approx(alpha, rel=1e-9)
