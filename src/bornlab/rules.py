@@ -165,10 +165,10 @@ def defect_scan(rule: Rule, dim: int, trials: int, seed: int, *address: int) -> 
     one stack, and one check_orthant checks the stacked moduli; below it each
     trial draws from its own substream and is checked alone, which is cheaper
     there.  One haar_rows call normalizes every pair, and the rule is
-    evaluated once, on the stacked moduli.  The worst state (the first at the maximum)
-    is recorded as a falsification witness.  A renormalized rule sums to one
-    by construction: every defect is 0, the witness is trial 0, and only that
-    trial is drawn.
+    evaluated once, on the stacked moduli.  The worst state (the first at the
+    maximum) is recorded as a falsification witness.  A renormalized rule sums
+    to one by construction: every defect is 0, the witness is trial 0, and
+    only that trial is drawn.
     """
     if trials < 1:
         raise ValueError("trials must be at least 1")

@@ -23,10 +23,10 @@ pass of SeedSequence's mixing, at a larger fixed cost than substream, and
 normals draws every row's standard normals straight into one stack.  sample
 takes its 5 * trials pair streams as one family, and the defect scan its
 trials' streams from FAMILY_MIN on, the measured crossover: at d = 5 a scan
-of 7 trials takes 138 us with a substream per trial and 142 us with a family,
-of 8 trials 147 and 135 us, of 1,000 trials 15.7 and 2.4 ms, and d = 2 and 8
-cross between 7 and 8 trials too (2-core x86-64 VM; BENCH_defect_draws.json).
-Every other caller takes substream.
+of 7 trials takes 130 us with a substream per trial and 135 us with a family,
+of 8 trials 144 and 139 us, of 1,000 trials 13.7 and 2.3 ms (best of 9), and
+d = 2 and 8 cross between 7 and 8 trials too (2-core x86-64 VM;
+BENCH_defect_draws.json).  Every other caller takes substream.
 """
 
 from __future__ import annotations
