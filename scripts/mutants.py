@@ -146,8 +146,8 @@ MUTANTS = [
     ),
     Mutant(
         "bornlab/quantum.py",
-        "clipped = np.minimum(p, 1.0)",
-        "clipped = p",
+        "rng.multinomial(shots, np.minimum(p, 1.0))",
+        "rng.multinomial(shots, p)",
         "tests/test_quantum.py::TestMeasurement::test_a_one_hot_row_rounded_above_one_takes_every_shot",
         "a collapsed state's Born row that rounds to 1 + 2e-16 is rejected by numpy: a crash, not a verdict",
     ),
@@ -215,25 +215,25 @@ MUTANTS = [
         "streams draw fresh OS entropy, so a rerun at the same seed gives another report",
     ),
     Mutant(
-        "bornlab/streams.py",
-        "h = (values ^ hash_[k : k + m]) * hash_[k + 1 : k + m + 1]",
-        "h = (values ^ hash_[k : k + m]) * hash_[k : k + m]",
-        "tests/test_streams.py::TestFamily::test_is_its_substreams_bit_for_bit",
-        "a family's hashmix multiplies by its own xor constant, not the next one, so its streams are not substream's",
+        "bornlab/rules.py",
+        "if n >= BLOCKS_MIN:",
+        "if n > BLOCKS_MIN:",
+        "tests/test_rules.py::TestDefectScan::test_a_scan_draws_blocks_from_blocks_min_trials",
+        "a scan of exactly BLOCKS_MIN trials draws a substream per trial, so its states are not its blocks' rows",
     ),
     Mutant(
-        "bornlab/streams.py",
-        "for j in range(4, width):",
-        "for j in range(5, width):",
-        "tests/test_streams.py::TestFamily::test_is_its_substreams_bit_for_bit",
-        "a family skips the fifth entropy word, so addresses that differ only there share a stream",
+        "bornlab/cli.py",
+        "rngs = [substream(seed, t) for t in range(5)]",
+        "rngs = [substream(seed, 0)] * 5",
+        "tests/test_cli.py::TestStackedEqualsPerBlock::test_sample_draws_part_t_of_every_pair_from_stream_t",
+        "every part of sample draws from one stream, so a pair's counts follow its state's draws and replay from no address",
     ),
     Mutant(
-        "bornlab/streams.py",
-        "for w, row in zip(words, out):",
-        "for w, row in zip(words[::-1], out):",
-        "tests/test_streams.py::TestFamily::test_normals_are_each_substreams_first_draw_bit_for_bit",
-        "a family's draws land in the wrong rows, so trial i is not drawn from its own address",
+        "bornlab/quantum.py",
+        "return rng.multinomial(shots, np.minimum(p, 1.0))",
+        "return rng.multinomial(shots, np.minimum(p, 1.0)[::-1])[::-1]",
+        "tests/test_quantum.py::TestMeasurement::test_a_stack_draws_as_a_loop_of_rows_over_one_generator",
+        "a stack's rows draw in reverse order, so pair i's counts are not the next draw of its stream",
     ),
     Mutant(
         "bornlab/cli.py",
@@ -278,11 +278,11 @@ MUTANTS = [
         "a renormalized rule whose sum can underflow passes, fails or is a domain error, by seed",
     ),
     Mutant(
-        "bornlab/rules.py",
-        "        check_orthant(stacked)\n",
+        "bornlab/quantum.py",
+        "    check_orthant(np.abs(states))\n",
         "",
-        "tests/test_quantum.py::TestStateAndModulus::test_a_zero_draw_in_a_stream_family_is_not_normalized",
-        "a scan of FAMILY_MIN or more trials checks no state, so a zero draw is a domain error, not a rejected state",
+        "tests/test_quantum.py::TestStateAndModulus::test_a_zero_draw_in_a_block_is_not_normalized",
+        "haar_blocks checks no state, so a scan of BLOCKS_MIN or more trials reports a zero draw as a domain error",
     ),
 ]
 

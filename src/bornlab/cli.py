@@ -34,7 +34,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import invariance, linalg, quantum, rules, variational
-from .streams import generators, normals, substream, substreams
+from .streams import substream
 from .tolerances import TOL, within
 
 
@@ -372,10 +372,11 @@ def cmd_spin1(args) -> Verdict:
 
 def cmd_sample(args) -> Verdict:
     d, seed, shots, n = args.dim, args.seed, args.shots, args.trials
-    words = substreams(seed, shape=(n, 5))  # pair i's stream t is substream(seed, i, t), all derived at once
-    # every pair's eigenbasis, a Haar unitary from its own stream, factored and checked as one stack;
-    # it needs no spectrum, which would only label the outcomes
-    g = normals(words[:, 1], (2, d, d))  # pair i's ginibre(substream(seed, i, 1), (d, d)), real parts first
+    # stream t draws part t of every pair, pair by pair: 0 states, 1 bases, 2 counts, 3 first outcomes, 4 repeats
+    rngs = [substream(seed, t) for t in range(5)]
+    # every pair's eigenbasis, a Haar unitary factored from its Ginibre matrix (real parts first) and
+    # checked as one stack; it needs no spectrum, which would only label the outcomes
+    g = rngs[1].standard_normal((n, 2, d, d))  # pair i's is linalg.ginibre(rngs[1], (d, d))
     bases = linalg.haar_factor(g[:, 0] + 1j * g[:, 1])
     within(linalg.unitary_defect(bases), TOL.orthonormality, "eigenbases are not orthonormal: defect")
 
@@ -385,17 +386,17 @@ def cmd_sample(args) -> Verdict:
         quantum.check_orthant(rows)
         return rules.rule_probabilities(rules.Born(), rows)
 
-    p = born(quantum.haar_rows(normals(words[:, 0], (2, d))))
-    counts = quantum.sample_outcomes(p, shots, generators(words[:, 2]))  # one stack, a stream per pair
+    p = born(quantum.haar_rows(rngs[0].standard_normal((n, 2, d))))
+    counts = quantum.sample_outcomes(p, shots, rngs[2])
     tests = [quantum.chi_square_test(counts[i], shots * p[i]) for i in range(n)]
     # a pair whose counts pool into one cell (dof 0) is not tested; the Sidak level of each tested
     # pair's test keeps the run's false-alarm rate at alpha, and with no tested pair there is no level
     tested = sum(1 for _, dof, _ in tests if dof)
     threshold = TOL.sample_p_value(tested) if tested else None
     # first outcomes, one shot each as measure() takes it, and 100 re-measurements of each collapsed column
-    firsts = np.argmax(quantum.sample_outcomes(p, 1, generators(words[:, 3])), axis=-1)
+    firsts = np.argmax(quantum.sample_outcomes(p, 1, rngs[3]), axis=-1)
     post = born(bases[np.arange(n), :, firsts])
-    repeats = (quantum.sample_outcomes(post, 100, generators(words[:, 4]))[np.arange(n), firsts] == 100).tolist()
+    repeats = (quantum.sample_outcomes(post, 100, rngs[4])[np.arange(n), firsts] == 100).tolist()
     pairs = [
         {"pair": i, "frequencies": (counts[i] / shots).tolist(), "born": p[i].tolist(),
          "chi_square": statistic, "dof": dof, "p_value": p_value, "within_3_sigma": p_value >= threshold if dof else None,
@@ -430,7 +431,8 @@ def main(argv: list[str] | None = None) -> int:
     for name, low in lows.items():
         if getattr(args, name, low) < low:
             args.error(f"--{name} must be at least {low}")
-    # a trial's index is one 32-bit word of its stream family's address; sample's multinomial counts are int64
+    # more trials than 2**32 are refused before any draw (a d = 2 state stack alone would be 128 GiB);
+    # sample's multinomial counts are int64
     highs = {"trials": 2**32, "shots": 2**63 - 1}
     for name, high in highs.items():
         if getattr(args, name, high) > high:

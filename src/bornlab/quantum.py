@@ -13,7 +13,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable
 
 import numpy as np
 
@@ -134,26 +133,27 @@ def measure(p: np.ndarray, vectors: np.ndarray, rng: np.random.Generator) -> tup
     outcome k and the collapsed state, column k of the eigenbasis vectors (d, d) as it stands."""
     if p.shape[-1] != vectors.shape[-1]:
         raise DimMismatch(f"probability row dim {p.shape[-1]} vs eigenbasis dim {vectors.shape[-1]}")
-    k = int(np.argmax(sample_outcomes(p[None], 1, [rng])[0]))
+    k = int(np.argmax(sample_outcomes(p[None], 1, rng)[0]))
     return k, StateVector(vectors[:, k])
 
 
-def sample_outcomes(p: np.ndarray, shots: int, rngs: Iterable[np.random.Generator]) -> np.ndarray:
+def sample_outcomes(p: np.ndarray, shots: int, rng: np.random.Generator) -> np.ndarray:
     """Outcome counts (n, d) over many shots from each row of a stack of probability rows
-    p (n, d), drawn by its own of the n generators rngs yields: the one draw rule, whose
-    one-row, one-shot case is measure().
+    p (n, d), drawn by one generator row after row: the one draw rule, whose one-row,
+    one-shot case is measure().
 
     The whole stack is checked once, before any draw: a negative entry is a ValueError, and a
-    row sum more than TOL.unit_norm from one (nan included) is NotNormalized.  A row's counts
-    are one multinomial draw, which has the law of one inverse-CDF draw per shot; numpy draws
-    successive binomials, so the last outcome takes the shots the others leave.  An entry that
-    rounded above 1 (a collapsed state's certain outcome, 1 + 2e-16) is clipped to 1, as numpy requires.
+    row sum more than TOL.unit_norm from one (nan included) is NotNormalized.  The counts are
+    one multinomial call on the stack, which draws its rows in order, as a loop of one
+    multinomial per row over rng would.  A row's multinomial has the law of one inverse-CDF
+    draw per shot; numpy draws successive binomials, so the last outcome takes the shots the
+    others leave.  An entry that rounded above 1 (a collapsed state's certain outcome,
+    1 + 2e-16) is clipped to 1, as numpy requires.
     """
     if np.minimum.reduce(p, axis=None, initial=0.0) < 0.0:  # a nan carries past, to the sum test
         raise ValueError("probabilities must be non-negative")
     within(float(np.abs(np.sum(p, axis=-1) - 1.0).max()), TOL.unit_norm, "probability sum defect", NotNormalized)
-    clipped = np.minimum(p, 1.0)
-    return np.array([generator.multinomial(shots, row) for generator, row in zip(rngs, clipped, strict=True)])
+    return rng.multinomial(shots, np.minimum(p, 1.0))
 
 
 def chi_square_test(counts: np.ndarray, expected: np.ndarray) -> tuple[float, int, float]:

@@ -227,7 +227,7 @@ def test_criterion_9_sampling_and_collapse():
         vectors = haar_array(3, substream(9, i, 1))
         psi = haar_state(3, substream(9, i, 0))
         p = rule_probabilities(Born(), moduli(expand(psi, vectors)).moduli)
-        counts = sample_outcomes(p[None], shots, [substream(9, i, 2)])[0]
+        counts = sample_outcomes(p[None], shots, substream(9, i, 2))[0]
         all_within = all_within and chi_square_test(counts, shots * p)[2] >= TOL.sample_p_value(10)
 
         first, post_state = measure(p, vectors, substream(9, i, 3))

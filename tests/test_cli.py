@@ -238,8 +238,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("command", cli.COMMANDS)
     @pytest.mark.parametrize("trials", [str(2**32 + 1), "5000000000"])
     def test_trials_past_a_family_index_is_usage_error(self, capsys, command, trials):
-        # a family's trial index is one 32-bit word: more trials were substreams' ValueError, exit 4.
-        # Only values past the bound are run, so the check stops them before any draw
+        # no command can hold 2**32 rows, so more trials are out of range: a usage error, not a runtime
+        # failure.  Only values past the bound are run, so the check stops them before any draw
         rule = ["--rule", "power:3"] if command == "falsify" else []
         with pytest.raises(SystemExit) as excinfo:
             main([command, *rule, "--trials", trials])
@@ -271,13 +271,13 @@ class TestExitCodes:
         assert "inconclusive" not in report["results"]
 
     def test_sample_judges_only_the_pairs_it_tests(self, capsys):
-        # 12 shots in 3 cells: 7 of the 10 pairs pool into one cell, so 3 pairs are tested,
+        # 12 shots in 3 cells: at seed 4, 7 of the 10 pairs pool into one cell, so 3 pairs are tested,
         # each at the Sidak level for 3 pairs, and the untested ones are neither passed nor failed
-        code, report = run_json(capsys, ["sample", "--dim", "3", "--shots", "12", "--trials", "10", "--seed", "3"])
+        code, report = run_json(capsys, ["sample", "--dim", "3", "--shots", "12", "--trials", "10", "--seed", "4"])
         results = report["results"]
         tested = [pair for pair in results["pairs"] if pair["dof"]]
         untested = [pair for pair in results["pairs"] if not pair["dof"]]
-        assert len(tested) == 3 and len(untested) == 7
+        assert len(tested) == 3 and len(untested) == 7  # the precondition: some pairs pool into one cell, some do not
         assert all(pair["within_3_sigma"] is None and pair["p_value"] == 1.0 for pair in untested)
         threshold = results["p_value_threshold"]
         assert threshold == TOL.sample_p_value(3) > TOL.sample_p_value(10)
@@ -533,16 +533,19 @@ class TestFalsification:
         assert report["results"]["max_spread"] > 1e-3
 
     def test_witness_replays_from_the_defect_address(self, capsys):
-        # trial i of the defect scan is drawn from substream(*address, i)
-        argv = ["falsify", "--rule", "power:1", "--dim", "3", "--trials", "50", "--seed", "7"]
-        _, report = run_json(capsys, argv)
-        defect = report["results"]["defect"]
-        assert defect["address"] == [7, 0]
-        states = [quantum.haar_state(3, substream(*defect["address"], i)) for i in range(50)]
-        defects = [abs(float(np.sum(quantum.moduli(s.amplitudes).moduli)) - 1.0) for s in states]
-        worst = int(np.argmax(defects))
-        assert defects[worst] == defect["max_defect"]
-        assert report["results"]["witness"] == [float(x) for x in quantum.moduli(states[worst].amplitudes).moduli]
+        # trial i of the defect scan is row i % BLOCK of the block drawn from substream(*address, i // BLOCK)
+        for trials in (50, 2 * BLOCK + 3):
+            argv = ["falsify", "--rule", "power:1", "--dim", "3", "--trials", str(trials), "--seed", "7"]
+            _, report = run_json(capsys, argv)
+            defect = report["results"]["defect"]
+            assert defect["address"] == [7, 0]
+            blocks = [block_states(3, min(BLOCK, trials - start), substream(*defect["address"], b))
+                      for b, start in enumerate(range(0, trials, BLOCK))]
+            states = [quantum.moduli(row).moduli for row in np.concatenate(blocks)]
+            defects = [abs(float(np.sum(state)) - 1.0) for state in states]
+            worst = int(np.argmax(defects))
+            assert defects[worst] == defect["max_defect"]
+            assert report["results"]["witness"] == [float(x) for x in states[worst]]
 
     def test_falsify_and_independence_run_one_independence_check(self, capsys):
         # both run it at address (1,), so a renormalized rule gets the same scans
@@ -1282,32 +1285,47 @@ class TestStackedEqualsPerBlock:
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8, 16])
     def test_sample(self, capsys, d):
-        # reference: pair i alone, its eigenbasis the Haar unitary of its own
-        # stream (a stack factors each member with its own bits), its state
-        # expanded as one row of the stacked product
+        # reference: pair i alone, each part the next draw of its stream, its
+        # eigenbasis the Haar unitary of one Ginibre draw (a stack factors each
+        # member with its own bits), its state expanded as one row of the
+        # stacked product
         shots, trials = 300, 6
         argv = ["sample", "--dim", str(d), "--shots", str(shots), "--trials", str(trials), "--seed", str(self.SEED)]
         _, report = run_json(capsys, argv)
         threshold = report["results"]["p_value_threshold"]
         assert threshold == TOL.sample_p_value(trials)
         repeats = []
-        for i, pair in enumerate(report["results"]["pairs"]):
-            psi = quantum.haar_state(d, substream(self.SEED, i, 0))
-            vectors = haar_array(d, substream(self.SEED, i, 1))
+        # part t of every pair, pair by pair, from substream(SEED, t)
+        states, bases, shot_rng, first_rng, repeat_rng = (substream(self.SEED, t) for t in range(5))
+        for pair in report["results"]["pairs"]:
+            psi = quantum.haar_state(d, states)
+            vectors = haar_array(d, bases)
             p = np.abs(np.vecdot(vectors, psi.amplitudes[:, None], axis=0)) ** 2  # |c|^2, bit for bit the Born scoring
-            counts = quantum.sample_outcomes(p[None], shots, [substream(self.SEED, i, 2)])[0]
+            counts = quantum.sample_outcomes(p[None], shots, shot_rng)[0]
             statistic, dof, p_value = quantum.chi_square_test(counts, shots * p)
             assert pair["born"] == [float(x) for x in p]
             assert pair["frequencies"] == [float(x) for x in counts / shots]
             assert (pair["chi_square"], pair["dof"], pair["p_value"]) == (statistic, dof, p_value)
             assert pair["within_3_sigma"] == (p_value >= threshold)
-            k, collapsed = quantum.measure(p, vectors, substream(self.SEED, i, 3))
+            k, collapsed = quantum.measure(p, vectors, first_rng)
             assert pair["first_outcome"] == k
-            # the collapsed column, scored alone, and its 100 re-measurements from the pair's own stream
+            # the collapsed column, scored alone, and its 100 re-measurements
             post = np.abs(np.vecdot(vectors, collapsed.amplitudes[:, None], axis=0)) ** 2
-            repeats.append(bool(quantum.sample_outcomes(post[None], 100, [substream(self.SEED, i, 4)])[0, k] == 100))
+            repeats.append(bool(quantum.sample_outcomes(post[None], 100, repeat_rng)[0, k] == 100))
             assert pair["repeat_consistent"] == repeats[-1]
         assert report["results"]["all_repeat_consistent"] == all(repeats)
+
+    def test_sample_draws_part_t_of_every_pair_from_stream_t(self, capsys, monkeypatch):
+        # the command takes substream(seed, t) for t = 0..4 and nothing else, and each stream
+        # draws its part pair by pair, so the first pairs of a run are those of a shorter run
+        addresses = []
+        monkeypatch.setattr(cli, "substream", lambda *address: addresses.append(address) or substream(*address))
+        argv = ["sample", "--dim", "4", "--shots", "500", "--seed", str(self.SEED)]
+        longer = run_json(capsys, argv + ["--trials", "9"])[1]["results"]["pairs"]
+        assert addresses == [(self.SEED, t) for t in range(5)]
+        shorter = run_json(capsys, argv + ["--trials", "4"])[1]["results"]["pairs"]
+        drop = lambda pair: {key: value for key, value in pair.items() if key != "within_3_sigma"}  # its level reads the pair count
+        assert [drop(pair) for pair in longer[:4]] == [drop(pair) for pair in shorter]
 
     def test_sample_checks_one_stack(self, capsys, monkeypatch):
         # the eigenbases are checked for unitarity once, as one stack; no

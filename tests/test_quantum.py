@@ -27,7 +27,7 @@ from bornlab.quantum import (
     spin1_observables,
 )
 from bornlab.rules import Born, Power, Renormalized, defect_scan, rule_probabilities
-from bornlab.streams import BLOCK, FAMILY_MIN, normals, substream
+from bornlab.streams import BLOCK, substream
 from bornlab.tolerances import TOL
 
 
@@ -246,18 +246,15 @@ class TestStateAndModulus:
             with pytest.raises(NotNormalized):
                 defect_scan(Power(1.0), 4, 3, 0)
 
-    def test_a_zero_draw_in_a_stream_family_is_not_normalized(self, monkeypatch):
-        # both parts zero in trial FAMILY_MIN of a scan that draws one family: one
-        # check of the stacked moduli rejects the state, so no nan defect is reported
-        def zero_at_family_min(words, shape):
-            pairs = normals(words, shape)
-            pairs[FAMILY_MIN] = 0.0
-            return pairs
-
-        monkeypatch.setattr("bornlab.rules.normals", zero_at_family_min)
+    def test_a_zero_draw_in_a_block_is_not_normalized(self, monkeypatch):
+        # both parts zero in row 0 of the second of three blocks of a scan of
+        # BLOCKS_MIN or more trials: one check of the stacked moduli rejects
+        # the state, so no nan defect is reported
+        blocks = iter([np.random.default_rng(25), ZeroRows(1), np.random.default_rng(26)])
+        monkeypatch.setattr("bornlab.streams.substream", lambda *address: next(blocks))
         with np.errstate(invalid="ignore"):  # the zero row's 0/0
             with pytest.raises(NotNormalized):
-                defect_scan(Power(1.0), 4, FAMILY_MIN + 2, 0)
+                defect_scan(Power(1.0), 4, 2 * BLOCK + 3, 0)
 
     def test_moduli_rejects_unnormalized(self):
         with pytest.raises(NotNormalized):
@@ -464,7 +461,7 @@ class TestMeasurement:
         vectors = diagonal_basis([-0.5, 0.5])
         psi = StateVector(np.array([1.0, 1.0]) / np.sqrt(2))
         shots = 100_000
-        counts = sample_outcomes(born(psi, vectors)[None], shots, [np.random.default_rng(11)])[0]
+        counts = sample_outcomes(born(psi, vectors)[None], shots, np.random.default_rng(11))[0]
         sigma = np.sqrt(0.25 / shots)
         assert abs(counts[0] / shots - 0.5) < 3 * sigma
 
@@ -480,8 +477,8 @@ class TestMeasurement:
     def test_sampling_deterministic_for_fixed_stream(self):
         vectors = haar_array(3, np.random.default_rng(14))
         p = born(haar_state(3, np.random.default_rng(15)), vectors)
-        a = sample_outcomes(p[None], 1000, [substream(77, 0)])
-        b = sample_outcomes(p[None], 1000, [substream(77, 0)])
+        a = sample_outcomes(p[None], 1000, substream(77, 0))
+        b = sample_outcomes(p[None], 1000, substream(77, 0))
         np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("shots", [1, 6, 7, 50, 301])
@@ -491,7 +488,7 @@ class TestMeasurement:
         # stands, and they add up to the shots
         vectors = haar_array(3, np.random.default_rng(16))
         p = born(haar_state(3, np.random.default_rng(17)), vectors)
-        counts = sample_outcomes(p[None], shots, [np.random.default_rng(18)])[0]
+        counts = sample_outcomes(p[None], shots, np.random.default_rng(18))[0]
         np.testing.assert_array_equal(counts, np.random.default_rng(18).multinomial(shots, p))
         assert counts.sum() == shots
 
@@ -515,10 +512,23 @@ class TestMeasurement:
             p = rule_probabilities(rule, point)
             if scale < 1.0 and rule == Born():
                 assert p.sum() < 1.0
-            counts = sample_outcomes(p[None], 10_000, [np.random.default_rng(20)])[0]
+            counts = sample_outcomes(p[None], 10_000, np.random.default_rng(20))[0]
             np.testing.assert_array_equal(counts, np.random.default_rng(20).multinomial(10_000, p))
             assert counts.sum() == 10_000
             assert not np.any(counts[np.array(probabilities) == 0.0])
+
+    @pytest.mark.parametrize("d, n, shots", [(2, 1, 10), (3, 7, 1), (3, 10, 100_000), (8, 5, 2**63 - 1)])
+    def test_a_stack_draws_as_a_loop_of_rows_over_one_generator(self, d, n, shots):
+        # one multinomial call on the stack gives, bit for bit, one multinomial
+        # per row in stack order over the same generator, and leaves it where
+        # that loop does; a one-hot row rounded above one is clipped in both
+        p = np.abs(haar_blocks(d, n, 31)) ** 2
+        p[-1] = np.eye(d)[0] * np.nextafter(1.0, 2.0)
+        rng, reference = substream(32, d), substream(32, d)
+        counts = sample_outcomes(p, shots, rng)
+        expected = np.array([reference.multinomial(shots, row) for row in np.minimum(p, 1.0)])
+        assert counts.dtype == expected.dtype and counts.tobytes() == expected.tobytes()
+        assert rng.bit_generator.state == reference.bit_generator.state
 
     @pytest.mark.parametrize("k", [0, 1, 2])
     def test_a_one_hot_row_rounded_above_one_takes_every_shot(self, k):
@@ -528,7 +538,7 @@ class TestMeasurement:
         row[k] = np.nextafter(1.0, 2.0)
         with pytest.raises(ValueError):
             np.random.default_rng(0).multinomial(10, row)
-        np.testing.assert_array_equal(sample_outcomes(row[None], 1000, [np.random.default_rng(21)])[0], 1000 * np.eye(3, dtype=int)[k])
+        np.testing.assert_array_equal(sample_outcomes(row[None], 1000, np.random.default_rng(21))[0], 1000 * np.eye(3, dtype=int)[k])
         assert measure(row, np.eye(3, dtype=complex), np.random.default_rng(22))[0] == k
 
     @pytest.mark.parametrize(
@@ -546,12 +556,12 @@ class TestMeasurement:
     )
     def test_draws_reject_a_non_distribution(self, row, error):
         with pytest.raises(ValueError) as excinfo:
-            sample_outcomes(row[None], 10, [np.random.default_rng(0)])
+            sample_outcomes(row[None], 10, np.random.default_rng(0))
         assert type(excinfo.value) is error
         # the row as the second of a stack, behind a distribution: the whole stack is checked
         stack = np.concatenate([np.eye(1, row.size), row[None]])
         with pytest.raises(ValueError) as excinfo:
-            sample_outcomes(stack, 10, [np.random.default_rng(0), np.random.default_rng(1)])
+            sample_outcomes(stack, 10, np.random.default_rng(0))
         assert type(excinfo.value) is error
         with pytest.raises(ValueError) as excinfo:
             measure(row, np.eye(row.size, dtype=complex), np.random.default_rng(0))
@@ -579,7 +589,7 @@ class TestMeasurement:
         outcomes = [measure(p, vectors, rng)[0] for _ in range(shots)]
         assert outcomes == [int(np.argmax(reference.multinomial(1, p))) for _ in range(shots)]
         assert all(weights[k] for k in outcomes)
-        counts = sample_outcomes(p[None], shots, [np.random.default_rng(seed)])[0]
+        counts = sample_outcomes(p[None], shots, np.random.default_rng(seed))[0]
         np.testing.assert_array_equal(counts, np.random.default_rng(seed).multinomial(shots, p))
 
     def test_one_draw_repeats_equal_scalar_measure_calls(self):
@@ -594,7 +604,7 @@ class TestMeasurement:
                 p = born(state, vectors)
                 rng = substream(19, seed, 4)
                 scalar = [measure(p, vectors, rng)[0] for _ in range(100)]
-                counts = sample_outcomes(p[None], 100, [substream(19, seed, 4)])[0]
+                counts = sample_outcomes(p[None], 100, substream(19, seed, 4))[0]
                 assert counts.sum() == 100
                 mixed = mixed or len(set(scalar)) > 1
             assert set(scalar) == {k} and counts[k] == 100  # the collapsed state repeats

@@ -8,9 +8,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from bornlab import rules
+from bornlab import rules, streams
 from bornlab.quantum import ModulusVector, haar_state, moduli
 from bornlab.rules import (
+    BLOCKS_MIN,
     Affine,
     Born,
     DomainError,
@@ -21,7 +22,7 @@ from bornlab.rules import (
     parse_rule,
     rule_probabilities,
 )
-from bornlab.streams import FAMILY_MIN, substream, substreams
+from bornlab.streams import BLOCK, substream
 
 SYMMETRIC_QUBIT = ModulusVector(np.array([1.0, 1.0]) / np.sqrt(2))
 PLAIN_RULES = st.one_of(
@@ -286,20 +287,33 @@ class TestDefectScan:
 
     @settings(max_examples=30, deadline=None)
     @given(rule=PLAIN_RULES, d=st.integers(2, 40), n=st.integers(1, 40), seed=st.integers(0, 10_000))
-    @example(rule=Power(3.0), d=5, n=FAMILY_MIN - 1, seed=7)  # the last scan of a substream per trial
-    @example(rule=Power(3.0), d=5, n=FAMILY_MIN, seed=7)  # the first scan of one stream family
+    @example(rule=Power(3.0), d=5, n=BLOCKS_MIN - 1, seed=7)  # the last scan of a substream per trial
+    @example(rule=Power(3.0), d=5, n=BLOCKS_MIN, seed=7)  # the first scan drawn in blocks
+    @example(rule=Power(3.0), d=5, n=2 * BLOCK + 3, seed=7)  # three blocks, the last one short
     def test_stacked_defects_equal_the_scalar_formula(self, rule, d, n, seed):
         # exact equality: stacking the trials must not change a single bit,
-        # on either side of FAMILY_MIN and at dimensions past BLAS's unroll
-        # widths.  Trial i's state is rebuilt from numpy alone: z / norm(z),
-        # with z the two rows of a draw from the SeedSequence of (seed, i)
+        # on either side of BLOCKS_MIN and at dimensions past BLAS's unroll
+        # widths.  Each state is rebuilt from numpy alone: below BLOCKS_MIN,
+        # trial i's is z / norm(z), with z the two rows of a draw from the
+        # SeedSequence of (seed, i); from BLOCKS_MIN on, trial i is row
+        # i % BLOCK of block i // BLOCK, whose complex Gaussian rows (all real
+        # parts first) come from the SeedSequence of (seed, b)
         def reference_state(i):
             real, imag = np.random.default_rng(np.random.SeedSequence((seed, i))).standard_normal((2, d))
             z = real + 1j * imag
             return z / np.linalg.norm(z)
 
+        def reference_block(b, size):
+            rng = np.random.default_rng(np.random.SeedSequence((seed, b)))
+            z = rng.standard_normal((size, d)) + 1j * rng.standard_normal((size, d))
+            return z / np.linalg.norm(z, axis=-1)[:, None]
+
+        if n < BLOCKS_MIN:
+            states = [reference_state(i) for i in range(n)]
+        else:
+            states = [row for b, start in enumerate(range(0, n, BLOCK)) for row in reference_block(b, min(BLOCK, n - start))]
         report = defect_scan(rule, d, n, seed)
-        scalar = [abs(float(np.sum(rule(np.abs(reference_state(i))))) - 1.0) for i in range(n)]
+        scalar = [abs(float(np.sum(rule(np.abs(state)))) - 1.0) for state in states]
         assert report.defects.tobytes() == np.array(scalar).tobytes()
         ends = rule(0.0), rule(1.0)  # every plain rule here is monotone on [0, 1]
         if min(ends) < 0.0 or max(ends) <= 0.0:  # below 0 somewhere, or 0 everywhere: no renormalization
@@ -314,35 +328,30 @@ class TestDefectScan:
 
     @staticmethod
     def counted_draws(monkeypatch, rule, trials):
-        """The addresses a scan passes to substream, and the shapes of the families it takes."""
-        singles, families = [], []
+        """The addresses of the substreams a scan takes: its trials' own, and its blocks'."""
+        singles, blocks = [], []
 
-        def single(*address):
-            singles.append(address)
-            return substream(*address)
+        def recorder(addresses):
+            return lambda *address: addresses.append(address) or substream(*address)
 
-        def family(*address, shape):
-            families.append(shape)
-            return substreams(*address, shape=shape)
-
-        monkeypatch.setattr(rules, "substream", single)
-        monkeypatch.setattr(rules, "substreams", family)
+        monkeypatch.setattr(rules, "substream", recorder(singles))
+        monkeypatch.setattr(streams, "substream", recorder(blocks))  # the one blockwise calls
         defect_scan(rule, 4, trials, 9)
-        return singles, families
+        return singles, blocks
 
     @pytest.mark.parametrize("rule, draws", [(Renormalized(Power(4.0)), 1), (Power(4.0), 50)])
     def test_renormalized_scan_draws_only_its_witness(self, monkeypatch, rule, draws):
-        # the witness alone takes one substream; 50 plain trials are one family of 50 streams
-        singles, families = self.counted_draws(monkeypatch, rule, 50)
-        assert (len(singles), families) == ((1, []) if draws == 1 else (0, [(draws,)]))
+        # the witness alone takes one substream; 50 plain trials are one block
+        singles, blocks = self.counted_draws(monkeypatch, rule, 50)
+        assert (singles, blocks) == (([(9, 0)], []) if draws == 1 else ([], [(9, 0)]))
 
-    @pytest.mark.parametrize("trials", [FAMILY_MIN - 1, FAMILY_MIN])
-    def test_a_scan_takes_one_family_from_family_min_trials(self, monkeypatch, trials):
-        singles, families = self.counted_draws(monkeypatch, Power(4.0), trials)
-        if trials < FAMILY_MIN:
-            assert singles == [(9, i) for i in range(trials)] and families == []
+    @pytest.mark.parametrize("trials", [BLOCKS_MIN - 1, BLOCKS_MIN, 2 * BLOCK + 3])
+    def test_a_scan_draws_blocks_from_blocks_min_trials(self, monkeypatch, trials):
+        singles, blocks = self.counted_draws(monkeypatch, Power(4.0), trials)
+        if trials < BLOCKS_MIN:
+            assert singles == [(9, i) for i in range(trials)] and blocks == []
         else:
-            assert singles == [] and families == [(trials,)]
+            assert singles == [] and blocks == [(9, b) for b in range(-(-trials // BLOCK))]
 
     def test_renormalized_report_is_that_of_every_trial(self):
         # every defect is 0, so the first trial is the witness, as when all are drawn

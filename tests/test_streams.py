@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bornlab import cli, streams
-from bornlab.streams import blockwise, generators, normals, substream, substreams
+from bornlab.streams import blockwise, substream
 
 # address entries around the 32-bit word boundaries, Python ints of any size
 # and numpy ints
@@ -48,69 +48,14 @@ def test_seed_words_come_from_the_pool_alone(monkeypatch, address):
         rng.bit_generator.seed_seq.generate_state(8)  # holds PCG64's words only
 
 
-# a family's first stream, words and generator both built
-def family(*prefix):
-    return next(generators(substreams(*prefix, shape=(2,))))
-
-
-class TestFamily:
-    # substreams(*prefix, shape=shape) against substream(*prefix, *idx), one address at a time
-
-    @settings(max_examples=100, deadline=None)
-    @given(
-        st.lists(st.one_of(ENTRIES, st.integers(2**32, 2**64), st.integers(2**64, 2**96)), min_size=1, max_size=5),
-        st.sampled_from([(1,), (7,), (3, 5)]),
-    )
-    def test_is_its_substreams_bit_for_bit(self, prefix, shape):
-        # a seed or index from 2**32 up takes two or three words, so many addresses run past
-        # the four entropy words mix_entropy hashes first and fold in the rest one by one
-        words = substreams(*prefix, shape=shape)
-        assert words.shape == (*shape, 4)
-        for idx, rng in zip(np.ndindex(shape), generators(words.reshape(-1, 4)), strict=True):
-            reference = substream(*prefix, *idx)
-            assert rng.bit_generator.state == reference.bit_generator.state
-            np.testing.assert_array_equal(rng.standard_normal(8), reference.standard_normal(8))
-
-    def test_a_column_is_its_substreams(self):
-        # sample reads column t of a (n, 5) family as pair i's stream substream(seed, i, t)
-        words = substreams(2**40 + 3, shape=(4, 5))
-        for t in range(5):
-            for i, rng in enumerate(generators(words[:, t])):
-                assert rng.bit_generator.state == substream(2**40 + 3, i, t).bit_generator.state
-            for i, row in enumerate(normals(words[:, t], (2, 3))):  # a strided column draws as its rows would
-                np.testing.assert_array_equal(row, substream(2**40 + 3, i, t).standard_normal((2, 3)))
-
-    @pytest.mark.parametrize("rows", [1, 7, 8, 1000])
-    @pytest.mark.parametrize("shape", [(2, 5), (2, 3, 3)])
-    def test_normals_are_each_substreams_first_draw_bit_for_bit(self, rows, shape):
-        # the defect scan's (2, d) pairs and sample's (2, d, d) Ginibre parts, on either side of FAMILY_MIN
-        pairs = normals(substreams(7, 2**33, shape=(rows,)), shape)
-        assert pairs.shape == (rows, *shape)
-        for i, row in enumerate(pairs):
-            np.testing.assert_array_equal(row, substream(7, 2**33, i).standard_normal(shape))
-
-    @pytest.mark.parametrize("shape", [(2**32 + 1,), (3, 2**40), (2**64, 2)])
-    def test_a_dimension_above_two_to_the_32_is_refused(self, monkeypatch, shape):
-        # its last indices would take two words each, so another stream; refused before any allocation
-        def no_allocation(*args, **kwargs):
-            raise AssertionError("allocated")
-
-        monkeypatch.setattr(np, "indices", no_allocation)
-        with pytest.raises(ValueError, match="above 2\\*\\*32"):
-            substreams(0, shape=shape)
-
-
-@pytest.mark.parametrize("derive", [substream, family])
+@pytest.mark.parametrize("derive", [substream])
 @pytest.mark.parametrize("address", [(1.0,), (0, 2.5), (3, np.float64(1.0))])
 def test_a_float_entry_is_rejected(derive, address):
     with pytest.raises(TypeError):
         derive(*address)
 
 
-@pytest.mark.parametrize(
-    "derive, address",
-    [(substream, (-1,)), (substream, (0, -1)), (family, (-1,)), (family, (0, -1))],
-)
+@pytest.mark.parametrize("derive, address", [(substream, (-1,)), (substream, (0, -1))])
 def test_negative_seed_or_index_is_rejected(derive, address):
     # the one address split rejects any negative entry, as np.random.SeedSequence does
     with pytest.raises(ValueError, match="non-negative"):
@@ -160,7 +105,7 @@ def test_no_two_streams_of_a_command_coincide(monkeypatch, capsys, argv, code, s
     # address word away: (s, k) and (s, k, 0) are one stream
     states = []
 
-    class Recording(streams._Seeded):  # the seed words of every generator, substream's or a family's
+    class Recording(streams._Seeded):  # the seed words of every generator substream builds
         def __init__(self, words):
             super().__init__(words)
             states.append(tuple(int(word) for word in words))
