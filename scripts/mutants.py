@@ -41,7 +41,7 @@ MUTANTS = [
     ),
     Mutant(
         "bornlab/invariance.py",
-        "return _tails(point, np.abs(ginibre(rng, (n, point.dim - 1))))",
+        "return _tails(point, np.abs(complex_rows(rng.standard_normal((n, 2, point.dim - 1)))))",
         "return _tails(point, np.abs(rng.standard_normal((n, point.dim - 1))))",
         "tests/test_invariance.py::TestObservableWithEigenstate::test_tail_moduli_are_haar_distributed",
         "the observable scan draws the real law: Dirichlet(1/2) tails, not a Haar rotation's Dirichlet(1)",
@@ -58,7 +58,7 @@ MUTANTS = [
         "if not best > 1.0 - TOL.match_overlap:",
         "if False:",
         "tests/test_invariance.py::TestObservableWithEigenstate::test_match_rejects_a_state_that_is_not_an_eigenvector",
-        "match_eigenvector returns the best column even when no column matches",
+        "match_eigenvector returns a column of an observable lacking phi, so spin1 compares unrelated outcomes",
     ),
     Mutant(
         "bornlab/cli.py",
@@ -83,10 +83,10 @@ MUTANTS = [
     ),
     Mutant(
         "bornlab/invariance.py",
-        "        check_orthant(rows)\n        return rule_probabilities(rule, rows)[:, 0]",
-        "        return rule_probabilities(rule, rows)[:, 0]",
+        "    rows = law(point, draws, substream(seed, *address))\n    check_orthant(rows)\n",
+        "    rows = law(point, draws, substream(seed, *address))\n",
         "tests/test_invariance.py::TestObservableIndependence::test_orthant_check_catches_what_orthonormality_allows",
-        "a block of moduli whose squares do not sum to one is scored",
+        "a scan's moduli rows whose squares do not sum to one are scored",
     ),
     Mutant(
         "bornlab/cli.py",
@@ -216,10 +216,10 @@ MUTANTS = [
     ),
     Mutant(
         "bornlab/rules.py",
-        "if n >= BLOCKS_MIN:",
-        "if n > BLOCKS_MIN:",
+        "if n >= ONE_STREAM_MIN:",
+        "if n > ONE_STREAM_MIN:",
         "tests/test_rules.py::TestDefectScan::test_a_scan_draws_blocks_from_blocks_min_trials",
-        "a scan of exactly BLOCKS_MIN trials draws a substream per trial, so its states are not its blocks' rows",
+        "a scan of exactly ONE_STREAM_MIN trials draws a substream per trial, not its one stream",
     ),
     Mutant(
         "bornlab/cli.py",
@@ -282,7 +282,14 @@ MUTANTS = [
         "    check_orthant(np.abs(states))\n",
         "",
         "tests/test_quantum.py::TestStateAndModulus::test_a_zero_draw_in_a_block_is_not_normalized",
-        "haar_blocks checks no state, so a scan of BLOCKS_MIN or more trials reports a zero draw as a domain error",
+        "haar_scan checks no state, so a scan of ONE_STREAM_MIN or more trials reports a zero draw as a domain error",
+    ),
+    Mutant(
+        "bornlab/quantum.py",
+        "states = haar_rows(substream(seed, *indices).standard_normal((n, 2, dim)))",
+        "states = haar_rows(substream(seed, *indices).standard_normal((2, n, dim)).transpose(1, 0, 2))",
+        "tests/test_rules.py::TestDefectScan::test_first_k_trials_are_a_k_trial_scan",
+        "a scan draws all its real parts before its imaginary parts, so row i depends on how many rows follow it",
     ),
 ]
 

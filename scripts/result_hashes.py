@@ -25,11 +25,11 @@ from bornlab import cli
 # the plain-rule falsify grid, independence on plain rules, both independence
 # checks of a renormalized rule at d=2 (inconclusive), both checks of a
 # renormalized two-term rule and of renormalized born at d=3, the fit and
-# sample commands at their README defaults, several blocks each, then the
+# sample commands at their README defaults, hundreds of rows each, then the
 # collapse at d=8, independence on born's formula under another name,
 # falsify on the uniform rule p_k = 1/d, born's two independence commands
 # at a zero spread tolerance, scan summaries whose extremes lie past the
-# first block, a renormalized rule's scans at d=16, past the benchmark's d <= 8,
+# first 128 draws, a renormalized rule's scans at d=16, past the benchmark's d <= 8,
 # its observable scan at d=128, where a draw's eigenbasis is never formed, and
 # one falsify run down each path of the verdict rule: a rule that misses
 # certainty and spreads at rounding level above a zero --tol-spread is

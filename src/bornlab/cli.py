@@ -181,7 +181,7 @@ def _rows(name: str, d: int | None, values: np.ndarray, ks: tuple | range = (Non
 
 
 def _defect_check(rule, d: int, trials: int, seed: int, *address: int) -> Check:
-    """The normalization-defect scan of rule at d: trial i from substream(seed, *address, i).
+    """The normalization-defect scan of rule at d, at (seed, *address): rules.defect_scan.
 
     Returns its results entry, one CSV row per trial, the largest defect and
     the worst state's moduli.
@@ -333,7 +333,7 @@ def cmd_stationarity(args) -> Verdict:
     series = []
     worst = np.zeros(3)  # sum-form, outcome-form and closed-form residuals
     for di, d in enumerate(args.dims):
-        rows = np.abs(quantum.haar_blocks(d, args.trials, args.seed, di))
+        rows = np.abs(quantum.haar_scan(d, args.trials, args.seed, di))
         ks = np.arange(args.trials) % d
         sum_res = np.abs(variational.rule_stationarity(born, rows, 1.0))
         out_res = np.abs(variational.outcome_stationarity(probabilities, rows, ks, 0.0))
@@ -357,7 +357,7 @@ def cmd_spin1(args) -> Verdict:
     k_z, k_x = (int(k) for k in invariance.match_eigenvector(vectors, np.eye(3)[1]))
     pair = np.column_stack([vectors[0, :, k_z], vectors[1, :, k_x]])
 
-    amplitudes = quantum.haar_blocks(3, args.trials, args.seed) @ np.conj(pair)
+    amplitudes = quantum.haar_scan(3, args.trials, args.seed) @ np.conj(pair)
     p = rules.rule_probabilities(rules.Born(), np.abs(amplitudes))
     deltas = np.abs(p[:, 0] - p[:, 1])
     results = {

@@ -1,10 +1,10 @@
-"""Observable-independence experiments, run on blocks of streams.BLOCK draws.
+"""Observable-independence experiments: scans that draw every row from one stream.
 
 Both scans take an orthant point: a state's moduli, with the outcome's
 eigenvector as e_0 (a Haar state's law is unitarily invariant).  The rest
 of an observable can only move the complement moduli on the sphere of
 radius r = |(a_1, ..., a_{d-1})|, with a_0 held.  Both scans draw exactly
-that, through one block kernel and two laws for the tail:
+that, row after row from the scan's own stream, through two laws for the tail:
 
 * random observables sharing e_0, measured in the eigenbasis they are drawn
   from (observable_with_eigenstate): a Haar rotation of the complement gives
@@ -24,10 +24,9 @@ from typing import Callable
 
 import numpy as np
 
-from .linalg import ginibre
-from .quantum import ModulusVector, check_orthant
+from .quantum import ModulusVector, check_orthant, complex_rows
 from .rules import Rule, rule_probabilities
-from .streams import blockwise
+from .streams import substream
 from .tolerances import TOL
 
 MIN_DRAWS = 2  # a spread needs two values
@@ -38,16 +37,16 @@ class InvarianceReport:
     """Spread of one outcome's probability across rule-preserving transformations.
 
     Its dict is a summary: the spread, both extremes and the first draw at
-    each.  Draw i is row i % BLOCK of the block drawn from
-    substream(*address, i // BLOCK), so the address replays either extreme;
-    the per-draw values stay in p_values and the CLI's CSV rows.
+    each.  Draw i is row i of the rows drawn in turn from substream(*address),
+    so the address replays either extreme; the per-draw values stay in
+    p_values and the CLI's CSV rows.
     """
 
     rule: str
     dim: int
     draws: int
     p_values: np.ndarray
-    address: tuple[int, ...]  # (seed, *address): block b is drawn from substream(*address, b)
+    address: tuple[int, ...]  # (seed, *address): every draw is from substream(*address)
 
     def as_dict(self) -> dict:
         argmin, argmax = int(np.argmin(self.p_values)), int(np.argmax(self.p_values))
@@ -94,12 +93,13 @@ def observable_with_eigenstate(point: ModulusVector, n: int, rng: np.random.Gene
 
     point is the state's moduli: a_0 = |<e_0|psi>| and r = |(a_1, ..., a_{d-1})|,
     the norm of its complement component.  A Haar rotation of the complement
-    sends that component to r t / |t|, t a complex Gaussian row, so the moduli are
-    (a_0, r |t| / |t|) and no eigenbasis is formed: the squared tails are
-    Dirichlet(1, ..., 1).  No spectrum is drawn: an outcome's probability is
-    fixed by the eigenbasis, and the eigenvalues only label outcomes.
+    sends that component to r t / |t|, t a complex Gaussian row (quantum.complex_rows
+    of a (2, d - 1) pair), so the moduli are (a_0, r |t| / |t|) and no eigenbasis
+    is formed: the squared tails are Dirichlet(1, ..., 1).  No spectrum is drawn:
+    an outcome's probability is fixed by the eigenbasis, and the eigenvalues only
+    label outcomes.
     """
-    return _tails(point, np.abs(ginibre(rng, (n, point.dim - 1))))
+    return _tails(point, np.abs(complex_rows(rng.standard_normal((n, 2, point.dim - 1)))))
 
 
 def match_eigenvector(vectors: np.ndarray, phi: np.ndarray) -> np.ndarray:
@@ -121,16 +121,12 @@ def _complement_scan(
     law: Callable[[ModulusVector, int, np.random.Generator], np.ndarray],
     point: ModulusVector, rule: Rule, draws: int, seed: int, address: tuple[int, ...]
 ) -> InvarianceReport:
-    """p_0 of rule on law(point, n, rng)'s rows, one block of draws at a time, each block checked once."""
+    """p_0 of rule on the rows of law(point, draws, substream(seed, *address)), checked once."""
     if draws < MIN_DRAWS:
         raise ValueError(f"need at least {MIN_DRAWS} draws")
-
-    def kernel(n: int, rng: np.random.Generator) -> np.ndarray:
-        rows = law(point, n, rng)
-        check_orthant(rows)
-        return rule_probabilities(rule, rows)[:, 0]
-
-    return InvarianceReport(rule.name, point.dim, draws, blockwise(kernel, draws, seed, *address), (seed, *address))
+    rows = law(point, draws, substream(seed, *address))
+    check_orthant(rows)
+    return InvarianceReport(rule.name, point.dim, draws, rule_probabilities(rule, rows)[:, 0], (seed, *address))
 
 
 def observable_independence_scan(

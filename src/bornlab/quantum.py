@@ -16,8 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Eigensystem, HermitianMatrix, check_eigensystems, fix_column_phases, ginibre
-from .streams import blockwise
+from .linalg import Eigensystem, HermitianMatrix, check_eigensystems, fix_column_phases
+from .streams import substream
 from .tolerances import TOL, within
 
 
@@ -50,13 +50,13 @@ class StateVector:
 
 def check_orthant(rows: np.ndarray) -> None:
     """Reject moduli rows (..., d) unless each is non-negative with unit square sum."""
-    # One row (each ModulusVector, so each defect-scan trial) takes Python's
-    # sum and min over its float list, cheaper than numpy on a few entries; a
-    # block takes one reduce and one vecdot.  A square that overflows is inf,
-    # silently: Python floats do not warn, and errstate (too dear per row)
-    # covers the block.  A nan anywhere is NotNormalized on both: numpy's
-    # minimum carries it past the sign test, and Python's min can skip it, so
-    # a row's sign test needs a non-nan sum.
+    # One row (each ModulusVector, so each trial of a short defect scan) takes
+    # Python's sum and min over its float list, cheaper than numpy on a few
+    # entries; a stack takes one reduce and one vecdot.  A square that
+    # overflows is inf, silently: Python floats do not warn, and errstate (too
+    # dear per row) covers the stack.  A nan anywhere is NotNormalized on
+    # both: numpy's minimum carries it past the sign test, and Python's min
+    # can skip it, so a row's sign test needs a non-nan sum.
     if rows.ndim == 1:
         values = rows.tolist()
         square_sum = sum([x * x for x in values])
@@ -189,12 +189,17 @@ def chi_square_sf(x: float, dof: int) -> float:
     return min(1.0, tail)
 
 
+def complex_rows(pairs: np.ndarray) -> np.ndarray:
+    """Complex rows (n, d) from real pairs (n, 2, d), each row's real parts then its
+    imaginary parts: the layout in which every scan draws its complex Gaussian rows."""
+    return pairs.transpose(0, 2, 1).copy().view(np.complex128)[..., 0]
+
+
 def haar_rows(pairs: np.ndarray) -> np.ndarray:
     """Uniformly random pure states as amplitude rows (n, d) from standard normal
-    pairs (n, 2, d), each row's real parts then its imaginary parts: one pass
-    normalizes every row with the bits of its own z / np.linalg.norm(z).  A zero
-    draw (probability 0) becomes nan."""
-    z = pairs.transpose(0, 2, 1).copy().view(np.complex128)[..., 0]
+    pairs (n, 2, d) (complex_rows): one pass normalizes every row with the bits of
+    its own z / np.linalg.norm(z).  A zero draw (probability 0) becomes nan."""
+    z = complex_rows(pairs)
     # np.linalg.norm's own formula on the strided views of each row, so the same
     # bits; the contiguous real and imag rows would round differently
     re, im = z.real, z.imag
@@ -208,13 +213,12 @@ def haar_state(dim: int, rng: np.random.Generator) -> StateVector:
     return StateVector(haar_rows(rng.standard_normal((2, dim))[None])[0])
 
 
-def haar_blocks(dim: int, n: int, seed: int, *indices: int) -> np.ndarray:
-    """n Haar states as amplitude rows (n, dim): block b draws complex Gaussian rows
-    from substream(seed, *indices, b), then all rows are normalized and their moduli
-    checked once, row by row, so each has the bits of its block normalized alone.
-    A zero row (probability 0) becomes nan and fails the check."""
-    z = blockwise(lambda size, rng: ginibre(rng, (size, dim)), n, seed, *indices)
-    states = z / np.linalg.norm(z, axis=-1, keepdims=True)
+def haar_scan(dim: int, n: int, seed: int, *indices: int) -> np.ndarray:
+    """The n Haar states of the scan at (seed, *indices) as amplitude rows (n, dim):
+    haar_rows of n pairs drawn one after another from substream(seed, *indices), so
+    no row depends on how many follow it, and their moduli checked once.  A zero row
+    (probability 0) becomes nan and fails the check."""
+    states = haar_rows(substream(seed, *indices).standard_normal((n, 2, dim)))
     check_orthant(np.abs(states))
     return states
 

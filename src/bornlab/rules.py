@@ -17,13 +17,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quantum import ModulusVector, StateVector, haar_blocks, haar_rows
+from .quantum import ModulusVector, StateVector, haar_rows, haar_scan
 from .streams import substream
 
-# Trials from which a defect scan draws blocks (quantum.haar_blocks), not a substream each.  Blocks
-# are faster from 2 trials on (d = 5: 51 us for 8 trials, 127 us for 7 per row); 8 keeps the per-trial
-# draws of every smaller scan, the renormalized witnesses and the --trials 3 scan the tracer pins among them.
-BLOCKS_MIN = 8
+# Trials from which a defect scan draws every trial from one stream (quantum.haar_scan), not a substream each:
+# faster from 2 trials on (d = 5: 46 us for 8 trials, 131 us for 7 per row), and 8 keeps the per-trial draws and
+# checks of every smaller scan, the renormalized witnesses and the tracer's --trials 3 pin among them.
+ONE_STREAM_MIN = 8
 
 
 class DomainError(ValueError):
@@ -139,8 +139,8 @@ def normalization_sum(rule: Rule, rows: np.ndarray) -> np.ndarray:
 class NormalizationReport:
     """Defect statistics |sum_i f(a_i) - 1| over Haar-random states.
 
-    From BLOCKS_MIN trials on, trial i is row i % BLOCK of the block drawn from
-    substream(*address, i // BLOCK); below it, trial i is drawn from
+    From ONE_STREAM_MIN trials on, trial i is row i of the rows drawn in turn
+    from substream(*address); below it, trial i is drawn from
     substream(*address, i).  Either way the address replays the witness.
     """
 
@@ -150,7 +150,7 @@ class NormalizationReport:
     max_defect: float
     mean_defect: float
     argmax_state: ModulusVector
-    address: tuple[int, ...]  # (seed, *address): block b is drawn from substream(*address, b)
+    address: tuple[int, ...]  # (seed, *address): the stream, or the prefix of each trial's stream
     defects: np.ndarray
 
     def as_dict(self) -> dict:
@@ -168,13 +168,14 @@ class NormalizationReport:
 def defect_scan(rule: Rule, dim: int, trials: int, seed: int, *address: int) -> NormalizationReport:
     """Measure the normalization defect over Haar-random states.
 
-    From BLOCKS_MIN trials on, the states are quantum.haar_blocks rows: block
-    b is drawn from substream(seed, *address, b), and one check_orthant checks
-    the stacked moduli.  Below it, trial i draws one (2, dim) Gaussian pair
-    from substream(seed, *address, i) and is checked alone.  Either way the
-    report is a deterministic function of (rule, dim, trials, seed, *address),
-    and the rule is evaluated once, on the stacked moduli.  The worst state
-    (the first at the maximum) is recorded as a falsification witness.  A
+    From ONE_STREAM_MIN trials on, the states are quantum.haar_scan rows (trial
+    i is the i-th pair drawn from substream(seed, *address), so the first k
+    trials are those of a k-trial scan), and one check_orthant checks their
+    moduli.  Below it, trial i draws one (2, dim) Gaussian pair from
+    substream(seed, *address, i) and is checked alone.  Either way the report
+    is a deterministic function of (rule, dim, trials, seed, *address), and
+    the rule is evaluated once, on the stacked moduli.  The worst state (the
+    first at the maximum) is recorded as a falsification witness.  A
     renormalized rule sums to one by construction: every defect is 0, the
     witness is trial 0, and only that trial is drawn.
     """
@@ -182,8 +183,8 @@ def defect_scan(rule: Rule, dim: int, trials: int, seed: int, *address: int) -> 
         raise ValueError("trials must be at least 1")
     renormalized = rule.renormalized
     n = 1 if renormalized else trials
-    if n >= BLOCKS_MIN:
-        stacked = np.abs(haar_blocks(dim, n, seed, *address))
+    if n >= ONE_STREAM_MIN:
+        stacked = np.abs(haar_scan(dim, n, seed, *address))
         witness = lambda i: ModulusVector(stacked[i])  # only the witness row becomes a ModulusVector
     else:
         rows = haar_rows(np.array([substream(seed, *address, i).standard_normal((2, dim)) for i in range(n)]))

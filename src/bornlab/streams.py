@@ -1,12 +1,12 @@
 """Deterministic RNG stream derivation for seeded trials.
 
 Every random draw comes from substream(seed, *address): a scan at an address
-draws its block b of BLOCK draws from substream(seed, *address, b)
-(blockwise), so a result depends only on its address, never on what was
-drawn before it, and a report's address replays any of its draws.  A defect
-scan of fewer than 8 trials draws trial i from substream(seed, *address, i)
-instead, and sample draws part t of every pair, pair by pair, from
-substream(seed, t).
+draws all of its rows from substream(seed, *address), one row after another,
+so a result depends only on its address, never on what was drawn before it,
+no row depends on how many rows follow it, and a report's address replays
+any of its rows.  A defect scan of fewer than 8 trials draws trial i from
+substream(seed, *address, i) instead, and sample draws part t of every pair,
+pair by pair, from substream(seed, t).
 
 np.random.SeedSequence pads its entropy with zero words up to four 32-bit
 words (a seed from 2**32 up takes two), so addresses that differ only in
@@ -25,12 +25,9 @@ nothing else, so it cannot spawn.
 from __future__ import annotations
 
 import operator
-from collections.abc import Callable
 
 import numpy as np
 from numpy.random.bit_generator import ISeedSequence
-
-BLOCK = 128  # draws per block: the unit of streams and checks
 
 # generate_state's hash constants INIT_B * MULT_B**j mod 2**32, j = 0..8: word j
 # of the state is (pool[j % 4] ^ _HASH[j]) * _HASH[j + 1], xorshifted by 16.
@@ -78,23 +75,3 @@ def substream(seed: int, *indices: int) -> np.random.Generator:
     # generate_state's byte-order recipe; no copy of a C-ordered state on a little-endian host
     words = state.astype(_LE32, order="C", copy=False).view(_LE64).astype(np.uint64, copy=False)
     return np.random.Generator(np.random.PCG64(_Seeded(words)))
-
-
-def blockwise(
-    kernel: Callable[[int, np.random.Generator], np.ndarray],
-    n: int,
-    seed: int,
-    *indices: int,
-) -> np.ndarray:
-    """Results of kernel(size, rng) for n draws, stacked over blocks of BLOCK.
-
-    Block b holds the draws [b*BLOCK, (b+1)*BLOCK), so its size is BLOCK but
-    for the last; it draws all its randomness from substream(seed, *indices, b)
-    and returns one result row per draw.  A full block does not depend on how
-    many draws follow it.  A kernel that only draws (and checks) its block
-    leaves the arithmetic to run once on the stacked rows, which gives the
-    same bits as running it per block wherever that arithmetic is row by row.
-    """
-    return np.concatenate([
-        kernel(min(BLOCK, n - start), substream(seed, *indices, b)) for b, start in enumerate(range(0, n, BLOCK))
-    ])

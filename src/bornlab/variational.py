@@ -18,7 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .quantum import haar_blocks
+from .quantum import haar_scan
 from .rules import Affine
 from .tolerances import TOL
 
@@ -139,10 +139,10 @@ def recover_rule(dims: Sequence[int], samples_per_dim: int, seed: int) -> tuple[
 
     For every sampled orthant point, requiring the probabilities to sum to
     one gives one linear equation in the coefficients.  Point i of the
-    di-th dimension comes from block substream(seed, di, i // BLOCK).  The quadratic power
-    sum is identically one while the others vary across samples, which
-    forces the fit to (0, 1, 0, 0).  Returns the fit_power_series result
-    and the number of sampled rows.
+    di-th dimension is row i of the quantum.haar_scan at (seed, di).  The
+    quadratic power sum is identically one while the others vary across
+    samples, which forces the fit to (0, 1, 0, 0).  Returns the
+    fit_power_series result and the number of sampled rows.
     """
     dims = tuple(int(d) for d in dims)
     if not dims:
@@ -152,6 +152,6 @@ def recover_rule(dims: Sequence[int], samples_per_dim: int, seed: int) -> tuple[
     if samples_per_dim < MIN_SAMPLES:
         raise ValueError("need at least 10 samples per coefficient")
 
-    rows = np.concatenate([power_sums(np.abs(haar_blocks(d, samples_per_dim, seed, di))) for di, d in enumerate(dims)])
+    rows = np.concatenate([power_sums(np.abs(haar_scan(d, samples_per_dim, seed, di))) for di, d in enumerate(dims)])
     coefficients, objective = fit_power_series(rows)
     return coefficients, objective, rows.shape[0]

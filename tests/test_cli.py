@@ -18,10 +18,10 @@ import pytest
 
 import numpy as np
 
-from bornlab import cli, invariance, linalg, quantum, rules, streams, variational
+from bornlab import cli, invariance, linalg, quantum, rules, variational
 from bornlab.cli import Report, build_parser, main, run_config
 from bornlab.linalg import haar_array
-from bornlab.streams import BLOCK, blockwise, substream
+from bornlab.streams import substream
 from bornlab.tolerances import TOL
 
 SMALL = ["--trials", "200", "--seed", "42"]
@@ -340,7 +340,7 @@ class TestExitCodes:
     )
     def test_runtime_failure_exits_four(self, capsys, monkeypatch, argv):
         # doubled moduli rows, as from an eigenbasis that is not unitary,
-        # fail the scan kernel's per-block orthant check: a crash, reported
+        # fail the scan's one orthant check: a crash, reported
         # as one line, never as a verdict
         real = invariance.observable_with_eigenstate
         monkeypatch.setattr(invariance, "observable_with_eigenstate", lambda *args: 2.0 * real(*args))
@@ -380,8 +380,8 @@ class TestExitCodes:
     def test_stationarity_csv_value_is_the_largest_gated_residual(self, capsys, monkeypatch):
         # each point's value is the max of its sum, outcome and closed-form
         # residuals, so a closed-form failure shows in the series; point i
-        # is checked at outcome k = i % d in every block
-        argv = ["stationarity", "--dims", "3,4", "--trials", str(2 * BLOCK + 3), "--format", "csv"]
+        # is checked at outcome k = i % d
+        argv = ["stationarity", "--dims", "3,4", "--trials", "259", "--format", "csv"]
         rows = lambda: [line.split(",") for line in capsys.readouterr().out.splitlines()[1:]]
         assert main(argv) == 0
         assert max(float(value) for _, _, _, value, _ in rows()) <= 1e-6
@@ -389,7 +389,7 @@ class TestExitCodes:
         assert main(argv) == 1
         series = rows()
         assert [row[:3] + row[4:] for row in series] == [
-            [str(i), str(d), str(i % d), "residual"] for d in (3, 4) for i in range(2 * BLOCK + 3)
+            [str(i), str(d), str(i % d), "residual"] for d in (3, 4) for i in range(259)
         ]
         for _, _, k, value, _ in series:
             assert float(value) == 0.25 * int(k) if int(k) else float(value) <= 1e-6
@@ -533,19 +533,19 @@ class TestFalsification:
         assert report["results"]["max_spread"] > 1e-3
 
     def test_witness_replays_from_the_defect_address(self, capsys):
-        # trial i of the defect scan is row i % BLOCK of the block drawn from substream(*address, i // BLOCK)
-        for trials in (50, 2 * BLOCK + 3):
+        # trial i of the defect scan is the i-th (2, d) pair drawn from substream(*address),
+        # so i + 1 pairs from the address alone replay the witness: z / norm(z) of pair i
+        for trials in (50, 259):
             argv = ["falsify", "--rule", "power:1", "--dim", "3", "--trials", str(trials), "--seed", "7"]
             _, report = run_json(capsys, argv)
             defect = report["results"]["defect"]
             assert defect["address"] == [7, 0]
-            blocks = [block_states(3, min(BLOCK, trials - start), substream(*defect["address"], b))
-                      for b, start in enumerate(range(0, trials, BLOCK))]
-            states = [quantum.moduli(row).moduli for row in np.concatenate(blocks)]
+            states = np.abs(pair_states(3, trials, substream(*defect["address"])))
             defects = [abs(float(np.sum(state)) - 1.0) for state in states]
             worst = int(np.argmax(defects))
             assert defects[worst] == defect["max_defect"]
-            assert report["results"]["witness"] == [float(x) for x in states[worst]]
+            replay = pair_states(3, worst + 1, substream(*defect["address"]))[worst]
+            assert report["results"]["witness"] == quantum.moduli(replay).moduli.tolist()
 
     def test_falsify_and_independence_run_one_independence_check(self, capsys):
         # both run it at address (1,), so a renormalized rule gets the same scans
@@ -648,9 +648,10 @@ class TestScanSummaries:
         ids=["independence:born", "independence:renorm:power:4:d5", "falsify:renorm:power:1"],
     )
     def test_extreme_draws_replay_from_the_report(self, capsys, argv):
-        # draw i is row i % BLOCK of the block drawn from substream(*address, i // BLOCK);
-        # the check draws the rotation and observable scans' states at streams 0 and 1 of the
-        # scans' common address, and phi is e_0
+        # draw i is row i of the rows drawn in turn from substream(*address), so
+        # i + 1 rows from the address alone replay it; the check draws the rotation
+        # and observable scans' states at streams 0 and 1 of the scans' common
+        # address, and phi is e_0
         _, report = run_json(capsys, argv + ["--seed", "8"])
         results = report["results"]
         d = report["config"]["dim"]
@@ -661,17 +662,15 @@ class TestScanSummaries:
             "observable_scan": lambda n, rng: invariance.observable_with_eigenstate(obs_point, n, rng),
             "rotation_scan": lambda n, rng: invariance.complement_rotation(rot_point, n, rng),
         }
-        beyond_block_0 = False
-        for name, block_points in points.items():
+        beyond_draw_0 = False
+        for name, scan_points in points.items():
             scan = results[name]
             assert scan["address"] == check + [2 if name == "observable_scan" else 3]
             for index, value in ((scan["argmin"], scan["min_p"]), (scan["argmax"], scan["max_p"])):
-                b, row = divmod(index, BLOCK)
-                n = min(BLOCK, scan["draws"] - b * BLOCK)
-                p = rules.rule_probabilities(rule, block_points(n, substream(*scan["address"], b)))[row, 0]
+                p = rules.rule_probabilities(rule, scan_points(index + 1, substream(*scan["address"])))[index, 0]
                 assert float(p).hex() == value.hex(), (name, index)
-                beyond_block_0 |= b > 0
-        assert beyond_block_0 or rule == rules.Born()  # born's p is one number, first at draw 0
+                beyond_draw_0 |= index > 0
+        assert beyond_draw_0 or rule == rules.Born()  # born's p is one number, first at draw 0
 
     @pytest.mark.parametrize("d", [3, 5, 8])
     def test_observable_scan_point_has_the_overlap_law(self, d):
@@ -1022,10 +1021,10 @@ def test_observable_scan_factors_no_unitary(capsys, monkeypatch):
 
 
 class TestBlocks:
-    POINTS = 2 * BLOCK + 3  # two full blocks and a partial one per dimension
-    COMMANDS = {
-        "stationarity": (["stationarity", "--dims", "2,3"], [(7, di, b) for di in (0, 1) for b in (0, 1, 2)]),
-        "spin1": (["spin1"], [(7, b) for b in (0, 1, 2)]),
+    POINTS = 259  # per dimension
+    COMMANDS = {  # each dimension's points are one scan, at its own address
+        "stationarity": (["stationarity", "--dims", "2,3"], [(7, 0), (7, 1)]),
+        "spin1": (["spin1"], [(7,)]),
     }
 
     def csv_rows(self, capsys, argv, points):
@@ -1033,7 +1032,7 @@ class TestBlocks:
         return capsys.readouterr().out.splitlines()[1:]
 
     @pytest.mark.parametrize("command", sorted(COMMANDS))
-    def test_block_b_draws_from_substream_seed_b(self, capsys, monkeypatch, command):
+    def test_a_scan_draws_from_its_own_address(self, capsys, monkeypatch, command):
         argv, addresses = self.COMMANDS[command]
         seen = []
 
@@ -1041,27 +1040,20 @@ class TestBlocks:
             seen.append((seed, *indices))
             return substream(seed, *indices)
 
-        monkeypatch.setattr(streams, "substream", recording)
+        monkeypatch.setattr(quantum, "substream", recording)
         self.csv_rows(capsys, argv, self.POINTS)
         assert seen == addresses
 
     @pytest.mark.parametrize("command", sorted(COMMANDS))
-    def test_full_blocks_do_not_depend_on_the_point_count(self, capsys, monkeypatch, command):
+    def test_full_blocks_do_not_depend_on_the_point_count(self, capsys, command):
+        # the first k points of each dimension's scan are those of a k-point run, for every k;
+        # the series lists each dimension's points in turn
         argv, addresses = self.COMMANDS[command]
-        blocks = []  # every block's draw, as haar_blocks's kernel returns it
-
-        def recording(kernel, n, seed, *indices):
-            return blockwise(lambda size, rng: blocks.append(kernel(size, rng)) or blocks[-1], n, seed, *indices)
-
-        monkeypatch.setattr(quantum, "blockwise", recording)
-        short_csv = self.csv_rows(capsys, argv, BLOCK)
-        short, blocks[:] = list(blocks), []
-        long_csv = self.csv_rows(capsys, argv, self.POINTS)
-        assert len(short) == len(addresses) // 3  # one block per dimension
-        assert [len(block) for block in blocks] == [BLOCK, BLOCK, 3] * len(short)
-        for di, block in enumerate(short):  # the series lists each dimension's points in turn
-            np.testing.assert_array_equal(blocks[3 * di], block)
-            assert long_csv[di * self.POINTS : di * self.POINTS + BLOCK] == short_csv[di * BLOCK : (di + 1) * BLOCK]
+        n = self.POINTS
+        long_csv = self.csv_rows(capsys, argv, n)
+        for k in range(1, n + 1):
+            prefixes = [row for di in range(len(addresses)) for row in long_csv[di * n : di * n + k]]
+            assert self.csv_rows(capsys, argv, k) == prefixes, k
 
 
 def csv_reference(series) -> str:
@@ -1187,15 +1179,21 @@ class TestRouting:
             assert "bornlab: error: argument command: invalid choice: 'bogus'" in captured.err
 
 
-def block_states(d, n, rng):
-    """One block's Haar states, drawn and normalized on their own."""
-    z = rng.standard_normal((n, d)) + 1j * rng.standard_normal((n, d))
-    return z / np.linalg.norm(z, axis=-1, keepdims=True)
+def pair_states(d, n, rng):
+    """n Haar states (n, d) from rng's next n (2, d) pairs, drawn one pair at a
+    time, each row z / norm(z) of its own pair."""
+    rows = []
+    for _ in range(n):
+        real, imag = rng.standard_normal((2, d))
+        z = real + 1j * imag
+        rows.append(z / np.linalg.norm(z))
+    return np.array(rows)
 
 
 class TestStackedEqualsPerBlock:
-    """Commands draw per block and compute once on the stacked rows; a
-    per-block kernel gives the same bits."""
+    """Commands draw each scan's rows from its one stream and compute once on
+    the stacked rows; states drawn and normalized one pair at a time give the
+    same bits."""
 
     SEED = 9
 
@@ -1203,23 +1201,19 @@ class TestStackedEqualsPerBlock:
         main(argv + ["--seed", str(self.SEED), "--format", "csv"])
         return [line.split(",")[3] for line in capsys.readouterr().out.splitlines()[1:]]
 
-    @pytest.mark.parametrize("trials", [BLOCK - 1, BLOCK, 2 * BLOCK + 3])
+    @pytest.mark.parametrize("trials", [127, 128, 259])
     def test_stationarity(self, capsys, trials):
         born = rules.Born()
         probabilities = functools.partial(rules.rule_probabilities, born)
         values, worst = [], np.zeros(3)
         for di, d in enumerate((2, 3, 5)):
-            blocks = []  # walked here: k = i % d needs each draw's index, and a blockwise kernel gets only a size
-            for b, start in enumerate(range(0, trials, BLOCK)):
-                index = np.arange(start, min(start + BLOCK, trials))
-                rows = np.abs(block_states(d, index.size, substream(self.SEED, di, b)))
-                ks = index % d
-                blocks.append(np.column_stack([
-                    np.max(np.abs(variational.rule_stationarity(born, rows, 1.0)), axis=-1),
-                    np.max(np.abs(variational.outcome_stationarity(probabilities, rows, ks, 0.0)), axis=-1),
-                    variational.closed_form_check(rows, ks, 2.0, -1.0),
-                ]))
-            residuals = np.concatenate(blocks)
+            rows = np.abs(pair_states(d, trials, substream(self.SEED, di)))
+            ks = np.arange(trials) % d
+            residuals = np.column_stack([
+                np.max(np.abs(variational.rule_stationarity(born, rows, 1.0)), axis=-1),
+                np.max(np.abs(variational.outcome_stationarity(probabilities, rows, ks, 0.0)), axis=-1),
+                variational.closed_form_check(rows, ks, 2.0, -1.0),
+            ])
             values += [repr(float(x)) for x in np.max(residuals, axis=1)]
             worst = np.maximum(worst, np.max(residuals, axis=0))
         argv = ["stationarity", "--dims", "2,3,5", "--trials", str(trials)]
@@ -1252,35 +1246,29 @@ class TestStackedEqualsPerBlock:
             shapes.append(values.shape)
             return rules.rule_probabilities(rules.Born(), values)
 
-        rows = np.abs(quantum.haar_blocks(d, 300, self.SEED))
+        rows = np.abs(quantum.haar_scan(d, 300, self.SEED))
         ks = np.arange(300) % d
         variational.outcome_stationarity(probabilities, rows, ks, 0.0)
         assert shapes and all(math.prod(shape) <= variational.CHUNK_CELLS for shape in shapes)
         assert sum(shape[0] for shape in shapes) == 2 * 300  # each row is shifted up and down once
         assert variational.CHUNK_CELLS // 8**2 == 4096
 
-    @pytest.mark.parametrize("trials", [BLOCK - 1, BLOCK, 2 * BLOCK + 3])
+    @pytest.mark.parametrize("trials", [127, 128, 259])
     def test_recover(self, trials):
-        def kernel(d):
-            return lambda n, rng: variational.power_sums(np.abs(block_states(d, n, rng)))
-
-        rows = np.concatenate([blockwise(kernel(d), trials, self.SEED, di) for di, d in enumerate((2, 3, 6))])
+        states = [pair_states(d, trials, substream(self.SEED, di)) for di, d in enumerate((2, 3, 6))]
+        rows = np.concatenate([variational.power_sums(np.abs(dim_states)) for dim_states in states])
         coefficients, objective = variational.fit_power_series(rows)
         assert variational.MIN_SAMPLES <= trials
         got, got_objective, count = variational.recover_rule((2, 3, 6), trials, self.SEED)
         np.testing.assert_array_equal(got, coefficients)
         assert got_objective == objective and count == 3 * trials
 
-    @pytest.mark.parametrize("trials", [BLOCK - 1, BLOCK, 2 * BLOCK + 3])
+    @pytest.mark.parametrize("trials", [127, 128, 259])
     def test_spin1(self, capsys, trials):
         _, _, (jz, jxy) = quantum.spin1_observables()
         pair = np.column_stack([jz[:, 1], jxy[:, 1]])  # both share |m=0> as eigenvector 1
-
-        def kernel(n, rng):
-            p = np.abs(block_states(3, n, rng) @ np.conj(pair)) ** 2
-            return np.abs(p[:, 0] - p[:, 1])
-
-        values = [repr(float(x)) for x in blockwise(kernel, trials, self.SEED)]
+        p = np.abs(pair_states(3, trials, substream(self.SEED)) @ np.conj(pair)) ** 2
+        values = [repr(float(x)) for x in np.abs(p[:, 0] - p[:, 1])]
         assert self.csv_values(capsys, ["spin1", "--trials", str(trials)]) == values
 
     @pytest.mark.parametrize("d", [2, 3, 4, 5, 6, 7, 8, 16])

@@ -1,9 +1,9 @@
 """Observables sharing an eigenvector, complement rotations, and the
-block-form independence scans.
+independence scans, each drawn row by row from its own stream.
 
 The observable scan never forms an eigenbasis.  The Householder construction
-here forms the drawn eigenbases explicitly from the same Ginibre rows, and
-TestFactoredDraws checks that they give the scan's moduli."""
+here forms the drawn eigenbases explicitly from the same complex Gaussian
+rows, and TestFactoredDraws checks that they give the scan's moduli."""
 
 import tracemalloc
 
@@ -12,15 +12,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bornlab import invariance, streams
+from bornlab import invariance
 from bornlab.invariance import (
+    MIN_DRAWS,
     complement_rotation,
     match_eigenvector,
     observable_independence_scan,
     observable_with_eigenstate,
     unobserved_independence_scan,
 )
-from bornlab.linalg import complete_basis, ginibre, haar_array, unitary_defect
+from bornlab.linalg import complete_basis, haar_array, unitary_defect
 from bornlab.quantum import (
     ModulusVector,
     Observable,
@@ -30,7 +31,7 @@ from bornlab.quantum import (
     spin1_observables,
 )
 from bornlab.rules import Affine, Born, Power, Renormalized, rule_probabilities
-from bornlab.streams import BLOCK, blockwise, substream
+from bornlab.streams import substream
 from bornlab.tolerances import TOL
 
 
@@ -68,12 +69,19 @@ def eigenbases(basis: np.ndarray, w: np.ndarray) -> np.ndarray:
     return vectors
 
 
+def complex_gaussian(rng, n: int, m: int) -> np.ndarray:
+    """n complex standard Gaussian rows (n, m) as the observable scan draws them: (2, m)
+    pairs in turn, each row's real parts then its imaginary parts."""
+    pairs = rng.standard_normal((n, 2, m))
+    return pairs[:, 0] + 1j * pairs[:, 1]
+
+
 def draw_observables(phi: StateVector, n: int, rng, psi: StateVector | None = None):
     """The basis completed from phi and n eigenbases (n, d, d) of observables sharing phi,
     reflected about psi's complement coordinates, or those of a Haar state drawn from rng first."""
     basis = complete_basis(phi.amplitudes)
     c = (psi or haar_state(phi.dim, rng)).amplitudes @ np.conj(basis[:, 1:])
-    return basis, eigenbases(basis, householder_vectors(c, ginibre(rng, (n, phi.dim - 1))))
+    return basis, eigenbases(basis, householder_vectors(c, complex_gaussian(rng, n, phi.dim - 1)))
 
 
 class TestComplementRotation:
@@ -274,7 +282,7 @@ class TestObservableIndependence:
             assert spread(observable_independence_scan(point, rule, 50, seed=12)) <= 1e-12
 
     def test_equal_observables_give_zero_spread(self):
-        # n evaluations against the same drawn block: the scan machinery run
+        # n evaluations against the same drawn eigenbases: the scan machinery run
         # by hand, with the draw stream held fixed
         psi = haar_state(4, np.random.default_rng(14))
         phi = haar_state(4, np.random.default_rng(15))
@@ -292,7 +300,7 @@ class TestObservableIndependence:
         point = moduli(np.exp(0.7j) * np.eye(5)[0])
         assert not point.moduli[1:].any()
         c = np.zeros(4, dtype=complex)
-        w = householder_vectors(c, ginibre(np.random.default_rng(29), (50, 4)))
+        w = householder_vectors(c, complex_gaussian(np.random.default_rng(29), 50, 4))
         np.testing.assert_array_equal(c - 2.0 * (np.conj(w) @ c)[:, None] * w, np.zeros((50, 4)))
         drawn = observable_with_eigenstate(point, 50, np.random.default_rng(29))
         np.testing.assert_array_equal(drawn, np.tile(point.moduli, (50, 1)))
@@ -314,7 +322,7 @@ class TestObservableIndependence:
         # moduli scaled by s = 1 + 2e-11 are psi's in s times a unitary
         # basis, whose U^dag U - I is 4e-11, inside the orthonormality
         # tolerance (1e-10), but their square sum is off by s^2 - 1 = 4e-11
-        # (tol 1e-12): the scan's per-block orthant check rejects them
+        # (tol 1e-12): the scan's one orthant check rejects them
         real = invariance.observable_with_eigenstate
         monkeypatch.setattr(invariance, "observable_with_eigenstate", lambda *args: real(*args) * (1 + 2e-11))
         point = moduli(haar_state(4, np.random.default_rng(24)).amplitudes)
@@ -340,23 +348,20 @@ class TestFactoredDraws:
         for psi in (haar_state(d, rng), StateVector(np.exp(0.3j) * np.eye(d)[0])):
             c = psi.amplitudes @ np.conj(basis[:, 1:])
 
-            def materialized(n, block_rng):
-                vectors = eigenbases(basis, householder_vectors(c, ginibre(block_rng, (n, d - 1))))
-                return rule_probabilities(rule, np.abs(psi.amplitudes @ np.conj(vectors)))[:, 0]
-
-            expected = blockwise(materialized, BLOCK + 5, 51)
-            report = observable_independence_scan(moduli(psi.amplitudes), rule, BLOCK + 5, seed=51)
+            vectors = eigenbases(basis, householder_vectors(c, complex_gaussian(substream(51), 133, d - 1)))
+            expected = rule_probabilities(rule, np.abs(psi.amplitudes @ np.conj(vectors)))[:, 0]
+            report = observable_independence_scan(moduli(psi.amplitudes), rule, 133, seed=51)
             np.testing.assert_allclose(report.p_values, expected, rtol=1e-14, atol=0)
             if rule == Born():
                 assert len(set(report.p_values.tolist())) == 1 and spread(report) == 0.0
 
     def test_scan_memory_does_not_grow_as_d_squared(self):
-        # one block at d=256 is drawn as moduli rows: a (BLOCK, d, d)
-        # complex stack of its eigenbases alone would be 134 MB
+        # 128 draws at d=256 are drawn as moduli rows: a (128, d, d)
+        # complex stack of their eigenbases alone would be 134 MB
         point = moduli(haar_state(256, np.random.default_rng(52)).amplitudes)
         tracemalloc.start()
         try:
-            observable_independence_scan(point, Renormalized(Power(4.0)), BLOCK, seed=53)
+            observable_independence_scan(point, Renormalized(Power(4.0)), 128, seed=53)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -390,7 +395,7 @@ class TestLawSeparation:
 
 
 class TestBlocks:
-    DRAWS = 2 * BLOCK + 3  # two full blocks and a partial one
+    DRAWS = 259
 
     def scans(self):
         point = moduli(haar_state(4, np.random.default_rng(30)).amplitudes)
@@ -401,30 +406,32 @@ class TestBlocks:
         )
 
     def test_multi_block_scans_are_thread_invariant(self):
-        # blocks run in order on the calling thread, so invariance is a rerun
+        # a scan runs on the calling thread, so invariance is a rerun
         first = [scan.p_values.tobytes() for scan in self.scans()]
         assert [scan.p_values.tobytes() for scan in self.scans()] == first
 
-    def test_block_b_draws_from_substream_seed_b(self, monkeypatch):
+    def test_a_scan_draws_from_its_own_address(self, monkeypatch):
+        # each scan derives exactly one stream, at its own address
         seen = []
 
         def recording(seed, *indices):
             seen.append((seed, *indices))
             return substream(seed, *indices)
 
-        monkeypatch.setattr(streams, "substream", recording)
+        monkeypatch.setattr(invariance, "substream", recording)
         self.scans()
-        assert seen == [(32, 0), (32, 1), (32, 2), (33, 0), (33, 1), (33, 2)]
+        assert seen == [(32,), (33,)]
 
     def test_full_blocks_do_not_depend_on_the_draw_count(self):
-        # draw i comes from substream(seed, i // BLOCK), so a full block is
-        # the same whatever follows it
+        # draw i is the i-th row of the scan's one stream, so the first k draws
+        # of either scan are those of a k-draw scan, for every k
         point = moduli(haar_state(3, np.random.default_rng(34)).amplitudes)
         rule = Renormalized(Power(1.0))
-        short = observable_independence_scan(point, rule, BLOCK, seed=36)
-        long = observable_independence_scan(point, rule, self.DRAWS, seed=36)
-        np.testing.assert_array_equal(long.p_values[:BLOCK], short.p_values)
-        assert len(set(long.p_values.tolist())) == self.DRAWS
+        for scan in (observable_independence_scan, unobserved_independence_scan):
+            long = scan(point, rule, self.DRAWS, 36).p_values
+            assert len(set(long.tolist())) == self.DRAWS
+            for k in range(MIN_DRAWS, self.DRAWS + 1):
+                assert scan(point, rule, k, 36).p_values.tobytes() == long[:k].tobytes(), (scan.__name__, k)
 
 
 class TestBornSpreadIsMeasured:
@@ -530,6 +537,6 @@ class TestPermutationEquivariance:
         rng = np.random.default_rng(seed)
         point = moduli(haar_state(d, rng).amplitudes)
         k = int(rng.integers(0, d))
-        reference = blockwise(lambda n, rng: rule_probabilities(rule, rotation_at(point, k, n, rng))[:, k], draws, seed)
+        reference = rule_probabilities(rule, rotation_at(point, k, draws, substream(seed)))[:, k]
         report = unobserved_independence_scan(listed_first(point, k), rule, draws, seed)
         self.assert_same(rule, report.p_values, reference)

@@ -19,7 +19,7 @@ from bornlab.quantum import (
     chi_square_sf,
     chi_square_test,
     expand,
-    haar_blocks,
+    haar_scan,
     haar_state,
     measure,
     moduli,
@@ -27,7 +27,7 @@ from bornlab.quantum import (
     spin1_observables,
 )
 from bornlab.rules import Born, Power, Renormalized, defect_scan, rule_probabilities
-from bornlab.streams import BLOCK, substream
+from bornlab.streams import substream
 from bornlab.tolerances import TOL
 
 
@@ -46,14 +46,14 @@ def diagonal_basis(values):
 
 
 class ZeroRows:
-    """Standard normal draws whose first rows are zero."""
+    """Standard normal draws whose rows start, ..., start + rows - 1 are zero."""
 
-    def __init__(self, rows):
-        self.rng, self.rows = np.random.default_rng(20), rows
+    def __init__(self, rows, start=0):
+        self.rng, self.rows = np.random.default_rng(20), slice(start, start + rows)
 
     def standard_normal(self, shape):
         z = self.rng.standard_normal(shape)
-        z[: self.rows] = 0.0
+        z[self.rows] = 0.0
         return z
 
 
@@ -234,11 +234,10 @@ class TestStateAndModulus:
         with np.errstate(invalid="ignore"):  # the zero row's 0/0
             with pytest.raises(NotNormalized):
                 haar_state(4, ZeroRows(2))  # real and imaginary parts both zero
-            # row 0 of each part, in the second of three blocks
-            blocks = iter([np.random.default_rng(21), ZeroRows(1), np.random.default_rng(22)])
-            monkeypatch.setattr("bornlab.streams.substream", lambda *address: next(blocks))
+            # both parts of pair 130 of a scan's one stream
+            monkeypatch.setattr("bornlab.quantum.substream", lambda *address: ZeroRows(1, start=130))
             with pytest.raises(NotNormalized):
-                haar_blocks(4, 2 * BLOCK + 3, 0)
+                haar_scan(4, 259, 0)
             # both parts zero in the second of three defect-scan trials: a
             # rejected state, not a nan defect
             trials = iter([np.random.default_rng(23), ZeroRows(2), np.random.default_rng(24)])
@@ -247,14 +246,13 @@ class TestStateAndModulus:
                 defect_scan(Power(1.0), 4, 3, 0)
 
     def test_a_zero_draw_in_a_block_is_not_normalized(self, monkeypatch):
-        # both parts zero in row 0 of the second of three blocks of a scan of
-        # BLOCKS_MIN or more trials: one check of the stacked moduli rejects
-        # the state, so no nan defect is reported
-        blocks = iter([np.random.default_rng(25), ZeroRows(1), np.random.default_rng(26)])
-        monkeypatch.setattr("bornlab.streams.substream", lambda *address: next(blocks))
+        # both parts zero in pair 130 of a scan of ONE_STREAM_MIN or more
+        # trials, whose rows are one block drawn from one stream: one check of
+        # the stacked moduli rejects the state, so no nan defect is reported
+        monkeypatch.setattr("bornlab.quantum.substream", lambda *address: ZeroRows(1, start=130))
         with np.errstate(invalid="ignore"):  # the zero row's 0/0
             with pytest.raises(NotNormalized):
-                defect_scan(Power(1.0), 4, 2 * BLOCK + 3, 0)
+                defect_scan(Power(1.0), 4, 259, 0)
 
     def test_moduli_rejects_unnormalized(self):
         with pytest.raises(NotNormalized):
@@ -267,20 +265,20 @@ class TestStateAndModulus:
         with pytest.raises(ValueError):
             haar_state(dim, rng)
         with pytest.raises(ValueError):
-            haar_blocks(dim, 3, 21)
+            haar_scan(dim, 3, 21)
 
     @pytest.mark.parametrize("d", [2, 3, 8])
-    @pytest.mark.parametrize("n", [1, BLOCK - 1, BLOCK, BLOCK + 1, 1000])
+    @pytest.mark.parametrize("n", [1, 127, 128, 129, 1000])
     def test_blocks_are_normalized_as_if_one_at_a_time(self, d, n):
-        # one division and one check on the stacked rows keep the bits of
-        # each block's z / norm(z)
-        blocks = []
-        for b, start in enumerate(range(0, n, BLOCK)):
-            rng = substream(23, 4, b)
-            size = min(BLOCK, n - start)
-            z = rng.standard_normal((size, d)) + 1j * rng.standard_normal((size, d))
-            blocks.append(z / np.linalg.norm(z, axis=-1, keepdims=True))
-        assert haar_blocks(d, n, 23, 4).tobytes() == np.concatenate(blocks).tobytes()
+        # row i of a scan is the i-th (2, d) pair of its one stream, drawn
+        # here one pair at a time, and one division and one check on the
+        # stacked rows keep the bits of each row's own z / norm(z)
+        rng, rows = substream(23, 4), []
+        for _ in range(n):
+            real, imag = rng.standard_normal((2, d))
+            z = real + 1j * imag
+            rows.append(z / np.linalg.norm(z))
+        assert haar_scan(d, n, 23, 4).tobytes() == np.array(rows).tobytes()
 
     def test_state_norm_is_the_numpy_norm(self):
         # bit for bit: z / norm(z) from the two rows of a fresh draw; the norm
@@ -522,7 +520,7 @@ class TestMeasurement:
         # one multinomial call on the stack gives, bit for bit, one multinomial
         # per row in stack order over the same generator, and leaves it where
         # that loop does; a one-hot row rounded above one is clipped in both
-        p = np.abs(haar_blocks(d, n, 31)) ** 2
+        p = np.abs(haar_scan(d, n, 31)) ** 2
         p[-1] = np.eye(d)[0] * np.nextafter(1.0, 2.0)
         rng, reference = substream(32, d), substream(32, d)
         counts = sample_outcomes(p, shots, rng)

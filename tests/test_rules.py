@@ -8,10 +8,10 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from bornlab import rules, streams
+from bornlab import quantum, rules
 from bornlab.quantum import ModulusVector, haar_state, moduli
 from bornlab.rules import (
-    BLOCKS_MIN,
+    ONE_STREAM_MIN,
     Affine,
     Born,
     DomainError,
@@ -22,7 +22,7 @@ from bornlab.rules import (
     parse_rule,
     rule_probabilities,
 )
-from bornlab.streams import BLOCK, substream
+from bornlab.streams import substream
 
 SYMMETRIC_QUBIT = ModulusVector(np.array([1.0, 1.0]) / np.sqrt(2))
 PLAIN_RULES = st.one_of(
@@ -287,31 +287,30 @@ class TestDefectScan:
 
     @settings(max_examples=30, deadline=None)
     @given(rule=PLAIN_RULES, d=st.integers(2, 40), n=st.integers(1, 40), seed=st.integers(0, 10_000))
-    @example(rule=Power(3.0), d=5, n=BLOCKS_MIN - 1, seed=7)  # the last scan of a substream per trial
-    @example(rule=Power(3.0), d=5, n=BLOCKS_MIN, seed=7)  # the first scan drawn in blocks
-    @example(rule=Power(3.0), d=5, n=2 * BLOCK + 3, seed=7)  # three blocks, the last one short
+    @example(rule=Power(3.0), d=5, n=ONE_STREAM_MIN - 1, seed=7)  # the last scan of a substream per trial
+    @example(rule=Power(3.0), d=5, n=ONE_STREAM_MIN, seed=7)  # the first scan drawn from one stream
+    @example(rule=Power(3.0), d=5, n=259, seed=7)  # hundreds of rows from one stream
     def test_stacked_defects_equal_the_scalar_formula(self, rule, d, n, seed):
         # exact equality: stacking the trials must not change a single bit,
-        # on either side of BLOCKS_MIN and at dimensions past BLAS's unroll
-        # widths.  Each state is rebuilt from numpy alone: below BLOCKS_MIN,
-        # trial i's is z / norm(z), with z the two rows of a draw from the
-        # SeedSequence of (seed, i); from BLOCKS_MIN on, trial i is row
-        # i % BLOCK of block i // BLOCK, whose complex Gaussian rows (all real
-        # parts first) come from the SeedSequence of (seed, b)
-        def reference_state(i):
-            real, imag = np.random.default_rng(np.random.SeedSequence((seed, i))).standard_normal((2, d))
+        # on either side of ONE_STREAM_MIN and at dimensions past BLAS's unroll
+        # widths.  Each state is z / norm(z) of one (2, d) draw, its real parts
+        # then its imaginary parts, rebuilt from numpy alone: below
+        # ONE_STREAM_MIN, trial i's is the one draw from the SeedSequence of
+        # (seed, i); from ONE_STREAM_MIN on, trial i's is the i-th draw from
+        # the SeedSequence of (seed,)
+        def state(rng):
+            real, imag = rng.standard_normal((2, d))
             z = real + 1j * imag
             return z / np.linalg.norm(z)
 
-        def reference_block(b, size):
-            rng = np.random.default_rng(np.random.SeedSequence((seed, b)))
-            z = rng.standard_normal((size, d)) + 1j * rng.standard_normal((size, d))
-            return z / np.linalg.norm(z, axis=-1)[:, None]
+        def reference_state(i):
+            return state(np.random.default_rng(np.random.SeedSequence((seed, i))))
 
-        if n < BLOCKS_MIN:
+        if n < ONE_STREAM_MIN:
             states = [reference_state(i) for i in range(n)]
         else:
-            states = [row for b, start in enumerate(range(0, n, BLOCK)) for row in reference_block(b, min(BLOCK, n - start))]
+            rng = np.random.default_rng(np.random.SeedSequence((seed,)))
+            states = [state(rng) for _ in range(n)]
         report = defect_scan(rule, d, n, seed)
         scalar = [abs(float(np.sum(rule(np.abs(state)))) - 1.0) for state in states]
         assert report.defects.tobytes() == np.array(scalar).tobytes()
@@ -328,30 +327,40 @@ class TestDefectScan:
 
     @staticmethod
     def counted_draws(monkeypatch, rule, trials):
-        """The addresses of the substreams a scan takes: its trials' own, and its blocks'."""
-        singles, blocks = [], []
+        """The addresses of the substreams a scan takes: its trials' own, and its one stream."""
+        singles, scans = [], []
 
         def recorder(addresses):
             return lambda *address: addresses.append(address) or substream(*address)
 
         monkeypatch.setattr(rules, "substream", recorder(singles))
-        monkeypatch.setattr(streams, "substream", recorder(blocks))  # the one blockwise calls
+        monkeypatch.setattr(quantum, "substream", recorder(scans))  # the one haar_scan calls
         defect_scan(rule, 4, trials, 9)
-        return singles, blocks
+        return singles, scans
 
     @pytest.mark.parametrize("rule, draws", [(Renormalized(Power(4.0)), 1), (Power(4.0), 50)])
     def test_renormalized_scan_draws_only_its_witness(self, monkeypatch, rule, draws):
-        # the witness alone takes one substream; 50 plain trials are one block
-        singles, blocks = self.counted_draws(monkeypatch, rule, 50)
-        assert (singles, blocks) == (([(9, 0)], []) if draws == 1 else ([], [(9, 0)]))
+        # the witness alone takes one substream; 50 plain trials take the scan's one stream
+        singles, scans = self.counted_draws(monkeypatch, rule, 50)
+        assert (singles, scans) == (([(9, 0)], []) if draws == 1 else ([], [(9,)]))
 
-    @pytest.mark.parametrize("trials", [BLOCKS_MIN - 1, BLOCKS_MIN, 2 * BLOCK + 3])
+    @pytest.mark.parametrize("trials", [ONE_STREAM_MIN - 1, ONE_STREAM_MIN, 259])
     def test_a_scan_draws_blocks_from_blocks_min_trials(self, monkeypatch, trials):
-        singles, blocks = self.counted_draws(monkeypatch, Power(4.0), trials)
-        if trials < BLOCKS_MIN:
-            assert singles == [(9, i) for i in range(trials)] and blocks == []
+        # from ONE_STREAM_MIN trials on, a scan derives exactly one stream, at its own address
+        singles, scans = self.counted_draws(monkeypatch, Power(4.0), trials)
+        if trials < ONE_STREAM_MIN:
+            assert singles == [(9, i) for i in range(trials)] and scans == []
         else:
-            assert singles == [] and blocks == [(9, b) for b in range(-(-trials // BLOCK))]
+            assert singles == [] and scans == [(9,)]
+
+    @pytest.mark.parametrize("d", [2, 5])
+    def test_first_k_trials_are_a_k_trial_scan(self, d):
+        # from ONE_STREAM_MIN on, trial i is the i-th pair of the scan's one
+        # stream, so no trial depends on how many follow it: for every k
+        n = 259
+        defects = defect_scan(Power(3.0), d, n, 7, 2).defects
+        for k in range(ONE_STREAM_MIN, n + 1):
+            assert defect_scan(Power(3.0), d, k, 7, 2).defects.tobytes() == defects[:k].tobytes(), k
 
     def test_renormalized_report_is_that_of_every_trial(self):
         # every defect is 0, so the first trial is the witness, as when all are drawn

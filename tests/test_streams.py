@@ -1,5 +1,5 @@
-"""Stream derivation: numpy's own streams, the seed boundary, blocks, and
-distinct streams within a command."""
+"""Stream derivation: numpy's own streams, the seed boundary, and distinct
+streams within a command."""
 
 import numpy as np
 import pytest
@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bornlab import cli, streams
-from bornlab.streams import blockwise, substream
+from bornlab.streams import substream
 
 # address entries around the 32-bit word boundaries, Python ints of any size
 # and numpy ints
@@ -62,45 +62,36 @@ def test_negative_seed_or_index_is_rejected(derive, address):
         derive(*address)
 
 
-def test_blockwise_hands_each_kernel_its_block_size():
-    # 300 draws are blocks of 128, 128 and 44, block b drawn from substream(seed, *indices, b)
-    sizes = []
-
-    def kernel(size, rng):
-        sizes.append(size)
-        return rng.random(size)
-
-    rows = blockwise(kernel, 300, 5, 2, 7)
-    assert sizes == [128, 128, 44]
-    np.testing.assert_array_equal(rows, np.concatenate([substream(5, 2, 7, b).random(n) for b, n in enumerate(sizes)]))
+def command(code: int | dict, streams: int, *argv: str, name: str = "") -> pytest.param:
+    """A command line, its exit code (per seed if a dict) and the number of streams it
+    derives, named by its command and rule unless a name is given."""
+    return pytest.param(list(argv), code, streams, id=name or argv[0] + ("-" + argv[2] if argv[1] == "--rule" else ""))
 
 
-def command(code: int | dict, *argv: str, name: str = "") -> pytest.param:
-    """A command line and its exit code (per seed if a dict), named by its
-    command and rule unless a name is given."""
-    return pytest.param(list(argv), code, id=name or argv[0] + ("-" + argv[2] if argv[1] == "--rule" else ""))
-
-
+# streams per command: a defect scan of fewer than 8 trials takes one per trial, a renormalized
+# rule's defect scan one for its witness, an independence check four (two points, two scans), and
+# every other scan (recover and stationarity per dimension, spin1) one; verify-born runs a defect
+# scan and ten independence checks per dimension, and sample takes five
 COMMANDS = [
-    command(0, "verify-born", "--dims", "2,3", "--trials", "5"),
-    command(1, "falsify", "--rule", "power:1", "--dim", "3", "--trials", "5"),
-    command(1, "falsify", "--rule", "renorm:power:4", "--dim", "3", "--trials", "5"),
-    command(1, "independence", "--rule", "renorm:power:1", "--dim", "3", "--trials", "5"),
-    command(0, "recover", "--dims", "2,3", "--trials", "40"),
-    command(0, "stationarity", "--dims", "2,3", "--trials", "200"),
-    command(0, "spin1", "--trials", "200"),
-    command(3, "sample", "--dim", "3", "--shots", "10", "--trials", "3"),  # too few shots for a chi-square: inconclusive
-    # inconclusive layouts, scans of more than one block, a third dimension
-    command(3, "falsify", "--rule", "renorm:power:4", "--dim", "2", name="falsify-renorm:power:4-dim2"),
-    command(3, "independence", "--rule", "power:3", "--dim", "3"),
-    command(0, "independence", "--rule", "born", "--dim", "4", "--trials", "300"),
-    command(0, "verify-born", "--dims", "2,3,4", "--trials", "5", name="verify-born-dims2,3,4"),
+    command(0, 2 * (5 + 10 * 4), "verify-born", "--dims", "2,3", "--trials", "5"),
+    command(1, 5, "falsify", "--rule", "power:1", "--dim", "3", "--trials", "5"),
+    command(1, 1 + 4, "falsify", "--rule", "renorm:power:4", "--dim", "3", "--trials", "5"),
+    command(1, 4, "independence", "--rule", "renorm:power:1", "--dim", "3", "--trials", "5"),
+    command(0, 2, "recover", "--dims", "2,3", "--trials", "40"),
+    command(0, 2, "stationarity", "--dims", "2,3", "--trials", "200"),
+    command(0, 1, "spin1", "--trials", "200"),
+    command(3, 5, "sample", "--dim", "3", "--shots", "10", "--trials", "3"),  # too few shots for a chi-square: inconclusive
+    # inconclusive layouts, scans of hundreds of rows, a third dimension
+    command(3, 1 + 4, "falsify", "--rule", "renorm:power:4", "--dim", "2", name="falsify-renorm:power:4-dim2"),
+    command(3, 4, "independence", "--rule", "power:3", "--dim", "3"),
+    command(0, 4, "independence", "--rule", "born", "--dim", "4", "--trials", "300"),
+    command(0, 3 * (5 + 10 * 4), "verify-born", "--dims", "2,3,4", "--trials", "5", name="verify-born-dims2,3,4"),
 ]
 
 
 @pytest.mark.parametrize("seed", [0, 7, 2**40 + 3])
-@pytest.mark.parametrize("argv, code", COMMANDS)
-def test_no_two_streams_of_a_command_coincide(monkeypatch, capsys, argv, code, seed):
+@pytest.mark.parametrize("argv, code, count", COMMANDS)
+def test_no_two_streams_of_a_command_coincide(monkeypatch, capsys, argv, code, count, seed):
     # streams.py states SeedSequence's zero padding, which puts a clash one
     # address word away: (s, k) and (s, k, 0) are one stream
     states = []
@@ -113,5 +104,5 @@ def test_no_two_streams_of_a_command_coincide(monkeypatch, capsys, argv, code, s
     monkeypatch.setattr(streams, "_Seeded", Recording)
     assert cli.main(argv + ["--seed", str(seed)]) == (code[seed] if isinstance(code, dict) else code)
     capsys.readouterr()
-    assert len(states) > 1
+    assert len(states) == count
     assert len(set(states)) == len(states)

@@ -7,10 +7,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from bornlab import streams, variational
+from bornlab import quantum, variational
 from bornlab.quantum import ModulusVector, haar_state, moduli
 from bornlab.rules import Affine, Born, Power, Renormalized, rule_probabilities
-from bornlab.streams import BLOCK, substream
+from bornlab.streams import substream
 from bornlab.tolerances import TOL
 from bornlab.variational import (
     RankDeficient,
@@ -298,26 +298,31 @@ class TestRecovery:
 
 
 class TestRecoveryBlocks:
-    SAMPLES = 2 * BLOCK + 3  # two full blocks and a partial one per dimension
+    SAMPLES = 259  # per dimension
 
-    def test_block_b_of_dimension_di_draws_from_substream_seed_di_b(self, monkeypatch):
+    def test_dimension_di_draws_from_substream_seed_di(self, monkeypatch):
+        # each dimension's samples are one scan, which derives one stream at its own address
         seen = []
 
         def recording(seed, *indices):
             seen.append((seed, *indices))
             return substream(seed, *indices)
 
-        monkeypatch.setattr(streams, "substream", recording)
+        monkeypatch.setattr(quantum, "substream", recording)
         recover_rule([2, 3], self.SAMPLES, seed=5)
-        assert seen == [(5, di, b) for di in (0, 1) for b in (0, 1, 2)]
+        assert seen == [(5, 0), (5, 1)]
 
     def test_full_blocks_do_not_depend_on_the_sample_count(self, monkeypatch):
+        # the first k rows of each dimension's scan are those of a k-sample
+        # run, for every k a run takes
         fitted = []
         fit = variational.fit_power_series
         monkeypatch.setattr(variational, "fit_power_series", lambda rows: fitted.append(rows) or fit(rows))
-        recover_rule([2, 3], BLOCK, seed=5)
-        recover_rule([2, 3], self.SAMPLES, seed=5)
-        short, long = fitted
-        np.testing.assert_array_equal(long[:BLOCK], short[:BLOCK])
-        np.testing.assert_array_equal(long[self.SAMPLES : self.SAMPLES + BLOCK], short[BLOCK:])
-        assert len(np.unique(long[:, 0])) == 2 * self.SAMPLES
+        n = self.SAMPLES
+        recover_rule([2, 3], n, seed=5)
+        long = fitted.pop()
+        for k in range(variational.MIN_SAMPLES, n + 1):
+            recover_rule([2, 3], k, seed=5)
+            short = fitted.pop()
+            assert short.tobytes() == np.concatenate([long[:k], long[n : n + k]]).tobytes(), k
+        assert len(np.unique(long[:, 0])) == 2 * n
