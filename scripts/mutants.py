@@ -218,8 +218,22 @@ MUTANTS = [
         "bornlab/rules.py",
         "if n >= ONE_STREAM_MIN:",
         "if n > ONE_STREAM_MIN:",
-        "tests/test_rules.py::TestDefectScan::test_a_scan_draws_blocks_from_blocks_min_trials",
+        "tests/test_rules.py::TestDefectScan::test_a_scan_draws_one_stream_from_one_stream_min_trials",
         "a scan of exactly ONE_STREAM_MIN trials draws a substream per trial, not its one stream",
+    ),
+    Mutant(
+        "bornlab/rules.py",
+        "substream(seed, *address, i)).amplitudes) for i in range(n)]",
+        "substream(seed, *address, 0)).amplitudes) for i in range(n)]",
+        "tests/test_rules.py::TestDefectScan::test_a_scan_draws_one_stream_from_one_stream_min_trials",
+        "every trial of a short scan draws the first trial's state, so its defects are one defect repeated",
+    ),
+    Mutant(
+        "bornlab/rules.py",
+        "if not math.isfinite(mean):",
+        "if False:",
+        "tests/test_cli.py::TestFalsification::test_the_mean_of_finite_defects_is_finite",
+        "defects near the float maximum sum to inf, so the report's mean is Infinity, which is not JSON",
     ),
     Mutant(
         "bornlab/cli.py",
@@ -281,7 +295,7 @@ MUTANTS = [
         "bornlab/quantum.py",
         "    check_orthant(np.abs(states))\n",
         "",
-        "tests/test_quantum.py::TestStateAndModulus::test_a_zero_draw_in_a_block_is_not_normalized",
+        "tests/test_quantum.py::TestStateAndModulus::test_a_zero_draw_in_a_one_stream_scan_is_not_normalized",
         "haar_scan checks no state, so a scan of ONE_STREAM_MIN or more trials reports a zero draw as a domain error",
     ),
     Mutant(

@@ -36,9 +36,7 @@ class StateVector:
     amplitudes: np.ndarray
 
     def __post_init__(self) -> None:
-        amplitudes = np.array(self.amplitudes, dtype=np.complex128)
-        if amplitudes.ndim != 1:  # reshape(-1) of a row is a no-op that still costs a numpy call
-            amplitudes = amplitudes.reshape(-1)
+        amplitudes = np.array(self.amplitudes, dtype=np.complex128).reshape(-1)
         within(abs(float(np.vdot(amplitudes, amplitudes).real) - 1.0), TOL.unit_norm, "state norm defect", NotNormalized)
         amplitudes.setflags(write=False)
         object.__setattr__(self, "amplitudes", amplitudes)
@@ -78,9 +76,7 @@ class ModulusVector:
     moduli: np.ndarray
 
     def __post_init__(self) -> None:
-        moduli = np.array(self.moduli, dtype=np.float64)
-        if moduli.ndim != 1:
-            moduli = moduli.reshape(-1)
+        moduli = np.array(self.moduli, dtype=np.float64).reshape(-1)
         check_orthant(moduli)
         moduli.setflags(write=False)
         object.__setattr__(self, "moduli", moduli)

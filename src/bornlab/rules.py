@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .quantum import ModulusVector, StateVector, haar_rows, haar_scan
+from .quantum import ModulusVector, haar_scan, haar_state, moduli
 from .streams import substream
 
 # Trials from which a defect scan draws every trial from one stream (quantum.haar_scan), not a substream each:
@@ -171,8 +171,8 @@ def defect_scan(rule: Rule, dim: int, trials: int, seed: int, *address: int) -> 
     From ONE_STREAM_MIN trials on, the states are quantum.haar_scan rows (trial
     i is the i-th pair drawn from substream(seed, *address), so the first k
     trials are those of a k-trial scan), and one check_orthant checks their
-    moduli.  Below it, trial i draws one (2, dim) Gaussian pair from
-    substream(seed, *address, i) and is checked alone.  Either way the report
+    moduli.  Below it, trial i is moduli(haar_state(dim, substream(seed,
+    *address, i))), checked alone.  Either way the report
     is a deterministic function of (rule, dim, trials, seed, *address), and
     the rule is evaluated once, on the stacked moduli.  The worst state (the
     first at the maximum) is recorded as a falsification witness.  A
@@ -186,26 +186,22 @@ def defect_scan(rule: Rule, dim: int, trials: int, seed: int, *address: int) -> 
     if n >= ONE_STREAM_MIN:
         stacked = np.abs(haar_scan(dim, n, seed, *address))
         witness = lambda i: ModulusVector(stacked[i])  # only the witness row becomes a ModulusVector
-    else:
-        rows = haar_rows(np.array([substream(seed, *address, i).standard_normal((2, dim)) for i in range(n)]))
-        stacked = np.abs(rows)
-        # Each row's StateVector and ModulusVector check repeats what one
-        # check_orthant on the stack would do.  They stay only because the
-        # benchmark's tracer pins two quantum.validate calls per row on this
-        # path, until ROADMAP item 14; no StateVector outlives its check.
-        points = []
-        for row, point in zip(rows, stacked):
-            StateVector(row)
-            points.append(ModulusVector(point))
+    else:  # a substream and two checks per trial, as the tracer pins at --trials 3 until ROADMAP item 14
+        points = [moduli(haar_state(dim, substream(seed, *address, i)).amplitudes) for i in range(n)]
+        stacked = np.array([point.moduli for point in points])
         witness = points.__getitem__
     defects = np.zeros(trials) if renormalized else np.abs(normalization_sum(rule, stacked) - 1.0)
     worst = int(np.argmax(defects))
+    with np.errstate(over="ignore"):  # finite defects can sum to inf: then average them scaled by the largest
+        mean = float(np.mean(defects))
+    if not math.isfinite(mean):
+        mean = float(np.mean(defects / defects[worst])) * float(defects[worst])
     return NormalizationReport(
         rule=rule.name,
         dim=dim,
         trials=trials,
         max_defect=float(defects[worst]),
-        mean_defect=float(np.mean(defects)),
+        mean_defect=mean,
         argmax_state=witness(worst),
         address=(seed, *address),
         defects=defects,

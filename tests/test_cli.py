@@ -11,6 +11,8 @@ import json
 import math
 import os
 import shlex
+import subprocess
+import sys
 import threading
 from pathlib import Path
 
@@ -448,6 +450,26 @@ class TestFalsification:
         assert defect >= 0.41
         witness = report["results"]["witness"]
         assert abs(witness[0] - 0.7071) < 0.02 and abs(witness[1] - 0.7071) < 0.02
+
+    def test_the_mean_of_finite_defects_is_finite(self):
+        # defects near 1e308 sum to inf; their mean is still finite, no warning
+        # reaches stderr, and the report is strict JSON
+        env = dict(os.environ, PYTHONPATH=str(Path(rules.__file__).resolve().parents[1]))  # the bornlab under test
+
+        def falsify(*flags):
+            argv = [sys.executable, "-W", "error", "-m", "bornlab.cli", "falsify", "--rule", "affine:1e308:0", "--dim", "3"]
+            completed = subprocess.run([*argv, *flags], capture_output=True, text=True, env=env, timeout=300)
+            assert (completed.returncode, completed.stderr) == (1, "")
+            return completed.stdout
+
+        def refuse(constant):
+            raise ValueError(f"not JSON: {constant}")
+
+        mean = json.loads(falsify(), parse_constant=refuse)["results"]["defect"]["mean_defect"]
+        rows = csv.DictReader(io.StringIO(falsify("--format", "csv")))
+        defects = [float(row["value"]) for row in rows if row["series"] == "defect"]
+        assert len(defects) == 1000
+        assert math.isfinite(mean) and min(defects) <= mean <= max(defects)
 
     def test_renormalized_rule_falsified_by_independence(self, capsys):
         code, report = run_json(
@@ -1045,7 +1067,7 @@ class TestBlocks:
         assert seen == addresses
 
     @pytest.mark.parametrize("command", sorted(COMMANDS))
-    def test_full_blocks_do_not_depend_on_the_point_count(self, capsys, command):
+    def test_first_k_points_are_a_k_point_run(self, capsys, command):
         # the first k points of each dimension's scan are those of a k-point run, for every k;
         # the series lists each dimension's points in turn
         argv, addresses = self.COMMANDS[command]

@@ -405,7 +405,7 @@ class TestBlocks:
             unobserved_independence_scan(listed_first(point, 1), rule, self.DRAWS, seed=33),
         )
 
-    def test_multi_block_scans_are_thread_invariant(self):
+    def test_a_rerun_repeats_every_p_value(self):
         # a scan runs on the calling thread, so invariance is a rerun
         first = [scan.p_values.tobytes() for scan in self.scans()]
         assert [scan.p_values.tobytes() for scan in self.scans()] == first
@@ -422,7 +422,7 @@ class TestBlocks:
         self.scans()
         assert seen == [(32,), (33,)]
 
-    def test_full_blocks_do_not_depend_on_the_draw_count(self):
+    def test_first_k_draws_are_a_k_draw_scan(self):
         # draw i is the i-th row of the scan's one stream, so the first k draws
         # of either scan are those of a k-draw scan, for every k
         point = moduli(haar_state(3, np.random.default_rng(34)).amplitudes)

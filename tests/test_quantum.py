@@ -245,9 +245,9 @@ class TestStateAndModulus:
             with pytest.raises(NotNormalized):
                 defect_scan(Power(1.0), 4, 3, 0)
 
-    def test_a_zero_draw_in_a_block_is_not_normalized(self, monkeypatch):
+    def test_a_zero_draw_in_a_one_stream_scan_is_not_normalized(self, monkeypatch):
         # both parts zero in pair 130 of a scan of ONE_STREAM_MIN or more
-        # trials, whose rows are one block drawn from one stream: one check of
+        # trials, whose rows are all drawn from one stream: one check of
         # the stacked moduli rejects the state, so no nan defect is reported
         monkeypatch.setattr("bornlab.quantum.substream", lambda *address: ZeroRows(1, start=130))
         with np.errstate(invalid="ignore"):  # the zero row's 0/0

@@ -322,7 +322,7 @@ class TestDefectScan:
             renormalized = defect_scan(Renormalized(rule), d, n, seed)
             np.testing.assert_array_equal(renormalized.defects, np.zeros(n))
             assert renormalized.argmax_state.moduli.tobytes() == np.abs(reference_state(0)).tobytes()
-        # a scan does not call haar_state, so its own bits are pinned here
+        # haar_state, which draws each trial of a scan below ONE_STREAM_MIN, keeps the reference bits
         assert haar_state(d, substream(seed, 0)).amplitudes.tobytes() == reference_state(0).tobytes()
 
     @staticmethod
@@ -345,7 +345,7 @@ class TestDefectScan:
         assert (singles, scans) == (([(9, 0)], []) if draws == 1 else ([], [(9,)]))
 
     @pytest.mark.parametrize("trials", [ONE_STREAM_MIN - 1, ONE_STREAM_MIN, 259])
-    def test_a_scan_draws_blocks_from_blocks_min_trials(self, monkeypatch, trials):
+    def test_a_scan_draws_one_stream_from_one_stream_min_trials(self, monkeypatch, trials):
         # from ONE_STREAM_MIN trials on, a scan derives exactly one stream, at its own address
         singles, scans = self.counted_draws(monkeypatch, Power(4.0), trials)
         if trials < ONE_STREAM_MIN:

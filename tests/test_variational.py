@@ -312,7 +312,7 @@ class TestRecoveryBlocks:
         recover_rule([2, 3], self.SAMPLES, seed=5)
         assert seen == [(5, 0), (5, 1)]
 
-    def test_full_blocks_do_not_depend_on_the_sample_count(self, monkeypatch):
+    def test_first_k_samples_are_a_k_sample_run(self, monkeypatch):
         # the first k rows of each dimension's scan are those of a k-sample
         # run, for every k a run takes
         fitted = []
