@@ -293,8 +293,8 @@ MUTANTS = [
     ),
     Mutant(
         "bornlab/quantum.py",
-        "    check_orthant(np.abs(states))\n",
-        "",
+        "    check_orthant(rows)\n    return states, rows",
+        "    return states, rows",
         "tests/test_quantum.py::TestStateAndModulus::test_a_zero_draw_in_a_one_stream_scan_is_not_normalized",
         "haar_scan checks no state, so a scan of ONE_STREAM_MIN or more trials reports a zero draw as a domain error",
     ),
@@ -304,6 +304,20 @@ MUTANTS = [
         "states = haar_rows(substream(seed, *indices).standard_normal((2, n, dim)).transpose(1, 0, 2))",
         "tests/test_rules.py::TestDefectScan::test_first_k_trials_are_a_k_trial_scan",
         "a scan draws all its real parts before its imaginary parts, so row i depends on how many rows follow it",
+    ),
+    Mutant(
+        "bornlab/cli.py",
+        "zip(index, itertools.cycle(heads), values)",
+        "zip(index, itertools.repeat(heads[0]), values)",
+        "tests/test_cli.py::TestCsvRows::test_commands_write_what_the_csv_module_writes[stationarity]",
+        "every CSV row of a series names the first k, so stationarity's point i is not listed at outcome i % d",
+    ),
+    Mutant(
+        "bornlab/cli.py",
+        "values = np.asarray(values, np.float64).ravel().tolist()",
+        "values = np.asarray(values).ravel().tolist()",
+        "tests/test_cli.py::TestCsvRows::test_rows_equal_the_csv_module",
+        "an integer value is written as 3, not 3.0, so the CSV value column is not the float the csv module writes",
     ),
 ]
 

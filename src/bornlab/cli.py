@@ -50,7 +50,7 @@ def run_config(args: argparse.Namespace) -> dict:
     return echo
 
 
-Verdict = tuple[dict, bool, Iterable[tuple]]  # what a command returns: results, pass, CSV series
+Verdict = tuple[dict, bool, Iterable[str]]  # what a command returns: results, pass, CSV series
 
 
 @dataclass
@@ -58,7 +58,7 @@ class Report:
     config: dict
     results: dict
     passed: bool
-    series: Iterable[tuple]  # (index, d, k, value, series) rows, read once, by to_csv
+    series: Iterable[str]  # each series' CSV rows as one text block (_rows), built when to_csv reads it
     runtime_ms: float
 
     def to_json(self) -> str:
@@ -81,8 +81,7 @@ class Report:
         return 3 if "inconclusive" in self.results else 1
 
     def to_csv(self) -> str:
-        rows = [f"{i},{'' if d is None else d},{'' if k is None else k},{float(v)!r},{s}\n" for i, d, k, v, s in self.series]
-        return "index,d,k,value,series\n" + "".join(rows)
+        return "index,d,k,value,series\n" + "".join(self.series)
 
 
 def _parse_dims(text: str) -> tuple[int, ...]:
@@ -170,14 +169,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-Check = tuple[dict, Iterable[tuple], float, list[float]]  # results entries, CSV rows, statistic, witness
+Check = tuple[dict, Iterable[str], float, list[float]]  # results entries, CSV series, statistic, witness
 
 
-def _rows(name: str, d: int | None, values: np.ndarray, ks: tuple | range = (None,)) -> Iterator[tuple]:
-    """The CSV rows (i, d, ks[i % len(ks)], values[i], name) of one series, built
-    only when to_csv reads them: a JSON run builds none."""
-    for i, (k, value) in enumerate(zip(itertools.cycle(ks), values.tolist())):
-        yield i, d, k, value, name
+def _rows(name: str, d: int | None, values: np.ndarray, ks: tuple | range = (None,),
+          index: Iterable[int] | None = None) -> Iterator[str]:
+    """One series as one CSV text block: row i is index[i] (default i), d, ks[i % len(ks)],
+    values[i] as a float (values read flat, in row-major order) and name.  It is built
+    only when to_csv reads it: a JSON run builds none."""
+    heads = [f",{'' if d is None else d},{'' if k is None else k}," for k in ks]
+    tail = f",{name}\n"
+    values = np.asarray(values, np.float64).ravel().tolist()  # so 3 prints as 3.0
+    index = range(len(values)) if index is None else index
+    yield "".join([f"{i}{head}{value!r}{tail}" for i, head, value in zip(index, itertools.cycle(heads), values)])
 
 
 def _defect_check(rule, d: int, trials: int, seed: int, *address: int) -> Check:
@@ -323,8 +327,7 @@ def cmd_recover(args) -> Verdict:
         "max_coefficient_error": error,
         "coefficient_threshold": TOL.coefficient_error,
     }
-    series = ((n, None, None, c, "coefficients") for n, c in enumerate(results["recovery"]["coefficients"], 1))
-    return results, error <= TOL.coefficient_error, series
+    return results, error <= TOL.coefficient_error, _rows("coefficients", None, coefficients, index=itertools.count(1))
 
 
 def cmd_stationarity(args) -> Verdict:
@@ -333,7 +336,7 @@ def cmd_stationarity(args) -> Verdict:
     series = []
     worst = np.zeros(3)  # sum-form, outcome-form and closed-form residuals
     for di, d in enumerate(args.dims):
-        rows = np.abs(quantum.haar_scan(d, args.trials, args.seed, di))
+        _, rows = quantum.haar_scan(d, args.trials, args.seed, di)
         ks = np.arange(args.trials) % d
         sum_res = np.abs(variational.rule_stationarity(born, rows, 1.0))
         out_res = np.abs(variational.outcome_stationarity(probabilities, rows, ks, 0.0))
@@ -357,7 +360,7 @@ def cmd_spin1(args) -> Verdict:
     k_z, k_x = (int(k) for k in invariance.match_eigenvector(vectors, np.eye(3)[1]))
     pair = np.column_stack([vectors[0, :, k_z], vectors[1, :, k_x]])
 
-    amplitudes = quantum.haar_scan(3, args.trials, args.seed) @ np.conj(pair)
+    amplitudes = quantum.haar_scan(3, args.trials, args.seed)[0] @ np.conj(pair)
     p = rules.rule_probabilities(rules.Born(), np.abs(amplitudes))
     deltas = np.abs(p[:, 0] - p[:, 1])
     results = {
@@ -388,6 +391,7 @@ def cmd_sample(args) -> Verdict:
 
     p = born(quantum.haar_rows(rngs[0].standard_normal((n, 2, d))))
     counts = quantum.sample_outcomes(p, shots, rngs[2])
+    frequencies = counts / shots
     tests = [quantum.chi_square_test(counts[i], shots * p[i]) for i in range(n)]
     # a pair whose counts pool into one cell (dof 0) is not tested; the Sidak level of each tested
     # pair's test keeps the run's false-alarm rate at alpha, and with no tested pair there is no level
@@ -398,12 +402,12 @@ def cmd_sample(args) -> Verdict:
     post = born(bases[np.arange(n), :, firsts])
     repeats = (quantum.sample_outcomes(post, 100, rngs[4])[np.arange(n), firsts] == 100).tolist()
     pairs = [
-        {"pair": i, "frequencies": (counts[i] / shots).tolist(), "born": p[i].tolist(),
+        {"pair": i, "frequencies": frequencies[i].tolist(), "born": p[i].tolist(),
          "chi_square": statistic, "dof": dof, "p_value": p_value, "within_3_sigma": p_value >= threshold if dof else None,
          "first_outcome": int(firsts[i]), "repeat_consistent": repeats[i]}
         for i, (statistic, dof, p_value) in enumerate(tests)
     ]
-    series = ((i, d, k, f, "frequencies") for i, pair in enumerate(pairs) for k, f in enumerate(pair["frequencies"]))
+    series = _rows("frequencies", d, frequencies, range(d), (i for i in range(n) for _ in range(d)))  # pair i's row k
     within_all = all(pair["within_3_sigma"] for pair in pairs if pair["dof"])
     results = {"pairs": pairs, "p_value_threshold": threshold, "alpha": TOL.sample_alpha,
                "all_within_3_sigma": within_all, "all_repeat_consistent": all(repeats)}

@@ -209,14 +209,15 @@ def haar_state(dim: int, rng: np.random.Generator) -> StateVector:
     return StateVector(haar_rows(rng.standard_normal((2, dim))[None])[0])
 
 
-def haar_scan(dim: int, n: int, seed: int, *indices: int) -> np.ndarray:
-    """The n Haar states of the scan at (seed, *indices) as amplitude rows (n, dim):
-    haar_rows of n pairs drawn one after another from substream(seed, *indices), so
-    no row depends on how many follow it, and their moduli checked once.  A zero row
+def haar_scan(dim: int, n: int, seed: int, *indices: int) -> tuple[np.ndarray, np.ndarray]:
+    """The n Haar states of the scan at (seed, *indices) as amplitude rows (n, dim), and
+    their moduli (n, dim), checked once: haar_rows of n pairs drawn one after another from
+    substream(seed, *indices), so no row depends on how many follow it.  A zero row
     (probability 0) becomes nan and fails the check."""
     states = haar_rows(substream(seed, *indices).standard_normal((n, 2, dim)))
-    check_orthant(np.abs(states))
-    return states
+    rows = np.abs(states)
+    check_orthant(rows)
+    return states, rows
 
 
 @functools.cache

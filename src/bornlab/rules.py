@@ -184,7 +184,7 @@ def defect_scan(rule: Rule, dim: int, trials: int, seed: int, *address: int) -> 
     renormalized = rule.renormalized
     n = 1 if renormalized else trials
     if n >= ONE_STREAM_MIN:
-        stacked = np.abs(haar_scan(dim, n, seed, *address))
+        _, stacked = haar_scan(dim, n, seed, *address)
         witness = lambda i: ModulusVector(stacked[i])  # only the witness row becomes a ModulusVector
     else:  # a substream and two checks per trial, as the tracer pins at --trials 3 until ROADMAP item 14
         points = [moduli(haar_state(dim, substream(seed, *address, i)).amplitudes) for i in range(n)]

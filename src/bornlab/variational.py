@@ -70,15 +70,16 @@ def outcome_stationarity(
     rows = np.asarray(rows, dtype=np.float64)
     d = rows.shape[-1]
     flat, flat_ks = rows.reshape(-1, d), np.broadcast_to(ks, rows.shape[:-1]).reshape(-1)
-    chunk, eye = max(1, CHUNK_CELLS // (d * d)), np.eye(d, dtype=bool)
+    chunk = max(1, CHUNK_CELLS // (d * d))
     residuals = []
     for start in range(0, flat.shape[0], chunk):
         a, k = flat[start : start + chunk], flat_ks[start : start + chunk]
         inside = (step <= a) & (a <= 1.0 - step) & (np.arange(d) != k[:, None])
-        shift = np.where(inside[:, :, None] & eye, step, 0.0)  # copy j moves coordinate j only
-        up = p(a[:, None, :] + shift)  # (row, j, outcome)
-        down = p(a[:, None, :] - shift)
-        at = np.arange(a.shape[0]), slice(None), k  # each row's outcome k, for every j
+        shift = np.zeros((a.shape[0], d, d))
+        shift.reshape(-1, d * d)[:, :: d + 1] = np.where(inside, step, 0.0)  # copy j moves coordinate j only
+        up = p(a[:, None, :] + shift).reshape(-1)  # (row, j, outcome), flat
+        down = p(a[:, None, :] - shift).reshape(-1)
+        at = (np.arange(a.shape[0])[:, None] * d + np.arange(d)) * d + k[:, None]  # each row's outcome k, for every j
         partial = (up[at] - down[at]) / (2.0 * step)
         residuals.append(np.where(inside, partial - 2.0 * multiplier * a, 0.0))
     return np.concatenate(residuals).reshape(rows.shape)
@@ -152,6 +153,6 @@ def recover_rule(dims: Sequence[int], samples_per_dim: int, seed: int) -> tuple[
     if samples_per_dim < MIN_SAMPLES:
         raise ValueError("need at least 10 samples per coefficient")
 
-    rows = np.concatenate([power_sums(np.abs(haar_scan(d, samples_per_dim, seed, di))) for di, d in enumerate(dims)])
+    rows = np.concatenate([power_sums(haar_scan(d, samples_per_dim, seed, di)[1]) for di, d in enumerate(dims)])
     coefficients, objective = fit_power_series(rows)
     return coefficients, objective, rows.shape[0]

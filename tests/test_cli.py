@@ -524,7 +524,7 @@ class TestFalsification:
 
         def fourth(rule, d, trials, seed, *address):
             calls.append((rule.name, d, trials, seed, address))
-            return outcome | {"address": [seed, *address]}, [(0, d, None, 0.5, "fourth")], outcome["statistic"], [d]
+            return outcome | {"address": [seed, *address]}, cli._rows("fourth", d, np.array([0.5])), outcome["statistic"], [d]
 
         monkeypatch.setattr(cli, "FALSIFIERS", cli.FALSIFIERS + ((fourth, (4,), "spread", lambda rule: True),))
         argv = ["falsify", "--rule", "born", "--dim", "3", "--trials", "20", "--seed", "2"]
@@ -1079,7 +1079,7 @@ class TestBlocks:
 
 
 def csv_reference(series) -> str:
-    """The CSV text of a series as the csv module writes it."""
+    """The CSV text of (index, d, k, value, name) rows as the csv module writes it."""
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
     writer.writerow(["index", "d", "k", "value", "series"])
@@ -1088,16 +1088,34 @@ def csv_reference(series) -> str:
     return buffer.getvalue()
 
 
+def typed_rows(text: str) -> list[tuple]:
+    """The rows of a CSV report read back by csv.DictReader, each as (int index,
+    int d or None, int k or None, float value, series name)."""
+    optional = lambda field: None if field == "" else int(field)
+    return [(int(row["index"]), optional(row["d"]), optional(row["k"]), float(row["value"]), row["series"])
+            for row in csv.DictReader(io.StringIO(text))]
+
+
 class TestCsvRows:
     def test_rows_equal_the_csv_module(self):
+        # every series is one _rows block; row i takes ks[i % len(ks)], and its index is i unless given
         values = [3, np.float64(0.1), np.nan, np.inf, -np.inf, -0.0, 1e-300, np.float64(-2.5e-17), 0.0]
-        series = [
-            (i, d, k, value, "delta") for i, value in enumerate(values) for d in (None, 2) for k in (None, 0, 11)
-        ]
-        text = Report({"command": "spin1"}, {}, True, series, 0.0).to_csv()
-        assert text == csv_reference(series)
-        assert text.splitlines()[1:4] == ["0,,,3.0,delta", "0,,0,3.0,delta", "0,,11,3.0,delta"]
+        layouts = [((None,), 0), ((None, 0, 11), 0), ((0, 11), 0), (range(4), 0), ((None,), 1)]  # (ks, first index)
+        blocks, rows = [], []
+        for d in (None, 2):
+            for ks, first in layouts:
+                blocks.append(cli._rows("delta", d, values, ks, itertools.count(1) if first else None))
+                rows += [(first + i, d, ks[i % len(ks)], value, "delta") for i, value in enumerate(values)]
+        text = Report({"command": "spin1"}, {}, True, (block for series in blocks for block in series), 0.0).to_csv()
+        assert text == csv_reference(rows)
+        assert text.splitlines()[10:13] == ["0,,,3.0,delta", "1,,0,0.1,delta", "2,,11,nan,delta"]
         assert Report({"command": "spin1"}, {}, True, [], 0.0).to_csv() == "index,d,k,value,series\n"
+        # a stack is read row by row, and one series is one block
+        pairs = (i for i in range(3) for _ in range(3))
+        assert list(cli._rows("f", 3, np.reshape(values, (3, 3)), range(3), pairs)) == [
+            csv_reference((i // 3, 3, i % 3, value, "f") for i, value in enumerate(values)).partition("\n")[2]]
+        assert list(cli._rows("f", 3, [])) == [""]
+        assert list(cli._rows("f", 3, np.arange(2))) == ["0,3,,0.0,f\n1,3,,1.0,f\n"]  # integers are written as floats
 
     COMMANDS = [
         ["verify-born", "--dims", "2,3", "--trials", "20"],
@@ -1119,20 +1137,35 @@ class TestCsvRows:
         "sample": ["frequencies"],
     }
 
+    # each command's (index, d, k, series) columns, row by row: spin1 scores the m = 0 outcome, 1
+    KEYS = {
+        "verify-born": [(i, d, None, "defect") for d in (2, 3) for i in range(20)],
+        "falsify": [(i, 3, k, name) for name, k in (("defect", None), ("observable_scan", 0), ("rotation_scan", 0))
+                    for i in range(20)],
+        "independence": [(i, 3, 0, name) for name in ("observable_scan", "rotation_scan") for i in range(20)],
+        "recover": [(n, None, None, "coefficients") for n in range(1, 5)],
+        "stationarity": [(i, d, i % d, "residual") for d in (2, 3) for i in range(30)],
+        "spin1": [(i, 3, 1, "probability_delta") for i in range(30)],
+        "sample": [(i, 3, k, "frequencies") for i in range(3) for k in range(3)],
+    }
+
     @pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: argv[0])
     def test_rows_name_their_series(self, argv):
         # each series is one run of rows, named by its JSON key where it has one
         args = build_parser().parse_args(argv + ["--seed", "4"])
         _, _, series = args.func(args)
-        assert [name for name, _ in itertools.groupby(row[4] for row in series)] == self.SERIES[argv[0]]
+        rows = typed_rows("index,d,k,value,series\n" + "".join(series))
+        assert [name for name, _ in itertools.groupby(row[4] for row in rows)] == self.SERIES[argv[0]]
 
     @pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: argv[0])
     def test_commands_write_what_the_csv_module_writes(self, capsys, argv):
-        argv = argv + ["--seed", "4", "--format", "csv"]
-        args = build_parser().parse_args(argv)
-        _, _, series = args.func(args)
-        main(argv)
-        assert capsys.readouterr().out == csv_reference(series)
+        # the report, read back by csv.DictReader, is what csv.writer writes
+        # from those rows, byte for byte, and its rows are laid out as KEYS says
+        main(argv + ["--seed", "4", "--format", "csv"])
+        text = capsys.readouterr().out
+        rows = typed_rows(text)
+        assert text == csv_reference(rows)
+        assert [(index, d, k, name) for index, d, k, _, name in rows] == self.KEYS[argv[0]]
 
     @pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: argv[0])
     def test_json_run_builds_no_row(self, capsys, monkeypatch, argv):
@@ -1145,12 +1178,13 @@ class TestCsvRows:
         assert json.loads(capsys.readouterr().out)["command"] == argv[0]
         assert inspect.getgeneratorstate(seen[0]) == inspect.GEN_CREATED
         main(argv + ["--seed", "4", "--format", "csv"])
-        assert capsys.readouterr().out == csv_reference(seen[0])
+        assert capsys.readouterr().out == "index,d,k,value,series\n" + "".join(seen[0])
 
     @pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: argv[0])
     def test_commands_return_python_values(self, argv):
-        # rows and results leave numpy once, as .tolist() values: no numpy
-        # scalar reaches the CSV or JSON writers
+        # results leave numpy once, as .tolist() values: no numpy scalar
+        # reaches the JSON writer; the series are plain str blocks of whole
+        # rows, each row an int index, int or empty d and k, a float and a name
         def plain(value):
             if isinstance(value, dict):
                 return all(type(key) is str and plain(item) for key, item in value.items())
@@ -1161,10 +1195,10 @@ class TestCsvRows:
         args = build_parser().parse_args(argv + ["--seed", "4"])
         results, passed, series = args.func(args)
         assert type(passed) is bool and plain(results)
-        assert all(
-            type(index) is int and plain([d, k]) and type(value) is float and type(name) is str
-            for index, d, k, value, name in series
-        )
+        blocks = list(series)
+        assert blocks and all(type(block) is str and block.endswith("\n") for block in blocks)
+        text = "index,d,k,value,series\n" + "".join(blocks)
+        assert text == csv_reference(typed_rows(text))
 
 
 def _criterion_10_commands() -> list[list[str]]:
@@ -1268,7 +1302,7 @@ class TestStackedEqualsPerBlock:
             shapes.append(values.shape)
             return rules.rule_probabilities(rules.Born(), values)
 
-        rows = np.abs(quantum.haar_scan(d, 300, self.SEED))
+        _, rows = quantum.haar_scan(d, 300, self.SEED)
         ks = np.arange(300) % d
         variational.outcome_stationarity(probabilities, rows, ks, 0.0)
         assert shapes and all(math.prod(shape) <= variational.CHUNK_CELLS for shape in shapes)

@@ -272,13 +272,16 @@ class TestStateAndModulus:
     def test_blocks_are_normalized_as_if_one_at_a_time(self, d, n):
         # row i of a scan is the i-th (2, d) pair of its one stream, drawn
         # here one pair at a time, and one division and one check on the
-        # stacked rows keep the bits of each row's own z / norm(z)
+        # stacked rows keep the bits of each row's own z / norm(z); the moduli
+        # handed back with them are those of the states
         rng, rows = substream(23, 4), []
         for _ in range(n):
             real, imag = rng.standard_normal((2, d))
             z = real + 1j * imag
             rows.append(z / np.linalg.norm(z))
-        assert haar_scan(d, n, 23, 4).tobytes() == np.array(rows).tobytes()
+        states, points = haar_scan(d, n, 23, 4)
+        assert states.tobytes() == np.array(rows).tobytes()
+        assert points.tobytes() == np.abs(np.array(rows)).tobytes()
 
     def test_state_norm_is_the_numpy_norm(self):
         # bit for bit: z / norm(z) from the two rows of a fresh draw; the norm
@@ -520,7 +523,7 @@ class TestMeasurement:
         # one multinomial call on the stack gives, bit for bit, one multinomial
         # per row in stack order over the same generator, and leaves it where
         # that loop does; a one-hot row rounded above one is clipped in both
-        p = np.abs(haar_scan(d, n, 31)) ** 2
+        p = haar_scan(d, n, 31)[1] ** 2
         p[-1] = np.eye(d)[0] * np.nextafter(1.0, 2.0)
         rng, reference = substream(32, d), substream(32, d)
         counts = sample_outcomes(p, shots, rng)
