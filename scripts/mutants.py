@@ -153,22 +153,22 @@ MUTANTS = [
     ),
     Mutant(
         "bornlab/quantum.py",
-        'within(float(np.abs(np.sum(p, axis=-1) - 1.0).max()), TOL.unit_norm, "probability sum defect", NotNormalized)',
+        'within(float(np.abs(row_sum(p) - 1.0).max()), TOL.unit_norm, "probability sum defect", NotNormalized)',
         "pass",
         "tests/test_quantum.py::TestMeasurement::test_draws_reject_a_non_distribution",
         "sample_outcomes draws from a row that is not a distribution, so a plain rule's row is sampled",
     ),
     Mutant(
         "bornlab/quantum.py",
-        "np.abs(np.sum(p, axis=-1) - 1.0).max()",
-        "np.abs(np.sum(p, axis=-1) - 1.0).flat[0]",
+        "np.abs(row_sum(p) - 1.0).max()",
+        "np.abs(row_sum(p) - 1.0).flat[0]",
         "tests/test_quantum.py::TestMeasurement::test_draws_reject_a_non_distribution",
         "a stacked draw checks its first row's sum alone, so a later pair's non-distribution is sampled",
     ),
     Mutant(
         "bornlab/cli.py",
-        "per_point = np.maximum(np.max(np.maximum(sum_res, out_res), axis=-1), closed)",
-        "per_point = np.max(np.maximum(sum_res, out_res), axis=-1)",
+        "per_point = np.maximum(linalg.row_max(np.maximum(sum_res, out_res)), closed)",
+        "per_point = linalg.row_max(np.maximum(sum_res, out_res))",
         "tests/test_cli.py::TestStackedEqualsPerBlock::test_stationarity",
         "stationarity's per-point value drops the closed-form residual, so a point's CSV value misses it",
     ),
@@ -318,6 +318,27 @@ MUTANTS = [
         "values = np.asarray(values).ravel().tolist()",
         "tests/test_cli.py::TestCsvRows::test_rows_equal_the_csv_module",
         "an integer value is written as 3, not 3.0, so the CSV value column is not the float the csv module writes",
+    ),
+    Mutant(
+        "bornlab/linalg.py",
+        "total = x[..., 0] + 0.0",
+        "total = x[..., 0].copy()",
+        "tests/test_linalg.py::TestRowReductions::test_a_row_of_negative_zeros_sums_to_positive_zero",
+        "a row sum starts at its first entry, not numpy's +0.0, so a row of -0.0 sums to -0.0",
+    ),
+    Mutant(
+        "bornlab/linalg.py",
+        "if not 0 < d < 8:",
+        "if not 0 < d < 9:",
+        "tests/test_linalg.py::TestRowReductions::test_row_sum_has_numpy_bits",
+        "a row of 8 entries is summed in order, not in numpy's pairwise blocks, so its last bit can differ",
+    ),
+    Mutant(
+        "bornlab/linalg.py",
+        "out = np.maximum(out, x[..., j])",
+        "out = np.minimum(out, x[..., j])",
+        "tests/test_linalg.py::TestRowReductions::test_row_max_has_numpy_bits",
+        "a row maximum is a running minimum, so stationarity's worst residual per point is its best",
     ),
 ]
 

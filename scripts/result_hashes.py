@@ -30,7 +30,9 @@ from bornlab import cli
 # falsify on the uniform rule p_k = 1/d, born's two independence commands
 # at a zero spread tolerance, scan summaries whose extremes lie past the
 # first 128 draws, a renormalized rule's scans at d=16, past the benchmark's d <= 8,
-# its observable scan at d=128, where a draw's eigenbasis is never formed, and
+# its observable scan at d=128, where a draw's eigenbasis is never formed,
+# stationarity and recover at d = 7, 8 and 9, on both sides of the 8 entries
+# from which numpy sums a row pairwise (linalg.row_sum), and
 # one falsify run down each path of the verdict rule: a rule that misses
 # certainty and spreads at rounding level above a zero --tol-spread is
 # falsified by certainty (the earlier row), then by its spread once certainty
@@ -64,6 +66,8 @@ EDGE_CASES = [
     ["independence", "--rule", "renorm:power:4", "--dim", "5", "--trials", "300"],
     ["falsify", "--rule", "renorm:power:4", "--dim", "16", "--trials", "300"],
     ["independence", "--rule", "renorm:power:4", "--dim", "128", "--trials", "300"],
+    ["stationarity", "--dims", "7,8,9", "--trials", "200"],
+    ["recover", "--dims", "7,8,9", "--trials", "200"],
     ["falsify", "--rule", "renorm:affine:1:0.1", "--dim", "3", "--tol-spread", "0"],
     ["falsify", "--rule", "renorm:affine:1:0.1", "--dim", "3", "--tol-defect", "1", "--tol-spread", "0"],
     ["falsify", "--rule", "renorm:affine:1:0.1", "--dim", "2", "--tol-defect", "1"],

@@ -341,7 +341,7 @@ def cmd_stationarity(args) -> Verdict:
         sum_res = np.abs(variational.rule_stationarity(born, rows, 1.0))
         out_res = np.abs(variational.outcome_stationarity(probabilities, rows, ks, 0.0))
         closed = variational.closed_form_check(rows, ks, 2.0, -1.0)
-        per_point = np.maximum(np.max(np.maximum(sum_res, out_res), axis=-1), closed)
+        per_point = np.maximum(linalg.row_max(np.maximum(sum_res, out_res)), closed)
         series.append(_rows("residual", d, per_point, range(d)))  # point i at outcome i % d
         worst = np.maximum(worst, (sum_res.max(), out_res.max(), closed.max()))
 

@@ -24,6 +24,7 @@ from typing import Callable
 
 import numpy as np
 
+from .linalg import row_sum
 from .quantum import ModulusVector, check_orthant, complex_rows
 from .rules import Rule, rule_probabilities
 from .streams import substream
@@ -73,7 +74,7 @@ def _tails(point: ModulusVector, direction: np.ndarray) -> np.ndarray:
     rows = np.empty((len(direction), point.dim))
     rows[:, 0] = point.moduli[0]
     # np.linalg.norm's own formula for a real array, without its dispatch; a 0 norm's nan fails check_orthant
-    unit = direction / np.sqrt(np.add.reduce(direction * direction, axis=1, keepdims=True))
+    unit = direction / np.sqrt(row_sum(direction * direction, keepdims=True))
     rows[:, 1:] = np.linalg.norm(point.moduli[1:]) * unit
     return rows
 

@@ -1,9 +1,10 @@
 """Dense complex linear algebra at small dimension.
 
 Checked Hermitian eigensystems (LAPACK eigh, phase-fixed where a result
-needs a convention), Haar-distributed unitary sampling, and orthonormal basis
-completion by QR.  Everything is plain double precision: the effects the
-experiments must detect are >= 0.01, far above rounding noise.
+needs a convention), Haar-distributed unitary sampling, orthonormal basis
+completion by QR, and the row sums and maxima of float stacks with numpy's
+bits.  Everything is plain double precision: the effects the experiments
+must detect are >= 0.01, far above rounding noise.
 """
 
 from __future__ import annotations
@@ -28,6 +29,39 @@ def unitary_defect(matrices: np.ndarray) -> float:
     """Largest |U^dag U - I| entry over a stack of square matrices (..., d, d)."""
     gram = np.conj(np.swapaxes(matrices, -1, -2)) @ matrices
     return float(np.max(np.abs(gram - np.eye(matrices.shape[-1]))))
+
+
+def row_sum(x: np.ndarray, keepdims: bool = False) -> np.ndarray:
+    """np.sum(x, axis=-1, keepdims=keepdims) of a float stack, with the same bits.
+
+    numpy starts each row at +0.0 and, below 8 entries, adds them in order
+    (a row of -0.0 sums to +0.0); from 8 on it sums pairwise in blocks of 8,
+    so those rows go to np.sum.  Below 8, d - 1 column adds over the stack
+    cost a few microseconds where numpy's reduction of a short last axis
+    costs tens.
+    """
+    d = x.shape[-1]
+    if not 0 < d < 8:
+        return np.sum(x, axis=-1, keepdims=keepdims)
+    total = x[..., 0] + 0.0  # a fresh array, and numpy's +0.0 start
+    for j in range(1, d):
+        total += x[..., j]
+    return total[..., None] if keepdims else total
+
+
+def row_max(x: np.ndarray) -> np.ndarray:
+    """np.max(x, axis=-1) of a float stack, as a running np.maximum over the columns.
+
+    A maximum is exact, and np.maximum settles what order could change as
+    numpy's reduction does (nan propagates, a tie of signed zeros keeps the
+    later entry), so the bits are numpy's.
+    """
+    if x.shape[-1] < 2:  # one entry, or none: numpy's own copy or error
+        return np.max(x, axis=-1)
+    out = x[..., 0]
+    for j in range(1, x.shape[-1]):
+        out = np.maximum(out, x[..., j])
+    return out
 
 
 def check_eigensystems(matrices: np.ndarray, values: np.ndarray, vectors: np.ndarray) -> None:

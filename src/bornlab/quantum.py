@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import Eigensystem, HermitianMatrix, check_eigensystems, fix_column_phases
+from .linalg import Eigensystem, HermitianMatrix, check_eigensystems, fix_column_phases, row_sum
 from .streams import substream
 from .tolerances import TOL, within
 
@@ -148,7 +148,7 @@ def sample_outcomes(p: np.ndarray, shots: int, rng: np.random.Generator) -> np.n
     """
     if np.minimum.reduce(p, axis=None, initial=0.0) < 0.0:  # a nan carries past, to the sum test
         raise ValueError("probabilities must be non-negative")
-    within(float(np.abs(np.sum(p, axis=-1) - 1.0).max()), TOL.unit_norm, "probability sum defect", NotNormalized)
+    within(float(np.abs(row_sum(p) - 1.0).max()), TOL.unit_norm, "probability sum defect", NotNormalized)
     return rng.multinomial(shots, np.minimum(p, 1.0))
 
 

@@ -17,6 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .linalg import row_sum
 from .quantum import ModulusVector, haar_scan, haar_state, moduli
 from .streams import substream
 
@@ -117,7 +118,7 @@ def rule_probabilities(rule: Rule, rows: np.ndarray) -> np.ndarray:
     if not rule.renormalized:
         return values
     with np.errstate(over="ignore"):  # an overflow is reported below
-        total = np.sum(values, axis=-1, keepdims=True)
+        total = row_sum(values, keepdims=True)
     if not np.all(np.isfinite(total)):
         raise DomainError("renormalization sum is not finite")
     if np.any(total <= 0.0):
@@ -129,7 +130,7 @@ def normalization_sum(rule: Rule, rows: np.ndarray) -> np.ndarray:
     """Row sums (...,) of rule_probabilities over orthant rows (..., d): one,
     within rounding, for a renormalized rule.  A sum that overflows is a DomainError."""
     with np.errstate(over="ignore"):  # finite values can still sum to inf, reported below
-        sums = np.sum(rule_probabilities(rule, rows), axis=-1)
+        sums = row_sum(rule_probabilities(rule, rows))
     if not np.all(np.isfinite(sums)):
         raise DomainError(f"the normalization sum of {rule.name} is not finite")
     return sums

@@ -18,6 +18,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .linalg import row_max, row_sum
 from .quantum import haar_scan
 from .rules import Affine
 from .tolerances import TOL
@@ -64,25 +65,29 @@ def outcome_stationarity(
 
     Rows are evaluated CHUNK_CELLS // d^2 at a time (at least one), which
     bounds the (rows, d, d) arrays at any d; each row's partials depend only
-    on that row, so the bits do not depend on the chunking.
+    on that row, so the bits do not depend on the chunking.  Copy j of a row
+    is the row with a_j moved by one fd_step, or by 0 where excluded.
     """
     step = TOL.fd_step
     rows = np.asarray(rows, dtype=np.float64)
     d = rows.shape[-1]
     flat, flat_ks = rows.reshape(-1, d), np.broadcast_to(ks, rows.shape[:-1]).reshape(-1)
     chunk = max(1, CHUNK_CELLS // (d * d))
-    residuals = []
+    residuals = np.empty_like(flat)
     for start in range(0, flat.shape[0], chunk):
         a, k = flat[start : start + chunk], flat_ks[start : start + chunk]
-        inside = (step <= a) & (a <= 1.0 - step) & (np.arange(d) != k[:, None])
-        shift = np.zeros((a.shape[0], d, d))
-        shift.reshape(-1, d * d)[:, :: d + 1] = np.where(inside, step, 0.0)  # copy j moves coordinate j only
-        up = p(a[:, None, :] + shift).reshape(-1)  # (row, j, outcome), flat
-        down = p(a[:, None, :] - shift).reshape(-1)
-        at = (np.arange(a.shape[0])[:, None] * d + np.arange(d)) * d + k[:, None]  # each row's outcome k, for every j
-        partial = (up[at] - down[at]) / (2.0 * step)
-        residuals.append(np.where(inside, partial - 2.0 * multiplier * a, 0.0))
-    return np.concatenate(residuals).reshape(rows.shape)
+        n = a.shape[0]
+        inside = (step <= a) & (a <= 1.0 - step)
+        inside[np.arange(n), k] = False
+        steps = np.where(inside, step, 0.0)
+        up = np.repeat(a[:, None, :], d, axis=1)  # (row, j, coordinate)
+        down = up.copy()
+        up.reshape(-1, d * d)[:, :: d + 1] += steps  # the diagonal: copy j moves coordinate j only
+        down.reshape(-1, d * d)[:, :: d + 1] -= steps
+        at = (np.arange(0, n * d * d, d) + np.repeat(k, d)).reshape(n, d)  # flat (row, j, k): row's outcome k, every j
+        partial = (p(up).reshape(-1)[at] - p(down).reshape(-1)[at]) / (2.0 * step)
+        residuals[start : start + chunk] = np.where(inside, partial - 2.0 * multiplier * a, 0.0)
+    return residuals.reshape(rows.shape)
 
 
 def closed_form_check(rows: np.ndarray, ks: np.ndarray, scale: float, offset: float) -> np.ndarray:
@@ -99,15 +104,15 @@ def closed_form_check(rows: np.ndarray, ks: np.ndarray, scale: float, offset: fl
 
     def outcomes(values: np.ndarray) -> np.ndarray:
         squares = values * values
-        return scale * (np.sum(squares, axis=-1, keepdims=True) - squares) + offset
+        return scale * (row_sum(squares, keepdims=True) - squares) + offset
 
     sum_form = np.abs(rule_stationarity(Affine(scale, offset), rows, scale))
-    return np.max(np.maximum(sum_form, np.abs(outcome_stationarity(outcomes, rows, ks, scale))), axis=-1)
+    return row_max(np.maximum(sum_form, np.abs(outcome_stationarity(outcomes, rows, ks, scale))))
 
 
 def power_sums(rows: np.ndarray) -> np.ndarray:
     """[sum a_i, sum a_i^2, sum a_i^3, sum a_i^4] for each orthant row, (..., 4)."""
-    return np.stack([np.sum(rows**n, axis=-1) for n in (1, 2, 3, 4)], axis=-1)
+    return np.stack([row_sum(rows**n) for n in (1, 2, 3, 4)], axis=-1)
 
 
 def fit_power_series(rows: np.ndarray) -> tuple[np.ndarray, float]:

@@ -1246,6 +1246,50 @@ def pair_states(d, n, rng):
     return np.array(rows)
 
 
+class TestRowReductionsKeepReports:
+    """With every module's row_sum and row_max bound back to numpy's last-axis reductions,
+    each report is the same bytes: the helpers change no result, below 8 entries or from 8 on."""
+
+    COMMANDS = [
+        ["stationarity", "--dims", "2,3,7,8,9"],
+        ["recover", "--dims", "2,7,8,9"],
+        *(["falsify", "--rule", rule, "--dim", str(d)] for rule in ("power:3", "affine:0.5:0.125") for d in (7, 8, 9)),
+        *(["independence", "--rule", "renorm:power:3", "--dim", str(d)] for d in (5, 9)),
+        *(["sample", "--dim", str(d), "--shots", "2000", "--trials", "3"] for d in (3, 9)),
+    ]
+    NUMPY = {
+        "row_sum": lambda x, keepdims=False: np.sum(x, axis=-1, keepdims=keepdims),
+        "row_max": lambda x: np.max(x, axis=-1),
+    }
+
+    @staticmethod
+    def reports(capsys, argv):
+        code = main(argv + ["--seed", "5"])
+        report = json.loads(capsys.readouterr().out)
+        payload = json.dumps({key: report[key] for key in ("results", "config", "pass")})
+        csv_code = main(argv + ["--seed", "5", "--format", "csv"])
+        return code, payload, csv_code, capsys.readouterr().out
+
+    @pytest.mark.parametrize("argv", COMMANDS, ids=lambda argv: ":".join(argv[::2]))
+    def test_numpy_reductions_give_the_same_bytes(self, capsys, monkeypatch, argv):
+        helpers = {getattr(linalg, name): name for name in self.NUMPY}
+        binders = set()
+        for module_name, module in list(sys.modules.items()):
+            if module_name == "bornlab" or module_name.startswith("bornlab."):
+                for attr, value in list(vars(module).items()):
+                    if any(value is helper for helper in helpers):
+                        monkeypatch.setattr(module, attr, self.NUMPY[helpers[value]])
+                        binders.add((module_name, attr))
+        assert binders >= {
+            ("bornlab.linalg", "row_sum"), ("bornlab.linalg", "row_max"), ("bornlab.quantum", "row_sum"),
+            ("bornlab.rules", "row_sum"), ("bornlab.invariance", "row_sum"),
+            ("bornlab.variational", "row_sum"), ("bornlab.variational", "row_max"),
+        }
+        patched = self.reports(capsys, argv)
+        monkeypatch.undo()
+        assert self.reports(capsys, argv) == patched
+
+
 class TestStackedEqualsPerBlock:
     """Commands draw each scan's rows from its one stream and compute once on
     the stacked rows; states drawn and normalized one pair at a time give the

@@ -1,4 +1,4 @@
-"""Eigendecomposition, Haar sampling, and basis completion."""
+"""Eigendecomposition, Haar sampling, basis completion, and row reductions."""
 
 import numpy as np
 import pytest
@@ -15,6 +15,8 @@ from bornlab.linalg import (
     eigendecompose,
     fix_column_phases,
     haar_array,
+    row_max,
+    row_sum,
 )
 from bornlab.tolerances import TOL
 
@@ -291,3 +293,83 @@ class TestCompleteBasis:
         u = complete_basis(v)
         gram = u.conj().T @ u
         assert np.max(np.abs(gram - np.eye(3))) <= 1e-10
+
+
+ROW_LENGTHS = [*range(1, 21), 127, 128, 129, 130]  # both sides of numpy's 8-entry pairwise blocks, and of 128
+
+
+def same_bits(got, want):
+    """Equal shapes and equal float64 bit patterns: -0.0 is not 0.0, and nan payloads count."""
+    got, want = np.asarray(got), np.asarray(want)
+    return got.shape == want.shape and np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def layouts(x):
+    """x (n, d) as a C-ordered stack, a 3-D stack, a transposed view, a strided view of every
+    other column and of every other row, and its first row alone."""
+    n, d = x.shape
+    wide = np.repeat(x, 2, axis=1)
+    return {
+        "c": x,
+        "3d": x[: n - n % 4].reshape(4, -1, d),
+        "transposed": np.ascontiguousarray(x.T).T,
+        "column-strided": wide[:, ::2],
+        "row-strided": np.repeat(x, 2, axis=0)[::2],
+        "one-row": x[0],
+    }
+
+
+def wide_range_rows(d, seed, n=64):
+    """Rows (n, d) of either sign spanning 1e-300 to 1e300: half share one magnitude per row
+    (where the order of additions decides the last bits), half draw one per entry."""
+    rng = np.random.default_rng(seed)
+    normal = rng.standard_normal((n, d))
+    row_scales = 10.0 ** rng.uniform(-300, 300, (n // 2, 1))
+    entry_scales = 10.0 ** rng.uniform(-300, 300, (n - n // 2, d))
+    return np.concatenate([normal[: n // 2] * row_scales, normal[n // 2 :] * entry_scales])
+
+
+class TestRowReductions:
+    """row_sum and row_max give np.sum and np.max over the last axis, bit for bit."""
+
+    @pytest.mark.parametrize("d", ROW_LENGTHS)
+    def test_row_sum_has_numpy_bits(self, d):
+        for name, x in layouts(wide_range_rows(d, seed=d)).items():
+            before = x.copy()
+            for keepdims in (False, True):
+                assert same_bits(row_sum(x, keepdims=keepdims), np.sum(x, axis=-1, keepdims=keepdims)), (name, keepdims)
+            assert same_bits(x, before), name  # the input is not written
+
+    @pytest.mark.parametrize("d", ROW_LENGTHS)
+    def test_row_max_has_numpy_bits(self, d):
+        for name, x in layouts(wide_range_rows(d, seed=1000 + d)).items():
+            assert same_bits(row_max(x), np.max(x, axis=-1)), name
+
+    @pytest.mark.parametrize("d", ROW_LENGTHS)
+    def test_a_row_of_negative_zeros_sums_to_positive_zero(self, d):
+        for name, x in layouts(np.full((8, d), -0.0)).items():
+            for keepdims in (False, True):
+                got = row_sum(x, keepdims=keepdims)
+                assert same_bits(got, np.sum(x, axis=-1, keepdims=keepdims)), (name, keepdims)
+                assert not np.any(np.signbit(got)), (name, keepdims)
+            assert same_bits(row_max(x), np.max(x, axis=-1)), name
+
+    @pytest.mark.parametrize("d", ROW_LENGTHS)
+    def test_rows_holding_inf_nan_and_signed_zeros(self, d):
+        rng = np.random.default_rng(2000 + d)
+        x = rng.standard_normal((64, d))
+        special = rng.random((64, d)) < 0.3
+        x[special] = rng.choice([np.inf, -np.inf, np.nan, 0.0, -0.0, 1e300, -1e300], special.sum())
+        with np.errstate(invalid="ignore", over="ignore"):  # inf - inf, and sums of 1e300 that overflow
+            for name, view in layouts(x).items():
+                for keepdims in (False, True):
+                    got, want = row_sum(view, keepdims=keepdims), np.sum(view, axis=-1, keepdims=keepdims)
+                    assert same_bits(got, want), (name, keepdims)
+                assert same_bits(row_max(view), np.max(view, axis=-1)), name
+
+    def test_empty_rows_and_stacks_follow_numpy(self):
+        assert same_bits(row_sum(np.zeros((3, 0))), np.zeros(3))
+        assert same_bits(row_sum(np.zeros((0, 3)), keepdims=True), np.zeros((0, 1)))
+        assert same_bits(row_max(np.zeros((0, 3))), np.zeros(0))
+        with pytest.raises(ValueError):
+            row_max(np.zeros((3, 0)))

@@ -118,6 +118,17 @@ class TestOutcomeStationarity:
         np.testing.assert_array_equal(np.flatnonzero(residuals), [1])
 
 
+def test_zero_rows_give_empty_residuals():
+    # no row, no residual: every form returns an empty array of the rows' shape, or one max per row
+    rows, ks = np.zeros((0, 3)), np.zeros(0, dtype=int)
+    for residuals in (
+        rule_stationarity(Born(), rows, 1.0),
+        outcome_stationarity(outcomes(Born()), rows, ks, 0.0),
+    ):
+        assert residuals.shape == (0, 3) and residuals.dtype == np.float64
+    assert closed_form_check(rows, ks, 2.0, -1.0).shape == (0,)
+
+
 class TestClosedForm:
     def test_starting_member_is_stationary(self):
         rows = haar_rows(3, range(100))
@@ -234,7 +245,7 @@ class TestRowKernelsMatchScalarFormulas:
     )
     def test_closed_form_check(self, rows, scale, offset, shift):
         # the scalar outcome form sums squares by a dot product, the row form
-        # by np.sum: a few ulps of p, divided by the step
+        # by linalg.row_sum: a few ulps of p, divided by the step
         bound = 8 * np.finfo(float).eps * (1.0 + abs(scale) + abs(offset)) / TOL.fd_step
         ks = (np.arange(len(rows)) + shift) % rows.shape[1]
         expected = [scalar_closed_form(a, k, scale, offset) for a, k in zip(rows, ks)]
