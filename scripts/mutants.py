@@ -340,6 +340,27 @@ MUTANTS = [
         "tests/test_linalg.py::TestRowReductions::test_row_max_has_numpy_bits",
         "a row maximum is a running minimum, so stationarity's worst residual per point is its best",
     ),
+    Mutant(
+        "bornlab/variational.py",
+        "    np.put(inside, at, False)\n",
+        "",
+        "tests/test_variational.py::TestOutcomeStationarity::test_renormalized_linear_has_no_constant_multiplier",
+        "the outcome form scores j = k, the outcome's own partial, which is no cross partial",
+    ),
+    Mutant(
+        "bornlab/variational.py",
+        "        up[:, j] = down[:, j] = a[:, j]\n",
+        "",
+        "tests/test_cli.py::TestStackedEqualsPerBlock::test_stationarity_moves_one_coordinate_at_a_time",
+        "each moved coordinate stays moved, so the partial in a_j is taken with every earlier a_i shifted too",
+    ),
+    Mutant(
+        "bornlab/variational.py",
+        "if not np.all((0 <= k) & (k < d)):",
+        "if False:",
+        "tests/test_variational.py::test_outcome_indices_outside_the_dimension_are_refused",
+        "an outcome index outside 0..d-1 reads another row's outcome, or the row's last, with no error",
+    ),
 ]
 
 

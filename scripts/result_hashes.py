@@ -32,7 +32,8 @@ from bornlab import cli
 # first 128 draws, a renormalized rule's scans at d=16, past the benchmark's d <= 8,
 # its observable scan at d=128, where a draw's eigenbasis is never formed,
 # stationarity and recover at d = 7, 8 and 9, on both sides of the 8 entries
-# from which numpy sums a row pairwise (linalg.row_sum), and
+# from which numpy sums a row pairwise (linalg.row_sum), stationarity at
+# d = 16 and 32, where the outcome form moves one of many coordinates at a time, and
 # one falsify run down each path of the verdict rule: a rule that misses
 # certainty and spreads at rounding level above a zero --tol-spread is
 # falsified by certainty (the earlier row), then by its spread once certainty
@@ -68,6 +69,7 @@ EDGE_CASES = [
     ["independence", "--rule", "renorm:power:4", "--dim", "128", "--trials", "300"],
     ["stationarity", "--dims", "7,8,9", "--trials", "200"],
     ["recover", "--dims", "7,8,9", "--trials", "200"],
+    ["stationarity", "--dims", "16,32", "--trials", "50"],
     ["falsify", "--rule", "renorm:affine:1:0.1", "--dim", "3", "--tol-spread", "0"],
     ["falsify", "--rule", "renorm:affine:1:0.1", "--dim", "3", "--tol-defect", "1", "--tol-spread", "0"],
     ["falsify", "--rule", "renorm:affine:1:0.1", "--dim", "2", "--tol-defect", "1"],

@@ -25,7 +25,6 @@ from .tolerances import TOL
 
 MIN_SAMPLES = 10 * 4  # ten sampled rows per fitted coefficient
 BOUNDARY_WEIGHT = 10.0  # weight of the f(1) = 1 row in fit_power_series
-CHUNK_CELLS = 4096 * 8**2  # (row, j, outcome) cells evaluated at once by outcome_stationarity
 
 
 class RankDeficient(RuntimeError):
@@ -58,35 +57,33 @@ def outcome_stationarity(
     """Residuals dp_k/da_j - 2 * multiplier * a_j for j != k, (..., d).
 
     p maps modulus arrays (..., d) to every outcome's probability (..., d);
-    ks names the outcome of each row.  Partials are raw central differences
-    in each coordinate (no projection back onto the sphere); the constraint
-    enters only through the multiplier term.  The residual at j = k and at
-    boundary-adjacent moduli is 0, as above.
+    ks names the outcome of each row, each in 0..d-1.  Partials are raw
+    central differences in each coordinate (no projection back onto the
+    sphere); the constraint enters only through the multiplier term.  The
+    residual at j = k and at boundary-adjacent moduli is 0, as above.
 
-    Rows are evaluated CHUNK_CELLS // d^2 at a time (at least one), which
-    bounds the (rows, d, d) arrays at any d; each row's partials depend only
-    on that row, so the bits do not depend on the chunking.  Copy j of a row
-    is the row with a_j moved by one fd_step, or by 0 where excluded.
+    The partials are taken one coordinate j at a time: one up and one down
+    copy of the rows move a_j by one fd_step (0 where excluded), p is
+    evaluated on both, and a_j is restored before the next j.  p sees only
+    (rows, d) arrays inside [0, 1], whatever d.
     """
     step = TOL.fd_step
     rows = np.asarray(rows, dtype=np.float64)
     d = rows.shape[-1]
-    flat, flat_ks = rows.reshape(-1, d), np.broadcast_to(ks, rows.shape[:-1]).reshape(-1)
-    chunk = max(1, CHUNK_CELLS // (d * d))
-    residuals = np.empty_like(flat)
-    for start in range(0, flat.shape[0], chunk):
-        a, k = flat[start : start + chunk], flat_ks[start : start + chunk]
-        n = a.shape[0]
-        inside = (step <= a) & (a <= 1.0 - step)
-        inside[np.arange(n), k] = False
-        steps = np.where(inside, step, 0.0)
-        up = np.repeat(a[:, None, :], d, axis=1)  # (row, j, coordinate)
-        down = up.copy()
-        up.reshape(-1, d * d)[:, :: d + 1] += steps  # the diagonal: copy j moves coordinate j only
-        down.reshape(-1, d * d)[:, :: d + 1] -= steps
-        at = (np.arange(0, n * d * d, d) + np.repeat(k, d)).reshape(n, d)  # flat (row, j, k): row's outcome k, every j
-        partial = (p(up).reshape(-1)[at] - p(down).reshape(-1)[at]) / (2.0 * step)
-        residuals[start : start + chunk] = np.where(inside, partial - 2.0 * multiplier * a, 0.0)
+    a, k = rows.reshape(-1, d), np.broadcast_to(ks, rows.shape[:-1]).reshape(-1)
+    if not np.all((0 <= k) & (k < d)):
+        raise ValueError(f"outcome indices must lie in 0..{d - 1}")
+    at = d * np.arange(a.shape[0]) + k  # flat index of each row's outcome
+    inside = (step <= a) & (a <= 1.0 - step)
+    np.put(inside, at, False)
+    steps = np.where(inside, step, 0.0)
+    up, down, partial = a.copy(), a.copy(), np.empty_like(a)
+    for j in range(d):
+        up[:, j] += steps[:, j]
+        down[:, j] -= steps[:, j]
+        partial[:, j] = np.take(p(up), at) - np.take(p(down), at)
+        up[:, j] = down[:, j] = a[:, j]
+    residuals = np.where(inside, partial / (2.0 * step) - 2.0 * multiplier * a, 0.0)
     return residuals.reshape(rows.shape)
 
 

@@ -1322,36 +1322,24 @@ class TestStackedEqualsPerBlock:
         names = ("max_sum_residual", "max_outcome_residual", "max_closed_form_residual")
         assert [report["results"][name] for name in names] == [float(x) for x in worst]
 
-    def test_stationarity_row_chunks(self, capsys, monkeypatch):
-        # a budget of 7 rows at d=8 (112 at d=2, 49 at d=3) splits every
-        # dimension's finite differences into many chunks, and no bit of the
-        # report moves
-        argv = ["stationarity", "--dims", "2,3,8", "--trials", "259"]
-
-        def outputs():
-            code, report = run_json(capsys, argv + ["--seed", str(self.SEED)])
-            return code, report["results"], report["pass"], self.csv_values(capsys, argv)
-
-        whole = outputs()
-        monkeypatch.setattr(variational, "CHUNK_CELLS", 7 * 8**2)
-        assert outputs() == whole
-
     @pytest.mark.parametrize("d", [2, 8, 32, 64])
-    def test_stationarity_chunks_stay_within_the_cell_budget(self, d):
-        # every finite-difference evaluation holds at most CHUNK_CELLS
-        # (row, j, outcome) cells, and at d=8 a chunk is 4,096 rows
-        shapes = []
+    def test_stationarity_moves_one_coordinate_at_a_time(self, d):
+        # p is evaluated 2 d times, up and down for each coordinate j in turn, on the
+        # (300, d) rows with column j moved by at most one fd_step and every entry in [0, 1]
+        calls = []
 
         def probabilities(values):
-            shapes.append(values.shape)
+            calls.append(values.copy())
             return rules.rule_probabilities(rules.Born(), values)
 
         _, rows = quantum.haar_scan(d, 300, self.SEED)
         ks = np.arange(300) % d
         variational.outcome_stationarity(probabilities, rows, ks, 0.0)
-        assert shapes and all(math.prod(shape) <= variational.CHUNK_CELLS for shape in shapes)
-        assert sum(shape[0] for shape in shapes) == 2 * 300  # each row is shifted up and down once
-        assert variational.CHUNK_CELLS // 8**2 == 4096
+        assert len(calls) == 2 * d
+        for i, values in enumerate(calls):
+            assert values.shape == (300, d) and np.all((0.0 <= values) & (values <= 1.0))
+            shift = np.abs(values - rows)  # calls 2 j and 2 j + 1 move coordinate j only
+            assert np.all(np.delete(shift, i // 2, axis=1) == 0.0) and np.all(shift[:, i // 2] <= 1.5 * TOL.fd_step)
 
     @pytest.mark.parametrize("trials", [127, 128, 259])
     def test_recover(self, trials):

@@ -118,6 +118,17 @@ class TestOutcomeStationarity:
         np.testing.assert_array_equal(np.flatnonzero(residuals), [1])
 
 
+@pytest.mark.parametrize("ks", [[-1, 0], [0, -1], [3, 0], [0, 3]])
+def test_outcome_indices_outside_the_dimension_are_refused(ks):
+    # a flat (row, k) index would read k = 3 at d = 3 as the next row's outcome 0, and k = -1 as
+    # the previous row's last outcome
+    rows = haar_rows(3, [1, 2])
+    with pytest.raises(ValueError, match="outcome indices"):
+        outcome_stationarity(outcomes(Born()), rows, ks, 0.0)
+    with pytest.raises(ValueError, match="outcome indices"):
+        closed_form_check(rows, ks, 2.0, -1.0)
+
+
 def test_zero_rows_give_empty_residuals():
     # no row, no residual: every form returns an empty array of the rows' shape, or one max per row
     rows, ks = np.zeros((0, 3)), np.zeros(0, dtype=int)
