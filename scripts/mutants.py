@@ -169,7 +169,7 @@ MUTANTS = [
         "bornlab/cli.py",
         "per_point = np.maximum(linalg.row_max(np.maximum(sum_res, out_res)), closed)",
         "per_point = linalg.row_max(np.maximum(sum_res, out_res))",
-        "tests/test_cli.py::TestStackedEqualsPerBlock::test_stationarity",
+        "tests/test_cli.py::TestStackedEqualsOneAtATime::test_stationarity",
         "stationarity's per-point value drops the closed-form residual, so a point's CSV value misses it",
     ),
     Mutant(
@@ -237,10 +237,10 @@ MUTANTS = [
     ),
     Mutant(
         "bornlab/cli.py",
-        "rngs = [substream(seed, t) for t in range(5)]",
-        "rngs = [substream(seed, 0)] * 5",
-        "tests/test_cli.py::TestStackedEqualsPerBlock::test_sample_draws_part_t_of_every_pair_from_stream_t",
-        "every part of sample draws from one stream, so a pair's counts follow its state's draws and replay from no address",
+        "bases = linalg.haar_array(d, substream(seed, 1), (n,))",
+        "bases = linalg.haar_array(d, substream(seed, 0), (n,))",
+        "tests/test_cli.py::TestStackedEqualsOneAtATime::test_sample_draws_part_t_of_every_pair_from_stream_t",
+        "sample's eigenbases draw from stream 0, the states' stream, so a pair's basis repeats its state's draws",
     ),
     Mutant(
         "bornlab/quantum.py",
@@ -258,7 +258,7 @@ MUTANTS = [
     ),
     Mutant(
         "bornlab/cli.py",
-        "if not any(dof for _, dof, _ in tests) and all(repeats):",
+        "if not tested and all(repeats):",
         "if False:",
         "tests/test_cli.py::TestExitCodes::test_sample_that_tests_no_frequency_is_inconclusive",
         "sample with too few shots for any chi-square passes, though no frequency was tested",
@@ -351,7 +351,7 @@ MUTANTS = [
         "bornlab/variational.py",
         "        up[:, j] = down[:, j] = a[:, j]\n",
         "",
-        "tests/test_cli.py::TestStackedEqualsPerBlock::test_stationarity_moves_one_coordinate_at_a_time",
+        "tests/test_cli.py::TestStackedEqualsOneAtATime::test_stationarity_moves_one_coordinate_at_a_time",
         "each moved coordinate stays moved, so the partial in a_j is taken with every earlier a_i shifted too",
     ),
     Mutant(
@@ -360,6 +360,34 @@ MUTANTS = [
         "if False:",
         "tests/test_variational.py::test_outcome_indices_outside_the_dimension_are_refused",
         "an outcome index outside 0..d-1 reads another row's outcome, or the row's last, with no error",
+    ),
+    Mutant(
+        "bornlab/quantum.py",
+        "if square_sum == square_sum and values and min(values) < 0.0:",
+        "if False:",
+        "tests/test_quantum.py::TestStateAndModulus::test_modulus_rejects_negative",
+        "a ModulusVector with a negative entry and unit square sum is accepted, so a witness lies off the orthant",
+    ),
+    Mutant(
+        "bornlab/quantum.py",
+        "if np.minimum.reduce(rows, axis=None, initial=0.0) < 0.0:",
+        "if False:",
+        "tests/test_quantum.py::TestStateAndModulus::test_modulus_and_orthant_reject_boundary_cases",
+        "a stack of moduli rows with a negative entry and unit square sums is scored",
+    ),
+    Mutant(
+        "bornlab/quantum.py",
+        "np.abs(np.vecdot(rows, rows) - 1.0).max(initial=0.0)",
+        "np.abs(np.vecdot(rows, rows) - 1.0).flat[0]",
+        "tests/test_quantum.py::TestStateAndModulus::test_modulus_and_orthant_reject_boundary_cases",
+        "a stack's orthant check reads its first row's square sum alone, so a later row off the sphere is scored",
+    ),
+    Mutant(
+        "bornlab/cli.py",
+        'within(linalg.unitary_defect(bases), TOL.orthonormality, "eigenbases are not orthonormal: defect")',
+        "pass",
+        "tests/test_cli.py::TestExitCodes::test_sample_draw_off_the_sphere_is_a_crash",
+        "sample's eigenbases are not checked, so a basis off the unitary group is caught only as a probability sum",
     ),
 ]
 

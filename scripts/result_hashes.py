@@ -33,8 +33,9 @@ from bornlab import cli
 # its observable scan at d=128, where a draw's eigenbasis is never formed,
 # stationarity and recover at d = 7, 8 and 9, on both sides of the 8 entries
 # from which numpy sums a row pairwise (linalg.row_sum), stationarity at
-# d = 16 and 32, where the outcome form moves one of many coordinates at a time, and
-# one falsify run down each path of the verdict rule: a rule that misses
+# d = 16 and 32, where the outcome form moves one of many coordinates at a time,
+# sample with every pair's counts pooled into one cell (inconclusive), and one
+# falsify run down each path of the verdict rule: a rule that misses
 # certainty and spreads at rounding level above a zero --tol-spread is
 # falsified by certainty (the earlier row), then by its spread once certainty
 # is tolerated, and at d=2, where both spreads vanish, is inconclusive
@@ -70,6 +71,7 @@ EDGE_CASES = [
     ["stationarity", "--dims", "7,8,9", "--trials", "200"],
     ["recover", "--dims", "7,8,9", "--trials", "200"],
     ["stationarity", "--dims", "16,32", "--trials", "50"],
+    ["sample", "--dim", "2", "--shots", "5", "--trials", "3"],
     ["falsify", "--rule", "renorm:affine:1:0.1", "--dim", "3", "--tol-spread", "0"],
     ["falsify", "--rule", "renorm:affine:1:0.1", "--dim", "3", "--tol-defect", "1", "--tol-spread", "0"],
     ["falsify", "--rule", "renorm:affine:1:0.1", "--dim", "2", "--tol-defect", "1"],

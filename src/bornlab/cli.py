@@ -375,22 +375,18 @@ def cmd_spin1(args) -> Verdict:
 
 def cmd_sample(args) -> Verdict:
     d, seed, shots, n = args.dim, args.seed, args.shots, args.trials
-    # stream t draws part t of every pair, pair by pair: 0 states, 1 bases, 2 counts, 3 first outcomes, 4 repeats
-    rngs = [substream(seed, t) for t in range(5)]
-    # every pair's eigenbasis, a Haar unitary factored from its Ginibre matrix (real parts first) and
-    # checked as one stack; it needs no spectrum, which would only label the outcomes
-    g = rngs[1].standard_normal((n, 2, d, d))  # pair i's is linalg.ginibre(rngs[1], (d, d))
-    bases = linalg.haar_factor(g[:, 0] + 1j * g[:, 1])
+    # stream t draws part t of every pair, pair by pair: 0 states (checked by haar_scan), 1 bases,
+    # 2 counts, 3 first outcomes, 4 repeats
+    states, _ = quantum.haar_scan(d, n, seed, 0)
+    # every pair's eigenbasis, a Haar unitary checked as one stack; it needs no spectrum, which
+    # would only label the outcomes
+    bases = linalg.haar_array(d, substream(seed, 1), (n,))
     within(linalg.unitary_defect(bases), TOL.orthonormality, "eigenbases are not orthonormal: defect")
-
-    def born(states: np.ndarray) -> np.ndarray:
-        """Born probabilities of every pair's state row (n, d) in its eigenbasis, one stacked scoring (n, d)."""
-        rows = np.abs(np.vecdot(bases, states[:, :, None], axis=-2))  # row i is bases[i]^dag states[i]
-        quantum.check_orthant(rows)
-        return rules.rule_probabilities(rules.Born(), rows)
-
-    p = born(quantum.haar_rows(rngs[0].standard_normal((n, 2, d))))
-    counts = quantum.sample_outcomes(p, shots, rngs[2])
+    # Born probabilities of every pair's row (n, d) in its eigenbasis (row i is bases[i]^dag rows[i]),
+    # which sample_outcomes checks before it draws
+    born = lambda rows: rules.rule_probabilities(rules.Born(), np.abs(np.vecdot(bases, rows[:, :, None], axis=-2)))
+    p = born(states)
+    counts = quantum.sample_outcomes(p, shots, substream(seed, 2))
     frequencies = counts / shots
     tests = [quantum.chi_square_test(counts[i], shots * p[i]) for i in range(n)]
     # a pair whose counts pool into one cell (dof 0) is not tested; the Sidak level of each tested
@@ -398,9 +394,9 @@ def cmd_sample(args) -> Verdict:
     tested = sum(1 for _, dof, _ in tests if dof)
     threshold = TOL.sample_p_value(tested) if tested else None
     # first outcomes, one shot each as measure() takes it, and 100 re-measurements of each collapsed column
-    firsts = np.argmax(quantum.sample_outcomes(p, 1, rngs[3]), axis=-1)
+    firsts = np.argmax(quantum.sample_outcomes(p, 1, substream(seed, 3)), axis=-1)
     post = born(bases[np.arange(n), :, firsts])
-    repeats = (quantum.sample_outcomes(post, 100, rngs[4])[np.arange(n), firsts] == 100).tolist()
+    repeats = (quantum.sample_outcomes(post, 100, substream(seed, 4))[np.arange(n), firsts] == 100).tolist()
     pairs = [
         {"pair": i, "frequencies": frequencies[i].tolist(), "born": p[i].tolist(),
          "chi_square": statistic, "dof": dof, "p_value": p_value, "within_3_sigma": p_value >= threshold if dof else None,
@@ -411,9 +407,9 @@ def cmd_sample(args) -> Verdict:
     within_all = all(pair["within_3_sigma"] for pair in pairs if pair["dof"])
     results = {"pairs": pairs, "p_value_threshold": threshold, "alpha": TOL.sample_alpha,
                "all_within_3_sigma": within_all, "all_repeat_consistent": all(repeats)}
-    if not any(dof for _, dof, _ in tests) and all(repeats):  # a failed repeat is still a failure
+    if not tested and all(repeats):  # a failed repeat is still a failure
         results["inconclusive"] = "every pair's counts pool into one cell, so no frequency is tested; raise --shots"
-    return results, within_all and all(repeats) and "inconclusive" not in results, series
+    return results, bool(tested) and within_all and all(repeats), series
 
 
 def parse(argv: list[str] | None = None) -> argparse.Namespace:

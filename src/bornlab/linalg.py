@@ -158,8 +158,11 @@ def eigendecompose(matrix: np.ndarray) -> Eigensystem:
 
 
 def ginibre(rng: np.random.Generator, shape: tuple[int, ...]) -> np.ndarray:
-    """Complex standard Gaussian entries, all real parts drawn first."""
-    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    """Complex standard Gaussian matrices (..., d, d), drawn one matrix at a time, its real
+    parts before its imaginary parts: a stack has the bits of its members drawn one after
+    another, so its first k matrices are those of a k-stack."""
+    pairs = rng.standard_normal((*shape[:-2], 2, *shape[-2:]))
+    return pairs[..., 0, :, :] + 1j * pairs[..., 1, :, :]
 
 
 def haar_factor(ginibres: np.ndarray) -> np.ndarray:
@@ -173,7 +176,8 @@ def haar_factor(ginibres: np.ndarray) -> np.ndarray:
 
 
 def haar_array(dim: int, rng: np.random.Generator, batch: tuple[int, ...] = ()) -> np.ndarray:
-    """Raw Haar unitaries (dim >= 1), one per index of ``batch``: haar_factor of one Ginibre draw."""
+    """Raw Haar unitaries (dim >= 1), one per index of ``batch``: haar_factor of one Ginibre
+    draw, so the stack's members are successive haar_array(dim, rng) draws, bit for bit."""
     if dim < 1:
         raise ValueError("dimension must be at least 1")
     return haar_factor(ginibre(rng, (*batch, dim, dim)))

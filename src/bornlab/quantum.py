@@ -47,25 +47,15 @@ class StateVector:
 
 
 def check_orthant(rows: np.ndarray) -> None:
-    """Reject moduli rows (..., d) unless each is non-negative with unit square sum."""
-    # One row (each ModulusVector, so each trial of a short defect scan) takes
-    # Python's sum and min over its float list, cheaper than numpy on a few
-    # entries; a stack takes one reduce and one vecdot.  A square that
-    # overflows is inf, silently: Python floats do not warn, and errstate (too
-    # dear per row) covers the stack.  A nan anywhere is NotNormalized on
-    # both: numpy's minimum carries it past the sign test, and Python's min
-    # can skip it, so a row's sign test needs a non-nan sum.
-    if rows.ndim == 1:
-        values = rows.tolist()
-        square_sum = sum([x * x for x in values])
-        if square_sum == square_sum and values and min(values) < 0.0:
+    """Reject a stack of moduli rows (..., d) unless each is non-negative with unit square sum.
+
+    One reduce and one vecdot over the stack; a square that overflows is inf, under errstate.
+    A nan anywhere is NotNormalized: numpy's minimum carries it past the sign test to the sum.
+    """
+    with np.errstate(over="ignore"):
+        if np.minimum.reduce(rows, axis=None, initial=0.0) < 0.0:
             raise ValueError("moduli must be non-negative")
-        defect = abs(square_sum - 1.0)
-    else:
-        with np.errstate(over="ignore"):
-            if np.minimum.reduce(rows, axis=None, initial=0.0) < 0.0:
-                raise ValueError("moduli must be non-negative")
-            defect = float(np.abs(np.vecdot(rows, rows) - 1.0).max(initial=0.0))
+        defect = float(np.abs(np.vecdot(rows, rows) - 1.0).max(initial=0.0))
     within(defect, TOL.unit_norm, "orthant norm defect", NotNormalized)
 
 
@@ -77,7 +67,15 @@ class ModulusVector:
 
     def __post_init__(self) -> None:
         moduli = np.array(self.moduli, dtype=np.float64).reshape(-1)
-        check_orthant(moduli)
+        # check_orthant's test on one row, by Python's sum and min over its float list, cheaper
+        # than numpy on a few entries.  A square that overflows is inf, silently: Python floats
+        # do not warn.  Python's min can skip a nan, so the sign test needs a non-nan sum, and a
+        # nan anywhere is NotNormalized, as in check_orthant.
+        values = moduli.tolist()
+        square_sum = sum([x * x for x in values])
+        if square_sum == square_sum and values and min(values) < 0.0:
+            raise ValueError("moduli must be non-negative")
+        within(abs(square_sum - 1.0), TOL.unit_norm, "orthant norm defect", NotNormalized)
         moduli.setflags(write=False)
         object.__setattr__(self, "moduli", moduli)
 

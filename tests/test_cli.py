@@ -239,7 +239,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("command", cli.COMMANDS)
     @pytest.mark.parametrize("trials", [str(2**32 + 1), "5000000000"])
-    def test_trials_past_a_family_index_is_usage_error(self, capsys, command, trials):
+    def test_trials_past_the_row_bound_is_usage_error(self, capsys, command, trials):
         # no command can hold 2**32 rows, so more trials are out of range: a usage error, not a runtime
         # failure.  Only values past the bound are run, so the check stops them before any draw
         rule = ["--rule", "power:3"] if command == "falsify" else []
@@ -350,6 +350,22 @@ class TestExitCodes:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("bornlab: runtime failure: NotNormalized: orthant norm defect")
+        assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
+
+    @pytest.mark.parametrize(
+        "module, name, message",
+        [(linalg, "haar_array", "ValueError: eigenbases are not orthonormal"), (quantum, "haar_rows", "NotNormalized: orthant norm defect")],
+        ids=["bases", "states"],
+    )
+    def test_sample_draw_off_the_sphere_is_a_crash(self, capsys, monkeypatch, module, name, message):
+        # doubled eigenbases or doubled states are stopped where they are drawn, by the bases'
+        # unitarity check or haar_scan's orthant check: a crash, reported as one line, never as a verdict
+        real = getattr(module, name)
+        monkeypatch.setattr(module, name, lambda *args: 2.0 * real(*args))
+        assert main(["sample", "--dim", "3", "--shots", "100", "--trials", "4"]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"bornlab: runtime failure: {message}")
         assert captured.err.count("\n") == 1 and "Traceback" not in captured.err
 
     @pytest.mark.parametrize(
@@ -1042,7 +1058,7 @@ def test_observable_scan_factors_no_unitary(capsys, monkeypatch):
     capsys.readouterr()
 
 
-class TestBlocks:
+class TestScanAddresses:
     POINTS = 259  # per dimension
     COMMANDS = {  # each dimension's points are one scan, at its own address
         "stationarity": (["stationarity", "--dims", "2,3"], [(7, 0), (7, 1)]),
@@ -1290,7 +1306,7 @@ class TestRowReductionsKeepReports:
         assert self.reports(capsys, argv) == patched
 
 
-class TestStackedEqualsPerBlock:
+class TestStackedEqualsOneAtATime:
     """Commands draw each scan's rows from its one stream and compute once on
     the stacked rows; states drawn and normalized one pair at a time give the
     same bits."""
@@ -1392,10 +1408,12 @@ class TestStackedEqualsPerBlock:
         assert report["results"]["all_repeat_consistent"] == all(repeats)
 
     def test_sample_draws_part_t_of_every_pair_from_stream_t(self, capsys, monkeypatch):
-        # the command takes substream(seed, t) for t = 0..4 and nothing else, and each stream
-        # draws its part pair by pair, so the first pairs of a run are those of a shorter run
+        # the command takes substream(seed, t) for t = 0..4 and nothing else, stream 0 through
+        # haar_scan, and each stream draws its part pair by pair, so the first pairs of a run are
+        # those of a shorter run
         addresses = []
-        monkeypatch.setattr(cli, "substream", lambda *address: addresses.append(address) or substream(*address))
+        for module in (cli, quantum):
+            monkeypatch.setattr(module, "substream", lambda *address: addresses.append(address) or substream(*address))
         argv = ["sample", "--dim", "4", "--shots", "500", "--seed", str(self.SEED)]
         longer = run_json(capsys, argv + ["--trials", "9"])[1]["results"]["pairs"]
         assert addresses == [(self.SEED, t) for t in range(5)]

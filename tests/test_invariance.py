@@ -223,7 +223,7 @@ class TestObservableWithEigenstate:
             match_eigenvector(vectors, phi.amplitudes)
 
 
-class TestBlockKernelsMatchScalarFormulas:
+class TestRowKernelsMatchScalarFormulas:
     PLAIN = st.one_of(
         st.just(Born()),
         st.floats(0.5, 5.0).map(Power),
@@ -394,7 +394,7 @@ class TestLawSeparation:
             assert np.all(np.abs(x.var(0) - var) <= 4 * var_se)
 
 
-class TestBlocks:
+class TestScanAddresses:
     DRAWS = 259
 
     def scans(self):
@@ -513,7 +513,7 @@ class TestPermutationEquivariance:
     sum runs in another order and agrees to rounding."""
 
     RULES = st.one_of(
-        TestBlockKernelsMatchScalarFormulas.PLAIN, TestBlockKernelsMatchScalarFormulas.POSITIVE.map(Renormalized)
+        TestRowKernelsMatchScalarFormulas.PLAIN, TestRowKernelsMatchScalarFormulas.POSITIVE.map(Renormalized)
     )
 
     @staticmethod

@@ -189,15 +189,24 @@ class TestHaarUnitary:
         assert abs(corner.mean() - 0.5) < 3 * standard_error
 
     def test_batched_draws_equal_per_matrix_qr(self):
-        # reference: the Ginibre draw of the whole stack, one QR and phase fix per matrix
+        # reference: n successive unbatched draws over one generator, each one QR and phase fix,
+        # bit for bit; so the first k matrices of an n-stack are a k-stack
         u = haar_array(3, np.random.default_rng(5), (40,))
         rng = np.random.default_rng(5)
-        ginibre = rng.standard_normal((40, 3, 3)) + 1j * rng.standard_normal((40, 3, 3))
         assert u.shape == (40, 3, 3)
-        for got, g in zip(u, ginibre):
-            q, r = np.linalg.qr(g)
-            np.testing.assert_allclose(got, q * (np.diag(r) / np.abs(np.diag(r))), rtol=0, atol=1e-14)
-            assert np.max(np.abs(got.conj().T @ got - np.eye(3))) < 1e-12
+        assert u.tobytes() == np.array([haar_array(3, rng) for _ in range(40)]).tobytes()
+        for k in (0, 1, 7, 39):
+            assert haar_array(3, np.random.default_rng(5), (k,)).tobytes() == u[:k].tobytes(), k
+        assert np.max(np.abs(np.conj(np.swapaxes(u, -1, -2)) @ u - np.eye(3))) < 1e-12
+
+    @pytest.mark.parametrize("d", [1, 3, 8])
+    def test_one_draw_factors_one_ginibre_matrix(self, d):
+        # an unbatched draw takes the real parts, then the imaginary parts, of one
+        # Ginibre matrix, and one QR and phase fix of it, bit for bit
+        rng = np.random.default_rng(d)
+        q, r = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+        expected = q * (np.diag(r) / np.abs(np.diag(r)))
+        assert haar_array(d, np.random.default_rng(d)).tobytes() == expected.tobytes()
 
     def test_zero_draw_is_rejected_not_redrawn(self):
         # a Ginibre draw of zeros (probability 0) leaves R a zero diagonal:

@@ -269,7 +269,7 @@ class TestStateAndModulus:
 
     @pytest.mark.parametrize("d", [2, 3, 8])
     @pytest.mark.parametrize("n", [1, 127, 128, 129, 1000])
-    def test_blocks_are_normalized_as_if_one_at_a_time(self, d, n):
+    def test_scan_rows_are_normalized_as_if_one_at_a_time(self, d, n):
         # row i of a scan is the i-th (2, d) pair of its one stream, drawn
         # here one pair at a time, and one division and one check on the
         # stacked rows keep the bits of each row's own z / norm(z); the moduli
@@ -483,10 +483,9 @@ class TestMeasurement:
         np.testing.assert_array_equal(a, b)
 
     @pytest.mark.parametrize("shots", [1, 6, 7, 50, 301])
-    def test_chunked_counts_equal_one_draw(self, shots):
-        # the name is kept from the chunked inverse-CDF draw: the counts of any
-        # shot number are now one multinomial draw from the generator as it
-        # stands, and they add up to the shots
+    def test_counts_are_one_multinomial_draw(self, shots):
+        # the counts of any shot number are one multinomial draw from the
+        # generator as it stands, and they add up to the shots
         vectors = haar_array(3, np.random.default_rng(16))
         p = born(haar_state(3, np.random.default_rng(17)), vectors)
         counts = sample_outcomes(p[None], shots, np.random.default_rng(18))[0]
@@ -503,7 +502,7 @@ class TestMeasurement:
             ([0.125] * 8, 1.0 - 2e-13),
         ],
     )
-    def test_chunked_counts_equal_one_draw_at_the_edges(self, probabilities, scale):
+    def test_counts_are_one_multinomial_draw_at_the_edges(self, probabilities, scale):
         # the Born row of the state with these probabilities, and the
         # renorm:power:4 row at its moduli: any distribution takes one draw
         # rule, in which a zero cell takes no shot and the last outcome takes

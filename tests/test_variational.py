@@ -319,7 +319,7 @@ class TestRecovery:
         np.testing.assert_allclose(coefficients, [0.0, 1.0, 0.0, 0.0], atol=1e-3)
 
 
-class TestRecoveryBlocks:
+class TestRecoveryAddresses:
     SAMPLES = 259  # per dimension
 
     def test_dimension_di_draws_from_substream_seed_di(self, monkeypatch):
