@@ -293,17 +293,38 @@ MUTANTS = [
     ),
     Mutant(
         "bornlab/quantum.py",
-        "    check_orthant(rows)\n    return states, rows",
-        "    return states, rows",
-        "tests/test_quantum.py::TestStateAndModulus::test_a_zero_draw_in_a_one_stream_scan_is_not_normalized",
-        "haar_scan checks no state, so a scan of ONE_STREAM_MIN or more trials reports a zero draw as a domain error",
+        "    check_orthant(np.abs(states))\n    return states",
+        "    return states",
+        "tests/test_cli.py::TestExitCodes::test_sample_draw_off_the_sphere_is_a_crash[states]",
+        "haar_scan checks no state, so sample's doubled states are caught only as probability rows, not where drawn",
     ),
     Mutant(
         "bornlab/quantum.py",
         "states = haar_rows(substream(seed, *indices).standard_normal((n, 2, dim)))",
         "states = haar_rows(substream(seed, *indices).standard_normal((2, n, dim)).transpose(1, 0, 2))",
-        "tests/test_rules.py::TestDefectScan::test_first_k_trials_are_a_k_trial_scan",
+        "tests/test_cli.py::TestStackedEqualsOneAtATime::test_sample_draws_part_t_of_every_pair_from_stream_t",
         "a scan draws all its real parts before its imaginary parts, so row i depends on how many rows follow it",
+    ),
+    Mutant(
+        "bornlab/quantum.py",
+        "    check_orthant(rows)\n    return rows",
+        "    return rows",
+        "tests/test_quantum.py::TestStateAndModulus::test_a_zero_draw_in_a_one_stream_scan_is_not_normalized",
+        "haar_moduli checks no row, so a scan of ONE_STREAM_MIN or more trials reports a zero draw as a domain error",
+    ),
+    Mutant(
+        "bornlab/quantum.py",
+        "e = substream(seed, *indices).standard_exponential((n, dim))",
+        "e = substream(seed, *indices).standard_exponential((dim, n)).T",
+        "tests/test_rules.py::TestDefectScan::test_first_k_trials_are_a_k_trial_scan",
+        "a moduli scan draws column by column, so row i depends on how many rows follow it",
+    ),
+    Mutant(
+        "bornlab/quantum.py",
+        "rows = np.sqrt(e / row_sum(e, keepdims=True))",
+        "rows = e / np.sqrt(np.vecdot(e, e))[:, None]",
+        "tests/test_quantum.py::TestStateAndModulus::test_moduli_have_the_haar_law[8-haar_moduli]",
+        "moduli rows are normalized exponentials, on the unit orthant but not Haar-distributed",
     ),
     Mutant(
         "bornlab/cli.py",

@@ -336,7 +336,7 @@ def cmd_stationarity(args) -> Verdict:
     series = []
     worst = np.zeros(3)  # sum-form, outcome-form and closed-form residuals
     for di, d in enumerate(args.dims):
-        _, rows = quantum.haar_scan(d, args.trials, args.seed, di)
+        rows = quantum.haar_moduli(d, args.trials, args.seed, di)
         ks = np.arange(args.trials) % d
         sum_res = np.abs(variational.rule_stationarity(born, rows, 1.0))
         out_res = np.abs(variational.outcome_stationarity(probabilities, rows, ks, 0.0))
@@ -360,7 +360,7 @@ def cmd_spin1(args) -> Verdict:
     k_z, k_x = (int(k) for k in invariance.match_eigenvector(vectors, np.eye(3)[1]))
     pair = np.column_stack([vectors[0, :, k_z], vectors[1, :, k_x]])
 
-    amplitudes = quantum.haar_scan(3, args.trials, args.seed)[0] @ np.conj(pair)
+    amplitudes = quantum.haar_scan(3, args.trials, args.seed) @ np.conj(pair)
     p = rules.rule_probabilities(rules.Born(), np.abs(amplitudes))
     deltas = np.abs(p[:, 0] - p[:, 1])
     results = {
@@ -377,7 +377,7 @@ def cmd_sample(args) -> Verdict:
     d, seed, shots, n = args.dim, args.seed, args.shots, args.trials
     # stream t draws part t of every pair, pair by pair: 0 states (checked by haar_scan), 1 bases,
     # 2 counts, 3 first outcomes, 4 repeats
-    states, _ = quantum.haar_scan(d, n, seed, 0)
+    states = quantum.haar_scan(d, n, seed, 0)
     # every pair's eigenbasis, a Haar unitary checked as one stack; it needs no spectrum, which
     # would only label the outcomes
     bases = linalg.haar_array(d, substream(seed, 1), (n,))

@@ -207,15 +207,26 @@ def haar_state(dim: int, rng: np.random.Generator) -> StateVector:
     return StateVector(haar_rows(rng.standard_normal((2, dim))[None])[0])
 
 
-def haar_scan(dim: int, n: int, seed: int, *indices: int) -> tuple[np.ndarray, np.ndarray]:
-    """The n Haar states of the scan at (seed, *indices) as amplitude rows (n, dim), and
-    their moduli (n, dim), checked once: haar_rows of n pairs drawn one after another from
-    substream(seed, *indices), so no row depends on how many follow it.  A zero row
-    (probability 0) becomes nan and fails the check."""
+def haar_scan(dim: int, n: int, seed: int, *indices: int) -> np.ndarray:
+    """The n Haar states of the scan at (seed, *indices) as amplitude rows (n, dim), their
+    moduli checked once: haar_rows of n pairs drawn one after another from substream(seed,
+    *indices), so no row depends on how many follow it.  A zero row (probability 0) becomes
+    nan and fails the check."""
     states = haar_rows(substream(seed, *indices).standard_normal((n, 2, dim)))
-    rows = np.abs(states)
+    check_orthant(np.abs(states))
+    return states
+
+
+def haar_moduli(dim: int, n: int, seed: int, *indices: int) -> np.ndarray:
+    """The moduli (n, dim) of n Haar states of the scan at (seed, *indices), checked once,
+    drawn without the states: a Haar state's squared moduli are Dirichlet(1, ..., 1), the
+    flat measure on the probability simplex, so row i is sqrt(e / sum(e)) of the i-th dim
+    standard exponentials of substream(seed, *indices), and no row depends on how many
+    follow it.  A zero row (probability 0) becomes nan and fails the check."""
+    e = substream(seed, *indices).standard_exponential((n, dim))
+    rows = np.sqrt(e / row_sum(e, keepdims=True))
     check_orthant(rows)
-    return states, rows
+    return rows
 
 
 @functools.cache

@@ -18,12 +18,13 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .linalg import row_sum
-from .quantum import ModulusVector, haar_scan, haar_state, moduli
+from .quantum import ModulusVector, haar_moduli, haar_state, moduli
 from .streams import substream
 
-# Trials from which a defect scan draws every trial from one stream (quantum.haar_scan), not a substream each:
-# faster from 2 trials on (d = 5: 46 us for 8 trials, 131 us for 7 per row), and 8 keeps the per-trial draws and
-# checks of every smaller scan, the renormalized witnesses and the tracer's --trials 3 pin among them.
+# Trials from which a defect scan draws every trial's moduli from one stream (quantum.haar_moduli), not a
+# state from a substream each: faster from 2 trials on (d = 5, 2-core x86-64 VM: 49 us for 2 trials and 50 us for
+# 8 from one stream, 72 us for 2 and 180 us for 7 per row), and 8 keeps the per-trial draws and checks of every
+# smaller scan, the renormalized witnesses and the tracer's --trials 3 pin among them.
 ONE_STREAM_MIN = 8
 
 
@@ -140,8 +141,9 @@ def normalization_sum(rule: Rule, rows: np.ndarray) -> np.ndarray:
 class NormalizationReport:
     """Defect statistics |sum_i f(a_i) - 1| over Haar-random states.
 
-    From ONE_STREAM_MIN trials on, trial i is row i of the rows drawn in turn
-    from substream(*address); below it, trial i is drawn from
+    From ONE_STREAM_MIN trials on, trial i is row i of the moduli rows drawn
+    in turn from substream(*address), d standard exponentials each
+    (quantum.haar_moduli); below it, trial i is a Haar state drawn from
     substream(*address, i).  Either way the address replays the witness.
     """
 
@@ -169,11 +171,12 @@ class NormalizationReport:
 def defect_scan(rule: Rule, dim: int, trials: int, seed: int, *address: int) -> NormalizationReport:
     """Measure the normalization defect over Haar-random states.
 
-    From ONE_STREAM_MIN trials on, the states are quantum.haar_scan rows (trial
-    i is the i-th pair drawn from substream(seed, *address), so the first k
-    trials are those of a k-trial scan), and one check_orthant checks their
-    moduli.  Below it, trial i is moduli(haar_state(dim, substream(seed,
-    *address, i))), checked alone.  Either way the report
+    From ONE_STREAM_MIN trials on, the moduli are quantum.haar_moduli rows,
+    drawn without the states (trial i is sqrt(e / sum(e)) of the i-th dim
+    exponentials drawn from substream(seed, *address), so the first k trials
+    are those of a k-trial scan), and one check_orthant checks them.  Below
+    it, trial i is moduli(haar_state(dim, substream(seed, *address, i))),
+    checked alone.  Either way the moduli have the Haar law and the report
     is a deterministic function of (rule, dim, trials, seed, *address), and
     the rule is evaluated once, on the stacked moduli.  The worst state (the
     first at the maximum) is recorded as a falsification witness.  A
@@ -185,7 +188,7 @@ def defect_scan(rule: Rule, dim: int, trials: int, seed: int, *address: int) -> 
     renormalized = rule.renormalized
     n = 1 if renormalized else trials
     if n >= ONE_STREAM_MIN:
-        _, stacked = haar_scan(dim, n, seed, *address)
+        stacked = haar_moduli(dim, n, seed, *address)
         witness = lambda i: ModulusVector(stacked[i])  # only the witness row becomes a ModulusVector
     else:  # a substream and two checks per trial, as the tracer pins at --trials 3 until ROADMAP item 14
         points = [moduli(haar_state(dim, substream(seed, *address, i)).amplitudes) for i in range(n)]

@@ -8,6 +8,13 @@ any of its rows.  A defect scan of fewer than 8 trials draws trial i from
 substream(seed, *address, i) instead, and sample draws part t of every pair,
 pair by pair, from substream(seed, t).
 
+A scan that needs only moduli (a defect scan of 8 or more trials,
+stationarity, recover) draws each row as d standard exponentials
+(quantum.haar_moduli).  Every other Haar state (spin1's and sample's states,
+each trial of a shorter defect scan, the two independence points) is a
+(2, d) standard normal pair, real parts then imaginary parts
+(quantum.haar_rows), and the invariance scans draw their tails as normals.
+
 np.random.SeedSequence pads its entropy with zero words up to four 32-bit
 words (a seed from 2**32 up takes two), so addresses that differ only in
 trailing zeros within those four words are one stream: substream(s, k),

@@ -19,7 +19,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .linalg import row_max, row_sum
-from .quantum import haar_scan
+from .quantum import haar_moduli
 from .rules import Affine
 from .tolerances import TOL
 
@@ -142,7 +142,8 @@ def recover_rule(dims: Sequence[int], samples_per_dim: int, seed: int) -> tuple[
 
     For every sampled orthant point, requiring the probabilities to sum to
     one gives one linear equation in the coefficients.  Point i of the
-    di-th dimension is row i of the quantum.haar_scan at (seed, di).  The
+    di-th dimension is row i of the quantum.haar_moduli scan at (seed, di),
+    the moduli of a Haar state drawn without its amplitudes.  The
     quadratic power sum is identically one while the others vary across
     samples, which forces the fit to (0, 1, 0, 0).  Returns the
     fit_power_series result and the number of sampled rows.
@@ -155,6 +156,6 @@ def recover_rule(dims: Sequence[int], samples_per_dim: int, seed: int) -> tuple[
     if samples_per_dim < MIN_SAMPLES:
         raise ValueError("need at least 10 samples per coefficient")
 
-    rows = np.concatenate([power_sums(haar_scan(d, samples_per_dim, seed, di)[1]) for di, d in enumerate(dims)])
+    rows = np.concatenate([power_sums(haar_moduli(d, samples_per_dim, seed, di)) for di, d in enumerate(dims)])
     coefficients, objective = fit_power_series(rows)
     return coefficients, objective, rows.shape[0]

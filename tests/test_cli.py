@@ -571,19 +571,19 @@ class TestFalsification:
         assert report["results"]["max_spread"] > 1e-3
 
     def test_witness_replays_from_the_defect_address(self, capsys):
-        # trial i of the defect scan is the i-th (2, d) pair drawn from substream(*address),
-        # so i + 1 pairs from the address alone replay the witness: z / norm(z) of pair i
+        # trial i of the defect scan is the i-th 3 exponentials drawn from substream(*address),
+        # so i + 1 rows from the address alone replay the witness: sqrt(e / sum(e)) of row i
         for trials in (50, 259):
             argv = ["falsify", "--rule", "power:1", "--dim", "3", "--trials", str(trials), "--seed", "7"]
             _, report = run_json(capsys, argv)
             defect = report["results"]["defect"]
             assert defect["address"] == [7, 0]
-            states = np.abs(pair_states(3, trials, substream(*defect["address"])))
-            defects = [abs(float(np.sum(state)) - 1.0) for state in states]
+            points = exponential_moduli(3, trials, substream(*defect["address"]))
+            defects = [abs(float(np.sum(point)) - 1.0) for point in points]
             worst = int(np.argmax(defects))
             assert defects[worst] == defect["max_defect"]
-            replay = pair_states(3, worst + 1, substream(*defect["address"]))[worst]
-            assert report["results"]["witness"] == quantum.moduli(replay).moduli.tolist()
+            replay = exponential_moduli(3, worst + 1, substream(*defect["address"]))[worst]
+            assert report["results"]["witness"] == replay.tolist()
 
     def test_falsify_and_independence_run_one_independence_check(self, capsys):
         # both run it at address (1,), so a renormalized rule gets the same scans
@@ -1262,6 +1262,16 @@ def pair_states(d, n, rng):
     return np.array(rows)
 
 
+def exponential_moduli(d, n, rng):
+    """The moduli (n, d) of n Haar states from rng's next n rows of d standard
+    exponentials, drawn one row at a time, each row sqrt(e / sum(e)) of its own."""
+    rows = []
+    for _ in range(n):
+        e = rng.standard_exponential(d)
+        rows.append(np.sqrt(e / np.sum(e)))
+    return np.array(rows)
+
+
 class TestRowReductionsKeepReports:
     """With every module's row_sum and row_max bound back to numpy's last-axis reductions,
     each report is the same bytes: the helpers change no result, below 8 entries or from 8 on."""
@@ -1308,8 +1318,8 @@ class TestRowReductionsKeepReports:
 
 class TestStackedEqualsOneAtATime:
     """Commands draw each scan's rows from its one stream and compute once on
-    the stacked rows; states drawn and normalized one pair at a time give the
-    same bits."""
+    the stacked rows; rows drawn and normalized one at a time (moduli from d
+    exponentials, states from a (2, d) pair) give the same bits."""
 
     SEED = 9
 
@@ -1323,7 +1333,7 @@ class TestStackedEqualsOneAtATime:
         probabilities = functools.partial(rules.rule_probabilities, born)
         values, worst = [], np.zeros(3)
         for di, d in enumerate((2, 3, 5)):
-            rows = np.abs(pair_states(d, trials, substream(self.SEED, di)))
+            rows = exponential_moduli(d, trials, substream(self.SEED, di))
             ks = np.arange(trials) % d
             residuals = np.column_stack([
                 np.max(np.abs(variational.rule_stationarity(born, rows, 1.0)), axis=-1),
@@ -1348,7 +1358,7 @@ class TestStackedEqualsOneAtATime:
             calls.append(values.copy())
             return rules.rule_probabilities(rules.Born(), values)
 
-        _, rows = quantum.haar_scan(d, 300, self.SEED)
+        rows = quantum.haar_moduli(d, 300, self.SEED)
         ks = np.arange(300) % d
         variational.outcome_stationarity(probabilities, rows, ks, 0.0)
         assert len(calls) == 2 * d
@@ -1359,8 +1369,8 @@ class TestStackedEqualsOneAtATime:
 
     @pytest.mark.parametrize("trials", [127, 128, 259])
     def test_recover(self, trials):
-        states = [pair_states(d, trials, substream(self.SEED, di)) for di, d in enumerate((2, 3, 6))]
-        rows = np.concatenate([variational.power_sums(np.abs(dim_states)) for dim_states in states])
+        points = [exponential_moduli(d, trials, substream(self.SEED, di)) for di, d in enumerate((2, 3, 6))]
+        rows = np.concatenate([variational.power_sums(dim_points) for dim_points in points])
         coefficients, objective = variational.fit_power_series(rows)
         assert variational.MIN_SAMPLES <= trials
         got, got_objective, count = variational.recover_rule((2, 3, 6), trials, self.SEED)

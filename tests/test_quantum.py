@@ -19,6 +19,7 @@ from bornlab.quantum import (
     chi_square_sf,
     chi_square_test,
     expand,
+    haar_moduli,
     haar_scan,
     haar_state,
     measure,
@@ -46,7 +47,7 @@ def diagonal_basis(values):
 
 
 class ZeroRows:
-    """Standard normal draws whose rows start, ..., start + rows - 1 are zero."""
+    """Standard normal or standard exponential draws whose rows start, ..., start + rows - 1 are zero."""
 
     def __init__(self, rows, start=0):
         self.rng, self.rows = np.random.default_rng(20), slice(start, start + rows)
@@ -55,6 +56,11 @@ class ZeroRows:
         z = self.rng.standard_normal(shape)
         z[self.rows] = 0.0
         return z
+
+    def standard_exponential(self, shape):
+        e = self.rng.standard_exponential(shape)
+        e[self.rows] = 0.0
+        return e
 
 
 def spectrum(dim, rng):
@@ -238,6 +244,8 @@ class TestStateAndModulus:
             monkeypatch.setattr("bornlab.quantum.substream", lambda *address: ZeroRows(1, start=130))
             with pytest.raises(NotNormalized):
                 haar_scan(4, 259, 0)
+            with pytest.raises(NotNormalized):  # all d exponentials of row 130 zero
+                haar_moduli(4, 259, 0)
             # both parts zero in the second of three defect-scan trials: a
             # rejected state, not a nan defect
             trials = iter([np.random.default_rng(23), ZeroRows(2), np.random.default_rng(24)])
@@ -246,9 +254,9 @@ class TestStateAndModulus:
                 defect_scan(Power(1.0), 4, 3, 0)
 
     def test_a_zero_draw_in_a_one_stream_scan_is_not_normalized(self, monkeypatch):
-        # both parts zero in pair 130 of a scan of ONE_STREAM_MIN or more
-        # trials, whose rows are all drawn from one stream: one check of
-        # the stacked moduli rejects the state, so no nan defect is reported
+        # every exponential of row 130 zero in a scan of ONE_STREAM_MIN or
+        # more trials, whose rows are all drawn from one stream: one check of
+        # the stacked moduli rejects the row, so no nan defect is reported
         monkeypatch.setattr("bornlab.quantum.substream", lambda *address: ZeroRows(1, start=130))
         with np.errstate(invalid="ignore"):  # the zero row's 0/0
             with pytest.raises(NotNormalized):
@@ -266,22 +274,49 @@ class TestStateAndModulus:
             haar_state(dim, rng)
         with pytest.raises(ValueError):
             haar_scan(dim, 3, 21)
+        with pytest.raises(ValueError):
+            haar_moduli(dim, 3, 21)
 
     @pytest.mark.parametrize("d", [2, 3, 8])
     @pytest.mark.parametrize("n", [1, 127, 128, 129, 1000])
     def test_scan_rows_are_normalized_as_if_one_at_a_time(self, d, n):
         # row i of a scan is the i-th (2, d) pair of its one stream, drawn
         # here one pair at a time, and one division and one check on the
-        # stacked rows keep the bits of each row's own z / norm(z); the moduli
-        # handed back with them are those of the states
+        # stacked rows keep the bits of each row's own z / norm(z)
         rng, rows = substream(23, 4), []
         for _ in range(n):
             real, imag = rng.standard_normal((2, d))
             z = real + 1j * imag
             rows.append(z / np.linalg.norm(z))
-        states, points = haar_scan(d, n, 23, 4)
-        assert states.tobytes() == np.array(rows).tobytes()
-        assert points.tobytes() == np.abs(np.array(rows)).tobytes()
+        assert haar_scan(d, n, 23, 4).tobytes() == np.array(rows).tobytes()
+
+    @pytest.mark.parametrize("d", [2, 3, 8])
+    @pytest.mark.parametrize("n", [1, 127, 128, 129, 1000])
+    def test_moduli_rows_are_normalized_as_if_one_at_a_time(self, d, n):
+        # row i of a moduli scan is sqrt(e / sum(e)) of the i-th d exponentials
+        # of its one stream, drawn here one row at a time
+        rng, rows = substream(23, 4), []
+        for _ in range(n):
+            e = rng.standard_exponential(d)
+            rows.append(np.sqrt(e / np.sum(e)))
+        assert haar_moduli(d, n, 23, 4).tobytes() == np.array(rows).tobytes()
+
+    @pytest.mark.parametrize("source", ["haar_moduli", "haar_scan"])
+    @pytest.mark.parametrize("d", [2, 3, 8])
+    def test_moduli_have_the_haar_law(self, source, d):
+        # a Haar state's squared moduli are Dirichlet(1, ..., 1), so each a_k^2 is
+        # Beta(1, d - 1): CDF 1 - (1 - x)^(d - 1), E[a_k^4] = 2 / (d (d + 1)) and
+        # E[a_k^8] = 24 / (d (d + 1) (d + 2) (d + 3)).  The seed was fixed before the
+        # first run: never re-seed it.
+        n = 20_000
+        rows = haar_moduli(d, n, 1729, d) if source == "haar_moduli" else np.abs(haar_scan(d, n, 1729, d))
+        x = np.sort(rows[:, 0] ** 2)
+        cdf = 1.0 - (1.0 - x) ** (d - 1)
+        ks = max(np.max(np.arange(1, n + 1) / n - cdf), np.max(cdf - np.arange(n) / n))
+        assert ks < math.sqrt(-math.log(1e-6 / 2.0) / 2.0 / n)  # Kolmogorov's critical value at alpha = 1e-6
+        second, fourth = 2.0 / (d * (d + 1)), 24.0 / (d * (d + 1) * (d + 2) * (d + 3))
+        sigma = math.sqrt((fourth - second**2) / n)
+        assert np.all(np.abs(np.mean(rows**4, axis=0) - second) < 6.0 * sigma)
 
     def test_state_norm_is_the_numpy_norm(self):
         # bit for bit: z / norm(z) from the two rows of a fresh draw; the norm
@@ -522,7 +557,7 @@ class TestMeasurement:
         # one multinomial call on the stack gives, bit for bit, one multinomial
         # per row in stack order over the same generator, and leaves it where
         # that loop does; a one-hot row rounded above one is clipped in both
-        p = haar_scan(d, n, 31)[1] ** 2
+        p = np.abs(haar_scan(d, n, 31)) ** 2
         p[-1] = np.eye(d)[0] * np.nextafter(1.0, 2.0)
         rng, reference = substream(32, d), substream(32, d)
         counts = sample_outcomes(p, shots, rng)

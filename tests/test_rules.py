@@ -293,26 +293,27 @@ class TestDefectScan:
     def test_stacked_defects_equal_the_scalar_formula(self, rule, d, n, seed):
         # exact equality: stacking the trials must not change a single bit,
         # on either side of ONE_STREAM_MIN and at dimensions past BLAS's unroll
-        # widths.  Each state is z / norm(z) of one (2, d) draw, its real parts
-        # then its imaginary parts, rebuilt from numpy alone: below
-        # ONE_STREAM_MIN, trial i's is the one draw from the SeedSequence of
-        # (seed, i); from ONE_STREAM_MIN on, trial i's is the i-th draw from
-        # the SeedSequence of (seed,)
-        def state(rng):
-            real, imag = rng.standard_normal((2, d))
+        # widths.  Each trial's moduli are rebuilt from numpy alone: below
+        # ONE_STREAM_MIN, trial i's are |z| / norm(z) of the one (2, d) draw,
+        # real parts then imaginary parts, from the SeedSequence of (seed, i);
+        # from ONE_STREAM_MIN on, they are sqrt(e / sum(e)) of the i-th d
+        # standard exponentials drawn from the SeedSequence of (seed,)
+        def reference_state(i):
+            real, imag = np.random.default_rng(np.random.SeedSequence((seed, i))).standard_normal((2, d))
             z = real + 1j * imag
             return z / np.linalg.norm(z)
 
-        def reference_state(i):
-            return state(np.random.default_rng(np.random.SeedSequence((seed, i))))
+        def exponential_row(rng):
+            e = rng.standard_exponential(d)
+            return np.sqrt(e / np.sum(e))
 
         if n < ONE_STREAM_MIN:
-            states = [reference_state(i) for i in range(n)]
+            points = [np.abs(reference_state(i)) for i in range(n)]
         else:
             rng = np.random.default_rng(np.random.SeedSequence((seed,)))
-            states = [state(rng) for _ in range(n)]
+            points = [exponential_row(rng) for _ in range(n)]
         report = defect_scan(rule, d, n, seed)
-        scalar = [abs(float(np.sum(rule(np.abs(state)))) - 1.0) for state in states]
+        scalar = [abs(float(np.sum(rule(point))) - 1.0) for point in points]
         assert report.defects.tobytes() == np.array(scalar).tobytes()
         ends = rule(0.0), rule(1.0)  # every plain rule here is monotone on [0, 1]
         if min(ends) < 0.0 or max(ends) <= 0.0:  # below 0 somewhere, or 0 everywhere: no renormalization
@@ -334,7 +335,7 @@ class TestDefectScan:
             return lambda *address: addresses.append(address) or substream(*address)
 
         monkeypatch.setattr(rules, "substream", recorder(singles))
-        monkeypatch.setattr(quantum, "substream", recorder(scans))  # the one haar_scan calls
+        monkeypatch.setattr(quantum, "substream", recorder(scans))  # the one haar_moduli calls
         defect_scan(rule, 4, trials, 9)
         return singles, scans
 
@@ -355,8 +356,8 @@ class TestDefectScan:
 
     @pytest.mark.parametrize("d", [2, 5])
     def test_first_k_trials_are_a_k_trial_scan(self, d):
-        # from ONE_STREAM_MIN on, trial i is the i-th pair of the scan's one
-        # stream, so no trial depends on how many follow it: for every k
+        # from ONE_STREAM_MIN on, trial i is the i-th d exponentials of the
+        # scan's one stream, so no trial depends on how many follow it: for every k
         n = 259
         defects = defect_scan(Power(3.0), d, n, 7, 2).defects
         for k in range(ONE_STREAM_MIN, n + 1):
